@@ -16,7 +16,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -26,8 +26,6 @@ SPEC_PATH = ROOT / "BENCHMARK.json"
 TAIL_PERCENTILES = (99.9, 99.0, 95.0, 90.0, 75.0, 50.0)
 #: Samples a reported percentile needs beyond it.
 TAIL_MIN_BEYOND = 10
-#: Fresh interpreters whose import time is the median reported as set-up.
-IMPORT_REPEATS = 3
 #: Imports the modules named in argv, in order, and prints the seconds taken.
 IMPORT_PROBE = (
     "import importlib, sys, time; start = time.perf_counter(); "
@@ -36,7 +34,7 @@ IMPORT_PROBE = (
 )
 IMPORT_TIMEOUT_S = 60.0
 #: Units of reported times and of reported rates: the ones host speed scales.
-TIME_UNITS = ("s", "ms", "ms/step")
+TIME_UNITS = ("s", "ms")
 RATE_UNITS = ("1/s",)
 
 
@@ -81,15 +79,9 @@ def import_seconds(modules: Sequence[str]) -> float:
     return float(done.stdout.strip().splitlines()[-1])
 
 
-def setup_import_s(modules: Sequence[str]) -> float:
-    """Median import time of a workload's modules over fresh interpreters."""
-    return median([import_seconds(modules) for _ in range(IMPORT_REPEATS)])
-
-
-def usable_cores() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def usable_core_ids() -> List[int]:
+    """The cores this process may run on, in order."""
+    return sorted(os.sched_getaffinity(0))
 
 
 def deadline_after(seconds: float) -> float:
@@ -136,16 +128,13 @@ class HostSpeed:
     op took anywhere from 16 to 39 ms depending on the minute, with CPU time
     equal to wall time (the CPU itself ran slower; nothing was descheduled),
     while its ratio to this kernel's time stayed within a few percent.  So
-    the in-process workloads sample the kernel after each op, on the thread
-    that runs the ops, and each reported time is scaled by ``NOMINAL_S`` over
-    the kernel's median time in the run (rates by the inverse): it reads as
-    the time at the nominal host speed.  The record line keeps the raw values
-    and the factor.  The kernel is numpy elementwise math plus pure-Python
-    dict work, and touches no program code.
-
-    Workloads whose work runs in other processes (the served and cold-start
-    ones) report raw times: sampled beside a server or a child process, the
-    kernel tracked their speed worse than no correction at all.
+    every workload samples the kernel after each op, on the thread that runs
+    the ops, and each reported time is scaled by ``NOMINAL_S`` over the
+    kernel's median time in the run (rates by the inverse): it reads as the
+    time at the nominal host speed.  A run pins itself and the processes it
+    starts to one core, so the kernel times the core that did the work.  The
+    record line keeps the raw values and the factor.  The kernel is numpy
+    elementwise math plus pure-Python dict work, and touches no program code.
     """
 
     #: The kernel's median time on the 2-vCPU Xeon host at its fastest.
@@ -186,18 +175,32 @@ class HostSpeed:
 # --------------------------------------------------------------------------- #
 
 
+class Measured(NamedTuple):
+    """A workload run's set-up seconds and the seconds of each timed op."""
+
+    setup_s: float
+    op_seconds: List[float]
+
+
 @dataclass
 class Report:
-    """What one workload run measured: op counts plus named metric values."""
+    """What one workload run measured: op counts plus named metric values.
+
+    ``values`` are raw; the result line scales each by the host-speed
+    factor, except those named in ``unscaled``.  ``notes`` go to the
+    record line only.
+    """
 
     attempted: int = 0
     failed: int = 0
     values: Dict[str, float] = field(default_factory=dict)
     details: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    threads: int = 1
-    connections: int = 0
+    #: The cores the run may use, before it pins itself to the first.
+    cores: List[int] = field(default_factory=usable_core_ids)
     #: Present when the workload's times are scaled to the nominal host speed.
     speed: Optional[HostSpeed] = None
+    unscaled: set = field(default_factory=set)
+    notes: Dict[str, Any] = field(default_factory=dict)
 
     def op(self, ok: bool) -> None:
         self.attempted += 1
@@ -214,20 +217,29 @@ class Report:
 
     def p50(self, name: str, samples: Sequence[float], scale: float = 1.0) -> float:
         """Record the median of ``samples`` (times ``scale``) with its tail."""
-        if not samples:
-            raise BenchmarkError(f"{name}: no samples were measured")
-        value = median(samples) * scale
+        value, self.details[name] = summarize(name, samples, scale)
         self.values[name] = value
-        detail: Dict[str, Any] = {"count": len(samples)}
-        high = tail(samples)
-        if high is not None:
-            detail[f"p{high['percentile']:g}"] = high["value"] * scale
-        self.details[name] = detail
         return value
+
+    def note_p50(self, name: str, samples: Sequence[float], scale: float = 1.0) -> None:
+        """Like ``p50``, but raw and for the record line only."""
+        value, detail = summarize(name, samples, scale)
+        self.notes[name] = dict(detail, p50=value)
 
     @property
     def correct(self) -> bool:
         return self.attempted > 0 and self.failed == 0
+
+
+def summarize(name: str, samples: Sequence[float], scale: float):
+    """(median x scale, {count, highest supported percentile x scale})."""
+    if not samples:
+        raise BenchmarkError(f"{name}: no samples were measured")
+    detail: Dict[str, Any] = {"count": len(samples)}
+    high = tail(samples)
+    if high is not None:
+        detail[f"p{high['percentile']:g}"] = high["value"] * scale
+    return median(samples) * scale, detail
 
 
 # --------------------------------------------------------------------------- #
@@ -276,9 +288,10 @@ def fingerprint(report: Report) -> Dict[str, Any]:
             versions[name] = None
     return {
         "cpu_count": os.cpu_count(),
-        "usable_cores": usable_cores(),
-        "client_threads": report.threads,
-        "client_connections": report.connections,
+        "usable_cores": len(report.cores),
+        # Every workload runs its ops from one thread of this process.
+        "client_threads": 1,
+        "client_connections": 0,
         "python": platform.python_version(),
         "numpy": versions["numpy"],
         "scipy": versions["scipy"],
@@ -296,7 +309,6 @@ def metric_units(spec: Dict[str, Any], trace: bool) -> Dict[str, str]:
 def render(
     spec: Dict[str, Any],
     workload: str,
-    expected: Sequence[str],
     report: Report,
     seed: int,
     seconds: int,
@@ -304,18 +316,15 @@ def render(
 ) -> List[str]:
     """The record line and the result line (last) of one run.
 
-    The result carries every value at the nominal host speed; the record
-    keeps each raw value beside it.
+    The result carries every metric of the spec's section for ``trace``,
+    at the nominal host speed; the record keeps each raw value beside it.
     """
     units = metric_units(spec, trace)
-    names = list(expected)
+    names = list(units)
     if set(report.values) != set(names):
         raise BenchmarkError(
             f"{workload} measured {sorted(report.values)}, expected {sorted(names)}"
         )
-    undeclared = [name for name in names if name not in units]
-    if undeclared:
-        raise BenchmarkError(f"metrics missing from {SPEC_PATH.name}: {undeclared}")
     speed = report.speed
     if speed is not None and not speed.samples:
         raise BenchmarkError(f"{workload} never sampled the host speed")
@@ -326,7 +335,7 @@ def render(
         name: {
             "value": (
                 report.values[name]
-                if speed is None
+                if speed is None or name in report.unscaled
                 else speed.scaled(report.values[name], units[name])
             ),
             "unit": units[name],
@@ -352,9 +361,11 @@ def render(
                     report.details.get(name, {}),
                     raw=report.values[name],
                     unit=units[name],
+                    host_scaled=speed is not None and name not in report.unscaled,
                 )
                 for name in names
             },
+            "notes": report.notes,
         }
     }
     result = {

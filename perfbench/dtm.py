@@ -2,33 +2,23 @@
 
 One thread.  A ``DynamicThermalManager`` on ``Floorplan.example_processor()``
 with a 3 x 3 sensor grid at ``grid_resolution=256`` (the multigrid path
-of the ``auto`` solver).  Ops alternate a one-policy ``run`` and a
-4-policy ``run_bank`` over a few control steps; each op's
-``workload_scale`` is drawn from the workload seed.
+of the ``auto`` solver).  Each op is a one-policy ``run`` followed by a
+4-policy ``run_bank``, both over a few control steps at the same
+``workload_scale``, drawn from the workload seed.
 
-Times are reported at the nominal host speed (``common.HostSpeed``),
-sampled after every op on this thread.
-
-The traced run replays ``ThermalStepper.step`` on one state and on a
-4-column stack, and ``SensorBank.scan`` of the nine sites, with each op's
-own power scale.
+Set-up is building the manager, the thermal operator with its multigrid
+hierarchy and the stepper from a cleared operator cache, plus one
+warm-up op of each kind, repeated; importing the program is timed by the
+per-layer ``import.*`` metrics instead.  Times are reported at the
+nominal host speed (``common.HostSpeed``), sampled after every op on
+this thread.
 """
 
 from __future__ import annotations
 
 import time
 
-from .common import HostSpeed, Report, deadline_after, median, setup_import_s
-
-END_TO_END = ("setup_s", "dtm_step_ms_p50", "dtm_bank_step_ms_p50")
-PER_LAYER = (
-    "thermal.operator_setup_s",
-    "thermal.step_ms",
-    "thermal.block_step_ms",
-    "core.scan_ms",
-    "core.loop_overhead_ms",
-    "trace.overhead_ms.dtm-256",
-)
+from .common import HostSpeed, Measured, Report, deadline_after, median
 
 RESOLUTION = 256
 SENSOR_GRID = (3, 3)
@@ -46,10 +36,9 @@ POLICY_THRESHOLDS = (
 #: Power scales of the four columns of the replayed block step.
 BLOCK_SCALES = (1.0, 0.6, 0.25, 1.0)
 SETUP_REPEATS = 3
-IMPORTS = ("numpy", "repro", "repro.core", "repro.thermal")
 
 
-class _Dtm:
+class Dtm:
     """The imported program, the manager under test and the seeded scales."""
 
     def __init__(self, seed: int) -> None:
@@ -141,13 +130,13 @@ class _Dtm:
         return all(bool(np.isfinite(np.asarray(a, dtype=float)).all()) for a in arrays)
 
     def replay(self, scale: float, layers) -> None:
-        """Time the stepper and the sensor scan on this op's power scale."""
+        """Time the stepper and the sensor scan on this power scale."""
         np = self.np
         rise = np.zeros_like(self.power)
         for _ in range(STEPS):
             start = time.perf_counter()
             rise = self.stepper.step(rise, self.power * scale)
-            layers["step"].append(time.perf_counter() - start)
+            layers["thermal.step_ms"].append(time.perf_counter() - start)
         field = self._map_type(
             self.grid.width_mm,
             self.grid.height_mm,
@@ -157,65 +146,39 @@ class _Dtm:
         truths = field.sample_points(*sensors.positions())
         start = time.perf_counter()
         sensors.scan(truths)
-        layers["scan"].append(time.perf_counter() - start)
+        layers["core.scan_ms"].append(time.perf_counter() - start)
         columns = np.asarray(BLOCK_SCALES) * scale
         block = np.zeros((self.power.size, columns.size))
         for _ in range(STEPS):
             start = time.perf_counter()
             block = self.stepper.step(block, self.power[:, np.newaxis] * columns)
-            layers["block"].append(time.perf_counter() - start)
+            layers["thermal.block_step_ms"].append(time.perf_counter() - start)
 
 
-def run(seed: int, seconds: float, trace: bool) -> Report:
-    report = Report(threads=1, connections=0, speed=HostSpeed())
-    import_s = setup_import_s(IMPORTS)
-    dtm = _Dtm(seed)
-    setups, operator_setups = [], []
+def run(seed: int, seconds: float, report: Report) -> Measured:
+    """Set up, then run ``run``/``run_bank`` pairs until the deadline."""
+    report.speed = HostSpeed()
+    dtm = Dtm(seed)
+    setups = []
     for _ in range(SETUP_REPEATS):
         start = time.perf_counter()
-        operator_setups.append(dtm.build())
+        dtm.build()
         # Warm-up: one op of each kind on the freshly built operator.
-        for op in (dtm.single, dtm.bank):
-            report.op(op(dtm.scale())[2])
+        for half in (dtm.single, dtm.bank):
+            report.op(half(dtm.scale())[2])
         setups.append(time.perf_counter() - start)
         report.speed.sample()
-    setup_s = import_s + median(setups)
+    setup_s = median(setups)
 
-    if not trace:
-        single, bank = _loop(dtm, report, seconds)
-        report.set("setup_s", setup_s)
-        report.p50("dtm_step_ms_p50", single, scale=1e3)
-        report.p50("dtm_bank_step_ms_p50", bank, scale=1e3)
-        return report
-
-    untraced, _bank = _loop(dtm, report, seconds / 2.0)
-    layers = {"step": [], "block": [], "scan": []}
-    traced, _bank = _loop(dtm, report, seconds / 2.0, layers)
-    report.set("thermal.operator_setup_s", median(operator_setups))
-    step_ms = report.p50("thermal.step_ms", layers["step"], scale=1e3)
-    report.p50("thermal.block_step_ms", layers["block"], scale=1e3)
-    scan_ms = report.p50("core.scan_ms", layers["scan"], scale=1e3)
-    report.set("core.loop_overhead_ms", median(untraced) * 1e3 - step_ms - scan_ms)
-    report.set("trace.overhead_ms.dtm-256", (median(traced) - median(untraced)) * 1e3)
-    return report
-
-
-def _loop(dtm: _Dtm, report: Report, seconds: float, layers=None):
-    """Alternate ``run`` and ``run_bank`` until the deadline.
-
-    Returns the per-control-step seconds of each op of either kind.  With
-    ``layers``, each op pair is followed by a replay of its layers.
-    """
-    single, bank = [], []
+    times = []
     stop = deadline_after(seconds)
     while time.perf_counter() < stop:
         scale = dtm.scale()
-        for op, times in ((dtm.single, single), (dtm.bank, bank)):
-            elapsed, steps, ok = op(scale)
+        elapsed = 0.0
+        for half in (dtm.single, dtm.bank):
+            seconds_taken, _steps, ok = half(scale)
             report.op(ok)
-            report.speed.sample()
-            if ok:
-                times.append(elapsed / steps)
-        if layers is not None:
-            dtm.replay(scale, layers)
-    return single, bank
+            elapsed += seconds_taken
+        times.append(elapsed)
+        report.speed.sample()
+    return Measured(setup_s, times)

@@ -6,39 +6,27 @@ One thread, closed loop.  Each op builds and runs
 ``nonlinearity_percent`` observable.  Every op gets its own population
 and jittered grid, drawn from the workload seed outside the timed region.
 
-Times are reported at the nominal host speed (``common.HostSpeed``),
-sampled after every op on this thread.
-
-The traced run times ``Sweep.plan`` and ``SweepPlan.execute`` separately
-and replays ``ConfigurationBank.period_tensor`` on each op's inputs.
+Set-up is building the cell library and the configuration bank and a
+first sweep, repeated; importing the program is timed by the per-layer
+``import.*`` metrics instead.  Times are reported at the nominal host
+speed (``common.HostSpeed``), sampled after every op on this thread.
 """
 
 from __future__ import annotations
 
 import time
 
-from .common import HostSpeed, Report, deadline_after, median, setup_import_s
-
-END_TO_END = ("setup_s", "fig3_sweep_ms_p50", "fig3_sweeps_per_s")
-PER_LAYER = (
-    "oscillator.period_tensor_ms",
-    "oscillator.elements_per_s",
-    "engine.plan_ms",
-    "engine.execute_ms",
-    "engine.observable_ms",
-    "trace.overhead_ms.fig3-sweep",
-)
+from .common import HostSpeed, Measured, Report, deadline_after, median
 
 SAMPLES = 1000
 GRID = (-50.0, 150.0, 41)
 #: Grid points move by up to this much (deg C); below half the spacing,
 #: so every grid stays sorted and free of duplicates.
 JITTER_C = 2.0
-SETUP_REPEATS = 3
-IMPORTS = ("numpy", "repro")
+SETUP_REPEATS = 5
 
 
-class _Fig3:
+class Fig3:
     """The imported program plus the seeded input stream."""
 
     def __init__(self, seed: int) -> None:
@@ -61,9 +49,15 @@ class _Fig3:
         self.configurations = PAPER_FIG3_CONFIGURATIONS
         self.sample = sample_technology_array
         self.shape = (len(PAPER_FIG3_CONFIGURATIONS), SAMPLES, GRID[2])
-        self.bank = ConfigurationBank(default_library(CMOS035), PAPER_FIG3_CONFIGURATIONS)
+        self._bank_type = ConfigurationBank
+        self._library = default_library
+        self.build()
         self.rng = np.random.default_rng(seed)
         self.base_grid = np.linspace(*GRID)
+
+    def build(self) -> None:
+        """Build the cell library and the configuration bank from scratch."""
+        self.bank = self._bank_type(self._library(self.technology), self.configurations)
 
     def inputs(self):
         """A fresh (population, grid) pair; no two calls share either."""
@@ -91,72 +85,27 @@ class _Fig3:
         )
 
 
-def run(seed: int, seconds: float, trace: bool) -> Report:
-    report = Report(threads=1, connections=0, speed=HostSpeed())
-    import_s = setup_import_s(IMPORTS)
-    fig3 = _Fig3(seed)
-    warm_ups = []
+def run(seed: int, seconds: float, report: Report) -> Measured:
+    """Set up, then run Fig. 3 sweeps until the deadline."""
+    report.speed = HostSpeed()
+    fig3 = Fig3(seed)
+    setups = []
     for _ in range(SETUP_REPEATS):
         start = time.perf_counter()
+        fig3.build()
         population, grid = fig3.inputs()
         report.op(fig3.valid(fig3.sweep(population, grid).run()))
-        warm_ups.append(time.perf_counter() - start)
+        setups.append(time.perf_counter() - start)
         report.speed.sample()
-    setup_s = import_s + median(warm_ups)
+    setup_s = median(setups)
 
-    if not trace:
-        times = _closed_loop(fig3, report, seconds)
-        report.set("setup_s", setup_s)
-        report.p50("fig3_sweep_ms_p50", times, scale=1e3)
-        report.set("fig3_sweeps_per_s", len(times) / sum(times))
-        return report
-
-    untraced = _closed_loop(fig3, report, seconds / 2.0)
-    layers = {"plan": [], "execute": [], "period_tensor": []}
-    traced = _closed_loop(fig3, report, seconds / 2.0, layers)
-    elements = fig3.shape[0] * fig3.shape[1] * fig3.shape[2]
-    period_tensor_ms = report.p50(
-        "oscillator.period_tensor_ms", layers["period_tensor"], scale=1e3
-    )
-    report.set("oscillator.elements_per_s", elements / (period_tensor_ms / 1e3))
-    report.p50("engine.plan_ms", layers["plan"], scale=1e3)
-    execute_ms = report.p50("engine.execute_ms", layers["execute"], scale=1e3)
-    report.set("engine.observable_ms", execute_ms - period_tensor_ms)
-    report.set(
-        "trace.overhead_ms.fig3-sweep", (median(traced) - median(untraced)) * 1e3
-    )
-    return report
-
-
-def _closed_loop(fig3: _Fig3, report: Report, seconds: float, layers=None):
-    """Run ops until the deadline; returns each op's seconds.
-
-    With ``layers``, each op is split into its plan and execute calls and
-    ``ConfigurationBank.period_tensor`` is replayed on the op's inputs
-    after it, outside the op's timing.
-    """
     times = []
     stop = deadline_after(seconds)
     while time.perf_counter() < stop:
         population, grid = fig3.inputs()
-        if layers is None:
-            start = time.perf_counter()
-            result = fig3.sweep(population, grid).run()
-            times.append(time.perf_counter() - start)
-        else:
-            start = time.perf_counter()
-            sweep = fig3.sweep(population, grid)
-            planning = time.perf_counter()
-            plan = sweep.plan()
-            executing = time.perf_counter()
-            result = plan.execute()
-            end = time.perf_counter()
-            times.append(end - start)
-            layers["plan"].append(executing - planning)
-            layers["execute"].append(end - executing)
-            replay = time.perf_counter()
-            fig3.bank.period_tensor(grid, technologies=population)
-            layers["period_tensor"].append(time.perf_counter() - replay)
+        start = time.perf_counter()
+        result = fig3.sweep(population, grid).run()
+        times.append(time.perf_counter() - start)
         report.op(fig3.valid(result))
         report.speed.sample()
-    return times
+    return Measured(setup_s, times)

@@ -5,10 +5,11 @@ Run from the repository root with ``python3 perfbench/selftest.py`` (or
 ``python3 -m pytest perfbench/selftest.py``).  They check that the
 metric and workload names the benchmark prints match ``BENCHMARK.json``
 exactly, that every metric carries a unit and is its raw value scaled by
-the run's host-speed factor when it has one, that a served payload with
-one value flipped is counted as a failed op, that a run refuses to
-start without the program's sources, and that a short pass of every
-workload completes, traced and untraced.
+the run's host-speed factor when it is host-scaled, that a served
+result with one value broken fails its check, that a run refuses to
+start without the program's sources, and that a short pass of
+every workload completes untraced, and of one traced (the traced part is
+the same layer suite on every workload).
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
+from perfbench import fig3_sweep, layers  # noqa: E402
 from perfbench import run as bench  # noqa: E402
-from perfbench import serve_mixed  # noqa: E402
 from perfbench.common import (  # noqa: E402
     RATE_UNITS,
     ROOT,
@@ -36,6 +37,7 @@ from perfbench.common import (  # noqa: E402
 )
 
 SHORT_SECONDS = 2
+TRACED_WORKLOAD = "fig3-sweep"
 
 
 def _run(workload: str, trace: int, cwd: Path = ROOT) -> subprocess.CompletedProcess:
@@ -68,15 +70,14 @@ class SpecTest(unittest.TestCase):
         self.assertEqual(sorted(declared), sorted(bench.WORKLOADS))
 
     def test_metric_names_match(self) -> None:
-        for section, attribute in (("end_to_end", "END_TO_END"), ("per_layer", "PER_LAYER")):
+        for section, emitted in (
+            ("end_to_end", bench.END_TO_END),
+            ("per_layer", layers.PER_LAYER),
+        ):
             declared = [metric["name"] for metric in self.spec[section]]
-            emitted = {
-                name
-                for module in bench.WORKLOADS.values()
-                for name in getattr(module, attribute)
-            }
             self.assertEqual(len(declared), len(set(declared)), section)
-            self.assertEqual(set(declared), emitted, section)
+            self.assertEqual(len(emitted), len(set(emitted)), section)
+            self.assertEqual(set(declared), set(emitted), section)
 
     def test_every_metric_has_a_unit(self) -> None:
         for metric in self.spec["end_to_end"] + self.spec["per_layer"]:
@@ -88,41 +89,18 @@ class SpecTest(unittest.TestCase):
         self.assertEqual(bounds["setup_s"], max(bounds.values()))
 
 
-class PayloadCheckTest(unittest.TestCase):
-    def setUp(self) -> None:
+class OutputCheckTest(unittest.TestCase):
+    def test_fig3_result_with_one_nan_fails(self) -> None:
         check_checkout()
-        from repro import CMOS035, PAPER_FIG3_CONFIGURATIONS, Axis, Sweep
+        import numpy as np
 
-        self.spec = (
-            Sweep(technology=CMOS035)
-            .over(Axis.configuration(PAPER_FIG3_CONFIGURATIONS))
-            .over(Axis.temperature([-10.0, 40.0, 90.0]))
-            .to_dict()
-        )
-        self.payload = json.loads(json.dumps(Sweep.from_dict(self.spec).run().to_dict()))
-
-    def test_matching_payload_passes(self) -> None:
-        self.assertEqual(serve_mixed.payload_failures([(self.spec, self.payload)]), 0)
-
-    def test_one_flipped_value_fails(self) -> None:
-        flipped = json.loads(json.dumps(self.payload))
-        flipped["values"][2][1] = -flipped["values"][2][1]
-        self.assertEqual(serve_mixed.payload_failures([(self.spec, flipped)]), 1)
-
-    def test_flipped_served_payload_is_a_failed_op(self) -> None:
-        from repro.serve import ServeClient
-
-        served = ServeClient.sweep_payload
-
-        def flip_one(client, spec, *args, **kwargs):
-            payload = served(client, spec, *args, **kwargs)
-            payload["values"][0][1] = payload["values"][0][1] * (1.0 + 1e-12)
-            return payload
-
-        with mock.patch.object(ServeClient, "sweep_payload", flip_one):
-            report = serve_mixed.run(seed=3, seconds=SHORT_SECONDS, trace=False)
-        self.assertGreaterEqual(report.failed, 1)
-        self.assertFalse(report.correct)
+        fig3 = fig3_sweep.Fig3(seed=3)
+        result = fig3.sweep(*fig3.inputs()).run()
+        self.assertTrue(fig3.valid(result))
+        values = np.array(result.values)
+        self.assertFalse(fig3.valid(mock.Mock(dims=result.dims, values=values[:, :-1])))
+        values[2, 10, 5] = np.nan
+        self.assertFalse(fig3.valid(mock.Mock(dims=result.dims, values=values)))
 
 
 class RefusalTest(unittest.TestCase):
@@ -147,33 +125,31 @@ class ShortPassTest(unittest.TestCase):
             0: {metric["name"]: metric["unit"] for metric in spec["end_to_end"]},
             1: {metric["name"]: metric["unit"] for metric in spec["per_layer"]},
         }
-        for workload, module in bench.WORKLOADS.items():
-            for trace, expected in ((0, module.END_TO_END), (1, module.PER_LAYER)):
-                with self.subTest(workload=workload, trace=trace):
-                    done = _run(workload, trace)
-                    self.assertEqual(done.returncode, 0, done.stderr[-2000:])
-                    lines = done.stdout.strip().splitlines()
-                    result = json.loads(lines[-1])
-                    record = json.loads(lines[-2])["record"]
-                    self.assertEqual(
-                        sorted(result), ["attempted", "correct", "failed", "metrics"]
-                    )
-                    self.assertTrue(result["correct"], result)
-                    self.assertGreaterEqual(result["attempted"], 1)
-                    self.assertEqual(result["failed"], 0)
-                    self.assertEqual(set(result["metrics"]), set(expected))
-                    speed = record["host_speed"]
-                    factor = 1.0 if speed is None else speed["factor"]
-                    for name, metric in result["metrics"].items():
-                        self.assertEqual(metric["unit"], units[trace][name])
-                        raw = record["samples"][name]["raw"]
-                        if metric["unit"] in TIME_UNITS:
-                            raw *= factor
-                        elif metric["unit"] in RATE_UNITS:
-                            raw /= factor
-                        self.assertAlmostEqual(metric["value"], raw, delta=1e-9 * abs(raw))
-                    self.assertEqual(record["workload"], workload)
-                    self.assertGreaterEqual(record["host"]["usable_cores"], 1)
+        passes = [(workload, 0) for workload in bench.WORKLOADS] + [(TRACED_WORKLOAD, 1)]
+        for workload, trace in passes:
+            with self.subTest(workload=workload, trace=trace):
+                done = _run(workload, trace)
+                self.assertEqual(done.returncode, 0, done.stderr[-2000:])
+                lines = done.stdout.strip().splitlines()
+                result = json.loads(lines[-1])
+                record = json.loads(lines[-2])["record"]
+                self.assertEqual(sorted(result), ["attempted", "correct", "failed", "metrics"])
+                self.assertTrue(result["correct"], result)
+                self.assertGreaterEqual(result["attempted"], 1)
+                self.assertEqual(result["failed"], 0)
+                self.assertEqual(set(result["metrics"]), set(units[trace]))
+                factor = record["host_speed"]["factor"]
+                for name, metric in result["metrics"].items():
+                    self.assertEqual(metric["unit"], units[trace][name])
+                    sample = record["samples"][name]
+                    raw = sample["raw"]
+                    if sample["host_scaled"] and metric["unit"] in TIME_UNITS:
+                        raw *= factor
+                    elif sample["host_scaled"] and metric["unit"] in RATE_UNITS:
+                        raw /= factor
+                    self.assertAlmostEqual(metric["value"], raw, delta=1e-9 * abs(raw))
+                self.assertEqual(record["workload"], workload)
+                self.assertGreaterEqual(record["host"]["usable_cores"], 1)
 
 
 if __name__ == "__main__":
