@@ -145,10 +145,12 @@ variable                                   meaning (default)
                                            (cpu count)
 ``REPRO_SWEEP_TILE_ELEMENTS``              per-tile element budget of tiled backends
                                            (``2**20``, an 8 MiB tile)
-``REPRO_THERMAL_METHOD``                   resolve ``auto`` thermal solves to ``direct`` |
-                                           ``iterative`` | ``multigrid`` (size-based choice)
-``REPRO_THERMAL_ITERATIVE_THRESHOLD``      unknown count where ``auto`` thermal solves go
-                                           iterative (operator's built-in threshold)
+``REPRO_THERMAL_METHOD``                   resolve ``auto`` thermal solves to ``direct``
+                                           (sparse factorization) | ``spectral``
+                                           (exact 2-D DCT solve) (size-based choice)
+``REPRO_THERMAL_ITERATIVE_THRESHOLD``      unknown count above which ``auto`` thermal
+                                           solves go spectral (operator's built-in
+                                           threshold, 4096)
 ``REPRO_SERVE_HOST``                       sweep-service bind address (``127.0.0.1``)
 ``REPRO_SERVE_PORT``                       sweep-service bind port, 0 = ephemeral (``7753``)
 ``REPRO_SERVE_WORKERS``                    concurrent service evaluation slots; above 1,

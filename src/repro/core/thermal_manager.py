@@ -513,9 +513,9 @@ class DynamicThermalManager:
         self.ambient_c = float(ambient_c)
         #: How the backward-Euler systems are solved (one of
         #: ``repro.thermal.SOLVE_METHODS``) — ``auto`` picks a direct
-        #: factorization on small grids and multigrid-preconditioned
-        #: block CG on full-die resolutions, so a banked run stays one
-        #: (possibly iterative) solve per timestep at any grid size.
+        #: factorization on small grids and the exact DCT solve on
+        #: full-die resolutions, so a banked run stays one multi-RHS
+        #: solve per timestep at any grid size.
         self.solve_method = solve_method
         self.monitor = ThermalMonitor(
             technology,

@@ -508,8 +508,8 @@ class Axis:
         power map onto an ``r x r`` grid, solves the steady-state die
         temperature field through the process-wide
         :class:`~repro.thermal.operator.ThermalOperator` cache (one
-        entry — one factorization or preconditioner — per resolution;
-        ``method`` routes large grids through the iterative fallback)
+        entry — one prepared solve — per resolution; ``method`` routes
+        large grids through the exact spectral solve)
         and reads every sensor site of the sweep's ``site`` axis at its
         local junction temperature.  The result gains a ``resolution``
         dimension just outside ``site``.

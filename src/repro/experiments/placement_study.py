@@ -12,7 +12,7 @@ The run leans on the batched thermal kernels end to end:
 
 * the true fields of the whole workload corpus come from **one**
   multi-RHS :meth:`~repro.thermal.operator.ThermalOperator.solve_steady_state_multi`
-  (block CG with the geometric-multigrid preconditioner on large
+  (one batched pair of DCTs, the exact spectral solve, on large
   grids), and
 * each workload's candidate scan is declared as a
   :class:`~repro.engine.sweep.Sweep` over the bank's ``site`` axis —
@@ -155,7 +155,7 @@ def run_placement_study(
     ``sensor_count`` how many of them the multiplexer gets to keep.  The
     corpus' true fields are solved in one multi-RHS pass through the
     cached operator (``solve_method`` routes it: large grids take the
-    multigrid block-CG path), every candidate is scanned per workload
+    exact DCT solve), every candidate is scanned per workload
     through the sweep engine, then greedy selection and a seeded
     annealing refinement search the subsets.  ``executor`` /
     ``max_tile_elements`` pick the scans' execution backend, as in

@@ -217,15 +217,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         choices=[m for m in SOLVE_METHODS if m != "auto"],
         help="resolve every 'auto' thermal solve to this method "
-        "(direct factorization, ILU-preconditioned CG, or "
-        "geometric-multigrid CG); explicit method choices in code win",
+        "(direct: sparse factorization; spectral: exact 2-D DCT solve); "
+        "explicit method choices in code win",
     )
     parser.add_argument(
         "--thermal-iterative-threshold",
         type=int,
         default=None,
         help="unknown count above which 'auto' thermal solves switch "
-        "from direct factorization to multigrid CG (default: the "
+        "from direct factorization to the spectral solve (default: the "
         "operator's built-in threshold)",
     )
     serve_group = parser.add_argument_group(

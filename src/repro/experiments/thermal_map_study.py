@@ -280,8 +280,8 @@ def run_thermal_resolution_study(
     refinement declared as one ``resolution x site x sample`` sweep, so
     each resolution costs exactly one cached
     :class:`~repro.thermal.operator.ThermalOperator` entry (grids above
-    the operator's unknown-count threshold route through the iterative
-    CG fallback automatically) — and a fixed sensor bank is scanned
+    the operator's unknown-count threshold route through the exact
+    spectral solve automatically) — and a fixed sensor bank is scanned
     against the Monte-Carlo population on each refinement.  The report
     answers the modelling question the density study leaves open: how
     fine must the thermal grid be before the die peak and the sensor-map

@@ -3,7 +3,6 @@
 from .floorplan import Floorplan, FunctionalBlock, SensorSite
 from .power import PowerMap
 from .grid import TemperatureMap, ThermalGrid, ThermalGridParameters
-from .multigrid import GeometricMultigrid
 from .operator import SOLVE_METHODS, ThermalOperator, ThermalStepper
 from .solver import TransientThermalResult, solve_steady_state, solve_transient
 from .selfheating import SelfHeatingReport, duty_cycle_study, self_heating_error
@@ -16,7 +15,6 @@ __all__ = [
     "TemperatureMap",
     "ThermalGrid",
     "ThermalGridParameters",
-    "GeometricMultigrid",
     "SOLVE_METHODS",
     "ThermalOperator",
     "ThermalStepper",

@@ -254,7 +254,7 @@ class ThermalGrid:
 
         Replaces a per-cell ``lil_matrix`` loop whose Python overhead
         dominated large-grid construction (seconds at 256x256, minutes
-        at 512x512 — exactly the full-die resolutions the multigrid
+        at 512x512 — exactly the full-die resolutions the spectral
         solve path exists for).  Each diagonal term is accumulated in
         the same order the loop used (below-neighbour, left-neighbour,
         vertical, right-neighbour, above-neighbour), so the assembled

@@ -1,4 +1,4 @@
-"""Cached thermal solves: one factorization (or preconditioner), many uses.
+"""Cached thermal solves: one prepared solve per system, many uses.
 
 Before this module the repository factorized the thermal system in three
 independent places — the steady-state solver called
@@ -34,28 +34,25 @@ Solve methods
 
 ============  =========================================================
 ``direct``    Sparse-direct factorization (``factorized``); exact, but
-              fill-in memory grows super-linearly with the grid.
-``iterative`` ILU-preconditioned conjugate gradients (PR 5's fallback).
-              Memory stays linear, but ILU is not grid-aware: its
-              iteration count grows with resolution and it stalls
-              outright on full-die grids (256x256+).
-``multigrid`` Geometric-multigrid-preconditioned CG
-              (:class:`repro.thermal.multigrid.GeometricMultigrid`):
-              one V-cycle per iteration keeps the iteration count
-              essentially constant in the grid size (~13 on the grids
-              here), so large grids cost the same per unknown as small
-              ones.  The default large-grid path.
+              fill-in memory and set-up time grow super-linearly with
+              the grid.
+``spectral``  Exact fast solve by the orthonormal 2-D DCT-II, which
+              diagonalizes every thermal grid's constant-coefficient
+              five-point stencil (adiabatic edges, uniform vertical
+              conductance and capacitance): a solve is
+              ``idctn(dctn(b) / eigenvalues)``, O(n log n) with O(n)
+              memory, for ``G`` and ``C/dt + G`` alike.  Set-up checks
+              the matrix against the stencil with one probe SpMV and
+              raises :class:`TechnologyError` on a mismatch.  The
+              default large-grid path.
 ``auto``      ``direct`` at or below :attr:`iterative_threshold`
-              unknowns, ``multigrid`` above it.
+              unknowns, ``spectral`` above it.
 ============  =========================================================
 
-Both iterative methods run the same **batched block-CG** core: an
-``(n, k)`` stack of right-hand sides advances through *one* sparse
-matrix-vector product (and one preconditioner application) per
-iteration for the whole block, with per-column convergence masking and
-per-shape warm starts — so ``ThermalStepper.step``, ``steady_rise`` and
-the policy bank stay one solve per step at any grid size instead of
-degrading into ``k`` sequential CG runs.
+Both methods solve an ``(n, k)`` stack of right-hand sides in one call
+(a multi-RHS factorization solve, or one batched transform), so
+``ThermalStepper.step``, ``steady_rise`` and the policy bank stay one
+solve per step at any grid size.
 
 Environment knobs (mirroring the ``REPRO_SWEEP_*`` convention, and
 surfaced as ``--thermal-method`` / ``--thermal-iterative-threshold``
@@ -66,12 +63,12 @@ flags on the experiment runner):
   still win).
 * ``REPRO_THERMAL_ITERATIVE_THRESHOLD`` — overrides
   :attr:`ThermalOperator.iterative_threshold`, the unknown count above
-  which ``auto`` stops factorizing.
+  which ``auto`` stops factorizing (the name predates the spectral
+  solve and is kept for compatibility).
 
 The solvers in :mod:`repro.thermal.solver`, the self-heating study and
 the DTM manager are all thin layers over this class; ``factorized`` is
-called nowhere else in the repository (the multigrid coarse solve
-excepted).
+called nowhere else in the repository.
 
 Concurrency and fork semantics
 ------------------------------
@@ -86,10 +83,10 @@ The cache is deliberately **per process**.  Worker processes of a tiled
 sweep (:mod:`repro.engine.executors`) each get their own cache — cold
 under ``spawn``, a frozen copy-on-write snapshot under ``fork`` — and
 warm it from the tiles they execute.  Factorization objects (SuperLU
-handles, ILU preconditioners, multigrid hierarchies) hold
-foreign-memory state that does not pickle; do **not** ship operators or
-steppers across process boundaries — ship the grid (cheap, declarative)
-and call :meth:`ThermalOperator.for_grid` on the worker side instead.
+handles) hold foreign-memory state that does not pickle; do **not**
+ship operators or steppers across process boundaries — ship the grid
+(cheap, declarative) and call :meth:`ThermalOperator.for_grid` on the
+worker side instead.
 """
 
 from __future__ import annotations
@@ -101,11 +98,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import diags
-from scipy.sparse.linalg import factorized, spilu
+from scipy.sparse.linalg import factorized
 
 from ..tech.parameters import TechnologyError
 from .grid import TemperatureMap, ThermalGrid
-from .multigrid import GeometricMultigrid
 from .power import PowerMap
 
 __all__ = [
@@ -119,12 +115,12 @@ __all__ = [
 #: The solve methods an operator can be asked for (see the module
 #: docstring's table).  ``auto`` resolves to ``direct`` at or below
 #: :attr:`ThermalOperator.iterative_threshold` unknowns and to
-#: ``multigrid`` above it.
-SOLVE_METHODS = ("auto", "direct", "iterative", "multigrid")
+#: ``spectral`` above it.
+SOLVE_METHODS = ("auto", "direct", "spectral")
 
 #: Environment variable overriding how ``method="auto"`` resolves.
 METHOD_ENV = "REPRO_THERMAL_METHOD"
-#: Environment variable overriding the auto direct/multigrid threshold.
+#: Environment variable overriding the auto direct/spectral threshold.
 THRESHOLD_ENV = "REPRO_THERMAL_ITERATIVE_THRESHOLD"
 
 #: Process-wide operator cache.  Bounded so a long-running sweep over
@@ -136,13 +132,9 @@ THRESHOLD_ENV = "REPRO_THERMAL_ITERATIVE_THRESHOLD"
 _CACHE_LIMIT = 8
 #: Backward-Euler solves kept per operator; a what-if sweep over many
 #: control intervals on one grid evicts the least-recently-used
-#: timestep's factorization (or preconditioner) instead of accumulating
-#: one per interval forever.
+#: timestep's prepared solve instead of accumulating one per interval
+#: forever.
 _TIMESTEP_CACHE_LIMIT = 4
-#: Warm-start states kept per iterative solve, keyed by RHS shape (a
-#: steady scan and a 16-column policy-bank step on the same operator
-#: each keep their own previous solution).
-_WARM_START_LIMIT = 4
 _OPERATORS: "OrderedDict[Tuple, ThermalOperator]" = OrderedDict()
 #: Guards every lookup/insert/evict on :data:`_OPERATORS`.  Plain dict
 #: reads are atomic in CPython, but the insert-then-evict sequence in
@@ -151,209 +143,102 @@ _OPERATORS: "OrderedDict[Tuple, ThermalOperator]" = OrderedDict()
 #: evict a just-inserted operator (or blow past the limit).
 _CACHE_LOCK = threading.Lock()
 
-#: Relative residual tolerance of the CG solves.  Tight enough that
-#: the iterative paths agree with the sparse-direct factorization to
-#: better than 1e-8 relative on the thermal systems here (the
-#: equivalence bound the tests and benchmarks pin).
-_CG_RTOL = 1e-12
+#: Relative tolerance of the spectral set-up guard: the probe SpMV and
+#: the DCT-diagonalized forward operator agree to ~1e-15 relative on
+#: every uniform grid here, while a single perturbed stencil entry
+#: shows up many orders of magnitude above this.
+_SPECTRAL_GUARD_RTOL = 1e-11
 
 
-class _IterativeSolve:
-    """Batched preconditioned-CG drop-in for a ``factorized`` callable.
+class _SpectralSolve:
+    """Exact solve of a uniform thermal grid's system by a 2-D DCT.
 
-    Built once per system matrix (like a factorization, minus the
-    fill-in): the preconditioner — a geometric-multigrid V-cycle or an
-    ILU, per the operator's method — is computed at construction and
-    every :meth:`__call__` runs warm-started CG.  Accepts the same
-    ``(n,)`` vector or ``(n, k)`` stack a direct factorization does.
+    Every :class:`ThermalGrid` is a constant-coefficient five-point
+    stencil with adiabatic edges, a uniform vertical conductance and a
+    uniform capacitance, so ``G`` and ``C/dt + G`` are diagonalized by
+    the orthonormal 2-D DCT-II (the classical fast Poisson solver).
+    With ``shift`` = 0 for the steady solve or ``C_cell/dt`` for a
+    backward-Euler stepper, the eigenvalue of mode ``(j, i)`` is
+    ``g_vert + shift + g_v (2 - 2 cos(pi j / ny)) + g_h (2 - 2 cos(pi i / nx))``
+    and a solve is ``idctn(dctn(b) / eigenvalues)``.
 
-    A stack solves as a true **block**: every CG iteration performs one
-    sparse matrix-vector product and one preconditioner application on
-    the whole ``(n, k)`` array, with scalar recurrences (``alpha``,
-    ``beta``) tracked per column.  Columns that reach the tolerance are
-    masked out of the updates (their ``alpha`` is zeroed, freezing both
-    solution and residual) while the rest keep iterating, so a stack is
-    never slower than its hardest column.  ``solve_columns_loop``
-    retains the old one-column-at-a-time behaviour as the equivalence
-    oracle the batched-RHS benchmark measures against.
+    Built once per (grid, shift) and stateless afterwards, so a shared
+    operator can serve concurrent callers.  Accepts the same ``(n,)``
+    vector or ``(n, k)`` stack a direct factorization does; each column
+    of a stack gets bitwise the result of solving it alone.
 
-    Warm starts are keyed by the RHS shape: the previous ``(n,)``
-    steady solution never pollutes the initial guess of an ``(n, 16)``
-    policy-bank step (or vice versa), which is exactly the
-    cross-caller pollution the old shared ``_last_solution`` suffered.
+    Set-up checks the ``matrix`` it was handed against the stencil it
+    diagonalizes with one probe SpMV, so a grid whose matrix is not the
+    uniform stencil raises :class:`TechnologyError` instead of getting
+    a silently wrong answer.
     """
 
-    def __init__(
-        self,
-        matrix,
-        preconditioner: str = "ilu",
-        grid_shape: Optional[Tuple[int, int]] = None,
-    ) -> None:
-        self._matrix = matrix.tocsr()
-        self._size = int(self._matrix.shape[0])
-        if preconditioner == "multigrid":
-            if grid_shape is None:
-                raise TechnologyError(
-                    "the multigrid preconditioner needs the grid's (ny, nx)"
-                )
-            self._preconditioner: Optional[Callable[[np.ndarray], np.ndarray]] = (
-                GeometricMultigrid(self._matrix, grid_shape)
-            )
-        elif preconditioner == "ilu":
-            self._preconditioner = self._build_ilu()
-        else:  # pragma: no cover - guarded by _prepare
+    def __init__(self, grid: ThermalGrid, matrix, shift: float = 0.0) -> None:
+        # Imported here, not at module level: scipy.fft costs ~85 ms and
+        # ``import repro`` must not pay it.
+        from scipy.fft import dctn, idctn
+
+        self._dctn = dctn
+        self._idctn = idctn
+        self._shape = (grid.ny, grid.nx)
+        g_h = grid.lateral_conductance_w_per_k(horizontal=True)
+        g_v = grid.lateral_conductance_w_per_k(horizontal=False)
+        row_modes = g_v * (2.0 - 2.0 * np.cos(np.pi * np.arange(grid.ny) / grid.ny))
+        column_modes = g_h * (2.0 - 2.0 * np.cos(np.pi * np.arange(grid.nx) / grid.nx))
+        eigenvalues = (
+            grid.vertical_conductance_w_per_k()
+            + shift
+            + row_modes[:, np.newaxis]
+            + column_modes[np.newaxis, :]
+        )
+        self._check_matrix(matrix, eigenvalues)
+        self._inverse_eigenvalues = 1.0 / eigenvalues
+
+    def _apply(self, rhs: np.ndarray, factors: np.ndarray) -> np.ndarray:
+        """``idctn(dctn(rhs) * factors)`` on a vector or column stack."""
+        field = rhs.reshape(self._shape + rhs.shape[1:])
+        spectrum = self._dctn(field, type=2, axes=(0, 1), norm="ortho")
+        spectrum *= factors if rhs.ndim == 1 else factors[..., np.newaxis]
+        return self._idctn(
+            spectrum, type=2, axes=(0, 1), norm="ortho", overwrite_x=True
+        ).reshape(rhs.shape)
+
+    def _check_matrix(self, matrix, eigenvalues: np.ndarray) -> None:
+        size = eigenvalues.size
+        if matrix.shape != (size, size):
             raise TechnologyError(
-                f"unknown preconditioner {preconditioner!r}"
+                f"spectral solve needs a {size}x{size} matrix, got {matrix.shape}"
             )
-        # Jacobi fallback: the diagonal is strictly positive (every cell
-        # carries a vertical conductance) and the operator is exactly
-        # symmetric, so CG is guaranteed to converge with it even when
-        # the (unsymmetric) ILU stalls or cannot be built.
-        self._inverse_diagonal = 1.0 / self._matrix.diagonal()
-        self._warm_starts: "OrderedDict[Tuple, np.ndarray]" = OrderedDict()
-        #: CG iterations of the most recent solve (diagnostics/tests).
-        self.last_iterations = 0
-
-    def _build_ilu(self) -> Optional[Callable[[np.ndarray], np.ndarray]]:
-        # A tight drop tolerance keeps the ILU close to symmetric (CG's
-        # theory wants an SPD preconditioner); memory stays linear in
-        # the unknown count — fill_factor bounds it by a multiple of
-        # the five-point stencil's nonzeros, nothing like direct fill-in.
-        try:
-            ilu = spilu(self._matrix.tocsc(), drop_tol=1e-6, fill_factor=20.0)
-        except (RuntimeError, ValueError, MemoryError):
-            return None
-        return ilu.solve  # SuperLU solves (n,) and (n, k) alike
-
-    def _jacobi(self, residual: np.ndarray) -> np.ndarray:
-        return self._inverse_diagonal[:, np.newaxis] * residual
-
-    def _block_cg(
-        self,
-        rhs: np.ndarray,
-        x0: np.ndarray,
-        apply_preconditioner: Callable[[np.ndarray], np.ndarray],
-        maxiter: Optional[int] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Preconditioned CG on an ``(n, k)`` block, columns masked
-        independently.
-
-        Returns ``(solution, converged)`` where ``converged`` is a
-        ``(k,)`` boolean mask; the per-column criterion is
-        ``||r_j|| <= rtol * ||b_j||`` (matching scipy's ``cg`` with
-        ``atol=0``).  ``maxiter`` caps the iteration count (the
-        benchmarks use a small cap to price a known-slow preconditioner
-        without waiting for it); the default runs to the system size,
-        bounded at 1000.
-        """
-        matrix = self._matrix
-        # Convergence is tested on squared norms (one einsum per
-        # iteration instead of a norm reduction and a sqrt).
-        tolerance_sq = _CG_RTOL**2 * np.einsum("ij,ij->j", rhs, rhs)
-        solution = x0.copy()
-        residual = rhs - matrix @ solution
-        # Zero right-hand sides have the exact solution zero; count them
-        # converged immediately (norm(r) == 0 <= 0) like scipy does.
-        active = np.einsum("ij,ij->j", residual, residual) > tolerance_sq
-        if not active.any():
-            self.last_iterations = 0
-            return solution, ~active
-        preconditioned = apply_preconditioner(residual)
-        direction = preconditioned.copy()
-        rho = np.einsum("ij,ij->j", residual, preconditioned)
-        iterations = 0
-        limit = maxiter if maxiter is not None else min(self._size, 1000)
-        for iterations in range(1, limit + 1):
-            conjugated = matrix @ direction
-            curvature = np.einsum("ij,ij->j", direction, conjugated)
-            # Frozen (converged) columns get alpha = 0: their solution,
-            # residual and search direction stop changing, at the cost
-            # of a dead column riding along in the block products —
-            # far cheaper than re-packing the block every iteration.
-            step = np.where(
-                active & (curvature > 0.0),
-                rho / np.where(curvature > 0.0, curvature, 1.0),
-                0.0,
+        probe = np.random.default_rng(0).standard_normal(size)
+        expected = matrix @ probe
+        error = np.max(np.abs(self._apply(probe, eigenvalues) - expected))
+        if not error <= _SPECTRAL_GUARD_RTOL * np.max(np.abs(expected)):
+            raise TechnologyError(
+                f"the {self._shape[0]}x{self._shape[1]} thermal matrix is not the "
+                "uniform five-point stencil the spectral solve diagonalizes; "
+                "use method='direct'"
             )
-            solution += step * direction
-            residual -= step * conjugated
-            active = np.einsum("ij,ij->j", residual, residual) > tolerance_sq
-            if not active.any():
-                break
-            preconditioned = apply_preconditioner(residual)
-            rho_next = np.einsum("ij,ij->j", residual, preconditioned)
-            beta = np.where(active, rho_next / np.where(rho != 0.0, rho, 1.0), 0.0)
-            direction = preconditioned + beta * direction
-            rho = rho_next
-        self.last_iterations = iterations
-        return solution, ~active
-
-    def _solve_block(self, rhs: np.ndarray, key: Tuple) -> np.ndarray:
-        warm = self._warm_starts.get(key)
-        if warm is not None and warm.shape == rhs.shape:
-            x0 = warm
-            self._warm_starts.move_to_end(key)
-        else:
-            x0 = np.zeros_like(rhs)
-        if self._preconditioner is not None:
-            solution, converged = self._block_cg(rhs, x0, self._preconditioner)
-        else:
-            converged = np.zeros(rhs.shape[1], dtype=bool)
-        if not converged.all():
-            # Retry the unconverged columns (all of them, if the main
-            # preconditioner was unavailable) with the guaranteed-SPD
-            # Jacobi preconditioner before giving up.
-            solution, converged = self._block_cg(rhs, x0, self._jacobi)
-            if not converged.all():
-                failed = int(np.count_nonzero(~converged))
-                raise TechnologyError(
-                    f"iterative thermal solve did not converge on {failed} of "
-                    f"{rhs.shape[1]} right-hand sides of the "
-                    f"{self._size}-unknown system"
-                )
-        self._warm_starts[key] = solution.copy()
-        while len(self._warm_starts) > _WARM_START_LIMIT:
-            self._warm_starts.popitem(last=False)
-        return solution
 
     def __call__(self, rhs: np.ndarray) -> np.ndarray:
-        rhs = np.asarray(rhs, dtype=float)
-        if rhs.ndim == 1:
-            return self._solve_block(rhs[:, np.newaxis], ("vec",))[:, 0]
-        return self._solve_block(rhs, ("stack", rhs.shape[1]))
+        return self._apply(np.asarray(rhs, dtype=float), self._inverse_eigenvalues)
 
-    def solve_columns_loop(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve an ``(n, k)`` stack one column at a time (the oracle).
 
-        This is the pre-batching behaviour — ``k`` sequential CG runs,
-        each paying its own preconditioner applications — kept as the
-        equivalence/benchmark baseline for the block path.  Columns are
-        solved cold (no warm-start state is read or written) so the
-        comparison is deterministic.
-        """
-        rhs = np.asarray(rhs, dtype=float)
-        if rhs.ndim != 2:
-            raise TechnologyError("solve_columns_loop expects an (n, k) stack")
-        columns = []
-        apply_m = (
-            self._preconditioner if self._preconditioner is not None else self._jacobi
+def _checked_rhs(values, name: str, grid: ThermalGrid) -> np.ndarray:
+    """``values`` as a float ``(n,)`` vector or ``(n, k)`` stack of the grid.
+
+    Raises :class:`TechnologyError` naming ``name`` when the row count
+    does not match the grid or an entry is NaN or infinite.
+    """
+    array = np.asarray(values, dtype=float)
+    size = grid.nx * grid.ny
+    if array.ndim not in (1, 2) or array.shape[0] != size:
+        raise TechnologyError(
+            f"{name} has shape {array.shape}, expected {size} rows "
+            f"for the {grid.ny}x{grid.nx} grid"
         )
-        for k in range(rhs.shape[1]):
-            column = rhs[:, k : k + 1]
-            solution, converged = self._block_cg(
-                column, np.zeros_like(column), apply_m
-            )
-            if not converged.all():
-                solution, converged = self._block_cg(
-                    column, np.zeros_like(column), self._jacobi
-                )
-                if not converged.all():
-                    raise TechnologyError(
-                        f"iterative thermal solve did not converge on column {k} "
-                        f"of the {self._size}-unknown system"
-                    )
-            columns.append(solution[:, 0])
-        return np.stack(columns, axis=1)
+    if not np.isfinite(array).all():
+        raise TechnologyError(f"{name} has non-finite entries")
+    return array
 
 
 class ThermalStepper:
@@ -363,10 +248,10 @@ class ThermalStepper:
     temperature *rise* vector by one timestep per :meth:`step` call.
     The implicit system ``(C/dt + G) x_{n+1} = P + C/dt x_n`` was
     prepared once when the stepper was created (factorized sparse-direct
-    or preconditioned CG, per the operator's method), so each step is a
-    pair of triangular solves or a warm-started Krylov solve — and an
-    ``(n, k)`` stack of states advances in one multi-RHS/block solve
-    either way.
+    or DCT-diagonalized, per the operator's method), so each step is a
+    pair of triangular solves or a pair of fast transforms — and an
+    ``(n, k)`` stack of states advances in one multi-RHS solve either
+    way.
     """
 
     def __init__(
@@ -393,9 +278,17 @@ class ThermalStepper:
         power_w:
             Power injected during the step, flattened to the same shape
             (columns broadcast against the capacitance vector).
+
+        Raises :class:`TechnologyError` when either argument does not
+        have the grid's row count, the shapes differ, or an entry is
+        not finite.
         """
-        rise = np.asarray(rise, dtype=float)
-        power = np.asarray(power_w, dtype=float)
+        rise = _checked_rhs(rise, "rise", self.grid)
+        power = _checked_rhs(power_w, "power_w", self.grid)
+        if power.shape != rise.shape:
+            raise TechnologyError(
+                f"power_w has shape {power.shape}, rise has {rise.shape}"
+            )
         if rise.ndim == 2:
             rhs = power + self._capacitance_over_dt[:, np.newaxis] * rise
         else:
@@ -404,7 +297,7 @@ class ThermalStepper:
 
 
 class ThermalOperator:
-    """Cached solver (direct factorizations or CG) for one thermal grid.
+    """Cached solver (direct factorizations or DCT solves) for one thermal grid.
 
     Parameters
     ----------
@@ -413,19 +306,18 @@ class ThermalOperator:
     method:
         One of :data:`SOLVE_METHODS`.  ``auto`` (the default) picks
         sparse-direct factorization up to
-        :attr:`iterative_threshold` unknowns and the multigrid-CG
-        path above it; ``direct``/``iterative``/``multigrid`` force the
-        choice.  The ``REPRO_THERMAL_METHOD`` environment variable
-        overrides how ``auto`` resolves (explicit choices still win),
+        :attr:`iterative_threshold` unknowns and the exact DCT solve
+        above it; ``direct``/``spectral`` force the choice.  The
+        ``REPRO_THERMAL_METHOD`` environment variable overrides how
+        ``auto`` resolves (explicit choices still win),
         and ``REPRO_THERMAL_ITERATIVE_THRESHOLD`` overrides the
         threshold — both read at resolve time, so a runner flag set
         before the first solve takes effect process-wide.
     """
 
     #: Unknown count above which ``method="auto"`` routes solves through
-    #: multigrid-preconditioned CG instead of sparse-direct
-    #: factorization.  A class attribute so deployments with more (or
-    #: less) memory can retune it (``ThermalOperator.iterative_threshold
+    #: the spectral (DCT) solve instead of sparse-direct factorization.
+    #: A class attribute so deployments can retune it (``ThermalOperator.iterative_threshold
     #: = ...``); the ``REPRO_THERMAL_ITERATIVE_THRESHOLD`` environment
     #: variable takes precedence when set.
     iterative_threshold: int = 4096
@@ -475,19 +367,13 @@ class ThermalOperator:
         if method != "auto":
             return method
         if grid.nx * grid.ny > cls._effective_threshold():
-            return "multigrid"
+            return "spectral"
         return "direct"
 
-    def _prepare(self, matrix) -> Callable[[np.ndarray], np.ndarray]:
-        """A solve callable for one SPD system, per the chosen method."""
-        if self.method == "multigrid":
-            return _IterativeSolve(
-                matrix,
-                preconditioner="multigrid",
-                grid_shape=(self.grid.ny, self.grid.nx),
-            )
-        if self.method == "iterative":
-            return _IterativeSolve(matrix, preconditioner="ilu")
+    def _prepare(self, matrix, shift: float) -> Callable[[np.ndarray], np.ndarray]:
+        """A solve callable for ``matrix`` = ``shift * I + G``, per the method."""
+        if self.method == "spectral":
+            return _SpectralSolve(self.grid, matrix, shift)
         return factorized(matrix.tocsc())
 
     # ------------------------------------------------------------------ #
@@ -502,7 +388,7 @@ class ThermalOperator:
         bit-identical conductance/capacitance matrices, so they may
         share one operator (and therefore one factorization).  The
         *resolved* method joins the key so an explicit
-        ``method="iterative"`` request does not hand back a cached
+        ``method="spectral"`` request does not hand back a cached
         direct operator (or vice versa).
         """
         return (
@@ -558,26 +444,19 @@ class ThermalOperator:
         """The prepared steady-state solve ``x = G \\ rhs`` (cached)."""
         with self._solve_lock:
             if self._steady_solve is None:
-                self._steady_solve = self._prepare(self.grid.conductance_matrix)
+                self._steady_solve = self._prepare(self.grid.conductance_matrix, 0.0)
             return self._steady_solve
 
     def steady_rise(self, power_w: np.ndarray) -> np.ndarray:
         """Temperature rise for one or many flattened power vectors.
 
         ``power_w`` may be a single ``(n,)`` vector or an ``(n, k)``
-        stack of right-hand sides; the direct path applies the
-        factorization to the whole stack in one multi-RHS solve, the
-        iterative paths run one *block* CG (one SpMV per iteration for
-        the whole stack).
+        stack of right-hand sides; both methods solve the whole stack in
+        one call (a multi-RHS factorization solve or one batched pair of
+        transforms).  A wrong row count or a non-finite entry raises
+        :class:`TechnologyError`.
         """
-        rhs = np.asarray(power_w, dtype=float)
-        size = self.grid.nx * self.grid.ny
-        if rhs.shape[0] != size:
-            raise TechnologyError(
-                f"right-hand side has {rhs.shape[0]} rows, expected {size} "
-                f"for the {self.grid.ny}x{self.grid.nx} grid"
-            )
-        return self.steady_solve()(rhs)
+        return self.steady_solve()(_checked_rhs(power_w, "power_w", self.grid))
 
     def solve_steady_state(
         self, power: PowerMap, ambient_c: float = 45.0
@@ -635,7 +514,9 @@ class ThermalOperator:
                     diags(self.grid.capacitance_vector / dt)
                     + self.grid.conductance_matrix
                 )
-                solve = self._prepare(system)
+                solve = self._prepare(
+                    system, self.grid.cell_heat_capacity_j_per_k() / dt
+                )
                 self._transient_solves[dt] = solve
                 while len(self._transient_solves) > _TIMESTEP_CACHE_LIMIT:
                     self._transient_solves.popitem(last=False)

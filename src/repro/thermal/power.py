@@ -56,16 +56,17 @@ class PowerMap:
         """Rasterise the floorplan's blocks onto a grid.
 
         Each block's power is distributed uniformly over the grid cells
-        whose centres fall inside the block.
+        whose centres fall inside the block (edges inclusive, as
+        :meth:`FunctionalBlock.contains` tests them).
         """
         power = cls.zeros(floorplan.width_mm, floorplan.height_mm, nx, ny)
+        # Cell centres, computed exactly as :meth:`cell_center` does.
+        xs = (np.arange(nx) + 0.5) * power.cell_width_mm
+        ys = (np.arange(ny) + 0.5) * power.cell_height_mm
         for block in floorplan.blocks():
-            mask = np.zeros((ny, nx), dtype=bool)
-            for row in range(ny):
-                for column in range(nx):
-                    x, y = power.cell_center(column, row)
-                    if block.contains(x, y):
-                        mask[row, column] = True
+            inside_x = (block.x_mm <= xs) & (xs <= block.x_mm + block.width_mm)
+            inside_y = (block.y_mm <= ys) & (ys <= block.y_mm + block.height_mm)
+            mask = np.outer(inside_y, inside_x)
             covered = int(np.count_nonzero(mask))
             if covered == 0:
                 # Block smaller than a cell: dump its power into the cell

@@ -2,11 +2,13 @@
 
 Both solvers are thin layers over
 :class:`repro.thermal.operator.ThermalOperator`, which owns (and caches,
-process-wide) the sparse-direct factorizations: repeated steady-state
-solves on the same grid geometry — a thermal-mapping scan per workload,
-the self-heating duty-cycle pair — reuse one factorization of ``G``, and
-repeated transient runs with the same timestep reuse one factorization
-of the backward-Euler system ``(C/dt + G)``.
+process-wide) the prepared solves: repeated steady-state solves on the
+same grid geometry — a thermal-mapping scan per workload, the
+self-heating duty-cycle pair — reuse one prepared solve of ``G``, and
+repeated transient runs with the same timestep reuse one of the
+backward-Euler system ``(C/dt + G)``.  Small grids are factorized
+sparse-direct; large ones are solved exactly by a 2-D DCT, which
+diagonalizes the grid's uniform five-point stencil.
 """
 
 from __future__ import annotations
@@ -33,11 +35,11 @@ def solve_steady_state(
     the ambient temperature.  ``ambient_c`` represents the local ambient
     (board/package) temperature, not the room.  The prepared solve comes
     from the shared :class:`ThermalOperator` cache, so repeated solves on
-    equal grids cost one factorization total; ``method`` picks the solve
-    (``auto``/``direct``/``iterative``/``multigrid`` — grids above the
-    operator's unknown-count threshold route through geometric-multigrid
-    preconditioned CG automatically, keeping both memory and iteration
-    count bounded where a factorization's fill-in won't fit).
+    equal grids prepare it once; ``method`` picks the solve
+    (``auto``/``direct``/``spectral`` — grids above the operator's
+    unknown-count threshold route through the exact DCT solve
+    automatically, O(n log n) time and O(n) memory where a
+    factorization's fill-in grows faster).
     """
     return ThermalOperator.for_grid(grid, method).solve_steady_state(power, ambient_c)
 
@@ -99,10 +101,10 @@ def solve_transient(
     store_every:
         Keep every n-th step in the result.
     method:
-        Solve method (``auto``/``direct``/``iterative``/``multigrid``);
-        ``auto`` switches to multigrid-preconditioned CG above the
-        operator's unknown-count threshold, keeping full-die resolutions
-        one warm-started block solve per step.
+        Solve method (``auto``/``direct``/``spectral``); ``auto``
+        switches to the exact DCT solve above the operator's
+        unknown-count threshold, so a full-die step is one pair of fast
+        transforms.
     """
     if duration_s <= 0.0 or timestep_s <= 0.0:
         raise TechnologyError("duration and timestep must be positive")

@@ -113,3 +113,82 @@ class TestPowerMap:
     def test_small_grid_rejected(self):
         with pytest.raises(TechnologyError):
             PowerMap.zeros(8.0, 8.0, 1, 4)
+
+
+def _rasterise_oracle(floorplan, nx, ny):
+    """The per-cell loop :meth:`PowerMap.from_floorplan` replaced (the oracle)."""
+    power = PowerMap.zeros(floorplan.width_mm, floorplan.height_mm, nx, ny)
+    for block in floorplan.blocks():
+        mask = np.zeros((ny, nx), dtype=bool)
+        for row in range(ny):
+            for column in range(nx):
+                x, y = power.cell_center(column, row)
+                if block.contains(x, y):
+                    mask[row, column] = True
+        covered = int(np.count_nonzero(mask))
+        if covered == 0:
+            column, row = power.cell_index(*block.center)
+            power.values_w[row, column] += block.power_w
+        else:
+            power.values_w[mask] += block.power_w / covered
+    return power
+
+
+def _random_floorplan(seed, nx, ny):
+    """Blocks of three kinds: free, snapped to cell centres, sub-cell."""
+    rng = np.random.default_rng(seed)
+    width, height = rng.uniform(2.0, 12.0, 2)
+    plan = Floorplan(width, height)
+    cell_w, cell_h = width / nx, height / ny
+    for index in range(int(rng.integers(1, 8))):
+        kind = index % 3
+        if kind == 0:
+            w, h = rng.uniform(0.05, 1.0) * width, rng.uniform(0.05, 1.0) * height
+            x, y = rng.uniform(0.0, width - w), rng.uniform(0.0, height - h)
+        elif kind == 1:
+            # Both edges of the block lie exactly on cell centres.
+            c0, c1 = sorted(rng.choice(nx, 2, replace=False))
+            r0, r1 = sorted(rng.choice(ny, 2, replace=False))
+            x, y = (c0 + 0.5) * cell_w, (r0 + 0.5) * cell_h
+            w, h = (c1 + 0.5) * cell_w - x, (r1 + 0.5) * cell_h - y
+        else:
+            # Smaller than a cell, so it may cover no centre at all.
+            w, h = rng.uniform(0.05, 0.4) * cell_w, rng.uniform(0.05, 0.4) * cell_h
+            x, y = rng.uniform(0.0, width - w), rng.uniform(0.0, height - h)
+        plan.add_block(FunctionalBlock(f"b{index}", x, y, w, h, rng.uniform(0.0, 3.0)))
+    return plan
+
+
+class TestRasterise:
+    """The vectorized rasterisation is bitwise the per-cell loop."""
+
+    @pytest.mark.parametrize("resolution", [7, 32, 100])
+    def test_example_processor_matches_loop(self, resolution):
+        plan = Floorplan.example_processor()
+        fast = PowerMap.from_floorplan(plan, nx=resolution, ny=resolution)
+        assert np.array_equal(
+            fast.values_w, _rasterise_oracle(plan, resolution, resolution).values_w
+        )
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_floorplans_match_loop(self, seed):
+        nx, ny = (int(n) for n in np.random.default_rng(seed).integers(2, 40, 2))
+        plan = _random_floorplan(seed, nx, ny)
+        fast = PowerMap.from_floorplan(plan, nx=nx, ny=ny)
+        assert np.array_equal(fast.values_w, _rasterise_oracle(plan, nx, ny).values_w)
+
+    def test_edges_on_cell_centres_are_inclusive(self):
+        # A block spanning exactly from one cell centre to another covers
+        # both end cells, as FunctionalBlock.contains tests edges.
+        plan = Floorplan(8.0, 8.0)
+        plan.add_block(FunctionalBlock("strip", 0.5, 0.5, 2.0, 1.0, 6.0))
+        power = PowerMap.from_floorplan(plan, nx=8, ny=8)
+        assert np.count_nonzero(power.values_w) == 6
+        assert power.values_w[0:2, 0:3] == pytest.approx(np.full((2, 3), 1.0))
+
+    def test_sub_cell_block_lands_in_its_centre_cell(self):
+        plan = Floorplan(8.0, 8.0)
+        plan.add_block(FunctionalBlock("tiny", 5.1, 2.1, 0.2, 0.2, 0.75))
+        power = PowerMap.from_floorplan(plan, nx=8, ny=8)
+        assert power.values_w[2, 5] == 0.75
+        assert power.total_power_w() == 0.75

@@ -17,13 +17,11 @@ from repro.thermal.operator import (
     METHOD_ENV,
     THRESHOLD_ENV,
     _CACHE_LIMIT,
-    _IterativeSolve,
     _TIMESTEP_CACHE_LIMIT,
-    _WARM_START_LIMIT,
 )
 
-#: The iterative-vs-direct agreement bound (the ISSUE acceptance bar).
-ITERATIVE_RTOL = 1e-8
+#: The spectral-vs-direct agreement bound.
+SPECTRAL_RTOL = 1e-10
 
 
 def _grid_at(resolution):
@@ -141,69 +139,81 @@ class TestStepper:
         assert result.final.max_c() > 45.0
 
 
-class TestIterativeFallback:
-    """Preconditioned-CG solves versus the sparse-direct factorization."""
+class TestStepperBoundary:
+    """``ThermalStepper.step`` rejects malformed states and power vectors."""
+
+    @pytest.fixture(params=["direct", "spectral"])
+    def stepper(self, request, example_grid):
+        return ThermalOperator(example_grid, method=request.param).stepper(1e-3)
+
+    def test_wrong_row_count_names_the_argument(self, stepper):
+        size = stepper.grid.nx * stepper.grid.ny
+        with pytest.raises(TechnologyError, match="rise"):
+            stepper.step(np.zeros(size - 1), np.zeros(size))
+        with pytest.raises(TechnologyError, match="power_w"):
+            stepper.step(np.zeros(size), np.zeros(size + 3))
+        with pytest.raises(TechnologyError, match="power_w"):
+            stepper.step(np.zeros((size, 2)), np.zeros((size - 1, 2)))
+
+    def test_mismatched_shapes_rejected(self, stepper):
+        size = stepper.grid.nx * stepper.grid.ny
+        with pytest.raises(TechnologyError, match="power_w"):
+            stepper.step(np.zeros((size, 2)), np.zeros((size, 3)))
+        with pytest.raises(TechnologyError, match="power_w"):
+            stepper.step(np.zeros((size, 2)), np.zeros(size))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, stepper, bad):
+        size = stepper.grid.nx * stepper.grid.ny
+        power = np.ones(size)
+        power[size // 2] = bad
+        with pytest.raises(TechnologyError, match="power_w has non-finite"):
+            stepper.step(np.zeros(size), power)
+        rise = np.zeros((size, 2))
+        rise[0, 1] = bad
+        with pytest.raises(TechnologyError, match="rise has non-finite"):
+            stepper.step(rise, np.ones((size, 2)))
+
+    def test_steady_rise_rejects_non_finite_power(self, example_grid):
+        power = np.ones(example_grid.nx * example_grid.ny)
+        power[3] = np.nan
+        with pytest.raises(TechnologyError, match="non-finite"):
+            ThermalOperator(example_grid).steady_rise(power)
+
+
+class TestMethodRouting:
+    """How ``method`` resolves, caches and reaches the solver entry points."""
 
     @pytest.fixture(scope="class")
     def grid_and_power(self):
         return _grid_at(24)
 
-    def test_steady_agrees_with_direct(self, grid_and_power):
-        grid, power = grid_and_power
-        rhs = power.values_w.reshape(-1)
-        direct = ThermalOperator(grid, method="direct").steady_rise(rhs)
-        iterative = ThermalOperator(grid, method="iterative").steady_rise(rhs)
-        assert np.max(np.abs(iterative - direct) / np.abs(direct)) <= ITERATIVE_RTOL
-
-    def test_multi_rhs_agrees_with_direct(self, grid_and_power):
-        grid, power = grid_and_power
-        rhs = power.values_w.reshape(-1)
-        stack = np.stack([rhs, 0.25 * rhs, 2.0 * rhs], axis=1)
-        direct = ThermalOperator(grid, method="direct").steady_rise(stack)
-        iterative = ThermalOperator(grid, method="iterative").steady_rise(stack)
-        assert iterative.shape == direct.shape == stack.shape
-        assert np.max(np.abs(iterative - direct) / np.abs(direct)) <= ITERATIVE_RTOL
-
-    def test_transient_stepping_agrees_with_direct(self, grid_and_power):
-        grid, power = grid_and_power
-        rhs = power.values_w.reshape(-1)
-        direct = ThermalOperator(grid, method="direct").stepper(0.01)
-        iterative = ThermalOperator(grid, method="iterative").stepper(0.01)
-        rise_d = np.zeros(grid.nx * grid.ny)
-        rise_i = np.zeros(grid.nx * grid.ny)
-        # Warm starts accumulate across steps; the agreement bound must
-        # hold at every step, not just the first.
-        for _ in range(20):
-            rise_d = direct.step(rise_d, rhs)
-            rise_i = iterative.step(rise_i, rhs)
-            assert np.max(np.abs(rise_i - rise_d) / np.abs(rise_d)) <= ITERATIVE_RTOL
-
     def test_auto_routes_by_unknown_count(self, monkeypatch, grid_and_power):
         grid, _power = grid_and_power
         assert ThermalOperator(grid, method="auto").method == "direct"
         monkeypatch.setattr(ThermalOperator, "iterative_threshold", 100)
-        assert ThermalOperator(grid, method="auto").method == "multigrid"
+        assert ThermalOperator(grid, method="auto").method == "spectral"
 
     def test_explicit_methods_get_distinct_cache_entries(self, grid_and_power):
         grid, _power = grid_and_power
         ThermalOperator.clear_cache()
         auto = ThermalOperator.for_grid(grid)
         direct = ThermalOperator.for_grid(grid, method="direct")
-        iterative = ThermalOperator.for_grid(grid, method="iterative")
+        spectral = ThermalOperator.for_grid(grid, method="spectral")
         # auto resolves to direct at 24x24, so those two share one entry.
         assert auto is direct
-        assert iterative is not direct
+        assert spectral is not direct
         assert ThermalOperator.cache_size() == 2
 
     def test_solver_entry_points_accept_method(self, grid_and_power):
         grid, power = grid_and_power
         direct = solve_steady_state(grid, power, 45.0, method="direct")
-        iterative = solve_steady_state(grid, power, 45.0, method="iterative")
+        spectral = solve_steady_state(grid, power, 45.0, method="spectral")
         assert np.allclose(
-            iterative.values_c, direct.values_c, rtol=ITERATIVE_RTOL, atol=0.0
+            spectral.values_c, direct.values_c, rtol=SPECTRAL_RTOL, atol=0.0
         )
         transient = solve_transient(
-            grid, lambda t: power, duration_s=0.05, timestep_s=0.01, method="iterative"
+            grid, lambda t: power, duration_s=0.05, timestep_s=0.01, method="spectral"
         )
         reference = solve_transient(
             grid, lambda t: power, duration_s=0.05, timestep_s=0.01, method="direct"
@@ -211,7 +221,7 @@ class TestIterativeFallback:
         assert np.allclose(
             transient.final.values_c,
             reference.final.values_c,
-            rtol=ITERATIVE_RTOL,
+            rtol=SPECTRAL_RTOL,
             atol=0.0,
         )
 
@@ -221,6 +231,9 @@ class TestIterativeFallback:
             ThermalOperator(grid, method="cholesky")
         with pytest.raises(TechnologyError):
             ThermalOperator.for_grid(grid, method="cholesky")
+        for removed in ("iterative", "multigrid"):
+            with pytest.raises(TechnologyError):
+                ThermalOperator(grid, method=removed)
 
 
 class TestEnvironmentKnobs:
@@ -228,26 +241,27 @@ class TestEnvironmentKnobs:
 
     def test_method_env_overrides_auto(self, monkeypatch, grid_and_power):
         grid, _power = grid_and_power
-        monkeypatch.setenv(METHOD_ENV, "iterative")
-        assert ThermalOperator(grid, method="auto").method == "iterative"
-        monkeypatch.setenv(METHOD_ENV, "multigrid")
-        assert ThermalOperator(grid, method="auto").method == "multigrid"
+        monkeypatch.setenv(METHOD_ENV, "spectral")
+        assert ThermalOperator(grid, method="auto").method == "spectral"
+        monkeypatch.setenv(METHOD_ENV, "direct")
+        assert ThermalOperator(grid, method="auto").method == "direct"
 
     def test_explicit_method_wins_over_env(self, monkeypatch, grid_and_power):
         grid, _power = grid_and_power
-        monkeypatch.setenv(METHOD_ENV, "iterative")
+        monkeypatch.setenv(METHOD_ENV, "spectral")
         assert ThermalOperator(grid, method="direct").method == "direct"
 
     def test_invalid_method_env_rejected(self, monkeypatch, grid_and_power):
         grid, _power = grid_and_power
-        monkeypatch.setenv(METHOD_ENV, "cholesky")
-        with pytest.raises(TechnologyError):
-            ThermalOperator(grid, method="auto")
+        for invalid in ("cholesky", "iterative", "multigrid"):
+            monkeypatch.setenv(METHOD_ENV, invalid)
+            with pytest.raises(TechnologyError):
+                ThermalOperator(grid, method="auto")
 
     def test_threshold_env_reroutes_auto(self, monkeypatch, grid_and_power):
         grid, _power = grid_and_power
         monkeypatch.setenv(THRESHOLD_ENV, "100")
-        assert ThermalOperator(grid, method="auto").method == "multigrid"
+        assert ThermalOperator(grid, method="auto").method == "spectral"
         monkeypatch.setenv(THRESHOLD_ENV, str(grid.nx * grid.ny))
         assert ThermalOperator(grid, method="auto").method == "direct"
 
@@ -265,11 +279,11 @@ class TestEnvironmentKnobs:
         # handed back (with the wrong prepared solve) once it is lifted.
         grid, _power = grid_and_power
         ThermalOperator.clear_cache()
-        monkeypatch.setenv(METHOD_ENV, "iterative")
+        monkeypatch.setenv(METHOD_ENV, "spectral")
         overridden = ThermalOperator.for_grid(grid)
         monkeypatch.delenv(METHOD_ENV)
         plain = ThermalOperator.for_grid(grid)
-        assert overridden.method == "iterative"
+        assert overridden.method == "spectral"
         assert plain.method == "direct"
         assert overridden is not plain
 
@@ -288,7 +302,7 @@ class TestEnvironmentKnobs:
             main(
                 [
                     "--thermal-method",
-                    "multigrid",
+                    "spectral",
                     "--thermal-iterative-threshold",
                     "123",
                     "--list",
@@ -296,68 +310,10 @@ class TestEnvironmentKnobs:
             )
             == 0
         )
-        assert os.environ[METHOD_ENV] == "multigrid"
+        assert os.environ[METHOD_ENV] == "spectral"
         assert os.environ[THRESHOLD_ENV] == "123"
         monkeypatch.delenv(METHOD_ENV)
         monkeypatch.delenv(THRESHOLD_ENV)
-
-
-class TestWarmStartKeying:
-    """Per-RHS-shape warm starts (the cross-caller pollution fix)."""
-
-    @pytest.fixture(scope="class")
-    def solve_and_rhs(self):
-        grid, power = _grid_at(24)
-        solve = _IterativeSolve(grid.conductance_matrix, preconditioner="ilu")
-        return grid, solve, power.values_w.reshape(-1)
-
-    def test_vector_and_stack_keep_separate_states(self, solve_and_rhs):
-        grid, solve, rhs = solve_and_rhs
-        solve._warm_starts.clear()
-        solve(rhs)
-        solve(np.stack([rhs, 0.5 * rhs], axis=1))
-        assert list(solve._warm_starts) == [("vec",), ("stack", 2)]
-        assert solve._warm_starts[("vec",)].shape == (rhs.size, 1)
-        assert solve._warm_starts[("stack", 2)].shape == (rhs.size, 2)
-
-    def test_stack_solve_unpolluted_by_prior_vector_solve(self, solve_and_rhs):
-        grid, solve, rhs = solve_and_rhs
-        reference = spsolve(grid.conductance_matrix.tocsc(), 3.0 * rhs)
-        solve._warm_starts.clear()
-        solve(rhs)  # would be a bad initial guess for the stack below
-        stack = solve(np.stack([3.0 * rhs, np.zeros_like(rhs)], axis=1))
-        assert np.max(np.abs(stack[:, 0] - reference) / np.abs(reference)) <= ITERATIVE_RTOL
-        assert np.array_equal(stack[:, 1], np.zeros_like(rhs))
-
-    def test_distinct_stack_widths_do_not_collide(self, solve_and_rhs):
-        _grid, solve, rhs = solve_and_rhs
-        solve._warm_starts.clear()
-        solve(np.stack([rhs, rhs], axis=1))
-        solve(np.stack([rhs, rhs, rhs], axis=1))
-        assert ("stack", 2) in solve._warm_starts
-        assert ("stack", 3) in solve._warm_starts
-
-    def test_warm_start_store_is_bounded_lru(self, solve_and_rhs):
-        _grid, solve, rhs = solve_and_rhs
-        solve._warm_starts.clear()
-        for width in range(1, _WARM_START_LIMIT + 2):
-            solve(np.repeat(rhs[:, np.newaxis], width, axis=1))
-        assert len(solve._warm_starts) == _WARM_START_LIMIT
-        # Touch the oldest survivor, then add another width: the
-        # touched entry survives, the least recently used one goes.
-        survivor = ("stack", 2)
-        solve(np.repeat(rhs[:, np.newaxis], 2, axis=1))
-        solve(np.repeat(rhs[:, np.newaxis], _WARM_START_LIMIT + 2, axis=1))
-        assert survivor in solve._warm_starts
-        assert ("stack", 3) not in solve._warm_starts
-
-    def test_warm_start_accelerates_repeat_solves(self, solve_and_rhs):
-        _grid, solve, rhs = solve_and_rhs
-        solve._warm_starts.clear()
-        solve(rhs)
-        cold_iterations = solve.last_iterations
-        solve(rhs)
-        assert solve.last_iterations < cold_iterations
 
 
 class TestProcessWideCache:
