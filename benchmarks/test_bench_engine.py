@@ -641,6 +641,43 @@ def _fresh_rhs(rhs):
         yield rhs * rng.uniform(0.5, 1.5)
 
 
+def test_iterative_fallback_agreement_and_large_grid():
+    """The solve ``auto`` falls back to past the direct threshold — the
+    spectral one — agrees with the sparse-direct factorization to 1e-10
+    relative (steady and transient) on the largest factorized benchmark
+    grid (48x48), and runs a 96x96 grid — 4x the unknowns — that
+    auto-routes to it, with a physically sane field."""
+    power = PowerMap.from_floorplan(Floorplan.example_processor(), nx=48, ny=48)
+    grid = ThermalGrid.for_power_map(power)
+    rhs = power.values_w.reshape(-1)
+    direct = ThermalOperator(grid, method="direct")
+    spectral = ThermalOperator(grid, method="spectral")
+    assert np.max(
+        np.abs(spectral.steady_rise(rhs) - direct.steady_rise(rhs))
+        / np.abs(direct.steady_rise(rhs))
+    ) <= 1e-10
+    stepper_d = direct.stepper(0.01)
+    stepper_s = spectral.stepper(0.01)
+    rise_d = np.zeros(rhs.size)
+    rise_s = np.zeros(rhs.size)
+    for _ in range(10):
+        rise_d = stepper_d.step(rise_d, rhs)
+        rise_s = stepper_s.step(rise_s, rhs)
+    assert np.max(np.abs(rise_s - rise_d) / np.abs(rise_d)) <= 1e-10
+
+    big_power = PowerMap.from_floorplan(Floorplan.example_processor(), nx=96, ny=96)
+    big_grid = ThermalGrid.for_power_map(big_power)
+    assert big_grid.nx * big_grid.ny >= 4 * grid.nx * grid.ny
+    operator = ThermalOperator.for_grid(big_grid)
+    assert operator.method == "spectral"
+    field = operator.solve_steady_state(big_power, 45.0)
+    assert np.all(np.isfinite(field.values_c))
+    # The mean rise matches theta_ja x total power regardless of grid.
+    theta = big_grid.junction_to_ambient_resistance_k_per_w()
+    expected = big_power.total_power_w() * theta
+    assert field.mean_c() - 45.0 == pytest.approx(expected, rel=0.05)
+
+
 def test_spectral_speedup_floor_at_256x256():
     """The spectral acceptance criterion on the 256x256 full die.
 

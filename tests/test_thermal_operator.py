@@ -17,6 +17,7 @@ from repro.thermal.operator import (
     METHOD_ENV,
     THRESHOLD_ENV,
     _CACHE_LIMIT,
+    _SpectralSolve,
     _TIMESTEP_CACHE_LIMIT,
 )
 
@@ -181,12 +182,46 @@ class TestStepperBoundary:
             ThermalOperator(example_grid).steady_rise(power)
 
 
-class TestMethodRouting:
-    """How ``method`` resolves, caches and reaches the solver entry points."""
+class TestIterativeFallback:
+    """The solve ``auto`` falls back to above the unknown-count threshold.
+
+    That fallback is the exact spectral (DCT) solve; these check it
+    against the sparse-direct factorization, and how ``method``
+    resolves, caches and reaches the solver entry points.
+    """
 
     @pytest.fixture(scope="class")
     def grid_and_power(self):
         return _grid_at(24)
+
+    def test_steady_agrees_with_direct(self, grid_and_power):
+        grid, power = grid_and_power
+        rhs = power.values_w.reshape(-1)
+        direct = ThermalOperator(grid, method="direct").steady_rise(rhs)
+        spectral = ThermalOperator(grid, method="spectral").steady_rise(rhs)
+        assert np.max(np.abs(spectral - direct) / np.abs(direct)) <= SPECTRAL_RTOL
+
+    def test_multi_rhs_agrees_with_direct(self, grid_and_power):
+        grid, power = grid_and_power
+        rhs = power.values_w.reshape(-1)
+        stack = np.stack([rhs, 0.25 * rhs, 2.0 * rhs], axis=1)
+        direct = ThermalOperator(grid, method="direct").steady_rise(stack)
+        spectral = ThermalOperator(grid, method="spectral").steady_rise(stack)
+        assert spectral.shape == direct.shape == stack.shape
+        assert np.max(np.abs(spectral - direct) / np.abs(direct)) <= SPECTRAL_RTOL
+
+    def test_transient_stepping_agrees_with_direct(self, grid_and_power):
+        grid, power = grid_and_power
+        rhs = power.values_w.reshape(-1)
+        direct = ThermalOperator(grid, method="direct").stepper(0.01)
+        spectral = ThermalOperator(grid, method="spectral").stepper(0.01)
+        rise_d = np.zeros(grid.nx * grid.ny)
+        rise_s = np.zeros(grid.nx * grid.ny)
+        # The agreement bound must hold at every step, not just the first.
+        for _ in range(20):
+            rise_d = direct.step(rise_d, rhs)
+            rise_s = spectral.step(rise_s, rhs)
+            assert np.max(np.abs(rise_s - rise_d) / np.abs(rise_d)) <= SPECTRAL_RTOL
 
     def test_auto_routes_by_unknown_count(self, monkeypatch, grid_and_power):
         grid, _power = grid_and_power
@@ -314,6 +349,54 @@ class TestEnvironmentKnobs:
         assert os.environ[THRESHOLD_ENV] == "123"
         monkeypatch.delenv(METHOD_ENV)
         monkeypatch.delenv(THRESHOLD_ENV)
+
+
+class TestWarmStartKeying:
+    """Solves of different right-hand-side shapes cannot pollute each other.
+
+    The spectral solve keeps no per-shape warm start or any other state
+    after set-up, so a vector solve, a stack solve and stacks of
+    different widths each get the answer they would get alone.
+    """
+
+    @pytest.fixture(scope="class")
+    def solve_and_rhs(self):
+        grid, power = _grid_at(24)
+        solve = _SpectralSolve(grid, grid.conductance_matrix)
+        return grid, solve, power.values_w.reshape(-1)
+
+    def test_vector_and_stack_keep_separate_states(self, solve_and_rhs):
+        _grid, solve, rhs = solve_and_rhs
+        state = {
+            name: np.copy(value)
+            for name, value in vars(solve).items()
+            if isinstance(value, np.ndarray)
+        }
+        vector = solve(rhs)
+        stack = solve(np.stack([rhs, 0.5 * rhs], axis=1))
+        assert np.array_equal(solve(rhs), vector)
+        assert np.array_equal(stack[:, 0], vector)
+        assert np.array_equal(stack[:, 1], solve(0.5 * rhs))
+        for name, value in state.items():
+            assert np.array_equal(getattr(solve, name), value)
+
+    def test_stack_solve_unpolluted_by_prior_vector_solve(self, solve_and_rhs):
+        grid, solve, rhs = solve_and_rhs
+        reference = spsolve(grid.conductance_matrix.tocsc(), 3.0 * rhs)
+        solve(rhs)  # would be a bad initial guess for the stack below
+        stack = solve(np.stack([3.0 * rhs, np.zeros_like(rhs)], axis=1))
+        assert np.max(np.abs(stack[:, 0] - reference) / np.abs(reference)) <= SPECTRAL_RTOL
+        assert np.array_equal(stack[:, 1], np.zeros_like(rhs))
+
+    def test_distinct_stack_widths_do_not_collide(self, solve_and_rhs):
+        _grid, solve, rhs = solve_and_rhs
+        vector = solve(rhs)
+        two = solve(np.stack([rhs, rhs], axis=1))
+        three = solve(np.stack([rhs, rhs, rhs], axis=1))
+        assert two.shape == (rhs.size, 2)
+        assert three.shape == (rhs.size, 3)
+        for column in (*two.T, *three.T):
+            assert np.array_equal(column, vector)
 
 
 class TestProcessWideCache:
