@@ -1,7 +1,8 @@
 """Benchmark ENGINE: scalar loops versus the vectorized batch engine.
 
-Times the two evaluation modes of :class:`repro.engine.BatchEvaluator`
-on the workloads the paper's artefacts are built from — Monte-Carlo
+Times the library's broadcast paths against the scalar reference loops
+of ``tests/oracles.py`` on the workloads the paper's artefacts are
+built from — Monte-Carlo
 populations (25 / 200 / 1000 samples x 41 temperatures), the Fig. 2
 sizing sweep and the Fig. 3 x Monte-Carlo configuration-axis cross
 product — so the recorded BENCH_engine.json tracks the speedup over
@@ -45,6 +46,7 @@ rebinding a scalar technology per sample, to 1e-9 relative agreement
 """
 
 import os
+import sys
 import threading
 import time
 
@@ -52,11 +54,13 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve
 
+from repro.analysis.montecarlo import run_monte_carlo
 from repro.cells import default_library
 from repro.core import DynamicThermalManager, ReadoutConfig, SensorBank, ThrottlingPolicy
-from repro.engine import Axis, BatchEvaluator, ProcessExecutor, Sweep
+from repro.engine import Axis, ProcessExecutor, Sweep
 from repro.serve import ServeClient, start_server_thread
-from repro.experiments import run_dtm_study
+from repro.experiments import run_calibration_study, run_dtm_study
+from repro.optimize.sizing import sweep_width_ratio
 from repro.oscillator import (
     PAPER_FIG3_CONFIGURATIONS,
     ConfigurationBank,
@@ -65,6 +69,12 @@ from repro.oscillator import (
 )
 from repro.tech import CMOS013, CMOS018, CMOS025, CMOS035, sample_technology_array
 from repro.thermal import Floorplan, PowerMap, ThermalGrid, ThermalOperator
+
+# The scalar reference loops live with the test suite; put it on the
+# path so this file also runs on its own.
+_TESTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests")
+sys.path.insert(0, os.path.normpath(_TESTS_DIR))
+import oracles  # noqa: E402
 
 CONFIGURATION = RingConfiguration.parse("2INV+3NAND2")
 DENSE_GRID = np.linspace(-50.0, 150.0, 41)
@@ -98,7 +108,8 @@ def _best_time(callable_, rounds=3):
 
 
 def _run_monte_carlo(vectorized, sample_count):
-    return BatchEvaluator(vectorized=vectorized).run_monte_carlo(
+    run = run_monte_carlo if vectorized else oracles.monte_carlo_scalar
+    return run(
         CMOS035,
         CONFIGURATION,
         sample_count=sample_count,
@@ -252,7 +263,7 @@ def test_configuration_bank_fig3_cross_product(benchmark, mode):
 def test_fig3_named_configurations_through_sweep_api(benchmark, vectorized):
     """The declarative form of the Fig. 3 sweep: configuration axis x
     temperature axis, lowered onto the bank broadcast (or the scalar
-    oracle loop through the compat evaluator).  The library is built
+    per-configuration oracle loop).  The library is built
     outside both timed closures so the comparison measures evaluation,
     not library construction."""
     library = default_library(CMOS035)
@@ -266,11 +277,9 @@ def test_fig3_named_configurations_through_sweep_api(benchmark, vectorized):
                 .values
             )
     else:
-        engine = BatchEvaluator(vectorized=False)
-
         def evaluate():
             return np.stack([
-                engine.evaluate_configuration(
+                oracles.evaluate_configuration_scalar(
                     library, configuration, DENSE_GRID
                 ).response.periods_s
                 for configuration in PAPER_FIG3_CONFIGURATIONS.values()
@@ -300,8 +309,8 @@ def test_banked_scan_speedup_at_9_sites_x_1000_samples():
     banked_s, fast = _best_time(banked)
 
     start = time.perf_counter()
-    oracle = bank.scan_loop(
-        SCAN_TEMPS, technologies=population, calibrate_at=(-50.0, 150.0)
+    oracle = oracles.bank_scan_loop(
+        bank, SCAN_TEMPS, technologies=population, calibrate_at=(-50.0, 150.0)
     )
     oracle_s = time.perf_counter() - start
 
@@ -333,8 +342,8 @@ def test_bank_scan_9_sites_200_samples(benchmark, mode):
             )
     else:
         def evaluate():
-            return bank.scan_loop(
-                SCAN_TEMPS, technologies=population, calibrate_at=(-50.0, 150.0)
+            return oracles.bank_scan_loop(
+                bank, SCAN_TEMPS, technologies=population, calibrate_at=(-50.0, 150.0)
             )
     scan = benchmark.pedantic(evaluate, rounds=1, iterations=1)
     assert scan.codes.shape == (9, 200)
@@ -511,9 +520,8 @@ def test_dtm_study_wall_clock(benchmark):
 @pytest.mark.benchmark(group="engine-calibration-study")
 @pytest.mark.parametrize("vectorized", [True, False], ids=["vectorized", "scalar"])
 def test_calibration_study_batched(benchmark, vectorized):
-    engine = BatchEvaluator(vectorized=vectorized)
     result = benchmark.pedantic(
-        engine.run_calibration_study,
+        run_calibration_study if vectorized else oracles.calibration_study_scalar,
         kwargs=dict(monte_carlo_samples=12),
         rounds=2,
         iterations=1,
@@ -524,9 +532,8 @@ def test_calibration_study_batched(benchmark, vectorized):
 @pytest.mark.benchmark(group="engine-fig2-sweep")
 @pytest.mark.parametrize("vectorized", [True, False], ids=["vectorized", "scalar"])
 def test_sizing_sweep_dense_grid(benchmark, vectorized, tech):
-    engine = BatchEvaluator(vectorized=vectorized)
     result = benchmark.pedantic(
-        engine.sweep_width_ratio,
+        sweep_width_ratio if vectorized else oracles.sweep_width_ratio_scalar,
         args=(tech,),
         kwargs=dict(temperatures_c=DENSE_GRID),
         rounds=3,

@@ -17,8 +17,9 @@ that workload end to end:
    temperatures_c=...)).over(Axis.sample(population))`` with the
    ``code`` observable: every site measured at its own local junction
    temperature, for every process sample, in a single broadcast,
-4. time the banked scan against the retained per-sensor oracle (one
-   scalar sensor per site per sample, controller FSM included), and
+4. time the banked scan against an inline per-sensor loop (one
+   ``SmartTemperatureSensor`` per site per sample, two-point calibrated
+   and measured one at a time, controller FSM included), and
 5. sweep the sensor-grid *density* and report how the reconstruction
    and hotspot errors fall as sensors are added — the design question
    the multiplexer answers.
@@ -37,6 +38,7 @@ from repro import (
     CMOS035,
     RingConfiguration,
     SensorBank,
+    SmartTemperatureSensor,
     Sweep,
     sample_technology_array,
 )
@@ -80,17 +82,18 @@ def main() -> None:
     worst = np.max(np.abs(estimates - site_temps[:, np.newaxis]))
     print(f"worst per-site error across {len(population)} samples: {worst:.2f} C")
 
-    # -- the retained per-sensor oracle, for scale (a small slice) --
-    oracle_samples = 20
+    # -- the same scan one sensor object at a time, for scale (a small slice) --
+    loop_samples = 20
     start = time.perf_counter()
-    bank.scan_loop(
-        site_temps,
-        technologies=[population.technology_at(i) for i in range(oracle_samples)],
-        calibrate_at=(-50.0, 150.0),
-    )
-    oracle_s = (time.perf_counter() - start) * len(population) / oracle_samples
-    print(f"per-sensor oracle (extrapolated from {oracle_samples} samples): "
-          f"~{oracle_s:.1f} s -> ~{oracle_s / banked_s:.0f}x speedup")
+    for index in range(loop_samples):
+        ring = bank.ring.rebind(population.technology_at(index))
+        for name, temperature in zip(bank.names(), site_temps):
+            sensor = SmartTemperatureSensor(ring, readout=bank.readout, name=name)
+            sensor.calibrate_two_point(-50.0, 150.0)
+            sensor.measure(float(temperature))
+    loop_s = (time.perf_counter() - start) * len(population) / loop_samples
+    print(f"per-sensor loop (extrapolated from {loop_samples} samples): "
+          f"~{loop_s:.1f} s -> ~{loop_s / banked_s:.0f}x speedup")
 
     # -- the design question: how dense must the sensor grid be? --
     print()

@@ -112,19 +112,20 @@ Re-registering a node under the same name therefore changes every
 cache key that mentions it — stale cached results cannot be served
 across re-registrations, in memory or from a shared disk cache.
 
-:class:`repro.engine.BatchEvaluator` remains as a thin
-backward-compatible adapter over the sweep API:
+Every workload has one evaluation path: the :class:`Sweep`
+broadcast.  The workload functions (``run_monte_carlo``,
+``sweep_width_ratio``, ``search_cell_mix``, the experiments) are
+written on it, so they need no engine object:
 
->>> from repro import BatchEvaluator, RingConfiguration
->>> engine = BatchEvaluator()
->>> study = engine.run_monte_carlo(
+>>> from repro.analysis import run_monte_carlo
+>>> study = run_monte_carlo(
 ...     CMOS035, RingConfiguration.parse("2INV+3NAND2"), sample_count=25)
 >>> study.sample_count
 25
 
-The scalar loops are retained as the reference oracle:
-``BatchEvaluator(vectorized=False)`` reproduces them step for step,
-and ``tests/test_engine_equivalence.py`` /
+The one-point-at-a-time scalar loops the broadcast replaced live in the
+test suite, not in the package: ``tests/oracles.py`` holds them, and
+``tests/test_engine_equivalence.py`` /
 ``tests/test_stacked_equivalence.py`` / ``tests/test_sweep_api.py``
 pin the broadcast paths to them at a relative tolerance of 1e-9 on
 periods.
@@ -197,7 +198,6 @@ from .oscillator import (
 from .analysis import nonlinearity, sensitivity_report
 from .engine import (
     Axis,
-    BatchEvaluator,
     HistogramReducer,
     MeanReducer,
     MemmapExecutor,
@@ -249,7 +249,6 @@ __all__ = [
     "nonlinearity",
     "sensitivity_report",
     "Axis",
-    "BatchEvaluator",
     "HistogramReducer",
     "MeanReducer",
     "MemmapExecutor",

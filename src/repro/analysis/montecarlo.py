@@ -76,7 +76,6 @@ def run_monte_carlo(
     variation: Optional[VariationModel] = None,
     seed: Optional[int] = 1234,
     ring_builder: Optional[Callable[[Technology, RingConfiguration], RingOscillator]] = None,
-    scalar: bool = False,
 ) -> MonteCarloStudy:
     """Run a Monte-Carlo linearity/spread study for one configuration.
 
@@ -104,11 +103,6 @@ def run_monte_carlo(
     ring_builder:
         Hook to customise how the ring is built per technology sample
         (defaults to the default library with standard sizing).
-    scalar:
-        When true, sweep every sample one temperature at a time through
-        the scalar reference path instead of the vectorized batch
-        engine.  Kept as the oracle for the engine equivalence tests;
-        several-fold slower at realistic sample counts.
     """
     if sample_count < 2:
         raise TechnologyError("sample_count must be at least 2")
@@ -123,25 +117,19 @@ def run_monte_carlo(
     if not temps[0] <= reference_temperature_c <= temps[-1]:
         raise TechnologyError("reference temperature must lie inside the sweep range")
 
-    # With the default ring builder the vectorized path draws the
-    # population directly in struct-of-arrays form and evaluates the
-    # whole (sample x temperature) period matrix as one declarative
-    # sweep (sample axis x temperature axis) — no per-sample library,
-    # rebind or Python loop.  A custom ring_builder (or scalar mode)
-    # falls back to the per-sample sweep.
-    use_period_matrix = ring_builder is None and not scalar
+    # With the default ring builder the population is drawn directly in
+    # struct-of-arrays form and the whole (sample x temperature) period
+    # matrix is one declarative sweep (sample axis x temperature axis) —
+    # no per-sample library, rebind or Python loop.  A custom
+    # ring_builder may build a different ring per sample, so it is
+    # called once per sample.
     if ring_builder is None:
-        def ring_builder(tech: Technology, config: RingConfiguration) -> RingOscillator:
-            return RingOscillator(default_library(tech), config)
-
-    responses: List[TemperatureResponse] = []
-    if use_period_matrix:
         from ..engine.sweep import Axis, Sweep
 
         population = sample_technology_array(
             base_technology, sample_count, model=variation, seed=seed
         )
-        base_ring = ring_builder(base_technology, configuration)
+        base_ring = RingOscillator(default_library(base_technology), configuration)
         matrix = (
             Sweep(ring=base_ring)
             .over(Axis.sample(population))
@@ -156,7 +144,7 @@ def run_monte_carlo(
             base_technology, sample_count, model=variation, seed=seed
         )
         responses = [
-            analytical_response(ring_builder(sample, configuration), temps, scalar=scalar)
+            analytical_response(ring_builder(sample, configuration), temps)
             for sample in samples
         ]
 

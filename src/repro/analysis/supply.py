@@ -68,7 +68,6 @@ def supply_sensitivity(
     supply_delta_v: float = 0.05,
     temperature_delta_c: float = 5.0,
     library_builder: Optional[Callable[[Technology], CellLibrary]] = None,
-    scalar: bool = False,
 ) -> SupplySensitivityReport:
     """Evaluate the temperature and supply sensitivities of a ring.
 
@@ -83,24 +82,24 @@ def supply_sensitivity(
     two-point ``supply`` axis (lowered onto a stacked two-sample
     technology population) and the temperature derivative as one
     two-point ``temperature`` axis — one library build instead of four.
-    Passing a custom ``library_builder`` (whose cells may legitimately
-    depend on the supply) or ``scalar=True`` falls back to the original
-    rebuild-per-operating-point loop, which is kept as the equivalence
-    oracle.
+    A custom ``library_builder`` (whose cells may legitimately depend
+    on the supply) instead rebuilds the library at each of the four
+    operating points; with ``library_builder=default_library`` that
+    loop is the equivalence oracle of the default path.
     """
     if supply_delta_v <= 0.0 or temperature_delta_c <= 0.0:
         raise TechnologyError("finite-difference deltas must be positive")
     builder = library_builder or default_library
     nominal_vdd = technology.vdd
     if nominal_vdd - supply_delta_v <= 0.0:
-        # Checked up front so both evaluation modes fail with the same
-        # error type (the scalar oracle would hit it inside with_supply).
+        # Checked up front so both paths fail with the same error type
+        # (the rebuild loop would hit it inside with_supply).
         raise TechnologyError(
             f"supply_delta_v {supply_delta_v} V drives the lower supply "
             f"non-positive (nominal {nominal_vdd} V)"
         )
 
-    if scalar or library_builder is not None:
+    if library_builder is not None:
         def period_at(vdd: float, temp_c: float) -> float:
             tech = technology.with_supply(vdd)
             ring = RingOscillator(builder(tech), configuration)

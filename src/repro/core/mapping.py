@@ -89,10 +89,10 @@ class ThermalMonitorReport:
     Attributes
     ----------
     scan:
-        The raw scan: a :class:`~repro.core.sensor_bank.BankScan` from
-        the banked path (the default) or the multiplexer's
-        :class:`~repro.core.multiplexer.ScanResult` from the retained
-        per-sensor oracle path; both expose ``readings`` and
+        The raw scan: the :class:`~repro.core.sensor_bank.BankScan` of
+        :meth:`ThermalMonitor.scan`, or a multiplexer
+        :class:`~repro.core.multiplexer.ScanResult` when a report is
+        assembled from per-sensor readings; both expose ``readings`` and
         ``total_time_s``.
     true_map:
         The reference temperature field from the thermal model.
@@ -213,23 +213,17 @@ class ThermalMonitor:
         return list(self._sites.values())
 
     def characterize(
-        self, temperatures_c: Optional[Sequence[float]] = None, evaluator=None
+        self, temperatures_c: Optional[Sequence[float]] = None
     ) -> Dict[str, "SensorTransferFunction"]:
         """Transfer function of every sensor in the bank, keyed by site.
 
-        Runs through the vectorized batch engine by default — one
-        vectorized sweep per sensor instead of a scalar loop per
-        temperature — which is what makes characterising large sensor
-        grids cheap.
+        Each sensor sweeps the whole grid in one vectorized pass, which
+        is what makes characterising large sensor grids cheap.
         """
-        # Imported lazily: repro.engine imports the sensor layer, so a
-        # module-level import here would be circular.
-        from ..engine.batch import BatchEvaluator
-
-        engine = evaluator if evaluator is not None else BatchEvaluator()
-        return engine.transfer_functions(
-            list(self.multiplexer.sensors()), temperatures_c
-        )
+        return {
+            sensor.name: sensor.transfer_function(temperatures_c)
+            for sensor in self.multiplexer.sensors()
+        }
 
     # ------------------------------------------------------------------ #
     # thermal field
@@ -263,9 +257,7 @@ class ThermalMonitor:
     # monitoring
     # ------------------------------------------------------------------ #
 
-    def scan(
-        self, power: Optional[PowerMap] = None, scalar: bool = False
-    ) -> ThermalMonitorReport:
+    def scan(self, power: Optional[PowerMap] = None) -> ThermalMonitorReport:
         """Run one full thermal-mapping scan for a workload.
 
         The true temperature field is computed from the power map, each
@@ -273,46 +265,28 @@ class ThermalMonitor:
         bank scans all channels, and a full-die map is rebuilt from the
         sensor estimates by inverse-distance interpolation.
 
-        The default path is fully banked: one vectorized gather of the
-        site temperatures (:meth:`TemperatureMap.sample_points`), one
+        The scan is fully banked: one vectorized gather of the site
+        temperatures (:meth:`TemperatureMap.sample_points`), one
         broadcast :meth:`~repro.core.sensor_bank.SensorBank.scan` for
-        the whole bank.  ``scalar=True`` keeps the original per-sensor
-        multiplexer loop as the reference oracle for the equivalence
-        tests.
+        the whole bank.
         """
         if power is None:
             power = self.power_map_for_floorplan()
         true_map = self.temperature_field(power)
 
-        if scalar:
-            site_truth: Dict[str, float] = {}
-            for name, site in self._sites.items():
-                site_truth[name] = true_map.sample(site.x_mm, site.y_mm)
-
-            scan = self.multiplexer.scan(site_truth)
-
-            site_estimates: Dict[str, float] = {}
-            for name, reading in scan.readings.items():
-                if reading.temperature_estimate_c is None:
-                    raise TechnologyError(
-                        "sensors must be calibrated before a thermal-mapping "
-                        "scan; call calibrate() first"
-                    )
-                site_estimates[name] = reading.temperature_estimate_c
-        else:
-            if self.bank.calibration is None:
-                raise TechnologyError(
-                    "sensors must be calibrated before a thermal-mapping scan; "
-                    "call calibrate() first"
-                )
-            xs, ys = self.bank.positions()
-            truths = true_map.sample_points(xs, ys)
-            scan = self.bank.scan(truths)
-            site_truth = dict(zip(scan.names, (float(t) for t in truths)))
-            site_estimates = {
-                name: float(estimate)
-                for name, estimate in zip(scan.names, scan.estimates_c)
-            }
+        if self.bank.calibration is None:
+            raise TechnologyError(
+                "sensors must be calibrated before a thermal-mapping scan; "
+                "call calibrate() first"
+            )
+        xs, ys = self.bank.positions()
+        truths = true_map.sample_points(xs, ys)
+        scan = self.bank.scan(truths)
+        site_truth = dict(zip(scan.names, (float(t) for t in truths)))
+        site_estimates = {
+            name: float(estimate)
+            for name, estimate in zip(scan.names, scan.estimates_c)
+        }
 
         reconstructed = self._reconstruct(site_estimates, true_map)
         return ThermalMonitorReport(

@@ -108,6 +108,29 @@ class SensorTransferFunction:
         return bool(np.all(diffs <= 0) or np.all(diffs >= 0))
 
 
+def _sweep_grid(temperatures_c: Optional[Sequence[float]]) -> np.ndarray:
+    """The temperature grid of a transfer-function or error sweep.
+
+    ``None`` selects 21 points over the paper's -50..150 C range.  Any
+    other grid must be a non-empty 1-D sequence of finite temperatures;
+    anything else raises :class:`TechnologyError` naming
+    ``temperatures_c``.
+    """
+    if temperatures_c is None:
+        return default_temperature_grid(points=21)
+    try:
+        temps = np.asarray(temperatures_c, dtype=float)
+    except (TypeError, ValueError) as error:
+        raise TechnologyError(f"temperatures_c must be numeric: {error}") from error
+    if temps.ndim != 1 or temps.size == 0:
+        raise TechnologyError(
+            f"temperatures_c must be a non-empty 1-D grid, got shape {temps.shape}"
+        )
+    if not np.all(np.isfinite(temps)):
+        raise TechnologyError("temperatures_c must be finite")
+    return temps
+
+
 class SmartTemperatureSensor:
     """Behavioural model of the complete smart temperature sensor.
 
@@ -228,35 +251,15 @@ class SmartTemperatureSensor:
     # ------------------------------------------------------------------ #
 
     def transfer_function(
-        self,
-        temperatures_c: Optional[Sequence[float]] = None,
-        scalar: bool = False,
+        self, temperatures_c: Optional[Sequence[float]] = None
     ) -> SensorTransferFunction:
         """Digital code over a temperature sweep (quantisation included).
 
-        The sweep runs through the vectorized batch path by default: one
-        vectorized period evaluation of the ring plus one batch counter
-        conversion.  ``scalar=True`` keeps the original
-        one-temperature-at-a-time loop as the reference oracle for the
-        engine equivalence tests.
+        One vectorized period evaluation of the ring plus one batch
+        counter conversion.  The grid (21 points over -50..150 C by
+        default) is checked by :func:`_sweep_grid`.
         """
-        temps = (
-            np.asarray(temperatures_c, dtype=float)
-            if temperatures_c is not None
-            else default_temperature_grid(points=21)
-        )
-        if scalar:
-            codes = []
-            measured_periods = []
-            for temp in temps:
-                reading = self.counter.convert(self.ring.period(float(temp)))
-                codes.append(float(reading.code))
-                measured_periods.append(self.counter.code_to_period(reading.code))
-            return SensorTransferFunction(
-                temperatures_c=temps,
-                codes=np.asarray(codes),
-                measured_periods_s=np.asarray(measured_periods),
-            )
+        temps = _sweep_grid(temperatures_c)
         periods = self.ring.period_series(temps)
         codes, _saturated = self.counter.convert_batch(periods)
         measured_periods = self.counter.codes_to_periods(codes)
@@ -340,43 +343,26 @@ class SmartTemperatureSensor:
         self.calibration = calibration
 
     def measurement_errors(
-        self,
-        temperatures_c: Optional[Sequence[float]] = None,
-        scalar: bool = False,
+        self, temperatures_c: Optional[Sequence[float]] = None
     ) -> np.ndarray:
         """Calibrated measurement error (deg C) over a temperature sweep.
 
-        The sweep runs through the vectorized batch path by default
-        (one ring evaluation, one batch conversion, one elementwise
-        calibration map).  ``scalar=True`` keeps the original
-        one-temperature-at-a-time loop as the reference oracle for the
-        engine equivalence tests.
+        One ring evaluation, one batch conversion and one elementwise
+        calibration map over the grid (checked by :func:`_sweep_grid`).
         """
         if self.calibration is None:
             raise TechnologyError("calibrate the sensor before computing errors")
-        temps = (
-            np.asarray(temperatures_c, dtype=float)
-            if temperatures_c is not None
-            else default_temperature_grid(points=21)
-        )
-        if scalar:
-            errors = []
-            for temp in temps:
-                estimate = float(self.calibration.temperature(self.measured_period(float(temp))))
-                errors.append(estimate - float(temp))
-            return np.asarray(errors)
+        temps = _sweep_grid(temperatures_c)
         estimates = np.asarray(
             self.calibration.temperature(self.measured_periods(temps)), dtype=float
         )
         return estimates - temps
 
     def worst_case_error_c(
-        self,
-        temperatures_c: Optional[Sequence[float]] = None,
-        scalar: bool = False,
+        self, temperatures_c: Optional[Sequence[float]] = None
     ) -> float:
         """Worst-case |measurement error| over the sweep."""
-        return float(np.max(np.abs(self.measurement_errors(temperatures_c, scalar=scalar))))
+        return float(np.max(np.abs(self.measurement_errors(temperatures_c))))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

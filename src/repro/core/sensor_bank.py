@@ -28,10 +28,11 @@ readings.
 
 The pre-existing per-sensor pipeline (build a
 :class:`~repro.core.sensor.SmartTemperatureSensor` per site, two-point
-calibrate it, ``measure`` each site in turn) is retained as
-:meth:`SensorBank.scan_loop` / :meth:`SensorBank.period_tensor_loop`,
+calibrate it, ``measure`` each site in turn) lives in the test suite as
 the oracle the equivalence tests pin the banked path against (estimates
 to 1e-9 relative, counter codes exactly).
+:meth:`SensorBank.period_tensor_loop` stays here: it is the per-sample
+path for technology lists that cannot be stacked.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from ..thermal.floorplan import Floorplan, SensorSite
 from .calibration import LinearCalibration
 from .controller import ControllerConfig, MeasurementController
 from .readout import PeriodCounter, ReadoutConfig
-from .sensor import SensorReading, SmartTemperatureSensor
+from .sensor import SensorReading
 
 __all__ = ["BankCalibration", "BankScan", "SensorBank"]
 
@@ -345,7 +346,8 @@ class SensorBank:
 
         One scalar ring evaluation per site — and, with a population,
         one ring rebind per sample — exactly the pre-bank multiplexer
-        cost.  Retained as the equivalence oracle.
+        cost.  :meth:`period_tensor` falls back to it for technology
+        lists that cannot be stacked.
         """
         temps = self._site_temperatures(junction_temperatures_c)
         if technologies is None:
@@ -460,80 +462,6 @@ class SensorBank:
             measured_periods_s=measured,
             estimates_c=estimates,
             conversion_time_s=self.conversion_time_s,
-        )
-
-    def scan_loop(
-        self,
-        junction_temperatures_c,
-        technologies=None,
-        calibrate_at: Optional[Tuple[float, float]] = None,
-    ) -> BankScan:
-        """Per-sensor reference path of :meth:`scan` (the oracle).
-
-        Builds one :class:`~repro.core.sensor.SmartTemperatureSensor`
-        per site (per sample, with a population), optionally two-point
-        calibrates each through its own scalar pipeline, and runs one
-        full ``measure`` — controller FSM included — per channel,
-        exactly as the multiplexer did before the bank existed.
-        """
-        temps = self._site_temperatures(junction_temperatures_c)
-        if technologies is None:
-            rings = [self.ring]
-        elif isinstance(technologies, TechnologyArray):
-            rings = [self.ring.rebind(t) for t in technologies.technologies()]
-        else:
-            rings = [self.ring.rebind(t) for t in technologies]
-
-        columns: List[Dict[str, np.ndarray]] = []
-        conversion_time = None
-        for ring in rings:
-            periods, codes, saturated, measured, estimates = [], [], [], [], []
-            for name, temperature in zip(self._names, temps):
-                sensor = SmartTemperatureSensor(
-                    ring,
-                    readout=self.readout,
-                    controller_config=self.controller_config,
-                    name=name,
-                )
-                if calibrate_at is not None:
-                    sensor.calibrate_two_point(*calibrate_at)
-                reading = sensor.measure(float(temperature))
-                conversion_time = reading.conversion_time_s
-                periods.append(reading.oscillator_period_s)
-                codes.append(reading.code)
-                saturated.append(reading.saturated)
-                measured.append(reading.measured_period_s)
-                estimates.append(reading.temperature_estimate_c)
-            columns.append(
-                dict(
-                    periods=np.asarray(periods),
-                    codes=np.asarray(codes),
-                    saturated=np.asarray(saturated),
-                    measured=np.asarray(measured),
-                    estimates=(
-                        np.asarray(estimates, dtype=float)
-                        if estimates[0] is not None
-                        else None
-                    ),
-                )
-            )
-
-        def gather(key):
-            if columns[0][key] is None:
-                return None
-            if technologies is None:
-                return columns[0][key]
-            return np.stack([column[key] for column in columns], axis=1)
-
-        return BankScan(
-            names=self._names,
-            true_temperatures_c=temps,
-            periods_s=gather("periods"),
-            codes=gather("codes"),
-            saturated=gather("saturated"),
-            measured_periods_s=gather("measured"),
-            estimates_c=gather("estimates"),
-            conversion_time_s=conversion_time,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -1,14 +1,13 @@
-"""Batch evaluation: the declarative sweep API and its compat façade.
+"""Batch evaluation: the declarative sweep API.
 
-:mod:`repro.engine.sweep` is the engine proper — named-axis workloads
+:mod:`repro.engine.sweep` is the engine — named-axis workloads
 (:class:`Sweep` / :class:`Axis`) lowered onto numpy broadcast
 dimensions in canonical order, returning labeled
-:class:`SweepResult` tensors.  :class:`BatchEvaluator`
-(:mod:`repro.engine.batch`) remains as a thin backward-compatible
-adapter over it.
+:class:`SweepResult` tensors.  Every study in :mod:`repro.analysis`,
+:mod:`repro.optimize` and :mod:`repro.experiments` evaluates through
+it; there is no second evaluation mode.
 """
 
-from .batch import BatchEvaluator
 from .executors import (
     Executor,
     MemmapExecutor,
@@ -31,7 +30,6 @@ from .tiling import Tile, TilingPlan, plan_result_tiles, plan_tiles, subplan
 
 __all__ = [
     "Axis",
-    "BatchEvaluator",
     "CANONICAL_AXIS_ORDER",
     "Executor",
     "HistogramReducer",

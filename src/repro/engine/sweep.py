@@ -49,9 +49,9 @@ The rewritten experiments (:mod:`repro.experiments.fig2_sizing`,
 :mod:`repro.experiments.fig3_cellmix`,
 :mod:`repro.experiments.calibration_study`,
 :mod:`repro.analysis.supply`, :mod:`repro.analysis.montecarlo`) all
-build their period tensors through this API, and
-:class:`repro.engine.batch.BatchEvaluator` remains as a thin
-backward-compatible adapter over it.
+build their period tensors through this API; it is their only
+evaluation path.  The one-point-at-a-time scalar loops it replaced live
+in the test suite (``tests/oracles.py``) as equivalence oracles.
 """
 
 from __future__ import annotations

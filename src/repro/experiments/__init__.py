@@ -31,7 +31,6 @@ from .thermal_map_study import (
     run_thermal_map_study,
     run_thermal_resolution_study,
 )
-from .runner import ExperimentRegistry, default_registry, run_all
 
 __all__ = [
     "Fig1Result",
@@ -73,3 +72,17 @@ __all__ = [
     "default_registry",
     "run_all",
 ]
+
+_RUNNER_EXPORTS = ("ExperimentRegistry", "default_registry", "run_all")
+
+
+def __getattr__(name):
+    # The runner is imported on first use, not here: an eager import
+    # would put ``repro.experiments.runner`` in ``sys.modules`` before
+    # ``python -m repro.experiments.runner`` executes it, and runpy
+    # warns about that with a RuntimeWarning.
+    if name in _RUNNER_EXPORTS:
+        from . import runner
+
+        return getattr(runner, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

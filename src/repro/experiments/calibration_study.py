@@ -21,10 +21,10 @@ from ..cells.library import default_library
 from ..core.calibration import (
     CalibrationError,
     design_calibration,
-    one_point_calibration,
 )
 from ..core.readout import PeriodCounter, ReadoutConfig
 from ..core.sensor import SmartTemperatureSensor
+from ..engine.sweep import Axis, Sweep
 from ..oscillator.config import RingConfiguration
 from ..oscillator.period import default_temperature_grid, validate_temperature_grid
 from ..oscillator.ring import RingOscillator
@@ -61,13 +61,6 @@ class CalibrationStudyResult:
         return "\n".join(lines)
 
 
-def _sensor_for(tech: Technology, configuration: RingConfiguration,
-                readout: ReadoutConfig) -> SmartTemperatureSensor:
-    library = default_library(tech)
-    ring = RingOscillator(library, configuration)
-    return SmartTemperatureSensor(ring, readout=readout, name=f"cal_{tech.name}")
-
-
 def run_calibration_study(
     technology: Optional[Technology] = None,
     configuration_text: str = "2INV+3NAND2",
@@ -76,18 +69,21 @@ def run_calibration_study(
     temperatures_c: Optional[Sequence[float]] = None,
     reference_temperature_c: float = 25.0,
     seed: int = 20250617,
-    scalar: bool = False,
 ) -> CalibrationStudyResult:
     """Run the calibration-scheme ablation.
 
-    On the default (vectorized) path the whole corner + Monte-Carlo
-    population is stacked into one struct-of-arrays technology
+    The whole corner + Monte-Carlo population is stacked into one
+    struct-of-arrays technology
     (:func:`~repro.tech.stacked.stack_technologies`) and every scheme's
     error grid — design, one-point, two-point, each over all samples
     and all temperatures — is computed from a single
-    ``(sample x temperature)`` period matrix plus one batch counter
-    conversion.  ``scalar=True`` keeps the original
-    one-sensor-per-sample loop as the equivalence oracle.
+    ``(sample x temperature)`` period matrix (one sweep over the named
+    ``sample`` and ``temperature`` axes) plus one batch counter
+    conversion.  The per-scheme calibrations reduce to row-wise affine
+    maps of the measured-period matrix, so the worst-case errors come
+    out of plain ndarray reductions; the conversions and calibration
+    formulas are elementwise those of a per-sample sensor loop, which
+    the stacked equivalence tests pin down.
 
     Parameters
     ----------
@@ -107,9 +103,6 @@ def run_calibration_study(
         Insertion temperature of the one-point calibration.
     seed:
         RNG seed for the Monte-Carlo sampling.
-    scalar:
-        When true, sweep every sample through its own sensor object one
-        temperature at a time (the pre-engine reference path).
     """
     tech = technology if technology is not None else CMOS035
     temps = (
@@ -121,84 +114,17 @@ def run_calibration_study(
 
     # Design-time (typical-process) transfer function: the shared slope
     # source for the design and one-point schemes.
-    typical_sensor = _sensor_for(tech, configuration, readout)
-    design_transfer = typical_sensor.transfer_function(temps, scalar=scalar)
+    base_ring = RingOscillator(default_library(tech), configuration)
+    design_transfer = SmartTemperatureSensor(
+        base_ring, readout=readout, name=f"cal_{tech.name}"
+    ).transfer_function(temps)
     design_cal = design_calibration(
         design_transfer.measured_periods_s, design_transfer.temperatures_c
     )
 
     samples: List[Technology] = list(corner_technologies(tech).values())
     samples.extend(sample_technologies(tech, monte_carlo_samples, seed=seed))
-
-    if scalar:
-        worst_errors: Dict[str, List[float]] = {
-            "design": [], "one-point": [], "two-point": []
-        }
-        for sample in samples:
-            sensor = _sensor_for(sample, configuration, readout)
-
-            sensor.install_calibration(design_cal)
-            worst_errors["design"].append(sensor.worst_case_error_c(temps, scalar=True))
-
-            one_point = one_point_calibration(
-                sensor.measured_period(reference_temperature_c),
-                reference_temperature_c,
-                design_cal.slope_c_per_second,
-            )
-            sensor.install_calibration(one_point)
-            worst_errors["one-point"].append(
-                sensor.worst_case_error_c(temps, scalar=True)
-            )
-
-            sensor.calibrate_two_point(float(temps[0]), float(temps[-1]))
-            worst_errors["two-point"].append(
-                sensor.worst_case_error_c(temps, scalar=True)
-            )
-    else:
-        worst_errors = _batched_worst_errors(
-            tech,
-            configuration,
-            readout,
-            samples,
-            temps,
-            reference_temperature_c,
-            design_cal,
-        )
-
-    return CalibrationStudyResult(
-        technology_name=tech.name,
-        configuration_label=configuration.label(),
-        sample_count=len(samples),
-        errors_by_scheme={k: summarize(v) for k, v in worst_errors.items()},
-        worst_by_scheme={k: float(np.max(v)) for k, v in worst_errors.items()},
-    )
-
-
-def _batched_worst_errors(
-    tech: Technology,
-    configuration: RingConfiguration,
-    readout: ReadoutConfig,
-    samples: Sequence[Technology],
-    temps: np.ndarray,
-    reference_temperature_c: float,
-    design_cal,
-) -> Dict[str, List[float]]:
-    """All three calibration schemes over the whole population at once.
-
-    One stacked ``(sample x temperature)`` period matrix — declared as
-    one sweep over the named ``sample`` and ``temperature`` axes
-    (:class:`~repro.engine.sweep.Sweep`) — and one batch counter
-    conversion feed every scheme; the per-scheme calibrations reduce to
-    row-wise affine maps of the measured-period matrix, so the
-    worst-case errors come out of plain ndarray reductions.  Produces
-    the same numbers as the per-sample sensor loop (the conversions and
-    calibration formulas are identical elementwise), which the stacked
-    equivalence tests pin down.
-    """
-    from ..engine.sweep import Axis, Sweep
-
     population = stack_technologies(samples)
-    base_ring = RingOscillator(default_library(tech), configuration)
 
     # One sweep over the full grid plus the insertion temperature: the
     # evaluation is elementwise in temperature, so appending the
@@ -206,7 +132,6 @@ def _batched_worst_errors(
     # stacked-population rebind.  When the grid already contains the
     # reference point its column is reused — temperature coordinates
     # must be unique per axis.
-    temps = np.asarray(temps, dtype=float)
     existing = np.nonzero(temps == float(reference_temperature_c))[0]
     if existing.size:
         grid = temps
@@ -256,8 +181,16 @@ def _batched_worst_errors(
         two_point_slopes[:, None] * measured + two_point_offsets[:, None]
     )
 
-    return {
+    worst_errors = {
         "design": worst(design_estimates),
         "one-point": worst(one_point_estimates),
         "two-point": worst(two_point_estimates),
     }
+
+    return CalibrationStudyResult(
+        technology_name=tech.name,
+        configuration_label=configuration.label(),
+        sample_count=len(samples),
+        errors_by_scheme={k: summarize(v) for k, v in worst_errors.items()},
+        worst_by_scheme={k: float(np.max(v)) for k, v in worst_errors.items()},
+    )

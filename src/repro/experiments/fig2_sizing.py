@@ -14,12 +14,13 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..analysis.linearity import NonlinearityResult
-from ..engine.batch import BatchEvaluator
 from ..oscillator.period import paper_temperature_grid
 from ..optimize.sizing import (
     PAPER_FIG2_RATIOS,
     SizingPoint,
     SizingSweepResult,
+    optimize_width_ratio,
+    sweep_width_ratio,
 )
 from ..tech.libraries import CMOS035
 from ..tech.parameters import Technology
@@ -70,7 +71,6 @@ def run_fig2(
     ratios: Sequence[float] = PAPER_FIG2_RATIOS,
     temperatures_c: Optional[Sequence[float]] = None,
     stage_count: int = 5,
-    evaluator: Optional[BatchEvaluator] = None,
 ) -> Fig2Result:
     """Run the Fig. 2 experiment.
 
@@ -84,25 +84,21 @@ def run_fig2(
         Evaluation temperatures; the paper's nine-point grid by default.
     stage_count:
         Ring length.
-    evaluator:
-        Batch engine to run the sweeps through; the vectorized engine by
-        default (``BatchEvaluator(vectorized=False)`` reproduces the
-        scalar reference path).  The vectorized sweep is declared on the
-        named ``width_ratio`` x ``temperature`` axes of the sweep API
-        (see :mod:`repro.engine.sweep`); this experiment keeps the
-        engine façade so both evaluation modes stay selectable.
+
+    The sweep is declared on the named ``width_ratio`` x
+    ``temperature`` axes of the sweep API (see
+    :func:`repro.optimize.sizing.sweep_width_ratio`).
     """
     tech = technology if technology is not None else CMOS035
-    engine = evaluator if evaluator is not None else BatchEvaluator()
     temps = (
         np.asarray(temperatures_c, dtype=float)
         if temperatures_c is not None
         else paper_temperature_grid()
     )
-    sweep = engine.sweep_width_ratio(
+    sweep = sweep_width_ratio(
         tech, ratios=ratios, stage_count=stage_count, temperatures_c=temps
     )
-    optimum = engine.optimize_width_ratio(
+    optimum = optimize_width_ratio(
         tech, stage_count=stage_count, temperatures_c=temps
     )
     return Fig2Result(

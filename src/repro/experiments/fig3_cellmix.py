@@ -20,11 +20,11 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..cells.library import CellLibrary, default_library
-from ..engine.batch import BatchEvaluator
 from ..optimize.cellmix import (
     CellMixCandidate,
     CellMixSearchResult,
     evaluate_configuration_bank,
+    search_cell_mix,
 )
 from ..oscillator.bank import ConfigurationBank
 from ..oscillator.config import PAPER_FIG3_CONFIGURATIONS, RingConfiguration
@@ -93,7 +93,6 @@ def run_fig3(
     temperatures_c: Optional[Sequence[float]] = None,
     library: Optional[CellLibrary] = None,
     run_search: bool = True,
-    evaluator: Optional[BatchEvaluator] = None,
 ) -> Fig3Result:
     """Run the Fig. 3 experiment.
 
@@ -112,41 +111,27 @@ def run_fig3(
     run_search:
         Also run the exhaustive mix search to locate the global optimum
         over INV/NAND/NOR mixes.
-    evaluator:
-        Batch engine to run the evaluations through; the vectorized
-        engine by default.  In vectorized mode the named configurations
-        stack into one
-        :class:`~repro.oscillator.bank.ConfigurationBank` — the
-        configuration axis of the sweep API — and evaluate as a single
-        ``(config x temperature)`` broadcast; scalar mode keeps the
-        per-configuration oracle loop.
+
+    The named configurations stack into one
+    :class:`~repro.oscillator.bank.ConfigurationBank` — the
+    configuration axis of the sweep API — and evaluate as a single
+    ``(config x temperature)`` broadcast.
     """
     tech = technology if technology is not None else CMOS035
     lib = library if library is not None else default_library(tech)
-    engine = evaluator if evaluator is not None else BatchEvaluator()
     configs = configurations if configurations is not None else dict(PAPER_FIG3_CONFIGURATIONS)
     temps = (
         np.asarray(temperatures_c, dtype=float)
         if temperatures_c is not None
         else paper_temperature_grid()
     )
-    if engine.vectorized:
-        # The configuration axis of the sweep API: all named rings stack
-        # into one bank and evaluate as a single (config x temperature)
-        # broadcast — the declarative equivalent is
-        # Sweep(library=lib).over(Axis.configuration(configs))
-        #                   .over(Axis.temperature(temps)).run().
-        bank = ConfigurationBank(lib, configs)
-        candidates = dict(
-            zip(bank.labels, evaluate_configuration_bank(bank, temps))
-        )
-    else:
-        candidates = {
-            label: engine.evaluate_configuration(lib, configuration, temps)
-            for label, configuration in configs.items()
-        }
+    # The declarative equivalent is
+    # Sweep(library=lib).over(Axis.configuration(configs))
+    #                   .over(Axis.temperature(temps)).run().
+    bank = ConfigurationBank(lib, configs)
+    candidates = dict(zip(bank.labels, evaluate_configuration_bank(bank, temps)))
     if run_search:
-        search = engine.search_cell_mix(lib, stage_count=5, temperatures_c=temps, top_k=10)
+        search = search_cell_mix(lib, stage_count=5, temperatures_c=temps, top_k=10)
     else:
         ranked = sorted(candidates.values(), key=lambda c: c.max_abs_error_percent)
         search = CellMixSearchResult(candidates=ranked, evaluated_count=len(ranked))

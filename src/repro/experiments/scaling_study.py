@@ -9,8 +9,8 @@ and the supply-scaling headroom, plus the power-density trend that
 drives the motivation in the first place.
 
 The node loop is declared through the sweep engine's ``technology``
-axis (one characterisation sweep, one 25 C spot sweep), with the
-original hand-written per-node loop retained as its bitwise oracle.
+axis (one characterisation sweep, one 25 C spot sweep); the test suite
+pins it bitwise against a hand-written per-node loop.
 """
 
 from __future__ import annotations
@@ -110,53 +110,29 @@ def _node_matrices(
     configuration: RingConfiguration,
     nodes: Sequence[Technology],
     temps: np.ndarray,
-    use_technology_axis: bool,
 ) -> tuple:
     """``(periods[N, T], periods_25c[N], powers_25c[N])`` for the node set.
 
-    The declarative form runs the whole study as two sweeps with a
-    ``technology`` axis; the loop form is the original hand-written
-    per-node loop, retained as the oracle the axis lowering is tested
-    bitwise against (``tests/test_experiments_extensions.py``).
+    Two sweeps with a ``technology`` axis: the full temperature grid,
+    and one ``technology x [25 C]`` spot sweep read for both the
+    ``period`` and ``power`` observables.
     """
-    if use_technology_axis:
-        tech_axis = Axis.technology(nodes)
-        periods = (
-            Sweep(configuration=configuration)
-            .over(tech_axis)
-            .over(Axis.temperature(temps))
-            .run()
-            .values
-        )
-        spot = (
-            Sweep(configuration=configuration)
-            .over(tech_axis)
-            .over(Axis.temperature([25.0]))
-        )
-        periods_25c = spot.run().values[:, 0]
-        powers_25c = spot.observe("power").run().values[:, 0]
-        return periods, periods_25c, powers_25c
-    rows = []
-    periods_25c_list = []
-    powers_25c_list = []
-    for tech in nodes:
-        library = default_library(tech)
-        rows.append(
-            Sweep(library=library, configuration=configuration)
-            .over(Axis.temperature(temps))
-            .run()
-            .values
-        )
-        spot = Sweep(library=library, configuration=configuration).over(
-            Axis.temperature([25.0])
-        )
-        periods_25c_list.append(spot.run().item())
-        powers_25c_list.append(spot.observe("power").run().item())
-    return (
-        np.stack(rows),
-        np.asarray(periods_25c_list, dtype=float),
-        np.asarray(powers_25c_list, dtype=float),
+    tech_axis = Axis.technology(nodes)
+    periods = (
+        Sweep(configuration=configuration)
+        .over(tech_axis)
+        .over(Axis.temperature(temps))
+        .run()
+        .values
     )
+    spot = (
+        Sweep(configuration=configuration)
+        .over(tech_axis)
+        .over(Axis.temperature([25.0]))
+    )
+    periods_25c = spot.run().values[:, 0]
+    powers_25c = spot.observe("power").run().values[:, 0]
+    return periods, periods_25c, powers_25c
 
 
 def run_scaling_study(
@@ -164,7 +140,6 @@ def run_scaling_study(
     nodes: Sequence[Technology] = DEFAULT_NODES,
     temperatures_c: Optional[Sequence[float]] = None,
     reoptimize: bool = False,
-    use_technology_axis: bool = True,
 ) -> ScalingStudyResult:
     """Evaluate one ring configuration on several technology nodes.
 
@@ -172,14 +147,11 @@ def run_scaling_study(
     showing that the paper's *method* ports across nodes even when the
     particular mix chosen for 0.35 um does not stay optimal.
 
-    The node loop is declared, not hand-written: by default the
-    characterisation is one ``period`` sweep over a ``technology`` axis
-    stacked on the temperature grid, plus one technology x [25 C] spot
-    sweep for the ``period``/``power`` observables — so the whole study
-    serializes, content-addresses and caches like any other sweep.
-    ``use_technology_axis=False`` runs the original per-node loop
-    instead; the two are bitwise identical, and the loop form is kept
-    as the oracle that pins the axis lowering.
+    The node loop is declared, not hand-written: the characterisation
+    is one ``period`` sweep over a ``technology`` axis stacked on the
+    temperature grid, plus one technology x [25 C] spot sweep for the
+    ``period``/``power`` observables — so the whole study serializes,
+    content-addresses and caches like any other sweep.
     """
     configuration = RingConfiguration.parse(configuration_text)
     temps = (
@@ -187,9 +159,7 @@ def run_scaling_study(
         if temperatures_c is not None
         else default_temperature_grid(points=21)
     )
-    periods, periods_25c, powers_25c = _node_matrices(
-        configuration, nodes, temps, use_technology_axis
-    )
+    periods, periods_25c, powers_25c = _node_matrices(configuration, nodes, temps)
     points: List[NodePoint] = []
     for index, tech in enumerate(nodes):
         response = TemperatureResponse(configuration.label(), temps, periods[index])

@@ -80,7 +80,6 @@ def run_selfheating_study(
     sensor_location_mm: Sequence[float] = (2.0, 6.0),
     grid_resolution: int = 24,
     measurement_rate_hz: float = 1000.0,
-    scalar: bool = False,
 ) -> SelfHeatingStudyResult:
     """Run the self-heating ablation.
 
@@ -89,11 +88,9 @@ def run_selfheating_study(
     dynamic power at the local temperature is injected into the thermal
     model at that spot, scaled by each duty cycle.
 
-    ``scalar=True`` runs one steady-state thermal solve per duty cycle
-    (the reference path); the default exploits the thermal network's
-    linearity and covers the whole duty-cycle sweep with one multi-RHS
-    solve against the shared :class:`~repro.thermal.operator.ThermalOperator`
-    factorization (see :func:`repro.thermal.selfheating.duty_cycle_study`).
+    The study exploits the thermal network's linearity and covers the
+    whole duty-cycle sweep with one multi-RHS solve against the shared
+    :class:`~repro.thermal.operator.ThermalOperator` factorization (see :func:`repro.thermal.selfheating.duty_cycle_study`).
     """
     tech = technology if technology is not None else CMOS035
     configuration = RingConfiguration.parse(configuration_text)
@@ -120,7 +117,6 @@ def run_selfheating_study(
         float(sensor_location_mm[1]),
         oscillator_power,
         duty_cycles=tuple(sorted(set(float(d) for d in duty_cycles), reverse=True)),
-        scalar=scalar,
     )
     duty_1khz = min(1.0, measurement_rate_hz * readout.conversion_time_s)
     return SelfHeatingStudyResult(

@@ -55,22 +55,17 @@ def run_supply_sensitivity(
     configurations: Optional[Dict[str, RingConfiguration]] = None,
     temperature_c: float = 85.0,
     error_budget_c: float = 1.0,
-    scalar: bool = False,
 ) -> SupplySensitivityResult:
     """Run the supply-sensitivity study over the Fig. 3 configurations.
 
-    The default path declares each finite difference as a named-axis
-    sweep (the ``supply`` axis of :mod:`repro.engine.sweep`, lowered
-    onto a stacked two-supply population); ``scalar=True`` routes every
-    configuration through the original rebuild-per-operating-point loop
-    instead (see :func:`repro.analysis.supply.supply_sensitivity`).
+    Each finite difference is a named-axis sweep (the ``supply`` axis
+    of :mod:`repro.engine.sweep`, lowered onto a stacked two-supply
+    population; see :func:`repro.analysis.supply.supply_sensitivity`).
     """
     tech = technology if technology is not None else CMOS035
     configs = configurations if configurations is not None else dict(PAPER_FIG3_CONFIGURATIONS)
     reports = {
-        label: supply_sensitivity(
-            tech, configuration, temperature_c=temperature_c, scalar=scalar
-        )
+        label: supply_sensitivity(tech, configuration, temperature_c=temperature_c)
         for label, configuration in configs.items()
     }
     return SupplySensitivityResult(

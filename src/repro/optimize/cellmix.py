@@ -102,20 +102,15 @@ def evaluate_configuration(
     configuration: RingConfiguration,
     temperatures_c: Optional[Sequence[float]] = None,
     fit_method: str = "endpoint",
-    scalar: bool = False,
 ) -> CellMixCandidate:
-    """Evaluate the linearity (and area) of one configuration.
-
-    Runs through the vectorized batch path unless ``scalar`` is set
-    (the equivalence-test oracle).
-    """
+    """Evaluate the linearity (and area) of one configuration."""
     temps = (
         np.asarray(temperatures_c, dtype=float)
         if temperatures_c is not None
         else default_temperature_grid()
     )
     ring = RingOscillator(library, configuration)
-    response = analytical_response(ring, temps, scalar=scalar)
+    response = analytical_response(ring, temps)
     return CellMixCandidate(
         configuration=configuration,
         response=response,
@@ -163,7 +158,6 @@ def search_cell_mix(
     temperatures_c: Optional[Sequence[float]] = None,
     fit_method: str = "endpoint",
     top_k: int = 10,
-    scalar: bool = False,
 ) -> CellMixSearchResult:
     """Exhaustively rank all cell mixes of the given stage count.
 
@@ -182,28 +176,18 @@ def search_cell_mix(
     top_k:
         How many ranked candidates to retain in the result (all are
         evaluated regardless).
-    scalar:
-        Evaluate every candidate through the scalar reference path
-        instead of the stacked configuration axis.
     """
-    configurations = enumerate_configurations(cell_names, stage_count)
-    if scalar:
-        candidates = [
-            evaluate_configuration(
-                library, configuration, temperatures_c, fit_method, scalar=True
-            )
-            for configuration in configurations
-        ]
-    else:
-        # The whole candidate space is one configuration axis: stack it
-        # into a ConfigurationBank and evaluate every mix in a single
-        # (config x temperature) broadcast instead of one delay-stack
-        # pass per candidate.
-        from ..oscillator.bank import ConfigurationBank
+    # The whole candidate space is one configuration axis: stack it into
+    # a ConfigurationBank and evaluate every mix in a single
+    # (config x temperature) broadcast instead of one delay-stack pass
+    # per candidate.
+    from ..oscillator.bank import ConfigurationBank
 
-        candidates = evaluate_configuration_bank(
-            ConfigurationBank(library, configurations), temperatures_c, fit_method
-        )
+    candidates = evaluate_configuration_bank(
+        ConfigurationBank(library, enumerate_configurations(cell_names, stage_count)),
+        temperatures_c,
+        fit_method,
+    )
     candidates.sort(key=lambda candidate: candidate.max_abs_error_percent)
     kept = candidates[: top_k if top_k > 0 else len(candidates)]
     return CellMixSearchResult(candidates=kept, evaluated_count=len(candidates))
@@ -216,7 +200,6 @@ def greedy_cell_mix(
     temperatures_c: Optional[Sequence[float]] = None,
     fit_method: str = "endpoint",
     max_iterations: int = 50,
-    scalar: bool = False,
 ) -> CellMixCandidate:
     """Greedy local search over the mix space.
 
@@ -230,7 +213,7 @@ def greedy_cell_mix(
         raise ConfigurationError("stage_count must be an odd number >= 3")
     current = RingConfiguration.uniform(cell_names[0], stage_count)
     current_candidate = evaluate_configuration(
-        library, current, temperatures_c, fit_method, scalar=scalar
+        library, current, temperatures_c, fit_method
     )
 
     for _ in range(max_iterations):
@@ -247,7 +230,6 @@ def greedy_cell_mix(
                     RingConfiguration(tuple(neighbour_stages)),
                     temperatures_c,
                     fit_method,
-                    scalar=scalar,
                 )
                 if (
                     best_neighbour is None

@@ -110,7 +110,6 @@ def sweep_width_ratio(
     stage_count: int = 5,
     temperatures_c: Optional[Sequence[float]] = None,
     fit_method: str = "endpoint",
-    scalar: bool = False,
 ) -> SizingSweepResult:
     """Evaluate the ring non-linearity at each candidate Wp/Wn ratio.
 
@@ -128,9 +127,6 @@ def sweep_width_ratio(
         Sweep grid; the paper's -50..150 range by default.
     fit_method:
         Line-fit convention for the non-linearity metric.
-    scalar:
-        Evaluate through the scalar reference path instead of the
-        vectorized batch engine (equivalence-test oracle).
     """
     if not ratios:
         raise TechnologyError("at least one ratio is required")
@@ -139,48 +135,36 @@ def sweep_width_ratio(
         if temperatures_c is not None
         else default_temperature_grid()
     )
-    points: List[SizingPoint] = []
-    if scalar:
-        for ratio in ratios:
-            ring = build_sized_ring(technology, float(ratio), nmos_width_um, stage_count)
-            response = analytical_response(ring, temps, scalar=True)
-            points.append(
-                SizingPoint(
-                    width_ratio=float(ratio),
-                    response=response,
-                    linearity=nonlinearity(response, fit_method),
-                )
-            )
-    else:
-        # The declarative form of this sweep: one width_ratio axis over
-        # one temperature axis, lowered by the sweep planner onto the
-        # same build_sized_ring + vectorized period_series evaluation.
-        from ..engine.sweep import Axis, Sweep
+    # The declarative form of this sweep: one width_ratio axis over one
+    # temperature axis, lowered by the sweep planner onto the same
+    # build_sized_ring + vectorized period_series evaluation.
+    from ..engine.sweep import Axis, Sweep
 
-        result = (
-            Sweep(technology=technology)
-            .over(
-                Axis.width_ratio(
-                    [float(r) for r in ratios],
-                    nmos_width_um=nmos_width_um,
-                    stage_count=stage_count,
-                )
+    result = (
+        Sweep(technology=technology)
+        .over(
+            Axis.width_ratio(
+                [float(r) for r in ratios],
+                nmos_width_um=nmos_width_um,
+                stage_count=stage_count,
             )
-            .over(Axis.temperature(temps))
-            .run()
         )
-        label = RingConfiguration.uniform("INV_SIZED", stage_count).label()
-        for ratio in result.coordinates("width_ratio"):
-            response = TemperatureResponse(
-                label, temps, result.select(width_ratio=ratio).values
+        .over(Axis.temperature(temps))
+        .run()
+    )
+    label = RingConfiguration.uniform("INV_SIZED", stage_count).label()
+    points: List[SizingPoint] = []
+    for ratio in result.coordinates("width_ratio"):
+        response = TemperatureResponse(
+            label, temps, result.select(width_ratio=ratio).values
+        )
+        points.append(
+            SizingPoint(
+                width_ratio=float(ratio),
+                response=response,
+                linearity=nonlinearity(response, fit_method),
             )
-            points.append(
-                SizingPoint(
-                    width_ratio=float(ratio),
-                    response=response,
-                    linearity=nonlinearity(response, fit_method),
-                )
-            )
+        )
     return SizingSweepResult(points=points, stage_count=stage_count, nmos_width_um=nmos_width_um)
 
 
@@ -191,14 +175,11 @@ def optimize_width_ratio(
     stage_count: int = 5,
     temperatures_c: Optional[Sequence[float]] = None,
     fit_method: str = "endpoint",
-    scalar: bool = False,
 ) -> SizingPoint:
     """Find the Wp/Wn ratio minimising the worst-case non-linearity.
 
     Uses bounded scalar minimisation; the objective is smooth in the
-    ratio so this converges in a handful of evaluations.  Each objective
-    evaluation runs through the vectorized batch path unless ``scalar``
-    is set.
+    ratio so this converges in a handful of evaluations.
     """
     if len(ratio_bounds) != 2 or ratio_bounds[0] >= ratio_bounds[1]:
         raise TechnologyError("ratio_bounds must be an increasing (low, high) pair")
@@ -210,7 +191,7 @@ def optimize_width_ratio(
 
     def objective(ratio: float) -> float:
         ring = build_sized_ring(technology, float(ratio), nmos_width_um, stage_count)
-        response = analytical_response(ring, temps, scalar=scalar)
+        response = analytical_response(ring, temps)
         return nonlinearity(response, fit_method).max_abs_error_percent
 
     result = scipy_optimize.minimize_scalar(
@@ -219,7 +200,7 @@ def optimize_width_ratio(
     )
     best_ratio = float(result.x)
     ring = build_sized_ring(technology, best_ratio, nmos_width_um, stage_count)
-    response = analytical_response(ring, temps, scalar=scalar)
+    response = analytical_response(ring, temps)
     return SizingPoint(
         width_ratio=best_ratio,
         response=response,

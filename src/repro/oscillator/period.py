@@ -170,7 +170,6 @@ class TemperatureResponse:
 def analytical_response(
     ring: RingOscillator,
     temperatures_c: Optional[Sequence[float]] = None,
-    scalar: bool = False,
 ) -> TemperatureResponse:
     """Temperature response computed with the analytical delay model.
 
@@ -179,20 +178,15 @@ def analytical_response(
     ring:
         The ring oscillator to sweep.
     temperatures_c:
-        Sweep grid (the paper's -50..150 range by default).
-    scalar:
-        When true, evaluate one temperature at a time through the
-        scalar reference path instead of the vectorized stage-sum —
-        the oracle the batch engine's equivalence tests compare
-        against.
+        Sweep grid (the paper's -50..150 range by default), evaluated
+        in one vectorized stage-sum (:meth:`RingOscillator.period_series`).
     """
     temps = (
         np.asarray(temperatures_c, dtype=float)
         if temperatures_c is not None
         else default_temperature_grid()
     )
-    periods = ring.period_series_scalar(temps) if scalar else ring.period_series(temps)
-    return TemperatureResponse(ring.label(), temps, periods)
+    return TemperatureResponse(ring.label(), temps, ring.period_series(temps))
 
 
 def simulated_response(

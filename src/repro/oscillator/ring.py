@@ -175,9 +175,9 @@ class RingOscillator:
 
         Each stage's delay contribution is evaluated once for the whole
         temperature grid and accumulated — a single vectorized stage-sum
-        instead of a Python loop over temperatures.  Matches
-        :meth:`period_series_scalar` (and therefore :meth:`period`) to
-        floating-point rounding.
+        instead of a Python loop over temperatures.  Matches a loop of
+        :meth:`period` calls to floating-point rounding (the equivalence
+        suites pin the two to 1e-9 relative).
 
         For a ring bound to a stacked population
         (:class:`~repro.tech.stacked.TechnologyArray`, see
@@ -190,15 +190,6 @@ class RingOscillator:
         for stage in self.stages():
             total = total + stage.cell.stage_delay_sum(temps, stage.load_f)
         return total
-
-    def period_series_scalar(self, temperatures_c: Sequence[float]) -> np.ndarray:
-        """Periods (s) over a temperature sweep, one scalar call per point.
-
-        The pre-vectorization reference path, kept as the oracle the
-        equivalence tests (and :class:`repro.engine.BatchEvaluator` in
-        scalar mode) compare the batch engine against.
-        """
-        return np.asarray([self.period(float(t)) for t in temperatures_c])
 
     def rebind(self, technology) -> "RingOscillator":
         """A copy of this ring implemented in another technology.
@@ -256,9 +247,8 @@ class RingOscillator:
         samples.  Technology lists that cannot be stacked (samples
         disagreeing on the geometry scalars, e.g. when comparing
         technology nodes) fall back to the per-sample loop, so any list
-        the pre-stacking path accepted still evaluates.
-        :meth:`period_matrix_loop` keeps the per-sample path as the
-        equivalence oracle.
+        the pre-stacking path accepted still evaluates, through
+        :meth:`period_matrix_loop`.
         """
         temps = np.asarray(temperatures_c, dtype=float)
         if isinstance(technologies, TechnologyArray):
@@ -279,10 +269,10 @@ class RingOscillator:
         """Per-sample reference path of :meth:`period_matrix`.
 
         Re-binds the ring to each technology in turn and evaluates the
-        vectorized temperature axis once per sample.  This was the
-        default before the stacked sample axis existed; it is retained
-        as the oracle the stacked-equivalence tests (and the scalar
-        engine mode) compare against.
+        vectorized temperature axis once per sample.  It is the only
+        path for technology lists that cannot be stacked (samples that
+        disagree on the geometry scalars, such as different nodes); the
+        stacked-equivalence tests also pin :meth:`period_matrix` to it.
         """
         temps = np.asarray(temperatures_c, dtype=float)
         if isinstance(technologies, TechnologyArray):

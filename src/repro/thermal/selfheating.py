@@ -100,7 +100,6 @@ def duty_cycle_study(
     duty_cycles=(1.0, 0.5, 0.1, 0.01, 0.001),
     ambient_c: float = 45.0,
     parameters: ThermalGridParameters = ThermalGridParameters(),
-    scalar: bool = False,
 ):
     """Self-heating error versus measurement duty cycle.
 
@@ -109,28 +108,13 @@ def duty_cycle_study(
     auto-disable controller achieves.
 
     The thermal network is linear, so the rise caused by ``duty *
-    power`` is ``duty`` times the rise caused by the full power: the
-    default path therefore runs one *multi-RHS* steady-state solve
-    (baseline and full-power stacked against the cached
-    :class:`ThermalOperator` factorization) and scales, instead of one
-    factorize-and-solve per duty cycle.  ``scalar=True`` keeps the
-    solve-per-duty-cycle loop as the reference oracle (the two paths
-    agree to solver rounding, far below any physically meaningful
-    difference).
+    power`` is ``duty`` times the rise caused by the full power: this
+    runs one *multi-RHS* steady-state solve (baseline and full-power
+    stacked against the cached :class:`ThermalOperator` factorization)
+    and scales, instead of one :func:`self_heating_error` solve per
+    duty cycle (the two agree to solver rounding, far below any
+    physically meaningful difference).
     """
-    if scalar:
-        return [
-            self_heating_error(
-                background_power,
-                sensor_x_mm,
-                sensor_y_mm,
-                oscillator_power_w,
-                duty_cycle=float(duty),
-                ambient_c=ambient_c,
-                parameters=parameters,
-            )
-            for duty in duty_cycles
-        ]
     if oscillator_power_w < 0.0:
         raise TechnologyError("oscillator power must be non-negative")
     duties = [float(duty) for duty in duty_cycles]

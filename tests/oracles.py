@@ -1,0 +1,357 @@
+"""Scalar reference oracles for the equivalence suites and engine benchmarks.
+
+The package evaluates every workload one way: a numpy broadcast built
+on :class:`repro.engine.Sweep` or on the stacked layouts behind it.
+Each function here is the one-point-at-a-time loop such a path
+replaced, written against public library objects passed in as
+arguments.  The suites pin the broadcast paths to these loops: periods
+to 1e-9 relative, counter codes exactly.
+
+Where a library path still computes the reference, no oracle is added
+here.  ``supply_sensitivity(..., library_builder=default_library)``
+runs the rebuild-per-operating-point loop, and
+:func:`repro.thermal.selfheating.self_heating_error` is the
+solve-per-duty-cycle reference of ``duty_cycle_study``.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.analysis.linearity import nonlinearity
+from repro.analysis.montecarlo import MonteCarloStudy
+from repro.analysis.statistics import summarize
+from repro.cells import default_library
+from repro.core import ReadoutConfig, SmartTemperatureSensor
+from repro.core.calibration import design_calibration, one_point_calibration
+from repro.core.mapping import ThermalMonitorReport
+from repro.core.sensor import SensorTransferFunction
+from repro.core.sensor_bank import BankScan
+from repro.engine import Axis, Sweep
+from repro.experiments.calibration_study import CalibrationStudyResult
+from repro.optimize.cellmix import CellMixCandidate
+from repro.optimize.sizing import (
+    PAPER_FIG2_RATIOS,
+    SizingPoint,
+    SizingSweepResult,
+    build_sized_ring,
+)
+from repro.oscillator import RingConfiguration, RingOscillator, TemperatureResponse
+from repro.oscillator.period import default_temperature_grid, validate_temperature_grid
+from repro.tech import CMOS035, TechnologyArray, corner_technologies, sample_technologies
+
+
+# --------------------------------------------------------------------------- #
+# rings
+# --------------------------------------------------------------------------- #
+
+
+def period_series_scalar(ring, temperatures_c) -> np.ndarray:
+    """Periods (s) over a temperature grid, one ``ring.period`` call per point."""
+    return np.asarray([ring.period(float(t)) for t in temperatures_c])
+
+
+def period_matrix_scalar(ring, technologies, temperatures_c) -> np.ndarray:
+    """``(sample, temperature)`` periods: rebind per sample, scalar per point.
+
+    A stacked :class:`~repro.tech.TechnologyArray` is unstacked first.
+    """
+    if isinstance(technologies, TechnologyArray):
+        technologies = technologies.technologies()
+    temps = np.asarray(temperatures_c, dtype=float)
+    matrix = np.zeros((len(technologies), temps.size))
+    for row, tech in enumerate(technologies):
+        matrix[row] = period_series_scalar(ring.rebind(tech), temps)
+    return matrix
+
+
+def monte_carlo_scalar(
+    base_technology,
+    configuration: RingConfiguration,
+    sample_count: int = 25,
+    temperatures_c: Optional[Sequence[float]] = None,
+    reference_temperature_c: float = 25.0,
+    seed: Optional[int] = 1234,
+) -> MonteCarloStudy:
+    """``run_monte_carlo`` as a per-sample library build and scalar sweep."""
+    temps = (
+        validate_temperature_grid(temperatures_c, context="monte_carlo_scalar sweep")
+        if temperatures_c is not None
+        else default_temperature_grid(points=21)
+    )
+    responses = []
+    for sample in sample_technologies(base_technology, sample_count, seed=seed):
+        ring = RingOscillator(default_library(sample), configuration)
+        responses.append(
+            TemperatureResponse(ring.label(), temps, period_series_scalar(ring, temps))
+        )
+    return MonteCarloStudy(
+        label=configuration.label(),
+        sample_count=sample_count,
+        period_at_reference=summarize(
+            [r.period_at(reference_temperature_c) for r in responses]
+        ),
+        nonlinearity_percent=summarize(
+            [nonlinearity(r).max_abs_error_percent for r in responses]
+        ),
+        sensitivity_s_per_k=summarize([r.mean_sensitivity() for r in responses]),
+        responses=responses,
+    )
+
+
+# --------------------------------------------------------------------------- #
+# sensors
+# --------------------------------------------------------------------------- #
+
+
+def transfer_function_scalar(sensor, temperatures_c) -> SensorTransferFunction:
+    """A sensor's transfer function, one counter conversion per temperature."""
+    temps = np.asarray(temperatures_c, dtype=float)
+    codes = []
+    measured_periods = []
+    for temp in temps:
+        reading = sensor.counter.convert(sensor.ring.period(float(temp)))
+        codes.append(float(reading.code))
+        measured_periods.append(sensor.counter.code_to_period(reading.code))
+    return SensorTransferFunction(
+        temperatures_c=temps,
+        codes=np.asarray(codes),
+        measured_periods_s=np.asarray(measured_periods),
+    )
+
+
+def measurement_errors_scalar(sensor, temperatures_c) -> np.ndarray:
+    """A calibrated sensor's errors (deg C), one measured period per point."""
+    return np.asarray(
+        [
+            float(sensor.calibration.temperature(sensor.measured_period(float(t))))
+            - float(t)
+            for t in temperatures_c
+        ]
+    )
+
+
+def _worst_error_scalar(sensor, temperatures_c) -> float:
+    return float(np.max(np.abs(measurement_errors_scalar(sensor, temperatures_c))))
+
+
+def calibration_study_scalar(
+    technology=None,
+    configuration_text: str = "2INV+3NAND2",
+    readout: ReadoutConfig = ReadoutConfig(),
+    monte_carlo_samples: int = 12,
+    temperatures_c: Optional[Sequence[float]] = None,
+    reference_temperature_c: float = 25.0,
+    seed: int = 20250617,
+) -> CalibrationStudyResult:
+    """``run_calibration_study`` with one sensor object per technology sample."""
+    tech = technology if technology is not None else CMOS035
+    temps = (
+        validate_temperature_grid(temperatures_c, context="calibration oracle sweep")
+        if temperatures_c is not None
+        else default_temperature_grid(points=17)
+    )
+    configuration = RingConfiguration.parse(configuration_text)
+
+    def sensor_for(sample):
+        ring = RingOscillator(default_library(sample), configuration)
+        return SmartTemperatureSensor(ring, readout=readout, name=f"cal_{sample.name}")
+
+    design_transfer = transfer_function_scalar(sensor_for(tech), temps)
+    design_cal = design_calibration(
+        design_transfer.measured_periods_s, design_transfer.temperatures_c
+    )
+    samples = list(corner_technologies(tech).values())
+    samples.extend(sample_technologies(tech, monte_carlo_samples, seed=seed))
+
+    worst_errors: Dict[str, List[float]] = {"design": [], "one-point": [], "two-point": []}
+    for sample in samples:
+        sensor = sensor_for(sample)
+
+        sensor.install_calibration(design_cal)
+        worst_errors["design"].append(_worst_error_scalar(sensor, temps))
+
+        sensor.install_calibration(
+            one_point_calibration(
+                sensor.measured_period(reference_temperature_c),
+                reference_temperature_c,
+                design_cal.slope_c_per_second,
+            )
+        )
+        worst_errors["one-point"].append(_worst_error_scalar(sensor, temps))
+
+        sensor.calibrate_two_point(float(temps[0]), float(temps[-1]))
+        worst_errors["two-point"].append(_worst_error_scalar(sensor, temps))
+
+    return CalibrationStudyResult(
+        technology_name=tech.name,
+        configuration_label=configuration.label(),
+        sample_count=len(samples),
+        errors_by_scheme={k: summarize(v) for k, v in worst_errors.items()},
+        worst_by_scheme={k: float(np.max(v)) for k, v in worst_errors.items()},
+    )
+
+
+def bank_scan_loop(
+    bank,
+    junction_temperatures_c,
+    technologies=None,
+    calibrate_at: Optional[Tuple[float, float]] = None,
+) -> BankScan:
+    """``SensorBank.scan`` as one sensor object and one ``measure`` per site.
+
+    With a population there is one sensor per site per sample, and the
+    result arrays are ``(site, sample)``.  ``calibrate_at`` two-point
+    calibrates every sensor through its own scalar pipeline.
+    """
+    temps = np.asarray(junction_temperatures_c, dtype=float)
+    if technologies is None:
+        rings = [bank.ring]
+    else:
+        if isinstance(technologies, TechnologyArray):
+            technologies = technologies.technologies()
+        rings = [bank.ring.rebind(t) for t in technologies]
+
+    readings = []  # [ring][site]
+    for ring in rings:
+        row = []
+        for name, temperature in zip(bank.names(), temps):
+            sensor = SmartTemperatureSensor(
+                ring,
+                readout=bank.readout,
+                controller_config=bank.controller_config,
+                name=name,
+            )
+            if calibrate_at is not None:
+                sensor.calibrate_two_point(*calibrate_at)
+            row.append(sensor.measure(float(temperature)))
+        readings.append(row)
+
+    def gather(field):
+        arrays = [np.asarray([getattr(r, field) for r in row]) for row in readings]
+        return arrays[0] if technologies is None else np.stack(arrays, axis=1)
+
+    return BankScan(
+        names=bank.names(),
+        true_temperatures_c=temps,
+        periods_s=gather("oscillator_period_s"),
+        codes=gather("code"),
+        saturated=gather("saturated"),
+        measured_periods_s=gather("measured_period_s"),
+        estimates_c=gather("temperature_estimate_c") if calibrate_at is not None else None,
+        conversion_time_s=readings[-1][-1].conversion_time_s,
+    )
+
+
+def monitor_scan_scalar(monitor, power=None) -> ThermalMonitorReport:
+    """``ThermalMonitor.scan`` through the per-sensor multiplexer loop.
+
+    Each site's junction temperature is sampled from the field one site
+    at a time, and the multiplexer measures every channel in turn.
+    """
+    if power is None:
+        power = monitor.power_map_for_floorplan()
+    true_map = monitor.temperature_field(power)
+    site_truth = {
+        site.name: true_map.sample(site.x_mm, site.y_mm)
+        for site in monitor.sensor_sites()
+    }
+    scan = monitor.multiplexer.scan(site_truth)
+    site_estimates = {
+        name: reading.temperature_estimate_c for name, reading in scan.readings.items()
+    }
+    return ThermalMonitorReport(
+        scan=scan,
+        true_map=true_map,
+        site_true_temperatures_c=site_truth,
+        site_estimates_c=site_estimates,
+        reconstructed_map=monitor._reconstruct(site_estimates, true_map),
+    )
+
+
+# --------------------------------------------------------------------------- #
+# optimisation sweeps and studies
+# --------------------------------------------------------------------------- #
+
+
+def sweep_width_ratio_scalar(
+    technology,
+    ratios: Sequence[float] = PAPER_FIG2_RATIOS,
+    nmos_width_um: float = 1.05,
+    stage_count: int = 5,
+    temperatures_c: Optional[Sequence[float]] = None,
+    fit_method: str = "endpoint",
+) -> SizingSweepResult:
+    """``sweep_width_ratio`` as one sized ring and scalar sweep per ratio."""
+    temps = (
+        np.asarray(temperatures_c, dtype=float)
+        if temperatures_c is not None
+        else default_temperature_grid()
+    )
+    points = []
+    for ratio in ratios:
+        ring = build_sized_ring(technology, float(ratio), nmos_width_um, stage_count)
+        response = TemperatureResponse(ring.label(), temps, period_series_scalar(ring, temps))
+        points.append(
+            SizingPoint(
+                width_ratio=float(ratio),
+                response=response,
+                linearity=nonlinearity(response, fit_method),
+            )
+        )
+    return SizingSweepResult(
+        points=points, stage_count=stage_count, nmos_width_um=nmos_width_um
+    )
+
+
+def evaluate_configuration_scalar(
+    library,
+    configuration: RingConfiguration,
+    temperatures_c: Optional[Sequence[float]] = None,
+    fit_method: str = "endpoint",
+) -> CellMixCandidate:
+    """``evaluate_configuration`` through a scalar sweep of one ring."""
+    temps = (
+        np.asarray(temperatures_c, dtype=float)
+        if temperatures_c is not None
+        else default_temperature_grid()
+    )
+    ring = RingOscillator(library, configuration)
+    response = TemperatureResponse(ring.label(), temps, period_series_scalar(ring, temps))
+    return CellMixCandidate(
+        configuration=configuration,
+        response=response,
+        linearity=nonlinearity(response, fit_method),
+        area_um2=ring.area_um2(),
+    )
+
+
+def scaling_node_matrices_loop(configuration, nodes, temps):
+    """The EXT-SCALING node matrices, one library and three sweeps per node.
+
+    Same return contract as ``repro.experiments.scaling_study._node_matrices``:
+    ``(periods[N, T], periods_25c[N], powers_25c[N])``.
+    """
+    rows = []
+    periods_25c = []
+    powers_25c = []
+    for tech in nodes:
+        library = default_library(tech)
+        rows.append(
+            Sweep(library=library, configuration=configuration)
+            .over(Axis.temperature(temps))
+            .run()
+            .values
+        )
+        spot = Sweep(library=library, configuration=configuration).over(
+            Axis.temperature([25.0])
+        )
+        periods_25c.append(spot.run().item())
+        powers_25c.append(spot.observe("power").run().item())
+    return (
+        np.stack(rows),
+        np.asarray(periods_25c, dtype=float),
+        np.asarray(powers_25c, dtype=float),
+    )

@@ -95,6 +95,38 @@ class TestCalibrationAndAccuracy:
             smart_sensor.install_calibration(object())
 
 
+class TestSweepGridValidation:
+    """transfer_function, measurement_errors and worst_case_error_c share
+    one grid check: a TechnologyError naming ``temperatures_c``."""
+
+    BAD_GRIDS = {
+        "empty": [],
+        "two-dimensional": [[-50.0, 25.0], [100.0, 150.0]],
+        "scalar": 25.0,
+        "nan": [-50.0, float("nan"), 150.0],
+        "inf": [-50.0, float("inf")],
+        "non-numeric": ["hot", "cold"],
+    }
+
+    @pytest.fixture()
+    def calibrated(self, smart_sensor):
+        smart_sensor.calibrate_two_point(-50.0, 150.0)
+        return smart_sensor
+
+    @pytest.mark.parametrize("grid", list(BAD_GRIDS.values()), ids=list(BAD_GRIDS))
+    @pytest.mark.parametrize(
+        "method", ["transfer_function", "measurement_errors", "worst_case_error_c"]
+    )
+    def test_bad_grid_raises_naming_the_argument(self, calibrated, method, grid):
+        with pytest.raises(TechnologyError, match="temperatures_c"):
+            getattr(calibrated, method)(grid)
+
+    def test_default_and_valid_grids_still_evaluate(self, calibrated):
+        assert calibrated.transfer_function().temperatures_c.size == 21
+        assert calibrated.measurement_errors([25.0]).shape == (1,)
+        assert calibrated.worst_case_error_c((-50.0, 150.0)) >= 0.0
+
+
 class TestTransferFunction:
     def test_monotonic_and_code_span(self, smart_sensor, paper_temperatures):
         transfer = smart_sensor.transfer_function(paper_temperatures)

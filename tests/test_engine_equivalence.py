@@ -1,7 +1,8 @@
-"""Equivalence harness: the vectorized batch engine vs the scalar oracle.
+"""Equivalence harness: the vectorized batch engine vs the scalar oracles.
 
 The batch engine's correctness contract is that it computes *exactly*
-what the scalar reference paths compute, only in one vectorized pass.
+what the scalar reference loops in ``tests/oracles.py`` compute, only in
+one vectorized pass.
 These tests pin the two paths together — property-based over random
 ring configurations, technology samples and temperature grids — to a
 relative tolerance of 1e-9 on periods (the acceptance bound; in
@@ -14,14 +15,22 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    evaluate_configuration_scalar,
+    monte_carlo_scalar,
+    period_matrix_scalar,
+    period_series_scalar,
+    sweep_width_ratio_scalar,
+    transfer_function_scalar,
+)
 from repro.analysis.montecarlo import run_monte_carlo
 from repro.cells import characterize_cell, default_library
 from repro.core import ReadoutConfig, SmartTemperatureSensor
-from repro.engine import BatchEvaluator
+from repro.engine import Axis, Sweep
 from repro.optimize.cellmix import evaluate_configuration
 from repro.optimize.sizing import sweep_width_ratio
 from repro.oscillator import RingConfiguration, RingOscillator
-from repro.tech import CMOS035
+from repro.tech import CMOS035, sample_technology_array
 from repro.tech.corners import corner_technologies, sample_technologies
 
 #: The acceptance bound on vectorized-vs-scalar relative period error.
@@ -69,7 +78,7 @@ def test_period_series_matches_scalar(configuration, temps, seed):
     tech = sample_technologies(CMOS035, 1, seed=seed)[0]
     ring = RingOscillator(default_library(tech), configuration)
     vectorized = ring.period_series(temps)
-    scalar = ring.period_series_scalar(temps)
+    scalar = period_series_scalar(ring, temps)
     assert relative_error(vectorized, scalar) <= RTOL
 
 
@@ -85,7 +94,7 @@ def test_period_matrix_rows_match_per_sample_scalar(temps, seed):
     matrix = ring.period_matrix(technologies, temps)
     assert matrix.shape == (3, temps.size)
     for row, tech in enumerate(technologies):
-        scalar = ring.rebind(tech).period_series_scalar(temps)
+        scalar = period_series_scalar(ring.rebind(tech), temps)
         assert relative_error(matrix[row], scalar) <= RTOL
 
 
@@ -111,18 +120,15 @@ def test_period_matrix_over_corners_matches_scalar_engine():
     )
     technologies = list(corner_technologies(CMOS035).values())
     temps = np.linspace(-50.0, 150.0, 41)
-    vectorized = BatchEvaluator().period_matrix(ring, technologies, temps)
-    scalar = BatchEvaluator(vectorized=False).period_matrix(ring, technologies, temps)
-    assert relative_error(vectorized, scalar) <= RTOL
-
-
-def test_scalar_evaluator_is_bitwise_the_reference_path(inverter_ring):
-    temps = np.linspace(-50.0, 150.0, 21)
-    reference = inverter_ring.period_series_scalar(temps)
-    through_engine = BatchEvaluator(vectorized=False).period_series(
-        inverter_ring, temps
+    vectorized = (
+        Sweep(ring=ring)
+        .over(Axis.sample(technologies))
+        .over(Axis.temperature(temps))
+        .run()
+        .values
     )
-    assert np.array_equal(reference, through_engine)
+    scalar = period_matrix_scalar(ring, technologies, temps)
+    assert relative_error(vectorized, scalar) <= RTOL
 
 
 # --------------------------------------------------------------------------- #
@@ -137,18 +143,25 @@ def test_transfer_function_codes_identical(configuration, temps):
         CMOS035, configuration, readout=ReadoutConfig()
     )
     vectorized = sensor.transfer_function(temps)
-    scalar = sensor.transfer_function(temps, scalar=True)
+    scalar = transfer_function_scalar(sensor, temps)
     # Quantised codes are integers: the two paths must agree exactly.
     assert np.array_equal(vectorized.codes, scalar.codes)
     assert np.array_equal(vectorized.measured_periods_s, scalar.measured_periods_s)
 
 
 def test_engine_transfer_function_matches_sensor_method(smart_sensor):
+    # The sweep engine's ``code`` observable is the sensor's transfer
+    # function: same ring, same readout, the same integer codes.
     temps = np.linspace(-40.0, 125.0, 34)
-    engine = BatchEvaluator()
+    codes = (
+        Sweep(ring=smart_sensor.ring, readout=smart_sensor.readout)
+        .over(Axis.temperature(temps))
+        .observe("code")
+        .run()
+        .values
+    )
     assert np.array_equal(
-        engine.transfer_function(smart_sensor, temps).codes,
-        smart_sensor.transfer_function(temps, scalar=True).codes,
+        codes, transfer_function_scalar(smart_sensor, temps).codes.astype(np.int64)
     )
 
 
@@ -160,12 +173,8 @@ def test_engine_transfer_function_matches_sensor_method(smart_sensor):
 @pytest.mark.parametrize("label", ["5INV", "2INV+3NAND2", "1INV+2NOR2+2NAND3"])
 def test_run_monte_carlo_summaries_match(label):
     configuration = RingConfiguration.parse(label)
-    vectorized = run_monte_carlo(
-        CMOS035, configuration, sample_count=10, seed=99, scalar=False
-    )
-    scalar = run_monte_carlo(
-        CMOS035, configuration, sample_count=10, seed=99, scalar=True
-    )
+    vectorized = run_monte_carlo(CMOS035, configuration, sample_count=10, seed=99)
+    scalar = monte_carlo_scalar(CMOS035, configuration, sample_count=10, seed=99)
     assert vectorized.period_spread_percent == pytest.approx(
         scalar.period_spread_percent, rel=RTOL
     )
@@ -180,14 +189,20 @@ def test_run_monte_carlo_summaries_match(label):
 
 
 def test_engine_monte_carlo_matches_free_function():
+    # run_monte_carlo is the sweep engine's sample x temperature
+    # broadcast over the same seeded population, row for row.
     configuration = RingConfiguration.parse("2INV+3NAND2")
-    from_engine = BatchEvaluator().run_monte_carlo(
-        CMOS035, configuration, sample_count=8, seed=5
-    )
     direct = run_monte_carlo(CMOS035, configuration, sample_count=8, seed=5)
-    assert from_engine.period_spread_percent == pytest.approx(
-        direct.period_spread_percent, rel=RTOL
+    temps = direct.responses[0].temperatures_c
+    from_engine = (
+        Sweep(ring=RingOscillator(default_library(CMOS035), configuration))
+        .over(Axis.sample(sample_technology_array(CMOS035, 8, seed=5)))
+        .over(Axis.temperature(temps))
+        .run()
+        .values
     )
+    for row, response in zip(from_engine, direct.responses):
+        assert relative_error(row, response.periods_s) <= RTOL
 
 
 # --------------------------------------------------------------------------- #
@@ -197,9 +212,7 @@ def test_engine_monte_carlo_matches_free_function():
 
 def test_sizing_sweep_matches_scalar(tech):
     vectorized = sweep_width_ratio(tech, temperatures_c=np.linspace(-50, 150, 17))
-    scalar = sweep_width_ratio(
-        tech, temperatures_c=np.linspace(-50, 150, 17), scalar=True
-    )
+    scalar = sweep_width_ratio_scalar(tech, temperatures_c=np.linspace(-50, 150, 17))
     assert relative_error(
         vectorized.max_errors_percent(), scalar.max_errors_percent()
     ) <= 1e-6  # percent-of-span errors divide by a tiny span: looser bound
@@ -212,7 +225,7 @@ def test_sizing_sweep_matches_scalar(tech):
 def test_cellmix_candidate_matches_scalar(library):
     configuration = RingConfiguration.parse("1INV+2NAND3+2NOR2")
     vectorized = evaluate_configuration(library, configuration)
-    scalar = evaluate_configuration(library, configuration, scalar=True)
+    scalar = evaluate_configuration_scalar(library, configuration)
     assert relative_error(
         vectorized.response.periods_s, scalar.response.periods_s
     ) <= RTOL

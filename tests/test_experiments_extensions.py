@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from oracles import scaling_node_matrices_loop
 from repro.experiments import (
     default_registry,
     run_dtm_study,
     run_scaling_study,
     run_supply_sensitivity,
     run_thermal_map_study,
+    scaling_study,
 )
 from repro.tech import CMOS013, CMOS035
 
@@ -75,14 +77,14 @@ class TestScalingStudyExperiment:
     def test_power_density_trend_positive(self, result):
         assert result.power_density_trend > 1.0
 
-    def test_technology_axis_matches_per_node_loop(self, result):
+    def test_technology_axis_matches_per_node_loop(self, result, monkeypatch):
         # The study's node loop is declared through the engine's
-        # ``technology`` axis; the retained hand-written loop is its
+        # ``technology`` axis; the hand-written per-node loop is its
         # oracle, and every reported figure must agree bitwise.
-        oracle = run_scaling_study(
-            temperatures_c=np.linspace(-50.0, 150.0, 9),
-            use_technology_axis=False,
+        monkeypatch.setattr(
+            scaling_study, "_node_matrices", scaling_node_matrices_loop
         )
+        oracle = run_scaling_study(temperatures_c=np.linspace(-50.0, 150.0, 9))
         assert oracle.points == result.points
         assert oracle.format_table() == result.format_table()
 

@@ -1,6 +1,8 @@
 """Tests for the FIG1 experiment and the command-line runner."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -88,3 +90,29 @@ class TestRunnerCli:
         message = capsys.readouterr().err
         assert "FIG99" in message
         assert "FIG2" in message  # the available ids are listed
+
+    def test_module_entry_point_runs_without_runtime_warning(self):
+        # ``python -m repro.experiments.runner`` must not find the runner
+        # already imported by the package __init__ (runpy then warns);
+        # with warnings as errors that warning would be a crash.
+        source = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.abspath(source)] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-m", "repro.experiments.runner", "--list"],
+            env=env, capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split()[:3] == ["FIG1", "FIG2", "FIG3"]
+
+    def test_package_still_exports_runner_names(self):
+        import repro.experiments as experiments
+
+        assert experiments.run_all is run_all
+        assert callable(experiments.default_registry)
+        assert experiments.ExperimentRegistry.__name__ == "ExperimentRegistry"
+        with pytest.raises(AttributeError):
+            experiments.no_such_experiment

@@ -12,7 +12,7 @@ far tighter than any modelling change could hide under.
 import numpy as np
 import pytest
 
-from repro.engine import BatchEvaluator
+from repro.analysis.montecarlo import run_monte_carlo
 from repro.experiments import run_fig2, run_fig3
 from repro.oscillator import RingConfiguration, RingOscillator
 from repro.cells import default_library
@@ -89,7 +89,7 @@ class TestFig3Golden:
 class TestMonteCarloGolden:
     @pytest.fixture(scope="class")
     def study(self):
-        return BatchEvaluator().run_monte_carlo(
+        return run_monte_carlo(
             CMOS035,
             RingConfiguration.parse("2INV+3NAND2"),
             sample_count=25,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import period_series_scalar
 from repro.oscillator import (
     TemperatureResponse,
     analytical_response,
@@ -141,9 +142,9 @@ class TestAnalyticalResponse:
         assert response.label == "5INV"
 
     def test_scalar_flag_uses_reference_path(self, inverter_ring, paper_temperatures):
-        scalar = analytical_response(inverter_ring, paper_temperatures, scalar=True)
+        scalar = period_series_scalar(inverter_ring, paper_temperatures)
         vectorized = analytical_response(inverter_ring, paper_temperatures)
-        assert np.allclose(scalar.periods_s, vectorized.periods_s, rtol=1e-9)
+        assert np.allclose(scalar, vectorized.periods_s, rtol=1e-9)
 
     def test_matches_ring_period(self, inverter_ring, paper_temperatures):
         response = analytical_response(inverter_ring, paper_temperatures)

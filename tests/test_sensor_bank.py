@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles import bank_scan_loop, monitor_scan_scalar, transfer_function_scalar
 from repro.core import SensorBank, SmartTemperatureSensor, ThermalMonitor
 from repro.core.sensor_bank import BankCalibration
 from repro.engine import Axis, Sweep, SweepError
@@ -50,7 +51,7 @@ class TestBankedScanEquivalence:
         bank = sensor_bank_factory(2)
         temps = np.asarray(temps)
         banked = bank.scan(temps, calibration=bank.calibrate(-50.0, 150.0))
-        oracle = bank.scan_loop(temps, calibrate_at=(-50.0, 150.0))
+        oracle = bank_scan_loop(bank, temps, calibrate_at=(-50.0, 150.0))
         assert np.array_equal(banked.codes, oracle.codes)
         assert np.array_equal(banked.saturated, oracle.saturated)
         worst = np.max(
@@ -68,8 +69,8 @@ class TestBankedScanEquivalence:
         population = sample_technology_array(CMOS035, 3, seed=seed)
         calibration = bank.two_point_calibration(-50.0, 150.0, technologies=population)
         banked = bank.scan(temps, technologies=population, calibration=calibration)
-        oracle = bank.scan_loop(
-            temps, technologies=population, calibrate_at=(-50.0, 150.0)
+        oracle = bank_scan_loop(
+            bank, temps, technologies=population, calibrate_at=(-50.0, 150.0)
         )
         assert banked.codes.shape == (bank.site_count, 3)
         assert np.array_equal(banked.codes, oracle.codes)
@@ -159,7 +160,7 @@ def monitor(tech, sensor_floorplan_factory):
 class TestMonitorBankedScan:
     def test_banked_scan_matches_multiplexer_oracle(self, monitor):
         banked = monitor.scan()
-        scalar = monitor.scan(scalar=True)
+        scalar = monitor_scan_scalar(monitor)
         assert banked.site_estimates_c.keys() == scalar.site_estimates_c.keys()
         for name, estimate in banked.site_estimates_c.items():
             assert estimate == pytest.approx(scalar.site_estimates_c[name], rel=RTOL)
@@ -237,7 +238,7 @@ class TestSiteAxisThroughSweep:
             .observe("code")
             .run()
         )
-        transfer = sensor.transfer_function(grid, scalar=True)
+        transfer = transfer_function_scalar(sensor, grid)
         assert np.array_equal(result.values, transfer.codes.astype(np.int64))
 
     def test_site_axis_validation(self, bank):

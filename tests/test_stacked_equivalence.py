@@ -7,14 +7,24 @@ technology populations (:mod:`repro.tech.stacked`): the stacked
 (:meth:`~repro.oscillator.ring.RingOscillator.period_matrix_loop`), the
 vectorized Monte-Carlo sampler against the looped one, and the batched
 calibration / supply / self-heating studies against their per-sample
-scalar paths — to the same 1e-9 relative contract on periods.
+scalar paths (``tests/oracles.py``, or the library's own reference path
+where one remains) — to the same 1e-9 relative contract on periods.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    calibration_study_scalar,
+    measurement_errors_scalar,
+    monte_carlo_scalar,
+    period_matrix_scalar,
+    period_series_scalar,
+)
 from repro.analysis.supply import supply_sensitivity
 from repro.cells import characterize_cell, default_library
 from repro.core import ReadoutConfig, SmartTemperatureSensor
@@ -24,10 +34,12 @@ from repro.core.calibration import (
     PolynomialCalibration,
     fit_polynomial_calibration,
 )
-from repro.engine import BatchEvaluator
+from repro.engine import Axis, Sweep
 from repro.experiments.calibration_study import run_calibration_study
 from repro.experiments.selfheating_study import run_selfheating_study
 from repro.oscillator import RingConfiguration, RingOscillator
+from repro.thermal import Floorplan, PowerMap
+from repro.thermal.selfheating import self_heating_error
 from repro.tech import (
     CMOS035,
     TechnologyError,
@@ -102,8 +114,6 @@ def test_stack_round_trips_through_technology_at():
 
 
 def test_stack_preserves_extra_metadata():
-    import dataclasses
-
     limited = dataclasses.replace(CMOS035, extra={"t_max_c": 125.0})
     stacked = stack_technologies([CMOS035, limited])
     assert stacked.technology_at(0).thermal_design_range_c() == (-50.0, 150.0)
@@ -116,7 +126,6 @@ def test_stack_preserves_extra_metadata():
 def test_stack_rejects_empty_and_mixed_geometry():
     with pytest.raises(TechnologyError):
         stack_technologies([])
-    import dataclasses
 
     shrunk = dataclasses.replace(CMOS035, min_width_um=CMOS035.min_width_um / 2)
     with pytest.raises(TechnologyError):
@@ -178,25 +187,27 @@ def test_stacked_ring_period_series_matches_per_sample_scalar():
     technologies = sample_technologies(CMOS035, 3, seed=11)
     stacked = ring.rebind(stack_technologies(technologies)).period_series(temps)
     for row, tech in enumerate(technologies):
-        scalar = ring.rebind(tech).period_series_scalar(temps)
+        scalar = period_series_scalar(ring.rebind(tech), temps)
         assert relative_error(stacked[row], scalar) <= RTOL
 
 
 def test_engine_scalar_mode_still_loops_per_sample(inverter_ring):
     temps = np.linspace(-50.0, 150.0, 9)
     technologies = sample_technologies(CMOS035, 3, seed=2)
-    vectorized = BatchEvaluator().period_matrix(inverter_ring, technologies, temps)
-    scalar = BatchEvaluator(vectorized=False).period_matrix(
-        inverter_ring, technologies, temps
+    vectorized = (
+        Sweep(ring=inverter_ring)
+        .over(Axis.sample(technologies))
+        .over(Axis.temperature(temps))
+        .run()
+        .values
     )
+    scalar = period_matrix_scalar(inverter_ring, technologies, temps)
     assert relative_error(vectorized, scalar) <= RTOL
-    # Scalar mode must also accept a stacked population (unstacking it).
+    # The per-sample oracle must also accept a stacked population
+    # (unstacking it).
     population = stack_technologies(technologies)
     assert np.array_equal(
-        BatchEvaluator(vectorized=False).period_matrix(
-            inverter_ring, population, temps
-        ),
-        scalar,
+        period_matrix_scalar(inverter_ring, population, temps), scalar
     )
 
 
@@ -220,7 +231,7 @@ def test_stacked_cells_refuse_netlists_and_characterisation():
 
 def test_calibration_study_batched_matches_scalar_loop():
     vectorized = run_calibration_study(monte_carlo_samples=6, seed=99)
-    scalar = run_calibration_study(monte_carlo_samples=6, seed=99, scalar=True)
+    scalar = calibration_study_scalar(monte_carlo_samples=6, seed=99)
     assert vectorized.sample_count == scalar.sample_count == 11
     for scheme in ("design", "one-point", "two-point"):
         vec_stats = vectorized.errors_by_scheme[scheme]
@@ -236,7 +247,7 @@ def test_calibration_study_batched_matches_scalar_loop():
 def test_calibration_study_degenerate_sweep_raises_like_oracle():
     # A sweep so narrow (or a counter so coarse) that both endpoint
     # periods quantise to one code must raise the oracle's
-    # CalibrationError in both modes, not divide by zero.
+    # CalibrationError in both paths, not divide by zero.
     narrow = np.linspace(25.0, 26.0, 4)
     coarse = ReadoutConfig(window_cycles=2)
     with pytest.raises(CalibrationError, match="periods must differ"):
@@ -244,9 +255,8 @@ def test_calibration_study_degenerate_sweep_raises_like_oracle():
             monte_carlo_samples=3, temperatures_c=narrow, readout=coarse
         )
     with pytest.raises(CalibrationError, match="periods must differ"):
-        run_calibration_study(
-            monte_carlo_samples=3, temperatures_c=narrow, readout=coarse,
-            scalar=True,
+        calibration_study_scalar(
+            monte_carlo_samples=3, temperatures_c=narrow, readout=coarse
         )
 
 
@@ -266,21 +276,12 @@ def test_period_matrix_mixed_geometry_falls_back_to_loop():
     assert relative_error(matrix, ring.period_matrix_loop(mixed, temps)) <= RTOL
 
 
-def test_calibration_study_through_engine_matches_direct_call():
-    from_engine = BatchEvaluator().run_calibration_study(
-        monte_carlo_samples=4, seed=5
-    )
-    direct = run_calibration_study(monte_carlo_samples=4, seed=5)
-    for scheme in ("design", "one-point", "two-point"):
-        assert from_engine.worst_by_scheme[scheme] == pytest.approx(
-            direct.worst_by_scheme[scheme], rel=RTOL
-        )
-
-
 def test_supply_sensitivity_stacked_matches_rebuild_loop():
     configuration = RingConfiguration.parse("2INV+3NAND2")
     vectorized = supply_sensitivity(CMOS035, configuration)
-    scalar = supply_sensitivity(CMOS035, configuration, scalar=True)
+    scalar = supply_sensitivity(
+        CMOS035, configuration, library_builder=default_library
+    )
     assert vectorized.period_per_volt_s == pytest.approx(
         scalar.period_per_volt_s, rel=RTOL
     )
@@ -309,10 +310,27 @@ def test_supply_sensitivity_custom_builder_uses_reference_path():
 
 def test_selfheating_two_solve_path_matches_per_duty_solves():
     vectorized = run_selfheating_study(grid_resolution=12)
-    scalar = run_selfheating_study(grid_resolution=12, scalar=True)
+    # The reference: one self_heating_error solve per duty cycle, on the
+    # study's power map and sensor location, with the macro power taken
+    # from the ring's own dynamic-power model.
+    ring = RingOscillator(
+        default_library(CMOS035), RingConfiguration.parse("2INV+3NAND2")
+    )
+    power_map = PowerMap.from_floorplan(Floorplan.example_processor(), nx=12, ny=12)
+    scalar = dataclasses.replace(
+        vectorized,
+        oscillator_power_w=ring.dynamic_power(100.0) * 10.0,
+        reports=[
+            self_heating_error(
+                power_map, 2.0, 6.0, vectorized.oscillator_power_w, duty_cycle=duty
+            )
+            for duty in (1.0, 0.5, 0.2, 0.1, 0.01, 0.001)
+        ],
+    )
     assert vectorized.oscillator_power_w == pytest.approx(
         scalar.oscillator_power_w, rel=RTOL
     )
+    assert len(vectorized.reports) == len(scalar.reports)
     for vec_report, ref_report in zip(vectorized.reports, scalar.reports):
         assert vec_report.duty_cycle == ref_report.duty_cycle
         # Two linear solves vs one per duty agree to solver rounding,
@@ -344,10 +362,10 @@ def test_measurement_errors_vectorized_matches_scalar(temps):
     )
     sensor.calibrate_two_point(float(temps[0]), float(temps[-1]))
     vectorized = sensor.measurement_errors(temps)
-    scalar = sensor.measurement_errors(temps, scalar=True)
+    scalar = measurement_errors_scalar(sensor, temps)
     assert np.allclose(vectorized, scalar, rtol=0.0, atol=1e-9)
     assert sensor.worst_case_error_c(temps) == pytest.approx(
-        sensor.worst_case_error_c(temps, scalar=True), rel=RTOL, abs=1e-9
+        float(np.max(np.abs(scalar))), rel=RTOL, abs=1e-9
     )
 
 
@@ -439,12 +457,11 @@ class TestMonteCarloGridValidation:
             sample_count=8,
             seed=31,
         )
-        scalar = run_monte_carlo(
+        scalar = monte_carlo_scalar(
             CMOS035,
             RingConfiguration.parse("2INV+3NAND2"),
             sample_count=8,
             seed=31,
-            scalar=True,
         )
         for vec_response, ref_response in zip(
             vectorized.responses, scalar.responses

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 from repro.analysis.linearity import nonlinearity
 from repro.cells import default_library
-from repro.engine import Axis, BatchEvaluator, Sweep, SweepError, SweepResult
+from oracles import period_series_scalar
+from repro.engine import Axis, Sweep, SweepError, SweepResult
 from repro.oscillator import (
     PAPER_FIG3_CONFIGURATIONS,
     ConfigurationBank,
@@ -242,7 +243,7 @@ class TestConfigurationAxisGolden:
         tensor = bank.period_tensor(temps)
         for row, ring in enumerate(bank.rings()):
             assert relative_error(
-                tensor[row], ring.period_series_scalar(temps)
+                tensor[row], period_series_scalar(ring, temps)
             ) <= RTOL
 
     def test_bank_structure(self, bank):
@@ -457,26 +458,25 @@ def test_invalid_axis_combinations_rejected(mixed_ring):
 
 
 # --------------------------------------------------------------------------- #
-# the compat façade stays equivalent through the sweep lowering
+# the one- and two-axis lowerings are the ring's own methods
 # --------------------------------------------------------------------------- #
 
 
-def test_batch_evaluator_period_series_adapts_to_sweep(mixed_ring):
+def test_sweep_period_series_matches_ring_method(mixed_ring):
     temps = np.linspace(-50.0, 150.0, 13)
-    assert np.array_equal(
-        BatchEvaluator().period_series(mixed_ring, temps),
-        mixed_ring.period_series(temps),
-    )
-    assert np.array_equal(
-        BatchEvaluator(vectorized=False).period_series(mixed_ring, temps),
-        mixed_ring.period_series_scalar(temps),
-    )
+    swept = Sweep(ring=mixed_ring).over(Axis.temperature(temps)).run().values
+    assert np.array_equal(swept, mixed_ring.period_series(temps))
+    assert relative_error(swept, period_series_scalar(mixed_ring, temps)) <= RTOL
 
 
-def test_batch_evaluator_period_matrix_adapts_to_sweep(mixed_ring):
+def test_sweep_period_matrix_matches_ring_method(mixed_ring):
     temps = np.linspace(-50.0, 150.0, 5)
     population = sample_technology_array(CMOS035, 3, seed=9)
     assert np.array_equal(
-        BatchEvaluator().period_matrix(mixed_ring, population, temps),
+        Sweep(ring=mixed_ring)
+        .over(Axis.sample(population))
+        .over(Axis.temperature(temps))
+        .run()
+        .values,
         mixed_ring.period_matrix(population, temps),
     )
