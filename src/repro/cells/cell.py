@@ -27,7 +27,13 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..circuit.netlist import Circuit
-from ..delay.alpha_power import DelayModelOptions, DriveNetwork, gate_delay
+from ..delay.alpha_power import (
+    DelayModelOptions,
+    DriveKey,
+    DriveNetwork,
+    drive_currents,
+    switching_delay,
+)
 from ..delay.load import input_capacitance, output_parasitic_capacitance
 from ..devices.mosfet import DeviceSizing, MosfetModel
 from ..tech.parameters import Technology, TechnologyError, celsius_to_kelvin
@@ -230,6 +236,27 @@ class StandardCell:
     # analytical delays
     # ------------------------------------------------------------------ #
 
+    def drive_keys(self) -> Tuple[DriveKey, DriveKey]:
+        """The pull-down and pull-up networks, each with the cell's stack model.
+
+        These are the keys :func:`~repro.delay.alpha_power.drive_currents`
+        evaluates for the cell's falling (tpHL) and rising (tpLH)
+        transitions; the ring kernels gather them across stages so each
+        distinct network is evaluated once per call.
+        """
+        stack = self.delay_options.stack
+        pull_down = DriveNetwork(
+            polarity="nmos",
+            width_um=self.nmos_width_um,
+            stack_depth=self.topology.nmos_stack_depth,
+        )
+        pull_up = DriveNetwork(
+            polarity="pmos",
+            width_um=self.pmos_width_um,
+            stack_depth=self.topology.pmos_stack_depth,
+        )
+        return (pull_down, stack), (pull_up, stack)
+
     def delays(
         self, temperature_c: Union[float, np.ndarray], load_f: Union[float, np.ndarray]
     ) -> GateDelays:
@@ -246,37 +273,39 @@ class StandardCell:
         :class:`~repro.tech.stacked.TechnologyArray` evaluates the whole
         ``(sample x temperature)`` population in this one call.
         """
+        down_key, up_key = self.drive_keys()
+        currents = drive_currents(self.technology, (down_key, up_key), temperature_c)
+        return self.delays_from_currents(currents[down_key], currents[up_key], load_f)
+
+    def delays_from_currents(
+        self,
+        pull_down_current: Union[float, np.ndarray],
+        pull_up_current: Union[float, np.ndarray],
+        load_f: Union[float, np.ndarray],
+    ) -> GateDelays:
+        """Propagation delays from the currents of :meth:`drive_keys`.
+
+        The load half of :meth:`delays`: the external load plus the
+        cell's output parasitics, driven by the given pull-down and
+        pull-up currents.  The ring kernels evaluate the currents of all
+        their stages in one :func:`~repro.delay.alpha_power.drive_currents`
+        call and finish each stage here.
+        """
         if np.any(np.asarray(load_f) < 0.0):
             raise CellError("load capacitance must be non-negative")
         if not self.topology.inverting and self.topology.kind != "BUF":
             raise CellError(f"cell {self.name} has an unsupported topology")
+        tech = self.technology
+        options = self.delay_options
         total_load = load_f + self.output_parasitic_capacitance()
-        pull_down = DriveNetwork(
-            polarity="nmos",
-            width_um=self.nmos_width_um,
-            stack_depth=self.topology.nmos_stack_depth,
-        )
-        pull_up = DriveNetwork(
-            polarity="pmos",
-            width_um=self.pmos_width_um,
-            stack_depth=self.topology.pmos_stack_depth,
-        )
-        tphl = gate_delay(
-            self.technology, pull_down, total_load, temperature_c, self.delay_options
-        )
-        tplh = gate_delay(
-            self.technology, pull_up, total_load, temperature_c, self.delay_options
-        )
+        tphl = switching_delay(tech, pull_down_current, total_load, options)
+        tplh = switching_delay(tech, pull_up_current, total_load, options)
         if self.topology.stages == 2:
             # A buffer is two inverting stages back to back; the first
             # stage drives the second stage's input capacitance.
             internal_load = self.input_capacitance() + self.output_parasitic_capacitance()
-            first_hl = gate_delay(
-                self.technology, pull_down, internal_load, temperature_c, self.delay_options
-            )
-            first_lh = gate_delay(
-                self.technology, pull_up, internal_load, temperature_c, self.delay_options
-            )
+            first_hl = switching_delay(tech, pull_down_current, internal_load, options)
+            first_lh = switching_delay(tech, pull_up_current, internal_load, options)
             # Output falling edge is produced by first stage rising then
             # second stage falling, and vice versa.
             tphl, tplh = first_lh + tphl, first_hl + tplh

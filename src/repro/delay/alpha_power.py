@@ -31,23 +31,40 @@ The stack corrections are what give NAND-like (NMOS stack) and NOR-like
 (PMOS stack) gates temperature characteristics that differ from the
 inverter — the degree of freedom the paper's cell-based optimisation
 exploits.
+
+Evaluation
+----------
+
+A ring-period evaluation needs the currents of many networks on one
+temperature grid, but few of them are distinct: the device parameters
+depend only on polarity, and a network's current only on its polarity,
+width, stack depth and stack model.  :func:`drive_currents` therefore
+takes the networks of a whole ring (or a whole configuration bank) in
+one call, evaluates :func:`~repro.tech.temperature.device_at` once per
+polarity and the alpha-power current once per distinct network, and
+checks each current once.  :func:`effective_saturation_current` is its
+one-network case.  The arithmetic of each current is the same whichever
+entry point computes it, so the batched and per-network paths agree
+bitwise.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Dict, Iterable, Tuple, Union
 
 import numpy as np
 
 from ..tech.parameters import Technology, TechnologyError, celsius_to_kelvin
-from ..tech.temperature import device_at
+from ..tech.temperature import DeviceAtTemperature, device_at
 
 __all__ = [
     "StackModel",
     "DriveNetwork",
+    "DriveKey",
+    "drive_currents",
     "effective_saturation_current",
+    "switching_delay",
     "gate_delay",
     "DelayModelOptions",
 ]
@@ -131,32 +148,69 @@ class DriveNetwork:
             raise TechnologyError("stack_depth must be at least 1")
 
 
-def effective_saturation_current(
+#: A drive network paired with the stack model its current is evaluated
+#: under: the full key of one alpha-power current evaluation.
+DriveKey = Tuple[DriveNetwork, StackModel]
+
+
+def drive_currents(
     tech: Technology,
-    network: DriveNetwork,
+    keys: Iterable[DriveKey],
     temperature_c: Union[float, np.ndarray],
-    options: DelayModelOptions = DelayModelOptions(),
-) -> Union[float, np.ndarray]:
-    """Effective saturation current (A) of a drive network at ``temperature_c``.
+) -> Dict[DriveKey, Union[float, np.ndarray]]:
+    """Effective saturation currents (A) of drive networks at ``temperature_c``.
 
-    Applies the stack corrections described in the module docstring to
-    the alpha-power saturation current of a single device of the
-    network's width.  ``temperature_c`` may be an ndarray, in which case
-    the current is evaluated elementwise over the whole grid in one call
-    (the vectorized batch-evaluation path).
+    Returns a dict from each distinct ``(network, stack model)`` key to
+    the alpha-power saturation current of that network, with the stack
+    corrections described in the module docstring applied.  Within the
+    call :func:`~repro.tech.temperature.device_at` runs once per
+    polarity and the alpha-power current once per distinct key, however
+    often a key repeats — the ring kernels pass the networks of every
+    stage (or every unique cell) of a ring and read back their currents.
+    Nothing is kept between calls.
 
-    ``tech`` may also be a stacked population
-    (:class:`~repro.tech.stacked.TechnologyArray`), whose parameter
-    fields are ``(samples, 1)`` columns: the current then broadcasts
-    over the leading sample axis as well, giving a
-    ``(samples, temperatures)`` matrix in the same single call.
+    ``temperature_c`` may be an ndarray, in which case every current is
+    evaluated elementwise over the whole grid.  ``tech`` may also be a
+    stacked population (:class:`~repro.tech.stacked.TechnologyArray`),
+    whose parameter fields are ``(samples, 1)`` columns: the currents
+    then broadcast over the leading sample axis as well.
+
+    Raises :class:`~repro.tech.parameters.TechnologyError` when a
+    network's supply overdrive is not positive, or when any current is
+    not positive and finite (e.g. far outside the model's temperature
+    range, where the mobility underflows).
     """
-    params = tech.transistor(network.polarity)
     temp_k = celsius_to_kelvin(temperature_c)
-    device = device_at(params, temp_k)
+    devices: Dict[str, DeviceAtTemperature] = {}
+    currents: Dict[DriveKey, Union[float, np.ndarray]] = {}
+    for key in keys:
+        if key in currents:
+            continue
+        network, stack = key
+        device = devices.get(network.polarity)
+        if device is None:
+            device = device_at(tech.transistor(network.polarity), temp_k)
+            devices[network.polarity] = device
+        current = _alpha_power_current(tech, device, network, stack)
+        # min/max propagate NaN, so a NaN current fails the check too.
+        values = np.asarray(current)
+        if values.size and not (values.min() > 0.0 and values.max() < np.inf):
+            raise TechnologyError(
+                f"effective drive current must be positive and finite "
+                f"(depth-{network.stack_depth} {network.polarity} stack)"
+            )
+        currents[key] = current
+    return currents
 
+
+def _alpha_power_current(
+    tech: Technology,
+    device: DeviceAtTemperature,
+    network: DriveNetwork,
+    stack: StackModel,
+) -> Union[float, np.ndarray]:
+    """Stack-corrected alpha-power saturation current of one network."""
     depth = network.stack_depth
-    stack = options.stack
 
     alpha_raised = device.alpha + stack.alpha_increment_per_level * (depth - 1)
     if isinstance(alpha_raised, np.ndarray):
@@ -182,6 +236,41 @@ def effective_saturation_current(
     return current / divider
 
 
+def effective_saturation_current(
+    tech: Technology,
+    network: DriveNetwork,
+    temperature_c: Union[float, np.ndarray],
+    options: DelayModelOptions = DelayModelOptions(),
+) -> Union[float, np.ndarray]:
+    """Effective saturation current (A) of a drive network at ``temperature_c``.
+
+    The one-network case of :func:`drive_currents`: the stack-corrected
+    alpha-power saturation current of a single device of the network's
+    width, evaluated elementwise when ``temperature_c`` is an ndarray
+    and broadcast over the sample axis when ``tech`` is a stacked
+    population (:class:`~repro.tech.stacked.TechnologyArray`), giving a
+    ``(samples, temperatures)`` matrix in the same single call.
+    """
+    key = (network, options.stack)
+    return drive_currents(tech, (key,), temperature_c)[key]
+
+
+def switching_delay(
+    tech: Technology,
+    current: Union[float, np.ndarray],
+    load_capacitance_f: Union[float, np.ndarray],
+    options: DelayModelOptions = DelayModelOptions(),
+) -> Union[float, np.ndarray]:
+    """Propagation delay (seconds) of one transition driven by ``current``.
+
+    ``current`` is a drive current from :func:`drive_currents`; the
+    delay is ``fit * C_L * VDD / I``, broadcast elementwise.
+    """
+    if np.any(np.asarray(load_capacitance_f) <= 0.0):
+        raise TechnologyError("load capacitance must be positive")
+    return options.fit_factor * load_capacitance_f * tech.vdd / current
+
+
 def gate_delay(
     tech: Technology,
     network: DriveNetwork,
@@ -200,9 +289,5 @@ def gate_delay(
     oxide capacitance) and the delay broadcasts to a
     ``(samples, temperatures)`` matrix.
     """
-    if np.any(np.asarray(load_capacitance_f) <= 0.0):
-        raise TechnologyError("load capacitance must be positive")
     current = effective_saturation_current(tech, network, temperature_c, options)
-    if np.any(np.asarray(current) <= 0.0):
-        raise TechnologyError("effective drive current must be positive")
-    return options.fit_factor * load_capacitance_f * tech.vdd / current
+    return switching_delay(tech, current, load_capacitance_f, options)

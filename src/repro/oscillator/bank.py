@@ -11,9 +11,12 @@ broadcast:
 
 * every *unique* cell of the bank contributes one vectorized
   delay-per-farad curve ``K_u = fit * Vdd * (1/I_pull_down + 1/I_pull_up)``
-  over the ``(sample, temperature)`` grid (two
-  :func:`~repro.delay.alpha_power.effective_saturation_current` calls
-  per unique cell — the only transcendental work in the whole bank),
+  over the ``(sample, temperature)`` grid.  The currents of all unique
+  cells come from one :func:`~repro.delay.alpha_power.drive_currents`
+  call, which evaluates the device parameters once per polarity and the
+  alpha-power current once per distinct drive network (five for the
+  Fig. 3 INV/NAND2/NAND3/NOR2 cells) — the only transcendental work in
+  the whole bank,
 * the padded cell table reduces each configuration to per-unique-cell
   *load weights* (the summed output loads of the stages driving that
   cell type, tap and wire loads included), and
@@ -38,7 +41,7 @@ import numpy as np
 
 from ..cells.cell import StandardCell
 from ..cells.library import CellLibrary
-from ..delay.alpha_power import DriveNetwork, effective_saturation_current
+from ..delay.alpha_power import drive_currents
 from ..tech.parameters import TechnologyError
 from ..tech.stacked import TechnologyArray, stack_technologies
 from .config import ConfigurationError, RingConfiguration
@@ -120,6 +123,10 @@ class ConfigurationBank:
                     self._unique_names.append(name)
                 table[row, stage.index] = index_of[name]
         self._cell_index = table
+        # The unique cells each configuration uses, ascending.
+        self._cells_per_row: List[List[int]] = [
+            sorted(set(row[row != _PAD].tolist())) for row in table
+        ]
 
     # ------------------------------------------------------------------ #
     # structure
@@ -232,14 +239,17 @@ class ConfigurationBank:
             for stage in stages:
                 bound_cells.setdefault(stage.cell.name, stage.cell)
         tech = rings[0].technology
-        curves = np.empty(
-            (len(self._unique_names), sample_count, temps.size), dtype=float
-        )
-        for u, name in enumerate(self._unique_names):
-            curves[u] = np.broadcast_to(
-                _delay_per_farad(tech, bound_cells[name], temps),
-                (sample_count, temps.size),
-            )
+        cells = [bound_cells[name] for name in self._unique_names]
+        keys = [cell.drive_keys() for cell in cells]
+        currents = drive_currents(tech, (key for pair in keys for key in pair), temps)
+        # tpHL + tpLH = fit * L * Vdd * (1/I_pull_down + 1/I_pull_up)
+        # (see repro.delay.alpha_power.switching_delay), linear in L.
+        curves = [
+            cell.delay_options.fit_factor
+            * tech.vdd
+            * (1.0 / currents[down_key] + 1.0 / currents[up_key])
+            for cell, (down_key, up_key) in zip(cells, keys)
+        ]
 
         # Per-unique-cell load weights from the padded cell table: the
         # summed total output load (next stage's input + wire + tap +
@@ -257,11 +267,17 @@ class ConfigurationBank:
                 )
                 weights[u, row] += total_load.reshape(-1, 1)
 
-        # The contraction: period[c] = sum_u W[u, c] * K[u], i.e. one
-        # (C, S, 1) x (S, T) multiply-add per unique cell.
+        # The contraction: period[c] = sum_u W[u, c] * K[u], summed in
+        # ascending u over the cells configuration c actually uses, i.e.
+        # one (S, 1) x (S, T) multiply-add per (configuration, cell)
+        # pair.  A cell a configuration does not use has W[u, c] == 0;
+        # its term would add an exact +0.0, so leaving it out changes no
+        # bit of the sum.
         tensor = np.zeros((self.config_count, sample_count, temps.size))
-        for u in range(len(self._unique_names)):
-            tensor += weights[u] * curves[u][np.newaxis, :, :]
+        for row, cells_used in enumerate(self._cells_per_row):
+            period = tensor[row]
+            for u in cells_used:
+                period += weights[u, row] * curves[u]
         if population is None:
             return tensor[:, 0, :]
         return tensor
@@ -287,31 +303,6 @@ class ConfigurationBank:
         return np.stack(
             [ring.period_matrix(technologies, temps) for ring in self._rings]
         )
-
-
-def _delay_per_farad(tech, cell: StandardCell, temperatures_c: np.ndarray):
-    """Ring-stage delay contribution per farad of total output load.
-
-    For a single-stage inverting cell the stage's period contribution is
-    ``tpHL + tpLH = fit * L_total * Vdd * (1/I_pull_down + 1/I_pull_up)``
-    (see :func:`repro.delay.alpha_power.gate_delay`), linear in the total
-    load — so the whole temperature (and stacked sample) dependence is
-    captured by this one load-independent curve.
-    """
-    options = cell.delay_options
-    pull_down = DriveNetwork(
-        polarity="nmos",
-        width_um=cell.nmos_width_um,
-        stack_depth=cell.topology.nmos_stack_depth,
-    )
-    pull_up = DriveNetwork(
-        polarity="pmos",
-        width_um=cell.pmos_width_um,
-        stack_depth=cell.topology.pmos_stack_depth,
-    )
-    down = effective_saturation_current(tech, pull_down, temperatures_c, options)
-    up = effective_saturation_current(tech, pull_up, temperatures_c, options)
-    return options.fit_factor * tech.vdd * (1.0 / down + 1.0 / up)
 
 
 def normalise_configurations(

@@ -26,6 +26,7 @@ from ..cells.library import CellLibrary
 from ..circuit.netlist import Circuit
 from ..circuit.transient import TransientOptions, TransientResult, simulate_transient
 from ..circuit.waveform import Waveform
+from ..delay.alpha_power import drive_currents
 from ..delay.load import wire_capacitance
 from ..tech.parameters import TechnologyError, celsius_to_kelvin
 from ..tech.stacked import TechnologyArray, stack_technologies
@@ -173,11 +174,15 @@ class RingOscillator:
     def period_series(self, temperatures_c: Sequence[float]) -> np.ndarray:
         """Periods (s) over a temperature sweep (vectorized).
 
-        Each stage's delay contribution is evaluated once for the whole
-        temperature grid and accumulated — a single vectorized stage-sum
-        instead of a Python loop over temperatures.  Matches a loop of
-        :meth:`period` calls to floating-point rounding (the equivalence
-        suites pin the two to 1e-9 relative).
+        One :func:`~repro.delay.alpha_power.drive_currents` call
+        evaluates the drive currents of every stage over the whole
+        temperature grid: the device parameters once per polarity and
+        the alpha-power current once per distinct drive network, however
+        many stages share it.  Each stage then turns its two currents
+        into ``tpHL + tpLH`` at its own load, and the stage sums are
+        accumulated in ring order.  Matches a loop of :meth:`period`
+        calls to floating-point rounding (the equivalence suites pin the
+        two to 1e-9 relative).
 
         For a ring bound to a stacked population
         (:class:`~repro.tech.stacked.TechnologyArray`, see
@@ -186,9 +191,17 @@ class RingOscillator:
         matrix from the same single stage-sum.
         """
         temps = np.asarray(temperatures_c, dtype=float)
+        stages = self.stages()
+        keys = [stage.cell.drive_keys() for stage in stages]
+        currents = drive_currents(
+            self.technology, (key for pair in keys for key in pair), temps
+        )
         total = np.zeros(temps.shape)
-        for stage in self.stages():
-            total = total + stage.cell.stage_delay_sum(temps, stage.load_f)
+        for stage, (down_key, up_key) in zip(stages, keys):
+            delays = stage.cell.delays_from_currents(
+                currents[down_key], currents[up_key], stage.load_f
+            )
+            total = total + delays.pair_sum
         return total
 
     def rebind(self, technology) -> "RingOscillator":

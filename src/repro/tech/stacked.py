@@ -131,9 +131,12 @@ class TransistorParameterArray:
 
     The class duck-types the scalar parameter block everywhere the
     *analytical* stack touches it (:func:`repro.tech.temperature.device_at`,
-    :func:`repro.delay.alpha_power.effective_saturation_current`,
+    :func:`repro.delay.alpha_power.drive_currents`,
     :func:`repro.delay.load.input_capacitance`...), which is what lets a
-    whole population flow through the delay models in one broadcast.
+    whole population flow through the delay models in one broadcast:
+    one ring-period evaluation reads each polarity's parameter block
+    once and evaluates each distinct drive network's current once, as
+    ``(samples, temperatures)`` arrays.
     """
 
     polarity: str

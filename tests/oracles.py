@@ -5,7 +5,10 @@ on :class:`repro.engine.Sweep` or on the stacked layouts behind it.
 Each function here is the one-point-at-a-time loop such a path
 replaced, written against public library objects passed in as
 arguments.  The suites pin the broadcast paths to these loops: periods
-to 1e-9 relative, counter codes exactly.
+to 1e-9 relative, counter codes exactly.  The ring-period kernels are
+pinned bitwise to the per-stage and per-cell loops that evaluate a
+drive current for every transition they need, instead of once per
+distinct network.
 
 Where a library path still computes the reference, no oracle is added
 here.  ``supply_sensitivity(..., library_builder=default_library)``
@@ -29,6 +32,11 @@ from repro.core.calibration import design_calibration, one_point_calibration
 from repro.core.mapping import ThermalMonitorReport
 from repro.core.sensor import SensorTransferFunction
 from repro.core.sensor_bank import BankScan
+from repro.delay.alpha_power import (
+    DriveNetwork,
+    effective_saturation_current,
+    gate_delay,
+)
 from repro.engine import Axis, Sweep
 from repro.experiments.calibration_study import CalibrationStudyResult
 from repro.optimize.cellmix import CellMixCandidate
@@ -40,7 +48,13 @@ from repro.optimize.sizing import (
 )
 from repro.oscillator import RingConfiguration, RingOscillator, TemperatureResponse
 from repro.oscillator.period import default_temperature_grid, validate_temperature_grid
-from repro.tech import CMOS035, TechnologyArray, corner_technologies, sample_technologies
+from repro.tech import (
+    CMOS035,
+    TechnologyArray,
+    corner_technologies,
+    sample_technologies,
+    stack_technologies,
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -65,6 +79,92 @@ def period_matrix_scalar(ring, technologies, temperatures_c) -> np.ndarray:
     for row, tech in enumerate(technologies):
         matrix[row] = period_series_scalar(ring.rebind(tech), temps)
     return matrix
+
+
+def _drive_networks(cell) -> Tuple[DriveNetwork, DriveNetwork]:
+    """A cell's pull-down and pull-up networks, built from its attributes."""
+    pull_down = DriveNetwork(
+        polarity="nmos",
+        width_um=cell.nmos_width_um,
+        stack_depth=cell.topology.nmos_stack_depth,
+    )
+    pull_up = DriveNetwork(
+        polarity="pmos",
+        width_um=cell.pmos_width_um,
+        stack_depth=cell.topology.pmos_stack_depth,
+    )
+    return pull_down, pull_up
+
+
+def period_series_stage_loop(ring, temperatures_c) -> np.ndarray:
+    """``ring.period_series`` as a per-stage ``total = total + stage sum`` loop.
+
+    Each stage's ``tpHL + tpLH`` comes from two :func:`gate_delay` calls,
+    so every stage and transition evaluates its own drive current over
+    the whole grid — the same arithmetic, in the same order, as the
+    batched kernel, which evaluates each distinct network once.
+    """
+    temps = np.asarray(temperatures_c, dtype=float)
+    total = np.zeros(temps.shape)
+    for stage in ring.stages():
+        cell = stage.cell
+        total_load = stage.load_f + cell.output_parasitic_capacitance()
+        pull_down, pull_up = _drive_networks(cell)
+        tphl = gate_delay(
+            cell.technology, pull_down, total_load, temps, cell.delay_options
+        )
+        tplh = gate_delay(cell.technology, pull_up, total_load, temps, cell.delay_options)
+        total = total + (tphl + tplh)
+    return total
+
+
+def _delay_per_farad(tech, cell, temperatures_c: np.ndarray):
+    """A cell's ring-stage delay per farad, from two current evaluations."""
+    options = cell.delay_options
+    pull_down, pull_up = _drive_networks(cell)
+    down = effective_saturation_current(tech, pull_down, temperatures_c, options)
+    up = effective_saturation_current(tech, pull_up, temperatures_c, options)
+    return options.fit_factor * tech.vdd * (1.0 / down + 1.0 / up)
+
+
+def period_tensor_per_cell(bank, temperatures_c, technologies=None) -> np.ndarray:
+    """``ConfigurationBank.period_tensor`` with its own current calls per cell.
+
+    The same weights-times-curves contraction as the bank, but each
+    unique cell's delay-per-farad curve makes two
+    :func:`effective_saturation_current` calls of its own.
+    """
+    temps = np.asarray(temperatures_c, dtype=float)
+    if technologies is None:
+        rings, sample_count = bank.rings(), 1
+    else:
+        if not isinstance(technologies, TechnologyArray):
+            technologies = stack_technologies(technologies)
+        rings = [ring.rebind(technologies) for ring in bank.rings()]
+        sample_count = len(technologies)
+    names = bank.unique_cell_names()
+    cells = {}
+    for ring in rings:
+        for stage in ring.stages():
+            cells.setdefault(stage.cell.name, stage.cell)
+    tech = rings[0].technology
+    curves = [
+        np.broadcast_to(
+            _delay_per_farad(tech, cells[name], temps), (sample_count, temps.size)
+        )
+        for name in names
+    ]
+    weights = np.zeros((len(names), len(rings), sample_count, 1))
+    for row, ring in enumerate(rings):
+        for stage in ring.stages():
+            total_load = np.asarray(
+                stage.load_f + stage.cell.output_parasitic_capacitance(), dtype=float
+            )
+            weights[names.index(stage.cell.name), row] += total_load.reshape(-1, 1)
+    tensor = np.zeros((len(rings), sample_count, temps.size))
+    for u in range(len(names)):
+        tensor += weights[u] * curves[u][np.newaxis, :, :]
+    return tensor[:, 0, :] if technologies is None else tensor
 
 
 def monte_carlo_scalar(
