@@ -22,7 +22,7 @@ it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -197,6 +197,22 @@ class StandardCell:
         self.nmos_width_um = float(nmos_width_um)
         self.pmos_width_um = float(pmos_width_um)
         self.delay_options = delay_options or DelayModelOptions()
+
+    def rebind(self, technology) -> "StandardCell":
+        """A copy of this cell implemented in another technology.
+
+        Name, topology, sizing and delay options are kept; ``technology``
+        may be a stacked population
+        (:class:`~repro.tech.stacked.TechnologyArray`).
+        """
+        return StandardCell(
+            name=self.name,
+            technology=technology,
+            topology=self.topology,
+            nmos_width_um=self.nmos_width_um,
+            pmos_width_um=self.pmos_width_um,
+            delay_options=self.delay_options,
+        )
 
     # ------------------------------------------------------------------ #
     # capacitances and geometry
@@ -422,3 +438,31 @@ class StandardCell:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StandardCell({self.name!r})"
+
+
+def cell_currents(
+    cells: Sequence[StandardCell], temperature_c: Union[float, np.ndarray]
+) -> List[Tuple[Union[float, np.ndarray], Union[float, np.ndarray]]]:
+    """Pull-down and pull-up currents of every cell, evaluated together.
+
+    Returns one ``(pull_down, pull_up)`` pair per cell, in order, each
+    evaluated in the cell's own technology — the currents
+    :meth:`StandardCell.delays` would compute cell by cell.  The cells'
+    :meth:`~StandardCell.drive_keys` go to one
+    :func:`~repro.delay.alpha_power.drive_currents` call per distinct
+    technology object (one, for the cells of a library built for one
+    technology), so a network shared by several cells is evaluated once.
+    """
+    keys = [cell.drive_keys() for cell in cells]
+    groups: Dict[int, Tuple[Technology, List[DriveKey]]] = {}
+    for cell, pair in zip(cells, keys):
+        groups.setdefault(id(cell.technology), (cell.technology, []))[1].extend(pair)
+    currents = {
+        tech_id: drive_currents(tech, tech_keys, temperature_c)
+        for tech_id, (tech, tech_keys) in groups.items()
+    }
+    pairs = []
+    for cell, (down_key, up_key) in zip(cells, keys):
+        evaluated = currents[id(cell.technology)]
+        pairs.append((evaluated[down_key], evaluated[up_key]))
+    return pairs

@@ -12,18 +12,21 @@ broadcast:
 * every *unique* cell of the bank contributes one vectorized
   delay-per-farad curve ``K_u = fit * Vdd * (1/I_pull_down + 1/I_pull_up)``
   over the ``(sample, temperature)`` grid.  The currents of all unique
-  cells come from one :func:`~repro.delay.alpha_power.drive_currents`
-  call, which evaluates the device parameters once per polarity and the
+  cells come from one :func:`~repro.cells.cell.cell_currents` call,
+  which evaluates the device parameters once per polarity and the
   alpha-power current once per distinct drive network (five for the
   Fig. 3 INV/NAND2/NAND3/NOR2 cells) — the only transcendental work in
   the whole bank,
 * the padded cell table reduces each configuration to per-unique-cell
   *load weights* (the summed output loads of the stages driving that
-  cell type, tap and wire loads included), and
+  cell type, tap and wire loads included), computed from each unique
+  cell's input and parasitic capacitance, and
 * the period tensor is the weights-times-curves contraction
-  ``period[c] = sum_u W[u, c] * K[u]`` — one broadcast multiply-add per
-  unique cell, no Python loop over configurations, samples or
-  temperatures.
+  ``period[c] = sum_u W[u, c] * K[u]`` over the cells each configuration
+  uses — per unique cell, one broadcast multiply-add for all its
+  configurations, or one per configuration when a configuration's
+  ``(sample, temperature)`` slab is large; no Python loop over samples
+  or temperatures.
 
 The per-configuration loop (one
 :meth:`~repro.oscillator.ring.RingOscillator.period_matrix` per ring) is
@@ -39,9 +42,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..cells.cell import StandardCell
+from ..cells.cell import StandardCell, cell_currents
 from ..cells.library import CellLibrary
-from ..delay.alpha_power import drive_currents
 from ..tech.parameters import TechnologyError
 from ..tech.stacked import TechnologyArray, stack_technologies
 from .config import ConfigurationError, RingConfiguration
@@ -51,6 +53,11 @@ __all__ = ["ConfigurationBank", "normalise_configurations"]
 
 #: Padding value used in the ``(config, stage)`` cell-index table.
 _PAD = -1
+
+#: Size of one configuration's ``(sample, temperature)`` slab from which
+#: the period contraction updates configurations one at a time (measured
+#: crossover of the two contraction orders on a Xeon host: 1000-2000).
+_ROW_VALUES = 2048
 
 
 class ConfigurationBank:
@@ -112,20 +119,22 @@ class ConfigurationBank:
         # indexed in first-appearance order; padding slots hold _PAD and
         # are masked out of every reduction.
         self._unique_names: List[str] = []
+        self._cells: List[StandardCell] = []
         index_of: Dict[str, int] = {}
         max_stages = max(ring.stage_count for ring in self._rings)
         table = np.full((len(self._rings), max_stages), _PAD, dtype=int)
         for row, ring in enumerate(self._rings):
-            for stage in ring.stages():
-                name = stage.cell.name
-                if name not in index_of:
-                    index_of[name] = len(self._unique_names)
-                    self._unique_names.append(name)
-                table[row, stage.index] = index_of[name]
+            for index, cell in enumerate(ring.cells()):
+                if cell.name not in index_of:
+                    index_of[cell.name] = len(self._unique_names)
+                    self._unique_names.append(cell.name)
+                    self._cells.append(cell)
+                table[row, index] = index_of[cell.name]
         self._cell_index = table
-        # The unique cells each configuration uses, ascending.
-        self._cells_per_row: List[List[int]] = [
-            sorted(set(row[row != _PAD].tolist())) for row in table
+        # The configurations (rows) each unique cell appears in, ascending.
+        self._users: List[np.ndarray] = [
+            np.flatnonzero((table == u).any(axis=1))
+            for u in range(len(self._unique_names))
         ]
 
     # ------------------------------------------------------------------ #
@@ -187,22 +196,6 @@ class ConfigurationBank:
     # batch evaluation
     # ------------------------------------------------------------------ #
 
-    def _bound_rings(self, technologies) -> Tuple[List[RingOscillator], Optional[TechnologyArray]]:
-        """Rings (and the stacked population, if any) to evaluate with.
-
-        ``technologies=None`` evaluates against the library's own
-        technology; otherwise the population is stacked (an existing
-        :class:`~repro.tech.stacked.TechnologyArray` is used as is) and
-        every ring is rebound to it once.
-        """
-        if technologies is None:
-            return self._rings, None
-        if isinstance(technologies, TechnologyArray):
-            population = technologies
-        else:
-            population = stack_technologies(technologies)
-        return [ring.rebind(population) for ring in self._rings], population
-
     def period_tensor(
         self,
         temperatures_c: Sequence[float],
@@ -224,61 +217,59 @@ class ConfigurationBank:
                 technologies = stack_technologies(technologies)
             except TechnologyError:
                 return self.period_tensor_loop(temps, technologies)
-        rings, population = self._bound_rings(technologies)
-        sample_count = len(population) if population is not None else 1
-        stages_per_ring = [ring.stages() for ring in rings]
+        if technologies is None:
+            tech, cells, sample_count = self.library.technology, self._cells, 1
+        else:
+            tech, sample_count = technologies, len(technologies)
+            cells = [cell.rebind(technologies) for cell in self._cells]
 
         # One delay-per-farad curve per unique cell: K_u(T) such that a
         # stage built from cell u with total output load L contributes
         # K_u * L to the ring period.  Shapes: (S, T) columns against
         # the temperature row (S = 1 collapses to the scalar case).
-        # Each rebound ring's library holds only its own cells, so the
-        # bound cell objects are gathered from the resolved stages.
-        bound_cells: Dict[str, StandardCell] = {}
-        for stages in stages_per_ring:
-            for stage in stages:
-                bound_cells.setdefault(stage.cell.name, stage.cell)
-        tech = rings[0].technology
-        cells = [bound_cells[name] for name in self._unique_names]
-        keys = [cell.drive_keys() for cell in cells]
-        currents = drive_currents(tech, (key for pair in keys for key in pair), temps)
         # tpHL + tpLH = fit * L * Vdd * (1/I_pull_down + 1/I_pull_up)
         # (see repro.delay.alpha_power.switching_delay), linear in L.
         curves = [
             cell.delay_options.fit_factor
-            * tech.vdd
-            * (1.0 / currents[down_key] + 1.0 / currents[up_key])
-            for cell, (down_key, up_key) in zip(cells, keys)
+            * cell.technology.vdd
+            * (1.0 / down + 1.0 / up)
+            for cell, (down, up) in zip(cells, cell_currents(cells, temps))
         ]
 
         # Per-unique-cell load weights from the padded cell table: the
         # summed total output load (next stage's input + wire + tap +
-        # own parasitic) of every stage driving that cell type.
+        # own parasitic) of every stage driving that cell type, with the
+        # capacitances of each unique cell evaluated once.
+        input_f = [cell.input_capacitance() for cell in cells]
+        parasitic_f = [cell.output_parasitic_capacitance() for cell in cells]
         weights = np.zeros(
             (len(self._unique_names), self.config_count, sample_count, 1),
             dtype=float,
         )
-        for row, stages in enumerate(stages_per_ring):
-            for stage in stages:
-                u = self._cell_index[row, stage.index]
-                total_load = np.asarray(
-                    stage.load_f + stage.cell.output_parasitic_capacitance(),
-                    dtype=float,
-                )
+        for row, ring in enumerate(self._rings):
+            row_cells = self._cell_index[row, : ring.stage_count].tolist()
+            loads = ring.stage_loads([input_f[u] for u in row_cells], tech)
+            for u, load in zip(row_cells, loads):
+                total_load = np.asarray(load + parasitic_f[u], dtype=float)
                 weights[u, row] += total_load.reshape(-1, 1)
 
-        # The contraction: period[c] = sum_u W[u, c] * K[u], summed in
-        # ascending u over the cells configuration c actually uses, i.e.
-        # one (S, 1) x (S, T) multiply-add per (configuration, cell)
-        # pair.  A cell a configuration does not use has W[u, c] == 0;
-        # its term would add an exact +0.0, so leaving it out changes no
-        # bit of the sum.
+        # The contraction: period[c] = sum_u W[u, c] * K[u], in ascending
+        # u, over the configurations that use cell u (a configuration
+        # that does not has W[u, c] == 0; its term would add an exact
+        # +0.0, so leaving it out changes no bit of the sum).  Small
+        # (S, T) slabs — a cell-mix search at one sample — take one
+        # indexed multiply-add per cell for all its configurations.
+        # Large ones — Fig. 3 x Monte-Carlo — update one configuration
+        # in place at a time, which keeps the operands cache-sized.
         tensor = np.zeros((self.config_count, sample_count, temps.size))
-        for row, cells_used in enumerate(self._cells_per_row):
-            period = tensor[row]
-            for u in cells_used:
-                period += weights[u, row] * curves[u]
-        if population is None:
+        per_configuration = sample_count * temps.size >= _ROW_VALUES
+        for u, rows in enumerate(self._users):
+            if per_configuration:
+                for row in rows.tolist():
+                    tensor[row] += weights[u, row] * curves[u]
+            else:
+                tensor[rows] += weights[u, rows] * curves[u]
+        if technologies is None:
             return tensor[:, 0, :]
         return tensor
 

@@ -21,12 +21,11 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..cells.cell import CellError, StandardCell
+from ..cells.cell import CellError, StandardCell, cell_currents
 from ..cells.library import CellLibrary
 from ..circuit.netlist import Circuit
 from ..circuit.transient import TransientOptions, TransientResult, simulate_transient
 from ..circuit.waveform import Waveform
-from ..delay.alpha_power import drive_currents
 from ..delay.load import wire_capacitance
 from ..tech.parameters import TechnologyError, celsius_to_kelvin
 from ..tech.stacked import TechnologyArray, stack_technologies
@@ -128,17 +127,33 @@ class RingOscillator:
 
     def stages(self) -> List[RingStage]:
         """Stages with their resolved output loads."""
-        tech = self.technology
-        wire_f = wire_capacitance(tech, self.wire_length_um)
+        loads = self.stage_loads(
+            [cell.input_capacitance() for cell in self._cells], self.technology
+        )
+        return [
+            RingStage(index=index, cell=cell, load_f=load)
+            for index, (cell, load) in enumerate(zip(self._cells, loads))
+        ]
+
+    def stage_loads(self, input_f: Sequence, technology) -> list:
+        """Output load (F) of every stage, from its cells' input capacitances.
+
+        ``input_f[i]`` is the input capacitance of stage ``i``'s cell.
+        Stage ``i`` drives the input of stage ``i + 1`` and the
+        inter-stage wire (in ``technology``), and the tapped stage also
+        the external load.  :meth:`stages` passes the ring's own cells;
+        :class:`~repro.oscillator.bank.ConfigurationBank` passes cells
+        bound to a stacked population.
+        """
+        wire_f = wire_capacitance(technology, self.wire_length_um)
         tap = self.effective_tap_stage()
-        result: List[RingStage] = []
-        for index, cell in enumerate(self._cells):
-            next_cell = self._cells[(index + 1) % self.stage_count]
-            load = next_cell.input_capacitance() + wire_f
+        loads = []
+        for index in range(self.stage_count):
+            load = input_f[(index + 1) % self.stage_count] + wire_f
             if tap is not None and index == tap:
                 load += self.external_load_f
-            result.append(RingStage(index=index, cell=cell, load_f=load))
-        return result
+            loads.append(load)
+        return loads
 
     def transistor_count(self) -> int:
         """Total transistors in the ring (excluding readout logic)."""
@@ -174,15 +189,15 @@ class RingOscillator:
     def period_series(self, temperatures_c: Sequence[float]) -> np.ndarray:
         """Periods (s) over a temperature sweep (vectorized).
 
-        One :func:`~repro.delay.alpha_power.drive_currents` call
-        evaluates the drive currents of every stage over the whole
-        temperature grid: the device parameters once per polarity and
-        the alpha-power current once per distinct drive network, however
-        many stages share it.  Each stage then turns its two currents
-        into ``tpHL + tpLH`` at its own load, and the stage sums are
-        accumulated in ring order.  Matches a loop of :meth:`period`
-        calls to floating-point rounding (the equivalence suites pin the
-        two to 1e-9 relative).
+        One :func:`~repro.cells.cell.cell_currents` call evaluates the
+        drive currents of every stage, each in its cell's technology,
+        over the whole temperature grid: the device parameters once per
+        polarity and the alpha-power current once per distinct drive
+        network, however many stages share it.  Each stage then turns
+        its two currents into ``tpHL + tpLH`` at its own load, and the
+        stage sums are accumulated in ring order.  Matches a loop of
+        :meth:`period` calls to floating-point rounding (the equivalence
+        suites pin the two to 1e-9 relative).
 
         For a ring bound to a stacked population
         (:class:`~repro.tech.stacked.TechnologyArray`, see
@@ -192,15 +207,10 @@ class RingOscillator:
         """
         temps = np.asarray(temperatures_c, dtype=float)
         stages = self.stages()
-        keys = [stage.cell.drive_keys() for stage in stages]
-        currents = drive_currents(
-            self.technology, (key for pair in keys for key in pair), temps
-        )
+        currents = cell_currents([stage.cell for stage in stages], temps)
         total = np.zeros(temps.shape)
-        for stage, (down_key, up_key) in zip(stages, keys):
-            delays = stage.cell.delays_from_currents(
-                currents[down_key], currents[up_key], stage.load_f
-            )
+        for stage, (down, up) in zip(stages, currents):
+            delays = stage.cell.delays_from_currents(down, up, stage.load_f)
             total = total + delays.pair_sum
         return total
 
@@ -226,16 +236,7 @@ class RingOscillator:
             if cell.name in seen:
                 continue
             seen.add(cell.name)
-            library.add(
-                StandardCell(
-                    name=cell.name,
-                    technology=technology,
-                    topology=cell.topology,
-                    nmos_width_um=cell.nmos_width_um,
-                    pmos_width_um=cell.pmos_width_um,
-                    delay_options=cell.delay_options,
-                )
-            )
+            library.add(cell.rebind(technology))
         return RingOscillator(
             library,
             self.configuration,

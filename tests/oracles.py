@@ -118,8 +118,9 @@ def period_series_stage_loop(ring, temperatures_c) -> np.ndarray:
     return total
 
 
-def _delay_per_farad(tech, cell, temperatures_c: np.ndarray):
+def _delay_per_farad(cell, temperatures_c: np.ndarray):
     """A cell's ring-stage delay per farad, from two current evaluations."""
+    tech = cell.technology
     options = cell.delay_options
     pull_down, pull_up = _drive_networks(cell)
     down = effective_saturation_current(tech, pull_down, temperatures_c, options)
@@ -132,7 +133,8 @@ def period_tensor_per_cell(bank, temperatures_c, technologies=None) -> np.ndarra
 
     The same weights-times-curves contraction as the bank, but each
     unique cell's delay-per-farad curve makes two
-    :func:`effective_saturation_current` calls of its own.
+    :func:`effective_saturation_current` calls of its own, in the cell's
+    technology.
     """
     temps = np.asarray(temperatures_c, dtype=float)
     if technologies is None:
@@ -147,10 +149,9 @@ def period_tensor_per_cell(bank, temperatures_c, technologies=None) -> np.ndarra
     for ring in rings:
         for stage in ring.stages():
             cells.setdefault(stage.cell.name, stage.cell)
-    tech = rings[0].technology
     curves = [
         np.broadcast_to(
-            _delay_per_farad(tech, cells[name], temps), (sample_count, temps.size)
+            _delay_per_farad(cells[name], temps), (sample_count, temps.size)
         )
         for name in names
     ]

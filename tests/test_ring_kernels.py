@@ -68,6 +68,22 @@ def sized_library():
     return library
 
 
+@pytest.fixture(scope="module")
+def mixed_supply_library():
+    """The default library plus an inverter built for a 3.0 V supply.
+
+    ``CMOS035.with_supply(3.0)`` keeps the technology's name, so the
+    library accepts the cell; its stages must switch at the cell's own
+    supply, as :meth:`RingOscillator.period` evaluates them.
+    """
+    library = default_library(CMOS035)
+    library.add(inverter(CMOS035.with_supply(3.0), name="INV_3V0"))
+    return library
+
+
+MIXED_SUPPLY_RING = RingConfiguration(("INV", "INV_3V0", "NAND2", "INV_3V0", "INV"))
+
+
 def _sized_configurations(library):
     names = library.names()
     return {
@@ -111,6 +127,31 @@ class TestBankMatchesPerCellLoop:
         )
 
 
+    @pytest.mark.parametrize("tap_stage", [None, 0, 2])
+    def test_wire_and_tap_loads(self, library, population, tap_stage):
+        # The bank resolves stage loads from its cell table; the oracle
+        # takes them from RingOscillator.stages().
+        bank = ConfigurationBank(
+            library,
+            PAPER_FIG3_CONFIGURATIONS,
+            wire_length_um=7.5,
+            external_load_f=12e-15,
+            tap_stage=tap_stage,
+        )
+        assert np.array_equal(bank.period_tensor(GRID), period_tensor_per_cell(bank, GRID))
+        assert np.array_equal(
+            bank.period_tensor(GRID, technologies=population),
+            period_tensor_per_cell(bank, GRID, population),
+        )
+
+    def test_cells_in_their_own_technology(self, mixed_supply_library):
+        bank = ConfigurationBank(mixed_supply_library, [MIXED_SUPPLY_RING, "5INV"])
+        tensor = bank.period_tensor(GRID)
+        assert np.array_equal(tensor, period_tensor_per_cell(bank, GRID))
+        looped = bank.period_tensor_loop(GRID)
+        assert np.max(np.abs(tensor - looped) / looped) <= 1e-9
+
+
 class TestRingMatchesPerStageLoop:
     def test_one_dimensional_grid(self, library):
         ring = RingOscillator(library, DTM_RING)
@@ -138,6 +179,14 @@ class TestRingMatchesPerStageLoop:
             assert np.array_equal(
                 ring.period_series(GRID), period_series_stage_loop(ring, GRID)
             )
+
+
+    def test_cells_in_their_own_technology(self, mixed_supply_library):
+        ring = RingOscillator(mixed_supply_library, MIXED_SUPPLY_RING)
+        series = ring.period_series(GRID)
+        assert np.array_equal(series, period_series_stage_loop(ring, GRID))
+        scalar = np.array([ring.period(t) for t in GRID])
+        assert np.max(np.abs(series - scalar) / scalar) <= 1e-12
 
 
 # --------------------------------------------------------------------------- #
