@@ -1,32 +1,23 @@
 #!/usr/bin/env python3
-"""Tiled sweep execution: out-of-core assembly and multiprocess fan-out.
+"""Tiled sweep execution: the same sweep in serial and process-pool tiles.
 
 ``Sweep.run()`` evaluates the whole axis product as one dense in-memory
-broadcast — the right default at paper scale, a hard wall when the
-sample axis grows toward production Monte-Carlo counts.  The tiled
-execution layer (``repro.engine.tiling`` + ``repro.engine.executors``)
-splits the planned sweep into bounded-memory chunks along the
-cheapest-to-split axes (sample, then temperature) and runs them through
-a pluggable backend; every backend is **bitwise identical** to the
-dense path, because each tile evaluates exactly the same elementwise
-broadcast on a slice of the population.
+broadcast.  Given an executor, the tiled execution layer
+(``repro.engine.tiling`` + ``repro.engine.executors``) instead splits
+the planned sweep into chunks of at most ``max_tile_elements`` elements
+along the cheapest-to-split axes (sample, then temperature) and runs
+them through a backend:
 
-This example
+* ``"serial"`` evaluates the tiles in order, in process;
+* ``ProcessExecutor`` fans them out over a worker pool, shipping the
+  technology population's columns through shared memory.
 
-1. runs a sweep whose dense result tensor exceeds a deliberately tiny
-   memory budget *out of core*: tiles stream through a
-   ``np.memmap``-backed sink, so the full tensor never lives in RAM —
-   the same mechanism that lets a bigger-than-RAM sample axis complete,
-2. aggregates the same oversized sweep through *streaming reducers*
-   (mean / exact percentile / histogram) without materializing the
-   result at all, and checks them against the dense numbers,
-3. measures the multiprocess backend's speedup over serial tiles on a
-   large population (shared-memory transport of the technology columns;
-   the speedup only shows on a multi-core machine), and
-4. shows the environment knobs (``REPRO_SWEEP_EXECUTOR``,
-   ``REPRO_SWEEP_WORKERS``, ``REPRO_SWEEP_TILE_ELEMENTS``) that route
-   every ``Sweep.run`` in a process through a backend without touching
-   call sites.
+Both assemble a result **bitwise identical** to the dense pass, because
+each tile evaluates exactly the same elementwise broadcast on a slice of
+the population.  This example runs one Monte-Carlo sweep all three
+ways, checks the three tensors are equal bit for bit, and prints the
+environment knobs that route every ``Sweep.run`` in a process through a
+backend without touching call sites.
 
 Run with:  python examples/tiled_sweep.py
 """
@@ -41,10 +32,6 @@ import numpy as np
 from repro import (
     Axis,
     CMOS035,
-    HistogramReducer,
-    MeanReducer,
-    MemmapExecutor,
-    PercentileReducer,
     ProcessExecutor,
     RingConfiguration,
     Sweep,
@@ -52,102 +39,55 @@ from repro import (
 )
 from repro.engine import plan_tiles
 
+TILE_ELEMENTS = 1 << 14
 
-def build_sweep(population, temperatures):
-    return (
+
+def main() -> None:
+    temperatures = np.linspace(-50.0, 150.0, 41)
+    population = sample_technology_array(CMOS035, 2000, seed=77)
+    sweep = (
         Sweep(technology=CMOS035, configuration=RingConfiguration.parse("2INV+3NAND2"))
         .over(Axis.sample(population))
         .over(Axis.temperature(temperatures))
     )
 
+    tiling = plan_tiles(sweep.plan(), max_tile_elements=TILE_ELEMENTS)
+    print(f"sweep       : {len(population)} samples x {temperatures.size} "
+          f"temperatures = {tiling.total_elements} periods")
+    print(f"tiling      : {len(tiling.tiles)} tiles of at most {TILE_ELEMENTS} "
+          f"elements, split along {[b[0] for b in tiling.tiles[0].bounds]}")
 
-def main() -> None:
-    temperatures = np.linspace(-50.0, 150.0, 41)
-
-    # ------------------------------------------------------------------ #
-    # 1. out-of-core: dense tensor larger than the memory budget
-    # ------------------------------------------------------------------ #
-    population = sample_technology_array(CMOS035, 4000, seed=77)
-    sweep = build_sweep(population, temperatures)
-    dense_bytes = len(population) * temperatures.size * 8
-    budget = 256 * 1024  # pretend RAM ends at 256 KiB of result
-    print("Out-of-core execution")
-    print(f"  dense result tensor : {dense_bytes / 1e6:6.2f} MB "
-          f"({len(population)} samples x {temperatures.size} temperatures)")
-    print(f"  memory budget       : {budget / 1024:6.0f} KiB")
-
-    tiling = plan_tiles(sweep.plan(), memory_budget_bytes=budget)
-    print(f"  tiling              : {len(tiling.tiles)} tiles along "
-          f"{[b[0] for b in tiling.tiles[0].bounds]}")
-
-    start = time.perf_counter()
-    result = sweep.run(executor=MemmapExecutor(memory_budget_bytes=budget))
-    elapsed = time.perf_counter() - start
-    print(f"  completed in        : {elapsed * 1e3:7.1f} ms  "
-          f"dims={result.dims} shape={result.shape}")
-    # The values are a disk-backed memmap view; label queries work as on
-    # any other SweepResult.
-    at_25c = result.select(temperature=25.0).values
-    print(f"  period @ 25 C       : median {np.median(at_25c) * 1e9:.2f} ns "
-          f"across the population")
-
-    # ------------------------------------------------------------------ #
-    # 2. streaming reducers: aggregate without the tensor
-    # ------------------------------------------------------------------ #
-    print("\nStreaming reducers (tensor never materialized)")
-    reduced = sweep.reduce(
-        {
-            "mean": MeanReducer(),
-            "p95_per_t": PercentileReducer(95.0, dims=("sample",)),
-            "histogram": HistogramReducer(
-                bins=12, range=(float(np.min(result.values)),
-                                float(np.max(result.values)) * 1.0001)
-            ),
+    workers = min(2, os.cpu_count() or 1)
+    runs = {
+        "dense": {},
+        "serial": {"executor": "serial", "max_tile_elements": TILE_ELEMENTS},
+        f"process-{workers}": {
+            "executor": ProcessExecutor(max_workers=workers),
+            "max_tile_elements": TILE_ELEMENTS,
         },
-        max_tile_elements=budget // 8,
-    )
-    dense_mean = float(np.mean(result.values))
-    print(f"  streamed mean       : {reduced['mean']:.6e} s "
-          f"(dense agreement {abs(reduced['mean'] - dense_mean):.2e})")
-    p95 = reduced["p95_per_t"]
-    print(f"  p95 period spread   : {p95.min() * 1e9:.2f} .. {p95.max() * 1e9:.2f} ns "
-          f"across temperature (exact, slab-finalized)")
-    counts, _edges = reduced["histogram"]
-    print(f"  histogram           : {counts.sum()} values in {counts.size} bins")
+    }
+    # The process run's time includes starting the worker pool.
+    results = {}
+    for label, kwargs in runs.items():
+        start = time.perf_counter()
+        results[label] = sweep.run(**kwargs)
+        elapsed = time.perf_counter() - start
+        print(f"{label:<12}: {elapsed * 1e3:7.1f} ms  shape={results[label].shape}")
 
-    # ------------------------------------------------------------------ #
-    # 3. multiprocess fan-out with shared-memory population transport
-    # ------------------------------------------------------------------ #
-    workers = min(4, os.cpu_count() or 1)
-    print(f"\nMultiprocess backend ({workers} workers, "
-          f"{os.cpu_count()} cpu(s) visible)")
-    big = sample_technology_array(CMOS035, 20000, seed=78)
-    big_sweep = build_sweep(big, temperatures)
+    dense = results["dense"].values
+    for label, result in results.items():
+        if label != "dense":
+            identical = np.array_equal(result.values, dense)
+            print(f"{label} bitwise equal to dense: {identical}")
+            if not identical:
+                raise SystemExit(f"{label} tiles disagree with the dense pass")
 
-    start = time.perf_counter()
-    serial = big_sweep.run(executor="serial", max_tile_elements=1 << 17)
-    serial_s = time.perf_counter() - start
+    at_25c = results["serial"].select(temperature=25.0).values
+    print(f"period @ 25 C: median {np.median(at_25c) * 1e9:.2f} ns across the population")
 
-    start = time.perf_counter()
-    parallel = big_sweep.run(
-        executor=ProcessExecutor(max_workers=workers), max_tile_elements=1 << 17
-    )
-    parallel_s = time.perf_counter() - start
-
-    identical = np.array_equal(serial.values, parallel.values)
-    print(f"  serial tiles        : {serial_s * 1e3:7.1f} ms")
-    print(f"  {workers}-worker pool       : {parallel_s * 1e3:7.1f} ms  "
-          f"(speedup {serial_s / parallel_s:4.2f}x, bitwise identical: {identical})")
-    if workers < 2:
-        print("  (run on a multi-core machine to see the speedup)")
-
-    # ------------------------------------------------------------------ #
-    # 4. the environment knobs
-    # ------------------------------------------------------------------ #
     print("\nEnvironment-selected default backend:")
-    print("  REPRO_SWEEP_EXECUTOR=process REPRO_SWEEP_WORKERS=4 python ...")
-    print("  routes every Sweep.run() through the pool — the CI lane runs")
-    print("  the whole fast test suite that way, and the experiment CLI")
+    print("  REPRO_SWEEP_EXECUTOR=process REPRO_SWEEP_WORKERS=2 python ...")
+    print("  routes every Sweep.run() through the pool; the experiment CLI")
     print("  exposes the same knobs as --executor/--workers/--tile-elements.")
 
 

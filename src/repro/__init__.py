@@ -141,7 +141,7 @@ win over these; explicit keyword arguments in code win over both.
 variable                                   meaning (default)
 =========================================  ==================================================
 ``REPRO_SWEEP_EXECUTOR``                   sweep execution backend: ``dense`` | ``serial`` |
-                                           ``process`` | ``memmap`` (``dense``)
+                                           ``process`` (``dense``)
 ``REPRO_SWEEP_WORKERS``                    worker count of the ``process`` backend
                                            (cpu count)
 ``REPRO_SWEEP_TILE_ELEMENTS``              per-tile element budget of tiled backends
@@ -198,10 +198,6 @@ from .oscillator import (
 from .analysis import nonlinearity, sensitivity_report
 from .engine import (
     Axis,
-    HistogramReducer,
-    MeanReducer,
-    MemmapExecutor,
-    PercentileReducer,
     ProcessExecutor,
     SerialExecutor,
     Sweep,
@@ -249,10 +245,6 @@ __all__ = [
     "nonlinearity",
     "sensitivity_report",
     "Axis",
-    "HistogramReducer",
-    "MeanReducer",
-    "MemmapExecutor",
-    "PercentileReducer",
     "ProcessExecutor",
     "SerialExecutor",
     "Sweep",

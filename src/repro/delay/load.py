@@ -16,6 +16,7 @@ that broadcasts through the delay model's sample axis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..tech.parameters import Technology, TechnologyError
@@ -63,8 +64,10 @@ def output_parasitic_capacitance(
 
 def wire_capacitance(tech: Technology, length_um: float) -> float:
     """Local interconnect capacitance (F) for a wire of given length."""
-    if length_um < 0.0:
-        raise TechnologyError("wire length must be non-negative")
+    if not (math.isfinite(length_um) and length_um >= 0.0):
+        raise TechnologyError(
+            f"wire length must be finite and non-negative, got {length_um!r}"
+        )
     return tech.wire_cap_f_per_um * length_um
 
 

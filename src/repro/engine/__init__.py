@@ -10,13 +10,10 @@ it; there is no second evaluation mode.
 
 from .executors import (
     Executor,
-    MemmapExecutor,
     ProcessExecutor,
     SerialExecutor,
-    make_executor,
     resolve_executor,
 )
-from .reducers import HistogramReducer, MeanReducer, PercentileReducer
 from .sweep import (
     Axis,
     CANONICAL_AXIS_ORDER,
@@ -32,11 +29,7 @@ __all__ = [
     "Axis",
     "CANONICAL_AXIS_ORDER",
     "Executor",
-    "HistogramReducer",
-    "MeanReducer",
-    "MemmapExecutor",
     "OBSERVABLES",
-    "PercentileReducer",
     "ProcessExecutor",
     "SerialExecutor",
     "Sweep",
@@ -45,7 +38,6 @@ __all__ = [
     "SweepResult",
     "Tile",
     "TilingPlan",
-    "make_executor",
     "plan_result_tiles",
     "plan_tiles",
     "resolve_executor",

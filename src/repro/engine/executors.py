@@ -1,36 +1,29 @@
 """Pluggable execution backends for tiled sweeps.
 
 The planner (:mod:`repro.engine.sweep`) lowers a workload, the tiling
-pass (:mod:`repro.engine.tiling`) partitions it into bounded-memory
+pass (:mod:`repro.engine.tiling`) partitions it into budget-bounded
 chunks, and this module runs the chunks:
 
 * :class:`SerialExecutor` — evaluates tiles in order, in process.  With
   one tile this is exactly the dense path; with many it is the
-  bounded-memory reference backend the others must bit-match.
+  reference backend the others must bit-match.
 * :class:`ProcessExecutor` — fans tiles out over a
   :class:`concurrent.futures.ProcessPoolExecutor`.  The technology
   population's stacked columns travel to the workers through one POSIX
   shared-memory block (:mod:`multiprocessing.shared_memory`) and are
   rebuilt zero-copy per worker, so the per-tile pickle payload is the
-  small plan skeleton — not the population.  Worker pools are reused
-  across runs (keyed by start method and size) so repeated sweeps pay
-  worker startup once.
-* :class:`MemmapExecutor` — the out-of-core backend: tiles run serially
-  but the assembled result lives in an ``np.memmap``-backed array, so a
-  sweep whose dense tensor exceeds RAM (or the configured
-  ``memory_budget_bytes``) still completes, bounded by one tile plus
-  the page cache.
+  small plan skeleton — not the population.  Workers fork where the
+  platform allows, and pools are reused across runs (keyed by size) so
+  repeated sweeps pay worker startup once.
 
 :func:`run_plan` is the orchestration entry used by
-:meth:`~repro.engine.sweep.SweepPlan.execute` /
-:meth:`~repro.engine.sweep.SweepPlan.reduce`: it tiles the plan, streams
-``(tile, values)`` pairs out of the backend, assembles them into a
-labeled :class:`~repro.engine.sweep.SweepResult` (or feeds streaming
-reducers, never materializing the tensor).  :func:`resolve_executor`
-maps explicit arguments and the ``REPRO_SWEEP_EXECUTOR`` /
-``REPRO_SWEEP_WORKERS`` environment variables (the CI lane's way of
-routing the whole test suite through a backend) onto concrete
-executors.
+:meth:`~repro.engine.sweep.SweepPlan.execute`: it tiles the plan,
+streams ``(tile, values)`` pairs out of the backend and assembles them
+positionally into a labeled :class:`~repro.engine.sweep.SweepResult`.
+:func:`resolve_executor` maps explicit arguments and the
+``REPRO_SWEEP_EXECUTOR`` / ``REPRO_SWEEP_WORKERS`` environment variables
+(the CI lane's way of routing the whole test suite through a backend)
+onto concrete executors.
 
 Fork/pickle semantics: worker processes never receive thermal
 factorizations or operator caches — those are process-local (see
@@ -44,7 +37,6 @@ from __future__ import annotations
 
 import atexit
 import os
-import tempfile
 from concurrent.futures import ProcessPoolExecutor as _PoolImpl
 from concurrent.futures import as_completed
 from dataclasses import dataclass, replace
@@ -65,14 +57,12 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ProcessExecutor",
-    "MemmapExecutor",
-    "make_executor",
     "resolve_executor",
     "run_plan",
 ]
 
 #: Environment variable naming the default backend (``serial`` /
-#: ``process`` / ``memmap``; ``dense`` or empty keeps the single-pass
+#: ``process``; ``dense`` or empty keeps the single-pass
 #: in-memory evaluation).  Lets a CI lane or deployment route every
 #: ``Sweep.run()`` through a backend without touching call sites.
 EXECUTOR_ENV = "REPRO_SWEEP_EXECUTOR"
@@ -90,9 +80,7 @@ class Executor:
     ``run_tiles`` streams ``(tile, values)`` pairs — each ``values`` is
     the tile's dense sub-tensor, bitwise identical to the corresponding
     slice of the dense single-pass evaluation; completion order is
-    backend-defined (assembly is positional).  ``allocate`` provides
-    the full-result storage, letting a backend choose where the
-    assembled tensor lives (RAM, memmap, ...).
+    backend-defined (assembly is positional).
     """
 
     name = "abstract"
@@ -101,9 +89,6 @@ class Executor:
         self, tiling: TilingPlan
     ) -> Iterator[Tuple[Tile, np.ndarray]]:  # pragma: no cover - protocol
         raise NotImplementedError
-
-    def allocate(self, shape: Tuple[int, ...], dtype: Any) -> np.ndarray:
-        return np.empty(shape, dtype=dtype)
 
 
 class SerialExecutor(Executor):
@@ -116,41 +101,6 @@ class SerialExecutor(Executor):
             yield tile, subplan(tiling.plan, tile)._execute_dense().values
 
 
-class MemmapExecutor(SerialExecutor):
-    """Out-of-core backend: the assembled result is ``np.memmap``-backed.
-
-    Tiles evaluate serially (each bounded by the tiling budget); their
-    values land in a disk-backed array, so the dense result tensor never
-    needs to fit in RAM.  With ``path=None`` the backing file is an
-    anonymous unlinked temporary (space reclaimed when the result is
-    garbage collected); an explicit ``path`` keeps the file as a
-    reusable artifact.  ``memory_budget_bytes`` doubles as the default
-    tiling budget when the caller gave none.
-    """
-
-    name = "memmap"
-
-    def __init__(
-        self,
-        path: Optional[str] = None,
-        memory_budget_bytes: int = 64 << 20,
-        dir: Optional[str] = None,
-    ) -> None:
-        if int(memory_budget_bytes) < 8:
-            raise SweepError("memory_budget_bytes must cover at least one element")
-        self.path = path
-        self.memory_budget_bytes = int(memory_budget_bytes)
-        self.dir = dir
-
-    def allocate(self, shape: Tuple[int, ...], dtype: Any) -> np.ndarray:
-        if self.path is not None:
-            return np.memmap(self.path, dtype=dtype, mode="w+", shape=shape)
-        handle = tempfile.TemporaryFile(prefix="sweep-", suffix=".tile", dir=self.dir)
-        # TemporaryFile is already unlinked on POSIX: the mapping (and
-        # its disk space) disappears with the last reference.
-        return np.memmap(handle, dtype=dtype, mode="w+", shape=shape)
-
-
 # --------------------------------------------------------------------------- #
 # the multiprocess backend
 # --------------------------------------------------------------------------- #
@@ -160,11 +110,6 @@ class MemmapExecutor(SerialExecutor):
 class _SharedPopulation:
     """Marker payload: the sample axis's population travels via shared
     memory, not the pickled plan skeleton."""
-
-
-def _preferred_start_method() -> Optional[str]:
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else None
 
 
 def _worker_initializer() -> None:
@@ -285,10 +230,10 @@ def _run_remote_tile(plan: SweepPlan, tile: Tile, meta) -> np.ndarray:
             pass
 
 
-#: Reused worker pools, keyed by (start method, worker count).  Reuse
-#: amortizes worker startup across the many small sweeps of a test lane
-#: or a sweep service; pools are torn down at interpreter exit.
-_POOLS: Dict[Tuple[Optional[str], int], _PoolImpl] = {}
+#: Reused worker pools, keyed by worker count.  Reuse amortizes worker
+#: startup across the many small sweeps of a test lane or a sweep
+#: service; pools are torn down at interpreter exit.
+_POOLS: Dict[int, _PoolImpl] = {}
 
 
 def _shutdown_pools() -> None:  # pragma: no cover - exit hook
@@ -318,37 +263,24 @@ class ProcessExecutor(Executor):
 
     name = "process"
 
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        start_method: Optional[str] = None,
-        reuse: bool = True,
-    ) -> None:
+    def __init__(self, max_workers: Optional[int] = None) -> None:
         workers = int(max_workers) if max_workers else (os.cpu_count() or 1)
         if workers < 1:
             raise SweepError("max_workers must be at least 1")
         self.max_workers = workers
-        self.start_method = (
-            start_method if start_method is not None else _preferred_start_method()
-        )
-        self.reuse = reuse
 
     def _pool(self) -> _PoolImpl:
-        key = (self.start_method, self.max_workers)
-        pool = _POOLS.get(key) if self.reuse else None
+        pool = _POOLS.get(self.max_workers)
         if pool is None:
-            context = (
-                multiprocessing.get_context(self.start_method)
-                if self.start_method
-                else None
-            )
+            # Fork where available: workers inherit the imported library
+            # instead of re-importing it.
+            fork = "fork" in multiprocessing.get_all_start_methods()
             pool = _PoolImpl(
                 max_workers=self.max_workers,
-                mp_context=context,
+                mp_context=multiprocessing.get_context("fork") if fork else None,
                 initializer=_worker_initializer,
             )
-            if self.reuse:
-                _POOLS[key] = pool
+            _POOLS[self.max_workers] = pool
         return pool
 
     def prewarm(self) -> None:
@@ -375,13 +307,11 @@ class ProcessExecutor(Executor):
             except Exception:
                 # A broken reused pool (e.g. a worker killed by a
                 # previous run) must not poison every later sweep.
-                _POOLS.pop((self.start_method, self.max_workers), None)
+                _POOLS.pop(self.max_workers, None)
                 raise
             for future in as_completed(futures):
                 yield futures[future], future.result()
         finally:
-            if not self.reuse:
-                pool.shutdown(wait=True, cancel_futures=True)
             if shm is not None:
                 shm.close()
                 shm.unlink()
@@ -393,40 +323,43 @@ class ProcessExecutor(Executor):
 
 _EXECUTOR_FACTORIES = {
     "serial": lambda workers: SerialExecutor(),
-    "memmap": lambda workers: MemmapExecutor(),
     "process": lambda workers: ProcessExecutor(max_workers=workers),
 }
 
 
-def make_executor(name: str, max_workers: Optional[int] = None) -> Executor:
-    """Build a backend from its name (``serial``/``process``/``memmap``)."""
-    factory = _EXECUTOR_FACTORIES.get(name.strip().lower())
-    if factory is None:
-        raise SweepError(
-            f"unknown executor {name!r}; choose one of "
-            f"{tuple(sorted(_EXECUTOR_FACTORIES))} (or 'dense')"
-        )
-    return factory(max_workers)
+def _env_int(name: str) -> Optional[int]:
+    """An integer environment variable; unset or empty is ``None``."""
+    text = os.environ.get(name, "").strip()
+    if not text:
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise SweepError(f"{name} must be an integer, got {text!r}") from None
 
 
 def resolve_executor(executor: Any) -> Optional[Executor]:
     """Resolve an executor argument (or the environment) to a backend.
 
-    ``None`` consults :data:`EXECUTOR_ENV`; an unset/empty/``dense``
-    value means "no backend" (the dense single-pass path).  Strings name
-    a backend; executor instances pass through.
+    ``None`` consults :data:`EXECUTOR_ENV` (and :data:`WORKERS_ENV` for
+    the process backend's size); an unset/empty/``dense`` value means
+    "no backend" (the dense single-pass path).  Strings name a backend;
+    executor instances pass through.
     """
-    if executor is None:
-        name = os.environ.get(EXECUTOR_ENV, "").strip().lower()
+    from_env = executor is None
+    if from_env:
+        executor = os.environ.get(EXECUTOR_ENV, "")
+    if isinstance(executor, str):
+        name = executor.strip().lower()
         if not name or name in ("dense", "none"):
             return None
-        workers_env = os.environ.get(WORKERS_ENV, "").strip()
-        workers = int(workers_env) if workers_env else None
-        return make_executor(name, max_workers=workers)
-    if isinstance(executor, str):
-        if executor.strip().lower() in ("dense", "none"):
-            return None
-        return make_executor(executor)
+        factory = _EXECUTOR_FACTORIES.get(name)
+        if factory is None:
+            raise SweepError(
+                f"unknown executor {executor!r}; choose one of "
+                f"{tuple(sorted(_EXECUTOR_FACTORIES))} (or 'dense')"
+            )
+        return factory(_env_int(WORKERS_ENV) if from_env else None)
     if isinstance(executor, Executor) or callable(
         getattr(executor, "run_tiles", None)
     ):
@@ -437,82 +370,32 @@ def resolve_executor(executor: Any) -> Optional[Executor]:
     )
 
 
-def _normalise_reducers(reducers: Any) -> Tuple[Dict[str, Any], bool]:
-    if reducers is None:
-        raise SweepError("reduce() needs at least one streaming reducer")
-    if isinstance(reducers, Mapping):
-        mapping = dict(reducers)
-        single = False
-    else:
-        mapping = {"result": reducers}
-        single = True
-    if not mapping:
-        raise SweepError("reduce() needs at least one streaming reducer")
-    for name, reducer in mapping.items():
-        for method in ("prepare", "update", "result"):
-            if not callable(getattr(reducer, method, None)):
-                raise SweepError(
-                    f"reducer {name!r} ({type(reducer).__name__}) does not "
-                    f"implement {method}()"
-                )
-    return mapping, single
-
-
 def run_plan(
     plan: SweepPlan,
     executor: Optional[Executor] = None,
     max_tile_elements: Optional[int] = None,
-    memory_budget_bytes: Optional[int] = None,
-    reducers: Any = None,
-    keep_values: bool = True,
-):
-    """Tile a plan, run it through a backend, assemble and/or reduce.
+) -> SweepResult:
+    """Tile a plan, run it through a backend and assemble the result.
 
-    The workhorse behind :meth:`SweepPlan.execute` (``keep_values=True``:
-    assemble the labeled result, optionally feeding reducers on the way)
-    and :meth:`SweepPlan.reduce` (``keep_values=False``: stream tiles
-    through the reducers only — the full tensor never exists).
+    The workhorse behind :meth:`SweepPlan.execute`.  Without an executor
+    the tiles run serially; without ``max_tile_elements`` the budget
+    comes from :data:`TILE_ELEMENTS_ENV`, then
+    :data:`~repro.engine.tiling.DEFAULT_TILE_ELEMENTS`.
     """
-    if not keep_values and reducers is None:
-        raise SweepError("reduce() needs at least one streaming reducer")
     if executor is None:
         executor = SerialExecutor()
-    if memory_budget_bytes is None:
-        memory_budget_bytes = getattr(executor, "memory_budget_bytes", None)
     if max_tile_elements is None:
-        tile_env = os.environ.get(TILE_ELEMENTS_ENV, "").strip()
-        if tile_env:
-            max_tile_elements = int(tile_env)
-    tiling = plan_tiles(
-        plan,
-        max_tile_elements=max_tile_elements,
-        memory_budget_bytes=memory_budget_bytes,
-    )
-    reducer_map: Dict[str, Any] = {}
-    single = False
-    if reducers is not None:
-        reducer_map, single = _normalise_reducers(reducers)
-        for reducer in reducer_map.values():
-            reducer.prepare(tiling)
+        max_tile_elements = _env_int(TILE_ELEMENTS_ENV)
+    tiling = plan_tiles(plan, max_tile_elements=max_tile_elements)
     sink: Optional[np.ndarray] = None
     for tile, values in executor.run_tiles(tiling):
-        if keep_values:
-            if sink is None:
-                sink = executor.allocate(tiling.shape, values.dtype)
-            sink[tile.slices(tiling.dims)] = values
-        for reducer in reducer_map.values():
-            reducer.update(tiling, tile, values)
-    if keep_values:
-        assert sink is not None  # a tiling always has at least one tile
-        result = SweepResult(
-            values=sink,
-            dims=tiling.dims,
-            coords=tiling.coords,
-            observable=plan.observable,
-        )
-        if not reducer_map:
-            return result
-        reduced = {name: reducer.result(tiling) for name, reducer in reducer_map.items()}
-        return result, (reduced["result"] if single else reduced)
-    reduced = {name: reducer.result(tiling) for name, reducer in reducer_map.items()}
-    return reduced["result"] if single else reduced
+        if sink is None:
+            sink = np.empty(tiling.shape, dtype=values.dtype)
+        sink[tile.slices(tiling.dims)] = values
+    assert sink is not None  # a tiling always has at least one tile
+    return SweepResult(
+        values=sink,
+        dims=tiling.dims,
+        coords=tiling.coords,
+        observable=plan.observable,
+    )

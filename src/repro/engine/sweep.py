@@ -1367,29 +1367,10 @@ class Sweep:
         *,
         executor: Any = None,
         max_tile_elements: Optional[int] = None,
-        memory_budget_bytes: Optional[int] = None,
     ) -> SweepResult:
         """Plan and evaluate the sweep (see :meth:`SweepPlan.execute`)."""
         return self.plan().execute(
-            executor=executor,
-            max_tile_elements=max_tile_elements,
-            memory_budget_bytes=memory_budget_bytes,
-        )
-
-    def reduce(
-        self,
-        reducers: Any,
-        *,
-        executor: Any = None,
-        max_tile_elements: Optional[int] = None,
-        memory_budget_bytes: Optional[int] = None,
-    ) -> Any:
-        """Plan and stream the sweep through reducers (:meth:`SweepPlan.reduce`)."""
-        return self.plan().reduce(
-            reducers,
-            executor=executor,
-            max_tile_elements=max_tile_elements,
-            memory_budget_bytes=memory_budget_bytes,
+            executor=executor, max_tile_elements=max_tile_elements
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -1566,7 +1547,6 @@ class SweepPlan:
         *,
         executor: Any = None,
         max_tile_elements: Optional[int] = None,
-        memory_budget_bytes: Optional[int] = None,
     ) -> SweepResult:
         """Evaluate the plan and label the result.
 
@@ -1576,59 +1556,23 @@ class SweepPlan:
 
         ``executor`` selects a tiled execution backend (an
         :class:`~repro.engine.executors.Executor` instance, or one of
-        the names ``"serial"`` / ``"process"`` / ``"memmap"``); the
-        plan is then partitioned by :func:`~repro.engine.tiling.plan_tiles`
-        into bounded-memory chunks along the cheapest-to-split axes
-        (``sample``, then ``temperature``) and the tiles are evaluated
-        through the backend.  ``max_tile_elements`` /
-        ``memory_budget_bytes`` bound each tile's dense sub-tensor;
-        giving either without an executor runs the tiles serially
-        in-process.  Tiled results are bitwise identical to the dense
-        pass (each tile is an elementwise slice of the same broadcast).
+        the names ``"serial"`` / ``"process"``); the plan is then
+        partitioned by :func:`~repro.engine.tiling.plan_tiles` into
+        chunks of at most ``max_tile_elements`` elements along the
+        cheapest-to-split axes (``sample``, then ``temperature``) and
+        the tiles are evaluated through the backend.  Giving
+        ``max_tile_elements`` without an executor runs the tiles
+        serially in-process.  Tiled results are bitwise identical to the
+        dense pass (each tile is an elementwise slice of the same
+        broadcast).
         """
         from .executors import resolve_executor, run_plan
 
         resolved = resolve_executor(executor)
-        if (
-            resolved is None
-            and max_tile_elements is None
-            and memory_budget_bytes is None
-        ):
+        if resolved is None and max_tile_elements is None:
             return self._execute_dense()
         return run_plan(
-            self,
-            executor=resolved,
-            max_tile_elements=max_tile_elements,
-            memory_budget_bytes=memory_budget_bytes,
-        )
-
-    def reduce(
-        self,
-        reducers: Any,
-        *,
-        executor: Any = None,
-        max_tile_elements: Optional[int] = None,
-        memory_budget_bytes: Optional[int] = None,
-    ) -> Any:
-        """Stream the sweep through reducers without keeping the tensor.
-
-        ``reducers`` is a single streaming reducer (see
-        :mod:`repro.engine.reducers`) or a mapping of names to reducers.
-        Tiles are evaluated through the chosen backend and fed to every
-        reducer as they complete; the full result tensor is never
-        materialized — peak memory is one tile plus the reducers' own
-        state.  Returns the finalized reduction (or a dict of them,
-        matching the mapping's keys).
-        """
-        from .executors import resolve_executor, run_plan
-
-        return run_plan(
-            self,
-            executor=resolve_executor(executor),
-            max_tile_elements=max_tile_elements,
-            memory_budget_bytes=memory_budget_bytes,
-            reducers=reducers,
-            keep_values=False,
+            self, executor=resolved, max_tile_elements=max_tile_elements
         )
 
     def _execute_dense(self) -> SweepResult:

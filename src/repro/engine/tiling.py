@@ -1,16 +1,15 @@
-"""Tiling pass: partition a lowered sweep into bounded-memory chunks.
+"""Tiling pass: partition a lowered sweep into bounded chunks.
 
 :meth:`~repro.engine.sweep.SweepPlan._execute_dense` materializes the
-whole axis product as one in-memory broadcast — fine at paper scale,
-a hard wall for production cross products (a configuration x
-resolution x sample x temperature sweep at millions of samples is one
-multi-gigabyte allocation on one core).  This module is the planning
-half of the split: :func:`plan_tiles` partitions the *result index
-space* of a validated :class:`~repro.engine.sweep.SweepPlan` into
-:class:`Tile` chunks whose dense sub-tensors respect a memory budget,
-and :func:`subplan` lowers one tile back into an ordinary ``SweepPlan``
-over sliced axes, ready for any executor backend
-(:mod:`repro.engine.executors`) to evaluate.
+whole axis product as one in-memory broadcast.  This module splits that
+work: :func:`plan_tiles` partitions the *result index space* of a
+validated :class:`~repro.engine.sweep.SweepPlan` into :class:`Tile`
+chunks of at most ``max_tile_elements`` elements each, and
+:func:`subplan` lowers one tile back into an ordinary ``SweepPlan``
+over sliced axes, ready for an executor backend
+(:mod:`repro.engine.executors`: in order in process, or fanned out over
+a worker pool) to evaluate.  The executor assembles the tiles into one
+in-memory result.
 
 Only *elementwise* axes are split — ``sample`` first (slicing the
 struct-of-arrays technology population by rows), then ``temperature``
@@ -56,10 +55,6 @@ __all__ = [
 #: enough that per-tile planning overhead stays negligible.
 DEFAULT_TILE_ELEMENTS = 1 << 20
 
-#: Result dtype assumed when converting a byte budget into an element
-#: budget (``period``/``power`` are float64, ``code`` is int64 — both 8).
-_ITEMSIZE = 8
-
 #: The axes a tiling pass may split, in preference order.  Both are
 #: purely elementwise through the evaluation stack, which is what makes
 #: tiled-vs-dense results bitwise identical; ``sample`` first because
@@ -104,7 +99,7 @@ class Tile:
 
 @dataclass(frozen=True)
 class TilingPlan:
-    """A sweep plan plus its partition into bounded-memory tiles.
+    """A sweep plan plus its partition into budget-bounded tiles.
 
     ``dims`` / ``shape`` / ``coords`` describe the *full* canonical
     result the tiles assemble into; ``tiles`` covers that index space
@@ -145,32 +140,21 @@ def _splittable_axes(plan: SweepPlan) -> List[str]:
 
 
 def plan_tiles(
-    plan: SweepPlan,
-    max_tile_elements: Optional[int] = None,
-    memory_budget_bytes: Optional[int] = None,
+    plan: SweepPlan, max_tile_elements: Optional[int] = None
 ) -> TilingPlan:
-    """Partition a validated plan into bounded-memory tiles.
+    """Partition a validated plan into budget-bounded tiles.
 
-    ``max_tile_elements`` bounds each tile's dense sub-tensor directly;
-    ``memory_budget_bytes`` is the same bound expressed in bytes (at 8
-    bytes per element).  When both are given the tighter one wins; when
-    neither is given :data:`DEFAULT_TILE_ELEMENTS` applies.  The bound
-    is best-effort: unsplittable axes (everything but ``sample`` and
+    ``max_tile_elements`` bounds each tile's dense sub-tensor
+    (:data:`DEFAULT_TILE_ELEMENTS` when omitted).  The bound is
+    best-effort: unsplittable axes (everything but ``sample`` and
     ``temperature``) set a floor of one full cross-section per tile.
     """
-    budgets = []
-    if max_tile_elements is not None:
-        if int(max_tile_elements) < 1:
+    if max_tile_elements is None:
+        budget = DEFAULT_TILE_ELEMENTS
+    else:
+        budget = int(max_tile_elements)
+        if budget < 1:
             raise SweepError("max_tile_elements must be at least 1")
-        budgets.append(int(max_tile_elements))
-    if memory_budget_bytes is not None:
-        if int(memory_budget_bytes) < _ITEMSIZE:
-            raise SweepError(
-                f"memory_budget_bytes must cover at least one "
-                f"{_ITEMSIZE}-byte element"
-            )
-        budgets.append(max(1, int(memory_budget_bytes) // _ITEMSIZE))
-    budget = min(budgets) if budgets else DEFAULT_TILE_ELEMENTS
 
     dims = tuple(axis.name for axis in plan.axes)
     shape = tuple(len(axis) for axis in plan.axes)

@@ -146,8 +146,6 @@ def run_placement_study(
     hotspot_weight: float = 1.0,
     solve_method: str = "auto",
     calibration_temperatures_c: Tuple[float, float] = (-50.0, 150.0),
-    executor: Optional[object] = None,
-    max_tile_elements: Optional[int] = None,
 ) -> PlacementStudyResult:
     """Run the sensor-placement search over the example workload corpus.
 
@@ -157,9 +155,8 @@ def run_placement_study(
     cached operator (``solve_method`` routes it: large grids take the
     exact DCT solve), every candidate is scanned per workload
     through the sweep engine, then greedy selection and a seeded
-    annealing refinement search the subsets.  ``executor`` /
-    ``max_tile_elements`` pick the scans' execution backend, as in
-    EXT-THERMALMAP.
+    annealing refinement search the subsets.  The scans take their
+    execution backend from the environment, as in EXT-THERMALMAP.
     """
     if sensor_count > candidate_grid * candidate_grid:
         raise TechnologyError(
@@ -194,7 +191,7 @@ def run_placement_study(
             Sweep()
             .over(Axis.site(bank, true_map.sample_points(xs, ys)))
             .observe("code")
-            .run(executor=executor, max_tile_elements=max_tile_elements)
+            .run()
             .values
         )
         measured = bank.counter.codes_to_periods(codes)

@@ -194,10 +194,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--executor",
         default=None,
-        choices=("dense", "serial", "process", "memmap"),
+        choices=("dense", "serial", "process"),
         help="execution backend for every sweep in the run: dense "
-        "single-pass (default), serial tiles, a multiprocess pool, or "
-        "out-of-core memmap assembly",
+        "single-pass (default), serial tiles or a multiprocess pool",
     )
     parser.add_argument(
         "--workers",

@@ -117,18 +117,16 @@ def run_thermal_map_study(
     grid_resolution: int = 24,
     ambient_c: float = 45.0,
     calibration_temperatures_c: Tuple[float, float] = (-50.0, 150.0),
-    executor: Optional[object] = None,
-    max_tile_elements: Optional[int] = None,
 ) -> ThermalMapStudyResult:
     """Run the sensor-density x Monte-Carlo thermal-mapping experiment.
 
     For each ``k`` in ``sensor_grids`` a ``k x k`` bank is placed on the
     example processor and scanned against the whole technology
     population in one ``site x sample`` sweep; the reported errors are
-    statistics over the population.  ``executor`` /
-    ``max_tile_elements`` select a tiled execution backend for the
-    scans (see :meth:`repro.engine.Sweep.run`); the defaults keep the
-    dense path (or whatever ``REPRO_SWEEP_EXECUTOR`` names).
+    statistics over the population.  The scans run dense unless
+    ``REPRO_SWEEP_EXECUTOR`` (the runner's ``--executor``) names a tiled
+    backend; ``REPRO_SWEEP_TILE_ELEMENTS`` (``--tile-elements``) then
+    bounds each tile.
     """
     tech = technology if technology is not None else CMOS035
     configuration = RingConfiguration.parse(configuration_text)
@@ -170,7 +168,7 @@ def run_thermal_map_study(
             .over(Axis.site(bank))
             .over(Axis.sample(population))
             .observe("code")
-            .run(executor=executor, max_tile_elements=max_tile_elements)
+            .run()
             .select(resolution=grid_resolution)
             .values
         )
@@ -271,8 +269,6 @@ def run_thermal_resolution_study(
     seed: int = 2005,
     ambient_c: float = 45.0,
     calibration_temperatures_c: Tuple[float, float] = (-50.0, 150.0),
-    executor: Optional[object] = None,
-    max_tile_elements: Optional[int] = None,
 ) -> ThermalResolutionStudyResult:
     """Run the thermal grid-refinement experiment through the sweep engine.
 
@@ -285,7 +281,8 @@ def run_thermal_resolution_study(
     against the Monte-Carlo population on each refinement.  The report
     answers the modelling question the density study leaves open: how
     fine must the thermal grid be before the die peak and the sensor-map
-    reconstruction stop moving?
+    reconstruction stop moving?  The sweep takes its execution backend
+    from the environment, as in EXT-THERMALMAP.
     """
     tech = technology if technology is not None else CMOS035
     configuration = RingConfiguration.parse(configuration_text)
@@ -308,7 +305,7 @@ def run_thermal_resolution_study(
         .over(Axis.site(bank))
         .over(Axis.sample(population))
         .observe("code")
-        .run(executor=executor, max_tile_elements=max_tile_elements)
+        .run()
     )
 
     finest = max(resolutions)

@@ -58,6 +58,7 @@ class RingOscillator:
     external_load_f:
         Additional capacitance of the tap that feeds the readout
         counter, applied to exactly one stage output (the tapped stage).
+        Must be finite and non-negative.
     tap_stage:
         Stage index whose output drives the readout logic.  ``None``
         (the default) taps the last stage whenever ``external_load_f``
@@ -76,6 +77,11 @@ class RingOscillator:
         self.configuration = configuration
         self.wire_length_um = float(wire_length_um)
         self.external_load_f = float(external_load_f)
+        if not (np.isfinite(self.external_load_f) and self.external_load_f >= 0.0):
+            raise ConfigurationError(
+                f"external_load_f must be finite and non-negative, got "
+                f"{self.external_load_f!r}"
+            )
         if tap_stage is not None and not 0 <= tap_stage < configuration.stage_count:
             raise ConfigurationError(
                 f"tap_stage {tap_stage} outside the ring (0..{configuration.stage_count - 1})"

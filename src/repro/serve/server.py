@@ -341,7 +341,6 @@ class SweepServer:
         disk_cache_bytes: Optional[int] = None,
         batch_window_ms: Optional[float] = None,
         stream_threshold_bytes: Optional[int] = None,
-        run_kwargs: Optional[Mapping[str, Any]] = None,
     ) -> None:
         self.host = host if host is not None else _env_value(HOST_ENV, str, DEFAULT_HOST)
         self.port = int(
@@ -385,7 +384,6 @@ class SweepServer:
             self.workers,
             int(queue_depth),
         )
-        self._run_kwargs = dict(run_kwargs or {})
         #: The shared tile executor of a multi-worker server: every
         #: concurrent evaluation submits its tiles to one reused
         #: process pool (PR 6 shared-memory transport), sized to the
@@ -471,13 +469,7 @@ class SweepServer:
         """One engine evaluation of a serialized spec, off the event loop."""
         sweep = Sweep.from_dict(payload)
         self.evaluations += 1
-        return await asyncio.to_thread(self._run_sweep, sweep)
-
-    def _run_sweep(self, sweep: Sweep) -> SweepResult:
-        kwargs = dict(self._run_kwargs)
-        if self._executor is not None:
-            kwargs.setdefault("executor", self._executor)
-        return sweep.run(**kwargs)
+        return await asyncio.to_thread(sweep.run, executor=self._executor)
 
     async def _scheduled_evaluate(
         self,

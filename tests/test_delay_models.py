@@ -138,6 +138,11 @@ class TestLoadModels:
         with pytest.raises(TechnologyError):
             wire_capacitance(CMOS035, -1.0)
 
+    @pytest.mark.parametrize("length", [float("nan"), float("inf"), float("-inf")])
+    def test_wire_capacitance_rejects_non_finite_length(self, length):
+        with pytest.raises(TechnologyError, match="finite"):
+            wire_capacitance(CMOS035, length)
+
     def test_stage_load_total(self):
         load = StageLoad(next_stage_input_f=5e-15, self_parasitic_f=2e-15, wire_f=1e-15)
         assert load.total_f == pytest.approx(8e-15)

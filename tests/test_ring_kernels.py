@@ -28,6 +28,7 @@ from repro.optimize.sizing import PAPER_FIG2_RATIOS
 from repro.oscillator import (
     PAPER_FIG3_CONFIGURATIONS,
     ConfigurationBank,
+    ConfigurationError,
     RingConfiguration,
     RingOscillator,
 )
@@ -276,3 +277,56 @@ class TestUnphysicalTemperatureRaises:
         network = alpha_power.DriveNetwork("nmos", 1.0)
         with pytest.raises(TechnologyError, match="positive and finite"):
             alpha_power.effective_saturation_current(CMOS035, network, np.asarray(UNPHYSICAL))
+
+
+# --------------------------------------------------------------------------- #
+# malformed external load and wire length
+# --------------------------------------------------------------------------- #
+
+#: (external_load_f, tap_stage) pairs that used to give negative, inf or
+#: silently unloaded periods.
+BAD_LOADS = [
+    (-1e-13, 0),
+    (-1e-13, None),
+    (float("nan"), None),
+    (float("inf"), None),
+]
+
+
+class TestMalformedLoadRaises:
+    @pytest.mark.parametrize("load, tap", BAD_LOADS)
+    def test_ring(self, library, load, tap):
+        with pytest.raises(ConfigurationError, match="external_load_f"):
+            RingOscillator(
+                library, RingConfiguration.parse("5INV"),
+                external_load_f=load, tap_stage=tap,
+            )
+
+    @pytest.mark.parametrize("load, tap", BAD_LOADS)
+    def test_bank(self, library, load, tap):
+        with pytest.raises(ConfigurationError, match="external_load_f"):
+            ConfigurationBank(library, ["5INV"], external_load_f=load, tap_stage=tap)
+
+    @pytest.mark.parametrize("observable", ["period", "code"])
+    @pytest.mark.parametrize("load, tap", BAD_LOADS)
+    def test_sweep_observables(self, observable, load, tap):
+        sweep = (
+            Sweep(technology=CMOS035, external_load_f=load, tap_stage=tap)
+            .over(Axis.configuration(["5INV"]))
+            .over(Axis.temperature([25.0, 80.0]))
+            .observe(observable)
+        )
+        with pytest.raises(ConfigurationError, match="external_load_f"):
+            sweep.run()
+
+    @pytest.mark.parametrize("length", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("observable", ["period", "code"])
+    def test_non_finite_wire_length(self, observable, length):
+        sweep = (
+            Sweep(technology=CMOS035, wire_length_um=length)
+            .over(Axis.configuration(["5INV"]))
+            .over(Axis.temperature([25.0, 80.0]))
+            .observe(observable)
+        )
+        with pytest.raises(TechnologyError, match="wire length"):
+            sweep.run()

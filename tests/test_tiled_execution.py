@@ -1,15 +1,14 @@
-"""Tiled / parallel / out-of-core sweep execution vs the dense oracle.
+"""Tiled / parallel sweep execution vs the dense oracle.
 
 The contract under test is the strongest one the tiling design claims:
-every backend — serial tiles, the multiprocess pool, the memmap
-out-of-core assembler — produces results **bitwise identical** to the
-dense single-broadcast path (which ``tests/test_sweep_api.py`` pins to
-the scalar oracle), across tile sizes from one element to
-larger-than-the-axis.  On top of that: the tiling pass partitions the
-index space exactly once, a sweep whose dense tensor exceeds the
-configured memory budget completes out-of-core, streaming reducers
-agree with ``np.mean`` / ``np.percentile`` at 1e-12, and the
-environment knobs select a default backend without touching call sites.
+both backends — serial tiles and the multiprocess pool — produce
+results **bitwise identical** to the dense single-broadcast path (which
+``tests/test_sweep_api.py`` pins to the scalar oracle), across tile
+sizes from one element to larger-than-the-axis.  On top of that: the
+tiling pass partitions the index space exactly once, the environment
+knobs select a default backend without touching call sites (and a
+malformed knob raises ``SweepError`` naming it), and the experiment
+runner's tiling flags reproduce the dense report byte for byte.
 """
 
 import os
@@ -21,10 +20,6 @@ from hypothesis import strategies as st
 
 from repro.engine import (
     Axis,
-    HistogramReducer,
-    MeanReducer,
-    MemmapExecutor,
-    PercentileReducer,
     ProcessExecutor,
     SerialExecutor,
     Sweep,
@@ -114,12 +109,6 @@ class TestPlanTiles:
             span = tile.bounds_for("sample")
             assert span is not None and span[1] - span[0] == 1
 
-    def test_memory_budget_converts_bytes_to_elements(self):
-        plan = sample_sweep().plan()
-        by_bytes = plan_tiles(plan, memory_budget_bytes=40 * 8)
-        by_elements = plan_tiles(plan, max_tile_elements=40)
-        assert by_bytes.tiles == by_elements.tiles
-
     def test_unsplittable_axes_stay_whole(self):
         plan = (
             Sweep(technology=CMOS035)
@@ -135,8 +124,6 @@ class TestPlanTiles:
         plan = sample_sweep().plan()
         with pytest.raises(SweepError):
             plan_tiles(plan, max_tile_elements=0)
-        with pytest.raises(SweepError):
-            plan_tiles(plan, memory_budget_bytes=4)
 
     def test_subplan_slices_evaluate_to_dense_slices(self, dense_period):
         plan = sample_sweep().plan()
@@ -174,7 +161,6 @@ def test_endpoint_observable_tiles_bit_match_dense(tile_elements):
 EXECUTORS = {
     "serial": lambda: SerialExecutor(),
     "process": lambda: ProcessExecutor(max_workers=2),
-    "memmap": lambda: MemmapExecutor(memory_budget_bytes=64 * 1024),
 }
 
 
@@ -258,151 +244,6 @@ def test_process_backend_streams_out_of_order_assembly(dense_period):
 
 
 # --------------------------------------------------------------------------- #
-# out-of-core execution
-# --------------------------------------------------------------------------- #
-
-
-def _memmap_backed(array):
-    node = array
-    while node is not None:
-        if isinstance(node, np.memmap):
-            return True
-        node = getattr(node, "base", None)
-    return False
-
-
-class TestOutOfCore:
-    def test_result_exceeding_budget_completes_memmap_backed(self, dense_period):
-        # The dense tensor is 23 * 17 * 8 = 3128 bytes; a 1 KiB budget
-        # cannot hold it, so the sweep must tile and assemble on disk.
-        budget = 1024
-        executor = MemmapExecutor(memory_budget_bytes=budget)
-        tiled = sample_sweep("period").run(executor=executor)
-        assert dense_period.values.nbytes > budget
-        assert_results_equal(tiled, dense_period)
-        assert _memmap_backed(tiled.values)
-        tiling = plan_tiles(sample_sweep("period").plan(), memory_budget_bytes=budget)
-        for tile in tiling.tiles:
-            assert tile.element_count(tiling.dims, tiling.shape) * 8 <= budget
-
-    def test_explicit_path_keeps_the_artifact(self, tmp_path, dense_period):
-        target = tmp_path / "sweep.values"
-        executor = MemmapExecutor(path=str(target), memory_budget_bytes=2048)
-        tiled = sample_sweep("period").run(executor=executor)
-        assert_results_equal(tiled, dense_period)
-        assert target.exists()
-        on_disk = np.memmap(
-            str(target), dtype=np.float64, mode="r", shape=dense_period.values.shape
-        )
-        assert np.array_equal(np.asarray(on_disk), dense_period.values)
-
-    def test_selection_on_memmap_result_matches_dense(self, dense_period):
-        tiled = sample_sweep("period").run(
-            executor=MemmapExecutor(memory_budget_bytes=1024)
-        )
-        label = tiled.coords["temperature"][3]
-        assert np.array_equal(
-            tiled.select(temperature=label).values,
-            dense_period.select(temperature=label).values,
-        )
-
-    def test_tiny_budget_rejected(self):
-        with pytest.raises(SweepError):
-            MemmapExecutor(memory_budget_bytes=4)
-
-
-# --------------------------------------------------------------------------- #
-# streaming reducers
-# --------------------------------------------------------------------------- #
-
-
-class TestStreamingReducers:
-    def test_mean_matches_numpy_everywhere(self, dense_period):
-        reduced = sample_sweep("period").reduce(
-            MeanReducer(), executor="serial", max_tile_elements=29
-        )
-        assert abs(reduced - float(np.mean(dense_period.values))) < 1e-12 * abs(
-            float(np.mean(dense_period.values))
-        )
-
-    def test_mean_over_subset_of_dims(self, dense_period):
-        reduced = sample_sweep("period").reduce(
-            MeanReducer(dims=("sample",)), executor="serial", max_tile_elements=29
-        )
-        reference = np.mean(dense_period.values, axis=0)
-        assert reduced.shape == reference.shape
-        assert np.max(np.abs(reduced - reference)) < 1e-12 * np.max(np.abs(reference))
-
-    def test_percentile_is_exact(self, dense_period):
-        for q in (5.0, 50.0, 95.0):
-            reduced = sample_sweep("period").reduce(
-                PercentileReducer(q), executor="serial", max_tile_elements=31
-            )
-            assert reduced == pytest.approx(
-                float(np.percentile(dense_period.values, q)), rel=1e-12
-            )
-
-    def test_percentile_over_subset_of_dims(self, dense_period):
-        reduced = sample_sweep("period").reduce(
-            PercentileReducer(90.0, dims=("sample",), slab_elements=16),
-            executor="serial",
-            max_tile_elements=43,
-        )
-        reference = np.percentile(dense_period.values, 90.0, axis=0)
-        assert np.allclose(reduced, reference, rtol=1e-12, atol=0.0)
-
-    def test_histogram_matches_numpy(self, dense_period):
-        lo = float(np.min(dense_period.values))
-        hi = float(np.max(dense_period.values)) * 1.001
-        counts, edges = sample_sweep("period").reduce(
-            HistogramReducer(bins=13, range=(lo, hi)),
-            executor="serial",
-            max_tile_elements=37,
-        )
-        ref_counts, ref_edges = np.histogram(
-            dense_period.values.ravel(), bins=13, range=(lo, hi)
-        )
-        assert np.array_equal(counts, ref_counts)
-        assert np.array_equal(edges, ref_edges)
-        assert int(counts.sum()) == dense_period.values.size
-
-    def test_named_reducer_mapping_returns_named_results(self, dense_period):
-        reduced = sample_sweep("period").reduce(
-            {"mean": MeanReducer(), "p50": PercentileReducer(50.0)},
-            executor="serial",
-            max_tile_elements=64,
-        )
-        assert set(reduced) == {"mean", "p50"}
-        assert reduced["p50"] == pytest.approx(
-            float(np.percentile(dense_period.values, 50.0)), rel=1e-12
-        )
-
-    def test_reducers_agree_across_backends(self, dense_period):
-        reference = float(np.mean(dense_period.values))
-        for backend in sorted(EXECUTORS):
-            reduced = sample_sweep("period").reduce(
-                MeanReducer(), executor=EXECUTORS[backend](), max_tile_elements=64
-            )
-            assert reduced == pytest.approx(reference, rel=1e-12)
-
-    def test_histogram_requires_explicit_range(self):
-        with pytest.raises(SweepError, match="range"):
-            HistogramReducer(bins=8)
-        with pytest.raises(SweepError):
-            HistogramReducer(bins=8, range=(1.0, 1.0))
-
-    def test_reduce_rejects_unknown_dims_and_empty_reducers(self):
-        with pytest.raises(SweepError, match="dims"):
-            sample_sweep("period").reduce(
-                MeanReducer(dims=("site",)), executor="serial", max_tile_elements=64
-            )
-        with pytest.raises(SweepError):
-            sample_sweep("period").reduce(None)
-        with pytest.raises(SweepError, match="implement"):
-            sample_sweep("period").reduce(object())
-
-
-# --------------------------------------------------------------------------- #
 # backend resolution and the environment knobs
 # --------------------------------------------------------------------------- #
 
@@ -414,7 +255,6 @@ class TestResolution:
 
     def test_names_and_instances_resolve(self):
         assert isinstance(resolve_executor("serial"), SerialExecutor)
-        assert isinstance(resolve_executor("memmap"), MemmapExecutor)
         assert resolve_executor("dense") is None
         executor = ProcessExecutor(max_workers=3)
         assert resolve_executor(executor) is executor
@@ -443,8 +283,49 @@ class TestResolution:
         tiled = sample_sweep("period").run(executor="serial", max_tile_elements=50)
         assert_results_equal(tiled, dense_period)
 
-    def test_tile_budget_alone_runs_serial_tiles(self, dense_period):
-        tiled = sample_sweep("period").run(max_tile_elements=23)
-        assert_results_equal(tiled, dense_period)
-        tiled = sample_sweep("period").run(memory_budget_bytes=1024)
-        assert_results_equal(tiled, dense_period)
+    def test_tile_budget_alone_runs_serial_tiles(self, monkeypatch, dense_period):
+        monkeypatch.delenv(EXECUTOR_ENV, raising=False)
+        for budget in (23, 128):
+            tiled = sample_sweep("period").run(max_tile_elements=budget)
+            assert_results_equal(tiled, dense_period)
+
+    def test_removed_memmap_backend_is_an_unknown_executor(self):
+        with pytest.raises(SweepError, match=r"\('process', 'serial'\)"):
+            resolve_executor("memmap")
+
+    def test_malformed_worker_count_raises_sweep_error(self, monkeypatch):
+        monkeypatch.setenv(EXECUTOR_ENV, "process")
+        monkeypatch.setenv(WORKERS_ENV, "abc")
+        with pytest.raises(SweepError, match=WORKERS_ENV):
+            sample_sweep("period").run()
+
+    def test_malformed_tile_budget_raises_sweep_error(self, monkeypatch):
+        monkeypatch.setenv(EXECUTOR_ENV, "serial")
+        monkeypatch.setenv(TILE_ELEMENTS_ENV, "lots")
+        with pytest.raises(SweepError, match=TILE_ELEMENTS_ENV):
+            sample_sweep("period").run()
+
+
+# --------------------------------------------------------------------------- #
+# the runner's tiling flags
+# --------------------------------------------------------------------------- #
+
+
+def test_runner_tiling_flags_reproduce_the_dense_report(monkeypatch, tmp_path):
+    from repro.experiments.runner import main
+
+    # main() writes the knobs into os.environ; setenv records them so
+    # they are restored afterwards (an empty value is the default).
+    for name in (EXECUTOR_ENV, WORKERS_ENV, TILE_ELEMENTS_ENV):
+        monkeypatch.setenv(name, "")
+    dense = tmp_path / "dense.txt"
+    assert main(["--experiment", "EXT-THERMALMAP", "--output", str(dense)]) == 0
+    # EXT-THERMALMAP scans k x k sites x 25 samples (k = 1..4); a
+    # 64-element budget splits the sample axis of every multi-site scan.
+    tiled = tmp_path / "tiled.txt"
+    assert main([
+        "--experiment", "EXT-THERMALMAP", "--output", str(tiled),
+        "--executor", "serial", "--tile-elements", "64",
+    ]) == 0
+    assert os.environ[TILE_ELEMENTS_ENV] == "64"
+    assert tiled.read_bytes() == dense.read_bytes()
