@@ -15,7 +15,7 @@ period; at 1000 samples the stacked sample axis (struct-of-arrays
 technologies, PR 2) is at least 3x faster than PR 1's per-sample rebind
 loop with the same 1e-9 agreement; the (C, S, T) configuration-axis
 broadcast (ConfigurationBank, PR 3) is at least 3x faster than the
-retained per-configuration loop at Fig. 3 scale, again to 1e-9; the
+per-configuration loop oracle at Fig. 3 scale, again to 1e-9; the
 banked sensor-bank scan (SensorBank, PR 4) is at least 3x faster than
 the per-sensor oracle at 9 sites x 1000 Monte-Carlo samples with exact
 counter codes; repeated steady-state thermal solves through the
@@ -183,7 +183,7 @@ def test_stacked_speedup_at_1000x41():
     )
 
     start = time.perf_counter()
-    looped = ring.period_matrix_loop(population, DENSE_GRID)
+    looped = oracles.period_matrix_loop(ring, population, DENSE_GRID)
     looped_s = time.perf_counter() - start
 
     speedup = looped_s / stacked_s
@@ -202,7 +202,11 @@ def test_period_matrix_1000_samples(benchmark, mode):
     ring = RingOscillator(default_library(CMOS035), CONFIGURATION)
     population = sample_technology_array(CMOS035, 1000, seed=1234)
     evaluate = (
-        ring.period_matrix if mode == "stacked" else ring.period_matrix_loop
+        ring.period_matrix
+        if mode == "stacked"
+        else lambda population, grid: oracles.period_matrix_loop(
+            ring, population, grid
+        )
     )
     matrix = benchmark.pedantic(
         evaluate, args=(population, DENSE_GRID), rounds=2, iterations=1
@@ -213,7 +217,7 @@ def test_period_matrix_1000_samples(benchmark, mode):
 def test_configuration_axis_speedup_at_fig3_scale():
     """The PR 3 acceptance criterion: the Fig. 3 x Monte-Carlo cross
     product evaluated as one (C, S, T) broadcast through the
-    configuration bank is >= 3x faster than the retained
+    configuration bank is >= 3x faster than the
     per-configuration loop at Fig. 3 scale (6 configurations x 1000
     samples x 41 temperatures), agreeing to 1e-9 relative on every
     period."""
@@ -225,7 +229,7 @@ def test_configuration_axis_speedup_at_fig3_scale():
     )
 
     start = time.perf_counter()
-    looped = bank.period_tensor_loop(DENSE_GRID, technologies=population)
+    looped = oracles.period_tensor_loop(bank, DENSE_GRID, technologies=population)
     looped_s = time.perf_counter() - start
 
     speedup = looped_s / stacked_s
@@ -246,7 +250,11 @@ def test_configuration_bank_fig3_cross_product(benchmark, mode):
     bank = ConfigurationBank(default_library(CMOS035), PAPER_FIG3_CONFIGURATIONS)
     population = sample_technology_array(CMOS035, 1000, seed=1234)
     evaluate = (
-        bank.period_tensor if mode == "broadcast" else bank.period_tensor_loop
+        bank.period_tensor
+        if mode == "broadcast"
+        else lambda grid, technologies: oracles.period_tensor_loop(
+            bank, grid, technologies=technologies
+        )
     )
     tensor = benchmark.pedantic(
         evaluate,
@@ -935,7 +943,9 @@ def test_technology_axis_speedup_at_4x200x41():
     )
 
     start = time.perf_counter()
-    looped = [ring.period_matrix_loop(pop, DENSE_GRID) for ring, pop in workload]
+    looped = [
+        oracles.period_matrix_loop(ring, pop, DENSE_GRID) for ring, pop in workload
+    ]
     looped_s = time.perf_counter() - start
 
     speedup = looped_s / banked_s
@@ -960,7 +970,7 @@ def test_technology_study_4_nodes(benchmark, mode):
     evaluate_one = (
         (lambda ring, pop: ring.period_matrix(pop, DENSE_GRID))
         if mode == "banked"
-        else (lambda ring, pop: ring.period_matrix_loop(pop, DENSE_GRID))
+        else (lambda ring, pop: oracles.period_matrix_loop(ring, pop, DENSE_GRID))
     )
     matrices = benchmark.pedantic(
         lambda: [evaluate_one(ring, pop) for ring, pop in workload],

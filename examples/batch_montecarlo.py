@@ -20,7 +20,8 @@ This example
    drawn as one struct-of-arrays ``TechnologyArray``
    (``sample_technology_array``) and evaluated as a single
    ``(sample x temperature)`` broadcast through ``period_matrix`` —
-   timed against the per-sample rebind loop (``period_matrix_loop``).
+   timed against an inline loop that rebinds the ring to one sample at
+   a time.
 
 Run with:  python examples/batch_montecarlo.py
 """
@@ -96,7 +97,12 @@ def main() -> None:
     stacked_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    looped = ring.period_matrix_loop(population, temperatures)
+    looped = np.stack(
+        [
+            ring.rebind(tech).period_series(temperatures)
+            for tech in population.technologies()
+        ]
+    )
     looped_s = time.perf_counter() - start
 
     worst = float(np.max(np.abs(matrix - looped) / np.abs(looped)))

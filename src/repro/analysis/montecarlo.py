@@ -10,20 +10,17 @@ feed the calibration ablation bench (ABL-CAL in DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
-
-import numpy as np
+from typing import List, Optional, Sequence
 
 from ..cells.library import default_library
 from ..oscillator.config import RingConfiguration
 from ..oscillator.period import (
     TemperatureResponse,
-    analytical_response,
     default_temperature_grid,
     validate_temperature_grid,
 )
 from ..oscillator.ring import RingOscillator
-from ..tech.corners import VariationModel, sample_technologies, sample_technology_array
+from ..tech.corners import VariationModel, sample_technology_array
 from ..tech.parameters import Technology, TechnologyError
 from .linearity import nonlinearity
 from .statistics import SummaryStatistics, summarize
@@ -75,7 +72,6 @@ def run_monte_carlo(
     reference_temperature_c: float = 25.0,
     variation: Optional[VariationModel] = None,
     seed: Optional[int] = 1234,
-    ring_builder: Optional[Callable[[Technology, RingConfiguration], RingOscillator]] = None,
 ) -> MonteCarloStudy:
     """Run a Monte-Carlo linearity/spread study for one configuration.
 
@@ -100,9 +96,6 @@ def run_monte_carlo(
         matching figures.
     seed:
         RNG seed for reproducibility.
-    ring_builder:
-        Hook to customise how the ring is built per technology sample
-        (defaults to the default library with standard sizing).
     """
     if sample_count < 2:
         raise TechnologyError("sample_count must be at least 2")
@@ -117,36 +110,25 @@ def run_monte_carlo(
     if not temps[0] <= reference_temperature_c <= temps[-1]:
         raise TechnologyError("reference temperature must lie inside the sweep range")
 
-    # With the default ring builder the population is drawn directly in
-    # struct-of-arrays form and the whole (sample x temperature) period
-    # matrix is one declarative sweep (sample axis x temperature axis) —
-    # no per-sample library, rebind or Python loop.  A custom
-    # ring_builder may build a different ring per sample, so it is
-    # called once per sample.
-    if ring_builder is None:
-        from ..engine.sweep import Axis, Sweep
+    # The population is drawn directly in struct-of-arrays form and the
+    # whole (sample x temperature) period matrix is one declarative
+    # sweep (sample axis x temperature axis) — no per-sample library,
+    # rebind or Python loop.
+    from ..engine.sweep import Axis, Sweep
 
-        population = sample_technology_array(
-            base_technology, sample_count, model=variation, seed=seed
-        )
-        base_ring = RingOscillator(default_library(base_technology), configuration)
-        matrix = (
-            Sweep(ring=base_ring)
-            .over(Axis.sample(population))
-            .over(Axis.temperature(temps))
-            .run()
-            .values
-        )
-        label = base_ring.label()
-        responses = [TemperatureResponse(label, temps, row) for row in matrix]
-    else:
-        samples = sample_technologies(
-            base_technology, sample_count, model=variation, seed=seed
-        )
-        responses = [
-            analytical_response(ring_builder(sample, configuration), temps)
-            for sample in samples
-        ]
+    population = sample_technology_array(
+        base_technology, sample_count, model=variation, seed=seed
+    )
+    base_ring = RingOscillator(default_library(base_technology), configuration)
+    matrix = (
+        Sweep(ring=base_ring)
+        .over(Axis.sample(population))
+        .over(Axis.temperature(temps))
+        .run()
+        .values
+    )
+    label = base_ring.label()
+    responses = [TemperatureResponse(label, temps, row) for row in matrix]
 
     reference_periods: List[float] = []
     worst_nonlinearities: List[float] = []

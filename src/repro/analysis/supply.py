@@ -12,11 +12,8 @@ configuration — and how the cell mix affects that trade-off.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
 
-import numpy as np
-
-from ..cells.library import CellLibrary, default_library
+from ..cells.library import default_library
 from ..oscillator.config import RingConfiguration
 from ..oscillator.ring import RingOscillator
 from ..tech.parameters import Technology, TechnologyError
@@ -67,7 +64,6 @@ def supply_sensitivity(
     temperature_c: float = 85.0,
     supply_delta_v: float = 0.05,
     temperature_delta_c: float = 5.0,
-    library_builder: Optional[Callable[[Technology], CellLibrary]] = None,
 ) -> SupplySensitivityReport:
     """Evaluate the temperature and supply sensitivities of a ring.
 
@@ -76,68 +72,43 @@ def supply_sensitivity(
     only the drive), the temperature derivative directly from the period
     model.
 
-    On the default path the ring is built once and both finite
-    differences are declared as sweeps
-    (:class:`~repro.engine.sweep.Sweep`): the supply derivative as one
-    two-point ``supply`` axis (lowered onto a stacked two-sample
+    The ring is built once and both finite differences are declared as
+    sweeps (:class:`~repro.engine.sweep.Sweep`): the supply derivative
+    as one two-point ``supply`` axis (lowered onto a stacked two-sample
     technology population) and the temperature derivative as one
     two-point ``temperature`` axis — one library build instead of four.
-    A custom ``library_builder`` (whose cells may legitimately depend
-    on the supply) instead rebuilds the library at each of the four
-    operating points; with ``library_builder=default_library`` that
-    loop is the equivalence oracle of the default path.
     """
+    from ..engine.sweep import Axis, Sweep
+
     if supply_delta_v <= 0.0 or temperature_delta_c <= 0.0:
         raise TechnologyError("finite-difference deltas must be positive")
-    builder = library_builder or default_library
     nominal_vdd = technology.vdd
     if nominal_vdd - supply_delta_v <= 0.0:
-        # Checked up front so both paths fail with the same error type
-        # (the rebuild loop would hit it inside with_supply).
         raise TechnologyError(
             f"supply_delta_v {supply_delta_v} V drives the lower supply "
             f"non-positive (nominal {nominal_vdd} V)"
         )
 
-    if library_builder is not None:
-        def period_at(vdd: float, temp_c: float) -> float:
-            tech = technology.with_supply(vdd)
-            ring = RingOscillator(builder(tech), configuration)
-            return ring.period(temp_c)
-
-        period_per_volt = (
-            period_at(nominal_vdd + supply_delta_v, temperature_c)
-            - period_at(nominal_vdd - supply_delta_v, temperature_c)
-        ) / (2.0 * supply_delta_v)
-        period_per_kelvin = (
-            period_at(nominal_vdd, temperature_c + temperature_delta_c)
-            - period_at(nominal_vdd, temperature_c - temperature_delta_c)
-        ) / (2.0 * temperature_delta_c)
-    else:
-        from ..engine.sweep import Axis, Sweep
-
-        ring = RingOscillator(builder(technology), configuration)
-        high_v = nominal_vdd + supply_delta_v
-        low_v = nominal_vdd - supply_delta_v
-        supply_periods = (
-            Sweep(ring=ring)
-            .over(Axis.supply([high_v, low_v]))
-            .over(Axis.temperature([temperature_c]))
-            .run()
-        )
-        period_per_volt = (
-            supply_periods.select(supply=high_v).item()
-            - supply_periods.select(supply=low_v).item()
-        ) / (2.0 * supply_delta_v)
-        high_t = temperature_c + temperature_delta_c
-        low_t = temperature_c - temperature_delta_c
-        temp_periods = (
-            Sweep(ring=ring).over(Axis.temperature([high_t, low_t])).run()
-        )
-        period_per_kelvin = (
-            temp_periods.select(temperature=high_t).item()
-            - temp_periods.select(temperature=low_t).item()
-        ) / (2.0 * temperature_delta_c)
+    ring = RingOscillator(default_library(technology), configuration)
+    high_v = nominal_vdd + supply_delta_v
+    low_v = nominal_vdd - supply_delta_v
+    supply_periods = (
+        Sweep(ring=ring)
+        .over(Axis.supply([high_v, low_v]))
+        .over(Axis.temperature([temperature_c]))
+        .run()
+    )
+    period_per_volt = (
+        supply_periods.select(supply=high_v).item()
+        - supply_periods.select(supply=low_v).item()
+    ) / (2.0 * supply_delta_v)
+    high_t = temperature_c + temperature_delta_c
+    low_t = temperature_c - temperature_delta_c
+    temp_periods = Sweep(ring=ring).over(Axis.temperature([high_t, low_t])).run()
+    period_per_kelvin = (
+        temp_periods.select(temperature=high_t).item()
+        - temp_periods.select(temperature=low_t).item()
+    ) / (2.0 * temperature_delta_c)
     if period_per_kelvin == 0.0:
         raise TechnologyError("the ring has no temperature sensitivity at this point")
 

@@ -31,8 +31,6 @@ The pre-existing per-sensor pipeline (build a
 calibrate it, ``measure`` each site in turn) lives in the test suite as
 the oracle the equivalence tests pin the banked path against (estimates
 to 1e-9 relative, counter codes exactly).
-:meth:`SensorBank.period_tensor_loop` stays here: it is the per-sample
-path for technology lists that cannot be stacked.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from ..cells.library import CellLibrary, default_library
 from ..oscillator.config import RingConfiguration
 from ..oscillator.ring import RingOscillator
 from ..tech.parameters import Technology, TechnologyError
-from ..tech.stacked import TechnologyArray, stack_technologies
+from ..tech.stacked import stack_technologies
 from ..thermal.floorplan import Floorplan, SensorSite
 from .calibration import LinearCalibration
 from .controller import ControllerConfig, MeasurementController
@@ -317,19 +315,14 @@ class SensorBank:
         Returns a ``(site,)`` vector — or the full ``(site, sample)``
         matrix when ``technologies`` is a population (a stacked
         :class:`~repro.tech.stacked.TechnologyArray` or a stackable
-        technology sequence; unstackable sequences fall back to the
-        per-sample loop).  The sites share one ring design, so the whole
-        scan is a single vectorized stage-sum over the junction-
+        technology sequence).  The sites share one ring design, so the
+        whole scan is a single vectorized stage-sum over the junction-
         temperature vector.
         """
         temps = self._site_temperatures(junction_temperatures_c)
         if technologies is None:
             return np.asarray(self.ring.period_series(temps), dtype=float)
-        if not isinstance(technologies, TechnologyArray):
-            try:
-                technologies = stack_technologies(list(technologies))
-            except TechnologyError:
-                return self.period_tensor_loop(temps, technologies)
+        technologies = stack_technologies(technologies)
         bound = self.ring.rebind(technologies)
         # (site, 1, 1) temperatures against (sample, 1) parameter columns
         # broadcast to (site, sample, 1); the trailing singleton is the
@@ -338,27 +331,6 @@ class SensorBank:
         return np.asarray(matrix, dtype=float).reshape(
             self.site_count, len(technologies)
         )
-
-    def period_tensor_loop(
-        self, junction_temperatures_c, technologies=None
-    ) -> np.ndarray:
-        """Per-site (and per-sample) reference path of :meth:`period_tensor`.
-
-        One scalar ring evaluation per site — and, with a population,
-        one ring rebind per sample — exactly the pre-bank multiplexer
-        cost.  :meth:`period_tensor` falls back to it for technology
-        lists that cannot be stacked.
-        """
-        temps = self._site_temperatures(junction_temperatures_c)
-        if technologies is None:
-            return np.asarray([self.ring.period(float(t)) for t in temps])
-        if isinstance(technologies, TechnologyArray):
-            technologies = technologies.technologies()
-        matrix = np.zeros((self.site_count, len(technologies)))
-        for column, technology in enumerate(technologies):
-            ring = self.ring.rebind(technology)
-            matrix[:, column] = [ring.period(float(t)) for t in temps]
-        return matrix
 
     def measured_period_tensor(
         self, junction_temperatures_c, technologies=None
@@ -396,9 +368,8 @@ class SensorBank:
         if technologies is None:
             periods = np.asarray(self.ring.period_series(endpoints))
         else:
-            if not isinstance(technologies, TechnologyArray):
-                technologies = stack_technologies(list(technologies))
-            periods = np.asarray(self.ring.rebind(technologies).period_series(endpoints))
+            bound = self.ring.rebind(stack_technologies(technologies))
+            periods = np.asarray(bound.period_series(endpoints))
         codes, _saturated = self.counter.convert_batch(periods)
         measured = self.counter.codes_to_periods(codes)
         period_low = measured[..., 0]

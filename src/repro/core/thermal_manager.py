@@ -23,7 +23,7 @@ import numpy as np
 
 from ..oscillator.config import RingConfiguration
 from ..tech.parameters import Technology, TechnologyError
-from ..tech.stacked import TechnologyArray, stack_technologies
+from ..tech.stacked import stack_technologies
 from ..thermal.floorplan import Floorplan
 from ..thermal.grid import TemperatureMap, ThermalGrid, ThermalGridParameters, bilinear_sample
 from ..thermal.operator import ThermalOperator
@@ -689,9 +689,7 @@ class DynamicThermalManager:
             population = None
             sample_count = None
         else:
-            if not isinstance(technologies, TechnologyArray):
-                technologies = stack_technologies(list(technologies))
-            population = technologies
+            population = stack_technologies(technologies)
             sample_count = len(population)
             # Every sample's sensors get their own two-point calibration
             # at the manager's insertion temperatures.

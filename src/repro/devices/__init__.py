@@ -1,8 +1,7 @@
-"""Device models: MOSFET (alpha-power law), thermal diode, passives."""
+"""Device models: MOSFET (alpha-power law) and thermal diode."""
 
 from .mosfet import DeviceSizing, MosfetModel, MosfetOperatingPoint
 from .diode import DiodeModel, DiodeParameters
-from .passives import CapacitorSpec, ResistorSpec
 
 __all__ = [
     "DeviceSizing",
@@ -10,6 +9,4 @@ __all__ = [
     "MosfetOperatingPoint",
     "DiodeModel",
     "DiodeParameters",
-    "CapacitorSpec",
-    "ResistorSpec",
 ]

@@ -141,13 +141,12 @@ def _export_population(plan: SweepPlan):
     """Move a stacked population out of the plan into shared memory.
 
     Returns ``(skeleton, shm, meta)``: the plan with the sample payload
-    replaced by a marker, the owned shared-memory block (``None`` when
-    there is nothing to share — no sample axis, or an unstackable
-    per-sample technology list that pickles as-is), and the metadata a
-    worker needs to rebuild the population zero-copy.
+    replaced by a marker, the owned shared-memory block (``None``
+    without a sample axis), and the metadata a worker needs to rebuild
+    the population zero-copy.
     """
     sample_axis = plan.axis("sample")
-    if sample_axis is None or not isinstance(sample_axis.payload, TechnologyArray):
+    if sample_axis is None:
         return plan, None, None
     population = sample_axis.payload
     from multiprocessing import shared_memory

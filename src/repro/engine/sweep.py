@@ -70,7 +70,6 @@ from ..oscillator.period import default_temperature_grid
 from ..oscillator.ring import RingOscillator
 from ..tech.parameters import Technology, TechnologyError
 from ..tech.stacked import (
-    TechnologyArray,
     stack_technologies,
     technology_array_from_columns,
     technology_column_arrays,
@@ -406,19 +405,17 @@ class Axis:
         """The process-sample axis: a technology population.
 
         Accepts a stacked :class:`~repro.tech.stacked.TechnologyArray`
-        (preferred — it broadcasts as-is) or a sequence of
-        :class:`~repro.tech.parameters.Technology` samples (stacked by
-        the planner when possible, per-sample loop otherwise).
-        Coordinates are the sample indices.
+        (kept as-is) or a sequence of
+        :class:`~repro.tech.parameters.Technology` samples, stacked here
+        into one.  A sequence that cannot stack (samples from different
+        technology nodes) raises :class:`SweepError`; nodes are compared
+        with :meth:`technology`.  Coordinates are the sample indices.
         """
-        if isinstance(technologies, TechnologyArray):
-            count = len(technologies)
-        else:
-            technologies = list(technologies)
-            count = len(technologies)
-        if count < 1:
-            raise SweepError("sample axis needs at least one technology sample")
-        return cls("sample", tuple(range(count)), payload=technologies)
+        try:
+            population = stack_technologies(technologies)
+        except TechnologyError as error:
+            raise SweepError(f"invalid sample axis: {error}") from error
+        return cls("sample", tuple(range(len(population))), payload=population)
 
     @classmethod
     def configuration(
@@ -654,16 +651,6 @@ class Axis:
             }
         if self.name == "sample":
             population = self.payload
-            if not isinstance(population, TechnologyArray):
-                try:
-                    population = stack_technologies(list(population))
-                except TechnologyError as error:
-                    raise SweepError(
-                        "this sample axis holds an unstackable technology "
-                        "list (samples disagree on the geometry scalars) "
-                        "and cannot be serialized; pass a stackable "
-                        "population or a TechnologyArray"
-                    ) from error
             columns = technology_column_arrays(population)
             return {
                 "name": "sample",
@@ -1493,19 +1480,6 @@ class SweepPlan:
                 [self._base_technology().with_supply(float(v)) for v in supplies]
             )
         samples = sample_axis.payload
-        if not isinstance(samples, TechnologyArray):
-            try:
-                samples = stack_technologies(list(samples))
-            except TechnologyError:
-                # Unstackable populations (samples disagreeing on the
-                # geometry scalars) keep the documented per-sample-loop
-                # fallback: hand the evaluators a plain supply-major
-                # technology list instead of a stacked cross product.
-                return [
-                    sample.with_supply(float(supply))
-                    for supply in supplies
-                    for sample in sample_axis.payload
-                ]
         return samples.tiled(supplies.size).with_supply(
             np.repeat(supplies, len(samples))
         )
@@ -1527,7 +1501,7 @@ class SweepPlan:
         The ``power`` observable's load-independent factor: the ring's
         dynamic power is this divided by the period.  Shapes: a scalar
         without a population, an ``(S, 1)`` column against a stacked
-        one, and a per-sample loop for the unstackable-list fallback.
+        one.
         """
         def factor(bound: RingOscillator):
             return (
@@ -1536,10 +1510,6 @@ class SweepPlan:
 
         if population is None:
             return np.asarray(factor(ring))
-        if not isinstance(population, TechnologyArray):
-            return np.asarray(
-                [float(factor(ring.rebind(sample))) for sample in population]
-            ).reshape(-1, 1)
         return np.asarray(factor(ring.rebind(population))).reshape(-1, 1)
 
     def execute(
@@ -1700,6 +1670,13 @@ class SweepPlan:
             tensor = self._single_ring_tensor(ring, population, temps)
             if need_power:
                 vdd2cap = self._vdd2_switched_cap(ring, population)
+
+        if not np.isfinite(tensor).all():
+            raise SweepError(
+                "the ring period overflows to a non-finite value; the stage "
+                "load is out of range (check external_load_f and "
+                "wire_length_um)"
+            )
 
         # Context-bearing observables apply on the flat tensor (the
         # supply-major population axis is still one dimension here, so

@@ -36,7 +36,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..tech.stacked import TechnologyArray
 from .sweep import _ENDPOINT_OBSERVABLES, Axis, SweepError, SweepPlan
 
 __all__ = [
@@ -246,12 +245,11 @@ def plan_result_tiles(
 
 def _slice_sample_axis(axis: Axis, start: int, stop: int) -> Axis:
     """The sample axis restricted to population rows ``[start, stop)``."""
-    payload = axis.payload
-    if isinstance(payload, TechnologyArray):
-        payload = payload.sliced(start, stop)
-    else:
-        payload = list(payload)[start:stop]
-    return Axis("sample", axis.coordinates[start:stop], payload=payload)
+    return Axis(
+        "sample",
+        axis.coordinates[start:stop],
+        payload=axis.payload.sliced(start, stop),
+    )
 
 
 def _slice_temperature_axis(axis: Axis, start: int, stop: int) -> Axis:

@@ -30,10 +30,9 @@ broadcast:
 
 The per-configuration loop (one
 :meth:`~repro.oscillator.ring.RingOscillator.period_matrix` per ring) is
-retained as :meth:`ConfigurationBank.period_tensor_loop`, the oracle the
-equivalence tests pin the stacked path against (relative tolerance
-1e-9; in practice the two orderings of the same arithmetic agree to a
-few ULP).
+the oracle in ``tests/oracles.py`` the equivalence tests pin the
+stacked path against (relative tolerance 1e-9; in practice the two
+orderings of the same arithmetic agree to a few ULP).
 """
 
 from __future__ import annotations
@@ -44,8 +43,7 @@ import numpy as np
 
 from ..cells.cell import StandardCell, cell_currents
 from ..cells.library import CellLibrary
-from ..tech.parameters import TechnologyError
-from ..tech.stacked import TechnologyArray, stack_technologies
+from ..tech.stacked import stack_technologies
 from .config import ConfigurationError, RingConfiguration
 from .ring import RingOscillator
 
@@ -206,20 +204,14 @@ class ConfigurationBank:
         Returns a ``(config, temperature)`` matrix, or the full
         ``(config, sample, temperature)`` tensor when ``technologies``
         is a population (a :class:`~repro.tech.stacked.TechnologyArray`
-        or a stackable sequence of technologies).  Technology lists that
-        cannot be stacked (samples disagreeing on geometry scalars) fall
-        back to the per-configuration loop, so any input
-        :meth:`period_tensor_loop` accepts still evaluates.
+        or a stackable sequence of technologies; a sequence mixing
+        technology nodes raises :class:`~repro.tech.TechnologyError`).
         """
         temps = np.asarray(temperatures_c, dtype=float)
-        if technologies is not None and not isinstance(technologies, TechnologyArray):
-            try:
-                technologies = stack_technologies(technologies)
-            except TechnologyError:
-                return self.period_tensor_loop(temps, technologies)
         if technologies is None:
             tech, cells, sample_count = self.library.technology, self._cells, 1
         else:
+            technologies = stack_technologies(technologies)
             tech, sample_count = technologies, len(technologies)
             cells = [cell.rebind(technologies) for cell in self._cells]
 
@@ -272,28 +264,6 @@ class ConfigurationBank:
         if technologies is None:
             return tensor[:, 0, :]
         return tensor
-
-    def period_tensor_loop(
-        self,
-        temperatures_c: Sequence[float],
-        technologies=None,
-    ) -> np.ndarray:
-        """Per-configuration reference path of :meth:`period_tensor`.
-
-        Evaluates one ring at a time through the existing stacked delay
-        path (:meth:`~repro.oscillator.ring.RingOscillator.period_series`
-        / :meth:`~repro.oscillator.ring.RingOscillator.period_matrix`).
-        This was the only way to sweep the configuration axis before the
-        bank existed; it is retained as the oracle the configuration-axis
-        equivalence tests (and benchmarks) compare the single-broadcast
-        tensor against.
-        """
-        temps = np.asarray(temperatures_c, dtype=float)
-        if technologies is None:
-            return np.stack([ring.period_series(temps) for ring in self._rings])
-        return np.stack(
-            [ring.period_matrix(technologies, temps) for ring in self._rings]
-        )
 
 
 def normalise_configurations(

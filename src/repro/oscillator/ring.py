@@ -27,8 +27,8 @@ from ..circuit.netlist import Circuit
 from ..circuit.transient import TransientOptions, TransientResult, simulate_transient
 from ..circuit.waveform import Waveform
 from ..delay.load import wire_capacitance
-from ..tech.parameters import TechnologyError, celsius_to_kelvin
-from ..tech.stacked import TechnologyArray, stack_technologies
+from ..tech.parameters import celsius_to_kelvin
+from ..tech.stacked import stack_technologies
 from .config import ConfigurationError, RingConfiguration
 
 __all__ = ["RingOscillator", "RingStage"]
@@ -264,43 +264,15 @@ class RingOscillator:
         re-binds the ring once, and evaluates the whole
         ``(len(technologies), len(temperatures_c))`` matrix in a single
         broadcast stage-sum — no per-sample rebind, no Python loop over
-        samples.  Technology lists that cannot be stacked (samples
-        disagreeing on the geometry scalars, e.g. when comparing
-        technology nodes) fall back to the per-sample loop, so any list
-        the pre-stacking path accepted still evaluates, through
-        :meth:`period_matrix_loop`.
+        samples.  A list whose samples disagree on the geometry scalars
+        (different technology nodes) raises
+        :class:`~repro.tech.TechnologyError`; nodes are compared through
+        the sweep's ``technology`` axis.
         """
         temps = np.asarray(temperatures_c, dtype=float)
-        if isinstance(technologies, TechnologyArray):
-            stacked = technologies
-        else:
-            try:
-                stacked = stack_technologies(technologies)
-            except TechnologyError:
-                return self.period_matrix_loop(technologies, temps)
+        stacked = stack_technologies(technologies)
         matrix = self.rebind(stacked).period_series(temps)
         return np.asarray(matrix, dtype=float).reshape(len(stacked), temps.size)
-
-    def period_matrix_loop(
-        self,
-        technologies: Sequence,
-        temperatures_c: Sequence[float],
-    ) -> np.ndarray:
-        """Per-sample reference path of :meth:`period_matrix`.
-
-        Re-binds the ring to each technology in turn and evaluates the
-        vectorized temperature axis once per sample.  It is the only
-        path for technology lists that cannot be stacked (samples that
-        disagree on the geometry scalars, such as different nodes); the
-        stacked-equivalence tests also pin :meth:`period_matrix` to it.
-        """
-        temps = np.asarray(temperatures_c, dtype=float)
-        if isinstance(technologies, TechnologyArray):
-            technologies = technologies.technologies()
-        matrix = np.zeros((len(technologies), temps.size))
-        for row, tech in enumerate(technologies):
-            matrix[row] = self.rebind(tech).period_series(temps)
-        return matrix
 
     def sensitivity(self, temperature_c: float, delta_c: float = 1.0) -> float:
         """Local d(period)/dT (s/K) by central difference."""

@@ -497,28 +497,38 @@ def technology_array_from_columns(
     )
 
 
-def stack_technologies(technologies: Sequence[Technology]) -> TechnologyArray:
+def stack_technologies(
+    technologies: Union[Sequence[Technology], TechnologyArray],
+) -> TechnologyArray:
     """Stack per-sample scalar technologies into one :class:`TechnologyArray`.
 
-    Every sample must share the geometry-defining scalars
-    (``feature_size_um``, ``min_width_um``, ``metal_layers``); the
-    electrical parameters, the supply and the wire capacitance are
-    stacked into ``(samples, 1)`` columns.  The result evaluates
-    identically (elementwise) to looping over the input technologies,
-    which the stacked-equivalence tests pin down.
+    The one coercion point of the population layout: a
+    :class:`TechnologyArray` is returned unchanged, and a sequence of
+    scalar technologies is stacked.  Every sample must share the
+    geometry-defining scalars (``feature_size_um``, ``min_width_um``,
+    ``metal_layers``); the electrical parameters, the supply and the
+    wire capacitance are stacked into ``(samples, 1)`` columns.  The
+    result evaluates identically (elementwise) to looping over the input
+    technologies, which the stacked-equivalence tests pin down.
     """
+    if isinstance(technologies, TechnologyArray):
+        return technologies
     techs = list(technologies)
     if not techs:
         raise TechnologyError("cannot stack an empty technology sequence")
-    if isinstance(techs[0], TechnologyArray):
+    if any(isinstance(t, TechnologyArray) for t in techs):
         raise TechnologyError("technologies are already stacked")
-    feature_sizes = {t.feature_size_um for t in techs}
-    min_widths = {t.min_width_um for t in techs}
-    metal_layers = {t.metal_layers for t in techs}
-    if len(feature_sizes) > 1 or len(min_widths) > 1 or len(metal_layers) > 1:
+    disagreements = []
+    for field in ("feature_size_um", "min_width_um", "metal_layers"):
+        values = list(dict.fromkeys(getattr(t, field) for t in techs))
+        if len(values) > 1:
+            disagreements.append(f"{field}: {' vs '.join(map(str, values))}")
+    if disagreements:
         raise TechnologyError(
             "stacked technologies must share feature_size_um, min_width_um "
-            "and metal_layers (these define the design, not the sample)"
+            "and metal_layers (these define the design, not the sample); "
+            f"they disagree on {'; '.join(disagreements)}. To compare "
+            "technology nodes, sweep them with Axis.technology"
         )
     base = techs[0]
     return TechnologyArray(

@@ -10,9 +10,10 @@ pinned bitwise to the per-stage and per-cell loops that evaluate a
 drive current for every transition they need, instead of once per
 distinct network.
 
-Where a library path still computes the reference, no oracle is added
-here.  ``supply_sensitivity(..., library_builder=default_library)``
-runs the rebuild-per-operating-point loop, and
+The per-sample and per-configuration loops (``period_matrix_loop``,
+``period_tensor_loop``, ``site_period_tensor_loop``) are also what
+``benchmarks/test_bench_engine.py`` times the broadcast paths against.
+One library path still computes its own reference:
 :func:`repro.thermal.selfheating.self_heating_error` is the
 solve-per-duty-cycle reference of ``duty_cycle_study``.
 """
@@ -26,6 +27,7 @@ import numpy as np
 from repro.analysis.linearity import nonlinearity
 from repro.analysis.montecarlo import MonteCarloStudy
 from repro.analysis.statistics import summarize
+from repro.analysis.supply import SupplySensitivityReport
 from repro.cells import default_library
 from repro.core import ReadoutConfig, SmartTemperatureSensor
 from repro.core.calibration import design_calibration, one_point_calibration
@@ -78,6 +80,22 @@ def period_matrix_scalar(ring, technologies, temperatures_c) -> np.ndarray:
     matrix = np.zeros((len(technologies), temps.size))
     for row, tech in enumerate(technologies):
         matrix[row] = period_series_scalar(ring.rebind(tech), temps)
+    return matrix
+
+
+def period_matrix_loop(ring, technologies, temperatures_c) -> np.ndarray:
+    """``ring.period_matrix`` as a per-sample rebind loop.
+
+    Re-binds the ring to each technology in turn and evaluates the
+    vectorized temperature axis once per sample: the path the stacked
+    sample axis replaced.  A stacked population is unstacked first.
+    """
+    temps = np.asarray(temperatures_c, dtype=float)
+    if isinstance(technologies, TechnologyArray):
+        technologies = technologies.technologies()
+    matrix = np.zeros((len(technologies), temps.size))
+    for row, tech in enumerate(technologies):
+        matrix[row] = ring.rebind(tech).period_series(temps)
     return matrix
 
 
@@ -140,8 +158,7 @@ def period_tensor_per_cell(bank, temperatures_c, technologies=None) -> np.ndarra
     if technologies is None:
         rings, sample_count = bank.rings(), 1
     else:
-        if not isinstance(technologies, TechnologyArray):
-            technologies = stack_technologies(technologies)
+        technologies = stack_technologies(technologies)
         rings = [ring.rebind(technologies) for ring in bank.rings()]
         sample_count = len(technologies)
     names = bank.unique_cell_names()
@@ -166,6 +183,21 @@ def period_tensor_per_cell(bank, temperatures_c, technologies=None) -> np.ndarra
     for u in range(len(names)):
         tensor += weights[u] * curves[u][np.newaxis, :, :]
     return tensor[:, 0, :] if technologies is None else tensor
+
+
+def period_tensor_loop(bank, temperatures_c, technologies=None) -> np.ndarray:
+    """``ConfigurationBank.period_tensor`` as one ring evaluation per configuration.
+
+    Evaluates one ring at a time through the stacked delay path
+    (``period_series`` / ``period_matrix``): the way the configuration
+    axis was swept before the bank existed.
+    """
+    temps = np.asarray(temperatures_c, dtype=float)
+    if technologies is None:
+        return np.stack([ring.period_series(temps) for ring in bank.rings()])
+    return np.stack(
+        [ring.period_matrix(technologies, temps) for ring in bank.rings()]
+    )
 
 
 def monte_carlo_scalar(
@@ -199,6 +231,42 @@ def monte_carlo_scalar(
         ),
         sensitivity_s_per_k=summarize([r.mean_sensitivity() for r in responses]),
         responses=responses,
+    )
+
+
+def supply_sensitivity_scalar(
+    technology,
+    configuration: RingConfiguration,
+    temperature_c: float = 85.0,
+    supply_delta_v: float = 0.05,
+    temperature_delta_c: float = 5.0,
+) -> SupplySensitivityReport:
+    """``supply_sensitivity`` with a library rebuilt per operating point.
+
+    Four ring builds (two supplies, two temperatures), one scalar
+    ``period`` each, combined by the same central differences.
+    """
+    nominal_vdd = technology.vdd
+
+    def period_at(vdd: float, temp_c: float) -> float:
+        tech = technology.with_supply(vdd)
+        ring = RingOscillator(default_library(tech), configuration)
+        return ring.period(temp_c)
+
+    period_per_volt = (
+        period_at(nominal_vdd + supply_delta_v, temperature_c)
+        - period_at(nominal_vdd - supply_delta_v, temperature_c)
+    ) / (2.0 * supply_delta_v)
+    period_per_kelvin = (
+        period_at(nominal_vdd, temperature_c + temperature_delta_c)
+        - period_at(nominal_vdd, temperature_c - temperature_delta_c)
+    ) / (2.0 * temperature_delta_c)
+    return SupplySensitivityReport(
+        label=configuration.label(),
+        nominal_supply_v=nominal_vdd,
+        temperature_c=temperature_c,
+        period_per_kelvin_s=period_per_kelvin,
+        period_per_volt_s=period_per_volt,
     )
 
 
@@ -293,6 +361,26 @@ def calibration_study_scalar(
         errors_by_scheme={k: summarize(v) for k, v in worst_errors.items()},
         worst_by_scheme={k: float(np.max(v)) for k, v in worst_errors.items()},
     )
+
+
+def site_period_tensor_loop(
+    bank, junction_temperatures_c, technologies=None
+) -> np.ndarray:
+    """``SensorBank.period_tensor`` as one scalar ring evaluation per site.
+
+    With a population, one ring rebind per sample: exactly the pre-bank
+    multiplexer cost.
+    """
+    temps = bank._site_temperatures(junction_temperatures_c)
+    if technologies is None:
+        return np.asarray([bank.ring.period(float(t)) for t in temps])
+    if isinstance(technologies, TechnologyArray):
+        technologies = technologies.technologies()
+    matrix = np.zeros((bank.site_count, len(technologies)))
+    for column, technology in enumerate(technologies):
+        ring = bank.ring.rebind(technology)
+        matrix[:, column] = [ring.period(float(t)) for t in temps]
+    return matrix
 
 
 def bank_scan_loop(

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from oracles import (
     evaluate_configuration_scalar,
     monte_carlo_scalar,
+    period_matrix_loop,
     period_matrix_scalar,
     period_series_scalar,
     sweep_width_ratio_scalar,
@@ -101,7 +102,7 @@ def test_period_matrix_rows_match_per_sample_scalar(temps, seed):
 @given(temps=temperature_grids, seed=technology_seeds)
 @settings(**DEFAULT_SETTINGS)
 def test_period_matrix_stacked_matches_retained_loop(temps, seed):
-    # The PR 1 per-sample rebind loop is retained as period_matrix_loop;
+    # The PR 1 per-sample rebind loop is the period_matrix_loop oracle;
     # the stacked default must reproduce it (see also
     # tests/test_stacked_equivalence.py for the full sample-axis harness).
     ring = RingOscillator(
@@ -110,7 +111,7 @@ def test_period_matrix_stacked_matches_retained_loop(temps, seed):
     technologies = sample_technologies(CMOS035, 3, seed=seed)
     assert relative_error(
         ring.period_matrix(technologies, temps),
-        ring.period_matrix_loop(technologies, temps),
+        period_matrix_loop(ring, technologies, temps),
     ) <= RTOL
 
 

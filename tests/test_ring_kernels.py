@@ -19,11 +19,11 @@ that batching from three sides:
 import numpy as np
 import pytest
 
-from oracles import period_series_stage_loop, period_tensor_per_cell
+from oracles import period_series_stage_loop, period_tensor_loop, period_tensor_per_cell
 from repro.cells import CellLibrary, default_library
 from repro.cells.factories import inverter
 from repro.delay import alpha_power
-from repro.engine import Axis, Sweep
+from repro.engine import Axis, Sweep, SweepError
 from repro.optimize.sizing import PAPER_FIG2_RATIOS
 from repro.oscillator import (
     PAPER_FIG3_CONFIGURATIONS,
@@ -149,7 +149,7 @@ class TestBankMatchesPerCellLoop:
         bank = ConfigurationBank(mixed_supply_library, [MIXED_SUPPLY_RING, "5INV"])
         tensor = bank.period_tensor(GRID)
         assert np.array_equal(tensor, period_tensor_per_cell(bank, GRID))
-        looped = bank.period_tensor_loop(GRID)
+        looped = period_tensor_loop(bank, GRID)
         assert np.max(np.abs(tensor - looped) / looped) <= 1e-9
 
 
@@ -330,3 +330,20 @@ class TestMalformedLoadRaises:
         )
         with pytest.raises(TechnologyError, match="wire length"):
             sweep.run()
+
+
+class TestOverflowingPeriodRaises:
+    """A load large enough to overflow the period never reaches a result."""
+
+    @pytest.mark.parametrize("executor", [None, "serial"])
+    @pytest.mark.parametrize("observable", ["period", "code", "nonlinearity_percent"])
+    def test_sweep_observables(self, observable, executor):
+        sweep = (
+            Sweep(technology=CMOS035, external_load_f=1e308, tap_stage=0)
+            .over(Axis.configuration(["5INV"]))
+            .over(Axis.temperature([25.0, 80.0]))
+            .observe(observable)
+        )
+        with np.errstate(over="ignore"):
+            with pytest.raises(SweepError, match="external_load_f"):
+                sweep.run(executor=executor)

@@ -13,7 +13,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import bank_scan_loop, monitor_scan_scalar, transfer_function_scalar
+from oracles import (
+    bank_scan_loop,
+    monitor_scan_scalar,
+    site_period_tensor_loop,
+    transfer_function_scalar,
+)
 from repro.core import SensorBank, SmartTemperatureSensor, ThermalMonitor
 from repro.core.sensor_bank import BankCalibration
 from repro.engine import Axis, Sweep, SweepError
@@ -84,7 +89,7 @@ class TestBankedScanEquivalence:
         temps = np.linspace(40.0, 120.0, bank.site_count)
         population = sample_technology_array(CMOS035, 4, seed=11)
         stacked = bank.period_tensor(temps, technologies=population)
-        looped = bank.period_tensor_loop(temps, technologies=population)
+        looped = site_period_tensor_loop(bank, temps, technologies=population)
         assert stacked.shape == looped.shape == (bank.site_count, 4)
         assert np.max(np.abs(stacked - looped) / looped) <= RTOL
 

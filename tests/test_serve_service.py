@@ -272,6 +272,23 @@ def test_malformed_and_invalid_requests_return_structured_errors(server, client)
     assert client.ping()["ok"] is True
 
 
+def test_overflowing_period_is_a_bad_spec_not_infinity(client):
+    # A 1e308 F tap load overflows the period to inf; the engine refuses
+    # it before any observable, so the server answers bad-spec instead
+    # of sending the non-standard JSON token Infinity.
+    def overloaded():
+        return Sweep(
+            technology=CMOS035, configuration="5INV", external_load_f=1e308, tap_stage=0
+        )
+
+    with pytest.raises(ServeError, match="external_load_f") as caught:
+        client.sweep_payload(overloaded().over(Axis.temperature(TEMPS)))
+    assert caught.value.code == E_BAD_SPEC
+    with pytest.raises(ServeError, match="external_load_f") as caught:
+        client.point_payload(overloaded(), 25.0)
+    assert caught.value.code == E_BAD_SPEC
+
+
 def test_disagreeing_registries_fail_with_tech_mismatch(server, client):
     # A client whose registry binds "cmos035" to *different physics*
     # serializes the same name under a different digest.  Simulate it by

@@ -3,9 +3,9 @@
 PR 1 pinned the vectorized *temperature* axis to the scalar oracle;
 these tests pin the *sample* axis introduced by the struct-of-arrays
 technology populations (:mod:`repro.tech.stacked`): the stacked
-``period_matrix`` against the retained per-sample rebind loop
-(:meth:`~repro.oscillator.ring.RingOscillator.period_matrix_loop`), the
-vectorized Monte-Carlo sampler against the looped one, and the batched
+``period_matrix`` against the per-sample rebind loop
+(``period_matrix_loop`` in ``tests/oracles.py``), the vectorized
+Monte-Carlo sampler against the looped one, and the batched
 calibration / supply / self-heating studies against their per-sample
 scalar paths (``tests/oracles.py``, or the library's own reference path
 where one remains) — to the same 1e-9 relative contract on periods.
@@ -22,8 +22,10 @@ from oracles import (
     calibration_study_scalar,
     measurement_errors_scalar,
     monte_carlo_scalar,
+    period_matrix_loop,
     period_matrix_scalar,
     period_series_scalar,
+    supply_sensitivity_scalar,
 )
 from repro.analysis.supply import supply_sensitivity
 from repro.cells import characterize_cell, default_library
@@ -37,7 +39,7 @@ from repro.core.calibration import (
 from repro.engine import Axis, Sweep
 from repro.experiments.calibration_study import run_calibration_study
 from repro.experiments.selfheating_study import run_selfheating_study
-from repro.oscillator import RingConfiguration, RingOscillator
+from repro.oscillator import ConfigurationBank, RingConfiguration, RingOscillator
 from repro.thermal import Floorplan, PowerMap
 from repro.thermal.selfheating import self_heating_error
 from repro.tech import (
@@ -124,12 +126,54 @@ def test_stack_preserves_extra_metadata():
 
 
 def test_stack_rejects_empty_and_mixed_geometry():
+    from repro.tech import CMOS025
+
     with pytest.raises(TechnologyError):
         stack_technologies([])
 
     shrunk = dataclasses.replace(CMOS035, min_width_um=CMOS035.min_width_um / 2)
-    with pytest.raises(TechnologyError):
+    with pytest.raises(TechnologyError) as info:
         stack_technologies([CMOS035, shrunk])
+    # The error names each disagreeing field with its distinct values,
+    # and only those.
+    disagreement = str(info.value).split("they disagree on")[1]
+    assert "min_width_um: 0.5 vs 0.25" in disagreement
+    assert "feature_size_um" not in disagreement
+    assert "metal_layers" not in disagreement
+
+    with pytest.raises(TechnologyError) as info:
+        stack_technologies([CMOS035, CMOS025, CMOS035])
+    message = str(info.value)
+    assert "feature_size_um: 0.35 vs 0.25" in message
+    assert "min_width_um: 0.5 vs 0.36" in message
+    assert "metal_layers: 4 vs 5" in message
+    assert "Axis.technology" in message
+
+
+def test_stack_returns_a_population_unchanged():
+    population = sample_technology_array(CMOS035, 3, seed=4)
+    assert stack_technologies(population) is population
+    with pytest.raises(TechnologyError, match="already stacked"):
+        stack_technologies([CMOS035, population])
+
+
+@pytest.mark.parametrize("entry", ["configuration_bank", "sensor_bank", "calibration"])
+def test_mixed_nodes_raise_at_the_bank_entry_points(entry, sensor_bank_factory):
+    from repro.tech import CMOS018
+
+    mixed = [CMOS035, CMOS018]
+    if entry == "configuration_bank":
+        bank = ConfigurationBank(default_library(CMOS035), ["5INV", "2INV+3NAND2"])
+        evaluate = lambda: bank.period_tensor([0.0, 50.0], technologies=mixed)
+    elif entry == "sensor_bank":
+        bank = sensor_bank_factory(2)
+        temps = np.full(bank.site_count, 60.0)
+        evaluate = lambda: bank.period_tensor(temps, technologies=mixed)
+    else:
+        bank = sensor_bank_factory(2)
+        evaluate = lambda: bank.two_point_calibration(technologies=mixed)
+    with pytest.raises(TechnologyError, match=r"feature_size_um: 0\.35 vs 0\.18"):
+        evaluate()
 
 
 def test_technology_array_validates_elementwise():
@@ -151,7 +195,7 @@ def test_period_matrix_stacked_matches_loop(configuration, temps, seed):
     ring = RingOscillator(default_library(CMOS035), configuration)
     technologies = sample_technologies(CMOS035, 4, seed=seed)
     stacked = ring.period_matrix(technologies, temps)
-    looped = ring.period_matrix_loop(technologies, temps)
+    looped = period_matrix_loop(ring, technologies, temps)
     assert stacked.shape == (4, temps.size)
     assert relative_error(stacked, looped) <= RTOL
 
@@ -163,7 +207,7 @@ def test_period_matrix_accepts_technology_array_directly():
     temps = np.linspace(-50.0, 150.0, 21)
     population = sample_technology_array(CMOS035, 6, seed=3)
     stacked = ring.period_matrix(population, temps)
-    looped = ring.period_matrix_loop(population, temps)
+    looped = period_matrix_loop(ring, population, temps)
     assert relative_error(stacked, looped) <= RTOL
 
 
@@ -175,7 +219,7 @@ def test_period_matrix_over_corners_matches_loop():
     temps = np.linspace(-50.0, 150.0, 41)
     assert relative_error(
         ring.period_matrix(technologies, temps),
-        ring.period_matrix_loop(technologies, temps),
+        period_matrix_loop(ring, technologies, temps),
     ) <= RTOL
 
 
@@ -261,27 +305,25 @@ def test_calibration_study_degenerate_sweep_raises_like_oracle():
 
 
 def test_period_matrix_mixed_geometry_falls_back_to_loop():
-    # Lists the stacker rejects (different geometry scalars, e.g. when
-    # comparing technology nodes) must still evaluate via the
-    # per-sample path, as they did before the stacked axis existed.
+    # Behaviour change: lists the stacker rejects (different geometry
+    # scalars, e.g. two technology nodes) used to fall back to a
+    # per-sample loop that evaluated 0.35 um cells with 0.18 um device
+    # parameters.  They now raise, naming the disagreeing field;
+    # technology nodes are compared through the sweep's technology axis.
     from repro.tech import CMOS018
 
     ring = RingOscillator(
         default_library(CMOS035), RingConfiguration.uniform("INV", 5)
     )
     temps = np.linspace(-50.0, 150.0, 9)
-    mixed = [CMOS035, CMOS018]
-    matrix = ring.period_matrix(mixed, temps)
-    assert matrix.shape == (2, temps.size)
-    assert relative_error(matrix, ring.period_matrix_loop(mixed, temps)) <= RTOL
+    with pytest.raises(TechnologyError, match=r"feature_size_um: 0\.35 vs 0\.18"):
+        ring.period_matrix([CMOS035, CMOS018], temps)
 
 
 def test_supply_sensitivity_stacked_matches_rebuild_loop():
     configuration = RingConfiguration.parse("2INV+3NAND2")
     vectorized = supply_sensitivity(CMOS035, configuration)
-    scalar = supply_sensitivity(
-        CMOS035, configuration, library_builder=default_library
-    )
+    scalar = supply_sensitivity_scalar(CMOS035, configuration)
     assert vectorized.period_per_volt_s == pytest.approx(
         scalar.period_per_volt_s, rel=RTOL
     )
@@ -291,21 +333,6 @@ def test_supply_sensitivity_stacked_matches_rebuild_loop():
     assert vectorized.kelvin_per_millivolt == pytest.approx(
         scalar.kelvin_per_millivolt, rel=1e-6
     )
-
-
-def test_supply_sensitivity_custom_builder_uses_reference_path():
-    calls = []
-
-    def builder(tech):
-        calls.append(tech.vdd)
-        return default_library(tech)
-
-    configuration = RingConfiguration.uniform("INV", 5)
-    report = supply_sensitivity(CMOS035, configuration, library_builder=builder)
-    # The rebuild-per-operating-point oracle builds one library per
-    # supply/temperature evaluation (custom builders may depend on Vdd).
-    assert len(calls) == 4
-    assert report.period_per_kelvin_s > 0.0
 
 
 def test_selfheating_two_solve_path_matches_per_duty_solves():

@@ -7,7 +7,7 @@ Three concerns, matching the PR's acceptance criteria:
   coordinates survive ``select`` / ``isel`` / ``squeeze``;
 * the configuration axis is *correct* — the single ``(C, S, T)``
   broadcast of :class:`~repro.oscillator.bank.ConfigurationBank` is
-  pinned to the retained per-configuration loop (and through it to the
+  pinned to the per-configuration loop oracle (and through it to the
   scalar oracle) at 1e-9 relative on all ``PAPER_FIG3_CONFIGURATIONS``;
 * the planner lowers every axis combination onto the same numbers the
   pre-sweep entry points produced.
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.linearity import nonlinearity
 from repro.cells import default_library
-from oracles import period_series_scalar
+from oracles import period_matrix_loop, period_series_scalar, period_tensor_loop
 from repro.engine import Axis, Sweep, SweepError, SweepResult
 from repro.oscillator import (
     PAPER_FIG3_CONFIGURATIONS,
@@ -29,7 +29,7 @@ from repro.oscillator import (
     RingOscillator,
 )
 from repro.oscillator.period import TemperatureResponse
-from repro.tech import CMOS035, sample_technology_array
+from repro.tech import CMOS035, TechnologyError, sample_technology_array
 
 #: The acceptance bound on broadcast-vs-loop relative period error.
 RTOL = 1e-9
@@ -228,12 +228,12 @@ class TestConfigurationAxisGolden:
 
     def test_scalar_technology_matrix(self, bank, temps):
         assert relative_error(
-            bank.period_tensor(temps), bank.period_tensor_loop(temps)
+            bank.period_tensor(temps), period_tensor_loop(bank, temps)
         ) <= RTOL
 
     def test_full_cross_product_tensor(self, bank, temps, population):
         tensor = bank.period_tensor(temps, technologies=population)
-        loop = bank.period_tensor_loop(temps, technologies=population)
+        loop = period_tensor_loop(bank, temps, technologies=population)
         assert tensor.shape == (len(PAPER_FIG3_CONFIGURATIONS), 50, temps.size)
         assert relative_error(tensor, loop) <= RTOL
 
@@ -261,7 +261,7 @@ class TestConfigurationAxisGolden:
         assert mask[0].sum() == 3 and mask[1].sum() == 5
         temps = np.linspace(-40.0, 120.0, 9)
         assert relative_error(
-            bank.period_tensor(temps), bank.period_tensor_loop(temps)
+            bank.period_tensor(temps), period_tensor_loop(bank, temps)
         ) <= RTOL
 
     def test_duplicate_labels_rejected(self):
@@ -307,7 +307,7 @@ def test_sweep_configuration_axis_matches_per_config_loop(configs, seed):
         ring = RingOscillator(library, config)
         assert relative_error(
             result.select(configuration=config.label()).values,
-            ring.period_matrix_loop(population, temps),
+            period_matrix_loop(ring, population, temps),
         ) <= RTOL
 
 
@@ -404,30 +404,21 @@ def test_observables_are_grid_order_invariant(mixed_ring):
 
 
 def test_supply_with_unstackable_samples_falls_back_to_loop():
-    # Mixed technology nodes cannot stack (different geometry scalars);
-    # the supply x sample cross product must fall back to the
-    # per-sample loop instead of crashing.
+    # Behaviour change: mixed technology nodes cannot stack (different
+    # geometry scalars), and a sample axis over them used to fall back
+    # to a per-sample loop that evaluated 0.35 um cells with another
+    # node's device parameters.  It now raises at Axis.sample, naming
+    # the disagreeing fields and pointing to the technology axis.
     from repro.tech import CMOS025
 
-    result = (
-        Sweep(configuration="5INV")
-        .over(Axis.supply([3.3, 3.0]))
-        .over(Axis.sample([CMOS035, CMOS025]))
-        .over(Axis.temperature([0.0, 50.0, 100.0]))
-        .run()
-    )
-    assert result.shape == (2, 2, 3)
-    # The fallback keeps the sweep's base ring (built in the default
-    # technology) and rebinds it per sample, exactly like period_matrix.
-    base_ring = RingOscillator(
-        default_library(CMOS035), RingConfiguration.uniform("INV", 5)
-    )
-    reference = base_ring.rebind(CMOS025.with_supply(3.0)).period_series(
-        np.asarray([0.0, 50.0, 100.0])
-    )
-    assert relative_error(
-        result.select(supply=3.0, sample=1).values, reference
-    ) <= RTOL
+    with pytest.raises(SweepError, match=r"feature_size_um: 0\.35 vs 0\.25") as info:
+        (
+            Sweep(configuration="5INV")
+            .over(Axis.supply([3.3, 3.0]))
+            .over(Axis.sample([CMOS035, CMOS025]))
+        )
+    assert isinstance(info.value.__cause__, TechnologyError)
+    assert "Axis.technology" in str(info.value)
 
 
 def test_invalid_axis_combinations_rejected(mixed_ring):

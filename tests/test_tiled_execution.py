@@ -30,7 +30,13 @@ from repro.engine import (
 )
 from repro.engine.executors import EXECUTOR_ENV, TILE_ELEMENTS_ENV, WORKERS_ENV
 from repro.oscillator import PAPER_FIG3_CONFIGURATIONS, RingConfiguration
-from repro.tech import CMOS035, sample_technology_array
+from repro.tech import (
+    CMOS035,
+    corner_technologies,
+    sample_technologies,
+    sample_technology_array,
+    stack_technologies,
+)
 
 HYPOTHESIS_SETTINGS = dict(
     max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -218,20 +224,27 @@ def test_configuration_axis_without_splittable_axes_still_runs():
 
 
 def test_per_sample_technology_list_payload_tiles():
-    from repro.tech import CMOS013, CMOS018, CMOS025
+    # A technology list is stacked once, at Axis.sample: a sweep over
+    # the list is bitwise the sweep over the pre-stacked population,
+    # dense and in serial/process tiles (the process backend ships the
+    # stacked list through its shared-memory transport).
+    technologies = list(corner_technologies(CMOS035).values())
+    technologies += sample_technologies(CMOS035, 4, seed=5)
 
-    technologies = [CMOS035, CMOS025, CMOS018, CMOS013, CMOS035]
-
-    def build():
+    def build(population):
         return (
             Sweep(technology=CMOS035, configuration=CONFIGURATION)
-            .over(Axis.sample(technologies))
+            .over(Axis.sample(population))
             .over(Axis.temperature(TEMPS))
         )
 
-    dense = build().run()
-    tiled = build().run(executor="serial", max_tile_elements=2 * len(TEMPS))
-    assert_results_equal(tiled, dense)
+    reference = build(stack_technologies(technologies)).run()
+    assert_results_equal(build(technologies).run(), reference)
+    for backend in sorted(EXECUTORS):
+        tiled = build(technologies).run(
+            executor=EXECUTORS[backend](), max_tile_elements=2 * len(TEMPS)
+        )
+        assert_results_equal(tiled, reference)
 
 
 def test_process_backend_streams_out_of_order_assembly(dense_period):
