@@ -24,7 +24,7 @@ This example
    into **one** broadcast evaluation,
 5. prints the server's cache / batcher statistics, and
 6. **restarts** the server over a persistent disk cache directory
-   (``cache_dir`` / ``REPRO_SERVE_CACHE_DIR``) and shows the freshly
+   (``cache_dir`` / ``--cache-dir``) and shows the freshly
    started server answers the repeat sweep from disk with **zero**
    evaluations — the warm-restart contract a long campaign relies on.
 

@@ -133,9 +133,10 @@ periods.
 Environment knobs
 -----------------
 
-Every runtime knob the package reads from the environment, in one
-place.  Command-line flags (``repro-experiments``, ``repro-serve``)
-win over these; explicit keyword arguments in code win over both.
+The only settings the package reads from the environment.  The
+``repro-experiments`` flags ``--executor``/``--workers``/
+``--tile-elements`` set them for a run; explicit keyword arguments in
+code win over both.
 
 =========================================  ==================================================
 variable                                   meaning (default)
@@ -146,30 +147,6 @@ variable                                   meaning (default)
                                            (cpu count)
 ``REPRO_SWEEP_TILE_ELEMENTS``              per-tile element budget of tiled backends
                                            (``2**20``, an 8 MiB tile)
-``REPRO_THERMAL_METHOD``                   resolve ``auto`` thermal solves to ``direct``
-                                           (sparse factorization) | ``spectral``
-                                           (exact 2-D DCT solve) (size-based choice)
-``REPRO_THERMAL_ITERATIVE_THRESHOLD``      unknown count above which ``auto`` thermal
-                                           solves go spectral (operator's built-in
-                                           threshold, 4096)
-``REPRO_SERVE_HOST``                       sweep-service bind address (``127.0.0.1``)
-``REPRO_SERVE_PORT``                       sweep-service bind port, 0 = ephemeral (``7753``)
-``REPRO_SERVE_WORKERS``                    concurrent service evaluation slots; above 1,
-                                           evaluations route through a shared process
-                                           pool of the same size (1)
-``REPRO_SERVE_QUEUE_DEPTH``                bounded service evaluation-queue depth; beyond
-                                           it requests fail fast with ``busy`` (128)
-``REPRO_SERVE_CACHE_BYTES``                service memory result-cache budget in payload
-                                           bytes (64 MiB)
-``REPRO_SERVE_CACHE_DIR``                  service disk-cache directory; results persist
-                                           across restarts and between servers sharing
-                                           it (unset = memory only)
-``REPRO_SERVE_DISK_CACHE_BYTES``           service disk-tier byte budget, LRU-evicted by
-                                           file mtime (1 GiB)
-``REPRO_SERVE_BATCH_WINDOW_MS``            service coalescing window for point queries
-                                           and overlapping sweeps (5 ms)
-``REPRO_SERVE_STREAM_THRESHOLD_BYTES``     encoded result size where service responses
-                                           switch to tile streaming (1 MiB)
 =========================================  ==================================================
 """
 

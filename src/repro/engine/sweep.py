@@ -837,11 +837,24 @@ class SweepResult:
     # accessors
     # ------------------------------------------------------------------ #
 
-    def _locate(self, name: str, label: Any) -> int:
+    def _locate(
+        self, name: str, label: Any, index_of: Optional[Dict[Any, int]] = None
+    ) -> int:
+        """Position of ``label``: an exact match first, else one within tolerance.
+
+        ``index_of`` maps each coordinate of the axis to its position
+        and makes the exact match a dict lookup; without it, or for an
+        unhashable label, the axis is scanned.
+        """
         labels = self.coords[name]
-        for index, candidate in enumerate(labels):
-            if candidate == label:
-                return index
+        try:
+            return index_of[label]
+        except KeyError:
+            pass
+        except TypeError:  # no index_of, or an unhashable label
+            for index, candidate in enumerate(labels):
+                if candidate == label:
+                    return index
         if isinstance(label, (int, float)) and not isinstance(label, bool):
             numeric = [
                 index
@@ -877,7 +890,9 @@ class SweepResult:
         for name, label in selectors.items():
             result.axis_index(name)
             if isinstance(label, (list, tuple)):
-                indices = [result._locate(name, entry) for entry in label]
+                # Coordinates are unique and hashable (checked at construction).
+                index_of = {c: i for i, c in enumerate(result.coords[name])}
+                indices = [result._locate(name, entry, index_of) for entry in label]
                 result = result._take(name, indices, keep=True)
             else:
                 result = result._take(name, [result._locate(name, label)], keep=False)

@@ -21,7 +21,6 @@ from ..tech.parameters import Technology
 from .baseline_comparison import run_baseline_comparison
 from .calibration_study import run_calibration_study
 from .dtm_study import run_dtm_policy_sweep, run_dtm_study
-from ..thermal.operator import METHOD_ENV, SOLVE_METHODS, THRESHOLD_ENV
 from .fig1_waveform import run_fig1
 from .fig2_sizing import run_fig2
 from .fig3_cellmix import run_fig3
@@ -211,89 +210,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="per-tile element budget for tiled backends "
         "(default: 2**20 elements, an 8 MiB tile)",
     )
-    parser.add_argument(
-        "--thermal-method",
-        default=None,
-        choices=[m for m in SOLVE_METHODS if m != "auto"],
-        help="resolve every 'auto' thermal solve to this method "
-        "(direct: sparse factorization; spectral: exact 2-D DCT solve); "
-        "explicit method choices in code win",
-    )
-    parser.add_argument(
-        "--thermal-iterative-threshold",
-        type=int,
-        default=None,
-        help="unknown count above which 'auto' thermal solves switch "
-        "from direct factorization to the spectral solve (default: the "
-        "operator's built-in threshold)",
-    )
-    serve_group = parser.add_argument_group(
-        "service mode",
-        "run the sweep-evaluation service (repro.serve) instead of the "
-        "experiment batch; the executor/thermal knobs above still apply "
-        "to every served evaluation",
-    )
-    serve_group.add_argument(
-        "--serve",
-        action="store_true",
-        help="start a persistent sweep server and block until shutdown",
-    )
-    serve_group.add_argument(
-        "--host",
-        default=None,
-        help="(with --serve) bind address (default: REPRO_SERVE_HOST or 127.0.0.1)",
-    )
-    serve_group.add_argument(
-        "--port",
-        type=int,
-        default=None,
-        help="(with --serve) bind port, 0 for ephemeral "
-        "(default: REPRO_SERVE_PORT or 7753)",
-    )
-    serve_group.add_argument(
-        "--cache-bytes",
-        type=int,
-        default=None,
-        help="(with --serve) result-cache budget in payload bytes "
-        "(default: REPRO_SERVE_CACHE_BYTES or 64 MiB)",
-    )
-    serve_group.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=None,
-        help="(with --serve) coalescing window for point queries and "
-        "overlapping sweeps (default: REPRO_SERVE_BATCH_WINDOW_MS or 5 ms)",
-    )
-    serve_group.add_argument(
-        "--serve-workers",
-        type=int,
-        default=None,
-        help="(with --serve) concurrent evaluation slots; above 1, "
-        "evaluations route through a shared process pool "
-        "(default: REPRO_SERVE_WORKERS or 1)",
-    )
-    serve_group.add_argument(
-        "--queue-depth",
-        type=int,
-        default=None,
-        help="(with --serve) bounded evaluation-queue depth; beyond it "
-        "requests fail fast with 'busy' "
-        "(default: REPRO_SERVE_QUEUE_DEPTH or 128)",
-    )
-    serve_group.add_argument(
-        "--cache-dir",
-        default=None,
-        help="(with --serve) disk cache directory: results persist "
-        "across server restarts (default: REPRO_SERVE_CACHE_DIR; "
-        "unset = memory only)",
-    )
-    serve_group.add_argument(
-        "--disk-cache-bytes",
-        type=int,
-        default=None,
-        help="(with --serve) disk-tier byte budget, LRU-evicted by "
-        "file mtime (default: REPRO_SERVE_DISK_CACHE_BYTES or 1 GiB)",
-    )
     args = parser.parse_args(argv)
     # The registry callables take only a technology; the execution
     # backend rides on the documented environment knobs instead, so it
@@ -304,35 +220,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.environ[WORKERS_ENV] = str(args.workers)
     if args.tile_elements is not None:
         os.environ[TILE_ELEMENTS_ENV] = str(args.tile_elements)
-    if args.thermal_method is not None:
-        os.environ[METHOD_ENV] = args.thermal_method
-    if args.thermal_iterative_threshold is not None:
-        os.environ[THRESHOLD_ENV] = str(args.thermal_iterative_threshold)
-    if args.serve:
-        if args.experiments or args.list_experiments or args.output:
-            parser.error("--serve runs the service; drop the experiment options")
-        # Imported here so the batch path stays free of the service
-        # stack (and vice versa: a server embeds no experiment code).
-        from ..serve.server import main as serve_main
-
-        serve_argv: List[str] = []
-        if args.host is not None:
-            serve_argv += ["--host", args.host]
-        if args.port is not None:
-            serve_argv += ["--port", str(args.port)]
-        if args.cache_bytes is not None:
-            serve_argv += ["--cache-bytes", str(args.cache_bytes)]
-        if args.batch_window_ms is not None:
-            serve_argv += ["--batch-window-ms", str(args.batch_window_ms)]
-        if args.serve_workers is not None:
-            serve_argv += ["--workers", str(args.serve_workers)]
-        if args.queue_depth is not None:
-            serve_argv += ["--queue-depth", str(args.queue_depth)]
-        if args.cache_dir is not None:
-            serve_argv += ["--cache-dir", args.cache_dir]
-        if args.disk_cache_bytes is not None:
-            serve_argv += ["--disk-cache-bytes", str(args.disk_cache_bytes)]
-        return serve_main(serve_argv)
     registry = default_registry()
     if args.list_experiments:
         print("\n".join(registry.names()))

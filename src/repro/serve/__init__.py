@@ -16,7 +16,7 @@ content addressing (:mod:`repro.serve.spec`)
 result caching (:mod:`repro.serve.cache`)
     A byte-bounded memory LRU over encoded result payloads, keyed on
     the canonical hash, fronting an optional **disk tier**
-    (:class:`DiskCache`, ``REPRO_SERVE_CACHE_DIR``): one atomic file
+    (:class:`DiskCache`, ``--cache-dir``): one atomic file
     per entry, corruption-safe loads, mtime-LRU eviction — so a
     restarted server, or a second host sharing the directory, serves
     previously computed sweeps with zero evaluations.  Identical
@@ -34,7 +34,7 @@ coalescing (:mod:`repro.serve.batcher`)
 parallel evaluation (the scheduler in :mod:`repro.serve.server`)
     A bounded priority queue (optional per-request ``priority`` /
     ``deadline_ms`` fields, ``busy`` backpressure when full) feeding
-    ``REPRO_SERVE_WORKERS`` concurrent evaluation slots over one
+    ``--workers`` concurrent evaluation slots over one
     shared process pool, so distinct concurrent sweeps genuinely
     occupy multiple cores.
 
@@ -43,9 +43,8 @@ Oversized results stream tile by tile
 :class:`ServeClient` reassembles them transparently and retries dead
 connections with bounded exponential backoff.  Start a server with
 ``repro-serve`` (or ``python -m repro.serve``), embed one in-process
-with :func:`start_server_thread`, and configure either through the
-``REPRO_SERVE_*`` environment knobs documented in
-:mod:`repro.serve.server`.
+with :func:`start_server_thread`; both take the same settings (the
+:class:`SweepServer` arguments), and neither reads the environment.
 """
 
 from .batcher import DEFAULT_BATCH_WINDOW_MS, MicroBatcher
@@ -57,31 +56,19 @@ from .cache import (
 )
 from .client import ServeClient, ServeError
 from .server import (
-    BATCH_WINDOW_ENV,
-    CACHE_BYTES_ENV,
-    CACHE_DIR_ENV,
     DEFAULT_HOST,
     DEFAULT_PORT,
     DEFAULT_QUEUE_DEPTH,
     DEFAULT_STREAM_THRESHOLD_BYTES,
     DEFAULT_WORKERS,
-    DISK_CACHE_BYTES_ENV,
-    HOST_ENV,
-    PORT_ENV,
-    QUEUE_DEPTH_ENV,
-    STREAM_THRESHOLD_ENV,
     ServerHandle,
     SweepServer,
-    WORKERS_ENV,
     main,
     start_server_thread,
 )
 from .spec import canonical_key, canonical_spec, encode_canonical, split_temperature
 
 __all__ = [
-    "BATCH_WINDOW_ENV",
-    "CACHE_BYTES_ENV",
-    "CACHE_DIR_ENV",
     "DEFAULT_BATCH_WINDOW_MS",
     "DEFAULT_CACHE_BYTES",
     "DEFAULT_DISK_CACHE_BYTES",
@@ -90,19 +77,13 @@ __all__ = [
     "DEFAULT_QUEUE_DEPTH",
     "DEFAULT_STREAM_THRESHOLD_BYTES",
     "DEFAULT_WORKERS",
-    "DISK_CACHE_BYTES_ENV",
     "DiskCache",
-    "HOST_ENV",
     "MicroBatcher",
-    "PORT_ENV",
-    "QUEUE_DEPTH_ENV",
     "ResultCache",
-    "STREAM_THRESHOLD_ENV",
     "ServeClient",
     "ServeError",
     "ServerHandle",
     "SweepServer",
-    "WORKERS_ENV",
     "canonical_key",
     "canonical_spec",
     "encode_canonical",

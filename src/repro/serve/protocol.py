@@ -116,8 +116,15 @@ E_SHUTTING_DOWN = "shutting-down"  #: the server is draining; request not evalua
 
 
 def encode_line(payload: Mapping[str, Any]) -> bytes:
-    """One protocol line: compact JSON plus the terminating newline."""
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8") + b"\n"
+    """One protocol line: compact JSON plus the terminating newline.
+
+    A NaN or infinite value raises ``ValueError``: the non-standard
+    ``NaN``/``Infinity`` tokens never reach the wire.
+    """
+    return (
+        json.dumps(payload, separators=(",", ":"), allow_nan=False).encode("utf-8")
+        + b"\n"
+    )
 
 
 def decode_line(line: bytes) -> Any:

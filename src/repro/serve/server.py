@@ -30,25 +30,8 @@ exceeds the stream threshold leave as a tile stream
 (:func:`~repro.engine.tiling.plan_result_tiles`) instead of one giant
 line.
 
-Every knob is available both as a constructor argument / CLI flag and
-as a ``REPRO_SERVE_*`` environment variable (the flag wins):
-
-========================================  =====================================
-variable                                  meaning
-========================================  =====================================
-``REPRO_SERVE_HOST``                      bind address (default ``127.0.0.1``)
-``REPRO_SERVE_PORT``                      bind port (default ``7753``; 0 = ephemeral)
-``REPRO_SERVE_WORKERS``                   concurrent evaluation slots (default 1;
-                                          >1 routes through a shared process pool)
-``REPRO_SERVE_QUEUE_DEPTH``               bounded evaluation-queue depth (beyond
-                                          it, requests fail fast with ``busy``)
-``REPRO_SERVE_CACHE_BYTES``               memory result-cache budget in payload bytes
-``REPRO_SERVE_CACHE_DIR``                 disk-tier directory: results persist across
-                                          restarts (and between hosts sharing it)
-``REPRO_SERVE_DISK_CACHE_BYTES``          disk-tier byte budget (LRU via mtime)
-``REPRO_SERVE_BATCH_WINDOW_MS``           coalescing window in milliseconds
-``REPRO_SERVE_STREAM_THRESHOLD_BYTES``    payload size that switches to tiles
-========================================  =====================================
+Every setting is a :class:`SweepServer` argument and the matching
+``repro-serve`` flag; the server reads no environment variables.
 """
 
 from __future__ import annotations
@@ -59,7 +42,6 @@ import hashlib
 import itertools
 import json
 import math
-import os
 import threading
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -102,35 +84,16 @@ from .protocol import (
 from .spec import canonical_key, canonical_spec, encode_canonical, split_temperature
 
 __all__ = [
-    "BATCH_WINDOW_ENV",
-    "CACHE_BYTES_ENV",
-    "CACHE_DIR_ENV",
     "DEFAULT_HOST",
     "DEFAULT_PORT",
     "DEFAULT_QUEUE_DEPTH",
     "DEFAULT_STREAM_THRESHOLD_BYTES",
     "DEFAULT_WORKERS",
-    "DISK_CACHE_BYTES_ENV",
-    "HOST_ENV",
-    "PORT_ENV",
-    "QUEUE_DEPTH_ENV",
-    "STREAM_THRESHOLD_ENV",
     "ServerHandle",
     "SweepServer",
-    "WORKERS_ENV",
     "main",
     "start_server_thread",
 ]
-
-HOST_ENV = "REPRO_SERVE_HOST"
-PORT_ENV = "REPRO_SERVE_PORT"
-WORKERS_ENV = "REPRO_SERVE_WORKERS"
-QUEUE_DEPTH_ENV = "REPRO_SERVE_QUEUE_DEPTH"
-CACHE_BYTES_ENV = "REPRO_SERVE_CACHE_BYTES"
-CACHE_DIR_ENV = "REPRO_SERVE_CACHE_DIR"
-DISK_CACHE_BYTES_ENV = "REPRO_SERVE_DISK_CACHE_BYTES"
-BATCH_WINDOW_ENV = "REPRO_SERVE_BATCH_WINDOW_MS"
-STREAM_THRESHOLD_ENV = "REPRO_SERVE_STREAM_THRESHOLD_BYTES"
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 7753
@@ -155,16 +118,6 @@ DEFAULT_STREAM_THRESHOLD_BYTES = 1 << 20
 #: shortest round-trip repr plus separators) — converts the stream
 #: threshold into a per-tile element budget.
 _BYTES_PER_VALUE = 32
-
-
-def _env_value(name: str, parse, fallback):
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return fallback
-    try:
-        return parse(raw)
-    except ValueError as error:
-        raise SweepError(f"{name}={raw!r} is not a valid value: {error}") from error
 
 
 class _RequestError(Exception):
@@ -332,43 +285,21 @@ class SweepServer:
 
     def __init__(
         self,
-        host: Optional[str] = None,
-        port: Optional[int] = None,
-        workers: Optional[int] = None,
-        queue_depth: Optional[int] = None,
-        cache_bytes: Optional[int] = None,
+        host: str = DEFAULT_HOST,
+        port: int = DEFAULT_PORT,
+        workers: int = DEFAULT_WORKERS,
+        queue_depth: int = DEFAULT_QUEUE_DEPTH,
+        cache_bytes: int = DEFAULT_CACHE_BYTES,
         cache_dir: Optional[str] = None,
-        disk_cache_bytes: Optional[int] = None,
-        batch_window_ms: Optional[float] = None,
-        stream_threshold_bytes: Optional[int] = None,
+        disk_cache_bytes: int = DEFAULT_DISK_CACHE_BYTES,
+        batch_window_ms: float = DEFAULT_BATCH_WINDOW_MS,
+        stream_threshold_bytes: int = DEFAULT_STREAM_THRESHOLD_BYTES,
     ) -> None:
-        self.host = host if host is not None else _env_value(HOST_ENV, str, DEFAULT_HOST)
-        self.port = int(
-            port if port is not None else _env_value(PORT_ENV, int, DEFAULT_PORT)
-        )
-        self.workers = int(
-            workers if workers is not None else _env_value(WORKERS_ENV, int, DEFAULT_WORKERS)
-        )
+        self.host = host
+        self.port = int(port)
+        self.workers = int(workers)
         if self.workers < 1:
             raise SweepError("workers must be at least 1")
-        if queue_depth is None:
-            queue_depth = _env_value(QUEUE_DEPTH_ENV, int, DEFAULT_QUEUE_DEPTH)
-        if cache_bytes is None:
-            cache_bytes = _env_value(CACHE_BYTES_ENV, int, DEFAULT_CACHE_BYTES)
-        if cache_dir is None:
-            cache_dir = _env_value(CACHE_DIR_ENV, str, None)
-        if disk_cache_bytes is None:
-            disk_cache_bytes = _env_value(
-                DISK_CACHE_BYTES_ENV, int, DEFAULT_DISK_CACHE_BYTES
-            )
-        if batch_window_ms is None:
-            batch_window_ms = _env_value(
-                BATCH_WINDOW_ENV, float, DEFAULT_BATCH_WINDOW_MS
-            )
-        if stream_threshold_bytes is None:
-            stream_threshold_bytes = _env_value(
-                STREAM_THRESHOLD_ENV, int, DEFAULT_STREAM_THRESHOLD_BYTES
-            )
         self.stream_threshold_bytes = int(stream_threshold_bytes)
         if self.stream_threshold_bytes < 1:
             raise SweepError("stream_threshold_bytes must be at least 1")
@@ -846,8 +777,12 @@ class SweepServer:
 
 
 def _encode_result(payload: Mapping[str, Any]) -> bytes:
-    """The byte size a result payload is charged at (its compact JSON)."""
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    """The byte size a result payload is charged at (its compact JSON).
+
+    A NaN or infinite value raises ``ValueError``, so such a result
+    fails its request before it is cached or sent.
+    """
+    return json.dumps(payload, separators=(",", ":"), allow_nan=False).encode("utf-8")
 
 
 def _key_of(canonical: Mapping[str, Any]) -> str:
@@ -975,81 +910,70 @@ def main(argv: Optional[List[str]] = None) -> int:
         ),
     )
     parser.add_argument(
-        "--host",
-        default=None,
-        help=f"bind address (default {HOST_ENV} or {DEFAULT_HOST})",
+        "--host", default=DEFAULT_HOST, help="bind address (default %(default)s)"
     )
     parser.add_argument(
         "--port",
         type=int,
-        default=None,
-        help=f"bind port, 0 for ephemeral (default {PORT_ENV} or {DEFAULT_PORT})",
+        default=DEFAULT_PORT,
+        help="bind port, 0 for ephemeral (default %(default)s)",
     )
     parser.add_argument(
         "--workers",
         type=int,
-        default=None,
+        default=DEFAULT_WORKERS,
         help=(
-            f"concurrent evaluation slots; above 1, evaluations route "
-            f"through a shared process pool of the same size "
-            f"(default {WORKERS_ENV} or {DEFAULT_WORKERS})"
+            "concurrent evaluation slots; above 1, evaluations route "
+            "through a shared process pool of the same size "
+            "(default %(default)s)"
         ),
     )
     parser.add_argument(
         "--queue-depth",
         type=int,
-        default=None,
+        default=DEFAULT_QUEUE_DEPTH,
         help=(
-            f"bounded evaluation-queue depth — beyond it requests fail "
-            f"fast with the 'busy' error code "
-            f"(default {QUEUE_DEPTH_ENV} or {DEFAULT_QUEUE_DEPTH})"
+            "bounded evaluation-queue depth — beyond it requests fail "
+            "fast with the 'busy' error code (default %(default)s)"
         ),
     )
     parser.add_argument(
         "--cache-bytes",
         type=int,
-        default=None,
-        help=(
-            f"memory result-cache budget in payload bytes "
-            f"(default {CACHE_BYTES_ENV} or {DEFAULT_CACHE_BYTES})"
-        ),
+        default=DEFAULT_CACHE_BYTES,
+        help="memory result-cache budget in payload bytes (default %(default)s)",
     )
     parser.add_argument(
         "--cache-dir",
         default=None,
         help=(
-            f"disk cache directory — results persist across restarts, "
-            f"and servers sharing the directory share the cache "
-            f"(default {CACHE_DIR_ENV}; unset = memory only)"
+            "disk cache directory — results persist across restarts, "
+            "and servers sharing the directory share the cache "
+            "(default: memory only)"
         ),
     )
     parser.add_argument(
         "--disk-cache-bytes",
         type=int,
-        default=None,
-        help=(
-            f"disk-tier byte budget, LRU-evicted via file mtime "
-            f"(default {DISK_CACHE_BYTES_ENV} or {DEFAULT_DISK_CACHE_BYTES})"
-        ),
+        default=DEFAULT_DISK_CACHE_BYTES,
+        help="disk-tier byte budget, LRU-evicted via file mtime (default %(default)s)",
     )
     parser.add_argument(
         "--batch-window-ms",
         type=float,
-        default=None,
+        default=DEFAULT_BATCH_WINDOW_MS,
         help=(
-            f"coalescing window for point queries and overlapping "
-            f"sweeps, in milliseconds "
-            f"(default {BATCH_WINDOW_ENV} or {DEFAULT_BATCH_WINDOW_MS})"
+            "coalescing window for point queries and overlapping "
+            "sweeps, in milliseconds (default %(default)s)"
         ),
     )
     parser.add_argument(
         "--stream-threshold-bytes",
         type=int,
-        default=None,
+        default=DEFAULT_STREAM_THRESHOLD_BYTES,
         help=(
-            f"encoded payload size that switches responses to tile "
-            f"streaming (default {STREAM_THRESHOLD_ENV} or "
-            f"{DEFAULT_STREAM_THRESHOLD_BYTES})"
+            "encoded payload size that switches responses to tile "
+            "streaming (default %(default)s)"
         ),
     )
     args = parser.parse_args(argv)

@@ -11,20 +11,20 @@ client, and asserts the service contract end to end —
   evaluations,
 * a point query agrees with the sweep's slice,
 * ``shutdown`` stops the server cleanly,
-* and, when ``REPRO_SERVE_CACHE_DIR`` is set, a **restarted** server
-  on the same cache directory serves the repeat from disk with zero
-  evaluations — the warm-restart contract.
+* and, with ``--cache-dir DIR``, a **restarted** server on the same
+  cache directory serves the repeat from disk with zero evaluations —
+  the warm-restart contract.
 
-The server honors every ``REPRO_SERVE_*`` knob, so the CI lane also
-runs this smoke with ``REPRO_SERVE_WORKERS=2`` to cover the
-multi-worker scheduler path.  Exit code 0 means the service path works
+``--workers N`` gives both servers N evaluation slots, so the CI lane
+also runs ``--workers 2 --cache-dir DIR`` to cover the multi-worker
+scheduler path.  Exit code 0 means the service path works
 on this interpreter; any assertion or hang (the thread join is
 bounded) fails the step.
 """
 
 from __future__ import annotations
 
-import os
+import argparse
 import sys
 from typing import List, Optional
 
@@ -32,13 +32,19 @@ from ..engine.sweep import Axis, Sweep
 from ..oscillator import RingConfiguration
 from ..tech import CMOS035
 from .client import ServeClient
-from .server import CACHE_DIR_ENV, start_server_thread
+from .server import DEFAULT_WORKERS, start_server_thread
 
 __all__ = ["main"]
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    del argv  # no options: the smoke is deliberately fixed
+    parser = argparse.ArgumentParser(prog="python -m repro.serve.smoke")
+    parser.add_argument("--workers", type=int, default=DEFAULT_WORKERS)
+    parser.add_argument(
+        "--cache-dir", default=None, help="also check a warm restart from this cache"
+    )
+    args = parser.parse_args(argv)
+    options = {"port": 0, "workers": args.workers, "cache_dir": args.cache_dir}
     sweep = (
         Sweep(technology=CMOS035, configuration=RingConfiguration.parse("5INV"))
         .over(Axis.temperature([-40.0, 25.0, 125.0]))
@@ -46,7 +52,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     local = sweep.run().to_dict()
 
-    handle = start_server_thread(port=0)
+    handle = start_server_thread(**options)
     try:
         with ServeClient("127.0.0.1", handle.port) as client:
             pong = client.ping()
@@ -79,10 +85,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     assert not alive, "server thread survived shutdown"
 
     checks = "round trip, cache hit, point query, shutdown"
-    if os.environ.get(CACHE_DIR_ENV):
+    if args.cache_dir:
         # Warm restart: a fresh server process state over the same disk
         # cache must serve the repeat without a single evaluation.
-        restarted = start_server_thread(port=0)
+        restarted = start_server_thread(**options)
         try:
             with ServeClient("127.0.0.1", restarted.port) as client:
                 warm = client.sweep_payload(sweep)

@@ -45,7 +45,7 @@ Solve methods
               the matrix against the stencil with one probe SpMV and
               raises :class:`TechnologyError` on a mismatch.  The
               default large-grid path.
-``auto``      ``direct`` at or below :attr:`iterative_threshold`
+``auto``      ``direct`` at or below :attr:`spectral_threshold`
               unknowns, ``spectral`` above it.
 ============  =========================================================
 
@@ -53,18 +53,6 @@ Both methods solve an ``(n, k)`` stack of right-hand sides in one call
 (a multi-RHS factorization solve, or one batched transform), so
 ``ThermalStepper.step``, ``steady_rise`` and the policy bank stay one
 solve per step at any grid size.
-
-Environment knobs (mirroring the ``REPRO_SWEEP_*`` convention, and
-surfaced as ``--thermal-method`` / ``--thermal-iterative-threshold``
-flags on the experiment runner):
-
-* ``REPRO_THERMAL_METHOD`` — overrides how ``method="auto"`` requests
-  resolve (one of :data:`SOLVE_METHODS`; explicit call-site choices
-  still win).
-* ``REPRO_THERMAL_ITERATIVE_THRESHOLD`` — overrides
-  :attr:`ThermalOperator.iterative_threshold`, the unknown count above
-  which ``auto`` stops factorizing (the name predates the spectral
-  solve and is kept for compatibility).
 
 The solvers in :mod:`repro.thermal.solver`, the self-heating study and
 the DTM manager are all thin layers over this class; ``factorized`` is
@@ -91,7 +79,6 @@ worker side instead.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -104,24 +91,13 @@ from ..tech.parameters import TechnologyError
 from .grid import TemperatureMap, ThermalGrid
 from .power import PowerMap
 
-__all__ = [
-    "ThermalOperator",
-    "ThermalStepper",
-    "SOLVE_METHODS",
-    "METHOD_ENV",
-    "THRESHOLD_ENV",
-]
+__all__ = ["ThermalOperator", "ThermalStepper", "SOLVE_METHODS"]
 
 #: The solve methods an operator can be asked for (see the module
 #: docstring's table).  ``auto`` resolves to ``direct`` at or below
-#: :attr:`ThermalOperator.iterative_threshold` unknowns and to
+#: :attr:`ThermalOperator.spectral_threshold` unknowns and to
 #: ``spectral`` above it.
 SOLVE_METHODS = ("auto", "direct", "spectral")
-
-#: Environment variable overriding how ``method="auto"`` resolves.
-METHOD_ENV = "REPRO_THERMAL_METHOD"
-#: Environment variable overriding the auto direct/spectral threshold.
-THRESHOLD_ENV = "REPRO_THERMAL_ITERATIVE_THRESHOLD"
 
 #: Process-wide operator cache.  Bounded so a long-running sweep over
 #: many distinct grid geometries cannot grow it without limit; eviction
@@ -306,21 +282,13 @@ class ThermalOperator:
     method:
         One of :data:`SOLVE_METHODS`.  ``auto`` (the default) picks
         sparse-direct factorization up to
-        :attr:`iterative_threshold` unknowns and the exact DCT solve
-        above it; ``direct``/``spectral`` force the choice.  The
-        ``REPRO_THERMAL_METHOD`` environment variable overrides how
-        ``auto`` resolves (explicit choices still win),
-        and ``REPRO_THERMAL_ITERATIVE_THRESHOLD`` overrides the
-        threshold — both read at resolve time, so a runner flag set
-        before the first solve takes effect process-wide.
+        :attr:`spectral_threshold` unknowns and the exact DCT solve
+        above it; ``direct``/``spectral`` force the choice.
     """
 
     #: Unknown count above which ``method="auto"`` routes solves through
     #: the spectral (DCT) solve instead of sparse-direct factorization.
-    #: A class attribute so deployments can retune it (``ThermalOperator.iterative_threshold
-    #: = ...``); the ``REPRO_THERMAL_ITERATIVE_THRESHOLD`` environment
-    #: variable takes precedence when set.
-    iterative_threshold: int = 4096
+    spectral_threshold: int = 4096
 
     def __init__(self, grid: ThermalGrid, method: str = "auto") -> None:
         self.grid = grid
@@ -335,38 +303,14 @@ class ThermalOperator:
         self._solve_lock = threading.Lock()
 
     @classmethod
-    def _effective_threshold(cls) -> int:
-        raw = os.environ.get(THRESHOLD_ENV)
-        if raw is None:
-            return cls.iterative_threshold
-        try:
-            value = int(raw)
-        except ValueError:
-            raise TechnologyError(
-                f"{THRESHOLD_ENV} must be an integer, got {raw!r}"
-            ) from None
-        if value < 0:
-            raise TechnologyError(f"{THRESHOLD_ENV} must be non-negative")
-        return value
-
-    @classmethod
     def _resolve_method(cls, grid: ThermalGrid, method: str) -> str:
         if method not in SOLVE_METHODS:
             raise TechnologyError(
                 f"unknown solve method {method!r}; choose one of {SOLVE_METHODS}"
             )
-        if method == "auto":
-            override = os.environ.get(METHOD_ENV)
-            if override:
-                if override not in SOLVE_METHODS:
-                    raise TechnologyError(
-                        f"{METHOD_ENV} must be one of {SOLVE_METHODS}, "
-                        f"got {override!r}"
-                    )
-                method = override
         if method != "auto":
             return method
-        if grid.nx * grid.ny > cls._effective_threshold():
+        if grid.nx * grid.ny > cls.spectral_threshold:
             return "spectral"
         return "direct"
 
@@ -389,7 +333,8 @@ class ThermalOperator:
         share one operator (and therefore one factorization).  The
         *resolved* method joins the key so an explicit
         ``method="spectral"`` request does not hand back a cached
-        direct operator (or vice versa).
+        direct operator (or vice versa), while ``auto`` shares the
+        entry of the method :attr:`spectral_threshold` picks for it.
         """
         return (
             grid.width_mm,

@@ -19,6 +19,7 @@ production trafic uses, no mocked sockets.  The contracts:
 * a ``shutdown`` op stops the server cleanly.
 """
 
+import dataclasses
 import json
 import socket
 import threading
@@ -27,11 +28,20 @@ import numpy as np
 import pytest
 
 from repro.engine import Axis, Sweep
-from repro.serve import ServeClient, ServeError, canonical_key, start_server_thread
+from repro.serve import (
+    DEFAULT_PORT,
+    DEFAULT_WORKERS,
+    ServeClient,
+    ServeError,
+    SweepServer,
+    canonical_key,
+    start_server_thread,
+)
 from repro.serve.protocol import (
     E_BAD_JSON,
     E_BAD_REQUEST,
     E_BAD_SPEC,
+    E_INTERNAL,
     E_TECH_MISMATCH,
     E_UNKNOWN_OP,
     E_VERSION,
@@ -287,6 +297,41 @@ def test_overflowing_period_is_a_bad_spec_not_infinity(client):
     with pytest.raises(ServeError, match="external_load_f") as caught:
         client.point_payload(overloaded(), 25.0)
     assert caught.value.code == E_BAD_SPEC
+
+
+def test_non_finite_result_fails_before_the_cache_and_the_wire():
+    handle = start_server_thread(batch_window_ms=0.0)
+    original = SweepServer._evaluate_payload
+
+    async def nan_valued(payload):
+        result = await original(handle.server, payload)
+        return dataclasses.replace(result, values=np.full(result.shape, np.nan))
+
+    handle.server._evaluate_payload = nan_valued
+    try:
+        request = {"op": "sweep", "id": 1, "spec": small_sweep().to_dict()}
+        with socket.create_connection(("127.0.0.1", handle.port), timeout=30) as raw:
+            stream = raw.makefile("rwb")
+            stream.write(json.dumps(request).encode("utf-8") + b"\n")
+            stream.flush()
+            line = stream.readline()
+        assert b"NaN" not in line
+        response = json.loads(line)
+        assert response["ok"] is False
+        assert response["error"]["code"] == E_INTERNAL
+        assert handle.server.cache.stats()["entries"] == 0
+    finally:
+        handle.stop()
+
+
+def test_server_ignores_the_environment(monkeypatch):
+    # Settings are constructor arguments and repro-serve flags only; a
+    # deployment's leftover variables must not reach an embedded server.
+    monkeypatch.setenv("REPRO_SERVE_WORKERS", "abc")
+    monkeypatch.setenv("REPRO_SERVE_PORT", "1")
+    server = SweepServer()
+    assert server.workers == DEFAULT_WORKERS
+    assert server.port == DEFAULT_PORT
 
 
 def test_disagreeing_registries_fail_with_tech_mismatch(server, client):

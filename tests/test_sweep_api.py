@@ -182,6 +182,33 @@ def test_select_ambiguous_close_float_labels_raise():
     assert result.isel(temperature=1).values == 1.0
 
 
+def test_select_label_list_equals_isel_at_the_same_positions():
+    temperatures = tuple(float(t) for t in np.linspace(-50.0, 150.0, 2000))
+    result = SweepResult(
+        values=np.arange(2000, dtype=float) * 1e-9,
+        dims=("temperature",),
+        coords={"temperature": temperatures},
+    )
+    positions = list(np.random.default_rng(7).permutation(2000))
+    selected = result.select(temperature=[temperatures[i] for i in positions])
+    expected = result.isel(temperature=[int(i) for i in positions])
+    assert selected.coords == expected.coords
+    assert np.array_equal(selected.values, expected.values)
+
+
+def test_select_label_list_exact_match_wins_over_close_neighbour():
+    # 25.0 is exact at position 1 and within tolerance of position 0;
+    # 25.0 + 2e-12 is within tolerance of both and matches neither.
+    result = SweepResult(
+        values=np.arange(2, dtype=float),
+        dims=("temperature",),
+        coords={"temperature": (25.0 + 1e-12, 25.0)},
+    )
+    assert list(result.select(temperature=[25.0, 25.0 + 1e-12]).values) == [1.0, 0.0]
+    with pytest.raises(SweepError, match="ambiguous"):
+        result.select(temperature=[25.0 + 2e-12])
+
+
 def test_select_unknown_label_raises():
     result = SweepResult(
         values=np.zeros((2,)), dims=("supply",), coords={"supply": (3.3, 3.0)}

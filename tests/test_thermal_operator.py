@@ -14,8 +14,6 @@ from repro.thermal import (
     solve_transient,
 )
 from repro.thermal.operator import (
-    METHOD_ENV,
-    THRESHOLD_ENV,
     _CACHE_LIMIT,
     _SpectralSolve,
     _TIMESTEP_CACHE_LIMIT,
@@ -226,7 +224,7 @@ class TestIterativeFallback:
     def test_auto_routes_by_unknown_count(self, monkeypatch, grid_and_power):
         grid, _power = grid_and_power
         assert ThermalOperator(grid, method="auto").method == "direct"
-        monkeypatch.setattr(ThermalOperator, "iterative_threshold", 100)
+        monkeypatch.setattr(ThermalOperator, "spectral_threshold", 100)
         assert ThermalOperator(grid, method="auto").method == "spectral"
 
     def test_explicit_methods_get_distinct_cache_entries(self, grid_and_power):
@@ -269,86 +267,6 @@ class TestIterativeFallback:
         for removed in ("iterative", "multigrid"):
             with pytest.raises(TechnologyError):
                 ThermalOperator(grid, method=removed)
-
-
-class TestEnvironmentKnobs:
-    """The REPRO_THERMAL_* overrides, read at resolve time."""
-
-    def test_method_env_overrides_auto(self, monkeypatch, grid_and_power):
-        grid, _power = grid_and_power
-        monkeypatch.setenv(METHOD_ENV, "spectral")
-        assert ThermalOperator(grid, method="auto").method == "spectral"
-        monkeypatch.setenv(METHOD_ENV, "direct")
-        assert ThermalOperator(grid, method="auto").method == "direct"
-
-    def test_explicit_method_wins_over_env(self, monkeypatch, grid_and_power):
-        grid, _power = grid_and_power
-        monkeypatch.setenv(METHOD_ENV, "spectral")
-        assert ThermalOperator(grid, method="direct").method == "direct"
-
-    def test_invalid_method_env_rejected(self, monkeypatch, grid_and_power):
-        grid, _power = grid_and_power
-        for invalid in ("cholesky", "iterative", "multigrid"):
-            monkeypatch.setenv(METHOD_ENV, invalid)
-            with pytest.raises(TechnologyError):
-                ThermalOperator(grid, method="auto")
-
-    def test_threshold_env_reroutes_auto(self, monkeypatch, grid_and_power):
-        grid, _power = grid_and_power
-        monkeypatch.setenv(THRESHOLD_ENV, "100")
-        assert ThermalOperator(grid, method="auto").method == "spectral"
-        monkeypatch.setenv(THRESHOLD_ENV, str(grid.nx * grid.ny))
-        assert ThermalOperator(grid, method="auto").method == "direct"
-
-    def test_invalid_threshold_env_rejected(self, monkeypatch, grid_and_power):
-        grid, _power = grid_and_power
-        monkeypatch.setenv(THRESHOLD_ENV, "many")
-        with pytest.raises(TechnologyError):
-            ThermalOperator(grid, method="auto")
-        monkeypatch.setenv(THRESHOLD_ENV, "-5")
-        with pytest.raises(TechnologyError):
-            ThermalOperator(grid, method="auto")
-
-    def test_env_overrides_join_the_cache_key(self, monkeypatch, grid_and_power):
-        # An operator cached while an override was set must not be
-        # handed back (with the wrong prepared solve) once it is lifted.
-        grid, _power = grid_and_power
-        ThermalOperator.clear_cache()
-        monkeypatch.setenv(METHOD_ENV, "spectral")
-        overridden = ThermalOperator.for_grid(grid)
-        monkeypatch.delenv(METHOD_ENV)
-        plain = ThermalOperator.for_grid(grid)
-        assert overridden.method == "spectral"
-        assert plain.method == "direct"
-        assert overridden is not plain
-
-    @pytest.fixture(scope="class")
-    def grid_and_power(self):
-        return _grid_at(24)
-
-    def test_runner_flags_set_the_knobs(self, monkeypatch, capsys):
-        from repro.experiments.runner import main
-
-        monkeypatch.delenv(METHOD_ENV, raising=False)
-        monkeypatch.delenv(THRESHOLD_ENV, raising=False)
-        import os
-
-        assert (
-            main(
-                [
-                    "--thermal-method",
-                    "spectral",
-                    "--thermal-iterative-threshold",
-                    "123",
-                    "--list",
-                ]
-            )
-            == 0
-        )
-        assert os.environ[METHOD_ENV] == "spectral"
-        assert os.environ[THRESHOLD_ENV] == "123"
-        monkeypatch.delenv(METHOD_ENV)
-        monkeypatch.delenv(THRESHOLD_ENV)
 
 
 class TestWarmStartKeying:
