@@ -40,9 +40,10 @@ none), so coalescing can only ever improve a neighbour's service.
 from __future__ import annotations
 
 import asyncio
+import math
 from typing import Any, Awaitable, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..engine.sweep import SweepResult
+from ..engine.sweep import SweepError, SweepResult
 
 __all__ = ["DEFAULT_BATCH_WINDOW_MS", "MicroBatcher"]
 
@@ -98,10 +99,13 @@ class MicroBatcher:
         evaluate: Callable[..., Awaitable[SweepResult]],
         window_ms: float = DEFAULT_BATCH_WINDOW_MS,
     ) -> None:
-        if float(window_ms) < 0.0:
-            raise ValueError("window_ms must be non-negative")
-        self._evaluate = evaluate
         self.window_ms = float(window_ms)
+        # A NaN or infinite window never flushes: every member would hang.
+        if not (math.isfinite(self.window_ms) and self.window_ms >= 0.0):
+            raise SweepError(
+                f"batch_window_ms must be finite and non-negative, got {window_ms!r}"
+            )
+        self._evaluate = evaluate
         self._open: Dict[str, _Batch] = {}
         self._draining: Optional[BaseException] = None
         # Counters, reported via the server's ``stats`` op.

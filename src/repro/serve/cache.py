@@ -11,8 +11,8 @@ admitted (caching it would evict everything else for a single request).
 
 Two tiers share the canonical spec key (:func:`~repro.serve.spec.canonical_key`):
 
-* The **memory tier** (:class:`ResultCache`) holds decoded payloads,
-  answers in microseconds, and dies with the process.
+* The **memory tier** (:class:`ResultCache`) holds each result's
+  encoded bytes, answers in microseconds, and dies with the process.
 * The optional **disk tier** (:class:`DiskCache`) persists one file per
   entry under a shared directory, so a restarted server — or a second
   host mounting the same directory — serves previously computed sweeps
@@ -51,7 +51,7 @@ import json
 import os
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from ..engine.sweep import Sweep, SweepError, SweepResult
 
@@ -106,10 +106,8 @@ class DiskCache:
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, key + _ENTRY_SUFFIX)
 
-    def get(
-        self, key: str, tech_digest: Optional[str] = None
-    ) -> Optional[Tuple[Dict[str, Any], int]]:
-        """The ``(payload, stored_size)`` stored for ``key``, or None.
+    def get(self, key: str, tech_digest: Optional[str] = None) -> Optional[bytes]:
+        """The result bytes stored for ``key`` (exactly as ``put`` got them), or None.
 
         ``tech_digest`` is the technology digest of the *requesting*
         spec (None for a spec with no registered technology reference);
@@ -121,9 +119,10 @@ class DiskCache:
         clock — so entries the service keeps serving are the last to
         be evicted.  Any failure to read or validate the file (torn
         write from a crashed process, disk corruption, a stray foreign
-        file under the shared directory) is likewise a miss: the
-        offender is removed, so a bad file can never crash the server
-        or poison a response.
+        file under the shared directory, an envelope not spelled the
+        way ``put`` writes it) is likewise a miss: the offender is
+        removed, so a bad file can never crash the server or poison a
+        response.
         """
         path = self._path(key)
         stale = False
@@ -139,9 +138,11 @@ class DiskCache:
             ):
                 stale = True
                 raise ValueError("stale cache envelope")
-            payload = envelope["result"]
-            if not _looks_like_result(payload):
+            if not _looks_like_result(envelope["result"]):
                 raise ValueError("not a serialized sweep result")
+            stamp = _stamp(tech_digest)
+            if not (raw.startswith(stamp) and raw.endswith(b"}")):
+                raise ValueError("envelope is not spelled the way put writes it")
         except FileNotFoundError:
             with self._lock:
                 self._misses += 1
@@ -163,7 +164,7 @@ class DiskCache:
             pass
         with self._lock:
             self._hits += 1
-        return payload, len(raw)
+        return raw[len(stamp) : -1]
 
     def put(
         self, key: str, encoded: bytes, tech_digest: Optional[str] = None
@@ -183,15 +184,11 @@ class DiskCache:
             with self._lock:
                 self._rejected += 1
             return False
-        stamped = (
-            b'{"spec_version":%d,"tech_digest":%s,"result":'
-            % (Sweep.SCHEMA_VERSION, json.dumps(tech_digest).encode("utf-8"))
-        ) + encoded + b"}"
         path = self._path(key)
         tmp = f"{path}.tmp.{os.getpid()}"
         try:
             with open(tmp, "wb") as handle:
-                handle.write(stamped)
+                handle.write(_stamp(tech_digest) + encoded + b"}")
             os.replace(tmp, path)
         except OSError:
             # A full or read-only cache volume degrades to "no disk
@@ -265,6 +262,14 @@ class DiskCache:
         return f"DiskCache({self.directory!r}, max_bytes={self.max_bytes})"
 
 
+def _stamp(tech_digest: Optional[str]) -> bytes:
+    """The envelope prefix of a disk entry: everything before its result bytes."""
+    return b'{"spec_version":%d,"tech_digest":%s,"result":' % (
+        Sweep.SCHEMA_VERSION,
+        json.dumps(tech_digest).encode("utf-8"),
+    )
+
+
 def _looks_like_result(payload: Any) -> bool:
     """Cheap structural validation of a decoded disk entry."""
     return (
@@ -278,14 +283,13 @@ def _looks_like_result(payload: Any) -> bool:
 
 
 class ResultCache:
-    """An LRU mapping of canonical spec keys to result payloads.
+    """An LRU mapping of canonical spec keys to encoded result payloads.
 
-    Values are stored as ``(payload, encoded_size)`` pairs: the decoded
-    result mapping (ready to embed in a response envelope) plus the
-    byte size it is charged against the budget.  With a ``disk`` tier
-    attached, misses fall through to it (promoting hits back into
-    memory) and admissions write through, so the cache's contents
-    survive the process.
+    Values are the compact JSON bytes of a result — the exact bytes a
+    response line carries — and each is charged its length against the
+    budget.  With a ``disk`` tier attached, misses fall through to it
+    (promoting hits back into memory) and admissions write through, so
+    the cache's contents survive the process.
     """
 
     def __init__(
@@ -297,15 +301,15 @@ class ResultCache:
             raise SweepError("max_bytes must be non-negative")
         self.max_bytes = int(max_bytes)
         self.disk = disk
-        self._entries: "OrderedDict[str, Tuple[Any, int]]" = OrderedDict()
+        self._entries: "OrderedDict[str, bytes]" = OrderedDict()
         self._lock = threading.Lock()
         self._bytes = 0
         self._hits = 0
         self._misses = 0
         self._evictions = 0
 
-    def get(self, key: str, tech_digest: Optional[str] = None) -> Optional[Any]:
-        """The cached payload for ``key`` (refreshing its recency), or None.
+    def get(self, key: str, tech_digest: Optional[str] = None) -> Optional[bytes]:
+        """The cached result bytes for ``key`` (refreshing its recency), or None.
 
         Memory first; on a memory miss the disk tier (when attached) is
         consulted — passing ``tech_digest``, the requesting spec's
@@ -314,74 +318,44 @@ class ResultCache:
         so the next repeat is served without touching the filesystem.
         """
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
+            encoded = self._entries.get(key)
+            if encoded is not None:
                 self._entries.move_to_end(key)
                 self._hits += 1
-                return entry[0]
+                return encoded
             self._misses += 1
         if self.disk is None:
             return None
-        persisted = self.disk.get(key, tech_digest)
-        if persisted is None:
-            return None
-        payload, size = persisted
-        self._admit(key, payload, size)
-        return payload
+        encoded = self.disk.get(key, tech_digest)
+        if encoded is not None:
+            self._admit(key, encoded)
+        return encoded
 
-    def put(
-        self,
-        key: str,
-        payload: Any,
-        size_bytes: int,
-        encoded: Optional[bytes] = None,
-        tech_digest: Optional[str] = None,
-    ) -> bool:
-        """Admit (or refresh) a payload; returns False when it exceeds
-        the whole memory budget and was not admitted there.
+    def put(self, key: str, encoded: bytes, tech_digest: Optional[str] = None) -> bool:
+        """Admit (or refresh) a result's bytes; returns False when they
+        exceed the whole memory budget and were not admitted there.
 
-        ``encoded`` (the payload's compact JSON bytes, when the caller
-        already has them) is written through to the disk tier, stamped
-        with ``tech_digest``; without it only the memory tier is
-        touched.
+        With a disk tier the bytes are also written through to it,
+        stamped with ``tech_digest``.
         """
-        size = int(size_bytes)
-        if size < 0:
-            raise SweepError("size_bytes must be non-negative")
-        if self.disk is not None and encoded is not None:
+        if self.disk is not None:
             self.disk.put(key, encoded, tech_digest)
-        return self._admit(key, payload, size)
+        return self._admit(key, encoded)
 
-    def _admit(self, key: str, payload: Any, size: int) -> bool:
+    def _admit(self, key: str, encoded: bytes) -> bool:
         with self._lock:
-            if size > self.max_bytes:
+            if len(encoded) > self.max_bytes:
                 return False
             old = self._entries.pop(key, None)
             if old is not None:
-                self._bytes -= old[1]
-            self._entries[key] = (payload, size)
-            self._bytes += size
+                self._bytes -= len(old)
+            self._entries[key] = encoded
+            self._bytes += len(encoded)
             while self._bytes > self.max_bytes:
-                _evicted_key, (_payload, evicted_size) = self._entries.popitem(
-                    last=False
-                )
-                self._bytes -= evicted_size
+                _evicted_key, evicted = self._entries.popitem(last=False)
+                self._bytes -= len(evicted)
                 self._evictions += 1
             return True
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._bytes = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        """Membership probe that does NOT touch recency or counters."""
-        with self._lock:
-            return key in self._entries
 
     def stats(self) -> Dict[str, Any]:
         """Hit/miss/eviction counters plus the current occupancy."""

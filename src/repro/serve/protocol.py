@@ -19,9 +19,11 @@ Operations
     Evaluate (or serve from cache) a full serialized sweep spec;
     responds with the result payload or a tile stream.
 ``point``
-    A micro-batchable point query: a serialized *base* spec (no
-    temperature axis) plus one ``temperature_c``; compatible concurrent
-    points coalesce into one broadcast evaluation.
+    A point query: a serialized *base* spec (no temperature axis) plus
+    one ``temperature_c``.  It is the one-coordinate sweep of that base
+    over ``temperature_c`` — it shares that sweep's cache key and
+    response, and coalesces with concurrent points and sweeps over the
+    same base into one broadcast evaluation.
 ``stats``
     Cache / batcher / scheduler / evaluation counters.
 ``shutdown``

@@ -20,13 +20,15 @@ sweeps genuinely occupy multiple cores.  Requests carry optional
 instead of growing without bound, and a queued request whose deadline
 passes is failed with ``deadline-expired`` without being evaluated.
 
-Identical sweeps in flight at the same moment share one evaluation
-(single-flight, across workers); concurrent requests that differ only
-along the temperature axis — point queries *and* overlapping sweep
-grids — coalesce onto one union-grid broadcast
-(:class:`~repro.serve.batcher.MicroBatcher`) and are each answered
-with their own bitwise-exact slice.  Results whose encoded payload
-exceeds the stream threshold leave as a tile stream
+A ``point`` is the one-coordinate sweep of its base spec and shares
+that sweep's cache entry.  Identical requests in flight at the same
+moment share one evaluation (single-flight, across workers); concurrent
+requests that differ only along the temperature axis coalesce onto one
+union-grid broadcast (:class:`~repro.serve.batcher.MicroBatcher`) and
+are each answered with their own bitwise-exact slice.  A result is
+encoded once, on its miss; the cache holds those bytes and a response
+splices them into its envelope.  Results whose bytes exceed the stream
+threshold are decoded and leave as a tile stream
 (:func:`~repro.engine.tiling.plan_result_tiles`) instead of one giant
 line.
 
@@ -298,15 +300,12 @@ class SweepServer:
         self.host = host
         self.port = int(port)
         self.workers = int(workers)
-        if self.workers < 1:
-            raise SweepError("workers must be at least 1")
         self.stream_threshold_bytes = int(stream_threshold_bytes)
         if self.stream_threshold_bytes < 1:
             raise SweepError("stream_threshold_bytes must be at least 1")
         self.cache_dir = cache_dir
         disk = DiskCache(cache_dir, int(disk_cache_bytes)) if cache_dir else None
         self.cache = ResultCache(int(cache_bytes), disk=disk)
-        self.batcher = MicroBatcher(self._scheduled_evaluate, float(batch_window_ms))
         # Late binding (not the bound method itself) so a test can
         # swap ``_evaluate_payload`` on the instance to a controlled
         # evaluator and the scheduler picks it up.
@@ -315,6 +314,7 @@ class SweepServer:
             self.workers,
             int(queue_depth),
         )
+        self.batcher = MicroBatcher(self.scheduler.submit, float(batch_window_ms))
         #: The shared tile executor of a multi-worker server: every
         #: concurrent evaluation submits its tiles to one reused
         #: process pool (PR 6 shared-memory transport), sized to the
@@ -402,29 +402,21 @@ class SweepServer:
         self.evaluations += 1
         return await asyncio.to_thread(sweep.run, executor=self._executor)
 
-    async def _scheduled_evaluate(
-        self,
-        payload: Mapping[str, Any],
-        priority: int = 0,
-        deadline: Optional[float] = None,
-    ) -> SweepResult:
-        """The batcher's evaluation hook: route through the scheduler."""
-        return await self.scheduler.submit(payload, priority=priority, deadline=deadline)
-
     async def _sweep_payload(
         self,
         key: str,
         canonical: Dict[str, Any],
         priority: int = 0,
         deadline: Optional[float] = None,
-    ) -> Tuple[Dict[str, Any], int, bool]:
-        """The result payload for a canonical sweep: cache, then engine.
+    ) -> Tuple[bytes, bool]:
+        """The encoded result of a canonical sweep: cache, then engine.
 
-        Returns ``(payload, encoded_size, cached)``.  Concurrent misses
-        on the same key share one evaluation (single-flight — the
-        registration happens on the event loop before the scheduler or
-        batcher ever sees the job, so it holds across workers): the
-        first request evaluates, the rest await its future.  A miss
+        Returns ``(encoded, cached)``: the result's compact JSON, encoded
+        once by the miss that evaluated it.  Concurrent misses on the
+        same key share one evaluation (single-flight — the registration
+        happens on the event loop before the scheduler or batcher ever
+        sees the job, so it holds across workers): the first request
+        evaluates, the rest await its future.  A miss
         whose spec carries an explicit temperature axis (and an
         elementwise observable) goes through the coalescer, merging
         with any concurrent sweep or point sharing its base spec;
@@ -432,13 +424,12 @@ class SweepServer:
         unchanged.
         """
         tech_digest = _tech_digest_of(canonical)
-        cached = self.cache.get(key, tech_digest)
-        if cached is not None:
-            return cached, len(_encode_result(cached)), True
+        encoded = self.cache.get(key, tech_digest)
+        if encoded is not None:
+            return encoded, True
         waiter = self._inflight.get(key)
         if waiter is not None:
-            payload, size = await asyncio.shield(waiter)
-            return payload, size, True
+            return await asyncio.shield(waiter), True
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         # Mark exceptions retrieved even when no duplicate request ever
         # awaits the future.
@@ -456,12 +447,10 @@ class SweepServer:
                 result = await self.scheduler.submit(
                     canonical, priority=priority, deadline=deadline
                 )
-            payload = result.to_dict()
-            encoded = _encode_result(payload)
-            size = len(encoded)
-            self.cache.put(key, payload, size, encoded=encoded, tech_digest=tech_digest)
-            future.set_result((payload, size))
-            return payload, size, False
+            encoded = _encode_result(result.to_dict())
+            self.cache.put(key, encoded, tech_digest)
+            future.set_result(encoded)
+            return encoded, False
         except Exception as error:
             future.set_exception(error)
             raise
@@ -638,10 +627,8 @@ class SweepServer:
         priority, deadline = self._scheduling_from(message)
         canonical = canonical_spec(spec)
         key = _key_of(canonical)
-        payload, size, cached = await self._sweep_payload(
-            key, canonical, priority, deadline
-        )
-        await self._respond_result(writer, "sweep", request_id, key, payload, size, cached)
+        encoded, cached = await self._sweep_payload(key, canonical, priority, deadline)
+        await self._respond_result(writer, "sweep", request_id, key, encoded, cached)
 
     async def _handle_point(
         self,
@@ -676,30 +663,16 @@ class SweepServer:
                 f"to the grid endpoints, so point queries cannot be batched; "
                 f"use op=sweep with the full temperature grid",
             )
-        base_key = _key_of(base)
-        full = dict(base)
-        full["axes"] = list(base["axes"]) + [
+        # A point is the one-coordinate sweep of its base.  Temperature
+        # is the last canonical axis, so appending it keeps the form
+        # canonical: the point and that sweep share one cache entry.
+        canonical = dict(base)
+        canonical["axes"] = list(base["axes"]) + [
             {"name": "temperature", "coordinates": [float(temperature)]}
         ]
-        full_key = _key_of(full)
-        tech_digest = _tech_digest_of(full)
-        cached = self.cache.get(full_key, tech_digest)
-        if cached is not None:
-            await self._respond_result(
-                writer, "point", request_id, full_key, cached,
-                len(_encode_result(cached)), True,
-            )
-            return
-        result = await self.batcher.submit(
-            base_key, base, [float(temperature)], priority, deadline
-        )
-        payload = result.to_dict()
-        encoded = _encode_result(payload)
-        size = len(encoded)
-        self.cache.put(full_key, payload, size, encoded=encoded, tech_digest=tech_digest)
-        await self._respond_result(
-            writer, "point", request_id, full_key, payload, size, False
-        )
+        key = _key_of(canonical)
+        encoded, cached = await self._sweep_payload(key, canonical, priority, deadline)
+        await self._respond_result(writer, "point", request_id, key, encoded, cached)
 
     async def _respond_result(
         self,
@@ -707,32 +680,24 @@ class SweepServer:
         op: str,
         request_id: Optional[Any],
         key: str,
-        payload: Dict[str, Any],
-        size: int,
+        encoded: bytes,
         cached: bool,
     ) -> None:
-        """One result line — or a tile stream when the payload is big."""
-        dims = tuple(payload["dims"])
-        if size <= self.stream_threshold_bytes or not dims:
-            writer.write(
-                encode_line(
-                    ok_envelope(op, request_id, key=key, cached=cached, result=payload)
-                )
-            )
+        """One result line — or a tile stream when the result is big."""
+        oversized = len(encoded) > self.stream_threshold_bytes
+        meta = json.loads(encoded) if oversized else None
+        if meta is None or not meta["dims"]:
+            # ``result`` is the envelope's last field: splice the bytes
+            # in before its closing brace instead of encoding them again.
+            header = encode_line(ok_envelope(op, request_id, key=key, cached=cached))
+            writer.write(header[:-2] + b',"result":' + encoded + b"}\n")
             await writer.drain()
             return
-        shape = tuple(len(payload["coords"][name]) for name in dims)
-        values = np.asarray(payload["values"], dtype=payload.get("dtype", "float64"))
-        tiles = plan_result_tiles(
-            dims, shape, max(1, self.stream_threshold_bytes // _BYTES_PER_VALUE)
-        )
-        meta = {
-            "version": payload["version"],
-            "observable": payload["observable"],
-            "dims": list(dims),
-            "coords": payload["coords"],
-            "dtype": payload.get("dtype", "float64"),
-        }
+        # The stream header carries the result's fields but its values.
+        values = np.asarray(meta.pop("values"), dtype=meta["dtype"])
+        dims = tuple(meta["dims"])
+        budget = max(1, self.stream_threshold_bytes // _BYTES_PER_VALUE)
+        tiles = plan_result_tiles(dims, values.shape, budget)
         writer.write(
             encode_line(
                 ok_envelope(
@@ -777,7 +742,7 @@ class SweepServer:
 
 
 def _encode_result(payload: Mapping[str, Any]) -> bytes:
-    """The byte size a result payload is charged at (its compact JSON).
+    """A result payload's compact JSON: the bytes cached and sent.
 
     A NaN or infinite value raises ``ValueError``, so such a result
     fails its request before it is cached or sent.

@@ -9,7 +9,8 @@ client, and asserts the service contract end to end —
   sweep evaluated locally,
 * the repeat request is answered from the cache with zero new engine
   evaluations,
-* a point query agrees with the sweep's slice,
+* a point query agrees with the sweep's slice, and its repeat is a
+  cache hit with zero new evaluations,
 * ``shutdown`` stops the server cleanly,
 * and, with ``--cache-dir DIR``, a **restarted** server on the same
   cache directory serves the repeat from disk with zero evaluations —
@@ -77,6 +78,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             assert point.select(temperature=25.0).item() == (
                 sweep.run().select(temperature=25.0).item()
             ), "point query disagrees with the sweep slice"
+            before = client.stats()["evaluations"]
+            request = {"op": "point", "spec": base.to_dict(), "temperature_c": 25.0}
+            assert client._request(request)["cached"] is True, "point repeat missed"
+            assert client.stats()["evaluations"] == before, "point repeat re-evaluated"
 
             client.shutdown()
     finally:
@@ -84,7 +89,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     alive = handle.thread is not None and handle.thread.is_alive()
     assert not alive, "server thread survived shutdown"
 
-    checks = "round trip, cache hit, point query, shutdown"
+    checks = "round trip, cache hit, point query, point cache hit, shutdown"
     if args.cache_dir:
         # Warm restart: a fresh server process state over the same disk
         # cache must serve the repeat without a single evaluation.

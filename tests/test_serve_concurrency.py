@@ -34,7 +34,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.engine import Axis, Sweep
+from repro.engine import Axis, Sweep, SweepError
 from repro.serve import (
     MicroBatcher,
     ServeClient,
@@ -311,6 +311,14 @@ def test_invalid_scheduling_fields_are_rejected(tmp_path):
         handle.stop()
 
 
+@pytest.mark.parametrize("window_ms", [-1.0, float("nan"), float("inf")])
+def test_invalid_batch_window_is_rejected(window_ms):
+    # A NaN or infinite window never flushes, so every coalesced
+    # request would wait forever; refuse it at construction.
+    with pytest.raises(SweepError, match="batch_window_ms"):
+        SweepServer(batch_window_ms=window_ms)
+
+
 def test_identical_sweeps_share_one_evaluation_across_workers():
     handle = start_server_thread(workers=2, batch_window_ms=1.0)
     try:
@@ -345,6 +353,7 @@ def test_restarted_server_serves_repeats_from_disk_with_zero_evaluations(tmp_pat
     cache_dir = str(tmp_path / "serve-cache")
     sweep = small_sweep()
     local = sweep.run().to_dict()
+    encoded = json.dumps(local, separators=(",", ":")).encode("utf-8")
 
     first = start_server_thread(cache_dir=cache_dir)
     try:
@@ -364,6 +373,9 @@ def test_restarted_server_serves_repeats_from_disk_with_zero_evaluations(tmp_pat
             stats = remote.stats()
         assert second.server.evaluations == 0
         assert stats["cache"]["disk"]["hits"] == 1
+        # A disk hit is charged its result bytes, exactly as a fresh
+        # evaluation is, not the size of the stamped file.
+        assert stats["cache"]["bytes"] == len(encoded)
         # Promoted into memory: the next repeat never touches the disk.
         with ServeClient("127.0.0.1", second.port) as remote:
             assert remote.sweep_payload(sweep) == local
@@ -467,14 +479,37 @@ def test_disk_entry_with_foreign_tech_digest_is_never_served(tmp_path):
 
     disk = DiskCache(str(tmp_path / "disk"))
     assert disk.put(key, encoded, tech_digest=digest)
-    hit = disk.get(key, digest)
-    assert hit is not None and hit[0] == payload
+    assert disk.get(key, digest) == encoded
 
     assert disk.get(key, "0" * 64) is None  # foreign digest: dropped
     assert disk.get(key, digest) is None  # and gone for good
     stats = disk.stats()
     assert stats["stale_dropped"] == 1
     assert stats["entries"] == 0
+
+
+def test_respelled_disk_envelope_is_dropped_not_sliced(tmp_path):
+    # A hit hands back the result bytes cut out of the file, so an
+    # envelope with the right stamps but not spelled the way put writes
+    # it (indented, reordered, trailing newline) counts as corrupt.
+    from repro.serve.cache import DiskCache
+
+    sweep = small_sweep()
+    key = canonical_key(sweep)
+    digest = get_technology_digest("cmos035")
+    disk = DiskCache(str(tmp_path / "disk"))
+    with open(os.path.join(disk.directory, key + ".json"), "w") as handle:
+        json.dump(
+            {
+                "spec_version": Sweep.SCHEMA_VERSION,
+                "tech_digest": digest,
+                "result": sweep.run().to_dict(),
+            },
+            handle,
+            indent=1,
+        )
+    assert disk.get(key, digest) is None
+    assert disk.stats()["entries"] == 0
 
 
 def test_foreign_garbage_in_cache_dir_is_never_served(tmp_path):

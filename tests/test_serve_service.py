@@ -45,6 +45,8 @@ from repro.serve.protocol import (
     E_TECH_MISMATCH,
     E_UNKNOWN_OP,
     E_VERSION,
+    encode_line,
+    ok_envelope,
 )
 from repro.tech import CMOS035, register_technology
 
@@ -93,6 +95,34 @@ def test_served_result_is_byte_identical_to_local(client):
     # payloads are equal — same dims, coords, dtype and exact values.
     assert json.loads(json.dumps(served)) == json.loads(json.dumps(local))
     assert served == local
+
+
+def _raw_response(port, request):
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as raw:
+        stream = raw.makefile("rwb")
+        stream.write(json.dumps(request).encode("utf-8") + b"\n")
+        stream.flush()
+        return stream.readline()
+
+
+def test_response_line_framing_is_pinned_byte_for_byte(server):
+    one_coordinate = (
+        Sweep(technology=CMOS035, configuration="5INV")
+        .over(Axis.temperature([85.0]))
+        .observe("period")
+    )
+    cases = [
+        ("sweep", {"spec": small_sweep().to_dict()}, small_sweep()),
+        ("point", {"spec": base_spec(), "temperature_c": 85.0}, one_coordinate),
+    ]
+    for op, fields, local in cases:
+        key = canonical_key(local)
+        result = local.run().to_dict()
+        for cached in (False, True):  # the miss, then the hit
+            line = _raw_response(server.port, {"op": op, "id": 7, **fields})
+            assert line == encode_line(
+                ok_envelope(op, 7, key=key, cached=cached, result=result)
+            )
 
 
 def test_repeat_request_hits_cache_with_zero_evaluations(server, client):
@@ -196,6 +226,21 @@ def test_repeated_point_is_served_from_cache(server, client):
     client.point_payload(base_spec(), 25.0)
     evaluations = server.server.evaluations
     client.point_payload(base_spec(), 25.0)
+    assert server.server.evaluations == evaluations
+
+    # A point is the one-coordinate sweep of its base: one cache entry.
+    one_coordinate = (
+        Sweep(technology=CMOS035, configuration="5INV")
+        .over(Axis.temperature([60.0]))
+        .observe("period")
+    )
+    client.sweep_payload(one_coordinate)
+    evaluations = server.server.evaluations
+    response = client._request(
+        {"op": "point", "spec": base_spec(), "temperature_c": 60.0}
+    )
+    assert response["cached"] is True
+    assert response["key"] == canonical_key(one_coordinate)
     assert server.server.evaluations == evaluations
 
 
