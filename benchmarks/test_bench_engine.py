@@ -470,7 +470,7 @@ def test_policy_bank_speedup_at_8_policies():
 
     start = time.perf_counter()
     scalar = {
-        label: manager.run(policy=policy, **DTM_KW)
+        label: oracles.dtm_run_scalar(manager, policy, **DTM_KW)
         for label, policy in POLICY_SET.items()
     }
     scalar_s = time.perf_counter() - start
@@ -504,7 +504,7 @@ def test_policy_bank_8_policies(benchmark, mode):
     else:
         def evaluate():
             return [
-                manager.run(policy=policy, **DTM_KW)
+                oracles.dtm_run_scalar(manager, policy, **DTM_KW)
                 for policy in POLICY_SET.values()
             ]
     result = benchmark.pedantic(evaluate, rounds=2, iterations=1)

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """The site axis: a sensor-bank thermal-map scan as one declarative Sweep.
 
-The paper's multiplexer exists so several ring-oscillator sensors
-"distributed on different points" can reconstruct the die's thermal
-map.  This example shows the sweep engine's ``site`` axis doing exactly
-that workload end to end:
+The paper's smart unit reads several ring-oscillator sensors
+"distributed on different points" through one readout so they can
+reconstruct the die's thermal map.  This example shows the sweep
+engine's ``site`` axis doing exactly that workload end to end:
 
 1. solve the example processor's steady-state field once (the
    sparse-direct factorization is cached process-wide by
@@ -21,8 +21,8 @@ that workload end to end:
    ``SmartTemperatureSensor`` per site per sample, two-point calibrated
    and measured one at a time, controller FSM included), and
 5. sweep the sensor-grid *density* and report how the reconstruction
-   and hotspot errors fall as sensors are added — the design question
-   the multiplexer answers.
+   and hotspot errors fall as sensors are added — how many sensors a
+   thermal map needs.
 
 Run with:  python examples/thermal_map_sweep.py
 """

@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
-"""Thermal mapping of a processor die with multiplexed smart sensors.
+"""Thermal mapping of a processor die with a bank of smart sensors.
 
 The end application the paper motivates: several ring-oscillator
-sensors distributed over a die, read through one multiplexed smart unit,
-feeding a dynamic thermal-management policy.  This example
+sensors distributed over a die, read through one shared smart-unit
+readout, feeding a dynamic thermal-management policy.  This example
 
 1. builds a processor-like floorplan with a strongly non-uniform power
    map (two cores, a cache, an FPU hotspot),
 2. computes the reference temperature field with the compact thermal
    model,
-3. places a grid of calibrated smart sensors, scans them through the
-   multiplexer, and reconstructs the thermal map from the sparse
+3. places a grid of calibrated smart sensors, scans them as one
+   ``SensorBank``, and reconstructs the thermal map from the sparse
    readings,
 4. prints both maps as ASCII heat maps and reports the reconstruction
    accuracy and which sensors would trigger a 95 C thermal alarm.

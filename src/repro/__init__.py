@@ -5,7 +5,8 @@ Thermal Testing of Cell-Based ICs"* (Bota, Rosales, Segura — DATE 2005):
 a built-in temperature sensor made only of standard library gates, whose
 ring-oscillator period tracks junction temperature, linearised by
 choosing the right mix of cells, and wrapped in a digital smart unit
-(counter readout, enable/busy control, multiplexed thermal mapping).
+(counter readout, enable/busy control, thermal mapping from a bank of
+distributed sensors).
 
 Subpackages
 -----------
@@ -26,7 +27,7 @@ Subpackages
     Ring-oscillator construction, configurations, temperature response.
 ``repro.core``
     The paper's contribution: the smart sensor, readout, controller,
-    calibration, multiplexer and thermal monitor.
+    calibration, sensor bank, thermal monitor and thermal management.
 ``repro.thermal``
     Die floorplan, power maps, compact thermal RC model and solvers.
 ``repro.analysis``
@@ -184,7 +185,6 @@ from .core import (
     LinearCalibration,
     ReadoutConfig,
     SensorBank,
-    SensorMultiplexer,
     SmartTemperatureSensor,
     ThermalMonitor,
 )
@@ -229,7 +229,6 @@ __all__ = [
     "LinearCalibration",
     "ReadoutConfig",
     "SensorBank",
-    "SensorMultiplexer",
     "SmartTemperatureSensor",
     "ThermalMonitor",
     "Floorplan",

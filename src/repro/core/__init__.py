@@ -2,10 +2,12 @@
 
 * :class:`~repro.core.sensor.SmartTemperatureSensor` — ring oscillator +
   counter readout + controller + calibration.
-* :class:`~repro.core.multiplexer.SensorMultiplexer` — shared readout for
-  several distributed sensors.
+* :class:`~repro.core.sensor_bank.SensorBank` — the shared readout of
+  several distributed sensors, scanned in one broadcast pass.
 * :class:`~repro.core.mapping.ThermalMonitor` — distributed sensors on a
   floorplan with full-die thermal-map reconstruction.
+* :class:`~repro.core.thermal_manager.DynamicThermalManager` — the
+  closed throttling loop driven by the bank's readings.
 """
 
 from .readout import CountReading, PeriodCounter, ReadoutConfig, ReferenceCounter
@@ -25,7 +27,6 @@ from .calibration import (
     two_point_calibration,
 )
 from .sensor import SensorReading, SensorTransferFunction, SmartTemperatureSensor
-from .multiplexer import ScanResult, SensorMultiplexer
 from .sensor_bank import BankCalibration, BankScan, SensorBank
 from .mapping import ThermalMonitor, ThermalMonitorReport
 from .thermal_manager import (
@@ -37,7 +38,6 @@ from .thermal_manager import (
     PolicyBank,
     ThrottlingPolicy,
 )
-from .registers import RegisterMap, SmartSensorRegisters
 
 __all__ = [
     "CountReading",
@@ -58,8 +58,6 @@ __all__ = [
     "SensorReading",
     "SensorTransferFunction",
     "SmartTemperatureSensor",
-    "ScanResult",
-    "SensorMultiplexer",
     "BankCalibration",
     "BankScan",
     "SensorBank",
@@ -72,6 +70,4 @@ __all__ = [
     "PerformanceState",
     "PolicyBank",
     "ThrottlingPolicy",
-    "RegisterMap",
-    "SmartSensorRegisters",
 ]

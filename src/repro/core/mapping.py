@@ -3,31 +3,29 @@
 This module closes the loop the paper sketches: ring-oscillator sensors
 are placed at several points of a floorplan, the die's temperature field
 is computed from its power map with the compact thermal model, each
-sensor reads its *local* junction temperature through the multiplexed
-smart unit, and the monitor reconstructs a full-die thermal map from the
-sparse sensor readings.  The reconstruction error against the true field
-quantifies how many sensors a thermal-mapping application needs — one of
-the design questions the smart unit's multiplexer exists to answer.
+sensor reads its *local* junction temperature through the smart unit's
+shared readout (a :class:`~repro.core.sensor_bank.SensorBank` scan), and
+the monitor reconstructs a full-die thermal map from the sparse sensor
+readings.  The reconstruction error against the true field quantifies
+how many sensors a thermal-mapping application needs — one of the
+design questions the smart unit's multiplexed readout exists to answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..cells.library import CellLibrary, default_library
 from ..oscillator.config import RingConfiguration
-from ..oscillator.ring import RingOscillator
 from ..tech.parameters import Technology, TechnologyError
 from ..thermal.floorplan import Floorplan, SensorSite
 from ..thermal.grid import TemperatureMap, ThermalGrid, ThermalGridParameters
 from ..thermal.power import PowerMap
 from ..thermal.solver import solve_steady_state
-from .multiplexer import ScanResult, SensorMultiplexer
 from .readout import ReadoutConfig
-from .sensor import SensorTransferFunction, SmartTemperatureSensor
 from .sensor_bank import BankScan, SensorBank
 
 __all__ = ["ThermalMonitorReport", "ThermalMonitor", "reconstruct_maps"]
@@ -89,11 +87,7 @@ class ThermalMonitorReport:
     Attributes
     ----------
     scan:
-        The raw scan: the :class:`~repro.core.sensor_bank.BankScan` of
-        :meth:`ThermalMonitor.scan`, or a multiplexer
-        :class:`~repro.core.multiplexer.ScanResult` when a report is
-        assembled from per-sensor readings; both expose ``readings`` and
-        ``total_time_s``.
+        The raw :class:`~repro.core.sensor_bank.BankScan` of every site.
     true_map:
         The reference temperature field from the thermal model.
     site_true_temperatures_c:
@@ -104,7 +98,7 @@ class ThermalMonitorReport:
         Full-die map reconstructed from the sensor estimates.
     """
 
-    scan: Union[BankScan, ScanResult]
+    scan: BankScan
     true_map: TemperatureMap
     site_true_temperatures_c: Dict[str, float]
     site_estimates_c: Dict[str, float]
@@ -178,14 +172,6 @@ class ThermalMonitor:
         self.ambient_c = float(ambient_c)
         self.grid_resolution = int(grid_resolution)
         self.thermal_parameters = thermal_parameters
-
-        sensors: List[SmartTemperatureSensor] = []
-        for site in sites:
-            ring = RingOscillator(self.library, configuration)
-            sensors.append(
-                SmartTemperatureSensor(ring, readout=readout, name=site.name)
-            )
-        self.multiplexer = SensorMultiplexer(sensors)
         self.bank = SensorBank(self.library, sites, configuration, readout=readout)
         self._sites: Dict[str, SensorSite] = {site.name: site for site in sites}
         self._grid: Optional[ThermalGrid] = None
@@ -198,32 +184,10 @@ class ThermalMonitor:
     def calibrate(self, low_temperature_c: float = -40.0, high_temperature_c: float = 125.0) -> None:
         """Two-point calibrate every sensor in the bank.
 
-        The calibration runs once through the banked path (the sites
-        share one ring design, so one vectorized two-point evaluation
-        covers the whole bank) and the resulting line is installed into
-        every multiplexer channel as well — the per-sensor scalar
-        pipeline produces exactly the same line, which
-        ``tests/test_sensor_bank.py`` pins.
+        The sites share one ring design, so one vectorized two-point
+        evaluation calibrates the whole bank.
         """
-        calibration = self.bank.calibrate(low_temperature_c, high_temperature_c)
-        for sensor in self.multiplexer.sensors():
-            sensor.install_calibration(calibration.linear_calibration())
-
-    def sensor_sites(self) -> List[SensorSite]:
-        return list(self._sites.values())
-
-    def characterize(
-        self, temperatures_c: Optional[Sequence[float]] = None
-    ) -> Dict[str, "SensorTransferFunction"]:
-        """Transfer function of every sensor in the bank, keyed by site.
-
-        Each sensor sweeps the whole grid in one vectorized pass, which
-        is what makes characterising large sensor grids cheap.
-        """
-        return {
-            sensor.name: sensor.transfer_function(temperatures_c)
-            for sensor in self.multiplexer.sensors()
-        }
+        self.bank.calibrate(low_temperature_c, high_temperature_c)
 
     # ------------------------------------------------------------------ #
     # thermal field

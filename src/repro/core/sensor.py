@@ -143,7 +143,7 @@ class SmartTemperatureSensor:
     controller_config:
         Measurement-controller configuration (settle time, auto-disable).
     name:
-        Instance name, used by the multiplexer and the thermal monitor.
+        Instance name.
     """
 
     def __init__(

@@ -1,15 +1,13 @@
 """Stacked sensor banks: the site axis of the batch engine.
 
-The thermal-mapping and DTM layers read a *bank* of identical smart
-sensors — one per floorplan site — through a multiplexer.  Before this
-module a full scan cost one Python pass per sensor: a scalar ring-period
-evaluation, a controller FSM walk (hundreds of reference-clock steps)
-and a scalar counter conversion, repeated for every site and, in
-Monte-Carlo studies, for every technology sample.
+The paper's smart unit reads many distributed ring oscillators through
+one multiplexed readout.  A :class:`SensorBank` models that readout,
+and it is the package's one sensor-scan path: the thermal monitor, the
+DTM loop and the sweep engine's ``site`` axis all scan through it.
 
-A :class:`SensorBank` stores the bank struct-of-arrays style instead:
-the sites share one ring design (exactly as the multiplexed hardware
-shares one readout), so a full scan is
+The bank is stored struct-of-arrays style.  The sites share one ring
+design (exactly as the multiplexed hardware shares one readout), so a
+full scan is
 
 * one vectorized period evaluation over the ``(site,)`` junction-
   temperature vector — or, against a stacked
@@ -25,12 +23,6 @@ per-measurement conversion time; since every measurement of the bank
 takes the same deterministic cycle count, the scan total is that time
 multiplied by the channel count — identical to summing the per-sensor
 readings.
-
-The pre-existing per-sensor pipeline (build a
-:class:`~repro.core.sensor.SmartTemperatureSensor` per site, two-point
-calibrate it, ``measure`` each site in turn) lives in the test suite as
-the oracle the equivalence tests pin the banked path against (estimates
-to 1e-9 relative, counter codes exactly).
 """
 
 from __future__ import annotations
@@ -103,7 +95,7 @@ class BankCalibration:
 
 @dataclass(frozen=True)
 class BankScan:
-    """One banked multiplexer scan: every channel's reading as arrays.
+    """One bank scan: every channel's reading as arrays.
 
     All value arrays share the leading ``site`` axis; against a stacked
     technology population they are ``(site, sample)`` matrices.
@@ -160,9 +152,7 @@ class BankScan:
     def readings(self) -> Dict[str, SensorReading]:
         """Per-channel :class:`SensorReading` view (single-technology scans).
 
-        Materialised from the scan arrays so existing consumers of the
-        multiplexer's ``ScanResult.readings`` keep working against the
-        banked path.
+        Materialised from the scan arrays, one reading per site.
         """
         self._require_single()
         result: Dict[str, SensorReading] = {}

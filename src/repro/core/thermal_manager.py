@@ -17,7 +17,7 @@ throttling, PowerPC thermal assist unit) implemented.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from ..thermal.floorplan import Floorplan
 from ..thermal.grid import TemperatureMap, ThermalGrid, ThermalGridParameters, bilinear_sample
 from ..thermal.operator import ThermalOperator
 from ..thermal.power import PowerMap
+from ..thermal.solver import transient_step_count
 from .mapping import ThermalMonitor
 from .readout import ReadoutConfig
 
@@ -171,10 +172,10 @@ class PolicyBank:
 
     The DTM policy *comparison* — the paper's actual story — evaluates
     many thresholds/hysteresis/performance-state sets against the same
-    die.  Run one at a time through :meth:`DynamicThermalManager.run`,
-    every policy pays its own transient integration and per-step sensor
-    scan.  A :class:`PolicyBank` stores the policies as threshold
-    vectors plus padded ``(policy, state)`` performance-state tables, so
+    die.  Run one at a time, every policy would pay its own transient
+    integration and per-step sensor scan.  A :class:`PolicyBank` stores
+    the policies as threshold vectors plus padded ``(policy, state)``
+    performance-state tables, so
     :meth:`DynamicThermalManager.run_bank` can carry every policy's FSM
     state as one index vector and advance all of them through a single
     shared :class:`~repro.thermal.operator.ThermalStepper` multi-RHS
@@ -326,9 +327,9 @@ class DtmBankResult:
     ``sample`` axis (when the run scanned a Monte-Carlo technology
     population) and a trailing ``step`` axis; the metric accessors
     reduce over steps, returning one value per policy (per sample).
-    :meth:`to_result` unstacks one policy's trace back into the scalar
-    :class:`DtmResult`, which is how the equivalence tests compare the
-    banked run against the retained scalar oracle point for point.
+    :meth:`to_result` unstacks one policy's trace into a
+    :class:`DtmResult`; :meth:`DynamicThermalManager.run` returns exactly
+    that for a one-policy bank.
     """
 
     bank: PolicyBank
@@ -439,8 +440,7 @@ class DtmBankResult:
         """Unstack one policy's full trace into a scalar :class:`DtmResult`.
 
         Only defined for single-technology runs (the scalar trace has no
-        sample axis).  The result is point-for-point comparable with a
-        :meth:`DynamicThermalManager.run` of the same policy.
+        sample axis).
         """
         if self.sample_count is not None:
             raise TechnologyError(
@@ -538,23 +538,6 @@ class DynamicThermalManager:
         """Workload power map at full speed."""
         return self._base_power
 
-    def _sensor_readings(self, die_map: TemperatureMap) -> Dict[str, float]:
-        """Read every sensor at its local junction temperature.
-
-        One banked scan (vectorized site gather + one broadcast period
-        evaluation + one batch counter conversion) replaces the
-        per-sensor multiplexer loop that used to run every control
-        interval.
-        """
-        if self.monitor.bank.calibration is None:
-            raise TechnologyError("DTM requires calibrated sensors")
-        truths = die_map.sample_points(self._site_xs, self._site_ys)
-        scan = self.monitor.bank.scan(truths)
-        return {
-            name: float(estimate)
-            for name, estimate in zip(scan.names, scan.estimates_c)
-        }
-
     def run(
         self,
         duration_s: float = 2.0,
@@ -563,7 +546,10 @@ class DynamicThermalManager:
         workload_scale: float = 1.0,
         policy: Optional[ThrottlingPolicy] = None,
     ) -> DtmResult:
-        """Run the closed-loop simulation.
+        """Run the closed-loop simulation for one policy.
+
+        This is :meth:`run_bank` with a one-policy bank, unstacked by
+        :meth:`DtmBankResult.to_result`.
 
         Parameters
         ----------
@@ -584,54 +570,15 @@ class DynamicThermalManager:
             reference whose thresholds are never reached — without
             rebuilding the manager or the thermal model.
         """
-        if duration_s <= 0.0 or control_interval_s <= 0.0:
-            raise TechnologyError("duration and control interval must be positive")
-        if control_interval_s >= duration_s:
-            raise TechnologyError("control interval must be shorter than the duration")
-        if workload_scale < 0.0:
-            raise TechnologyError("workload_scale must be non-negative")
-
-        active_policy = policy if policy is not None else self.policy
-        steps = int(np.ceil(duration_s / control_interval_s))
-        grid = self._grid
-        # The backward-Euler factorization comes from the process-wide
-        # operator cache, so every run over the same grid and control
-        # interval — including the managed/unmanaged pair of a study —
-        # shares a single factorization.
-        stepper = ThermalOperator.for_grid(grid, self.solve_method).stepper(
-            control_interval_s
+        label = "policy"
+        banked = self.run_bank(
+            {label: policy if policy is not None else self.policy},
+            duration_s=duration_s,
+            control_interval_s=control_interval_s,
+            limit_c=limit_c,
+            workload_scale=workload_scale,
         )
-
-        state_index = 0
-        rise = np.zeros(grid.nx * grid.ny)
-        trace: List[DtmTracePoint] = []
-
-        for step in range(1, steps + 1):
-            time = step * control_interval_s
-            state = active_policy.states[state_index]
-            power = self._base_power.scaled(workload_scale * state.power_scale)
-            rise = stepper.step(rise, power.values_w.reshape(-1))
-            die_map = TemperatureMap(
-                grid.width_mm,
-                grid.height_mm,
-                rise.reshape((grid.ny, grid.nx)) + self.ambient_c,
-            )
-
-            readings = self._sensor_readings(die_map)
-            hottest = max(readings.values())
-            trace.append(
-                DtmTracePoint(
-                    time_s=time,
-                    state_name=state.name,
-                    power_w=power.total_power_w(),
-                    true_peak_c=die_map.max_c(),
-                    hottest_reading_c=hottest,
-                    performance=state.performance,
-                )
-            )
-            state_index = active_policy.next_state_index(state_index, hottest)
-
-        return DtmResult(trace=tuple(trace), limit_c=limit_c, final_map=die_map)
+        return banked.to_result(label)
 
     def run_bank(
         self,
@@ -646,15 +593,16 @@ class DynamicThermalManager:
     ) -> DtmBankResult:
         """Run every policy of a bank through one shared closed loop.
 
-        The banked counterpart of :meth:`run` (which is retained as the
-        per-policy oracle): all policies advance in lockstep, so each
+        This is the package's one closed loop (:meth:`run` is a
+        one-policy bank): all policies advance in lockstep, so each
         timestep costs **one** multi-RHS backward-Euler solve for the
         whole ``(cell, policy)`` temperature-rise stack, one bilinear
         gather of every policy's sensor sites from its own field, one
         broadcast ring-period evaluation and one vectorized FSM step —
-        instead of one full transient integration per policy.  The
-        arithmetic per policy is exactly the scalar loop's, so throttle
-        decisions bit-match and temperatures agree to solver rounding.
+        instead of one full transient integration per policy.  Each row
+        does the arithmetic of a one-policy loop, so its throttle
+        decisions match that loop exactly and its temperatures agree to
+        solver rounding.
 
         Parameters
         ----------
@@ -699,7 +647,7 @@ class DynamicThermalManager:
                 technologies=population,
             )
 
-        steps = int(np.ceil(duration_s / control_interval_s))
+        steps = transient_step_count(duration_s, control_interval_s)
         grid = self._grid
         stepper = ThermalOperator.for_grid(grid, self.solve_method).stepper(
             control_interval_s

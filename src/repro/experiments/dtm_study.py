@@ -2,8 +2,8 @@
 
 The final justification for a built-in temperature sensor is the system
 it enables: dynamic thermal management.  This extension runs the
-closed-loop simulation (workload power -> die temperature -> multiplexed
-sensor readings -> throttling policy -> workload power ...) and compares
+closed-loop simulation (workload power -> die temperature -> sensor-bank
+readings -> throttling policy -> workload power ...) and compares
 it against the same die with no thermal management, answering the two
 questions a product team would ask: does the sensor-driven policy keep
 the junction below the limit, and how much performance does it cost?
@@ -16,7 +16,7 @@ an always-included unmanaged baseline) into a
 them through one shared closed loop
 (:meth:`~repro.core.thermal_manager.DynamicThermalManager.run_bank` —
 one multi-RHS backward-Euler solve and one banked sensor scan per
-timestep, bit-matching the scalar per-policy oracle), optionally
+timestep; each row takes the decisions a one-policy run takes), optionally
 crossed with a Monte-Carlo technology population (the ``sample`` axis)
 and with a set of thermal-grid resolutions (the grid-refinement axis
 mirroring the sweep engine's ``resolution`` axis — one cached
@@ -393,10 +393,9 @@ def run_dtm_study(
     that would push the unmanaged die past the junction limit — the case
     thermal management exists for.  The managed/unmanaged pair is the
     two-policy special case of :func:`run_dtm_policy_sweep`: both ride
-    one banked closed loop (one multi-RHS solve per timestep), and the
-    banked arithmetic bit-matches the retained scalar
-    :meth:`~repro.core.thermal_manager.DynamicThermalManager.run`
-    oracle policy for policy.
+    one banked closed loop (one multi-RHS solve per timestep), and each
+    row matches a one-policy
+    :meth:`~repro.core.thermal_manager.DynamicThermalManager.run`.
     """
     tech = technology if technology is not None else CMOS035
     configuration = RingConfiguration.parse(configuration_text)

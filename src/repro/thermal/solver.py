@@ -23,7 +23,12 @@ from .grid import TemperatureMap, ThermalGrid
 from .operator import ThermalOperator
 from .power import PowerMap
 
-__all__ = ["solve_steady_state", "TransientThermalResult", "solve_transient"]
+__all__ = [
+    "solve_steady_state",
+    "TransientThermalResult",
+    "solve_transient",
+    "transient_step_count",
+]
 
 
 def solve_steady_state(
@@ -42,6 +47,20 @@ def solve_steady_state(
     factorization's fill-in grows faster).
     """
     return ThermalOperator.for_grid(grid, method).solve_steady_state(power, ambient_c)
+
+
+def transient_step_count(duration_s: float, timestep_s: float) -> int:
+    """Number of timesteps that cover ``duration_s``.
+
+    A ratio within 1e-9 relative of an integer is that integer, so float
+    error cannot add a step (``0.14 / 0.02`` is 7.000000000000001 and
+    spans 7 steps, not 8); any other ratio rounds up.
+    """
+    ratio = duration_s / timestep_s
+    nearest = round(ratio)
+    if nearest >= 1 and abs(ratio - nearest) <= 1e-9 * nearest:
+        return int(nearest)
+    return int(np.ceil(ratio))
 
 
 @dataclass(frozen=True)
@@ -110,7 +129,7 @@ def solve_transient(
         raise TechnologyError("duration and timestep must be positive")
     if store_every < 1:
         raise TechnologyError("store_every must be >= 1")
-    steps = int(np.ceil(duration_s / timestep_s))
+    steps = transient_step_count(duration_s, timestep_s)
     if steps < 1:
         raise TechnologyError("duration must span at least one timestep")
 

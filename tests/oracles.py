@@ -11,7 +11,8 @@ drive current for every transition they need, instead of once per
 distinct network.
 
 The per-sample and per-configuration loops (``period_matrix_loop``,
-``period_tensor_loop``, ``site_period_tensor_loop``) are also what
+``period_tensor_loop``, ``site_period_tensor_loop``) and the per-policy
+DTM loop (``dtm_run_scalar``) are also what
 ``benchmarks/test_bench_engine.py`` times the broadcast paths against.
 One library path still computes its own reference:
 :func:`repro.thermal.selfheating.self_heating_error` is the
@@ -34,6 +35,7 @@ from repro.core.calibration import design_calibration, one_point_calibration
 from repro.core.mapping import ThermalMonitorReport
 from repro.core.sensor import SensorTransferFunction
 from repro.core.sensor_bank import BankScan
+from repro.core.thermal_manager import DtmResult, DtmTracePoint
 from repro.delay.alpha_power import (
     DriveNetwork,
     effective_saturation_current,
@@ -57,6 +59,8 @@ from repro.tech import (
     sample_technologies,
     stack_technologies,
 )
+from repro.thermal import TemperatureMap, ThermalGrid, ThermalOperator
+from repro.thermal.solver import transient_step_count
 
 
 # --------------------------------------------------------------------------- #
@@ -368,8 +372,7 @@ def site_period_tensor_loop(
 ) -> np.ndarray:
     """``SensorBank.period_tensor`` as one scalar ring evaluation per site.
 
-    With a population, one ring rebind per sample: exactly the pre-bank
-    multiplexer cost.
+    With a population, one ring rebind per sample.
     """
     temps = bank._site_temperatures(junction_temperatures_c)
     if technologies is None:
@@ -435,22 +438,28 @@ def bank_scan_loop(
 
 
 def monitor_scan_scalar(monitor, power=None) -> ThermalMonitorReport:
-    """``ThermalMonitor.scan`` through the per-sensor multiplexer loop.
+    """``ThermalMonitor.scan`` as one field sample and one sensor per site.
 
     Each site's junction temperature is sampled from the field one site
-    at a time, and the multiplexer measures every channel in turn.
+    at a time; :func:`bank_scan_loop` then builds, two-point calibrates
+    (at the bank's insertion temperatures) and measures one scalar
+    sensor per site.
     """
     if power is None:
         power = monitor.power_map_for_floorplan()
     true_map = monitor.temperature_field(power)
-    site_truth = {
-        site.name: true_map.sample(site.x_mm, site.y_mm)
-        for site in monitor.sensor_sites()
-    }
-    scan = monitor.multiplexer.scan(site_truth)
-    site_estimates = {
-        name: reading.temperature_estimate_c for name, reading in scan.readings.items()
-    }
+    bank = monitor.bank
+    truths = [true_map.sample(site.x_mm, site.y_mm) for site in bank.sites()]
+    scan = bank_scan_loop(
+        bank,
+        truths,
+        calibrate_at=(
+            bank.calibration.low_temperature_c,
+            bank.calibration.high_temperature_c,
+        ),
+    )
+    site_truth = dict(zip(scan.names, truths))
+    site_estimates = dict(zip(scan.names, (float(e) for e in scan.estimates_c)))
     return ThermalMonitorReport(
         scan=scan,
         true_map=true_map,
@@ -458,6 +467,62 @@ def monitor_scan_scalar(monitor, power=None) -> ThermalMonitorReport:
         site_estimates_c=site_estimates,
         reconstructed_map=monitor._reconstruct(site_estimates, true_map),
     )
+
+
+# --------------------------------------------------------------------------- #
+# thermal management
+# --------------------------------------------------------------------------- #
+
+
+def dtm_run_scalar(
+    manager,
+    policy,
+    duration_s: float = 2.0,
+    control_interval_s: float = 0.02,
+    limit_c: float = 115.0,
+    workload_scale: float = 1.0,
+) -> DtmResult:
+    """``DynamicThermalManager.run`` as one policy's own closed loop.
+
+    Every control interval takes one backward-Euler step of a single
+    temperature-rise column, one bank scan of the sites and one scalar
+    policy step: the per-policy loop ``run_bank`` advances in lockstep.
+    """
+    bank = manager.monitor.bank
+    site_xs, site_ys = bank.positions()
+    base_power = manager.base_power_map
+    grid = ThermalGrid.for_power_map(base_power, manager.monitor.thermal_parameters)
+    stepper = ThermalOperator.for_grid(grid, manager.solve_method).stepper(
+        control_interval_s
+    )
+    steps = transient_step_count(duration_s, control_interval_s)
+
+    state_index = 0
+    rise = np.zeros(grid.nx * grid.ny)
+    trace: List[DtmTracePoint] = []
+    for step in range(1, steps + 1):
+        state = policy.states[state_index]
+        power = base_power.scaled(workload_scale * state.power_scale)
+        rise = stepper.step(rise, power.values_w.reshape(-1))
+        die_map = TemperatureMap(
+            grid.width_mm,
+            grid.height_mm,
+            rise.reshape((grid.ny, grid.nx)) + manager.ambient_c,
+        )
+        scan = bank.scan(die_map.sample_points(site_xs, site_ys))
+        hottest = float(np.max(scan.estimates_c))
+        trace.append(
+            DtmTracePoint(
+                time_s=step * control_interval_s,
+                state_name=state.name,
+                power_w=power.total_power_w(),
+                true_peak_c=die_map.max_c(),
+                hottest_reading_c=hottest,
+                performance=state.performance,
+            )
+        )
+        state_index = policy.next_state_index(state_index, hottest)
+    return DtmResult(trace=tuple(trace), limit_c=limit_c, final_map=die_map)
 
 
 # --------------------------------------------------------------------------- #

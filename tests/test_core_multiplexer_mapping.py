@@ -1,63 +1,11 @@
-"""Unit tests for the sensor multiplexer and the thermal monitor."""
+"""Unit tests for the thermal monitor."""
 
 import pytest
 
-from repro.core import ReadoutConfig, SensorMultiplexer, SmartTemperatureSensor, ThermalMonitor
+from repro.core import ThermalMonitor
 from repro.oscillator import RingConfiguration
 from repro.tech import CMOS035, TechnologyError
 from repro.thermal import Floorplan
-
-
-def make_sensor(tech, name):
-    return SmartTemperatureSensor.from_configuration(
-        tech, RingConfiguration.parse("2INV+3NAND2"), name=name
-    )
-
-
-@pytest.fixture()
-def mux(tech):
-    return SensorMultiplexer([make_sensor(tech, f"ch{i}") for i in range(3)])
-
-
-class TestMultiplexer:
-    def test_requires_at_least_one_sensor(self):
-        with pytest.raises(TechnologyError):
-            SensorMultiplexer([])
-
-    def test_requires_unique_names(self, tech):
-        with pytest.raises(TechnologyError):
-            SensorMultiplexer([make_sensor(tech, "dup"), make_sensor(tech, "dup")])
-
-    def test_select_and_measure(self, mux):
-        mux.select("ch1")
-        assert mux.selected == "ch1"
-        reading = mux.measure_selected(60.0)
-        assert reading.code > 0
-
-    def test_select_unknown_channel_rejected(self, mux):
-        with pytest.raises(TechnologyError):
-            mux.select("ch9")
-
-    def test_scan_covers_all_channels(self, mux):
-        mux.calibrate_all_two_point(-50.0, 150.0)
-        result = mux.scan({"ch0": 50.0, "ch1": 80.0, "ch2": 65.0})
-        assert set(result.readings) == {"ch0", "ch1", "ch2"}
-        assert result.total_time_s > 0.0
-
-    def test_scan_requires_all_temperatures(self, mux):
-        with pytest.raises(TechnologyError):
-            mux.scan({"ch0": 50.0})
-
-    def test_hottest_channel_identified(self, mux):
-        mux.calibrate_all_two_point(-50.0, 150.0)
-        result = mux.scan({"ch0": 50.0, "ch1": 95.0, "ch2": 65.0})
-        assert result.hottest_channel() == "ch1"
-
-    def test_scan_estimates_track_truth(self, mux):
-        mux.calibrate_all_two_point(-50.0, 150.0)
-        result = mux.scan({"ch0": 50.0, "ch1": 80.0, "ch2": 65.0})
-        for name, truth in {"ch0": 50.0, "ch1": 80.0, "ch2": 65.0}.items():
-            assert result.readings[name].temperature_estimate_c == pytest.approx(truth, abs=1.0)
 
 
 @pytest.fixture(scope="module")

@@ -3,12 +3,12 @@
 The :class:`repro.core.PolicyBank` contract is that one banked closed
 loop (:meth:`DynamicThermalManager.run_bank` — a single multi-RHS
 backward-Euler solve, bilinear site gather, broadcast sensor scan and
-vectorized FSM step per timestep) computes exactly what the retained
-scalar :meth:`DynamicThermalManager.run` oracle computes policy by
-policy: *identical* throttle decisions and temperatures to 1e-9
-relative.  The example-processor policy sweep's headline numbers are
-pinned as golden values, and the sweep engine's ``resolution`` axis is
-round-tripped against its hand-rolled solve-then-scan lowering.
+vectorized FSM step per timestep) computes exactly what the per-policy
+loop ``oracles.dtm_run_scalar`` computes policy by policy: *identical*
+throttle decisions and temperatures to 1e-9 relative.  The
+example-processor policy sweep's headline numbers are pinned as golden
+values, and the sweep engine's ``resolution`` axis is round-tripped
+against its hand-rolled solve-then-scan lowering.
 """
 
 import numpy as np
@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles import dtm_run_scalar
 from repro.core import PolicyBank, SensorBank, ThrottlingPolicy
 from repro.engine import Axis, Sweep
 from repro.experiments import run_dtm_policy_sweep
@@ -110,7 +111,7 @@ def manager(dtm_manager_factory):
 
 
 class TestBankedEquivalence:
-    """run_bank versus the scalar run(policy=...) oracle."""
+    """run_bank versus the per-policy loop oracle."""
 
     @pytest.mark.slow
     @given(sampled=st.lists(policies(), min_size=2, max_size=4))
@@ -120,7 +121,7 @@ class TestBankedEquivalence:
     def test_banked_run_matches_scalar_oracle(self, manager, sampled):
         banked = manager.run_bank(sampled, **RUN_KW)
         for label, policy in zip(banked.labels, sampled):
-            scalar = manager.run(policy=policy, **RUN_KW)
+            scalar = dtm_run_scalar(manager, policy, **RUN_KW)
             row = banked.to_result(label)
             # Throttle decisions bit-match ...
             assert [p.state_name for p in row.trace] == [
@@ -192,6 +193,14 @@ class TestBankedEquivalence:
             banked.to_result("default")
         with pytest.raises(TechnologyError):
             banked.state_occupancy()
+
+    def test_step_count_does_not_overshoot_duration(self, manager):
+        # 0.14 / 0.02 is 7.000000000000001 in floats: 7 steps, not 8.
+        banked = manager.run_bank(
+            [ThrottlingPolicy()], duration_s=0.14, control_interval_s=0.02
+        )
+        assert banked.step_count == 7
+        assert banked.times_s[-1] == pytest.approx(0.14)
 
     def test_run_bank_validation(self, manager):
         with pytest.raises(TechnologyError):

@@ -1,11 +1,12 @@
 """Equivalence and golden tests for the banked sensor-scan path.
 
 The :class:`repro.core.SensorBank` contract is that one broadcast scan
-computes exactly what the retained per-sensor pipeline (one
-:class:`SmartTemperatureSensor` per site, scalar measure each) computes:
-counter codes *exactly*, calibrated estimates to 1e-9 relative.  The
-thermal-map metrics on the example processor are pinned as golden
-values so a refactor of either path cannot silently drift them.
+computes exactly what the per-sensor pipeline of ``tests/oracles.py``
+(one :class:`SmartTemperatureSensor` per site, scalar measure each)
+computes: counter codes *exactly*, calibrated estimates to 1e-9
+relative.  The thermal-map metrics on the example processor are pinned
+as golden values so a refactor of either path cannot silently drift
+them.
 """
 
 import numpy as np
@@ -141,6 +142,8 @@ class TestBankStructure:
         sites = floorplan.sensor_sites() + [floorplan.sensor_sites()[0]]
         with pytest.raises(TechnologyError):
             SensorBank(library, sites, CONFIGURATION)
+        with pytest.raises(TechnologyError):
+            SensorBank(library, [], CONFIGURATION)
 
     def test_zero_slope_calibration_rejected(self):
         with pytest.raises(TechnologyError):

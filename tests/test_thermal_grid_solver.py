@@ -132,6 +132,21 @@ class TestTransient:
             solve_transient(uniform_grid, lambda t: uniform_power_map, duration_s=1.0, timestep_s=0.01,
                             store_every=0)
 
+    @pytest.mark.parametrize(
+        "duration_s, timestep_s, steps",
+        [(0.14, 0.02, 7), (0.07, 0.01, 7), (0.33, 0.03, 11), (0.54, 0.03, 18), (0.15, 0.02, 8)],
+    )
+    def test_step_count_does_not_overshoot_duration(
+        self, uniform_grid, uniform_power_map, duration_s, timestep_s, steps
+    ):
+        # 0.14 / 0.02 is 7.000000000000001 in floats: 7 steps, not 8.
+        # A ratio that is not an integer (0.15 / 0.02) still rounds up.
+        result = solve_transient(
+            uniform_grid, lambda t: uniform_power_map, duration_s=duration_s, timestep_s=timestep_s
+        )
+        assert len(result.times_s) == steps + 1
+        assert result.times_s[-1] == pytest.approx(steps * timestep_s)
+
     def test_at_time_returns_nearest_map(self, uniform_grid, uniform_power_map):
         result = solve_transient(
             uniform_grid, lambda t: uniform_power_map, duration_s=0.5, timestep_s=0.05, store_every=1
