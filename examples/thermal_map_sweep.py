@@ -78,7 +78,7 @@ def main() -> None:
     print(f"\nbanked scan: dims {codes.dims}, shape {codes.shape}, "
           f"{banked_s * 1e3:.1f} ms")
 
-    estimates = calibration.estimate(bank.counter.codes_to_periods(codes.values))
+    estimates = calibration.temperature(bank.counter.codes_to_periods(codes.values))
     worst = np.max(np.abs(estimates - site_temps[:, np.newaxis]))
     print(f"worst per-site error across {len(population)} samples: {worst:.2f} C")
 

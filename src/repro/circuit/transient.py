@@ -26,7 +26,12 @@ from .elements import SimulationError
 from .netlist import Circuit
 from .waveform import Waveform
 
-__all__ = ["TransientOptions", "TransientResult", "simulate_transient"]
+__all__ = [
+    "TransientOptions",
+    "TransientResult",
+    "simulate_transient",
+    "transient_step_count",
+]
 
 
 @dataclass(frozen=True)
@@ -124,6 +129,22 @@ def _initial_state(
     return state
 
 
+def transient_step_count(duration_s: float, timestep_s: float) -> int:
+    """Number of timesteps that cover ``duration_s``.
+
+    A ratio within 1e-9 relative of an integer is that integer, so float
+    error cannot add a step (``0.14 / 0.02`` is 7.000000000000001 and
+    spans 7 steps, not 8); any other ratio rounds up.  The circuit
+    simulator, the thermal transient solve and the DTM loop all count
+    their steps this way.
+    """
+    ratio = duration_s / timestep_s
+    nearest = round(ratio)
+    if nearest >= 1 and abs(ratio - nearest) <= 1e-9 * nearest:
+        return int(nearest)
+    return int(np.ceil(ratio))
+
+
 def simulate_transient(
     circuit: Circuit,
     duration: float,
@@ -158,7 +179,7 @@ def simulate_transient(
     circuit.validate()
     if duration <= 0.0:
         raise SimulationError("duration must be positive")
-    steps = int(np.ceil(duration / options.timestep))
+    steps = transient_step_count(duration, options.timestep)
     if steps < 2:
         raise SimulationError("duration must span at least two timesteps")
 

@@ -10,7 +10,7 @@
   closed throttling loop driven by the bank's readings.
 """
 
-from .readout import CountReading, PeriodCounter, ReadoutConfig, ReferenceCounter
+from .readout import PeriodCounter, ReadoutConfig
 from .controller import (
     ControllerConfig,
     ControllerState,
@@ -27,7 +27,7 @@ from .calibration import (
     two_point_calibration,
 )
 from .sensor import SensorReading, SensorTransferFunction, SmartTemperatureSensor
-from .sensor_bank import BankCalibration, BankScan, SensorBank
+from .sensor_bank import BankScan, SensorBank
 from .mapping import ThermalMonitor, ThermalMonitorReport
 from .thermal_manager import (
     DtmBankResult,
@@ -40,10 +40,8 @@ from .thermal_manager import (
 )
 
 __all__ = [
-    "CountReading",
     "PeriodCounter",
     "ReadoutConfig",
-    "ReferenceCounter",
     "ControllerConfig",
     "ControllerState",
     "ControllerStatus",
@@ -58,7 +56,6 @@ __all__ = [
     "SensorReading",
     "SensorTransferFunction",
     "SmartTemperatureSensor",
-    "BankCalibration",
     "BankScan",
     "SensorBank",
     "ThermalMonitor",

@@ -58,32 +58,37 @@ class LinearCalibration:
     (kelvin per second of period change); for the default 5-stage rings
     it is of the order of 1e12 C/s because the period moves by roughly a
     picosecond per kelvin.
+
+    Slope and offset are floats for one sensor, or ndarrays that
+    broadcast against the measured periods for many: a ``(samples,)``
+    row calibrates every Monte-Carlo sample of a ``(site, sample)``
+    scan at once.
     """
 
-    slope_c_per_second: float
-    offset_c: float
+    slope_c_per_second: Union[float, np.ndarray]
+    offset_c: Union[float, np.ndarray]
     kind: str = "two-point"
 
     def __post_init__(self) -> None:
-        if self.slope_c_per_second == 0.0:
+        for name in ("slope_c_per_second", "offset_c"):
+            value = np.asarray(getattr(self, name), dtype=float)
+            object.__setattr__(self, name, float(value) if value.ndim == 0 else value)
+        if np.any(self.slope_c_per_second == 0.0):
             raise CalibrationError("calibration slope must be non-zero")
 
     def temperature(
         self, period_s: Union[float, np.ndarray]
     ) -> Union[float, np.ndarray]:
-        """Convert a measured period (seconds) to a temperature estimate.
+        """Convert measured periods (seconds) to temperature estimates.
 
-        Accepts a scalar (returning a float, as the per-reading path
-        always has) or an ndarray of periods of any shape, converted
-        elementwise in one vectorized call — the form the batched
-        calibration sweeps use on whole ``(sample x temperature)``
-        measured-period matrices.
+        Broadcasts elementwise; returns a float when both the
+        calibration and the input are scalar.
         """
         periods = np.asarray(period_s, dtype=float)
         if np.any(periods <= 0.0):
             raise CalibrationError("measured period must be positive")
         estimates = self.slope_c_per_second * periods + self.offset_c
-        if np.ndim(period_s) == 0:
+        if np.ndim(estimates) == 0:
             return float(estimates)
         return estimates
 
@@ -92,12 +97,12 @@ class LinearCalibration:
     ) -> Union[float, np.ndarray]:
         """Inverse map: the period expected at a temperature.
 
-        Like :meth:`temperature`, broadcasts elementwise over ndarray
-        inputs and returns a plain float for scalar inputs.
+        Like :meth:`temperature`, broadcasts elementwise and returns a
+        float when everything is scalar.
         """
         temps = np.asarray(temperature_c, dtype=float)
         periods = (temps - self.offset_c) / self.slope_c_per_second
-        if np.ndim(temperature_c) == 0:
+        if np.ndim(periods) == 0:
             return float(periods)
         return periods
 
@@ -162,33 +167,46 @@ def two_point_calibration(
     periods_s: Sequence[float],
     temperatures_c: Sequence[float],
 ) -> LinearCalibration:
-    """Fit the line through two (period, temperature) calibration points."""
-    if len(periods_s) != 2 or len(temperatures_c) != 2:
+    """Fit the line through two (period, temperature) calibration points.
+
+    ``periods_s`` holds the two insertion periods on its last axis and
+    may carry leading axes, e.g. ``(samples, 2)`` for one line per
+    Monte-Carlo sample; the slope and offset then have the leading
+    shape.
+    """
+    periods = np.asarray(periods_s, dtype=float)
+    temps = np.asarray(temperatures_c, dtype=float)
+    if periods.ndim == 0 or periods.shape[-1] != 2 or temps.shape != (2,):
         raise CalibrationError("two-point calibration needs exactly two points")
-    period_low, period_high = float(periods_s[0]), float(periods_s[1])
-    temp_low, temp_high = float(temperatures_c[0]), float(temperatures_c[1])
-    if period_low <= 0.0 or period_high <= 0.0:
+    period_low, period_high = periods[..., 0], periods[..., 1]
+    temp_low, temp_high = temps[0], temps[1]
+    if np.any(period_low <= 0.0) or np.any(period_high <= 0.0):
         raise CalibrationError("calibration periods must be positive")
-    if period_low == period_high:
-        raise CalibrationError("calibration periods must differ")
     if temp_low == temp_high:
         raise CalibrationError("calibration temperatures must differ")
+    if np.any(period_low == period_high):
+        raise CalibrationError("calibration periods must differ")
     slope = (temp_high - temp_low) / (period_high - period_low)
     offset = temp_low - slope * period_low
     return LinearCalibration(slope_c_per_second=slope, offset_c=offset, kind="two-point")
 
 
 def one_point_calibration(
-    period_s: float,
+    period_s: Union[float, np.ndarray],
     temperature_c: float,
     design_slope_c_per_second: float,
 ) -> LinearCalibration:
-    """Anchor the design-time slope at one measured point."""
+    """Anchor the design-time slope at one measured point.
+
+    ``period_s`` may be an array (one insertion period per sample); the
+    offset then has its shape.
+    """
     if design_slope_c_per_second == 0.0:
         raise CalibrationError("design slope must be non-zero")
-    if period_s <= 0.0:
+    periods = np.asarray(period_s, dtype=float)
+    if np.any(periods <= 0.0):
         raise CalibrationError("measured period must be positive")
-    offset = temperature_c - design_slope_c_per_second * float(period_s)
+    offset = temperature_c - design_slope_c_per_second * periods
     return LinearCalibration(
         slope_c_per_second=design_slope_c_per_second, offset_c=offset, kind="one-point"
     )

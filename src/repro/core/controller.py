@@ -22,7 +22,13 @@ from typing import List, Optional
 from ..tech.parameters import TechnologyError
 from .readout import ReadoutConfig
 
-__all__ = ["ControllerState", "ControllerConfig", "ControllerStatus", "MeasurementController"]
+__all__ = [
+    "ControllerState",
+    "ControllerConfig",
+    "ControllerStatus",
+    "MeasurementController",
+    "conversion_time_s",
+]
 
 
 class ControllerState(Enum):
@@ -213,3 +219,15 @@ class MeasurementController:
                     "controller did not complete a measurement within the expected time"
                 )
         return cycles
+
+
+def conversion_time_s(
+    readout: ReadoutConfig, config: ControllerConfig = ControllerConfig()
+) -> float:
+    """Duration of one measurement (s): one walk of a fresh controller FSM.
+
+    The FSM is deterministic, so every measurement of a unit with this
+    readout and controller configuration takes exactly this long.
+    """
+    cycles = MeasurementController(readout, config).run_measurement()
+    return cycles / readout.reference_clock_hz

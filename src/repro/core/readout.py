@@ -11,16 +11,13 @@ modelled here — is a counter gated by a reference-clock window:
 * the final count is ``floor(window / period)``, a digital code that
   decreases as temperature (and therefore period) rises.
 
-The dual scheme (count reference cycles during N ring cycles) is also
-provided because it is sometimes preferred when the ring is much slower
-than the reference clock.  Both are pure behavioural models: they model
-the quantisation, saturation and conversion time of the hardware, not
-its gate-level structure.
+The counter is a pure behavioural model: it models the quantisation
+and saturation of the hardware, not its gate-level structure.  The
+conversion time is the controller's (:mod:`repro.core.controller`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -28,7 +25,7 @@ import numpy as np
 
 from ..tech.parameters import TechnologyError
 
-__all__ = ["ReadoutConfig", "CountReading", "PeriodCounter", "ReferenceCounter"]
+__all__ = ["ReadoutConfig", "PeriodCounter"]
 
 
 @dataclass(frozen=True)
@@ -69,24 +66,6 @@ class ReadoutConfig:
         """Largest representable counter value."""
         return (1 << self.counter_bits) - 1
 
-    @property
-    def conversion_time_s(self) -> float:
-        """Time one measurement occupies the unit (window plus handshake)."""
-        # Two reference cycles of synchronisation before and after the window.
-        return (self.window_cycles + 4) / self.reference_clock_hz
-
-
-@dataclass(frozen=True)
-class CountReading:
-    """One digital conversion result."""
-
-    code: int
-    saturated: bool
-    window_s: float
-
-    def cycles_counted(self) -> int:
-        return self.code
-
 
 class PeriodCounter:
     """Counts ring-oscillator cycles inside a reference gating window."""
@@ -94,33 +73,15 @@ class PeriodCounter:
     def __init__(self, config: ReadoutConfig = ReadoutConfig()) -> None:
         self.config = config
 
-    def convert(self, oscillation_period_s: float) -> CountReading:
-        """Convert an oscillation period to a digital code.
-
-        Parameters
-        ----------
-        oscillation_period_s:
-            Period of the ring oscillator during the measurement.
-        """
-        if oscillation_period_s <= 0.0:
-            raise TechnologyError("oscillation period must be positive")
-        ideal = self.config.window_s / oscillation_period_s
-        code = int(math.floor(ideal))
-        saturated = code > self.config.max_code
-        if saturated:
-            code = self.config.max_code
-        return CountReading(code=code, saturated=saturated, window_s=self.config.window_s)
-
     def convert_batch(
         self, oscillation_periods_s: Sequence[float]
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`convert` over an array of periods.
+        """Convert an array of oscillation periods (any shape) to codes.
 
         Returns ``(codes, saturated)`` — an integer code array and a
-        boolean saturation mask.  Produces exactly the codes the scalar
-        path produces, one ``floor``/clip per element instead of one
-        Python call per period; this is the conversion the batch engine
-        uses for whole transfer-function sweeps.
+        boolean saturation mask of the input's shape.  Each code is
+        ``floor(window / period)``, clamped to :attr:`ReadoutConfig.max_code`;
+        a single reading is the 0-d case.
         """
         periods = np.asarray(oscillation_periods_s, dtype=float)
         if np.any(periods <= 0.0):
@@ -133,60 +94,9 @@ class PeriodCounter:
         codes = np.floor(np.minimum(ideal, float(self.config.max_code))).astype(np.int64)
         return codes, saturated
 
-    def code_to_period(self, code: int) -> float:
-        """Best-estimate period implied by a code (mid-quantisation-step)."""
-        if code <= 0:
-            raise TechnologyError("code must be positive to invert the conversion")
-        return self.config.window_s / (code + 0.5)
-
     def codes_to_periods(self, codes: Sequence[int]) -> np.ndarray:
-        """Vectorized :meth:`code_to_period` over an array of codes."""
+        """Best-estimate periods implied by codes (mid-quantisation-step)."""
         code_arr = np.asarray(codes)
         if np.any(code_arr <= 0):
             raise TechnologyError("codes must be positive to invert the conversion")
         return self.config.window_s / (code_arr + 0.5)
-
-    def quantisation_step_s(self, oscillation_period_s: float) -> float:
-        """Change of period corresponding to one LSB around an operating point."""
-        reading = self.convert(oscillation_period_s)
-        if reading.code <= 1:
-            raise TechnologyError("code too small to define a quantisation step")
-        upper = self.config.window_s / reading.code
-        lower = self.config.window_s / (reading.code + 1)
-        return upper - lower
-
-
-class ReferenceCounter:
-    """Counts reference-clock cycles during a fixed number of ring cycles.
-
-    The dual of :class:`PeriodCounter`: the code *increases* with
-    temperature because a hotter (slower) ring keeps the window open
-    longer.  Useful when the ring oscillates slower than the reference
-    clock or when a code proportional (rather than inversely
-    proportional) to the period is preferred.
-    """
-
-    def __init__(self, config: ReadoutConfig = ReadoutConfig(), ring_cycles: int = 256) -> None:
-        if ring_cycles <= 0:
-            raise TechnologyError("ring_cycles must be positive")
-        self.config = config
-        self.ring_cycles = ring_cycles
-
-    def convert(self, oscillation_period_s: float) -> CountReading:
-        """Convert an oscillation period to a digital code."""
-        if oscillation_period_s <= 0.0:
-            raise TechnologyError("oscillation period must be positive")
-        window = self.ring_cycles * oscillation_period_s
-        ideal = window * self.config.reference_clock_hz
-        code = int(math.floor(ideal))
-        saturated = code > self.config.max_code
-        if saturated:
-            code = self.config.max_code
-        return CountReading(code=code, saturated=saturated, window_s=window)
-
-    def code_to_period(self, code: int) -> float:
-        """Best-estimate period implied by a code."""
-        if code <= 0:
-            raise TechnologyError("code must be positive to invert the conversion")
-        window = (code + 0.5) / self.config.reference_clock_hz
-        return window / self.ring_cycles

@@ -39,8 +39,8 @@ from .calibration import (
     one_point_calibration,
     two_point_calibration,
 )
-from .controller import ControllerConfig, MeasurementController
-from .readout import CountReading, PeriodCounter, ReadoutConfig
+from .controller import ControllerConfig, MeasurementController, conversion_time_s
+from .readout import PeriodCounter, ReadoutConfig
 
 __all__ = ["SensorReading", "SensorTransferFunction", "SmartTemperatureSensor"]
 
@@ -157,6 +157,8 @@ class SmartTemperatureSensor:
         self.readout = readout
         self.controller = MeasurementController(readout, controller_config)
         self.counter = PeriodCounter(readout)
+        #: Duration of one measurement, from the controller FSM.
+        self.conversion_time_s = conversion_time_s(readout, controller_config)
         self.name = name
         self.calibration: Optional[object] = None
         self._readings: List[SensorReading] = []
@@ -203,16 +205,16 @@ class SmartTemperatureSensor:
         estimate is attached when a calibration is installed.
         """
         period = self.ring.period(junction_temperature_c)
-        cycles = self.controller.run_measurement()
-        reading = self.counter.convert(period)
-        measured_period = self.counter.code_to_period(reading.code)
+        self.controller.run_measurement()
+        code, saturated = self.counter.convert_batch(period)
+        measured_period = float(self.counter.codes_to_periods(code))
         estimate = None
         if self.calibration is not None:
             estimate = float(self.calibration.temperature(measured_period))
         result = SensorReading(
-            code=reading.code,
-            saturated=reading.saturated,
-            conversion_time_s=cycles / self.readout.reference_clock_hz,
+            code=int(code),
+            saturated=bool(saturated),
+            conversion_time_s=self.conversion_time_s,
             oscillator_period_s=period,
             measured_period_s=measured_period,
             temperature_estimate_c=estimate,
@@ -241,7 +243,7 @@ class SmartTemperatureSensor:
         """
         if measurement_rate_hz < 0.0:
             raise TechnologyError("measurement rate must be non-negative")
-        duty = min(1.0, measurement_rate_hz * self.readout.conversion_time_s)
+        duty = min(1.0, measurement_rate_hz * self.conversion_time_s)
         if not self.controller.config.auto_disable:
             duty = 1.0
         return duty * self.measurement_power_w(junction_temperature_c)
@@ -275,37 +277,28 @@ class SmartTemperatureSensor:
         """Underlying (un-quantised) period-versus-temperature characteristic."""
         return analytical_response(self.ring, temperatures_c)
 
-    def measured_period(self, junction_temperature_c: float) -> float:
-        """Period estimate the digital block reconstructs at a temperature.
+    def measured_periods(self, temperatures_c: Sequence[float]) -> np.ndarray:
+        """Period estimates the digital block reconstructs at temperatures.
 
         Includes the counter quantisation; this is the quantity the
-        calibration maps to temperature.
-        """
-        reading = self.counter.convert(self.ring.period(junction_temperature_c))
-        return self.counter.code_to_period(reading.code)
-
-    def measured_periods(self, temperatures_c: Sequence[float]) -> np.ndarray:
-        """Vectorized :meth:`measured_period` over a temperature grid.
-
-        One vectorized ring evaluation plus one batch counter
-        conversion replaces the one-temperature-at-a-time loop; the
-        quantised codes (and therefore the reconstructed periods) are
-        identical to the scalar path element for element.
+        calibration maps to temperature.  One vectorized ring
+        evaluation and one batch counter conversion over an array of
+        any shape.
         """
         temps = np.asarray(temperatures_c, dtype=float)
-        periods = self.ring.period_series(temps)
-        codes, _saturated = self.counter.convert_batch(periods)
+        codes, _saturated = self.counter.convert_batch(self.ring.period_series(temps))
         return self.counter.codes_to_periods(codes)
+
+    def measured_period(self, junction_temperature_c: float) -> float:
+        """:meth:`measured_periods` at one temperature."""
+        return float(self.measured_periods(junction_temperature_c))
 
     def calibrate_two_point(
         self, low_temperature_c: float = -40.0, high_temperature_c: float = 125.0
     ) -> LinearCalibration:
         """Install a two-point calibration using the sensor's own readings."""
-        low_period = self.measured_period(low_temperature_c)
-        high_period = self.measured_period(high_temperature_c)
-        calibration = two_point_calibration(
-            [low_period, high_period], [low_temperature_c, high_temperature_c]
-        )
+        temps = [low_temperature_c, high_temperature_c]
+        calibration = two_point_calibration(self.measured_periods(temps), temps)
         self.calibration = calibration
         return calibration
 

@@ -14,15 +14,15 @@ full scan is
   :class:`~repro.tech.stacked.TechnologyArray` population, one
   broadcast over ``(site, 1, 1)`` temperatures x ``(samples, 1)``
   parameter columns giving the whole ``(site, sample)`` period matrix,
-* one batch counter conversion (:meth:`PeriodCounter.convert_batch`,
-  which produces exactly the scalar path's codes), and
-* one elementwise calibration map.
+* one batch counter conversion (:meth:`PeriodCounter.convert_batch`), and
+* one elementwise :class:`~repro.core.calibration.LinearCalibration` map.
 
 The controller FSM is walked **once** at construction to pin the
-per-measurement conversion time; since every measurement of the bank
-takes the same deterministic cycle count, the scan total is that time
-multiplied by the channel count — identical to summing the per-sensor
-readings.
+per-measurement conversion time
+(:func:`~repro.core.controller.conversion_time_s`); since every
+measurement of the bank takes the same deterministic cycle count, the
+scan total is that time multiplied by the channel count — identical to
+summing the per-sensor readings.
 """
 
 from __future__ import annotations
@@ -38,59 +38,12 @@ from ..oscillator.ring import RingOscillator
 from ..tech.parameters import Technology, TechnologyError
 from ..tech.stacked import stack_technologies
 from ..thermal.floorplan import Floorplan, SensorSite
-from .calibration import LinearCalibration
-from .controller import ControllerConfig, MeasurementController
+from .calibration import LinearCalibration, two_point_calibration
+from .controller import ControllerConfig, conversion_time_s
 from .readout import PeriodCounter, ReadoutConfig
 from .sensor import SensorReading
 
-__all__ = ["BankCalibration", "BankScan", "SensorBank"]
-
-
-@dataclass(frozen=True)
-class BankCalibration:
-    """Vectorized two-point calibration of a whole sensor bank.
-
-    ``slope_c_per_second`` / ``offset_c`` are ndarrays that broadcast
-    against the bank's measured-period tensors: scalars for a uniform
-    (single-technology) bank, ``(samples,)`` rows for a per-sample
-    Monte-Carlo calibration.  The arithmetic matches
-    :func:`repro.core.calibration.two_point_calibration` element for
-    element.
-    """
-
-    slope_c_per_second: np.ndarray
-    offset_c: np.ndarray
-    low_temperature_c: float
-    high_temperature_c: float
-
-    def __post_init__(self) -> None:
-        slope = np.asarray(self.slope_c_per_second, dtype=float)
-        offset = np.asarray(self.offset_c, dtype=float)
-        if np.any(slope == 0.0):
-            raise TechnologyError("calibration slope must be non-zero")
-        object.__setattr__(self, "slope_c_per_second", slope)
-        object.__setattr__(self, "offset_c", offset)
-
-    @property
-    def sample_count(self) -> int:
-        """Number of per-sample calibrations (1 for a uniform bank)."""
-        return int(np.asarray(self.slope_c_per_second).size)
-
-    def estimate(self, measured_periods_s: np.ndarray) -> np.ndarray:
-        """Temperature estimates for a measured-period tensor."""
-        periods = np.asarray(measured_periods_s, dtype=float)
-        return self.slope_c_per_second * periods + self.offset_c
-
-    def linear_calibration(self, sample: int = 0) -> LinearCalibration:
-        """Unstack one sample's calibration into the scalar object."""
-        slope = np.asarray(self.slope_c_per_second).reshape(-1)
-        offset = np.asarray(self.offset_c).reshape(-1)
-        index = sample if slope.size > 1 else 0
-        return LinearCalibration(
-            slope_c_per_second=float(slope[index]),
-            offset_c=float(offset[index if offset.size > 1 else 0]),
-            kind="two-point",
-        )
+__all__ = ["BankScan", "SensorBank"]
 
 
 @dataclass(frozen=True)
@@ -221,13 +174,10 @@ class SensorBank:
         self.counter = PeriodCounter(readout)
         self._sites: Tuple[SensorSite, ...] = tuple(sites)
         self._names: Tuple[str, ...] = tuple(names)
-        self._calibration: Optional[BankCalibration] = None
-        # One controller FSM walk pins the deterministic per-measurement
-        # cycle count the whole bank shares; the banked scan never steps
-        # the FSM again.
-        self._cycles_per_measurement = MeasurementController(
-            readout, controller_config
-        ).run_measurement()
+        self._calibration: Optional[LinearCalibration] = None
+        # Every measurement of the bank takes the same deterministic FSM
+        # walk; the banked scan never steps a controller.
+        self._conversion_time_s = conversion_time_s(readout, controller_config)
 
     @classmethod
     def from_floorplan(
@@ -278,10 +228,10 @@ class SensorBank:
     @property
     def conversion_time_s(self) -> float:
         """Duration of one measurement (controller FSM cycle count)."""
-        return self._cycles_per_measurement / self.readout.reference_clock_hz
+        return self._conversion_time_s
 
     @property
-    def calibration(self) -> Optional[BankCalibration]:
+    def calibration(self) -> Optional[LinearCalibration]:
         return self._calibration
 
     # ------------------------------------------------------------------ #
@@ -322,14 +272,6 @@ class SensorBank:
             self.site_count, len(technologies)
         )
 
-    def measured_period_tensor(
-        self, junction_temperatures_c, technologies=None
-    ) -> np.ndarray:
-        """Counter-quantised period estimates of every site (one batch)."""
-        periods = self.period_tensor(junction_temperatures_c, technologies)
-        codes, _saturated = self.counter.convert_batch(periods)
-        return self.counter.codes_to_periods(codes)
-
     # ------------------------------------------------------------------ #
     # calibration
     # ------------------------------------------------------------------ #
@@ -339,45 +281,25 @@ class SensorBank:
         low_temperature_c: float = -40.0,
         high_temperature_c: float = 125.0,
         technologies=None,
-    ) -> BankCalibration:
-        """Vectorized two-point calibration of the bank.
+    ) -> LinearCalibration:
+        """Two-point calibration of the bank's shared ring design.
 
         The calibration insertions are at shared oven temperatures, so
         one two-point ring evaluation covers every site; against a
         population the result carries one (slope, offset) pair per
-        sample — the whole Monte-Carlo calibration in a single
-        ``(sample, 2)`` broadcast.  Matches
-        :meth:`~repro.core.sensor.SmartTemperatureSensor.calibrate_two_point`
-        element for element.
+        sample — the whole Monte-Carlo calibration from one
+        ``(sample, 2)`` endpoint evaluation.
         """
-        low = float(low_temperature_c)
-        high = float(high_temperature_c)
-        if low == high:
-            raise TechnologyError("calibration temperatures must differ")
-        endpoints = np.asarray([low, high])
-        if technologies is None:
-            periods = np.asarray(self.ring.period_series(endpoints))
-        else:
-            bound = self.ring.rebind(stack_technologies(technologies))
-            periods = np.asarray(bound.period_series(endpoints))
-        codes, _saturated = self.counter.convert_batch(periods)
-        measured = self.counter.codes_to_periods(codes)
-        period_low = measured[..., 0]
-        period_high = measured[..., 1]
-        if np.any(period_low == period_high):
-            raise TechnologyError("calibration periods must differ")
-        slope = (high - low) / (period_high - period_low)
-        offset = low - slope * period_low
-        return BankCalibration(
-            slope_c_per_second=slope,
-            offset_c=offset,
-            low_temperature_c=low,
-            high_temperature_c=high,
-        )
+        endpoints = np.asarray([low_temperature_c, high_temperature_c], dtype=float)
+        ring = self.ring
+        if technologies is not None:
+            ring = ring.rebind(stack_technologies(technologies))
+        codes, _saturated = self.counter.convert_batch(ring.period_series(endpoints))
+        return two_point_calibration(self.counter.codes_to_periods(codes), endpoints)
 
     def calibrate(
         self, low_temperature_c: float = -40.0, high_temperature_c: float = 125.0
-    ) -> BankCalibration:
+    ) -> LinearCalibration:
         """Install the bank's own two-point calibration (shared design)."""
         self._calibration = self.two_point_calibration(
             low_temperature_c, high_temperature_c
@@ -392,7 +314,7 @@ class SensorBank:
         self,
         junction_temperatures_c,
         technologies=None,
-        calibration: Optional[BankCalibration] = None,
+        calibration: Optional[LinearCalibration] = None,
     ) -> BankScan:
         """Measure every channel in one broadcast pass.
 
@@ -413,7 +335,9 @@ class SensorBank:
         periods = self.period_tensor(temps, technologies)
         codes, saturated = self.counter.convert_batch(periods)
         measured = self.counter.codes_to_periods(codes)
-        estimates = calibration.estimate(measured) if calibration is not None else None
+        estimates = (
+            calibration.temperature(measured) if calibration is not None else None
+        )
         return BankScan(
             names=self._names,
             true_temperatures_c=temps,

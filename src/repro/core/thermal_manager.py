@@ -21,6 +21,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..circuit.transient import transient_step_count
 from ..oscillator.config import RingConfiguration
 from ..tech.parameters import Technology, TechnologyError
 from ..tech.stacked import stack_technologies
@@ -28,7 +29,6 @@ from ..thermal.floorplan import Floorplan
 from ..thermal.grid import TemperatureMap, ThermalGrid, ThermalGridParameters, bilinear_sample
 from ..thermal.operator import ThermalOperator
 from ..thermal.power import PowerMap
-from ..thermal.solver import transient_step_count
 from .mapping import ThermalMonitor
 from .readout import ReadoutConfig
 
@@ -41,6 +41,9 @@ __all__ = [
     "DtmBankResult",
     "DynamicThermalManager",
 ]
+
+#: Oven temperatures of the sensors' two-point calibration insertions.
+_CALIBRATION_TEMPERATURES_C = (-50.0, 150.0)
 
 
 @dataclass(frozen=True)
@@ -526,7 +529,7 @@ class DynamicThermalManager:
             ambient_c=ambient_c,
             thermal_parameters=thermal_parameters,
         )
-        self.monitor.calibrate(-50.0, 150.0)
+        self.monitor.calibrate(*_CALIBRATION_TEMPERATURES_C)
         self._base_power = PowerMap.from_floorplan(
             floorplan, nx=grid_resolution, ny=grid_resolution
         )
@@ -642,9 +645,7 @@ class DynamicThermalManager:
             # Every sample's sensors get their own two-point calibration
             # at the manager's insertion temperatures.
             calibration = sensors.two_point_calibration(
-                sensors.calibration.low_temperature_c,
-                sensors.calibration.high_temperature_c,
-                technologies=population,
+                *_CALIBRATION_TEMPERATURES_C, technologies=population
             )
 
         steps = transient_step_count(duration_s, control_interval_s)
@@ -695,7 +696,7 @@ class DynamicThermalManager:
                 ).reshape(site_major.shape)
             codes, _saturated = sensors.counter.convert_batch(periods)
             measured = sensors.counter.codes_to_periods(codes)
-            estimates = calibration.estimate(measured)
+            estimates = calibration.temperature(measured)
             if population is None:
                 hottest = estimates.max(axis=-1)
             else:

@@ -19,8 +19,9 @@ import numpy as np
 from ..analysis.statistics import SummaryStatistics, summarize
 from ..cells.library import default_library
 from ..core.calibration import (
-    CalibrationError,
     design_calibration,
+    one_point_calibration,
+    two_point_calibration,
 )
 from ..core.readout import PeriodCounter, ReadoutConfig
 from ..core.sensor import SmartTemperatureSensor
@@ -160,26 +161,21 @@ def run_calibration_study(
 
     # One-point: design slope anchored at each sample's own measured
     # period at the insertion temperature.
-    ref_periods = all_periods[:, ref_column : ref_column + 1]
-    ref_codes, _ = counter.convert_batch(ref_periods)
-    ref_measured = counter.codes_to_periods(ref_codes)[:, 0]
-    slope = design_cal.slope_c_per_second
-    one_point_offsets = reference_temperature_c - slope * ref_measured
-    one_point_estimates = slope * measured + one_point_offsets[:, None]
+    ref_codes, _ = counter.convert_batch(all_periods[:, ref_column : ref_column + 1])
+    one_point = one_point_calibration(
+        counter.codes_to_periods(ref_codes),  # (samples, 1)
+        reference_temperature_c,
+        design_cal.slope_c_per_second,
+    )
+    one_point_estimates = one_point.temperature(measured)
 
     # Two-point: each sample's own line through the sweep endpoints
-    # (exactly the periods already measured at temps[0] / temps[-1]).
-    low_measured = measured[:, 0]
-    high_measured = measured[:, -1]
-    if np.any(high_measured == low_measured):
-        # Same guard the per-sample oracle hits in two_point_calibration
-        # when both insertion periods quantise to one counter code.
-        raise CalibrationError("calibration periods must differ")
-    two_point_slopes = (temps[-1] - temps[0]) / (high_measured - low_measured)
-    two_point_offsets = temps[0] - two_point_slopes * low_measured
-    two_point_estimates = (
-        two_point_slopes[:, None] * measured + two_point_offsets[:, None]
+    # (exactly the periods already measured at temps[0] / temps[-1]);
+    # the (samples, 1, 2) endpoints give (samples, 1) slopes and offsets.
+    two_point = two_point_calibration(
+        measured[:, np.newaxis, [0, -1]], temps[[0, -1]]
     )
+    two_point_estimates = two_point.temperature(measured)
 
     worst_errors = {
         "design": worst(design_estimates),

@@ -195,7 +195,7 @@ def run_placement_study(
             .values
         )
         measured = bank.counter.codes_to_periods(codes)
-        estimate_columns.append(calibration.estimate(measured))
+        estimate_columns.append(calibration.temperature(measured))
 
     objective = PlacementObjective(
         reference=true_maps[0],

@@ -15,6 +15,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ..core.controller import conversion_time_s
 from ..core.readout import ReadoutConfig
 from ..engine.sweep import Axis, Sweep
 from ..oscillator.config import RingConfiguration
@@ -118,7 +119,7 @@ def run_selfheating_study(
         oscillator_power,
         duty_cycles=tuple(sorted(set(float(d) for d in duty_cycles), reverse=True)),
     )
-    duty_1khz = min(1.0, measurement_rate_hz * readout.conversion_time_s)
+    duty_1khz = min(1.0, measurement_rate_hz * conversion_time_s(readout))
     return SelfHeatingStudyResult(
         technology_name=tech.name,
         configuration_label=configuration.label(),

@@ -127,7 +127,7 @@ def run_smart_unit(
     resolution = resolution_report(response, readout.window_s)
     worst_error = sensor.worst_case_error_c(temps)
     reading = sensor.measure(85.0)
-    duty = min(1.0, measurement_rate_hz * readout.conversion_time_s)
+    duty = min(1.0, measurement_rate_hz * reading.conversion_time_s)
     average_power = sensor.average_power_w(85.0, measurement_rate_hz)
     free_running = sensor.measurement_power_w(85.0)
 

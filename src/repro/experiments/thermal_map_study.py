@@ -173,7 +173,7 @@ def run_thermal_map_study(
             .values
         )
         measured = bank.counter.codes_to_periods(codes)
-        estimates = calibration.estimate(measured)  # (site, sample)
+        estimates = calibration.temperature(measured)  # (site, sample)
 
         worst_site = float(np.max(np.abs(estimates - truths[:, np.newaxis])))
         maps = reconstruct_maps(true_map, xs, ys, estimates)  # (sample, ny, nx)
@@ -322,7 +322,7 @@ def run_thermal_resolution_study(
 
         resolution_codes = codes.select(resolution=resolution).values
         measured = bank.counter.codes_to_periods(resolution_codes)
-        estimates = calibration.estimate(measured)  # (site, sample)
+        estimates = calibration.temperature(measured)  # (site, sample)
         worst_site = float(np.max(np.abs(estimates - truths[:, np.newaxis])))
         maps = reconstruct_maps(true_map, xs, ys, estimates)
         rms = np.sqrt(np.mean((maps - true_map.values_c) ** 2, axis=(1, 2)))

@@ -34,8 +34,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.calibration import LinearCalibration
 from ..core.mapping import reconstruct_maps
-from ..core.sensor_bank import BankCalibration, SensorBank
+from ..core.sensor_bank import SensorBank
 from ..tech.parameters import TechnologyError
 from ..thermal.grid import TemperatureMap
 
@@ -130,7 +131,7 @@ class PlacementObjective:
         cls,
         bank: SensorBank,
         true_maps: Sequence[TemperatureMap],
-        calibration: Optional[BankCalibration] = None,
+        calibration: Optional[LinearCalibration] = None,
         hotspot_weight: float = 1.0,
     ) -> "PlacementObjective":
         """Build the objective by scanning a candidate bank directly.

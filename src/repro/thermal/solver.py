@@ -18,6 +18,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+from ..circuit.transient import transient_step_count
 from ..tech.parameters import TechnologyError
 from .grid import TemperatureMap, ThermalGrid
 from .operator import ThermalOperator
@@ -27,7 +28,6 @@ __all__ = [
     "solve_steady_state",
     "TransientThermalResult",
     "solve_transient",
-    "transient_step_count",
 ]
 
 
@@ -47,20 +47,6 @@ def solve_steady_state(
     factorization's fill-in grows faster).
     """
     return ThermalOperator.for_grid(grid, method).solve_steady_state(power, ambient_c)
-
-
-def transient_step_count(duration_s: float, timestep_s: float) -> int:
-    """Number of timesteps that cover ``duration_s``.
-
-    A ratio within 1e-9 relative of an integer is that integer, so float
-    error cannot add a step (``0.14 / 0.02`` is 7.000000000000001 and
-    spans 7 steps, not 8); any other ratio rounds up.
-    """
-    ratio = duration_s / timestep_s
-    nearest = round(ratio)
-    if nearest >= 1 and abs(ratio - nearest) <= 1e-9 * nearest:
-        return int(nearest)
-    return int(np.ceil(ratio))
 
 
 @dataclass(frozen=True)

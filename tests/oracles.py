@@ -10,6 +10,13 @@ pinned bitwise to the per-stage and per-cell loops that evaluate a
 drive current for every transition they need, instead of once per
 distinct network.
 
+The scalar readout pipeline (``convert_scalar``,
+``code_to_period_scalar``, ``two_point_calibration_scalar``,
+``one_point_calibration_scalar``) is the one-reading-at-a-time
+arithmetic the package's array-only ``PeriodCounter`` and
+``LinearCalibration`` replaced; the sensor oracles below use it, never
+the package path they check.
+
 The per-sample and per-configuration loops (``period_matrix_loop``,
 ``period_tensor_loop``, ``site_period_tensor_loop``) and the per-policy
 DTM loop (``dtm_run_scalar``) are also what
@@ -21,6 +28,7 @@ solve-per-duty-cycle reference of ``duty_cycle_study``.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,10 +38,15 @@ from repro.analysis.montecarlo import MonteCarloStudy
 from repro.analysis.statistics import summarize
 from repro.analysis.supply import SupplySensitivityReport
 from repro.cells import default_library
-from repro.core import ReadoutConfig, SmartTemperatureSensor
-from repro.core.calibration import design_calibration, one_point_calibration
+from repro.circuit.transient import transient_step_count
+from repro.core import MeasurementController, ReadoutConfig, SmartTemperatureSensor
+from repro.core.calibration import (
+    CalibrationError,
+    LinearCalibration,
+    design_calibration,
+)
 from repro.core.mapping import ThermalMonitorReport
-from repro.core.sensor import SensorTransferFunction
+from repro.core.sensor import SensorReading, SensorTransferFunction
 from repro.core.sensor_bank import BankScan
 from repro.core.thermal_manager import DtmResult, DtmTracePoint
 from repro.delay.alpha_power import (
@@ -55,12 +68,12 @@ from repro.oscillator.period import default_temperature_grid, validate_temperatu
 from repro.tech import (
     CMOS035,
     TechnologyArray,
+    TechnologyError,
     corner_technologies,
     sample_technologies,
     stack_technologies,
 )
 from repro.thermal import TemperatureMap, ThermalGrid, ThermalOperator
-from repro.thermal.solver import transient_step_count
 
 
 # --------------------------------------------------------------------------- #
@@ -279,15 +292,73 @@ def supply_sensitivity_scalar(
 # --------------------------------------------------------------------------- #
 
 
+def convert_scalar(config: ReadoutConfig, oscillation_period_s: float) -> Tuple[int, bool]:
+    """One counter conversion: ``(code, saturated)`` for one period."""
+    if oscillation_period_s <= 0.0:
+        raise TechnologyError("oscillation period must be positive")
+    ideal = config.window_s / oscillation_period_s
+    code = int(math.floor(ideal))
+    saturated = code > config.max_code
+    if saturated:
+        code = config.max_code
+    return code, saturated
+
+
+def code_to_period_scalar(config: ReadoutConfig, code: int) -> float:
+    """Best-estimate period implied by a code (mid-quantisation-step)."""
+    if code <= 0:
+        raise TechnologyError("code must be positive to invert the conversion")
+    return config.window_s / (code + 0.5)
+
+
+def measured_period_scalar(ring, config: ReadoutConfig, temperature_c: float) -> float:
+    """The period the digital block reconstructs from one scalar reading."""
+    code, _saturated = convert_scalar(config, ring.period(float(temperature_c)))
+    return code_to_period_scalar(config, code)
+
+
+def two_point_calibration_scalar(
+    periods_s: Sequence[float], temperatures_c: Sequence[float]
+) -> LinearCalibration:
+    """The line through two (period, temperature) points, in float arithmetic."""
+    if len(periods_s) != 2 or len(temperatures_c) != 2:
+        raise CalibrationError("two-point calibration needs exactly two points")
+    period_low, period_high = float(periods_s[0]), float(periods_s[1])
+    temp_low, temp_high = float(temperatures_c[0]), float(temperatures_c[1])
+    if period_low <= 0.0 or period_high <= 0.0:
+        raise CalibrationError("calibration periods must be positive")
+    if period_low == period_high:
+        raise CalibrationError("calibration periods must differ")
+    if temp_low == temp_high:
+        raise CalibrationError("calibration temperatures must differ")
+    slope = (temp_high - temp_low) / (period_high - period_low)
+    offset = temp_low - slope * period_low
+    return LinearCalibration(slope_c_per_second=slope, offset_c=offset, kind="two-point")
+
+
+def one_point_calibration_scalar(
+    period_s: float, temperature_c: float, design_slope_c_per_second: float
+) -> LinearCalibration:
+    """The design slope anchored at one measured point, in float arithmetic."""
+    if design_slope_c_per_second == 0.0:
+        raise CalibrationError("design slope must be non-zero")
+    if period_s <= 0.0:
+        raise CalibrationError("measured period must be positive")
+    offset = temperature_c - design_slope_c_per_second * float(period_s)
+    return LinearCalibration(
+        slope_c_per_second=design_slope_c_per_second, offset_c=offset, kind="one-point"
+    )
+
+
 def transfer_function_scalar(sensor, temperatures_c) -> SensorTransferFunction:
     """A sensor's transfer function, one counter conversion per temperature."""
     temps = np.asarray(temperatures_c, dtype=float)
     codes = []
     measured_periods = []
     for temp in temps:
-        reading = sensor.counter.convert(sensor.ring.period(float(temp)))
-        codes.append(float(reading.code))
-        measured_periods.append(sensor.counter.code_to_period(reading.code))
+        code, _saturated = convert_scalar(sensor.readout, sensor.ring.period(float(temp)))
+        codes.append(float(code))
+        measured_periods.append(code_to_period_scalar(sensor.readout, code))
     return SensorTransferFunction(
         temperatures_c=temps,
         codes=np.asarray(codes),
@@ -299,7 +370,11 @@ def measurement_errors_scalar(sensor, temperatures_c) -> np.ndarray:
     """A calibrated sensor's errors (deg C), one measured period per point."""
     return np.asarray(
         [
-            float(sensor.calibration.temperature(sensor.measured_period(float(t))))
+            float(
+                sensor.calibration.temperature(
+                    measured_period_scalar(sensor.ring, sensor.readout, t)
+                )
+            )
             - float(t)
             for t in temperatures_c
         ]
@@ -347,15 +422,21 @@ def calibration_study_scalar(
         worst_errors["design"].append(_worst_error_scalar(sensor, temps))
 
         sensor.install_calibration(
-            one_point_calibration(
-                sensor.measured_period(reference_temperature_c),
+            one_point_calibration_scalar(
+                measured_period_scalar(sensor.ring, readout, reference_temperature_c),
                 reference_temperature_c,
                 design_cal.slope_c_per_second,
             )
         )
         worst_errors["one-point"].append(_worst_error_scalar(sensor, temps))
 
-        sensor.calibrate_two_point(float(temps[0]), float(temps[-1]))
+        endpoints = (float(temps[0]), float(temps[-1]))
+        sensor.install_calibration(
+            two_point_calibration_scalar(
+                [measured_period_scalar(sensor.ring, readout, t) for t in endpoints],
+                endpoints,
+            )
+        )
         worst_errors["two-point"].append(_worst_error_scalar(sensor, temps))
 
     return CalibrationStudyResult(
@@ -392,13 +473,16 @@ def bank_scan_loop(
     technologies=None,
     calibrate_at: Optional[Tuple[float, float]] = None,
 ) -> BankScan:
-    """``SensorBank.scan`` as one sensor object and one ``measure`` per site.
+    """``SensorBank.scan`` as one scalar measurement per site.
 
-    With a population there is one sensor per site per sample, and the
-    result arrays are ``(site, sample)``.  ``calibrate_at`` two-point
-    calibrates every sensor through its own scalar pipeline.
+    Each site's sensor walks its own controller FSM, takes one scalar
+    ring period and one scalar counter conversion and, with
+    ``calibrate_at``, two-point calibrates itself from two scalar
+    readings.  With a population there is one sensor per site per
+    sample, and the result arrays are ``(site, sample)``.
     """
     temps = np.asarray(junction_temperatures_c, dtype=float)
+    readout = bank.readout
     if technologies is None:
         rings = [bank.ring]
     else:
@@ -409,16 +493,30 @@ def bank_scan_loop(
     readings = []  # [ring][site]
     for ring in rings:
         row = []
-        for name, temperature in zip(bank.names(), temps):
-            sensor = SmartTemperatureSensor(
-                ring,
-                readout=bank.readout,
-                controller_config=bank.controller_config,
-                name=name,
-            )
+        for temperature in temps:
+            controller = MeasurementController(readout, bank.controller_config)
+            cycles = controller.run_measurement()
+            period = ring.period(float(temperature))
+            code, saturated = convert_scalar(readout, period)
+            measured = code_to_period_scalar(readout, code)
+            estimate = None
             if calibrate_at is not None:
-                sensor.calibrate_two_point(*calibrate_at)
-            row.append(sensor.measure(float(temperature)))
+                calibration = two_point_calibration_scalar(
+                    [measured_period_scalar(ring, readout, t) for t in calibrate_at],
+                    calibrate_at,
+                )
+                estimate = float(calibration.temperature(measured))
+            row.append(
+                SensorReading(
+                    code=code,
+                    saturated=saturated,
+                    conversion_time_s=cycles / readout.reference_clock_hz,
+                    oscillator_period_s=period,
+                    measured_period_s=measured,
+                    temperature_estimate_c=estimate,
+                    true_temperature_c=float(temperature),
+                )
+            )
         readings.append(row)
 
     def gather(field):
@@ -437,27 +535,22 @@ def bank_scan_loop(
     )
 
 
-def monitor_scan_scalar(monitor, power=None) -> ThermalMonitorReport:
+def monitor_scan_scalar(
+    monitor, calibrate_at: Tuple[float, float], power=None
+) -> ThermalMonitorReport:
     """``ThermalMonitor.scan`` as one field sample and one sensor per site.
 
     Each site's junction temperature is sampled from the field one site
-    at a time; :func:`bank_scan_loop` then builds, two-point calibrates
-    (at the bank's insertion temperatures) and measures one scalar
-    sensor per site.
+    at a time; :func:`bank_scan_loop` then two-point calibrates (at
+    ``calibrate_at``, the monitor's insertion temperatures) and
+    measures one scalar sensor per site.
     """
     if power is None:
         power = monitor.power_map_for_floorplan()
     true_map = monitor.temperature_field(power)
     bank = monitor.bank
     truths = [true_map.sample(site.x_mm, site.y_mm) for site in bank.sites()]
-    scan = bank_scan_loop(
-        bank,
-        truths,
-        calibrate_at=(
-            bank.calibration.low_temperature_c,
-            bank.calibration.high_temperature_c,
-        ),
-    )
+    scan = bank_scan_loop(bank, truths, calibrate_at=calibrate_at)
     site_truth = dict(zip(scan.names, truths))
     site_estimates = dict(zip(scan.names, (float(e) for e in scan.estimates_c)))
     return ThermalMonitorReport(

@@ -32,6 +32,16 @@ class TestOptions:
             simulate_transient(circuit, duration=0.0)
 
 
+    def test_step_count_does_not_overshoot_duration(self):
+        # 0.14 / 0.02 is 7.000000000000001 in floats: 7 steps, not 8.
+        circuit = build_rc()
+        options = TransientOptions(timestep=0.02e-9, use_dc_start=False)
+        result = simulate_transient(circuit, duration=0.14e-9, options=options)
+        times = result.waveform("out").times
+        assert times.size == 8
+        assert times[-1] == pytest.approx(0.14e-9, rel=1e-12)
+
+
 class TestRCCharging:
     def test_exponential_charging_curve(self):
         tau = 1e-9  # 1 kohm * 1 pF

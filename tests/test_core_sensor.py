@@ -159,6 +159,15 @@ class TestPower:
         duty_cycled = smart_sensor.average_power_w(85.0, measurement_rate_hz=100.0)
         assert duty_cycled < free_running
 
+    def test_average_power_uses_the_measured_conversion_time(self, smart_sensor):
+        # The duty cycle comes from the controller FSM's conversion time,
+        # the one every reading reports.
+        reading = smart_sensor.measure(85.0)
+        rate = 1000.0
+        assert smart_sensor.average_power_w(85.0, rate) == pytest.approx(
+            rate * reading.conversion_time_s * smart_sensor.measurement_power_w(85.0)
+        )
+
     def test_negative_rate_rejected(self, smart_sensor):
         with pytest.raises(TechnologyError):
             smart_sensor.average_power_w(85.0, measurement_rate_hz=-1.0)

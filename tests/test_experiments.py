@@ -106,6 +106,9 @@ class TestSmartUnitExperiment:
         assert "conversion time" in text
         assert "worst calibrated error" in text
 
+    def test_duty_cycle_uses_the_reported_conversion_time(self, result):
+        assert result.duty_cycle_at_1khz == pytest.approx(1e3 * result.conversion_time_s)
+
     def test_mapping_sensor_count(self, result):
         assert result.sensor_count == 4
         assert len(result.mapping_report.site_estimates_c) == 4

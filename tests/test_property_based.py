@@ -140,12 +140,11 @@ def test_linear_calibration_inverse_round_trip(slope, offset, period):
 @settings(**DEFAULT_SETTINGS)
 def test_counter_code_to_period_within_one_lsb(period):
     counter = PeriodCounter(ReadoutConfig(window_cycles=256))
-    reading = counter.convert(period)
-    if not reading.saturated and reading.code > 0:
-        recovered = counter.code_to_period(reading.code)
-        lsb = counter.config.window_s / reading.code - counter.config.window_s / (
-            reading.code + 1
-        )
+    code, saturated = counter.convert_batch(period)
+    code = int(code)
+    if not saturated and code > 0:
+        recovered = float(counter.codes_to_periods(code))
+        lsb = counter.config.window_s / code - counter.config.window_s / (code + 1)
         assert abs(recovered - period) <= lsb
 
 

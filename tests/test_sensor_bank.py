@@ -16,12 +16,19 @@ from hypothesis import strategies as st
 
 from oracles import (
     bank_scan_loop,
+    measured_period_scalar,
     monitor_scan_scalar,
     site_period_tensor_loop,
     transfer_function_scalar,
+    two_point_calibration_scalar,
 )
-from repro.core import SensorBank, SmartTemperatureSensor, ThermalMonitor
-from repro.core.sensor_bank import BankCalibration
+from repro.core import (
+    CalibrationError,
+    LinearCalibration,
+    SensorBank,
+    SmartTemperatureSensor,
+    ThermalMonitor,
+)
 from repro.engine import Axis, Sweep, SweepError
 from repro.oscillator import RingConfiguration
 from repro.tech import CMOS035, TechnologyError, sample_technology_array
@@ -95,15 +102,30 @@ class TestBankedScanEquivalence:
         assert np.max(np.abs(stacked - looped) / looped) <= RTOL
 
     def test_calibration_matches_scalar_sensor(self, bank, library):
+        endpoints = (-50.0, 150.0)
+        scalar = two_point_calibration_scalar(
+            [measured_period_scalar(bank.ring, bank.readout, t) for t in endpoints],
+            endpoints,
+        )
+        banked = bank.two_point_calibration(*endpoints)
+        assert isinstance(banked, LinearCalibration)
+        assert banked.slope_c_per_second == scalar.slope_c_per_second
+        assert banked.offset_c == scalar.offset_c
         sensor = SmartTemperatureSensor.from_configuration(
             CMOS035, CONFIGURATION, library=library
         )
-        scalar = sensor.calibrate_two_point(-50.0, 150.0)
-        banked = bank.two_point_calibration(-50.0, 150.0)
-        assert float(banked.slope_c_per_second) == scalar.slope_c_per_second
-        assert float(banked.offset_c) == scalar.offset_c
-        linear = banked.linear_calibration()
-        assert linear.slope_c_per_second == scalar.slope_c_per_second
+        assert sensor.calibrate_two_point(*endpoints) == banked
+        population = sample_technology_array(CMOS035, 3, seed=5)
+        per_sample = bank.two_point_calibration(*endpoints, technologies=population)
+        assert per_sample.slope_c_per_second.shape == (3,)
+        for column, technology in enumerate(population.technologies()):
+            ring = bank.ring.rebind(technology)
+            row = two_point_calibration_scalar(
+                [measured_period_scalar(ring, bank.readout, t) for t in endpoints],
+                endpoints,
+            )
+            assert per_sample.slope_c_per_second[column] == row.slope_c_per_second
+            assert per_sample.offset_c[column] == row.offset_c
 
 
 class TestBankStructure:
@@ -146,12 +168,10 @@ class TestBankStructure:
             SensorBank(library, [], CONFIGURATION)
 
     def test_zero_slope_calibration_rejected(self):
-        with pytest.raises(TechnologyError):
-            BankCalibration(
-                slope_c_per_second=np.asarray(0.0),
+        with pytest.raises(CalibrationError):
+            LinearCalibration(
+                slope_c_per_second=np.asarray([1.0e12, 0.0]),
                 offset_c=np.asarray(1.0),
-                low_temperature_c=-50.0,
-                high_temperature_c=150.0,
             )
 
 
@@ -168,7 +188,7 @@ def monitor(tech, sensor_floorplan_factory):
 class TestMonitorBankedScan:
     def test_banked_scan_matches_multiplexer_oracle(self, monitor):
         banked = monitor.scan()
-        scalar = monitor_scan_scalar(monitor)
+        scalar = monitor_scan_scalar(monitor, calibrate_at=(-50.0, 150.0))
         assert banked.site_estimates_c.keys() == scalar.site_estimates_c.keys()
         for name, estimate in banked.site_estimates_c.items():
             assert estimate == pytest.approx(scalar.site_estimates_c[name], rel=RTOL)
