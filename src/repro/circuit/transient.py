@@ -60,6 +60,8 @@ class TransientOptions:
     store_every: int = 1
 
     def __post_init__(self) -> None:
+        if not np.isfinite(self.timestep):
+            raise SimulationError(f"timestep must be finite, got {self.timestep!r}")
         if self.timestep <= 0.0:
             raise SimulationError("timestep must be positive")
         if self.max_newton_iterations <= 0:
@@ -177,6 +179,8 @@ def simulate_transient(
         with a reduced step.
     """
     circuit.validate()
+    if not np.isfinite(duration):
+        raise SimulationError(f"duration must be finite, got {duration!r}")
     if duration <= 0.0:
         raise SimulationError("duration must be positive")
     steps = transient_step_count(duration, options.timestep)

@@ -604,8 +604,15 @@ class DynamicThermalManager:
         broadcast ring-period evaluation and one vectorized FSM step —
         instead of one full transient integration per policy.  Each row
         does the arithmetic of a one-policy loop, so its throttle
-        decisions match that loop exactly and its temperatures agree to
-        solver rounding.
+        decisions, powers and temperatures are bitwise those of that
+        loop.  The rise stack is column-major: each policy's column is
+        one contiguous ``(ny, nx)`` plane, so the solve's transforms,
+        the peak and power reductions and the site gather all read
+        contiguous memory.
+
+        A non-finite ``duration_s``, ``control_interval_s``,
+        ``limit_c`` or ``workload_scale`` raises
+        :class:`TechnologyError` naming the argument.
 
         Parameters
         ----------
@@ -625,6 +632,14 @@ class DynamicThermalManager:
             and each (policy, sample) pair carries its own FSM/thermal
             trajectory.
         """
+        for name, value in (
+            ("duration_s", duration_s),
+            ("control_interval_s", control_interval_s),
+            ("limit_c", limit_c),
+            ("workload_scale", workload_scale),
+        ):
+            if not np.isfinite(value):
+                raise TechnologyError(f"{name} must be finite, got {value!r}")
         if duration_s <= 0.0 or control_interval_s <= 0.0:
             raise TechnologyError("duration and control interval must be positive")
         if control_interval_s >= duration_s:
@@ -660,7 +675,9 @@ class DynamicThermalManager:
         columns = int(np.prod(column_shape))
 
         base_flat = self._base_power.values_w.reshape(-1)
-        rise = np.zeros((grid.nx * grid.ny, columns))
+        # Column-major (cell, policy) stack: each column is one contiguous
+        # (ny, nx) plane, so the transforms and reductions read it in place.
+        rise = np.zeros((columns, grid.nx * grid.ny)).T
         indices = np.zeros(column_shape, dtype=int)
         trace_shape = column_shape + (steps,)
         state_trace = np.zeros(trace_shape, dtype=int)
@@ -676,8 +693,8 @@ class DynamicThermalManager:
             # Same multiplication order as the scalar loop's
             # ``base.scaled(workload_scale * state.power_scale)``.
             factors = workload_scale * scales
-            power = base_flat[:, np.newaxis] * factors.reshape(1, columns)
-            rise = stepper.step(rise, power)
+            power = factors.reshape(columns, 1) * base_flat
+            rise = stepper.step(rise, power.T)
             fields = rise.T.reshape(column_shape + (grid.ny, grid.nx)) + self.ambient_c
 
             truths = bilinear_sample(
@@ -703,7 +720,7 @@ class DynamicThermalManager:
                 hottest = estimates.max(axis=1)
 
             state_trace[..., step] = indices
-            power_trace[..., step] = power.sum(axis=0).reshape(column_shape)
+            power_trace[..., step] = power.sum(axis=1).reshape(column_shape)
             peak_trace[..., step] = fields.max(axis=(-2, -1))
             hottest_trace[..., step] = hottest
             performance_trace[..., step] = bank.performances_at(indices)

@@ -52,7 +52,12 @@ Solve methods
 Both methods solve an ``(n, k)`` stack of right-hand sides in one call
 (a multi-RHS factorization solve, or one batched transform), so
 ``ThermalStepper.step``, ``steady_rise`` and the policy bank stay one
-solve per step at any grid size.
+solve per step at any grid size.  Stacks are column-major: the array
+is ``(n, k)``, but each column is contiguous, so its memory reads as
+``k`` contiguous ``(ny, nx)`` planes.  Both methods return stacks in
+that layout (SuperLU solves Fortran-ordered right-hand sides natively,
+and the spectral solve transforms the planes in place); a C-ordered
+stack is still accepted, at the price of one transposing copy.
 
 The solvers in :mod:`repro.thermal.solver`, the self-heating study and
 the DTM manager are all thin layers over this class; ``factorized`` is
@@ -141,7 +146,10 @@ class _SpectralSolve:
     Built once per (grid, shift) and stateless afterwards, so a shared
     operator can serve concurrent callers.  Accepts the same ``(n,)``
     vector or ``(n, k)`` stack a direct factorization does; each column
-    of a stack gets bitwise the result of solving it alone.
+    of a stack gets bitwise the result of solving it alone.  A stack is
+    transformed as ``k`` ``(ny, nx)`` planes over its trailing axes, so
+    a column-major stack needs no copy, and the result is column-major
+    whatever the input's memory order.
 
     Set-up checks the ``matrix`` it was handed against the stencil it
     diagonalizes with one probe SpMV, so a grid whose matrix is not the
@@ -171,13 +179,18 @@ class _SpectralSolve:
         self._inverse_eigenvalues = 1.0 / eigenvalues
 
     def _apply(self, rhs: np.ndarray, factors: np.ndarray) -> np.ndarray:
-        """``idctn(dctn(rhs) * factors)`` on a vector or column stack."""
-        field = rhs.reshape(self._shape + rhs.shape[1:])
-        spectrum = self._dctn(field, type=2, axes=(0, 1), norm="ortho")
-        spectrum *= factors if rhs.ndim == 1 else factors[..., np.newaxis]
+        """``idctn(dctn(rhs) * factors)`` on a vector or column stack.
+
+        The ``(n,)`` vector or ``(n, k)`` stack is read as ``k``
+        ``(ny, nx)`` planes and transformed over the trailing axes; the
+        result is the input's shape with contiguous columns.
+        """
+        fields = rhs.T.reshape(rhs.shape[1:] + self._shape)
+        spectrum = self._dctn(fields, type=2, axes=(-2, -1), norm="ortho")
+        spectrum *= factors
         return self._idctn(
-            spectrum, type=2, axes=(0, 1), norm="ortho", overwrite_x=True
-        ).reshape(rhs.shape)
+            spectrum, type=2, axes=(-2, -1), norm="ortho", overwrite_x=True
+        ).reshape(rhs.shape[::-1]).T
 
     def _check_matrix(self, matrix, eigenvalues: np.ndarray) -> None:
         size = eigenvalues.size
@@ -250,7 +263,9 @@ class ThermalStepper:
             Current temperature rise above ambient, flattened to
             ``(nx * ny,)`` — or an ``(nx * ny, k)`` *stack* of states
             (one column per banked policy/workload), advanced through
-            one multi-RHS solve.
+            one multi-RHS solve.  Stacks are column-major (each column
+            contiguous); the returned stack is too.  A C-ordered stack
+            works, and costs one transposing copy.
         power_w:
             Power injected during the step, flattened to the same shape
             (columns broadcast against the capacitance vector).
@@ -427,7 +442,7 @@ class ThermalOperator:
             raise TechnologyError("solve_steady_state_multi needs at least one power map")
         for power in maps:
             self.grid.check_power_map(power)
-        stack = np.stack([power.values_w.reshape(-1) for power in maps], axis=1)
+        stack = np.stack([power.values_w.reshape(-1) for power in maps], axis=0).T
         rises = self.steady_rise(stack)
         return [
             TemperatureMap(
@@ -449,8 +464,10 @@ class ThermalOperator:
         transient run with the same step — every control interval of a
         DTM simulation, every repeat of a study — shares it.
         """
-        if timestep_s <= 0.0:
-            raise TechnologyError("timestep must be positive")
+        if not (np.isfinite(timestep_s) and timestep_s > 0.0):
+            raise TechnologyError(
+                f"timestep_s must be positive and finite, got {timestep_s!r}"
+            )
         dt = float(timestep_s)
         with self._solve_lock:
             solve = self._transient_solves.get(dt)

@@ -111,6 +111,9 @@ def solve_transient(
         unknown-count threshold, so a full-die step is one pair of fast
         transforms.
     """
+    for name, value in (("duration_s", duration_s), ("timestep_s", timestep_s)):
+        if not np.isfinite(value):
+            raise TechnologyError(f"{name} must be finite, got {value!r}")
     if duration_s <= 0.0 or timestep_s <= 0.0:
         raise TechnologyError("duration and timestep must be positive")
     if store_every < 1:

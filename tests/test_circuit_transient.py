@@ -31,6 +31,16 @@ class TestOptions:
         with pytest.raises(SimulationError):
             simulate_transient(circuit, duration=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_timestep(self, value):
+        with pytest.raises(SimulationError, match="timestep must be finite"):
+            TransientOptions(timestep=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_duration(self, value):
+        with pytest.raises(SimulationError, match="duration must be finite"):
+            simulate_transient(build_rc(), duration=value)
+
 
     def test_step_count_does_not_overshoot_duration(self):
         # 0.14 / 0.02 is 7.000000000000001 in floats: 7 steps, not 8.

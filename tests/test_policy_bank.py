@@ -4,8 +4,9 @@ The :class:`repro.core.PolicyBank` contract is that one banked closed
 loop (:meth:`DynamicThermalManager.run_bank` — a single multi-RHS
 backward-Euler solve, bilinear site gather, broadcast sensor scan and
 vectorized FSM step per timestep) computes exactly what the per-policy
-loop ``oracles.dtm_run_scalar`` computes policy by policy: *identical*
-throttle decisions and temperatures to 1e-9 relative.  The
+loop ``oracles.dtm_run_scalar`` computes policy by policy: bitwise
+identical throttle decisions, powers, temperatures and final fields
+(the hypothesis suite checks random policies to 1e-9 relative).  The
 example-processor policy sweep's headline numbers are pinned as golden
 values, and the sweep engine's ``resolution`` axis is round-tripped
 against its hand-rolled solve-then-scan lowering.
@@ -144,6 +145,34 @@ class TestBankedEquivalence:
                 row.final_map.values_c, scalar.final_map.values_c, rtol=RTOL
             )
 
+    @pytest.mark.parametrize(
+        "grid_resolution", [12, 72], ids=["direct-12x12", "spectral-72x72"]
+    )
+    def test_banked_rows_bitwise_equal_scalar_oracle(
+        self, dtm_manager_factory, grid_resolution
+    ):
+        # 72x72 is 5184 unknowns, past the spectral threshold.
+        manager = dtm_manager_factory(grid_resolution=grid_resolution, sensor_grid=2)
+        run_kw = dict(
+            duration_s=0.2, control_interval_s=0.02, limit_c=60.0, workload_scale=1.2
+        )
+        banked = manager.run_bank(example_policy_set(limit_c=60.0), **run_kw)
+        visited = set()
+        for label in banked.labels:
+            row = banked.to_result(label)
+            scalar = dtm_run_scalar(manager, banked.bank.policy(label), **run_kw)
+            states = [p.state_name for p in row.trace]
+            assert states == [p.state_name for p in scalar.trace]
+            visited.update(states)
+            for attribute in ("power_w", "true_peak_c", "hottest_reading_c"):
+                assert np.array_equal(
+                    [getattr(p, attribute) for p in row.trace],
+                    [getattr(p, attribute) for p in scalar.trace],
+                ), attribute
+            assert np.array_equal(row.final_map.values_c, scalar.final_map.values_c)
+        # The run exercises every FSM state, so every power row is visited.
+        assert len(visited) == 3
+
     @pytest.mark.slow
     def test_vectorized_metrics_match_unstacked_results(self, manager):
         banked = manager.run_bank(example_policy_set(), **RUN_KW)
@@ -201,6 +230,16 @@ class TestBankedEquivalence:
         )
         assert banked.step_count == 7
         assert banked.times_s[-1] == pytest.approx(0.14)
+
+    @pytest.mark.parametrize(
+        "field", ["duration_s", "control_interval_s", "limit_c", "workload_scale"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_run_bank_rejects_non_finite_inputs(self, manager, field, value):
+        arguments = dict(duration_s=0.1, control_interval_s=0.02)
+        arguments[field] = value
+        with pytest.raises(TechnologyError, match=f"{field} must be finite"):
+            manager.run_bank([ThrottlingPolicy()], **arguments)
 
     def test_run_bank_validation(self, manager):
         with pytest.raises(TechnologyError):

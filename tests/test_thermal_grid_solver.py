@@ -132,6 +132,16 @@ class TestTransient:
             solve_transient(uniform_grid, lambda t: uniform_power_map, duration_s=1.0, timestep_s=0.01,
                             store_every=0)
 
+    @pytest.mark.parametrize("field", ["duration_s", "timestep_s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_arguments_rejected(
+        self, uniform_grid, uniform_power_map, field, value
+    ):
+        arguments = dict(duration_s=1.0, timestep_s=0.01)
+        arguments[field] = value
+        with pytest.raises(TechnologyError, match=f"{field} must be finite"):
+            solve_transient(uniform_grid, lambda t: uniform_power_map, **arguments)
+
     @pytest.mark.parametrize(
         "duration_s, timestep_s, steps",
         [(0.14, 0.02, 7), (0.07, 0.01, 7), (0.33, 0.03, 11), (0.54, 0.03, 18), (0.15, 0.02, 8)],

@@ -125,6 +125,11 @@ class TestStepper:
         with pytest.raises(TechnologyError):
             ThermalOperator(example_grid).stepper(0.0)
 
+    @pytest.mark.parametrize("timestep_s", [float("nan"), float("inf")])
+    def test_non_finite_timestep_rejected(self, example_grid, timestep_s):
+        with pytest.raises(TechnologyError, match="timestep_s must be positive"):
+            ThermalOperator(example_grid).stepper(timestep_s)
+
     def test_transient_solver_unchanged_by_operator(
         self, example_grid, example_power_map
     ):
@@ -136,6 +141,41 @@ class TestStepper:
         )
         assert len(result.maps) == 6
         assert result.final.max_c() > 45.0
+
+
+class TestStackLayout:
+    """Stacks are column-major: either memory order in, contiguous columns out."""
+
+    @pytest.fixture(params=["direct", "spectral"])
+    def operator(self, request, example_grid):
+        return ThermalOperator(example_grid, method=request.param)
+
+    @pytest.fixture
+    def stacks(self, example_power_map):
+        power = example_power_map.values_w.reshape(-1)
+        ordered = np.stack([power, 0.5 * power, power[::-1]], axis=1)
+        return ordered, np.asfortranarray(ordered)
+
+    def test_steady_rise_ignores_memory_order(self, operator, stacks):
+        ordered, fortran = stacks
+        assert ordered.flags.c_contiguous and fortran.flags.f_contiguous
+        result = operator.steady_rise(ordered)
+        assert np.array_equal(result, operator.steady_rise(fortran))
+        assert result.T.flags.c_contiguous
+        for k in range(ordered.shape[1]):
+            assert np.array_equal(result[:, k], operator.steady_rise(ordered[:, k]))
+
+    def test_step_ignores_memory_order(self, operator, stacks):
+        ordered, fortran = stacks
+        stepper = operator.stepper(1e-3)
+        rise = operator.steady_rise(ordered)
+        result = stepper.step(np.ascontiguousarray(rise), ordered)
+        assert np.array_equal(result, stepper.step(np.asfortranarray(rise), fortran))
+        assert result.T.flags.c_contiguous
+        for k in range(ordered.shape[1]):
+            assert np.array_equal(
+                result[:, k], stepper.step(rise[:, k], ordered[:, k])
+            )
 
 
 class TestStepperBoundary:
