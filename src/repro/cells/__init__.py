@@ -6,7 +6,6 @@ from .library import CellLibrary, default_library
 from .timing import TimingTable, characterize_cell
 from .characterize import SimulatedDelays, measure_cell_delays, model_accuracy
 from .liberty import format_cell, format_library, write_library
-from .power import CellPowerModel, GatePower
 
 __all__ = [
     "CellError",
@@ -27,6 +26,4 @@ __all__ = [
     "format_cell",
     "format_library",
     "write_library",
-    "CellPowerModel",
-    "GatePower",
 ]

@@ -88,6 +88,14 @@ class ThrottlingPolicy:
     )
 
     def __post_init__(self) -> None:
+        for name in (
+            "throttle_threshold_c",
+            "release_threshold_c",
+            "emergency_threshold_c",
+        ):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise TechnologyError(f"{name} must be finite, got {value!r}")
         if self.release_threshold_c >= self.throttle_threshold_c:
             raise TechnologyError(
                 "release threshold must be below the throttle threshold (hysteresis)"
@@ -518,7 +526,8 @@ class DynamicThermalManager:
         #: ``repro.thermal.SOLVE_METHODS``) — ``auto`` picks a direct
         #: factorization on small grids and the exact DCT solve on
         #: full-die resolutions, so a banked run stays one multi-RHS
-        #: solve per timestep at any grid size.
+        #: solve over its distinct power histories per timestep at any
+        #: grid size.
         self.solve_method = solve_method
         self.monitor = ThermalMonitor(
             technology,
@@ -598,17 +607,19 @@ class DynamicThermalManager:
 
         This is the package's one closed loop (:meth:`run` is a
         one-policy bank): all policies advance in lockstep, so each
-        timestep costs **one** multi-RHS backward-Euler solve for the
-        whole ``(cell, policy)`` temperature-rise stack, one bilinear
-        gather of every policy's sensor sites from its own field, one
-        broadcast ring-period evaluation and one vectorized FSM step —
-        instead of one full transient integration per policy.  Each row
-        does the arithmetic of a one-policy loop, so its throttle
+        timestep costs **one** multi-RHS backward-Euler solve over the
+        distinct power histories, one bilinear gather of the sensor
+        sites, one broadcast ring-period evaluation and one vectorized
+        FSM step — instead of one full transient integration per
+        policy.  Columns (policies, or policy x sample pairs) whose
+        power histories are bitwise equal share one temperature-rise
+        column: the solve, the peak and power reductions and the site
+        gather run once per distinct history, and their results expand
+        back to every column; the sensor scan runs per column.  Each
+        row does the arithmetic of a one-policy loop, so its throttle
         decisions, powers and temperatures are bitwise those of that
-        loop.  The rise stack is column-major: each policy's column is
-        one contiguous ``(ny, nx)`` plane, so the solve's transforms,
-        the peak and power reductions and the site gather all read
-        contiguous memory.
+        loop.  The rise stack is column-major: each distinct column is
+        one contiguous ``(ny, nx)`` plane.
 
         A non-finite ``duration_s``, ``control_interval_s``,
         ``limit_c`` or ``workload_scale`` raises
@@ -675,9 +686,13 @@ class DynamicThermalManager:
         columns = int(np.prod(column_shape))
 
         base_flat = self._base_power.values_w.reshape(-1)
-        # Column-major (cell, policy) stack: each column is one contiguous
-        # (ny, nx) plane, so the transforms and reductions read it in place.
-        rise = np.zeros((columns, grid.nx * grid.ny)).T
+        # One rise column per distinct power history: ``history`` maps
+        # every (policy[, sample]) column to its distinct column, and all
+        # columns start from the same zero rise.  The stack is
+        # column-major, so each distinct column is one contiguous
+        # (ny, nx) plane that the transforms and reductions read in place.
+        history = np.zeros(columns, dtype=np.int64)
+        rise = np.zeros((1, grid.nx * grid.ny)).T
         indices = np.zeros(column_shape, dtype=int)
         trace_shape = column_shape + (steps,)
         state_trace = np.zeros(trace_shape, dtype=int)
@@ -692,14 +707,29 @@ class DynamicThermalManager:
             scales = bank.power_scales_at(indices)
             # Same multiplication order as the scalar loop's
             # ``base.scaled(workload_scale * state.power_scale)``.
-            factors = workload_scale * scales
-            power = factors.reshape(columns, 1) * base_flat
+            factors = (workload_scale * scales).reshape(columns)
+            # Columns that share a history and a bitwise-equal factor get
+            # bitwise-equal right-hand sides, so they share one column.
+            keys, first, history = np.unique(
+                np.stack([history, factors.view(np.int64)], axis=1),
+                axis=0,
+                return_index=True,
+                return_inverse=True,
+            )
+            # The keys sort by parent history and every parent has a
+            # child, so the same count means the identity mapping.
+            if len(keys) != rise.shape[1]:
+                rise = rise.T[keys[:, 0]].T
+            power = factors[first].reshape(-1, 1) * base_flat
             rise = stepper.step(rise, power.T)
-            fields = rise.T.reshape(column_shape + (grid.ny, grid.nx)) + self.ambient_c
+            fields = rise.T.reshape((-1, grid.ny, grid.nx)) + self.ambient_c
 
             truths = bilinear_sample(
                 fields, grid.width_mm, grid.height_mm, self._site_xs, self._site_ys
             )
+            # The sensor scan stays per column: Monte-Carlo samples read
+            # the same field through their own corners.
+            truths = truths[history].reshape(column_shape + truths.shape[1:])
             if population is None:
                 periods = np.asarray(ring.period_series(truths), dtype=float)
             else:
@@ -720,8 +750,10 @@ class DynamicThermalManager:
                 hottest = estimates.max(axis=1)
 
             state_trace[..., step] = indices
-            power_trace[..., step] = power.sum(axis=1).reshape(column_shape)
-            peak_trace[..., step] = fields.max(axis=(-2, -1))
+            power_trace[..., step] = power.sum(axis=1)[history].reshape(column_shape)
+            peak_trace[..., step] = fields.max(axis=(-2, -1))[history].reshape(
+                column_shape
+            )
             hottest_trace[..., step] = hottest
             performance_trace[..., step] = bank.performances_at(indices)
             indices = bank.next_state_indices(indices, hottest)
@@ -735,7 +767,7 @@ class DynamicThermalManager:
             hottest_reading_c=hottest_trace,
             performance=performance_trace,
             limit_c=limit_c,
-            final_values_c=fields,
+            final_values_c=fields[history].reshape(column_shape + (grid.ny, grid.nx)),
             die_width_mm=grid.width_mm,
             die_height_mm=grid.height_mm,
         )

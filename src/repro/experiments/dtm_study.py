@@ -15,8 +15,10 @@ an always-included unmanaged baseline) into a
 :class:`~repro.core.thermal_manager.PolicyBank` and advances all of
 them through one shared closed loop
 (:meth:`~repro.core.thermal_manager.DynamicThermalManager.run_bank` —
-one multi-RHS backward-Euler solve and one banked sensor scan per
-timestep; each row takes the decisions a one-policy run takes), optionally
+one multi-RHS backward-Euler solve over the distinct power histories
+and one banked sensor scan per timestep; policies whose powers have
+been bitwise equal so far share one temperature column, and each row
+takes the decisions a one-policy run takes), optionally
 crossed with a Monte-Carlo technology population (the ``sample`` axis)
 and with a set of thermal-grid resolutions (the grid-refinement axis
 mirroring the sweep engine's ``resolution`` axis — one cached
@@ -328,9 +330,12 @@ def run_dtm_policy_sweep(
     Every candidate policy — plus the always-appended ``unmanaged``
     baseline that :meth:`DtmPolicySweepResult.observable` computes
     ``peak_reduction_c`` against — advances through one shared banked
-    closed loop per grid resolution.  ``technologies`` adds a
+    closed loop per grid resolution, whose timestep is one multi-RHS
+    solve over the distinct power histories.  ``technologies`` adds a
     Monte-Carlo ``sample`` axis: each sample's sensors read the die
-    through their own process corner and per-sample calibration.
+    through their own process corner and per-sample calibration, and
+    (policy, sample) pairs whose powers have stayed bitwise equal share
+    one solved column.
     """
     tech = technology if technology is not None else CMOS035
     configuration = RingConfiguration.parse(configuration_text)
@@ -393,8 +398,9 @@ def run_dtm_study(
     that would push the unmanaged die past the junction limit — the case
     thermal management exists for.  The managed/unmanaged pair is the
     two-policy special case of :func:`run_dtm_policy_sweep`: both ride
-    one banked closed loop (one multi-RHS solve per timestep), and each
-    row matches a one-policy
+    one banked closed loop (one multi-RHS solve over the distinct power
+    histories per timestep, so the pair shares one solve until the
+    managed die first throttles), and each row matches a one-policy
     :meth:`~repro.core.thermal_manager.DynamicThermalManager.run`.
     """
     tech = technology if technology is not None else CMOS035

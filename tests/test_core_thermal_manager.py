@@ -44,6 +44,16 @@ class TestPolicyValidation:
         with pytest.raises(TechnologyError):
             PerformanceState("bad", power_scale=2.0, performance=1.0)
 
+    @pytest.mark.parametrize(
+        "field",
+        ["throttle_threshold_c", "release_threshold_c", "emergency_threshold_c"],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_threshold_rejected(self, field, value):
+        # Checked before the ordering checks, which a NaN passes.
+        with pytest.raises(TechnologyError, match=f"{field} must be finite"):
+            ThrottlingPolicy(**{field: value})
+
 
 class TestPolicyStepLogic:
     def test_hot_reading_steps_down(self):

@@ -1,12 +1,14 @@
 """Equivalence, property and golden tests for the banked DTM policy path.
 
 The :class:`repro.core.PolicyBank` contract is that one banked closed
-loop (:meth:`DynamicThermalManager.run_bank` — a single multi-RHS
-backward-Euler solve, bilinear site gather, broadcast sensor scan and
-vectorized FSM step per timestep) computes exactly what the per-policy
-loop ``oracles.dtm_run_scalar`` computes policy by policy: bitwise
-identical throttle decisions, powers, temperatures and final fields
-(the hypothesis suite checks random policies to 1e-9 relative).  The
+loop (:meth:`DynamicThermalManager.run_bank` — one multi-RHS
+backward-Euler solve over the distinct power histories, bilinear site
+gather, broadcast sensor scan and vectorized FSM step per timestep)
+computes exactly what the per-policy loop ``oracles.dtm_run_scalar``
+computes policy by policy: bitwise identical throttle decisions,
+powers, temperatures and final fields (the hypothesis suite checks
+random banks, whose histories split mid-run, bitwise on both solve
+methods), while solving each distinct power history once.  The
 example-processor policy sweep's headline numbers are pinned as golden
 values, and the sweep engine's ``resolution`` axis is round-tripped
 against its hand-rolled solve-then-scan lowering.
@@ -18,13 +20,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import dtm_run_scalar
-from repro.core import PolicyBank, SensorBank, ThrottlingPolicy
+from repro.core import PerformanceState, PolicyBank, SensorBank, ThrottlingPolicy
 from repro.engine import Axis, Sweep
 from repro.experiments import run_dtm_policy_sweep
 from repro.experiments.dtm_study import example_policy_set, never_throttle_policy
 from repro.tech import CMOS035, TechnologyError, sample_technology_array
 from repro.tech.stacked import stack_technologies
-from repro.thermal import Floorplan, PowerMap, ThermalGrid, ThermalOperator
+from repro.thermal import (
+    Floorplan,
+    PowerMap,
+    ThermalGrid,
+    ThermalOperator,
+    ThermalStepper,
+)
 
 RTOL = 1e-9
 
@@ -111,6 +119,36 @@ def manager(dtm_manager_factory):
     return dtm_manager_factory(grid_resolution=12, sensor_grid=2)
 
 
+@pytest.fixture(
+    scope="module", params=[12, 72], ids=["direct-12x12", "spectral-72x72"]
+)
+def solver_manager(request, dtm_manager_factory):
+    """A manager on each solve path (72x72 is past the spectral threshold)."""
+    return dtm_manager_factory(grid_resolution=request.param, sensor_grid=2)
+
+
+def assert_rows_equal_scalar_oracle(manager, banked, run_kw):
+    """Every banked row is bitwise the one-policy loop's run.
+
+    Returns the ``(row, scalar)`` result pairs, in label order.
+    """
+    pairs = []
+    for label in banked.labels:
+        row = banked.to_result(label)
+        scalar = dtm_run_scalar(manager, banked.bank.policy(label), **run_kw)
+        assert [p.state_name for p in row.trace] == [
+            p.state_name for p in scalar.trace
+        ]
+        for attribute in ("power_w", "true_peak_c", "hottest_reading_c"):
+            assert np.array_equal(
+                [getattr(p, attribute) for p in row.trace],
+                [getattr(p, attribute) for p in scalar.trace],
+            ), attribute
+        assert np.array_equal(row.final_map.values_c, scalar.final_map.values_c)
+        pairs.append((row, scalar))
+    return pairs
+
+
 class TestBankedEquivalence:
     """run_bank versus the per-policy loop oracle."""
 
@@ -119,31 +157,17 @@ class TestBankedEquivalence:
     @settings(
         max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow]
     )
-    def test_banked_run_matches_scalar_oracle(self, manager, sampled):
-        banked = manager.run_bank(sampled, **RUN_KW)
-        for label, policy in zip(banked.labels, sampled):
-            scalar = dtm_run_scalar(manager, policy, **RUN_KW)
-            row = banked.to_result(label)
-            # Throttle decisions bit-match ...
-            assert [p.state_name for p in row.trace] == [
-                p.state_name for p in scalar.trace
-            ]
-            # ... and every recorded quantity agrees to 1e-9 relative.
-            for attribute in ("true_peak_c", "hottest_reading_c", "power_w"):
-                ours = np.asarray([getattr(p, attribute) for p in row.trace])
-                theirs = np.asarray([getattr(p, attribute) for p in scalar.trace])
-                assert np.max(np.abs(ours - theirs) / np.abs(theirs)) <= RTOL
+    def test_banked_run_matches_scalar_oracle(self, solver_manager, sampled):
+        # The drawn policies share one power history until the first of
+        # them throttles, so the bank's columns split mid-run.
+        banked = solver_manager.run_bank(sampled, **RUN_KW)
+        for row, scalar in assert_rows_equal_scalar_oracle(
+            solver_manager, banked, RUN_KW
+        ):
             assert row.throttle_events() == scalar.throttle_events()
             assert row.state_occupancy() == scalar.state_occupancy()
-            assert row.average_performance() == pytest.approx(
-                scalar.average_performance(), rel=RTOL
-            )
-            assert row.time_above_limit_s() == pytest.approx(
-                scalar.time_above_limit_s(), abs=1e-12
-            )
-            assert np.allclose(
-                row.final_map.values_c, scalar.final_map.values_c, rtol=RTOL
-            )
+            assert row.average_performance() == scalar.average_performance()
+            assert row.time_above_limit_s() == scalar.time_above_limit_s()
 
     @pytest.mark.parametrize(
         "grid_resolution", [12, 72], ids=["direct-12x12", "spectral-72x72"]
@@ -157,19 +181,11 @@ class TestBankedEquivalence:
             duration_s=0.2, control_interval_s=0.02, limit_c=60.0, workload_scale=1.2
         )
         banked = manager.run_bank(example_policy_set(limit_c=60.0), **run_kw)
-        visited = set()
-        for label in banked.labels:
-            row = banked.to_result(label)
-            scalar = dtm_run_scalar(manager, banked.bank.policy(label), **run_kw)
-            states = [p.state_name for p in row.trace]
-            assert states == [p.state_name for p in scalar.trace]
-            visited.update(states)
-            for attribute in ("power_w", "true_peak_c", "hottest_reading_c"):
-                assert np.array_equal(
-                    [getattr(p, attribute) for p in row.trace],
-                    [getattr(p, attribute) for p in scalar.trace],
-                ), attribute
-            assert np.array_equal(row.final_map.values_c, scalar.final_map.values_c)
+        visited = {
+            point.state_name
+            for row, _scalar in assert_rows_equal_scalar_oracle(manager, banked, run_kw)
+            for point in row.trace
+        }
         # The run exercises every FSM state, so every power row is visited.
         assert len(visited) == 3
 
@@ -255,6 +271,75 @@ class TestBankedEquivalence:
                 control_interval_s=0.01,
                 workload_scale=-1.0,
             )
+
+
+@pytest.fixture
+def solved_columns(monkeypatch):
+    """Columns each ``ThermalStepper.step`` call solves, in call order."""
+    counts = []
+    step = ThermalStepper.step
+
+    def counting_step(self, rise, power_w):
+        counts.append(1 if np.ndim(rise) == 1 else np.shape(rise)[1])
+        return step(self, rise, power_w)
+
+    monkeypatch.setattr(ThermalStepper, "step", counting_step)
+    return counts
+
+
+def scaled_states(*scales):
+    """Performance states at the given power scales, fastest first."""
+    return tuple(
+        PerformanceState(f"state-{i}", power_scale=scale, performance=scale)
+        for i, scale in enumerate(scales)
+    )
+
+
+class TestSolvedColumns:
+    """run_bank solves each distinct power history once per step."""
+
+    def test_unreached_thresholds_solve_one_column(self, manager, solved_columns):
+        bank = [
+            ThrottlingPolicy(
+                throttle_threshold_c=10_000.0 + i,
+                release_threshold_c=9_000.0,
+                emergency_threshold_c=11_000.0,
+            )
+            for i in range(4)
+        ]
+        banked = manager.run_bank(bank, **RUN_KW)
+        assert np.all(banked.state_indices == 0)
+        assert solved_columns == [1] * banked.step_count
+
+    def test_split_histories_solve_distinct_prefixes(self, manager, solved_columns):
+        a = ThrottlingPolicy()
+        # b starts as a does but throttles to another power scale; c
+        # starts at another scale.
+        b = ThrottlingPolicy(states=scaled_states(1.0, 0.5, 0.25))
+        c = ThrottlingPolicy(states=scaled_states(0.9, 0.6, 0.25))
+        banked = manager.run_bank([a, b, c, a], **RUN_KW)
+        counts = list(solved_columns)
+
+        scales = np.take_along_axis(
+            banked.bank.power_scales, banked.state_indices, axis=1
+        )
+        factors = RUN_KW["workload_scale"] * scales
+        prefixes = [
+            len({tuple(row[: step + 1]) for row in factors})
+            for step in range(banked.step_count)
+        ]
+        assert counts == prefixes
+        # a and b share a column until a throttles, then split.
+        assert counts[0] == 2 and counts[-1] == 3
+        assert_rows_equal_scalar_oracle(manager, banked, RUN_KW)
+
+    def test_distinct_first_states_solve_every_column(self, manager, solved_columns):
+        bank = [
+            ThrottlingPolicy(states=scaled_states(scale, 0.25))
+            for scale in (1.0, 0.9, 0.8)
+        ]
+        banked = manager.run_bank(bank, **RUN_KW)
+        assert solved_columns == [3] * banked.step_count
 
 
 class TestResolutionAxisLowering:
