@@ -110,17 +110,6 @@ class ThrottlingPolicy:
         if scales != sorted(scales, reverse=True):
             raise TechnologyError("states must be ordered from fastest to slowest")
 
-    def next_state_index(self, current_index: int, hottest_reading_c: float) -> int:
-        """Policy step: new state index given the hottest sensor reading."""
-        last = len(self.states) - 1
-        if hottest_reading_c >= self.emergency_threshold_c:
-            return last
-        if hottest_reading_c >= self.throttle_threshold_c:
-            return min(current_index + 1, last)
-        if hottest_reading_c <= self.release_threshold_c:
-            return max(current_index - 1, 0)
-        return current_index
-
 
 @dataclass(frozen=True)
 class DtmTracePoint:
@@ -286,9 +275,12 @@ class PolicyBank:
         """Vectorized policy step over the whole bank.
 
         ``indices`` and ``hottest_readings_c`` share a leading
-        ``policy`` axis (plus any trailing sample axes); the comparisons
-        are elementwise :meth:`ThrottlingPolicy.next_state_index`, so a
-        banked run takes exactly the decisions the scalar FSM takes.
+        ``policy`` axis (plus any trailing sample axes).  Each element
+        steps its policy's threshold-with-hysteresis FSM: a reading at
+        or above the emergency threshold jumps to the slowest state, one
+        at or above the throttle threshold steps one state slower, one
+        at or below the release threshold steps one state faster, and
+        anything between holds the state.
         """
         indices = np.asarray(indices, dtype=int)
         readings = np.asarray(hottest_readings_c, dtype=float)

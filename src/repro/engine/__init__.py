@@ -23,7 +23,7 @@ from .sweep import (
     SweepPlan,
     SweepResult,
 )
-from .tiling import Tile, TilingPlan, plan_result_tiles, plan_tiles, subplan
+from .tiling import Tile, TilingPlan, plan_tiles, subplan
 
 __all__ = [
     "Axis",
@@ -38,7 +38,6 @@ __all__ = [
     "SweepResult",
     "Tile",
     "TilingPlan",
-    "plan_result_tiles",
     "plan_tiles",
     "resolve_executor",
     "subplan",

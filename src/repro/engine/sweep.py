@@ -711,13 +711,10 @@ class Axis:
                         f"configuration axis has {len(labels)} labels but "
                         f"{len(stages)} stage lists"
                     )
-                try:
-                    configs = [
-                        RingConfiguration(tuple(str(s) for s in entry))
-                        for entry in stages
-                    ]
-                except ConfigurationError as error:
-                    raise SweepError(str(error)) from error
+                configs = [
+                    RingConfiguration(tuple(str(s) for s in entry))
+                    for entry in stages
+                ]
                 return cls.configuration(dict(zip(labels, configs)))
             if name == "sample":
                 tech = payload["technology"]
@@ -739,10 +736,14 @@ class Axis:
                         f"invalid serialized sample population: {error}"
                     ) from error
                 return cls.sample(population)
+        except SweepError:
+            raise
         except KeyError as error:
             raise SweepError(
                 f"serialized {name!r} axis is missing key {error}"
             ) from None
+        except (TypeError, ValueError) as error:
+            raise SweepError(f"invalid serialized {name!r} axis: {error}") from error
         raise SweepError(
             f"unknown serialized axis {name!r}; serializable axes are "
             f"technology, configuration, width_ratio, supply, sample and "
@@ -1205,24 +1206,32 @@ class Sweep:
                 f"serialized sweep spec's base must be a mapping, got "
                 f"{type(base).__name__}"
             )
-        technology = None
-        if base.get("technology") is not None:
-            technology = _technology_from_dict(base["technology"])
+        configuration = base.get("configuration")
+        if configuration is not None and not isinstance(configuration, str):
+            raise SweepError(
+                f"serialized sweep spec's base configuration must be a label "
+                f"string or null, got {type(configuration).__name__}"
+            )
         try:
-            readout = ReadoutConfig(**dict(base.get("readout") or {}))
-        except (TypeError, TechnologyError) as error:
-            raise SweepError(f"invalid serialized readout: {error}") from error
-        try:
+            technology = None
+            if base.get("technology") is not None:
+                technology = _technology_from_dict(base["technology"])
+            try:
+                readout = ReadoutConfig(**dict(base.get("readout") or {}))
+            except (TypeError, TechnologyError) as error:
+                raise SweepError(f"invalid serialized readout: {error}") from error
             sweep = cls(
                 technology=technology,
-                configuration=base.get("configuration"),
+                configuration=configuration,
                 wire_length_um=base.get("wire_length_um", 2.0),
                 external_load_f=base.get("external_load_f", 0.0),
                 tap_stage=base.get("tap_stage"),
                 readout=readout,
             )
-        except ConfigurationError as error:
-            raise SweepError(str(error)) from error
+        except SweepError:
+            raise
+        except (TypeError, ValueError) as error:
+            raise SweepError(f"invalid serialized base: {error}") from error
         axes = payload["axes"]
         if not isinstance(axes, Sequence) or isinstance(axes, (str, bytes)):
             raise SweepError(

@@ -42,10 +42,8 @@ __all__ = [
     "DEFAULT_TILE_ELEMENTS",
     "Tile",
     "TilingPlan",
-    "plan_result_tiles",
     "plan_tiles",
     "subplan",
-    "tile_index_space",
 ]
 
 #: Default bound on a tile's dense element count when a tiled execution
@@ -158,11 +156,11 @@ def plan_tiles(
     dims = tuple(axis.name for axis in plan.axes)
     shape = tuple(len(axis) for axis in plan.axes)
     coords = {axis.name: tuple(axis.coordinates) for axis in plan.axes}
-    tiles = tile_index_space(dims, shape, _splittable_axes(plan), budget)
+    tiles = _tile_index_space(dims, shape, _splittable_axes(plan), budget)
     return TilingPlan(plan=plan, dims=dims, shape=shape, coords=coords, tiles=tiles)
 
 
-def tile_index_space(
+def _tile_index_space(
     dims: Tuple[str, ...],
     shape: Tuple[int, ...],
     splittable: Sequence[str],
@@ -170,10 +168,7 @@ def tile_index_space(
 ) -> Tuple[Tile, ...]:
     """Partition an index space into budget-bounded contiguous tiles.
 
-    The chunking core shared by :func:`plan_tiles` (splittable =
-    ``sample``/``temperature``, the elementwise plan axes) and
-    :func:`plan_result_tiles` (splittable = every axis — slicing a
-    *materialized* tensor is always exact).  Axes are shrunk in the
+    The chunking core of :func:`plan_tiles`.  Axes are shrunk in the
     given ``splittable`` order: the first axis splits first, later axes
     only when a single coordinate of the earlier ones still exceeds the
     budget.  The tiles cover the index space exactly once (a dense
@@ -213,34 +208,6 @@ def tile_index_space(
     for index, bounds in enumerate(bounds_stack):
         tile_list.append(Tile(index=index, bounds=tuple(bounds)))
     return tuple(tile_list)
-
-
-def plan_result_tiles(
-    dims: Tuple[str, ...],
-    shape: Tuple[int, ...],
-    max_tile_elements: int,
-) -> Tuple[Tile, ...]:
-    """Partition a *materialized* result's index space for streaming.
-
-    Unlike :func:`plan_tiles` — which may only split the elementwise
-    ``sample``/``temperature`` axes because each tile re-*evaluates* its
-    slice — a materialized tensor is pure data, so every axis is
-    splittable: a tile is just a contiguous slice expression.  The
-    sweep service (:mod:`repro.serve`) streams oversized results tile
-    by tile with this, bounding each response line; the client
-    reassembles via :meth:`Tile.slices`, positionally, exactly as
-    :func:`~repro.engine.executors.run_plan` assembles executor tiles.
-    Outer axes split first, so tiles are contiguous slabs of the
-    row-major tensor.
-    """
-    if len(dims) != len(shape):
-        raise SweepError(
-            f"dims ({len(dims)}) and shape ({len(shape)}) disagree on the "
-            f"dimension count"
-        )
-    if int(max_tile_elements) < 1:
-        raise SweepError("max_tile_elements must be at least 1")
-    return tile_index_space(dims, shape, list(dims), int(max_tile_elements))
 
 
 def _slice_sample_axis(axis: Axis, start: int, stop: int) -> Axis:

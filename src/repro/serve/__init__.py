@@ -38,10 +38,9 @@ parallel evaluation (the scheduler in :mod:`repro.serve.server`)
     shared process pool, so distinct concurrent sweeps genuinely
     occupy multiple cores.
 
-Oversized results stream tile by tile
-(:func:`~repro.engine.tiling.plan_result_tiles`); the synchronous
-:class:`ServeClient` reassembles them transparently and retries dead
-connections with bounded exponential backoff.  Start a server with
+Every result, whatever its size, travels as one response line; the
+synchronous :class:`ServeClient` reads it and retries dead connections
+with bounded exponential backoff.  Start a server with
 ``repro-serve`` (or ``python -m repro.serve``), embed one in-process
 with :func:`start_server_thread`; both take the same settings (the
 :class:`SweepServer` arguments), and neither reads the environment.
@@ -59,7 +58,6 @@ from .server import (
     DEFAULT_HOST,
     DEFAULT_PORT,
     DEFAULT_QUEUE_DEPTH,
-    DEFAULT_STREAM_THRESHOLD_BYTES,
     DEFAULT_WORKERS,
     ServerHandle,
     SweepServer,
@@ -75,7 +73,6 @@ __all__ = [
     "DEFAULT_HOST",
     "DEFAULT_PORT",
     "DEFAULT_QUEUE_DEPTH",
-    "DEFAULT_STREAM_THRESHOLD_BYTES",
     "DEFAULT_WORKERS",
     "DiskCache",
     "MicroBatcher",

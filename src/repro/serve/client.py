@@ -3,10 +3,10 @@
 A thin blocking wrapper over one TCP connection: it speaks the NDJSON
 protocol of :mod:`repro.serve.protocol`, raises :class:`ServeError`
 (carrying the structured error ``code``) for server-side rejections,
-and reassembles tile-streamed results transparently, so callers always
-see the same thing — a result payload byte-identical (post
-``to_dict``) to what a local ``Sweep.run()`` would have produced, or
-the re-hydrated :class:`~repro.engine.sweep.SweepResult` itself.
+and reads every result as one response line, so callers see a result
+payload byte-identical (post ``to_dict``) to what a local
+``Sweep.run()`` would have produced, or the re-hydrated
+:class:`~repro.engine.sweep.SweepResult` itself.
 
 Transport failures are structured, never raw socket exceptions: a
 server that is down gets a bounded connect-retry loop (exponential
@@ -31,8 +31,6 @@ import json
 import socket
 import time
 from typing import Any, Dict, Mapping, Optional, Union
-
-import numpy as np
 
 from ..engine.sweep import Sweep, SweepError, SweepResult
 
@@ -146,7 +144,7 @@ class ServeClient:
     def _request(
         self, message: Mapping[str, Any], retry: bool = True
     ) -> Dict[str, Any]:
-        """Send one request; return its ok-envelope (streams reassembled).
+        """Send one request; return its ok-envelope.
 
         A request whose connection broke before *any* response byte
         arrived is retried once over a fresh connection when ``retry``
@@ -178,48 +176,7 @@ class ServeClient:
             raise ServeError(
                 error.get("code", "unknown"), error.get("message", "unknown error")
             )
-        if response.get("stream"):
-            response["result"] = self._read_stream(response)
-            del response["stream"]
         return response
-
-    def _read_stream(self, header: Mapping[str, Any]) -> Dict[str, Any]:
-        """Reassemble a tile stream into one result payload.
-
-        Tiles are positional slices of the full tensor
-        (:meth:`repro.engine.tiling.Tile.slices` semantics), so
-        reassembly is plain slice assignment into an empty array.
-        """
-        meta = header["meta"]
-        dims = tuple(meta["dims"])
-        shape = tuple(len(meta["coords"][name]) for name in dims)
-        dtype = meta.get("dtype", "float64")
-        values = np.empty(shape, dtype=dtype)
-        seen = 0
-        while True:
-            line = self._read_line()
-            if line.get("done"):
-                break
-            bounds = {str(name): (int(start), int(stop)) for name, start, stop in line["bounds"]}
-            expression = tuple(
-                slice(*bounds[name]) if name in bounds else slice(None)
-                for name in dims
-            )
-            values[expression] = np.asarray(line["values"], dtype=dtype)
-            seen += 1
-        expected = int(header.get("tile_count", seen))
-        if seen != expected:
-            raise ServeError(
-                "transport", f"tile stream carried {seen} tiles, expected {expected}"
-            )
-        return {
-            "version": meta["version"],
-            "observable": meta["observable"],
-            "dims": list(dims),
-            "coords": meta["coords"],
-            "dtype": dtype,
-            "values": values.tolist(),
-        }
 
     # ------------------------------------------------------------------ #
     # operations

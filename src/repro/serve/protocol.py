@@ -1,8 +1,7 @@
 """The service's wire protocol: newline-delimited JSON envelopes.
 
-One request per line, one response per line (or, for oversized
-results, a stream: a header line, one line per tile, a terminator) —
-the simplest protocol a stdlib socket client can speak while staying
+One request per line, one response per line whatever the result's size
+— the simplest protocol a stdlib socket client can speak while staying
 human-debuggable with ``nc``.  Requests are objects with an ``op``
 field; responses echo the request's optional ``id`` and carry either
 ``"ok": true`` plus op-specific fields, or ``"ok": false`` plus a
@@ -17,7 +16,7 @@ Operations
     Liveness plus the spec schema version the server reads.
 ``sweep``
     Evaluate (or serve from cache) a full serialized sweep spec;
-    responds with the result payload or a tile stream.
+    responds with the result payload.
 ``point``
     A point query: a serialized *base* spec (no temperature axis) plus
     one ``temperature_c``.  It is the one-coordinate sweep of that base
@@ -97,9 +96,10 @@ __all__ = [
     "ok_envelope",
 ]
 
-#: Stream-reader line budget: result lines for cached full tensors can
-#: reach tens of megabytes before tile streaming kicks in, far past
-#: asyncio's 64 KiB default.
+#: The longest *request* line the server reads (its asyncio stream-reader
+#: limit), far past asyncio's 64 KiB default so large inline specs fit.
+#: Response lines are not bounded: a result leaves as one line of any
+#: size.
 MAX_LINE_BYTES = 64 << 20
 
 OPS = ("ping", "sweep", "point", "stats", "shutdown")

@@ -26,11 +26,9 @@ moment share one evaluation (single-flight, across workers); concurrent
 requests that differ only along the temperature axis coalesce onto one
 union-grid broadcast (:class:`~repro.serve.batcher.MicroBatcher`) and
 are each answered with their own bitwise-exact slice.  A result is
-encoded once, on its miss; the cache holds those bytes and a response
-splices them into its envelope.  Results whose bytes exceed the stream
-threshold are decoded and leave as a tile stream
-(:func:`~repro.engine.tiling.plan_result_tiles`) instead of one giant
-line.
+encoded once, on its miss; the cache holds those bytes and every
+response splices them into its envelope, so a result of any size leaves
+as one line.
 
 Every setting is a :class:`SweepServer` argument and the matching
 ``repro-serve`` flag; the server reads no environment variables.
@@ -47,8 +45,6 @@ import math
 import threading
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-import numpy as np
-
 from ..engine.executors import ProcessExecutor
 from ..engine.sweep import (
     Sweep,
@@ -57,7 +53,6 @@ from ..engine.sweep import (
     TechnologyMismatchError,
     _ENDPOINT_OBSERVABLES,
 )
-from ..engine.tiling import plan_result_tiles
 from .batcher import DEFAULT_BATCH_WINDOW_MS, MicroBatcher
 from .cache import (
     DEFAULT_CACHE_BYTES,
@@ -89,7 +84,6 @@ __all__ = [
     "DEFAULT_HOST",
     "DEFAULT_PORT",
     "DEFAULT_QUEUE_DEPTH",
-    "DEFAULT_STREAM_THRESHOLD_BYTES",
     "DEFAULT_WORKERS",
     "ServerHandle",
     "SweepServer",
@@ -110,16 +104,6 @@ DEFAULT_WORKERS = 1
 #: stalled server fails fast (``busy``) rather than accumulating an
 #: unbounded backlog of request payloads in memory.
 DEFAULT_QUEUE_DEPTH = 128
-
-#: Result payloads at or below this encoded size travel as one response
-#: line; larger ones as a tile stream.  1 MiB keeps single lines cheap
-#: to buffer while full Monte-Carlo tensors still stream.
-DEFAULT_STREAM_THRESHOLD_BYTES = 1 << 20
-
-#: Rough encoded size of one value in a JSON tile line (a float64's
-#: shortest round-trip repr plus separators) — converts the stream
-#: threshold into a per-tile element budget.
-_BYTES_PER_VALUE = 32
 
 
 class _RequestError(Exception):
@@ -295,14 +279,10 @@ class SweepServer:
         cache_dir: Optional[str] = None,
         disk_cache_bytes: int = DEFAULT_DISK_CACHE_BYTES,
         batch_window_ms: float = DEFAULT_BATCH_WINDOW_MS,
-        stream_threshold_bytes: int = DEFAULT_STREAM_THRESHOLD_BYTES,
     ) -> None:
         self.host = host
         self.port = int(port)
         self.workers = int(workers)
-        self.stream_threshold_bytes = int(stream_threshold_bytes)
-        if self.stream_threshold_bytes < 1:
-            raise SweepError("stream_threshold_bytes must be at least 1")
         self.cache_dir = cache_dir
         disk = DiskCache(cache_dir, int(disk_cache_bytes)) if cache_dir else None
         self.cache = ResultCache(int(cache_bytes), disk=disk)
@@ -683,47 +663,11 @@ class SweepServer:
         encoded: bytes,
         cached: bool,
     ) -> None:
-        """One result line — or a tile stream when the result is big."""
-        oversized = len(encoded) > self.stream_threshold_bytes
-        meta = json.loads(encoded) if oversized else None
-        if meta is None or not meta["dims"]:
-            # ``result`` is the envelope's last field: splice the bytes
-            # in before its closing brace instead of encoding them again.
-            header = encode_line(ok_envelope(op, request_id, key=key, cached=cached))
-            writer.write(header[:-2] + b',"result":' + encoded + b"}\n")
-            await writer.drain()
-            return
-        # The stream header carries the result's fields but its values.
-        values = np.asarray(meta.pop("values"), dtype=meta["dtype"])
-        dims = tuple(meta["dims"])
-        budget = max(1, self.stream_threshold_bytes // _BYTES_PER_VALUE)
-        tiles = plan_result_tiles(dims, values.shape, budget)
-        writer.write(
-            encode_line(
-                ok_envelope(
-                    op,
-                    request_id,
-                    key=key,
-                    cached=cached,
-                    stream=True,
-                    meta=meta,
-                    tile_count=len(tiles),
-                )
-            )
-        )
-        await writer.drain()
-        for tile in tiles:
-            writer.write(
-                encode_line(
-                    {
-                        "tile": tile.index,
-                        "bounds": [list(bound) for bound in tile.bounds],
-                        "values": values[tile.slices(dims)].tolist(),
-                    }
-                )
-            )
-            await writer.drain()
-        writer.write(encode_line({"done": True, "tiles": len(tiles)}))
+        """One result line: the envelope with the result bytes spliced in."""
+        # ``result`` is the envelope's last field: splice the bytes in
+        # before its closing brace instead of encoding them again.
+        header = encode_line(ok_envelope(op, request_id, key=key, cached=cached))
+        writer.write(header[:-2] + b',"result":' + encoded + b"}\n")
         await writer.drain()
 
     # ------------------------------------------------------------------ #
@@ -932,15 +876,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "sweeps, in milliseconds (default %(default)s)"
         ),
     )
-    parser.add_argument(
-        "--stream-threshold-bytes",
-        type=int,
-        default=DEFAULT_STREAM_THRESHOLD_BYTES,
-        help=(
-            "encoded payload size that switches responses to tile "
-            "streaming (default %(default)s)"
-        ),
-    )
     args = parser.parse_args(argv)
 
     server = SweepServer(
@@ -952,7 +887,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         cache_dir=args.cache_dir,
         disk_cache_bytes=args.disk_cache_bytes,
         batch_window_ms=args.batch_window_ms,
-        stream_threshold_bytes=args.stream_threshold_bytes,
     )
 
     async def _serve() -> None:

@@ -19,7 +19,8 @@ the package path they check.
 
 The per-sample and per-configuration loops (``period_matrix_loop``,
 ``period_tensor_loop``, ``site_period_tensor_loop``) and the per-policy
-DTM loop (``dtm_run_scalar``) are also what
+DTM loop (``dtm_run_scalar``, stepping its policy with the scalar
+``next_state_index``) are also what
 ``benchmarks/test_bench_engine.py`` times the broadcast paths against.
 One library path still computes its own reference:
 :func:`repro.thermal.selfheating.self_heating_error` is the
@@ -567,6 +568,18 @@ def monitor_scan_scalar(
 # --------------------------------------------------------------------------- #
 
 
+def next_state_index(policy, index: int, reading: float) -> int:
+    """One policy's FSM step: its new state index given the hottest reading."""
+    last = len(policy.states) - 1
+    if reading >= policy.emergency_threshold_c:
+        return last
+    if reading >= policy.throttle_threshold_c:
+        return min(index + 1, last)
+    if reading <= policy.release_threshold_c:
+        return max(index - 1, 0)
+    return index
+
+
 def dtm_run_scalar(
     manager,
     policy,
@@ -614,7 +627,7 @@ def dtm_run_scalar(
                 performance=state.performance,
             )
         )
-        state_index = policy.next_state_index(state_index, hottest)
+        state_index = next_state_index(policy, state_index, hottest)
     return DtmResult(trace=tuple(trace), limit_c=limit_c, final_map=die_map)
 
 

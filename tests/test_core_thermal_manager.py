@@ -8,6 +8,7 @@ from repro.core import (
     DtmTracePoint,
     DynamicThermalManager,
     PerformanceState,
+    PolicyBank,
     ThrottlingPolicy,
 )
 from repro.oscillator import RingConfiguration
@@ -55,24 +56,32 @@ class TestPolicyValidation:
             ThrottlingPolicy(**{field: value})
 
 
+def bank_step(policy, index, reading):
+    """One FSM step of a one-policy bank."""
+    stepped = PolicyBank([policy]).next_state_indices(
+        np.asarray([index]), np.asarray([reading])
+    )
+    return int(stepped[0])
+
+
 class TestPolicyStepLogic:
     def test_hot_reading_steps_down(self):
         policy = ThrottlingPolicy()
-        assert policy.next_state_index(0, 112.0) == 1
-        assert policy.next_state_index(1, 112.0) == 2
+        assert bank_step(policy, 0, 112.0) == 1
+        assert bank_step(policy, 1, 112.0) == 2
 
     def test_emergency_jumps_to_last_state(self):
         policy = ThrottlingPolicy()
-        assert policy.next_state_index(0, 130.0) == len(policy.states) - 1
+        assert bank_step(policy, 0, 130.0) == len(policy.states) - 1
 
     def test_cool_reading_steps_back_up(self):
         policy = ThrottlingPolicy()
-        assert policy.next_state_index(2, 80.0) == 1
-        assert policy.next_state_index(0, 80.0) == 0
+        assert bank_step(policy, 2, 80.0) == 1
+        assert bank_step(policy, 0, 80.0) == 0
 
     def test_hysteresis_band_holds_state(self):
         policy = ThrottlingPolicy()
-        assert policy.next_state_index(1, 100.0) == 1
+        assert bank_step(policy, 1, 100.0) == 1
 
 
 def make_result(state_names, limit_c=115.0, interval_s=0.02):

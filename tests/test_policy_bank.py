@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import dtm_run_scalar
+from oracles import dtm_run_scalar, next_state_index
 from repro.core import PerformanceState, PolicyBank, SensorBank, ThrottlingPolicy
 from repro.engine import Axis, Sweep
 from repro.experiments import run_dtm_policy_sweep
@@ -102,7 +102,7 @@ class TestPolicyBankStructure:
         bank = PolicyBank(sampled)
         stepped = bank.next_state_indices(np.asarray(indices), np.asarray(readings))
         for p, policy in enumerate(sampled):
-            assert stepped[p] == policy.next_state_index(indices[p], readings[p])
+            assert stepped[p] == next_state_index(policy, indices[p], readings[p])
 
     def test_state_gathers_match_policy_states(self):
         bank = PolicyBank([ThrottlingPolicy(), never_throttle_policy()])

@@ -7,6 +7,7 @@ production trafic uses, no mocked sockets.  The contracts:
 
 * a served result is **byte-identical** (post ``to_dict``) to the same
   sweep evaluated locally;
+* every response is one line, whatever the result's size;
 * a repeat request is answered from the cache with **zero** new engine
   evaluations (asserted through the server's evaluation counter);
 * concurrent compatible point queries coalesce into **one** broadcast
@@ -15,19 +16,20 @@ production trafic uses, no mocked sockets.  The contracts:
   byte budget;
 * malformed or version-foreign payloads are rejected with structured
   error codes, and the connection survives the rejection;
-* oversized results stream as tiles and reassemble equal;
 * a ``shutdown`` op stops the server cleanly.
 """
 
 import dataclasses
+import functools
 import json
+import operator
 import socket
 import threading
 
 import numpy as np
 import pytest
 
-from repro.engine import Axis, Sweep
+from repro.engine import Axis, Sweep, SweepError
 from repro.serve import (
     DEFAULT_PORT,
     DEFAULT_WORKERS,
@@ -48,7 +50,8 @@ from repro.serve.protocol import (
     encode_line,
     ok_envelope,
 )
-from repro.tech import CMOS035, register_technology
+from repro.oscillator import PAPER_FIG3_CONFIGURATIONS
+from repro.tech import CMOS035, register_technology, sample_technology_array
 
 TEMPS = [-40.0, 25.0, 125.0]
 
@@ -111,9 +114,18 @@ def test_response_line_framing_is_pinned_byte_for_byte(server):
         .over(Axis.temperature([85.0]))
         .observe("period")
     )
+    # Over 1 MiB encoded: a result of any size is still one line.
+    large = (
+        Sweep(technology=CMOS035)
+        .over(Axis.configuration(PAPER_FIG3_CONFIGURATIONS))
+        .over(Axis.supply([3.0, 3.3]))
+        .over(Axis.sample(sample_technology_array(CMOS035, 100, seed=1)))
+        .over(Axis.temperature([float(t) for t in np.linspace(-50.0, 150.0, 41)]))
+    )
     cases = [
         ("sweep", {"spec": small_sweep().to_dict()}, small_sweep()),
         ("point", {"spec": base_spec(), "temperature_c": 85.0}, one_coordinate),
+        ("sweep", {"spec": large.to_dict()}, large),
     ]
     for op, fields, local in cases:
         key = canonical_key(local)
@@ -123,6 +135,7 @@ def test_response_line_framing_is_pinned_byte_for_byte(server):
             assert line == encode_line(
                 ok_envelope(op, 7, key=key, cached=cached, result=result)
             )
+            assert (len(line) > 1 << 20) == (local is large)
 
 
 def test_repeat_request_hits_cache_with_zero_evaluations(server, client):
@@ -327,6 +340,34 @@ def test_malformed_and_invalid_requests_return_structured_errors(server, client)
     assert client.ping()["ok"] is True
 
 
+@pytest.mark.parametrize(
+    "path, value, named",
+    [
+        (("axes", 0, "stages", 0), 1e30, "configuration"),
+        (("axes", 0, "labels"), 7, "configuration"),
+        (("axes", 0, "stages"), 7, "configuration"),
+        (("axes", 1, "coordinates"), "abc", "temperature"),
+        (("axes", 1, "coordinates"), 5, "temperature"),
+        (("base", "wire_length_um"), "x", "base"),
+        (("base", "configuration"), 5, "base configuration"),
+    ],
+)
+def test_malformed_spec_field_is_a_bad_spec(client, path, value, named):
+    spec = (
+        Sweep(technology=CMOS035)
+        .over(Axis.configuration(["5INV", "3NAND2"]))
+        .over(Axis.temperature(TEMPS))
+        .to_dict()
+    )
+    parent = functools.reduce(operator.getitem, path[:-1], spec)
+    parent[path[-1]] = value
+    with pytest.raises(SweepError, match=named):
+        Sweep.from_dict(spec)
+    with pytest.raises(ServeError, match=named) as caught:
+        client.sweep_payload(spec)
+    assert caught.value.code == E_BAD_SPEC
+
+
 def test_overflowing_period_is_a_bad_spec_not_infinity(client):
     # A 1e308 F tap load overflows the period to inf; the engine refuses
     # it before any observable, so the server answers bad-spec instead
@@ -408,31 +449,6 @@ def test_disagreeing_registries_fail_with_tech_mismatch(server, client):
     # The connection survives, and the honest spec still evaluates.
     assert client.ping()["ok"] is True
     assert client.sweep_payload(small_sweep()) == small_sweep().run().to_dict()
-
-
-# --------------------------------------------------------------------------- #
-# tile streaming
-# --------------------------------------------------------------------------- #
-
-
-def test_streamed_result_reassembles_byte_identical():
-    sweep = (
-        Sweep(technology=CMOS035, configuration="5INV")
-        .over(Axis.supply([3.0, 3.3]))
-        .over(Axis.temperature([float(t) for t in np.linspace(-40.0, 125.0, 30)]))
-    )
-    local = sweep.run().to_dict()
-    handle = start_server_thread(stream_threshold_bytes=256)
-    try:
-        with ServeClient("127.0.0.1", handle.port) as remote:
-            served = remote.sweep_payload(sweep)
-            assert served == local
-            # And the stream really was a stream: the payload is far
-            # larger than the threshold.
-            size = len(json.dumps(local, separators=(",", ":")).encode())
-            assert size > 256
-    finally:
-        handle.stop()
 
 
 # --------------------------------------------------------------------------- #
