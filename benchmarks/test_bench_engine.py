@@ -552,8 +552,8 @@ def test_sizing_sweep_dense_grid(benchmark, vectorized, tech):
 
 #: The tiled-execution benchmark workload: a Monte-Carlo population x
 #: dense temperature grid big enough that tile fan-out dominates
-#: per-task overhead (20000 x 41 = 820k elements, ~1 s of serial
-#: evaluation), split into ~2^17-element tiles.
+#: per-task overhead (20000 x 41 = 820k elements, 0.1-0.2 s of serial
+#: evaluation on a 2-core VM), split into ~2^17-element tiles.
 TILED_SAMPLES = 20000
 TILED_TILE_ELEMENTS = 1 << 17
 

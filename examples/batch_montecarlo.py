@@ -40,7 +40,6 @@ from repro import (
     sample_technology_array,
 )
 from repro.analysis import run_monte_carlo
-from repro.tech import sample_technologies
 
 
 def main() -> None:
@@ -62,7 +61,7 @@ def main() -> None:
     # call per sample and temperature.
     start = time.perf_counter()
     reference = []
-    for tech in sample_technologies(CMOS035, samples, seed=1234):
+    for tech in sample_technology_array(CMOS035, samples, seed=1234).technologies():
         sample_ring = RingOscillator(default_library(tech), configuration)
         reference.append([sample_ring.period(float(t)) for t in temperatures])
     reference = np.asarray(reference)

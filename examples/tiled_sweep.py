@@ -9,8 +9,8 @@ along the cheapest-to-split axes (sample, then temperature) and runs
 them through a backend:
 
 * ``"serial"`` evaluates the tiles in order, in process;
-* ``ProcessExecutor`` fans them out over a worker pool, shipping the
-  technology population's columns through shared memory.
+* ``ProcessExecutor`` fans them out over a worker pool, shipping each
+  tile as a pickled sub-plan that carries only its population rows.
 
 Both assemble a result **bitwise identical** to the dense pass, because
 each tile evaluates exactly the same elementwise broadcast on a slice of

@@ -8,13 +8,14 @@ chunks, and this module runs the chunks:
   one tile this is exactly the dense path; with many it is the
   reference backend the others must bit-match.
 * :class:`ProcessExecutor` — fans tiles out over a
-  :class:`concurrent.futures.ProcessPoolExecutor`.  The technology
-  population's stacked columns travel to the workers through one POSIX
-  shared-memory block (:mod:`multiprocessing.shared_memory`) and are
-  rebuilt zero-copy per worker, so the per-tile pickle payload is the
-  small plan skeleton — not the population.  Workers fork where the
-  platform allows, and pools are reused across runs (keyed by size) so
-  repeated sweeps pay worker startup once.
+  :class:`concurrent.futures.ProcessPoolExecutor`.  Each task is one
+  pickled sub-plan (:func:`~repro.engine.tiling.subplan`), which
+  carries only its tile's rows of a technology population.  Workers
+  fork where the platform allows, and pools are reused across runs
+  (keyed by size) so repeated sweeps pay worker startup once.
+
+Both backends run the same task on each tile's sub-plan, the dense
+evaluation; they differ only in the process it runs in.
 
 :func:`run_plan` is the orchestration entry used by
 :meth:`~repro.engine.sweep.SweepPlan.execute`: it tiles the plan,
@@ -39,18 +40,12 @@ import atexit
 import os
 from concurrent.futures import ProcessPoolExecutor as _PoolImpl
 from concurrent.futures import as_completed
-from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 import multiprocessing
 import numpy as np
 
-from ..tech.stacked import (
-    TechnologyArray,
-    technology_array_from_columns,
-    technology_column_arrays,
-)
-from .sweep import Axis, SweepError, SweepPlan, SweepResult
+from .sweep import SweepError, SweepPlan, SweepResult
 from .tiling import Tile, TilingPlan, plan_tiles, subplan
 
 __all__ = [
@@ -91,6 +86,11 @@ class Executor:
         raise NotImplementedError
 
 
+def _evaluate(plan: SweepPlan) -> np.ndarray:
+    """Evaluate one tile's sub-plan densely (both backends' tile task)."""
+    return plan._execute_dense().values
+
+
 class SerialExecutor(Executor):
     """In-order, in-process tile evaluation (the reference backend)."""
 
@@ -98,18 +98,12 @@ class SerialExecutor(Executor):
 
     def run_tiles(self, tiling: TilingPlan) -> Iterator[Tuple[Tile, np.ndarray]]:
         for tile in tiling.tiles:
-            yield tile, subplan(tiling.plan, tile)._execute_dense().values
+            yield tile, _evaluate(subplan(tiling.plan, tile))
 
 
 # --------------------------------------------------------------------------- #
 # the multiprocess backend
 # --------------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class _SharedPopulation:
-    """Marker payload: the sample axis's population travels via shared
-    memory, not the pickled plan skeleton."""
 
 
 def _worker_initializer() -> None:
@@ -119,114 +113,8 @@ def _worker_initializer() -> None:
     os.environ[EXECUTOR_ENV] = "dense"
 
 
-def _attach_shared_memory(name: str):
-    """Attach an existing shared-memory block without tracker side effects.
-
-    The resource tracker would register the segment again in the worker
-    and try to unlink it at worker exit — racing the parent, which owns
-    the segment's lifetime.  Attaching with registration suppressed
-    leaves exactly one owner.
-    """
-    from multiprocessing import resource_tracker, shared_memory
-
-    original = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original
-
-
-def _export_population(plan: SweepPlan):
-    """Move a stacked population out of the plan into shared memory.
-
-    Returns ``(skeleton, shm, meta)``: the plan with the sample payload
-    replaced by a marker, the owned shared-memory block (``None``
-    without a sample axis), and the metadata a worker needs to rebuild
-    the population zero-copy.
-    """
-    sample_axis = plan.axis("sample")
-    if sample_axis is None:
-        return plan, None, None
-    population = sample_axis.payload
-    from multiprocessing import shared_memory
-
-    columns = technology_column_arrays(population)
-    total = sum(column.nbytes for column in columns.values())
-    shm = shared_memory.SharedMemory(create=True, size=max(1, total))
-    fields = []
-    offset = 0
-    for key, column in columns.items():
-        span = np.ndarray(column.shape, dtype=np.float64, buffer=shm.buf, offset=offset)
-        span[...] = column
-        fields.append((key, offset, column.shape))
-        offset += column.nbytes
-    meta = {
-        "shm_name": shm.name,
-        "fields": fields,
-        "name": population.name,
-        "feature_size_um": population.feature_size_um,
-        "min_width_um": population.min_width_um,
-        "metal_layers": population.metal_layers,
-        "extras": population.extras,
-    }
-    axes = tuple(
-        Axis("sample", axis.coordinates, payload=_SharedPopulation())
-        if axis.name == "sample"
-        else axis
-        for axis in plan.axes
-    )
-    return replace(plan, axes=axes), shm, meta
-
-
-def _restore_population(plan: SweepPlan, population: TechnologyArray) -> SweepPlan:
-    axes = tuple(
-        Axis("sample", axis.coordinates, payload=population)
-        if axis.name == "sample" and isinstance(axis.payload, _SharedPopulation)
-        else axis
-        for axis in plan.axes
-    )
-    return replace(plan, axes=axes)
-
-
-def _rebuild_population(meta: Mapping[str, Any], shm) -> TechnologyArray:
-    columns = {
-        key: np.ndarray(shape, dtype=np.float64, buffer=shm.buf, offset=offset)
-        for key, offset, shape in meta["fields"]
-    }
-    return technology_array_from_columns(
-        name=meta["name"],
-        feature_size_um=meta["feature_size_um"],
-        min_width_um=meta["min_width_um"],
-        metal_layers=meta["metal_layers"],
-        extras=meta["extras"],
-        columns=columns,
-    )
-
-
-def _evaluate_shared_tile(plan: SweepPlan, tile: Tile, meta, shm) -> np.ndarray:
-    # Local scope on purpose: every shared-memory view dies with this
-    # frame, so the caller's shm.close() finds no exported buffers.
-    restored = _restore_population(plan, _rebuild_population(meta, shm))
-    return np.ascontiguousarray(subplan(restored, tile)._execute_dense().values)
-
-
 def _noop() -> None:
     """Prewarm task: forces the lazy pool to actually spawn workers."""
-
-
-def _run_remote_tile(plan: SweepPlan, tile: Tile, meta) -> np.ndarray:
-    """Worker entry: evaluate one tile densely and return its values."""
-    if meta is None:
-        return subplan(plan, tile)._execute_dense().values
-    shm = _attach_shared_memory(meta["shm_name"])
-    try:
-        return _evaluate_shared_tile(plan, tile, meta, shm)
-    finally:
-        try:
-            shm.close()
-        except BufferError:  # pragma: no cover - stray view; dies with worker
-            pass
 
 
 #: Reused worker pools, keyed by worker count.  Reuse amortizes worker
@@ -245,14 +133,12 @@ atexit.register(_shutdown_pools)
 
 
 class ProcessExecutor(Executor):
-    """Multiprocess backend over a shared-memory population transport.
+    """Multiprocess backend: one pool task per tile.
 
-    Each tile is one task: the worker receives the pickled plan
-    *skeleton* (axes, base context — kilobytes) plus the tile bounds,
-    attaches the population's shared-memory columns, rebuilds the
-    :class:`~repro.tech.stacked.TechnologyArray` zero-copy, slices its
-    rows for the tile and evaluates densely.  Results stream back in
-    completion order.
+    Each task is the tile's pickled sub-plan — the plan with its
+    ``sample`` / ``temperature`` axes sliced to the tile, so a
+    population travels as the tile's rows only — and the worker
+    evaluates it densely.  Results stream back in completion order.
 
     Worker processes get a cold :class:`~repro.thermal.operator.ThermalOperator`
     cache (cold under ``spawn``; a frozen copy-on-write snapshot under
@@ -295,25 +181,19 @@ class ProcessExecutor(Executor):
             future.result()
 
     def run_tiles(self, tiling: TilingPlan) -> Iterator[Tuple[Tile, np.ndarray]]:
-        skeleton, shm, meta = _export_population(tiling.plan)
         pool = self._pool()
         try:
-            try:
-                futures = {
-                    pool.submit(_run_remote_tile, skeleton, tile, meta): tile
-                    for tile in tiling.tiles
-                }
-            except Exception:
-                # A broken reused pool (e.g. a worker killed by a
-                # previous run) must not poison every later sweep.
-                _POOLS.pop(self.max_workers, None)
-                raise
-            for future in as_completed(futures):
-                yield futures[future], future.result()
-        finally:
-            if shm is not None:
-                shm.close()
-                shm.unlink()
+            futures = {
+                pool.submit(_evaluate, subplan(tiling.plan, tile)): tile
+                for tile in tiling.tiles
+            }
+        except Exception:
+            # A broken reused pool (e.g. a worker killed by a previous
+            # run) must not poison every later sweep.
+            _POOLS.pop(self.max_workers, None)
+            raise
+        for future in as_completed(futures):
+            yield futures[future], future.result()
 
 
 # --------------------------------------------------------------------------- #

@@ -1360,7 +1360,7 @@ class Sweep:
                 f"{self._technology.name!r}; the sweep would mix the two — "
                 "pass one of them"
             )
-        return SweepPlan(
+        plan = SweepPlan(
             axes=axes,
             observable=self._observable,
             technology=self._technology,
@@ -1372,6 +1372,8 @@ class Sweep:
             tap_stage=self._tap_stage,
             readout=self._readout,
         )
+        plan._check_cell_names()
+        return plan
 
     def run(
         self,
@@ -1481,6 +1483,36 @@ class SweepPlan:
             external_load_f=self.external_load_f,
             tap_stage=self.tap_stage,
         )
+
+    def _check_cell_names(self) -> None:
+        """Reject a ring configuration naming a cell its library lacks.
+
+        Checked at plan time, so an unknown cell is a ``SweepError``
+        naming the configuration before any period is evaluated.  A
+        technology axis checks each node's default library.
+        """
+        config_axis = self.axis("configuration")
+        if config_axis is not None:
+            configurations = config_axis.payload
+        elif self.configuration is not None:
+            configurations = {self.configuration.label(): self.configuration}
+        else:
+            return
+        tech_axis = self.axis("technology")
+        libraries = (
+            [default_library(node) for node in tech_axis.payload]
+            if tech_axis is not None
+            else [self._base_library()]
+        )
+        for library in libraries:
+            for label, configuration in configurations.items():
+                for stage in configuration.stages:
+                    if stage not in library:
+                        raise SweepError(
+                            f"ring configuration {label!r} names cell "
+                            f"{stage!r}, which library {library.name!r} "
+                            "does not have"
+                        )
 
     # ------------------------------------------------------------------ #
     # population lowering (supply x sample)

@@ -114,9 +114,6 @@ class TilingPlan:
     def total_elements(self) -> int:
         return int(np.prod(self.shape, dtype=np.int64)) if self.shape else 1
 
-    def subplan(self, tile: Tile) -> SweepPlan:
-        return subplan(self.plan, tile)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         extent = ", ".join(
             f"{name}={size}" for name, size in zip(self.dims, self.shape)

@@ -29,7 +29,7 @@ from ..engine.sweep import Axis, Sweep
 from ..oscillator.config import RingConfiguration
 from ..oscillator.period import default_temperature_grid, validate_temperature_grid
 from ..oscillator.ring import RingOscillator
-from ..tech.corners import corner_technologies, sample_technologies
+from ..tech.corners import corner_technologies, sample_technology_array
 from ..tech.libraries import CMOS035
 from ..tech.parameters import Technology
 from ..tech.stacked import stack_technologies
@@ -124,7 +124,9 @@ def run_calibration_study(
     )
 
     samples: List[Technology] = list(corner_technologies(tech).values())
-    samples.extend(sample_technologies(tech, monte_carlo_samples, seed=seed))
+    samples.extend(
+        sample_technology_array(tech, monte_carlo_samples, seed=seed).technologies()
+    )
     population = stack_technologies(samples)
 
     # One sweep over the full grid plus the insertion temperature: the

@@ -13,9 +13,9 @@ The scheduler is what makes the front end *parallel*: a bounded
 priority queue feeds ``workers`` concurrent evaluation slots, each
 running ``Sweep.from_dict(...).run()`` on a worker thread — and, with
 more than one worker, through a shared
-:class:`~repro.engine.executors.ProcessExecutor` pool (the PR 6
-shared-memory technology-column transport), so concurrent distinct
-sweeps genuinely occupy multiple cores.  Requests carry optional
+:class:`~repro.engine.executors.ProcessExecutor` pool (one pickled
+sub-plan per tile), so concurrent distinct sweeps genuinely occupy
+multiple cores.  Requests carry optional
 ``priority`` / ``deadline_ms`` fields; a full queue answers ``busy``
 instead of growing without bound, and a queued request whose deadline
 passes is failed with ``deadline-expired`` without being evaluated.
@@ -297,8 +297,8 @@ class SweepServer:
         self.batcher = MicroBatcher(self.scheduler.submit, float(batch_window_ms))
         #: The shared tile executor of a multi-worker server: every
         #: concurrent evaluation submits its tiles to one reused
-        #: process pool (PR 6 shared-memory transport), sized to the
-        #: worker count, so N slots genuinely occupy N cores.
+        #: process pool, sized to the worker count, so N slots
+        #: genuinely occupy N cores.
         self._executor: Optional[ProcessExecutor] = (
             ProcessExecutor(max_workers=self.workers) if self.workers > 1 else None
         )

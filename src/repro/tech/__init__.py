@@ -63,7 +63,6 @@ from .corners import (
     VariationModel,
     apply_corner,
     corner_technologies,
-    sample_technologies,
     sample_technology_array,
 )
 from .stacked import (
@@ -108,7 +107,6 @@ __all__ = [
     "VariationModel",
     "apply_corner",
     "corner_technologies",
-    "sample_technologies",
     "sample_technology_array",
     "TechnologyArray",
     "TransistorParameterArray",

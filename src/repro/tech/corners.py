@@ -21,7 +21,7 @@ SF      slow                   fast
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
     "apply_corner",
     "corner_technologies",
     "VariationModel",
-    "sample_technologies",
     "sample_technology_array",
 ]
 
@@ -148,62 +147,6 @@ class VariationModel:
             raise TechnologyError("variation sigmas must be non-negative")
 
 
-def sample_technologies(
-    tech: Technology,
-    count: int,
-    model: Optional[VariationModel] = None,
-    seed: Optional[int] = None,
-) -> List[Technology]:
-    """Draw Monte-Carlo samples of a technology.
-
-    A fraction of the variation (``correlated_fraction``) is shared
-    between NMOS and PMOS (die-to-die component), the remainder is
-    independent per device type (within-die component).  This mirrors
-    how real inter-/intra-die variation splits and matters for the
-    calibration study: fully correlated variation is removed by a
-    one-point calibration, uncorrelated variation is not.
-    """
-    if count <= 0:
-        raise TechnologyError("count must be positive")
-    model = model or VariationModel()
-    rng = np.random.default_rng(seed)
-    rho = model.correlated_fraction
-    samples: List[Technology] = []
-    for index in range(count):
-        shared = rng.standard_normal(3)
-        local_n = rng.standard_normal(3)
-        local_p = rng.standard_normal(3)
-        mix_n = np.sqrt(rho) * shared + np.sqrt(1.0 - rho) * local_n
-        mix_p = np.sqrt(rho) * shared + np.sqrt(1.0 - rho) * local_p
-
-        def _vary(params: TransistorParameters, mix: np.ndarray) -> TransistorParameters:
-            vth = params.vth0 + model.vth_sigma * float(mix[0])
-            mobility = params.mobility * (1.0 + model.mobility_sigma_rel * float(mix[1]))
-            cox = params.cox_f_per_um2 * (1.0 + model.cox_sigma_rel * float(mix[2]))
-            vth = max(vth, 0.05)
-            mobility = max(mobility, 1.0)
-            cox = max(cox, 1e-16)
-            return params.scaled(vth0=vth, mobility=mobility, cox_f_per_um2=cox)
-
-        varied = tech.with_transistors(
-            nmos=_vary(tech.nmos, mix_n), pmos=_vary(tech.pmos, mix_p)
-        )
-        samples.append(
-            Technology(
-                name=f"{tech.name}_mc{index:04d}",
-                feature_size_um=varied.feature_size_um,
-                vdd=varied.vdd,
-                nmos=varied.nmos,
-                pmos=varied.pmos,
-                wire_cap_f_per_um=varied.wire_cap_f_per_um,
-                min_width_um=varied.min_width_um,
-                metal_layers=varied.metal_layers,
-                extra=dict(varied.extra),
-            )
-        )
-    return samples
-
-
 def sample_technology_array(
     tech: Technology,
     count: int,
@@ -212,23 +155,23 @@ def sample_technology_array(
 ) -> TechnologyArray:
     """Draw Monte-Carlo samples of a technology in struct-of-arrays form.
 
-    The stacked sibling of :func:`sample_technologies`: one
-    :class:`~repro.tech.stacked.TechnologyArray` holding the whole
-    population instead of a Python list of per-sample technologies.
-    The random draws consume the generator stream in exactly the order
-    the looped sampler does (per sample: 3 shared, 3 NMOS-local, 3
-    PMOS-local normals) and the perturbation arithmetic is the same
-    elementwise, so for a given seed the stacked population equals
-    ``stack_technologies(sample_technologies(tech, count, ...))`` value
-    for value.
+    Returns one :class:`~repro.tech.stacked.TechnologyArray` holding the
+    whole population (``.technologies()`` unstacks it).  A fraction of
+    the variation (``correlated_fraction``) is shared between NMOS and
+    PMOS (die-to-die component), the remainder is independent per
+    device type (within-die component).  This mirrors how real
+    inter-/intra-die variation splits and matters for the calibration
+    study: fully correlated variation is removed by a one-point
+    calibration, uncorrelated variation is not.  Each sample draws 3
+    shared, 3 NMOS-local and 3 PMOS-local normals, in that order.
     """
     if count <= 0:
         raise TechnologyError("count must be positive")
     model = model or VariationModel()
     rng = np.random.default_rng(seed)
     rho = model.correlated_fraction
-    # Row i holds sample i's nine draws in the looped sampler's order:
-    # shared[0:3], local_n[3:6], local_p[6:9].
+    # Row i holds sample i's nine draws: shared[0:3], local_n[3:6],
+    # local_p[6:9].
     draws = rng.standard_normal((count, 9))
     shared = draws[:, 0:3]
     local_n = draws[:, 3:6]
@@ -270,16 +213,3 @@ def sample_technology_array(
         extras=tuple(dict(tech.extra) for _ in range(count)),
     )
 
-
-def iter_corner_and_samples(
-    tech: Technology,
-    monte_carlo_count: int = 0,
-    seed: Optional[int] = None,
-) -> Iterator[Technology]:
-    """Yield the TT technology, all corners and optional MC samples."""
-    yield tech
-    for corner_tech in corner_technologies(tech).values():
-        yield corner_tech
-    if monte_carlo_count:
-        for sample in sample_technologies(tech, monte_carlo_count, seed=seed):
-            yield sample

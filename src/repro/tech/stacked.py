@@ -446,10 +446,9 @@ def technology_column_arrays(array: TechnologyArray) -> Dict[str, np.ndarray]:
 
     Keys are ``"vdd"``, ``"wire_cap_f_per_um"`` and the dotted
     per-device fields (``"nmos.vth0"``, ``"pmos.mobility"``, ...).  This
-    is the transport surface of the population — the sweep engine's
-    multiprocess executor packs exactly these arrays into one shared
-    memory block and rebuilds the population zero-copy in each worker
-    via :func:`technology_array_from_columns`.
+    is the serialized surface of the population — a ``sample`` axis's
+    ``to_dict`` writes exactly these arrays, and ``from_dict`` rebuilds
+    the population from them via :func:`technology_array_from_columns`.
     """
     columns: Dict[str, np.ndarray] = {
         "vdd": np.asarray(array.vdd, dtype=float),
@@ -474,9 +473,8 @@ def technology_array_from_columns(
 ) -> TechnologyArray:
     """Rebuild a :class:`TechnologyArray` from its transported columns.
 
-    Inverse of :func:`technology_column_arrays`; the column arrays are
-    adopted as-is (already ``(samples, 1)`` float64), so arrays backed
-    by a shared-memory buffer stay zero-copy views of it.
+    Inverse of :func:`technology_column_arrays`; each column is
+    normalized and validated like any other stacked field.
     """
     def block(polarity: str) -> TransistorParameterArray:
         return TransistorParameterArray(

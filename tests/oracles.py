@@ -22,6 +22,8 @@ The per-sample and per-configuration loops (``period_matrix_loop``,
 DTM loop (``dtm_run_scalar``, stepping its policy with the scalar
 ``next_state_index``) are also what
 ``benchmarks/test_bench_engine.py`` times the broadcast paths against.
+The looped Monte-Carlo sampler (``sample_technologies``) is the
+reference the stacked ``sample_technology_array`` is pinned to.
 One library path still computes its own reference:
 :func:`repro.thermal.selfheating.self_heating_error` is the
 solve-per-duty-cycle reference of ``duty_cycle_study``.
@@ -68,13 +70,74 @@ from repro.oscillator import RingConfiguration, RingOscillator, TemperatureRespo
 from repro.oscillator.period import default_temperature_grid, validate_temperature_grid
 from repro.tech import (
     CMOS035,
+    Technology,
     TechnologyArray,
     TechnologyError,
+    TransistorParameters,
+    VariationModel,
     corner_technologies,
-    sample_technologies,
     stack_technologies,
 )
 from repro.thermal import TemperatureMap, ThermalGrid, ThermalOperator
+
+
+# --------------------------------------------------------------------------- #
+# Monte-Carlo sampling
+# --------------------------------------------------------------------------- #
+
+
+def sample_technologies(
+    tech: Technology,
+    count: int,
+    model: Optional[VariationModel] = None,
+    seed: Optional[int] = None,
+) -> List[Technology]:
+    """``sample_technology_array`` as a per-sample loop of scalar technologies.
+
+    Draws each sample's nine normals in turn (3 shared, 3 NMOS-local, 3
+    PMOS-local), the generator order the stacked sampler reproduces, so
+    ``stack_technologies(sample_technologies(...))`` equals
+    ``sample_technology_array(...)`` value for value.
+    """
+    if count <= 0:
+        raise TechnologyError("count must be positive")
+    model = model or VariationModel()
+    rng = np.random.default_rng(seed)
+    rho = model.correlated_fraction
+    samples: List[Technology] = []
+    for index in range(count):
+        shared = rng.standard_normal(3)
+        local_n = rng.standard_normal(3)
+        local_p = rng.standard_normal(3)
+        mix_n = np.sqrt(rho) * shared + np.sqrt(1.0 - rho) * local_n
+        mix_p = np.sqrt(rho) * shared + np.sqrt(1.0 - rho) * local_p
+
+        def _vary(params: TransistorParameters, mix: np.ndarray) -> TransistorParameters:
+            vth = params.vth0 + model.vth_sigma * float(mix[0])
+            mobility = params.mobility * (1.0 + model.mobility_sigma_rel * float(mix[1]))
+            cox = params.cox_f_per_um2 * (1.0 + model.cox_sigma_rel * float(mix[2]))
+            vth = max(vth, 0.05)
+            mobility = max(mobility, 1.0)
+            cox = max(cox, 1e-16)
+            return params.scaled(vth0=vth, mobility=mobility, cox_f_per_um2=cox)
+
+        varied = tech.with_transistors(
+            nmos=_vary(tech.nmos, mix_n), pmos=_vary(tech.pmos, mix_p)
+        )
+        samples.append(
+            Technology(
+                name=f"{tech.name}_mc{index:04d}",
+                feature_size_um=varied.feature_size_um,
+                vdd=varied.vdd,
+                nmos=varied.nmos,
+                pmos=varied.pmos,
+                wire_cap_f_per_um=varied.wire_cap_f_per_um,
+                min_width_um=varied.min_width_um,
+                metal_layers=varied.metal_layers,
+                extra=dict(varied.extra),
+            )
+        )
+    return samples
 
 
 # --------------------------------------------------------------------------- #

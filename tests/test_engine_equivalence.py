@@ -21,6 +21,7 @@ from oracles import (
     period_matrix_loop,
     period_matrix_scalar,
     period_series_scalar,
+    sample_technologies,
     sweep_width_ratio_scalar,
     transfer_function_scalar,
 )
@@ -32,7 +33,7 @@ from repro.optimize.cellmix import evaluate_configuration
 from repro.optimize.sizing import sweep_width_ratio
 from repro.oscillator import RingConfiguration, RingOscillator
 from repro.tech import CMOS035, sample_technology_array
-from repro.tech.corners import corner_technologies, sample_technologies
+from repro.tech.corners import corner_technologies
 
 #: The acceptance bound on vectorized-vs-scalar relative period error.
 RTOL = 1e-9

@@ -34,7 +34,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.engine import Axis, Sweep, SweepError
+from repro.engine import Axis, Sweep, SweepError, plan_tiles
+from repro.engine.executors import TILE_ELEMENTS_ENV
 from repro.serve import (
     MicroBatcher,
     ServeClient,
@@ -49,7 +50,7 @@ from repro.serve.protocol import (
     E_SHUTTING_DOWN,
 )
 from repro.serve.server import SweepServer, _EvalScheduler, _RequestError
-from repro.tech import CMOS035, get_technology_digest
+from repro.tech import CMOS035, get_technology_digest, sample_technology_array
 
 TEMPS = [-40.0, 25.0, 125.0]
 
@@ -340,6 +341,26 @@ def test_identical_sweeps_share_one_evaluation_across_workers():
         # Two workers were available, but single-flight still collapsed
         # four identical requests into one evaluation.
         assert handle.server.evaluations == 1
+    finally:
+        handle.stop()
+
+
+def test_multi_worker_server_serves_a_population_bitwise(monkeypatch):
+    # A workers > 1 server evaluates through the process pool, one
+    # pickled sub-plan per tile; the small tile budget splits the
+    # population over several tiles.
+    monkeypatch.setenv(TILE_ELEMENTS_ENV, "16")
+    sweep = (
+        Sweep(technology=CMOS035, configuration="5INV")
+        .over(Axis.sample(sample_technology_array(CMOS035, 23, seed=3)))
+        .over(Axis.temperature(TEMPS))
+    )
+    assert len(plan_tiles(sweep.plan(), 16).tiles) == 5
+    local = sweep.run().to_dict()
+    handle = start_server_thread(workers=2, batch_window_ms=1.0)
+    try:
+        with ServeClient("127.0.0.1", handle.port) as remote:
+            assert remote.sweep_payload(sweep) == local
     finally:
         handle.stop()
 

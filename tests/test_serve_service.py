@@ -368,6 +368,22 @@ def test_malformed_spec_field_is_a_bad_spec(client, path, value, named):
     assert caught.value.code == E_BAD_SPEC
 
 
+def test_unknown_cell_is_a_bad_spec(client):
+    spec = (
+        Sweep(technology=CMOS035)
+        .over(Axis.configuration(["5INV", "3NAND2"]))
+        .over(Axis.temperature(TEMPS))
+        .to_dict()
+    )
+    spec["axes"][0]["stages"][0][0] = "XOR9"
+    with pytest.raises(ServeError, match=r"configuration '5INV' .*'XOR9'") as caught:
+        client.sweep_payload(spec)
+    assert caught.value.code == E_BAD_SPEC
+    with pytest.raises(ServeError, match="'XOR9'") as caught:
+        client.point_payload(Sweep(technology=CMOS035, configuration="XOR9+4INV"), 25.0)
+    assert caught.value.code == E_BAD_SPEC
+
+
 def test_overflowing_period_is_a_bad_spec_not_infinity(client):
     # A 1e308 F tap load overflows the period to inf; the engine refuses
     # it before any observable, so the server answers bad-spec instead

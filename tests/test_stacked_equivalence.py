@@ -25,6 +25,7 @@ from oracles import (
     period_matrix_loop,
     period_matrix_scalar,
     period_series_scalar,
+    sample_technologies,
     supply_sensitivity_scalar,
 )
 from repro.analysis.supply import supply_sensitivity
@@ -46,7 +47,6 @@ from repro.tech import (
     CMOS035,
     TechnologyError,
     corner_technologies,
-    sample_technologies,
     sample_technology_array,
     stack_technologies,
 )

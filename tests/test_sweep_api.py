@@ -475,6 +475,21 @@ def test_invalid_axis_combinations_rejected(mixed_ring):
         Axis("process_corner", ("tt",))
 
 
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        Sweep(technology=CMOS035).over(Axis.configuration(["5INV", "XOR9+4INV"])),
+        Sweep(technology=CMOS035, configuration="XOR9+4INV"),
+        Sweep(configuration="XOR9+4INV").over(Axis.technology(["cmos035", "cmos018"])),
+    ],
+    ids=["configuration-axis", "base-configuration", "technology-axis"],
+)
+def test_unknown_cell_is_a_sweep_error_at_plan_time(sweep):
+    # Planning evaluates no period, so the error comes before any work.
+    with pytest.raises(SweepError, match=r"configuration '1XOR9\+4INV' .*'XOR9'"):
+        sweep.plan()
+
+
 # --------------------------------------------------------------------------- #
 # the one- and two-axis lowerings are the ring's own methods
 # --------------------------------------------------------------------------- #

@@ -11,9 +11,8 @@ from repro.tech import (
     VariationModel,
     apply_corner,
     corner_technologies,
-    sample_technologies,
+    sample_technology_array,
 )
-from repro.tech.corners import iter_corner_and_samples
 
 
 class TestCorners:
@@ -64,40 +63,34 @@ class TestCorners:
 
 class TestMonteCarlo:
     def test_sample_count_and_names(self):
-        samples = sample_technologies(CMOS035, 5, seed=1)
+        samples = sample_technology_array(CMOS035, 5, seed=1).technologies()
         assert len(samples) == 5
         assert len({s.name for s in samples}) == 5
 
     def test_seed_reproducibility(self):
-        a = sample_technologies(CMOS035, 4, seed=42)
-        b = sample_technologies(CMOS035, 4, seed=42)
-        for sample_a, sample_b in zip(a, b):
-            assert sample_a.nmos.vth0 == pytest.approx(sample_b.nmos.vth0)
-            assert sample_a.pmos.mobility == pytest.approx(sample_b.pmos.mobility)
+        a = sample_technology_array(CMOS035, 4, seed=42)
+        b = sample_technology_array(CMOS035, 4, seed=42)
+        np.testing.assert_array_equal(a.nmos.vth0, b.nmos.vth0)
+        np.testing.assert_array_equal(a.pmos.mobility, b.pmos.mobility)
 
     def test_different_seeds_differ(self):
-        a = sample_technologies(CMOS035, 3, seed=1)[0]
-        b = sample_technologies(CMOS035, 3, seed=2)[0]
+        a = sample_technology_array(CMOS035, 3, seed=1).technology_at(0)
+        b = sample_technology_array(CMOS035, 3, seed=2).technology_at(0)
         assert a.nmos.vth0 != pytest.approx(b.nmos.vth0, abs=1e-12)
 
     def test_variation_statistics_roughly_match_model(self):
         model = VariationModel(vth_sigma=0.02, mobility_sigma_rel=0.03)
-        samples = sample_technologies(CMOS035, 200, model=model, seed=7)
-        vths = np.asarray([s.nmos.vth0 for s in samples])
+        population = sample_technology_array(CMOS035, 200, model=model, seed=7)
+        vths = np.asarray(population.nmos.vth0).reshape(-1)
         assert np.std(vths) == pytest.approx(0.02, rel=0.35)
         assert np.mean(vths) == pytest.approx(CMOS035.nmos.vth0, abs=0.01)
 
     def test_zero_count_rejected(self):
         with pytest.raises(TechnologyError):
-            sample_technologies(CMOS035, 0)
+            sample_technology_array(CMOS035, 0)
 
     def test_invalid_variation_model_rejected(self):
         with pytest.raises(TechnologyError):
             VariationModel(correlated_fraction=1.5)
         with pytest.raises(TechnologyError):
             VariationModel(vth_sigma=-0.1)
-
-    def test_iter_corner_and_samples_counts(self):
-        items = list(iter_corner_and_samples(CMOS035, monte_carlo_count=3, seed=3))
-        # typical + 5 corners + 3 MC samples
-        assert len(items) == 9

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles import sample_technologies
 from repro.engine import (
     Axis,
     ProcessExecutor,
@@ -33,7 +34,6 @@ from repro.oscillator import PAPER_FIG3_CONFIGURATIONS, RingConfiguration
 from repro.tech import (
     CMOS035,
     corner_technologies,
-    sample_technologies,
     sample_technology_array,
     stack_technologies,
 )
@@ -226,8 +226,8 @@ def test_configuration_axis_without_splittable_axes_still_runs():
 def test_per_sample_technology_list_payload_tiles():
     # A technology list is stacked once, at Axis.sample: a sweep over
     # the list is bitwise the sweep over the pre-stacked population,
-    # dense and in serial/process tiles (the process backend ships the
-    # stacked list through its shared-memory transport).
+    # dense and in serial/process tiles (the process backend ships each
+    # tile's rows of the stacked list inside its pickled sub-plan).
     technologies = list(corner_technologies(CMOS035).values())
     technologies += sample_technologies(CMOS035, 4, seed=5)
 
