@@ -19,7 +19,7 @@ per-configuration loop oracle at Fig. 3 scale, again to 1e-9; the
 banked sensor-bank scan (SensorBank, PR 4) is at least 3x faster than
 the per-sensor oracle at 9 sites x 1000 Monte-Carlo samples with exact
 counter codes; repeated steady-state thermal solves through the
-cached ThermalOperator factorization are at least 3x faster than the
+cached ThermalOperator solve are at least 3x faster than the
 factorize-per-solve path they replaced; the banked DTM policy sweep
 (PolicyBank, PR 5) is at least 3x faster than looping the scalar
 closed loop over 8 policies with bit-identical throttle decisions; and
@@ -29,8 +29,9 @@ the tiled multiprocess sweep backend
 dense path (the speedup floor is asserted only where >= 4 cores are
 actually available; the ``sweep-tiled-parallel`` group is recorded
 everywhere); on the 256x256 full-die grid the exact spectral (DCT)
-thermal solve agrees with sparse-direct to 1e-10 relative and is at
-least 5x faster than a warm factorized solve on fresh right-hand sides
+thermal solve agrees with the sparse-direct reference
+(``oracles.direct_solve``) to 1e-10 relative and is at least 5x
+faster than a warm reference solve on fresh right-hand sides
 (the ``thermal-spectral-256x256`` group records a steady solve and a
 1- and 4-column backward-Euler step); and the sweep service's
 micro-batcher (PR 8) answers 16 concurrent point queries at least 2x
@@ -52,7 +53,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import spsolve
 
 from repro.analysis.montecarlo import run_monte_carlo
 from repro.cells import default_library
@@ -374,23 +374,23 @@ def test_bank_scan_9_sites_1000_samples_banked(benchmark):
 
 def test_factorization_reuse_speedup():
     """The PR 4 thermal acceptance criterion: repeated steady-state
-    solves through the cached ThermalOperator factorization are >= 3x
-    faster than the pre-operator path (one implicit factorization per
-    spsolve call), agreeing to solver rounding."""
+    solves through the cached ThermalOperator solve are >= 3x faster
+    than the pre-operator path (one sparse-direct factorization per
+    solve, ``oracles.direct_solve``), agreeing to solver rounding."""
     power = PowerMap.from_floorplan(Floorplan.example_processor(), nx=48, ny=48)
     grid = ThermalGrid.for_power_map(power)
     rhs = power.values_w.reshape(-1)
     solves = 10
 
     def refactorize_every_solve():
-        matrix = grid.conductance_matrix.tocsc()
-        return [spsolve(matrix, rhs) for _ in range(solves)]
+        matrix = grid.conductance_matrix
+        return [oracles.direct_solve(matrix)(rhs) for _ in range(solves)]
 
-    def cached_factorization():
+    def cached_solve():
         operator = ThermalOperator(grid)
         return [operator.steady_rise(rhs) for _ in range(solves)]
 
-    cached_s, cached = _best_time(cached_factorization)
+    cached_s, cached = _best_time(cached_solve)
 
     start = time.perf_counter()
     reference = refactorize_every_solve()
@@ -419,8 +419,8 @@ def test_repeated_steady_solves(benchmark, mode):
             return [operator.steady_rise(rhs) for _ in range(10)]
     else:
         def evaluate():
-            matrix = grid.conductance_matrix.tocsc()
-            return [spsolve(matrix, rhs) for _ in range(10)]
+            matrix = grid.conductance_matrix
+            return [oracles.direct_solve(matrix)(rhs) for _ in range(10)]
 
     result = benchmark.pedantic(evaluate, rounds=2, iterations=1)
     assert len(result) == 10
@@ -462,7 +462,7 @@ def test_policy_bank_speedup_at_8_policies():
     on one grid, with bit-identical throttle decisions and temperatures
     agreeing to 1e-9 relative."""
     manager = _make_manager()
-    # Warm the shared backward-Euler factorization so both paths time
+    # Warm the shared backward-Euler solve so both paths time
     # pure evaluation (the scalar loop reuses it too).
     manager.run_bank(POLICY_SET, **DTM_KW)
 
@@ -514,7 +514,7 @@ def test_policy_bank_8_policies(benchmark, mode):
 @pytest.mark.benchmark(group="thermal-dtm-study")
 def test_dtm_study_wall_clock(benchmark):
     """Records the DTM study's wall clock (managed + unmanaged closed
-    loops on one manager) so BENCH_engine.json tracks the factorization
+    loops on one manager) so BENCH_engine.json tracks the prepared-solve
     reuse and the banked per-step sensor scans over time."""
     result = benchmark.pedantic(
         run_dtm_study,
@@ -657,21 +657,19 @@ def _fresh_rhs(rhs):
 
 
 def test_iterative_fallback_agreement_and_large_grid():
-    """The solve ``auto`` falls back to past the direct threshold — the
-    spectral one — agrees with the sparse-direct factorization to 1e-10
-    relative (steady and transient) on the largest factorized benchmark
-    grid (48x48), and runs a 96x96 grid — 4x the unknowns — that
-    auto-routes to it, with a physically sane field."""
+    """The spectral solve agrees with the sparse-direct reference
+    (``oracles.direct_solve``) to 1e-10 relative (steady and transient)
+    on the 48x48 benchmark grid, and solves a 96x96 grid — 4x the
+    unknowns — to a physically sane field."""
     power = PowerMap.from_floorplan(Floorplan.example_processor(), nx=48, ny=48)
     grid = ThermalGrid.for_power_map(power)
     rhs = power.values_w.reshape(-1)
-    direct = ThermalOperator(grid, method="direct")
-    spectral = ThermalOperator(grid, method="spectral")
+    spectral = ThermalOperator(grid)
+    reference = oracles.direct_solve(grid.conductance_matrix)(rhs)
     assert np.max(
-        np.abs(spectral.steady_rise(rhs) - direct.steady_rise(rhs))
-        / np.abs(direct.steady_rise(rhs))
+        np.abs(spectral.steady_rise(rhs) - reference) / np.abs(reference)
     ) <= 1e-10
-    stepper_d = direct.stepper(0.01)
+    stepper_d = oracles.direct_stepper(grid, 0.01)
     stepper_s = spectral.stepper(0.01)
     rise_d = np.zeros(rhs.size)
     rise_s = np.zeros(rhs.size)
@@ -683,9 +681,7 @@ def test_iterative_fallback_agreement_and_large_grid():
     big_power = PowerMap.from_floorplan(Floorplan.example_processor(), nx=96, ny=96)
     big_grid = ThermalGrid.for_power_map(big_power)
     assert big_grid.nx * big_grid.ny >= 4 * grid.nx * grid.ny
-    operator = ThermalOperator.for_grid(big_grid)
-    assert operator.method == "spectral"
-    field = operator.solve_steady_state(big_power, 45.0)
+    field = ThermalOperator.for_grid(big_grid).solve_steady_state(big_power, 45.0)
     assert np.all(np.isfinite(field.values_c))
     # The mean rise matches theta_ja x total power regardless of grid.
     theta = big_grid.junction_to_ambient_resistance_k_per_w()
@@ -696,19 +692,18 @@ def test_iterative_fallback_agreement_and_large_grid():
 def test_spectral_speedup_floor_at_256x256():
     """The spectral acceptance criterion on the 256x256 full die.
 
-    ``auto`` routes the 65536-unknown grid to the DCT solve, which
-    agrees with the sparse-direct factorization to 1e-10 relative (steady
-    and the dt = 0.02 backward-Euler step) and is faster than even a
-    *warm* factorized solve — the factorization built outside the
-    timing, so only its triangular solves are timed.  Both sides solve
-    fresh right-hand sides.  The floor is half the median ratio measured
-    on a 2-vCPU Xeon host (~10x, 7-13x across runs), so 5x.
+    The DCT solve of the 65536-unknown grid agrees with the
+    sparse-direct reference (``oracles.direct_solve``) to 1e-10
+    relative (steady and the dt = 0.02 backward-Euler step) and is
+    faster than even a *warm* reference solve — the factorization built
+    outside the timing, so only its triangular solves are timed.  Both
+    sides solve fresh right-hand sides.  The floor is half the median
+    ratio measured on a 2-vCPU Xeon host (~10x, 7-13x across runs), so
+    5x.
     """
     grid, rhs = _full_die()
-    assert ThermalOperator.for_grid(grid).method == "spectral"
-    direct = ThermalOperator(grid, method="direct")
-    spectral = ThermalOperator(grid, method="spectral")
-    direct_solve = direct.steady_solve()
+    spectral = ThermalOperator(grid)
+    direct_solve = oracles.direct_solve(grid.conductance_matrix)
     spectral_solve = spectral.steady_solve()
 
     reference = direct_solve(rhs)
@@ -717,7 +712,7 @@ def test_spectral_speedup_floor_at_256x256():
     # Physics check: mean rise = theta_ja x P.
     theta = grid.junction_to_ambient_resistance_k_per_w()
     assert np.mean(rise) == pytest.approx(theta * rhs.sum(), rel=1e-9)
-    step_d = direct.stepper(0.02).step(np.zeros_like(rhs), rhs)
+    step_d = oracles.direct_stepper(grid, 0.02).step(np.zeros_like(rhs), rhs)
     step_s = spectral.stepper(0.02).step(np.zeros_like(rhs), rhs)
     assert np.max(np.abs(step_s - step_d) / np.abs(step_d)) <= 1e-10
 
@@ -726,7 +721,7 @@ def test_spectral_speedup_floor_at_256x256():
     spectral_s, _ = _best_time(lambda: spectral_solve(next(fresh)), rounds=5)
     ratio = direct_s / spectral_s
     print(
-        f"\nspectral vs warm factorized at {FULL_DIE}x{FULL_DIE} steady: "
+        f"\nspectral vs warm sparse-direct at {FULL_DIE}x{FULL_DIE} steady: "
         f"{spectral_s * 1e3:.1f} ms vs {direct_s * 1e3:.1f} ms ({ratio:.1f}x)"
     )
     assert ratio >= 5.0
@@ -738,10 +733,10 @@ def test_spectral_full_die_wall_clock(benchmark, phase):
     """Records the 256x256 spectral solves into BENCH_engine.json (the
     CI bench job asserts this group is present): a fresh-RHS steady
     solve, a one-column backward-Euler step and a four-column step (the
-    4-policy bank).  The speed floor against the warm factorized solve
-    lives in the test above."""
+    4-policy bank).  The speed floor against the warm sparse-direct
+    reference lives in the test above."""
     grid, rhs = _full_die()
-    operator = ThermalOperator(grid, method="spectral")
+    operator = ThermalOperator(grid)
     fresh = _fresh_rhs(rhs)
     if phase == "steady":
         solve = operator.steady_solve()

@@ -67,7 +67,7 @@ def main() -> None:
     )
 
     # -- one 8-policy bank versus eight one-policy runs --
-    manager.run_bank(bank, **kw)  # warm the shared factorization
+    manager.run_bank(bank, **kw)  # warm the shared prepared solve
     start = time.perf_counter()
     banked = manager.run_bank(bank, **kw)
     banked_s = time.perf_counter() - start

@@ -7,7 +7,7 @@ reconstruct the die's thermal map.  This example shows the sweep
 engine's ``site`` axis doing exactly that workload end to end:
 
 1. solve the example processor's steady-state field once (the
-   sparse-direct factorization is cached process-wide by
+   prepared DCT solve is cached process-wide by
    ``repro.thermal.ThermalOperator``, so every later solve on the same
    grid reuses it),
 2. place a ``SensorBank`` on the floorplan — all sites stacked
@@ -50,7 +50,7 @@ def main() -> None:
     configuration = RingConfiguration.parse("2INV+3NAND2")
     population = sample_technology_array(CMOS035, 200, seed=42)
 
-    # -- the die and its true thermal field (one cached factorization) --
+    # -- the die and its true thermal field (one cached solve) --
     floorplan = Floorplan.example_processor()
     floorplan.add_sensor_grid(3, 3)
     power = PowerMap.from_floorplan(floorplan, nx=24, ny=24)

@@ -199,7 +199,7 @@ class ThermalMonitor:
         Repeated scans of same-resolution workloads reuse both the grid
         matrices and — through the process-wide
         :class:`~repro.thermal.operator.ThermalOperator` cache — their
-        sparse-direct factorization.
+        prepared solve.
         """
         key = (power.width_mm, power.height_mm, power.nx, power.ny)
         if self._grid is None or self._grid_key != key:

@@ -508,19 +508,11 @@ class DynamicThermalManager:
         grid_resolution: int = 24,
         ambient_c: float = 45.0,
         thermal_parameters: ThermalGridParameters = ThermalGridParameters(),
-        solve_method: str = "auto",
     ) -> None:
         self.technology = technology
         self.floorplan = floorplan
         self.policy = policy
         self.ambient_c = float(ambient_c)
-        #: How the backward-Euler systems are solved (one of
-        #: ``repro.thermal.SOLVE_METHODS``) — ``auto`` picks a direct
-        #: factorization on small grids and the exact DCT solve on
-        #: full-die resolutions, so a banked run stays one multi-RHS
-        #: solve over its distinct power histories per timestep at any
-        #: grid size.
-        self.solve_method = solve_method
         self.monitor = ThermalMonitor(
             technology,
             floorplan,
@@ -534,6 +526,10 @@ class DynamicThermalManager:
         self._base_power = PowerMap.from_floorplan(
             floorplan, nx=grid_resolution, ny=grid_resolution
         )
+        #: The die's thermal grid.  Its backward-Euler system is the shared
+        #: operator's exact DCT solve, so a banked run stays one batched
+        #: solve over its distinct power histories per timestep at any
+        #: grid size.
         self._grid = ThermalGrid.for_power_map(self._base_power, thermal_parameters)
         self._site_xs, self._site_ys = self.monitor.bank.positions()
 
@@ -668,9 +664,7 @@ class DynamicThermalManager:
 
         steps = transient_step_count(duration_s, control_interval_s)
         grid = self._grid
-        stepper = ThermalOperator.for_grid(grid, self.solve_method).stepper(
-            control_interval_s
-        )
+        stepper = ThermalOperator.for_grid(grid).stepper(control_interval_s)
         policy_count = bank.policy_count
         column_shape = (
             (policy_count,) if sample_count is None else (policy_count, sample_count)

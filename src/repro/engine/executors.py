@@ -26,8 +26,8 @@ positionally into a labeled :class:`~repro.engine.sweep.SweepResult`.
 (the CI lane's way of routing the whole test suite through a backend)
 onto concrete executors.
 
-Fork/pickle semantics: worker processes never receive thermal
-factorizations or operator caches — those are process-local (see
+Fork/pickle semantics: worker processes never receive prepared thermal
+solves or operator caches — those are process-local (see
 :mod:`repro.thermal.operator`); a worker warms its own cache from the
 tiles it executes.  Nested parallelism is disabled inside workers (a
 tile evaluates densely even if the environment selects the process
@@ -142,7 +142,7 @@ class ProcessExecutor(Executor):
 
     Worker processes get a cold :class:`~repro.thermal.operator.ThermalOperator`
     cache (cold under ``spawn``; a frozen copy-on-write snapshot under
-    ``fork``): factorizations are warmed per tile inside the worker and
+    ``fork``): prepared solves are warmed per tile inside the worker and
     are never pickled across the process boundary.
     """
 

@@ -76,7 +76,7 @@ from ..tech.stacked import (
 )
 from ..thermal.floorplan import Floorplan
 from ..thermal.grid import ThermalGrid, ThermalGridParameters
-from ..thermal.operator import SOLVE_METHODS, ThermalOperator
+from ..thermal.operator import ThermalOperator
 from ..thermal.power import PowerMap
 
 __all__ = [
@@ -497,7 +497,6 @@ class Axis:
         floorplan: Floorplan,
         ambient_c: float = 45.0,
         parameters: ThermalGridParameters = ThermalGridParameters(),
-        method: str = "auto",
     ) -> "Axis":
         """The thermal-grid density axis (a grid-refinement study).
 
@@ -505,11 +504,10 @@ class Axis:
         power map onto an ``r x r`` grid, solves the steady-state die
         temperature field through the process-wide
         :class:`~repro.thermal.operator.ThermalOperator` cache (one
-        entry — one prepared solve — per resolution; ``method`` routes
-        large grids through the exact spectral solve)
-        and reads every sensor site of the sweep's ``site`` axis at its
-        local junction temperature.  The result gains a ``resolution``
-        dimension just outside ``site``.
+        entry — one prepared solve — per resolution) and reads every
+        sensor site of the sweep's ``site`` axis at its local junction
+        temperature.  The result gains a ``resolution`` dimension just
+        outside ``site``.
 
         Requires a ``site`` axis *without* explicit junction
         temperatures (the solved fields supply them); like a site scan,
@@ -522,18 +520,18 @@ class Axis:
                 f"the resolution axis takes a Floorplan, got "
                 f"{type(floorplan).__name__}"
             )
-        if method not in SOLVE_METHODS:
-            raise SweepError(
-                f"unknown solve method {method!r}; choose one of {SOLVE_METHODS}"
-            )
         values = list(resolutions)
         if not values:
             raise SweepError("resolution axis needs at least one grid resolution")
         coords = []
         for value in values:
-            if int(value) != value or int(value) < 2:
+            try:
+                valid = int(value) == value and int(value) >= 2
+            except (TypeError, ValueError, OverflowError):
+                valid = False
+            if not valid:
                 raise SweepError(
-                    f"grid resolutions must be integers >= 2, got {value!r}"
+                    f"resolution axis coordinates must be integers >= 2, got {value!r}"
                 )
             coords.append(int(value))
         duplicates = _duplicate_labels(coords)
@@ -549,7 +547,6 @@ class Axis:
                 "floorplan": floorplan,
                 "ambient_c": float(ambient_c),
                 "parameters": parameters,
-                "method": method,
             },
         )
 
@@ -1657,9 +1654,9 @@ class SweepPlan:
                         spec["floorplan"], nx=int(r), ny=int(r)
                     )
                     grid = ThermalGrid.for_power_map(power_map, spec["parameters"])
-                    field = ThermalOperator.for_grid(
-                        grid, spec["method"]
-                    ).solve_steady_state(power_map, spec["ambient_c"])
+                    field = ThermalOperator.for_grid(grid).solve_steady_state(
+                        power_map, spec["ambient_c"]
+                    )
                     truths = field.sample_points(xs, ys)
                     slices.append(
                         sensor_bank.period_tensor(truths, technologies=population)

@@ -22,7 +22,7 @@ takes the decisions a one-policy run takes), optionally
 crossed with a Monte-Carlo technology population (the ``sample`` axis)
 and with a set of thermal-grid resolutions (the grid-refinement axis
 mirroring the sweep engine's ``resolution`` axis — one cached
-factorization per grid).  The two-policy :func:`run_dtm_study` is the
+prepared solve per grid).  The two-policy :func:`run_dtm_study` is the
 same machinery specialised to the managed-versus-unmanaged pair.
 """
 

@@ -12,8 +12,7 @@ The run leans on the batched thermal kernels end to end:
 
 * the true fields of the whole workload corpus come from **one**
   multi-RHS :meth:`~repro.thermal.operator.ThermalOperator.solve_steady_state_multi`
-  (one batched pair of DCTs, the exact spectral solve, on large
-  grids), and
+  (one batched pair of DCTs, the exact spectral solve), and
 * each workload's candidate scan is declared as a
   :class:`~repro.engine.sweep.Sweep` over the bank's ``site`` axis —
   the same machinery EXT-THERMALMAP uses — so the search loop itself
@@ -93,7 +92,6 @@ class PlacementStudyResult:
     candidate_count: int
     sensor_count: int
     grid_resolution: int
-    solve_method: str
     scan_time_s: float
     greedy: PlacementResult
     annealed: PlacementResult
@@ -112,7 +110,7 @@ class PlacementStudyResult:
             f"({self.sensor_count} of {self.candidate_count} candidate sites, "
             f"workloads: {', '.join(self.workload_labels)})",
             f"ring: {self.configuration_label}, thermal grid "
-            f"{self.grid_resolution}^2 ({self.solve_method}), "
+            f"{self.grid_resolution}^2, "
             f"selected-scan time {self.scan_time_s * 1e6:.1f}us, "
             f"{self.evaluations} objective evaluations",
             f"{'search':>8s} {'sites':<28s} {'rms mean/worst':>15s} "
@@ -144,7 +142,6 @@ def run_placement_study(
     seed: int = 2005,
     anneal_steps: int = 150,
     hotspot_weight: float = 1.0,
-    solve_method: str = "auto",
     calibration_temperatures_c: Tuple[float, float] = (-50.0, 150.0),
 ) -> PlacementStudyResult:
     """Run the sensor-placement search over the example workload corpus.
@@ -152,8 +149,7 @@ def run_placement_study(
     ``candidate_grid`` sets the candidate pool (a ``g x g`` site grid),
     ``sensor_count`` how many of them the multiplexer gets to keep.  The
     corpus' true fields are solved in one multi-RHS pass through the
-    cached operator (``solve_method`` routes it: large grids take the
-    exact DCT solve), every candidate is scanned per workload
+    cached operator, every candidate is scanned per workload
     through the sweep engine, then greedy selection and a seeded
     annealing refinement search the subsets.  The scans take their
     execution backend from the environment, as in EXT-THERMALMAP.
@@ -173,8 +169,9 @@ def run_placement_study(
         for _, plan in workloads
     ]
     grid = ThermalGrid.for_power_map(powers[0])
-    operator = ThermalOperator.for_grid(grid, solve_method)
-    true_maps = operator.solve_steady_state_multi(powers, ambient_c)
+    true_maps = ThermalOperator.for_grid(grid).solve_steady_state_multi(
+        powers, ambient_c
+    )
 
     candidate_plan = Floorplan.example_processor()
     candidate_plan.add_sensor_grid(int(candidate_grid), int(candidate_grid), prefix="c")
@@ -222,7 +219,6 @@ def run_placement_study(
         candidate_count=bank.site_count,
         sensor_count=int(sensor_count),
         grid_resolution=int(grid_resolution),
-        solve_method=operator.method,
         scan_time_s=sensor_count * bank.conversion_time_s,
         greedy=greedy,
         annealed=annealed,

@@ -91,7 +91,7 @@ def run_selfheating_study(
 
     The study exploits the thermal network's linearity and covers the
     whole duty-cycle sweep with one multi-RHS solve against the shared
-    :class:`~repro.thermal.operator.ThermalOperator` factorization (see :func:`repro.thermal.selfheating.duty_cycle_study`).
+    :class:`~repro.thermal.operator.ThermalOperator` solve (see :func:`repro.thermal.selfheating.duty_cycle_study`).
     """
     tech = technology if technology is not None else CMOS035
     configuration = RingConfiguration.parse(configuration_text)

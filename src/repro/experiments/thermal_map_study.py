@@ -12,7 +12,7 @@ density, declared through the sweep engine's ``site`` axis:
 
 * the example processor's steady-state field is solved once (through
   the cached :class:`~repro.thermal.operator.ThermalOperator`
-  factorization — every density reuses it),
+  solve — every density reuses it),
 * for each candidate sensor grid a
   :class:`~repro.core.sensor_bank.SensorBank` is placed on the
   floorplan, the whole Monte-Carlo population is two-point calibrated
@@ -212,7 +212,6 @@ class ThermalResolutionPoint:
 
     grid_resolution: int
     unknown_count: int
-    solve_method: str
     true_peak_c: float
     true_gradient_c: float
     peak_shift_from_finest_c: float
@@ -244,14 +243,13 @@ class ThermalResolutionStudyResult:
             f"({self.sample_count} Monte-Carlo samples, "
             f"{self.site_count} sensor sites)",
             f"ring: {self.configuration_label}",
-            f"{'grid':>7s} {'unknowns':>9s} {'solve':>10s} {'die peak':>9s} "
+            f"{'grid':>7s} {'unknowns':>9s} {'die peak':>9s} "
             f"{'vs finest':>10s} {'worst site':>11s} {'rms mean/max':>14s}",
         ]
         for point in self.points:
             lines.append(
                 f"{point.grid_resolution:>4d}^2 "
                 f"{point.unknown_count:>9d} "
-                f"{point.solve_method:>10s} "
                 f"{point.true_peak_c:>7.1f} C "
                 f"{point.peak_shift_from_finest_c:>+8.2f} C "
                 f"{point.worst_site_error_c:>9.2f} C "
@@ -275,9 +273,8 @@ def run_thermal_resolution_study(
     The die field is re-solved at every grid resolution — the whole
     refinement declared as one ``resolution x site x sample`` sweep, so
     each resolution costs exactly one cached
-    :class:`~repro.thermal.operator.ThermalOperator` entry (grids above
-    the operator's unknown-count threshold route through the exact
-    spectral solve automatically) — and a fixed sensor bank is scanned
+    :class:`~repro.thermal.operator.ThermalOperator` entry (one exact
+    spectral solve) — and a fixed sensor bank is scanned
     against the Monte-Carlo population on each refinement.  The report
     answers the modelling question the density study leaves open: how
     fine must the thermal grid be before the die peak and the sensor-map
@@ -314,8 +311,7 @@ def run_thermal_resolution_study(
     for resolution in sorted(resolutions, reverse=True):
         power = PowerMap.from_floorplan(base_plan, nx=resolution, ny=resolution)
         grid = ThermalGrid.for_power_map(power)
-        operator = ThermalOperator.for_grid(grid)
-        true_map = operator.solve_steady_state(power, ambient_c)
+        true_map = ThermalOperator.for_grid(grid).solve_steady_state(power, ambient_c)
         if resolution == finest:
             finest_peak = true_map.max_c()
         truths = true_map.sample_points(xs, ys)
@@ -331,7 +327,6 @@ def run_thermal_resolution_study(
             ThermalResolutionPoint(
                 grid_resolution=resolution,
                 unknown_count=resolution * resolution,
-                solve_method=operator.method,
                 true_peak_c=true_map.max_c(),
                 true_gradient_c=true_map.gradient_c(),
                 peak_shift_from_finest_c=true_map.max_c() - finest_peak,

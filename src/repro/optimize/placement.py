@@ -12,7 +12,7 @@ The expensive physics is hoisted out of the search loop entirely:
 
 * the true fields of every workload come from **one** multi-RHS solve
   through the shared :class:`~repro.thermal.operator.ThermalOperator`
-  (one batched pair of DCTs on large grids), and
+  (one batched pair of DCTs), and
 * every candidate site's calibrated temperature estimate is measured
   **once** per workload with a banked
   :class:`~repro.core.sensor_bank.SensorBank` scan over the *full*

@@ -3,7 +3,7 @@
 from .floorplan import Floorplan, FunctionalBlock, SensorSite
 from .power import PowerMap
 from .grid import TemperatureMap, ThermalGrid, ThermalGridParameters
-from .operator import SOLVE_METHODS, ThermalOperator, ThermalStepper
+from .operator import ThermalOperator, ThermalStepper
 from .solver import TransientThermalResult, solve_steady_state, solve_transient
 from .selfheating import SelfHeatingReport, duty_cycle_study, self_heating_error
 
@@ -15,7 +15,6 @@ __all__ = [
     "TemperatureMap",
     "ThermalGrid",
     "ThermalGridParameters",
-    "SOLVE_METHODS",
     "ThermalOperator",
     "ThermalStepper",
     "TransientThermalResult",

@@ -19,7 +19,8 @@ the 10-15 W processors of the 0.35 um era the paper targets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Tuple
 
 import numpy as np
@@ -29,6 +30,30 @@ from ..tech.parameters import TechnologyError
 from .power import PowerMap
 
 __all__ = ["ThermalGridParameters", "ThermalGrid", "TemperatureMap", "bilinear_sample"]
+
+
+def _positive_finite(value, name: str) -> float:
+    """``value`` as a float; :class:`TechnologyError` naming ``name`` unless
+    it is a real number that is positive and finite."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if isinstance(value, (bool, str)) or not (math.isfinite(number) and number > 0.0):
+        raise TechnologyError(f"{name} must be positive and finite, got {value!r}")
+    return number
+
+
+def _resolution(value, name: str) -> int:
+    """``value`` as an int; :class:`TechnologyError` naming ``name`` unless
+    it is an integral number of at least 2."""
+    try:
+        integral = int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral or int(value) < 2:
+        raise TechnologyError(f"{name} must be an integer >= 2, got {value!r}")
+    return int(value)
 
 
 def bilinear_sample(values, width_mm: float, height_mm: float, xs_mm, ys_mm) -> np.ndarray:
@@ -92,6 +117,9 @@ class ThermalGridParameters:
         a forced-air heatsink on a 10-15 W processor of the 0.35 um era.
     volumetric_heat_capacity_j_per_mm3k:
         Volumetric heat capacity of silicon (1.63e-3 J/mm^3/K).
+
+    Every attribute must be positive and finite; anything else raises
+    :class:`TechnologyError` naming the attribute.
     """
 
     die_thickness_mm: float = 0.5
@@ -100,14 +128,9 @@ class ThermalGridParameters:
     volumetric_heat_capacity_j_per_mm3k: float = 1.63e-3
 
     def __post_init__(self) -> None:
-        if self.die_thickness_mm <= 0.0:
-            raise TechnologyError("die thickness must be positive")
-        if self.silicon_conductivity_w_per_mk <= 0.0:
-            raise TechnologyError("silicon conductivity must be positive")
-        if self.package_resistance_k_mm2_per_w <= 0.0:
-            raise TechnologyError("package resistance must be positive")
-        if self.volumetric_heat_capacity_j_per_mm3k <= 0.0:
-            raise TechnologyError("heat capacity must be positive")
+        for field in fields(self):
+            value = _positive_finite(getattr(self, field.name), field.name)
+            object.__setattr__(self, field.name, value)
 
 
 @dataclass(frozen=True)
@@ -180,6 +203,9 @@ class ThermalGrid:
         Grid resolution (must match the power maps used with it).
     parameters:
         Physical parameters of the compact model.
+
+    Raises :class:`TechnologyError` naming the field when a dimension is
+    not positive and finite or a resolution is not an integer >= 2.
     """
 
     def __init__(
@@ -190,15 +216,22 @@ class ThermalGrid:
         ny: int,
         parameters: ThermalGridParameters = ThermalGridParameters(),
     ) -> None:
-        if nx < 2 or ny < 2:
-            raise TechnologyError("thermal grid needs at least a 2x2 resolution")
-        if width_mm <= 0.0 or height_mm <= 0.0:
-            raise TechnologyError("die dimensions must be positive")
-        self.width_mm = float(width_mm)
-        self.height_mm = float(height_mm)
-        self.nx = int(nx)
-        self.ny = int(ny)
+        self.width_mm = _positive_finite(width_mm, "width_mm")
+        self.height_mm = _positive_finite(height_mm, "height_mm")
+        self.nx = _resolution(nx, "nx")
+        self.ny = _resolution(ny, "ny")
         self.parameters = parameters
+        for name, value in (
+            ("vertical conductance", self.vertical_conductance_w_per_k()),
+            ("lateral conductance", self.lateral_conductance_w_per_k(True)),
+            ("lateral conductance", self.lateral_conductance_w_per_k(False)),
+            ("cell heat capacity", self.cell_heat_capacity_j_per_k()),
+        ):
+            if not (math.isfinite(value) and value > 0.0):
+                raise TechnologyError(
+                    f"the {name} of a {self.ny}x{self.nx} cell is {value!r}; "
+                    "the die dimensions and parameters over- or underflow"
+                )
         self._conductance = self._build_conductance_matrix()
         self._capacitance = self._build_capacitance_vector()
 
@@ -254,11 +287,11 @@ class ThermalGrid:
 
         Replaces a per-cell ``lil_matrix`` loop whose Python overhead
         dominated large-grid construction (seconds at 256x256, minutes
-        at 512x512 — exactly the full-die resolutions the spectral
-        solve path exists for).  Each diagonal term is accumulated in
-        the same order the loop used (below-neighbour, left-neighbour,
-        vertical, right-neighbour, above-neighbour), so the assembled
-        matrix is bit-identical to the historical one.
+        at 512x512 — full-die resolutions the spectral solve serves).
+        Each diagonal term is accumulated in the same order the loop
+        used (below-neighbour, left-neighbour, vertical, right-neighbour,
+        above-neighbour), so the assembled matrix is bit-identical to
+        the historical one.
         """
         nx, ny = self.nx, self.ny
         size = nx * ny

@@ -1,21 +1,15 @@
 """Cached thermal solves: one prepared solve per system, many uses.
 
-Before this module the repository factorized the thermal system in three
-independent places — the steady-state solver called
-:func:`scipy.sparse.linalg.spsolve` (an implicit factorization) on every
-call, and :func:`repro.thermal.solver.solve_transient` and
-:meth:`repro.core.thermal_manager.DynamicThermalManager.run` each built
-their own ``factorized(C/dt + G)`` backward-Euler system per run.  Every
-repeated workload (a thermal-mapping scan per control step, the
-self-heating duty-cycle sweep, the managed-versus-unmanaged DTM pair)
-therefore paid the symbolic + numeric factorization again for a matrix
-that had not changed.
+Every repeated thermal workload (a thermal-mapping scan per control
+step, the self-heating duty-cycle sweep, the managed-versus-unmanaged
+DTM pair, a transient run per timestep) solves a matrix that does not
+change between calls, so preparing its solve once pays off.
 
-:class:`ThermalOperator` owns those solves instead:
+:class:`ThermalOperator` owns those solves:
 
 * the steady-state solve of the conductance matrix ``G`` is prepared
   once per grid and serves any number of right-hand sides, including an
-  ``(n, k)`` *stack* of power maps in one multi-RHS solve (``G \\ P``),
+  ``(n, k)`` *stack* of power maps in one batched solve (``G \\ P``),
 * the backward-Euler system ``(C/dt + G)`` is prepared once per
   (grid, timestep) pair and handed out as a :class:`ThermalStepper`,
   so every transient integration with the same step reuses it, and
@@ -27,59 +21,46 @@ that had not changed.
   and every candidate of a placement search share a single prepared
   solve.
 
-Solve methods
--------------
+One solve
+---------
 
-``method`` selects how each SPD system is prepared:
+Every system is prepared as an exact fast solve by the orthonormal 2-D
+DCT-II, which diagonalizes every thermal grid's constant-coefficient
+five-point stencil (adiabatic edges, uniform vertical conductance and
+capacitance): a solve is ``idctn(dctn(b) / eigenvalues)``, O(n log n)
+with O(n) memory, for ``G`` and ``C/dt + G`` alike, at every grid
+resolution.  Set-up checks the matrix against the stencil with one
+probe SpMV and raises :class:`TechnologyError` on a mismatch.
 
-============  =========================================================
-``direct``    Sparse-direct factorization (``factorized``); exact, but
-              fill-in memory and set-up time grow super-linearly with
-              the grid.
-``spectral``  Exact fast solve by the orthonormal 2-D DCT-II, which
-              diagonalizes every thermal grid's constant-coefficient
-              five-point stencil (adiabatic edges, uniform vertical
-              conductance and capacitance): a solve is
-              ``idctn(dctn(b) / eigenvalues)``, O(n log n) with O(n)
-              memory, for ``G`` and ``C/dt + G`` alike.  Set-up checks
-              the matrix against the stencil with one probe SpMV and
-              raises :class:`TechnologyError` on a mismatch.  The
-              default large-grid path.
-``auto``      ``direct`` at or below :attr:`spectral_threshold`
-              unknowns, ``spectral`` above it.
-============  =========================================================
-
-Both methods solve an ``(n, k)`` stack of right-hand sides in one call
-(a multi-RHS factorization solve, or one batched transform), so
-``ThermalStepper.step``, ``steady_rise`` and the policy bank stay one
-solve per step at any grid size.  Stacks are column-major: the array
-is ``(n, k)``, but each column is contiguous, so its memory reads as
-``k`` contiguous ``(ny, nx)`` planes.  Both methods return stacks in
-that layout (SuperLU solves Fortran-ordered right-hand sides natively,
-and the spectral solve transforms the planes in place); a C-ordered
-stack is still accepted, at the price of one transposing copy.
+An ``(n, k)`` stack of right-hand sides is solved in one call (one
+batched transform), so ``ThermalStepper.step``, ``steady_rise`` and
+the policy bank stay one solve per step at any grid size.  Stacks are
+column-major: the array is ``(n, k)``, but each column is contiguous,
+so its memory reads as ``k`` contiguous ``(ny, nx)`` planes.  The solve
+returns stacks in that layout (it transforms the planes in place); a
+C-ordered stack is still accepted, at the price of one transposing
+copy.
 
 The solvers in :mod:`repro.thermal.solver`, the self-heating study and
-the DTM manager are all thin layers over this class; ``factorized`` is
-called nowhere else in the repository.
+the DTM manager are all thin layers over this class; no other module
+prepares a thermal solve.
 
 Concurrency and fork semantics
 ------------------------------
 
 The process-wide cache is guarded by a :class:`threading.Lock` (and each
-operator's lazy factorizations by a per-instance lock), so threaded
-callers — a sweep executor streaming tiles, a benchmark harness timing
+operator's lazily prepared solves by a per-instance lock), so threaded
+callers — a sweep executor running tiles, a benchmark harness timing
 in a worker thread — cannot corrupt the ``OrderedDict`` mid-evict or
-factorize the same matrix twice and drop one copy.
+prepare the same solve twice and drop one copy.
 
 The cache is deliberately **per process**.  Worker processes of a tiled
 sweep (:mod:`repro.engine.executors`) each get their own cache — cold
 under ``spawn``, a frozen copy-on-write snapshot under ``fork`` — and
-warm it from the tiles they execute.  Factorization objects (SuperLU
-handles) hold foreign-memory state that does not pickle; do **not**
-ship operators or steppers across process boundaries — ship the grid
-(cheap, declarative) and call :meth:`ThermalOperator.for_grid` on the
-worker side instead.
+warm it from the tiles they execute.  Do not ship operators or steppers
+across process boundaries (they hold locks and prepared transforms) —
+ship the grid (cheap, declarative) and call
+:meth:`ThermalOperator.for_grid` on the worker side instead.
 """
 
 from __future__ import annotations
@@ -90,19 +71,12 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import diags
-from scipy.sparse.linalg import factorized
 
 from ..tech.parameters import TechnologyError
 from .grid import TemperatureMap, ThermalGrid
 from .power import PowerMap
 
-__all__ = ["ThermalOperator", "ThermalStepper", "SOLVE_METHODS"]
-
-#: The solve methods an operator can be asked for (see the module
-#: docstring's table).  ``auto`` resolves to ``direct`` at or below
-#: :attr:`ThermalOperator.spectral_threshold` unknowns and to
-#: ``spectral`` above it.
-SOLVE_METHODS = ("auto", "direct", "spectral")
+__all__ = ["ThermalOperator", "ThermalStepper"]
 
 #: Process-wide operator cache.  Bounded so a long-running sweep over
 #: many distinct grid geometries cannot grow it without limit; eviction
@@ -144,8 +118,8 @@ class _SpectralSolve:
     and a solve is ``idctn(dctn(b) / eigenvalues)``.
 
     Built once per (grid, shift) and stateless afterwards, so a shared
-    operator can serve concurrent callers.  Accepts the same ``(n,)``
-    vector or ``(n, k)`` stack a direct factorization does; each column
+    operator can serve concurrent callers.  Accepts an ``(n,)`` vector
+    or an ``(n, k)`` stack of right-hand sides; each column
     of a stack gets bitwise the result of solving it alone.  A stack is
     transformed as ``k`` ``(ny, nx)`` planes over its trailing axes, so
     a column-major stack needs no copy, and the result is column-major
@@ -204,8 +178,7 @@ class _SpectralSolve:
         if not error <= _SPECTRAL_GUARD_RTOL * np.max(np.abs(expected)):
             raise TechnologyError(
                 f"the {self._shape[0]}x{self._shape[1]} thermal matrix is not the "
-                "uniform five-point stencil the spectral solve diagonalizes; "
-                "use method='direct'"
+                "uniform five-point stencil the spectral solve diagonalizes"
             )
 
     def __call__(self, rhs: np.ndarray) -> np.ndarray:
@@ -236,11 +209,9 @@ class ThermalStepper:
     Produced by :meth:`ThermalOperator.stepper`; advances the
     temperature *rise* vector by one timestep per :meth:`step` call.
     The implicit system ``(C/dt + G) x_{n+1} = P + C/dt x_n`` was
-    prepared once when the stepper was created (factorized sparse-direct
-    or DCT-diagonalized, per the operator's method), so each step is a
-    pair of triangular solves or a pair of fast transforms — and an
-    ``(n, k)`` stack of states advances in one multi-RHS solve either
-    way.
+    DCT-diagonalized once when the stepper was created, so each step is
+    a pair of fast transforms — and an ``(n, k)`` stack of states
+    advances in one batched solve.
     """
 
     def __init__(
@@ -288,80 +259,39 @@ class ThermalStepper:
 
 
 class ThermalOperator:
-    """Cached solver (direct factorizations or DCT solves) for one thermal grid.
+    """Cached DCT solves of one thermal grid's systems.
 
     Parameters
     ----------
     grid:
         The thermal RC network.
-    method:
-        One of :data:`SOLVE_METHODS`.  ``auto`` (the default) picks
-        sparse-direct factorization up to
-        :attr:`spectral_threshold` unknowns and the exact DCT solve
-        above it; ``direct``/``spectral`` force the choice.
     """
 
-    #: Unknown count above which ``method="auto"`` routes solves through
-    #: the spectral (DCT) solve instead of sparse-direct factorization.
-    spectral_threshold: int = 4096
-
-    def __init__(self, grid: ThermalGrid, method: str = "auto") -> None:
+    def __init__(self, grid: ThermalGrid) -> None:
         self.grid = grid
-        self.method = self._resolve_method(grid, method)
-        self._steady_solve: Optional[Callable[[np.ndarray], np.ndarray]] = None
-        self._transient_solves: "OrderedDict[float, Callable[[np.ndarray], np.ndarray]]" = (
-            OrderedDict()
-        )
-        # Guards the lazy factorization caches above: two threads asking
-        # a shared operator for the same solve must not factorize twice
-        # (wasted work) or interleave the stepper cache's insert/evict.
+        self._steady_solve: Optional[_SpectralSolve] = None
+        self._transient_solves: "OrderedDict[float, _SpectralSolve]" = OrderedDict()
+        # Guards the lazy solve caches above: two threads asking a shared
+        # operator for the same solve must not prepare it twice (wasted
+        # work) or interleave the stepper cache's insert/evict.
         self._solve_lock = threading.Lock()
-
-    @classmethod
-    def _resolve_method(cls, grid: ThermalGrid, method: str) -> str:
-        if method not in SOLVE_METHODS:
-            raise TechnologyError(
-                f"unknown solve method {method!r}; choose one of {SOLVE_METHODS}"
-            )
-        if method != "auto":
-            return method
-        if grid.nx * grid.ny > cls.spectral_threshold:
-            return "spectral"
-        return "direct"
-
-    def _prepare(self, matrix, shift: float) -> Callable[[np.ndarray], np.ndarray]:
-        """A solve callable for ``matrix`` = ``shift * I + G``, per the method."""
-        if self.method == "spectral":
-            return _SpectralSolve(self.grid, matrix, shift)
-        return factorized(matrix.tocsc())
 
     # ------------------------------------------------------------------ #
     # the process-wide cache
     # ------------------------------------------------------------------ #
 
     @classmethod
-    def _cache_key(cls, grid: ThermalGrid, method: str = "auto") -> Tuple:
-        """The matrix-defining fingerprint of a grid (plus solve method).
+    def _cache_key(cls, grid: ThermalGrid) -> Tuple:
+        """The matrix-defining fingerprint of a grid.
 
         Two grids with equal geometry and physical parameters build
         bit-identical conductance/capacitance matrices, so they may
-        share one operator (and therefore one factorization).  The
-        *resolved* method joins the key so an explicit
-        ``method="spectral"`` request does not hand back a cached
-        direct operator (or vice versa), while ``auto`` shares the
-        entry of the method :attr:`spectral_threshold` picks for it.
+        share one operator (and therefore one prepared solve).
         """
-        return (
-            grid.width_mm,
-            grid.height_mm,
-            grid.nx,
-            grid.ny,
-            grid.parameters,
-            cls._resolve_method(grid, method),
-        )
+        return (grid.width_mm, grid.height_mm, grid.nx, grid.ny, grid.parameters)
 
     @classmethod
-    def for_grid(cls, grid: ThermalGrid, method: str = "auto") -> "ThermalOperator":
+    def for_grid(cls, grid: ThermalGrid) -> "ThermalOperator":
         """The shared operator of a grid (cached process-wide, thread-safe).
 
         Cache hits refresh the entry's recency (LRU), so a workload
@@ -373,11 +303,11 @@ class ThermalOperator:
         its own (see the module docstring) — never pickle an operator
         across a process boundary, re-request it from the grid instead.
         """
-        key = cls._cache_key(grid, method)
+        key = cls._cache_key(grid)
         with _CACHE_LOCK:
             operator = _OPERATORS.get(key)
             if operator is None:
-                operator = cls(grid, method)
+                operator = cls(grid)
                 _OPERATORS[key] = operator
                 while len(_OPERATORS) > _CACHE_LIMIT:
                     _OPERATORS.popitem(last=False)
@@ -400,20 +330,21 @@ class ThermalOperator:
     # steady state
     # ------------------------------------------------------------------ #
 
-    def steady_solve(self) -> Callable[[np.ndarray], np.ndarray]:
+    def steady_solve(self) -> _SpectralSolve:
         """The prepared steady-state solve ``x = G \\ rhs`` (cached)."""
         with self._solve_lock:
             if self._steady_solve is None:
-                self._steady_solve = self._prepare(self.grid.conductance_matrix, 0.0)
+                self._steady_solve = _SpectralSolve(
+                    self.grid, self.grid.conductance_matrix
+                )
             return self._steady_solve
 
     def steady_rise(self, power_w: np.ndarray) -> np.ndarray:
         """Temperature rise for one or many flattened power vectors.
 
         ``power_w`` may be a single ``(n,)`` vector or an ``(n, k)``
-        stack of right-hand sides; both methods solve the whole stack in
-        one call (a multi-RHS factorization solve or one batched pair of
-        transforms).  A wrong row count or a non-finite entry raises
+        stack of right-hand sides, solved in one call (one batched pair
+        of transforms).  A wrong row count or a non-finite entry raises
         :class:`TechnologyError`.
         """
         return self.steady_solve()(_checked_rhs(power_w, "power_w", self.grid))
@@ -433,9 +364,7 @@ class ThermalOperator:
         """Steady-state maps of several power maps in one multi-RHS solve.
 
         All power maps must match the grid; the stacked ``(n, k)``
-        right-hand side goes through the prepared solve once, replacing
-        ``k`` independent ``spsolve`` calls (each of which used to
-        re-factorize the same matrix).
+        right-hand side goes through the prepared solve once.
         """
         maps = list(powers)
         if not maps:
@@ -476,8 +405,8 @@ class ThermalOperator:
                     diags(self.grid.capacitance_vector / dt)
                     + self.grid.conductance_matrix
                 )
-                solve = self._prepare(
-                    system, self.grid.cell_heat_capacity_j_per_k() / dt
+                solve = _SpectralSolve(
+                    self.grid, system, self.grid.cell_heat_capacity_j_per_k() / dt
                 )
                 self._transient_solves[dt] = solve
                 while len(self._transient_solves) > _TIMESTEP_CACHE_LIMIT:
@@ -488,7 +417,7 @@ class ThermalOperator:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"ThermalOperator({self.grid.ny}x{self.grid.nx}, {self.method}, "
+            f"ThermalOperator({self.grid.ny}x{self.grid.nx}, "
             f"steady={'cached' if self._steady_solve is not None else 'cold'}, "
             f"timesteps={sorted(self._transient_solves)})"
         )

@@ -68,7 +68,7 @@ def self_heating_error(
     thermal time constants are far longer than the measurement window),
     so the duty cycle enters as a simple power scaling.  The baseline
     and with-sensor fields come out of one multi-RHS solve against the
-    shared :class:`ThermalOperator` factorization.
+    shared :class:`ThermalOperator` solve.
     """
     if not 0.0 <= duty_cycle <= 1.0:
         raise TechnologyError("duty cycle must lie in [0, 1]")
@@ -110,7 +110,7 @@ def duty_cycle_study(
     The thermal network is linear, so the rise caused by ``duty *
     power`` is ``duty`` times the rise caused by the full power: this
     runs one *multi-RHS* steady-state solve (baseline and full-power
-    stacked against the cached :class:`ThermalOperator` factorization)
+    stacked against the cached :class:`ThermalOperator` solve)
     and scales, instead of one :func:`self_heating_error` solve per
     duty cycle (the two agree to solver rounding, far below any
     physically meaningful difference).

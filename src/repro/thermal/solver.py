@@ -6,9 +6,8 @@ process-wide) the prepared solves: repeated steady-state solves on the
 same grid geometry — a thermal-mapping scan per workload, the
 self-heating duty-cycle pair — reuse one prepared solve of ``G``, and
 repeated transient runs with the same timestep reuse one of the
-backward-Euler system ``(C/dt + G)``.  Small grids are factorized
-sparse-direct; large ones are solved exactly by a 2-D DCT, which
-diagonalizes the grid's uniform five-point stencil.
+backward-Euler system ``(C/dt + G)``.  Every grid is solved exactly by
+a 2-D DCT, which diagonalizes the grid's uniform five-point stencil.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ __all__ = [
 
 
 def solve_steady_state(
-    grid: ThermalGrid, power: PowerMap, ambient_c: float = 45.0, method: str = "auto"
+    grid: ThermalGrid, power: PowerMap, ambient_c: float = 45.0
 ) -> TemperatureMap:
     """Steady-state junction temperatures for a constant power map.
 
@@ -40,13 +39,10 @@ def solve_steady_state(
     the ambient temperature.  ``ambient_c`` represents the local ambient
     (board/package) temperature, not the room.  The prepared solve comes
     from the shared :class:`ThermalOperator` cache, so repeated solves on
-    equal grids prepare it once; ``method`` picks the solve
-    (``auto``/``direct``/``spectral`` — grids above the operator's
-    unknown-count threshold route through the exact DCT solve
-    automatically, O(n log n) time and O(n) memory where a
-    factorization's fill-in grows faster).
+    equal grids prepare it once; each solve is an exact DCT solve,
+    O(n log n) time and O(n) memory.
     """
-    return ThermalOperator.for_grid(grid, method).solve_steady_state(power, ambient_c)
+    return ThermalOperator.for_grid(grid).solve_steady_state(power, ambient_c)
 
 
 @dataclass(frozen=True)
@@ -83,7 +79,6 @@ def solve_transient(
     ambient_c: float = 45.0,
     initial: Optional[TemperatureMap] = None,
     store_every: int = 1,
-    method: str = "auto",
 ) -> TransientThermalResult:
     """Integrate the thermal network over time (backward Euler).
 
@@ -105,11 +100,9 @@ def solve_transient(
         Starting temperature field; uniform ambient when omitted.
     store_every:
         Keep every n-th step in the result.
-    method:
-        Solve method (``auto``/``direct``/``spectral``); ``auto``
-        switches to the exact DCT solve above the operator's
-        unknown-count threshold, so a full-die step is one pair of fast
-        transforms.
+
+    Each step is one exact DCT solve of the cached backward-Euler
+    system, a pair of fast transforms.
     """
     for name, value in (("duration_s", duration_s), ("timestep_s", timestep_s)):
         if not np.isfinite(value):
@@ -123,7 +116,7 @@ def solve_transient(
         raise TechnologyError("duration must span at least one timestep")
 
     size = grid.nx * grid.ny
-    stepper = ThermalOperator.for_grid(grid, method).stepper(timestep_s)
+    stepper = ThermalOperator.for_grid(grid).stepper(timestep_s)
 
     if initial is None:
         state = np.zeros(size)

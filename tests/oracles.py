@@ -24,6 +24,10 @@ DTM loop (``dtm_run_scalar``, stepping its policy with the scalar
 ``benchmarks/test_bench_engine.py`` times the broadcast paths against.
 The looped Monte-Carlo sampler (``sample_technologies``) is the
 reference the stacked ``sample_technology_array`` is pinned to.
+The sparse-direct thermal solve (``direct_solve``, a SuperLU
+factorization, and ``direct_stepper`` on top of it) is the reference
+the package's one thermal solve, the exact DCT solve, is checked
+against to 1e-10 relative.
 One library path still computes its own reference:
 :func:`repro.thermal.selfheating.self_heating_error` is the
 solve-per-duty-cycle reference of ``duty_cycle_study``.
@@ -35,6 +39,8 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.sparse import diags
+from scipy.sparse.linalg import factorized
 
 from repro.analysis.linearity import nonlinearity
 from repro.analysis.montecarlo import MonteCarloStudy
@@ -78,7 +84,7 @@ from repro.tech import (
     corner_technologies,
     stack_technologies,
 )
-from repro.thermal import TemperatureMap, ThermalGrid, ThermalOperator
+from repro.thermal import TemperatureMap, ThermalGrid, ThermalOperator, ThermalStepper
 
 
 # --------------------------------------------------------------------------- #
@@ -627,8 +633,23 @@ def monitor_scan_scalar(
 
 
 # --------------------------------------------------------------------------- #
-# thermal management
+# thermal solves and thermal management
 # --------------------------------------------------------------------------- #
+
+
+def direct_solve(matrix):
+    """A sparse-direct (SuperLU) solve of ``matrix``: the thermal reference.
+
+    Accepts an ``(n,)`` vector or an ``(n, k)`` stack of right-hand
+    sides, as the package's DCT solve does.
+    """
+    return factorized(matrix.tocsc())
+
+
+def direct_stepper(grid: ThermalGrid, timestep_s: float) -> ThermalStepper:
+    """A backward-Euler stepper whose ``(C/dt + G)`` solve is :func:`direct_solve`."""
+    system = diags(grid.capacitance_vector / timestep_s) + grid.conductance_matrix
+    return ThermalStepper(grid, timestep_s, direct_solve(system))
 
 
 def next_state_index(policy, index: int, reading: float) -> int:
@@ -650,20 +671,23 @@ def dtm_run_scalar(
     control_interval_s: float = 0.02,
     limit_c: float = 115.0,
     workload_scale: float = 1.0,
+    stepper: Optional[ThermalStepper] = None,
 ) -> DtmResult:
     """``DynamicThermalManager.run`` as one policy's own closed loop.
 
     Every control interval takes one backward-Euler step of a single
     temperature-rise column, one bank scan of the sites and one scalar
     policy step: the per-policy loop ``run_bank`` advances in lockstep.
+    ``stepper`` (for the manager's grid and ``control_interval_s``)
+    replaces the shared operator's stepper, e.g. by
+    :func:`direct_stepper`.
     """
     bank = manager.monitor.bank
     site_xs, site_ys = bank.positions()
     base_power = manager.base_power_map
     grid = ThermalGrid.for_power_map(base_power, manager.monitor.thermal_parameters)
-    stepper = ThermalOperator.for_grid(grid, manager.solve_method).stepper(
-        control_interval_s
-    )
+    if stepper is None:
+        stepper = ThermalOperator.for_grid(grid).stepper(control_interval_s)
     steps = transient_step_count(duration_s, control_interval_s)
 
     state_index = 0

@@ -196,7 +196,6 @@ class TestPlacementStudy:
         assert study.candidate_count == 16
         assert study.sensor_count == 4
         assert study.workload_labels == ("balanced", "compute", "memory")
-        assert study.solve_method == "direct"
         text = study.format_table()
         assert "EXT-PLACEMENT" in text
         assert "greedy" in text and "anneal" in text

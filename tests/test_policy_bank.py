@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from oracles import dtm_run_scalar, next_state_index
 from repro.core import PerformanceState, PolicyBank, SensorBank, ThrottlingPolicy
-from repro.engine import Axis, Sweep
+from repro.engine import Axis, Sweep, SweepError
 from repro.experiments import run_dtm_policy_sweep
 from repro.experiments.dtm_study import example_policy_set, never_throttle_policy
 from repro.tech import CMOS035, TechnologyError, sample_technology_array
@@ -123,7 +123,7 @@ def manager(dtm_manager_factory):
     scope="module", params=[12, 72], ids=["direct-12x12", "spectral-72x72"]
 )
 def solver_manager(request, dtm_manager_factory):
-    """A manager on each solve path (72x72 is past the spectral threshold)."""
+    """A manager on a coarse and a finer grid (72x72 is 5184 unknowns)."""
     return dtm_manager_factory(grid_resolution=request.param, sensor_grid=2)
 
 
@@ -175,7 +175,6 @@ class TestBankedEquivalence:
     def test_banked_rows_bitwise_equal_scalar_oracle(
         self, dtm_manager_factory, grid_resolution
     ):
-        # 72x72 is 5184 unknowns, past the spectral threshold.
         manager = dtm_manager_factory(grid_resolution=grid_resolution, sensor_grid=2)
         run_kw = dict(
             duration_s=0.2, control_interval_s=0.02, limit_c=60.0, workload_scale=1.2
@@ -408,6 +407,25 @@ class TestResolutionAxisLowering:
             .run()
         )
         assert np.array_equal(result.select(resolution=16).values, explicit.values)
+
+    @pytest.mark.parametrize(
+        "resolutions, match",
+        [
+            ([], "at least one"),
+            ([8, 8], "duplicate"),
+            ([1], "integers >= 2"),
+            ([8.5], "integers >= 2"),
+            (["8"], "integers >= 2"),
+            ([float("nan")], "integers >= 2"),
+            ([float("inf")], "integers >= 2"),
+            ([None], "integers >= 2"),
+        ],
+        ids=["empty", "duplicate", "one", "fraction", "string", "nan", "inf", "none"],
+    )
+    def test_malformed_coordinates_are_sweep_errors(self, resolutions, match):
+        base = Floorplan.example_processor()
+        with pytest.raises(SweepError, match=f"resolution axis .*{match}"):
+            Axis.resolution(resolutions, base)
 
     def test_one_operator_cache_entry_per_resolution(self, bank):
         # Asserts a process-local side effect of the in-process lowering

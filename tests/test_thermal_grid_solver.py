@@ -32,6 +32,56 @@ class TestGridConstruction:
         with pytest.raises(TechnologyError):
             ThermalGrid(8.0, 8.0, 1, 8)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("width_mm", float("nan")),
+            ("width_mm", float("inf")),
+            ("height_mm", -8.0),
+            ("height_mm", "8"),
+            ("nx", 16.7),
+            ("nx", float("nan")),
+            ("ny", float("inf")),
+            ("ny", None),
+        ],
+    )
+    def test_malformed_grid_names_the_field(self, field, value):
+        arguments = {"width_mm": 8.0, "height_mm": 8.0, "nx": 16, "ny": 16}
+        arguments[field] = value
+        with pytest.raises(TechnologyError, match=f"^{field} must be"):
+            ThermalGrid(**arguments)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "die_thickness_mm",
+            "silicon_conductivity_w_per_mk",
+            "package_resistance_k_mm2_per_w",
+            "volumetric_heat_capacity_j_per_mm3k",
+        ],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_malformed_parameter_names_the_field(self, field, value):
+        with pytest.raises(TechnologyError, match=f"^{field} must be positive and finite"):
+            ThermalGridParameters(**{field: value})
+
+    @pytest.mark.parametrize(
+        "parameters",
+        [
+            ThermalGridParameters(package_resistance_k_mm2_per_w=1e-320),
+            ThermalGridParameters(die_thickness_mm=5e-324),
+        ],
+        ids=["vertical-overflow", "lateral-underflow"],
+    )
+    def test_cell_conductance_over_or_underflow_rejected(self, parameters):
+        with pytest.raises(TechnologyError, match="over- or underflow"):
+            ThermalGrid(8.0, 8.0, 16, 16, parameters)
+
+    def test_integral_float_resolution_accepted(self):
+        grid = ThermalGrid(8.0, 8.0, 16.0, np.int64(12))
+        assert (grid.nx, grid.ny) == (16, 12)
+        assert isinstance(grid.nx, int) and isinstance(grid.ny, int)
+
     def test_junction_to_ambient_resistance_realistic(self, uniform_grid):
         theta = uniform_grid.junction_to_ambient_resistance_k_per_w()
         assert 1.0 < theta < 10.0

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import spsolve
+from scipy.sparse import diags
 
+from oracles import direct_solve
 from repro.tech import TechnologyError
 from repro.thermal import (
     Floorplan,
@@ -19,7 +20,7 @@ from repro.thermal.operator import (
     _TIMESTEP_CACHE_LIMIT,
 )
 
-#: The spectral-vs-direct agreement bound.
+#: The agreement bound against the sparse-direct reference.
 SPECTRAL_RTOL = 1e-10
 
 
@@ -34,9 +35,8 @@ class TestSteadySolves:
     def test_matches_direct_sparse_solve(self, example_grid, example_power_map):
         operator = ThermalOperator(example_grid)
         result = operator.solve_steady_state(example_power_map, ambient_c=45.0)
-        reference = spsolve(
-            example_grid.conductance_matrix.tocsc(),
-            example_power_map.values_w.reshape(-1),
+        reference = direct_solve(example_grid.conductance_matrix)(
+            example_power_map.values_w.reshape(-1)
         ).reshape((example_grid.ny, example_grid.nx)) + 45.0
         assert np.allclose(result.values_c, reference, rtol=1e-9, atol=1e-12)
 
@@ -78,20 +78,24 @@ class TestStepper:
         rise = np.zeros(example_grid.nx * example_grid.ny)
         for _ in range(3):
             rise = stepper.step(rise, power)
-        # Manual backward Euler with a fresh factorization.
-        from scipy.sparse import diags
-        from scipy.sparse.linalg import factorized
-
-        solve = factorized(
-            (
-                diags(example_grid.capacitance_vector / 1e-3)
-                + example_grid.conductance_matrix
-            ).tocsc()
+        # Manual backward Euler on a freshly prepared solve of C/dt + G:
+        # bitwise the stepper, and within SPECTRAL_RTOL of the same
+        # recurrence on the sparse-direct reference.
+        system = (
+            diags(example_grid.capacitance_vector / 1e-3)
+            + example_grid.conductance_matrix
         )
+        fresh = _SpectralSolve(
+            example_grid, system, example_grid.cell_heat_capacity_j_per_k() / 1e-3
+        )
+        reference = direct_solve(system)
         manual = np.zeros(example_grid.nx * example_grid.ny)
+        direct = np.zeros(example_grid.nx * example_grid.ny)
         for _ in range(3):
-            manual = solve(power + example_grid.capacitance_vector / 1e-3 * manual)
+            manual = fresh(power + example_grid.capacitance_vector / 1e-3 * manual)
+            direct = reference(power + example_grid.capacitance_vector / 1e-3 * direct)
         assert np.array_equal(rise, manual)
+        assert np.max(np.abs(manual - direct) / np.abs(direct)) <= SPECTRAL_RTOL
 
     def test_stacked_state_matches_per_column_steps(
         self, example_grid, example_power_map
@@ -146,9 +150,9 @@ class TestStepper:
 class TestStackLayout:
     """Stacks are column-major: either memory order in, contiguous columns out."""
 
-    @pytest.fixture(params=["direct", "spectral"])
-    def operator(self, request, example_grid):
-        return ThermalOperator(example_grid, method=request.param)
+    @pytest.fixture
+    def operator(self, example_grid):
+        return ThermalOperator(example_grid)
 
     @pytest.fixture
     def stacks(self, example_power_map):
@@ -181,9 +185,9 @@ class TestStackLayout:
 class TestStepperBoundary:
     """``ThermalStepper.step`` rejects malformed states and power vectors."""
 
-    @pytest.fixture(params=["direct", "spectral"])
-    def stepper(self, request, example_grid):
-        return ThermalOperator(example_grid, method=request.param).stepper(1e-3)
+    @pytest.fixture
+    def stepper(self, example_grid):
+        return ThermalOperator(example_grid).stepper(1e-3)
 
     def test_wrong_row_count_names_the_argument(self, stepper):
         size = stepper.grid.nx * stepper.grid.ny
@@ -220,95 +224,6 @@ class TestStepperBoundary:
             ThermalOperator(example_grid).steady_rise(power)
 
 
-class TestIterativeFallback:
-    """The solve ``auto`` falls back to above the unknown-count threshold.
-
-    That fallback is the exact spectral (DCT) solve; these check it
-    against the sparse-direct factorization, and how ``method``
-    resolves, caches and reaches the solver entry points.
-    """
-
-    @pytest.fixture(scope="class")
-    def grid_and_power(self):
-        return _grid_at(24)
-
-    def test_steady_agrees_with_direct(self, grid_and_power):
-        grid, power = grid_and_power
-        rhs = power.values_w.reshape(-1)
-        direct = ThermalOperator(grid, method="direct").steady_rise(rhs)
-        spectral = ThermalOperator(grid, method="spectral").steady_rise(rhs)
-        assert np.max(np.abs(spectral - direct) / np.abs(direct)) <= SPECTRAL_RTOL
-
-    def test_multi_rhs_agrees_with_direct(self, grid_and_power):
-        grid, power = grid_and_power
-        rhs = power.values_w.reshape(-1)
-        stack = np.stack([rhs, 0.25 * rhs, 2.0 * rhs], axis=1)
-        direct = ThermalOperator(grid, method="direct").steady_rise(stack)
-        spectral = ThermalOperator(grid, method="spectral").steady_rise(stack)
-        assert spectral.shape == direct.shape == stack.shape
-        assert np.max(np.abs(spectral - direct) / np.abs(direct)) <= SPECTRAL_RTOL
-
-    def test_transient_stepping_agrees_with_direct(self, grid_and_power):
-        grid, power = grid_and_power
-        rhs = power.values_w.reshape(-1)
-        direct = ThermalOperator(grid, method="direct").stepper(0.01)
-        spectral = ThermalOperator(grid, method="spectral").stepper(0.01)
-        rise_d = np.zeros(grid.nx * grid.ny)
-        rise_s = np.zeros(grid.nx * grid.ny)
-        # The agreement bound must hold at every step, not just the first.
-        for _ in range(20):
-            rise_d = direct.step(rise_d, rhs)
-            rise_s = spectral.step(rise_s, rhs)
-            assert np.max(np.abs(rise_s - rise_d) / np.abs(rise_d)) <= SPECTRAL_RTOL
-
-    def test_auto_routes_by_unknown_count(self, monkeypatch, grid_and_power):
-        grid, _power = grid_and_power
-        assert ThermalOperator(grid, method="auto").method == "direct"
-        monkeypatch.setattr(ThermalOperator, "spectral_threshold", 100)
-        assert ThermalOperator(grid, method="auto").method == "spectral"
-
-    def test_explicit_methods_get_distinct_cache_entries(self, grid_and_power):
-        grid, _power = grid_and_power
-        ThermalOperator.clear_cache()
-        auto = ThermalOperator.for_grid(grid)
-        direct = ThermalOperator.for_grid(grid, method="direct")
-        spectral = ThermalOperator.for_grid(grid, method="spectral")
-        # auto resolves to direct at 24x24, so those two share one entry.
-        assert auto is direct
-        assert spectral is not direct
-        assert ThermalOperator.cache_size() == 2
-
-    def test_solver_entry_points_accept_method(self, grid_and_power):
-        grid, power = grid_and_power
-        direct = solve_steady_state(grid, power, 45.0, method="direct")
-        spectral = solve_steady_state(grid, power, 45.0, method="spectral")
-        assert np.allclose(
-            spectral.values_c, direct.values_c, rtol=SPECTRAL_RTOL, atol=0.0
-        )
-        transient = solve_transient(
-            grid, lambda t: power, duration_s=0.05, timestep_s=0.01, method="spectral"
-        )
-        reference = solve_transient(
-            grid, lambda t: power, duration_s=0.05, timestep_s=0.01, method="direct"
-        )
-        assert np.allclose(
-            transient.final.values_c,
-            reference.final.values_c,
-            rtol=SPECTRAL_RTOL,
-            atol=0.0,
-        )
-
-    def test_unknown_method_rejected(self, grid_and_power):
-        grid, _power = grid_and_power
-        with pytest.raises(TechnologyError):
-            ThermalOperator(grid, method="cholesky")
-        with pytest.raises(TechnologyError):
-            ThermalOperator.for_grid(grid, method="cholesky")
-        for removed in ("iterative", "multigrid"):
-            with pytest.raises(TechnologyError):
-                ThermalOperator(grid, method=removed)
-
-
 class TestWarmStartKeying:
     """Solves of different right-hand-side shapes cannot pollute each other.
 
@@ -340,7 +255,7 @@ class TestWarmStartKeying:
 
     def test_stack_solve_unpolluted_by_prior_vector_solve(self, solve_and_rhs):
         grid, solve, rhs = solve_and_rhs
-        reference = spsolve(grid.conductance_matrix.tocsc(), 3.0 * rhs)
+        reference = direct_solve(grid.conductance_matrix)(3.0 * rhs)
         solve(rhs)  # would be a bad initial guess for the stack below
         stack = solve(np.stack([3.0 * rhs, np.zeros_like(rhs)], axis=1))
         assert np.max(np.abs(stack[:, 0] - reference) / np.abs(reference)) <= SPECTRAL_RTOL

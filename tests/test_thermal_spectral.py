@@ -1,16 +1,19 @@
 """Tests for the exact DCT-diagonalized (spectral) thermal solve.
 
-Four layers of evidence:
+The spectral solve is the package's only thermal solve.  Four layers
+of evidence:
 
-* agreement with the sparse-direct factorization to 1e-10 relative on
-  steady, multi-RHS and transient workloads over square, non-square,
-  odd and two-cell grid extents, plus a hypothesis property over random
-  grid parameters and timesteps,
+* agreement with the sparse-direct reference (``oracles.direct_solve``)
+  to 1e-10 relative on steady, multi-RHS and transient workloads over
+  square, non-square, odd and two-cell grid extents, plus a hypothesis
+  property over random grid parameters and timesteps,
 * block solves whose columns are bitwise the single-column solves,
 * the set-up guard rejecting a matrix that is not the uniform stencil
   the transform diagonalizes, and
-* ``auto`` serving the 256x256 full die without a factorization, and
-  ``import repro`` not paying for ``scipy.fft``.
+* the 256x256 full die served exactly (energy conservation, agreement
+  with the reference, DTM traces equal to a reference-stepped run), and
+  ``import repro`` paying for neither ``scipy.fft`` nor
+  ``scipy.sparse.linalg``.
 """
 
 import os
@@ -22,6 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles import direct_solve, direct_stepper, dtm_run_scalar
 from repro.core import DynamicThermalManager
 from repro.experiments import example_policy_set
 from repro.oscillator import RingConfiguration
@@ -38,6 +42,7 @@ SPECTRAL_RTOL = 1e-10
 
 #: (width_mm, height_mm, nx, ny): square, non-square, odd and two-cell.
 EXTENTS = [
+    (8.0, 8.0, 24, 24),
     (8.0, 8.0, 48, 48),
     (8.0, 8.0, 96, 96),
     (10.0, 6.0, 40, 24),
@@ -67,19 +72,19 @@ def grid_and_rhs(request):
 
 
 class TestSpectralSolves:
-    """The spectral solve against the sparse-direct factorization."""
+    """The spectral solve against the sparse-direct reference."""
 
     def test_steady_agrees_with_direct(self, grid_and_rhs):
         grid, rhs = grid_and_rhs
-        direct = ThermalOperator(grid, method="direct").steady_rise(rhs)
-        spectral = ThermalOperator(grid, method="spectral").steady_rise(rhs)
+        direct = direct_solve(grid.conductance_matrix)(rhs)
+        spectral = ThermalOperator(grid).steady_rise(rhs)
         assert _relative_error(spectral, direct) <= SPECTRAL_RTOL
 
     def test_multi_rhs_agrees_with_direct(self, grid_and_rhs):
         grid, rhs = grid_and_rhs
         stack = np.stack([rhs, 0.25 * rhs, np.zeros_like(rhs), 2.0 * rhs], axis=1)
-        direct = ThermalOperator(grid, method="direct").steady_rise(stack)
-        spectral = ThermalOperator(grid, method="spectral").steady_rise(stack)
+        direct = direct_solve(grid.conductance_matrix)(stack)
+        spectral = ThermalOperator(grid).steady_rise(stack)
         assert spectral.shape == stack.shape
         # The zero column must come back exactly zero, not noise.
         assert np.array_equal(spectral[:, 2], np.zeros(rhs.size))
@@ -88,10 +93,11 @@ class TestSpectralSolves:
 
     def test_transient_stepping_agrees_with_direct(self, grid_and_rhs):
         grid, rhs = grid_and_rhs
-        direct = ThermalOperator(grid, method="direct").stepper(0.01)
-        spectral = ThermalOperator(grid, method="spectral").stepper(0.01)
+        direct = direct_stepper(grid, 0.01)
+        spectral = ThermalOperator(grid).stepper(0.01)
         rise_d = np.zeros(grid.nx * grid.ny)
         rise_s = np.zeros(grid.nx * grid.ny)
+        # The agreement bound must hold at every step, not just the first.
         for _ in range(20):
             rise_d = direct.step(rise_d, rhs)
             rise_s = spectral.step(rise_s, rhs)
@@ -99,7 +105,7 @@ class TestSpectralSolves:
 
     def test_block_columns_equal_single_solves(self, grid_and_rhs):
         grid, rhs = grid_and_rhs
-        operator = ThermalOperator(grid, method="spectral")
+        operator = ThermalOperator(grid)
         stack = np.stack([rhs, 0.5 * rhs, rhs[::-1].copy()], axis=1)
         block = operator.steady_rise(stack)
         stepper = operator.stepper(1e-3)
@@ -147,13 +153,12 @@ class TestSpectralPropertyBased:
         )
         grid = ThermalGrid(width_mm, height_mm, nx, ny, parameters)
         rhs = np.random.default_rng(data_seed).uniform(0.1, 1.0, (nx * ny, 2))
-        direct = ThermalOperator(grid, method="direct")
-        spectral = ThermalOperator(grid, method="spectral")
+        spectral = ThermalOperator(grid)
         if timestep_s is None:
-            expected = direct.steady_rise(rhs)
+            expected = direct_solve(grid.conductance_matrix)(rhs)
             actual = spectral.steady_rise(rhs)
         else:
-            expected = direct.stepper(timestep_s).step(rhs, rhs)
+            expected = direct_stepper(grid, timestep_s).step(rhs, rhs)
             actual = spectral.stepper(timestep_s).step(rhs, rhs)
         assert _relative_error(actual, expected) <= SPECTRAL_RTOL
 
@@ -166,7 +171,7 @@ class TestSetUpGuard:
         perturbed = grid.conductance_matrix.tolil()
         perturbed[40, 40] *= 1.0 + 1e-6
         grid._conductance = perturbed.tocsr()
-        operator = ThermalOperator(grid, method="spectral")
+        operator = ThermalOperator(grid)
         with pytest.raises(TechnologyError, match="uniform five-point stencil"):
             operator.steady_solve()
         with pytest.raises(TechnologyError, match="uniform five-point stencil"):
@@ -177,29 +182,19 @@ class TestSetUpGuard:
         capacitance = grid.capacitance_vector.copy()
         capacitance[7] *= 2.0
         grid._capacitance = capacitance
-        operator = ThermalOperator(grid, method="spectral")
+        operator = ThermalOperator(grid)
         operator.steady_solve()  # G itself is still the uniform stencil
         with pytest.raises(TechnologyError, match="uniform five-point stencil"):
             operator.stepper(1e-3)
 
 
 class TestFullDieAutoRouting:
-    """256x256: ``auto`` serves the full die without factorizing."""
+    """256x256: the spectral solve serves the full die exactly."""
 
-    def test_steady_and_transient_without_factorizing(self, monkeypatch):
-        import repro.thermal.operator as operator_module
-
-        def forbidden(*_args, **_kwargs):  # pragma: no cover - failure path
-            raise AssertionError(
-                "auto routed a full-die solve through the direct factorization"
-            )
-
-        monkeypatch.setattr(operator_module, "factorized", forbidden)
+    def test_steady_and_transient_without_factorizing(self):
         ThermalOperator.clear_cache()
         grid, power = _grid_at(256)
         operator = ThermalOperator.for_grid(grid)
-        assert operator.method == "spectral"
-
         # Steady state: the mean rise over a uniform-conductance die is
         # pinned by energy conservation to R_ja * P_total.
         rise = operator.steady_rise(power.values_w.reshape(-1))
@@ -227,53 +222,65 @@ class TestFullDieAutoRouting:
     def test_agrees_with_direct_at_full_die(self):
         grid, power = _grid_at(256)
         rhs = power.values_w.reshape(-1)
-        direct = ThermalOperator(grid, method="direct")
-        spectral = ThermalOperator(grid, method="spectral")
+        spectral = ThermalOperator(grid)
         assert _relative_error(
-            spectral.steady_rise(rhs), direct.steady_rise(rhs)
+            spectral.steady_rise(rhs), direct_solve(grid.conductance_matrix)(rhs)
         ) <= SPECTRAL_RTOL
-        rise_d = direct.stepper(0.02).step(np.zeros_like(rhs), rhs)
+        rise_d = direct_stepper(grid, 0.02).step(np.zeros_like(rhs), rhs)
         rise_s = spectral.stepper(0.02).step(np.zeros_like(rhs), rhs)
         assert _relative_error(rise_s, rise_d) <= SPECTRAL_RTOL
 
     def test_dtm_state_traces_match_direct(self):
         floorplan = Floorplan.example_processor()
         floorplan.add_sensor_grid(3, 3)
-        managers = {
-            method: DynamicThermalManager(
-                CMOS035,
-                floorplan,
-                RingConfiguration.parse("2INV+3NAND2"),
-                grid_resolution=256,
-                solve_method=method,
-            )
-            for method in ("direct", "auto")
-        }
+        manager = DynamicThermalManager(
+            CMOS035,
+            floorplan,
+            RingConfiguration.parse("2INV+3NAND2"),
+            grid_resolution=256,
+        )
         # A low limit makes the policies throttle within the run, so the
         # traces exercise state changes rather than a constant state.
         policies = example_policy_set(limit_c=60.0)
         assert len(policies) == 4
         run_kw = dict(duration_s=0.2, control_interval_s=0.02, workload_scale=1.2)
-        runs = {
-            m: manager.run(policy=policies["default"], **run_kw)
-            for m, manager in managers.items()
-        }
-        banks = {m: manager.run_bank(policies, **run_kw) for m, manager in managers.items()}
-        states = [p.state_name for p in runs["auto"].trace]
-        assert states == [p.state_name for p in runs["direct"].trace]
-        assert len(set(states)) > 1
-        assert np.array_equal(banks["auto"].state_indices, banks["direct"].state_indices)
-        assert len(np.unique(banks["auto"].state_indices)) > 1
+        grid = ThermalGrid.for_power_map(
+            manager.base_power_map, manager.monitor.thermal_parameters
+        )
+        reference = direct_stepper(grid, run_kw["control_interval_s"])
+        bank = manager.run_bank(policies, **run_kw)
+        for label, policy in policies.items():
+            direct = [
+                p.state_name
+                for p in dtm_run_scalar(manager, policy, stepper=reference, **run_kw).trace
+            ]
+            assert [p.state_name for p in bank.to_result(label).trace] == direct
+            if label == "default":
+                states = [
+                    p.state_name for p in manager.run(policy=policy, **run_kw).trace
+                ]
+                assert states == direct
+                assert len(set(states)) > 1
+        assert len(np.unique(bank.state_indices)) > 1
 
 
-def test_import_repro_does_not_import_scipy_fft():
+def _imported_after_import_repro(module: str) -> bool:
+    """Whether ``import repro`` in a fresh interpreter imports ``module``."""
     source = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.abspath(source)] + [p for p in [env.get("PYTHONPATH")] if p]
     )
-    probe = "import sys, repro; print('scipy.fft' in sys.modules)"
+    probe = f"import sys, repro; print({module!r} in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip() == "True"
+
+
+def test_import_repro_does_not_import_scipy_fft():
+    assert not _imported_after_import_repro("scipy.fft")
+
+
+def test_import_repro_does_not_import_scipy_sparse_linalg():
+    assert not _imported_after_import_repro("scipy.sparse.linalg")
