@@ -137,8 +137,7 @@ def transient_step_count(duration_s: float, timestep_s: float) -> int:
     A ratio within 1e-9 relative of an integer is that integer, so float
     error cannot add a step (``0.14 / 0.02`` is 7.000000000000001 and
     spans 7 steps, not 8); any other ratio rounds up.  The circuit
-    simulator, the thermal transient solve and the DTM loop all count
-    their steps this way.
+    simulator and the DTM loop both count their steps this way.
     """
     ratio = duration_s / timestep_s
     nearest = round(ratio)

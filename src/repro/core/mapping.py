@@ -14,7 +14,7 @@ design questions the smart unit's multiplexed readout exists to answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from ..tech.parameters import Technology, TechnologyError
 from ..thermal.floorplan import Floorplan, SensorSite
 from ..thermal.grid import TemperatureMap, ThermalGrid, ThermalGridParameters
 from ..thermal.power import PowerMap
-from ..thermal.solver import solve_steady_state
+from ..thermal.operator import solve_steady_state
 from .readout import ReadoutConfig
 from .sensor_bank import BankScan, SensorBank
 
@@ -174,8 +174,6 @@ class ThermalMonitor:
         self.thermal_parameters = thermal_parameters
         self.bank = SensorBank(self.library, sites, configuration, readout=readout)
         self._sites: Dict[str, SensorSite] = {site.name: site for site in sites}
-        self._grid: Optional[ThermalGrid] = None
-        self._grid_key: Optional[Tuple[float, float, int, int]] = None
 
     # ------------------------------------------------------------------ #
     # setup
@@ -193,23 +191,15 @@ class ThermalMonitor:
     # thermal field
     # ------------------------------------------------------------------ #
 
-    def _grid_for(self, power: PowerMap) -> ThermalGrid:
-        """The thermal grid of a power map (cached per geometry).
-
-        Repeated scans of same-resolution workloads reuse both the grid
-        matrices and — through the process-wide
-        :class:`~repro.thermal.operator.ThermalOperator` cache — their
-        prepared solve.
-        """
-        key = (power.width_mm, power.height_mm, power.nx, power.ny)
-        if self._grid is None or self._grid_key != key:
-            self._grid = ThermalGrid.for_power_map(power, self.thermal_parameters)
-            self._grid_key = key
-        return self._grid
-
     def temperature_field(self, power: PowerMap) -> TemperatureMap:
-        """Reference temperature field for a workload power map."""
-        return solve_steady_state(self._grid_for(power), power, self.ambient_c)
+        """Reference temperature field for a workload power map.
+
+        Same-geometry workloads share one prepared solve through the
+        process-wide :class:`~repro.thermal.operator.ThermalOperator`
+        cache.
+        """
+        grid = ThermalGrid.for_power_map(power, self.thermal_parameters)
+        return solve_steady_state(grid, power, self.ambient_c)
 
     def power_map_for_floorplan(self) -> PowerMap:
         """Rasterised power map of the monitor's floorplan."""

@@ -1,11 +1,10 @@
-"""Die thermal substrate: floorplan, power maps, RC grid, solvers."""
+"""Die thermal substrate: floorplan, power maps, RC grid, the thermal solve."""
 
 from .floorplan import Floorplan, FunctionalBlock, SensorSite
 from .power import PowerMap
 from .grid import TemperatureMap, ThermalGrid, ThermalGridParameters
-from .operator import ThermalOperator, ThermalStepper
-from .solver import TransientThermalResult, solve_steady_state, solve_transient
-from .selfheating import SelfHeatingReport, duty_cycle_study, self_heating_error
+from .operator import ThermalOperator, ThermalStepper, solve_steady_state
+from .selfheating import SelfHeatingReport, duty_cycle_study
 
 __all__ = [
     "Floorplan",
@@ -17,10 +16,7 @@ __all__ = [
     "ThermalGridParameters",
     "ThermalOperator",
     "ThermalStepper",
-    "TransientThermalResult",
     "solve_steady_state",
-    "solve_transient",
     "SelfHeatingReport",
     "duty_cycle_study",
-    "self_heating_error",
 ]

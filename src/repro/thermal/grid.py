@@ -12,6 +12,10 @@ model — the thermal analogue of an electrical RC network — is used:
 * each cell has a heat capacity, giving the transient time constants
   needed by the self-heating and duty-cycling studies.
 
+The grid is pure geometry plus its stencil: no matrix is assembled.
+:meth:`ThermalGrid.apply_conductance` applies the conductance operator
+``G`` by array slicing, and the heat capacity is one scalar per cell.
+
 The defaults correspond to a package with a forced-air heatsink
 (junction-to-ambient around 4 K/W for an 8x8 mm die), representative of
 the 10-15 W processors of the 0.35 um era the paper targets.
@@ -24,36 +28,11 @@ from dataclasses import dataclass, fields
 from typing import Tuple
 
 import numpy as np
-from scipy import sparse
 
 from ..tech.parameters import TechnologyError
-from .power import PowerMap
+from .power import PowerMap, _positive_finite, _resolution
 
 __all__ = ["ThermalGridParameters", "ThermalGrid", "TemperatureMap", "bilinear_sample"]
-
-
-def _positive_finite(value, name: str) -> float:
-    """``value`` as a float; :class:`TechnologyError` naming ``name`` unless
-    it is a real number that is positive and finite."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = math.nan
-    if isinstance(value, (bool, str)) or not (math.isfinite(number) and number > 0.0):
-        raise TechnologyError(f"{name} must be positive and finite, got {value!r}")
-    return number
-
-
-def _resolution(value, name: str) -> int:
-    """``value`` as an int; :class:`TechnologyError` naming ``name`` unless
-    it is an integral number of at least 2."""
-    try:
-        integral = int(value) == value
-    except (TypeError, ValueError, OverflowError):
-        integral = False
-    if not integral or int(value) < 2:
-        raise TechnologyError(f"{name} must be an integer >= 2, got {value!r}")
-    return int(value)
 
 
 def bilinear_sample(values, width_mm: float, height_mm: float, xs_mm, ys_mm) -> np.ndarray:
@@ -232,8 +211,6 @@ class ThermalGrid:
                     f"the {name} of a {self.ny}x{self.nx} cell is {value!r}; "
                     "the die dimensions and parameters over- or underflow"
                 )
-        self._conductance = self._build_conductance_matrix()
-        self._capacitance = self._build_capacitance_vector()
 
     @classmethod
     def for_power_map(
@@ -243,11 +220,8 @@ class ThermalGrid:
         return cls(power.width_mm, power.height_mm, power.nx, power.ny, parameters)
 
     # ------------------------------------------------------------------ #
-    # matrix construction
+    # cell geometry and conductances
     # ------------------------------------------------------------------ #
-
-    def _index(self, column: int, row: int) -> int:
-        return row * self.nx + column
 
     @property
     def cell_width_mm(self) -> float:
@@ -282,64 +256,36 @@ class ThermalGrid:
         volume = self.cell_area_mm2 * self.parameters.die_thickness_mm
         return volume * self.parameters.volumetric_heat_capacity_j_per_mm3k
 
-    def _build_conductance_matrix(self) -> sparse.csr_matrix:
-        """Vectorized COO assembly of the five-point stencil.
+    # ------------------------------------------------------------------ #
+    # the stencil
+    # ------------------------------------------------------------------ #
 
-        Replaces a per-cell ``lil_matrix`` loop whose Python overhead
-        dominated large-grid construction (seconds at 256x256, minutes
-        at 512x512 — full-die resolutions the spectral solve serves).
-        Each diagonal term is accumulated in the same order the loop
-        used (below-neighbour, left-neighbour, vertical, right-neighbour,
-        above-neighbour), so the assembled matrix is bit-identical to
-        the historical one.
+    def apply_conductance(self, x) -> np.ndarray:
+        """``G @ x``: the five-point stencil with adiabatic edges.
+
+        ``G * dT = P`` is the steady-state balance: each cell loses heat
+        through its vertical conductance to ambient and through the
+        lateral conductance to each of its (up to four) neighbours.
+        ``x`` is an ``(n,)`` vector or an ``(n, k)`` stack; a stack is
+        read as ``k`` ``(ny, nx)`` planes, so a column-major stack needs
+        no copy (a C-ordered one costs one transposing copy).  Returns
+        ``x``'s shape with contiguous columns.
         """
-        nx, ny = self.nx, self.ny
-        size = nx * ny
-        g_vertical = self.vertical_conductance_w_per_k()
-        g_h = self.lateral_conductance_w_per_k(horizontal=True)
-        g_v = self.lateral_conductance_w_per_k(horizontal=False)
-        index = np.arange(size).reshape(ny, nx)
-
-        diagonal = np.zeros((ny, nx))
-        diagonal[1:, :] += g_v       # edge to the cell below
-        diagonal[:, 1:] += g_h       # edge to the cell on the left
-        diagonal += g_vertical       # package path to ambient
-        diagonal[:, :-1] += g_h      # edge to the cell on the right
-        diagonal[:-1, :] += g_v      # edge to the cell above
-
-        left = index[:, :-1].ravel()
-        right = index[:, 1:].ravel()
-        below = index[:-1, :].ravel()
-        above = index[1:, :].ravel()
-        rows = np.concatenate([index.ravel(), left, right, below, above])
-        cols = np.concatenate([index.ravel(), right, left, above, below])
-        data = np.concatenate(
-            [
-                diagonal.ravel(),
-                np.full(left.size, -g_h),
-                np.full(right.size, -g_h),
-                np.full(below.size, -g_v),
-                np.full(above.size, -g_v),
-            ]
+        x = np.asarray(x, dtype=float)
+        planes = np.ascontiguousarray(x.T).reshape(x.shape[1:] + (self.ny, self.nx))
+        result = self.vertical_conductance_w_per_k() * planes
+        # Heat flowing across each horizontal / vertical edge.
+        across = self.lateral_conductance_w_per_k(True) * (
+            planes[..., :, 1:] - planes[..., :, :-1]
         )
-        return sparse.coo_matrix((data, (rows, cols)), shape=(size, size)).tocsr()
-
-    def _build_capacitance_vector(self) -> np.ndarray:
-        return np.full(self.nx * self.ny, self.cell_heat_capacity_j_per_k())
-
-    # ------------------------------------------------------------------ #
-    # access used by the solver
-    # ------------------------------------------------------------------ #
-
-    @property
-    def conductance_matrix(self) -> sparse.csr_matrix:
-        """Sparse conductance matrix G such that ``G * dT = P``."""
-        return self._conductance
-
-    @property
-    def capacitance_vector(self) -> np.ndarray:
-        """Per-cell heat capacities (J/K)."""
-        return self._capacitance
+        result[..., :, :-1] -= across
+        result[..., :, 1:] += across
+        across = self.lateral_conductance_w_per_k(False) * (
+            planes[..., 1:, :] - planes[..., :-1, :]
+        )
+        result[..., :-1, :] -= across
+        result[..., 1:, :] += across
+        return result.reshape(x.shape[::-1]).T
 
     def junction_to_ambient_resistance_k_per_w(self) -> float:
         """Effective whole-die junction-to-ambient resistance.

@@ -15,8 +15,8 @@ change between calls, so preparing its solve once pays off.
   so every transient integration with the same step reuses it, and
 * operators are cached process-wide (LRU, bounded), keyed by the grid's
   *defining* geometry and physical parameters (two :class:`ThermalGrid`
-  instances built from the same floorplan resolution produce identical
-  matrices, so they share one operator) — which is what lets the
+  instances built from the same floorplan resolution have identical
+  stencils, so they share one operator) — which is what lets the
   managed and unmanaged DTM runs, every thermal-map scan of a monitor,
   and every candidate of a placement search share a single prepared
   solve.
@@ -29,8 +29,9 @@ DCT-II, which diagonalizes every thermal grid's constant-coefficient
 five-point stencil (adiabatic edges, uniform vertical conductance and
 capacitance): a solve is ``idctn(dctn(b) / eigenvalues)``, O(n log n)
 with O(n) memory, for ``G`` and ``C/dt + G`` alike, at every grid
-resolution.  Set-up checks the matrix against the stencil with one
-probe SpMV and raises :class:`TechnologyError` on a mismatch.
+resolution.  Set-up checks the grid's stencil
+(:meth:`ThermalGrid.apply_conductance`) against the eigenvalues with
+one probe and raises :class:`TechnologyError` on a mismatch.
 
 An ``(n, k)`` stack of right-hand sides is solved in one call (one
 batched transform), so ``ThermalStepper.step``, ``steady_rise`` and
@@ -41,9 +42,9 @@ returns stacks in that layout (it transforms the planes in place); a
 C-ordered stack is still accepted, at the price of one transposing
 copy.
 
-The solvers in :mod:`repro.thermal.solver`, the self-heating study and
-the DTM manager are all thin layers over this class; no other module
-prepares a thermal solve.
+:func:`solve_steady_state`, the self-heating study and the DTM manager
+are all thin layers over this class; no other module prepares a
+thermal solve.
 
 Concurrency and fork semantics
 ------------------------------
@@ -70,13 +71,12 @@ from collections import OrderedDict
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import diags
 
 from ..tech.parameters import TechnologyError
 from .grid import TemperatureMap, ThermalGrid
 from .power import PowerMap
 
-__all__ = ["ThermalOperator", "ThermalStepper"]
+__all__ = ["ThermalOperator", "ThermalStepper", "solve_steady_state"]
 
 #: Process-wide operator cache.  Bounded so a long-running sweep over
 #: many distinct grid geometries cannot grow it without limit; eviction
@@ -98,10 +98,10 @@ _OPERATORS: "OrderedDict[Tuple, ThermalOperator]" = OrderedDict()
 #: evict a just-inserted operator (or blow past the limit).
 _CACHE_LOCK = threading.Lock()
 
-#: Relative tolerance of the spectral set-up guard: the probe SpMV and
-#: the DCT-diagonalized forward operator agree to ~1e-15 relative on
-#: every uniform grid here, while a single perturbed stencil entry
-#: shows up many orders of magnitude above this.
+#: Relative tolerance of the spectral set-up guard: the grid's stencil
+#: and the DCT-diagonalized forward operator agree to ~1e-15 relative
+#: on one probe on every uniform grid here, while a single perturbed
+#: stencil entry shows up many orders of magnitude above this.
 _SPECTRAL_GUARD_RTOL = 1e-11
 
 
@@ -125,13 +125,13 @@ class _SpectralSolve:
     a column-major stack needs no copy, and the result is column-major
     whatever the input's memory order.
 
-    Set-up checks the ``matrix`` it was handed against the stencil it
-    diagonalizes with one probe SpMV, so a grid whose matrix is not the
-    uniform stencil raises :class:`TechnologyError` instead of getting
-    a silently wrong answer.
+    Set-up checks ``grid.apply_conductance(probe) + shift * probe``
+    against the eigenvalues it diagonalizes with, for one random probe,
+    so a grid whose stencil is not the uniform one raises
+    :class:`TechnologyError` instead of getting a silently wrong answer.
     """
 
-    def __init__(self, grid: ThermalGrid, matrix, shift: float = 0.0) -> None:
+    def __init__(self, grid: ThermalGrid, shift: float = 0.0) -> None:
         # Imported here, not at module level: scipy.fft costs ~85 ms and
         # ``import repro`` must not pay it.
         from scipy.fft import dctn, idctn
@@ -149,7 +149,7 @@ class _SpectralSolve:
             + row_modes[:, np.newaxis]
             + column_modes[np.newaxis, :]
         )
-        self._check_matrix(matrix, eigenvalues)
+        self._check_stencil(grid, shift, eigenvalues)
         self._inverse_eigenvalues = 1.0 / eigenvalues
 
     def _apply(self, rhs: np.ndarray, factors: np.ndarray) -> np.ndarray:
@@ -166,18 +166,15 @@ class _SpectralSolve:
             spectrum, type=2, axes=(-2, -1), norm="ortho", overwrite_x=True
         ).reshape(rhs.shape[::-1]).T
 
-    def _check_matrix(self, matrix, eigenvalues: np.ndarray) -> None:
-        size = eigenvalues.size
-        if matrix.shape != (size, size):
-            raise TechnologyError(
-                f"spectral solve needs a {size}x{size} matrix, got {matrix.shape}"
-            )
-        probe = np.random.default_rng(0).standard_normal(size)
-        expected = matrix @ probe
+    def _check_stencil(
+        self, grid: ThermalGrid, shift: float, eigenvalues: np.ndarray
+    ) -> None:
+        probe = np.random.default_rng(0).standard_normal(eigenvalues.size)
+        expected = grid.apply_conductance(probe) + shift * probe
         error = np.max(np.abs(self._apply(probe, eigenvalues) - expected))
         if not error <= _SPECTRAL_GUARD_RTOL * np.max(np.abs(expected)):
             raise TechnologyError(
-                f"the {self._shape[0]}x{self._shape[1]} thermal matrix is not the "
+                f"the {self._shape[0]}x{self._shape[1]} thermal stencil is not the "
                 "uniform five-point stencil the spectral solve diagonalizes"
             )
 
@@ -223,7 +220,9 @@ class ThermalStepper:
         self.grid = grid
         self.timestep_s = float(timestep_s)
         self._solve = solve
-        self._capacitance_over_dt = grid.capacitance_vector / self.timestep_s
+        self._capacitance_over_dt = (
+            grid.cell_heat_capacity_j_per_k() / self.timestep_s
+        )
 
     def step(self, rise: np.ndarray, power_w: np.ndarray) -> np.ndarray:
         """Advance the flattened temperature-rise state one timestep.
@@ -238,8 +237,7 @@ class ThermalStepper:
             contiguous); the returned stack is too.  A C-ordered stack
             works, and costs one transposing copy.
         power_w:
-            Power injected during the step, flattened to the same shape
-            (columns broadcast against the capacitance vector).
+            Power injected during the step, flattened to the same shape.
 
         Raises :class:`TechnologyError` when either argument does not
         have the grid's row count, the shapes differ, or an entry is
@@ -251,11 +249,7 @@ class ThermalStepper:
             raise TechnologyError(
                 f"power_w has shape {power.shape}, rise has {rise.shape}"
             )
-        if rise.ndim == 2:
-            rhs = power + self._capacitance_over_dt[:, np.newaxis] * rise
-        else:
-            rhs = power + self._capacitance_over_dt * rise
-        return self._solve(rhs)
+        return self._solve(power + self._capacitance_over_dt * rise)
 
 
 class ThermalOperator:
@@ -282,11 +276,11 @@ class ThermalOperator:
 
     @classmethod
     def _cache_key(cls, grid: ThermalGrid) -> Tuple:
-        """The matrix-defining fingerprint of a grid.
+        """The stencil-defining fingerprint of a grid.
 
-        Two grids with equal geometry and physical parameters build
-        bit-identical conductance/capacitance matrices, so they may
-        share one operator (and therefore one prepared solve).
+        Two grids with equal geometry and physical parameters have
+        bit-identical stencils and heat capacities, so they may share
+        one operator (and therefore one prepared solve).
         """
         return (grid.width_mm, grid.height_mm, grid.nx, grid.ny, grid.parameters)
 
@@ -334,9 +328,7 @@ class ThermalOperator:
         """The prepared steady-state solve ``x = G \\ rhs`` (cached)."""
         with self._solve_lock:
             if self._steady_solve is None:
-                self._steady_solve = _SpectralSolve(
-                    self.grid, self.grid.conductance_matrix
-                )
+                self._steady_solve = _SpectralSolve(self.grid)
             return self._steady_solve
 
     def steady_rise(self, power_w: np.ndarray) -> np.ndarray:
@@ -401,12 +393,8 @@ class ThermalOperator:
         with self._solve_lock:
             solve = self._transient_solves.get(dt)
             if solve is None:
-                system = (
-                    diags(self.grid.capacitance_vector / dt)
-                    + self.grid.conductance_matrix
-                )
                 solve = _SpectralSolve(
-                    self.grid, system, self.grid.cell_heat_capacity_j_per_k() / dt
+                    self.grid, self.grid.cell_heat_capacity_j_per_k() / dt
                 )
                 self._transient_solves[dt] = solve
                 while len(self._transient_solves) > _TIMESTEP_CACHE_LIMIT:
@@ -421,3 +409,18 @@ class ThermalOperator:
             f"steady={'cached' if self._steady_solve is not None else 'cold'}, "
             f"timesteps={sorted(self._transient_solves)})"
         )
+
+
+def solve_steady_state(
+    grid: ThermalGrid, power: PowerMap, ambient_c: float = 45.0
+) -> TemperatureMap:
+    """Steady-state junction temperatures for a constant power map.
+
+    Solves ``G * dT = P`` for the temperature rise above ambient and adds
+    the ambient temperature.  ``ambient_c`` represents the local ambient
+    (board/package) temperature, not the room.  The prepared solve comes
+    from the shared :class:`ThermalOperator` cache, so repeated solves on
+    equal grids prepare it once; each solve is an exact DCT solve,
+    O(n log n) time and O(n) memory.
+    """
+    return ThermalOperator.for_grid(grid).solve_steady_state(power, ambient_c)

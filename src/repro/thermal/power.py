@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -11,6 +12,30 @@ from ..tech.parameters import TechnologyError
 from .floorplan import Floorplan
 
 __all__ = ["PowerMap"]
+
+
+def _positive_finite(value, name: str) -> float:
+    """``value`` as a float; :class:`TechnologyError` naming ``name`` unless
+    it is a real number that is positive and finite."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if isinstance(value, (bool, str)) or not (math.isfinite(number) and number > 0.0):
+        raise TechnologyError(f"{name} must be positive and finite, got {value!r}")
+    return number
+
+
+def _resolution(value, name: str) -> int:
+    """``value`` as an int; :class:`TechnologyError` naming ``name`` unless
+    it is an integral number of at least 2."""
+    try:
+        integral = int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral or int(value) < 2:
+        raise TechnologyError(f"{name} must be an integer >= 2, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -24,6 +49,11 @@ class PowerMap:
     values_w:
         Array of shape ``(ny, nx)`` with the power (watts) dissipated in
         each grid cell.
+
+    A dimension that is not positive and finite, a resolution that is
+    not an integer >= 2, and a negative or non-finite power value raise
+    :class:`TechnologyError` naming the field, as :class:`ThermalGrid`
+    does for its own.
     """
 
     width_mm: float
@@ -31,13 +61,15 @@ class PowerMap:
     values_w: np.ndarray
 
     def __post_init__(self) -> None:
+        self.width_mm = _positive_finite(self.width_mm, "width_mm")
+        self.height_mm = _positive_finite(self.height_mm, "height_mm")
         values = np.asarray(self.values_w, dtype=float)
         if values.ndim != 2:
             raise TechnologyError("power map must be two-dimensional")
+        if not np.isfinite(values).all():
+            raise TechnologyError("values_w has non-finite entries")
         if np.any(values < 0.0):
             raise TechnologyError("power values must be non-negative")
-        if self.width_mm <= 0.0 or self.height_mm <= 0.0:
-            raise TechnologyError("power map dimensions must be positive")
         self.values_w = values
 
     # ------------------------------------------------------------------ #
@@ -47,8 +79,8 @@ class PowerMap:
     @classmethod
     def zeros(cls, width_mm: float, height_mm: float, nx: int, ny: int) -> "PowerMap":
         """An all-zero power map of the requested resolution."""
-        if nx < 2 or ny < 2:
-            raise TechnologyError("power map needs at least a 2x2 grid")
+        nx = _resolution(nx, "nx")
+        ny = _resolution(ny, "ny")
         return cls(width_mm, height_mm, np.zeros((ny, nx)))
 
     @classmethod
@@ -61,8 +93,8 @@ class PowerMap:
         """
         power = cls.zeros(floorplan.width_mm, floorplan.height_mm, nx, ny)
         # Cell centres, computed exactly as :meth:`cell_center` does.
-        xs = (np.arange(nx) + 0.5) * power.cell_width_mm
-        ys = (np.arange(ny) + 0.5) * power.cell_height_mm
+        xs = (np.arange(power.nx) + 0.5) * power.cell_width_mm
+        ys = (np.arange(power.ny) + 0.5) * power.cell_height_mm
         for block in floorplan.blocks():
             inside_x = (block.x_mm <= xs) & (xs <= block.x_mm + block.width_mm)
             inside_y = (block.y_mm <= ys) & (ys <= block.y_mm + block.height_mm)
@@ -118,8 +150,10 @@ class PowerMap:
 
     def add_point_source(self, x_mm: float, y_mm: float, power_w: float) -> None:
         """Add a point heat source (e.g. a running ring oscillator)."""
-        if power_w < 0.0:
-            raise TechnologyError("point-source power must be non-negative")
+        if not (math.isfinite(power_w) and power_w >= 0.0):
+            raise TechnologyError(
+                f"power_w must be non-negative and finite, got {power_w!r}"
+            )
         column, row = self.cell_index(x_mm, y_mm)
         self.values_w[row, column] += power_w
 

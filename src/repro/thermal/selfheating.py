@@ -12,16 +12,13 @@ study ABL-SELFHEAT in DESIGN.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
 
 from ..tech.parameters import TechnologyError
-from .grid import TemperatureMap, ThermalGrid, ThermalGridParameters
+from .grid import ThermalGrid, ThermalGridParameters
 from .operator import ThermalOperator
 from .power import PowerMap
 
-__all__ = ["SelfHeatingReport", "self_heating_error", "duty_cycle_study"]
+__all__ = ["SelfHeatingReport", "duty_cycle_study"]
 
 
 @dataclass(frozen=True)
@@ -52,46 +49,6 @@ class SelfHeatingReport:
         return self.background_temperature_c + self.temperature_rise_c
 
 
-def self_heating_error(
-    background_power: PowerMap,
-    sensor_x_mm: float,
-    sensor_y_mm: float,
-    oscillator_power_w: float,
-    duty_cycle: float = 1.0,
-    ambient_c: float = 45.0,
-    parameters: ThermalGridParameters = ThermalGridParameters(),
-) -> SelfHeatingReport:
-    """Steady-state self-heating error of a sensor at one die location.
-
-    The time-averaged heating of a duty-cycled oscillator equals the
-    steady-state heating of an oscillator drawing ``duty * power`` (the
-    thermal time constants are far longer than the measurement window),
-    so the duty cycle enters as a simple power scaling.  The baseline
-    and with-sensor fields come out of one multi-RHS solve against the
-    shared :class:`ThermalOperator` solve.
-    """
-    if not 0.0 <= duty_cycle <= 1.0:
-        raise TechnologyError("duty cycle must lie in [0, 1]")
-    if oscillator_power_w < 0.0:
-        raise TechnologyError("oscillator power must be non-negative")
-
-    grid = ThermalGrid.for_power_map(background_power, parameters)
-    heated = background_power.copy()
-    heated.add_point_source(sensor_x_mm, sensor_y_mm, oscillator_power_w * duty_cycle)
-    baseline, with_sensor = ThermalOperator.for_grid(grid).solve_steady_state_multi(
-        [background_power, heated], ambient_c
-    )
-    background_temp = baseline.sample(sensor_x_mm, sensor_y_mm)
-    sensor_temp = with_sensor.sample(sensor_x_mm, sensor_y_mm)
-
-    return SelfHeatingReport(
-        duty_cycle=duty_cycle,
-        oscillator_power_w=oscillator_power_w,
-        temperature_rise_c=sensor_temp - background_temp,
-        background_temperature_c=background_temp,
-    )
-
-
 def duty_cycle_study(
     background_power: PowerMap,
     sensor_x_mm: float,
@@ -111,9 +68,8 @@ def duty_cycle_study(
     power`` is ``duty`` times the rise caused by the full power: this
     runs one *multi-RHS* steady-state solve (baseline and full-power
     stacked against the cached :class:`ThermalOperator` solve)
-    and scales, instead of one :func:`self_heating_error` solve per
-    duty cycle (the two agree to solver rounding, far below any
-    physically meaningful difference).
+    and scales, instead of one solve per duty cycle (the two agree to
+    solver rounding, far below any physically meaningful difference).
     """
     if oscillator_power_w < 0.0:
         raise TechnologyError("oscillator power must be non-negative")

@@ -27,9 +27,10 @@ reference the stacked ``sample_technology_array`` is pinned to.
 The sparse-direct thermal solve (``direct_solve``, a SuperLU
 factorization, and ``direct_stepper`` on top of it) is the reference
 the package's one thermal solve, the exact DCT solve, is checked
-against to 1e-10 relative.
-One library path still computes its own reference:
-:func:`repro.thermal.selfheating.self_heating_error` is the
+against to 1e-10 relative.  Its matrices are assembled here
+(``conductance_matrix``, ``transient_matrix``): the package's grid is
+matrix-free and applies its stencil by array slicing, which the
+assembled matrix pins.  ``self_heating_error`` is the
 solve-per-duty-cycle reference of ``duty_cycle_study``.
 """
 
@@ -39,7 +40,7 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import diags
+from scipy import sparse
 from scipy.sparse.linalg import factorized
 
 from repro.analysis.linearity import nonlinearity
@@ -84,7 +85,15 @@ from repro.tech import (
     corner_technologies,
     stack_technologies,
 )
-from repro.thermal import TemperatureMap, ThermalGrid, ThermalOperator, ThermalStepper
+from repro.thermal import (
+    PowerMap,
+    SelfHeatingReport,
+    TemperatureMap,
+    ThermalGrid,
+    ThermalGridParameters,
+    ThermalOperator,
+    ThermalStepper,
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -637,6 +646,52 @@ def monitor_scan_scalar(
 # --------------------------------------------------------------------------- #
 
 
+def conductance_matrix(grid: ThermalGrid) -> sparse.csr_matrix:
+    """The grid's conductance matrix ``G`` (``G * dT = P``), assembled.
+
+    Vectorized COO assembly of the five-point stencil with adiabatic
+    edges.  Each diagonal term is accumulated in a fixed order
+    (below-neighbour, left-neighbour, vertical, right-neighbour,
+    above-neighbour).
+    """
+    nx, ny = grid.nx, grid.ny
+    size = nx * ny
+    g_vertical = grid.vertical_conductance_w_per_k()
+    g_h = grid.lateral_conductance_w_per_k(horizontal=True)
+    g_v = grid.lateral_conductance_w_per_k(horizontal=False)
+    index = np.arange(size).reshape(ny, nx)
+
+    diagonal = np.zeros((ny, nx))
+    diagonal[1:, :] += g_v       # edge to the cell below
+    diagonal[:, 1:] += g_h       # edge to the cell on the left
+    diagonal += g_vertical       # package path to ambient
+    diagonal[:, :-1] += g_h      # edge to the cell on the right
+    diagonal[:-1, :] += g_v      # edge to the cell above
+
+    left = index[:, :-1].ravel()
+    right = index[:, 1:].ravel()
+    below = index[:-1, :].ravel()
+    above = index[1:, :].ravel()
+    rows = np.concatenate([index.ravel(), left, right, below, above])
+    cols = np.concatenate([index.ravel(), right, left, above, below])
+    data = np.concatenate(
+        [
+            diagonal.ravel(),
+            np.full(left.size, -g_h),
+            np.full(right.size, -g_h),
+            np.full(below.size, -g_v),
+            np.full(above.size, -g_v),
+        ]
+    )
+    return sparse.coo_matrix((data, (rows, cols)), shape=(size, size)).tocsr()
+
+
+def transient_matrix(grid: ThermalGrid, timestep_s: float) -> sparse.csr_matrix:
+    """The backward-Euler system ``C/dt + G`` of the grid, assembled."""
+    capacitance = np.full(grid.nx * grid.ny, grid.cell_heat_capacity_j_per_k())
+    return sparse.diags(capacitance / timestep_s) + conductance_matrix(grid)
+
+
 def direct_solve(matrix):
     """A sparse-direct (SuperLU) solve of ``matrix``: the thermal reference.
 
@@ -648,8 +703,48 @@ def direct_solve(matrix):
 
 def direct_stepper(grid: ThermalGrid, timestep_s: float) -> ThermalStepper:
     """A backward-Euler stepper whose ``(C/dt + G)`` solve is :func:`direct_solve`."""
-    system = diags(grid.capacitance_vector / timestep_s) + grid.conductance_matrix
-    return ThermalStepper(grid, timestep_s, direct_solve(system))
+    return ThermalStepper(
+        grid, timestep_s, direct_solve(transient_matrix(grid, timestep_s))
+    )
+
+
+def self_heating_error(
+    background_power: PowerMap,
+    sensor_x_mm: float,
+    sensor_y_mm: float,
+    oscillator_power_w: float,
+    duty_cycle: float = 1.0,
+    ambient_c: float = 45.0,
+    parameters: ThermalGridParameters = ThermalGridParameters(),
+) -> SelfHeatingReport:
+    """``duty_cycle_study`` at one duty cycle, with its own solve.
+
+    The time-averaged heating of a duty-cycled oscillator equals the
+    steady-state heating of an oscillator drawing ``duty * power`` (the
+    thermal time constants are far longer than the measurement window),
+    so the duty cycle enters as a power scaling before the solve, where
+    the study scales the solved full-power rise instead.
+    """
+    if not 0.0 <= duty_cycle <= 1.0:
+        raise TechnologyError("duty cycle must lie in [0, 1]")
+    if oscillator_power_w < 0.0:
+        raise TechnologyError("oscillator power must be non-negative")
+
+    grid = ThermalGrid.for_power_map(background_power, parameters)
+    heated = background_power.copy()
+    heated.add_point_source(sensor_x_mm, sensor_y_mm, oscillator_power_w * duty_cycle)
+    baseline, with_sensor = ThermalOperator.for_grid(grid).solve_steady_state_multi(
+        [background_power, heated], ambient_c
+    )
+    background_temp = baseline.sample(sensor_x_mm, sensor_y_mm)
+    sensor_temp = with_sensor.sample(sensor_x_mm, sensor_y_mm)
+
+    return SelfHeatingReport(
+        duty_cycle=duty_cycle,
+        oscillator_power_w=oscillator_power_w,
+        temperature_rise_c=sensor_temp - background_temp,
+        background_temperature_c=background_temp,
+    )
 
 
 def next_state_index(policy, index: int, reading: float) -> int:

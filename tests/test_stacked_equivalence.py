@@ -26,6 +26,7 @@ from oracles import (
     period_matrix_scalar,
     period_series_scalar,
     sample_technologies,
+    self_heating_error,
     supply_sensitivity_scalar,
 )
 from repro.analysis.supply import supply_sensitivity
@@ -42,7 +43,6 @@ from repro.experiments.calibration_study import run_calibration_study
 from repro.experiments.selfheating_study import run_selfheating_study
 from repro.oscillator import ConfigurationBank, RingConfiguration, RingOscillator
 from repro.thermal import Floorplan, PowerMap
-from repro.thermal.selfheating import self_heating_error
 from repro.tech import (
     CMOS035,
     TechnologyError,

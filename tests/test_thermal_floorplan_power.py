@@ -114,6 +114,52 @@ class TestPowerMap:
         with pytest.raises(TechnologyError):
             PowerMap.zeros(8.0, 8.0, 1, 4)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("width_mm", float("nan")),
+            ("width_mm", float("inf")),
+            ("height_mm", -8.0),
+            ("height_mm", "8"),
+            ("nx", 16.7),
+            ("nx", None),
+            ("ny", float("nan")),
+            ("ny", float("inf")),
+        ],
+    )
+    def test_malformed_zeros_names_the_field(self, field, value):
+        arguments = {"width_mm": 8.0, "height_mm": 8.0, "nx": 16, "ny": 16}
+        arguments[field] = value
+        with pytest.raises(TechnologyError, match=f"^{field} must be"):
+            PowerMap.zeros(**arguments)
+
+    @pytest.mark.parametrize(
+        "field, value", [("nx", 16.7), ("nx", None), ("ny", float("nan")), ("ny", "8")]
+    )
+    def test_malformed_rasterisation_names_the_field(self, field, value):
+        arguments = {"nx": 16, "ny": 16, field: value}
+        with pytest.raises(TechnologyError, match=f"^{field} must be an integer"):
+            PowerMap.from_floorplan(Floorplan.example_processor(), **arguments)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_power_rejected(self, bad):
+        values = np.ones((4, 4))
+        values[1, 2] = bad
+        with pytest.raises(TechnologyError, match="values_w has non-finite"):
+            PowerMap(8.0, 8.0, values)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+    def test_malformed_point_source_rejected(self, bad):
+        power = PowerMap.zeros(8.0, 8.0, 8, 8)
+        with pytest.raises(TechnologyError, match="^power_w must be"):
+            power.add_point_source(4.0, 4.0, bad)
+        assert power.total_power_w() == 0.0
+
+    def test_integral_float_resolution_accepted(self):
+        power = PowerMap.from_floorplan(Floorplan.example_processor(), nx=16.0, ny=12)
+        assert power.values_w.shape == (12, 16)
+        assert power.total_power_w() == pytest.approx(14.5, rel=1e-6)
+
 
 def _rasterise_oracle(floorplan, nx, ny):
     """The per-cell loop :meth:`PowerMap.from_floorplan` replaced (the oracle)."""

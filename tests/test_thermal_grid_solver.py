@@ -1,18 +1,22 @@
-"""Unit tests for the thermal RC grid, solvers and self-heating study."""
+"""Unit tests for the thermal RC grid, its solves and the self-heating study."""
 
 import numpy as np
 import pytest
 
-from repro.tech import TechnologyError
+from oracles import self_heating_error
+from repro.circuit.transient import transient_step_count
+from repro.core import DynamicThermalManager
+from repro.oscillator import RingConfiguration
+from repro.tech import CMOS035, TechnologyError
 from repro.thermal import (
+    Floorplan,
     PowerMap,
     TemperatureMap,
     ThermalGrid,
     ThermalGridParameters,
+    ThermalOperator,
     duty_cycle_study,
-    self_heating_error,
     solve_steady_state,
-    solve_transient,
 )
 
 
@@ -87,8 +91,18 @@ class TestGridConstruction:
         assert 1.0 < theta < 10.0
 
     def test_conductance_matrix_symmetric(self, uniform_grid):
-        matrix = uniform_grid.conductance_matrix.toarray()
-        assert np.allclose(matrix, matrix.T)
+        # The stencil is a symmetric operator (x.Gy == y.Gx) whose rows
+        # sum to the vertical conductance: lateral flow conserves heat.
+        rng = np.random.default_rng(3)
+        size = uniform_grid.nx * uniform_grid.ny
+        x, y = rng.standard_normal((2, size))
+        x_gy = x @ uniform_grid.apply_conductance(y)
+        y_gx = y @ uniform_grid.apply_conductance(x)
+        assert x_gy == pytest.approx(y_gx, rel=1e-13)
+        ones = uniform_grid.apply_conductance(np.ones(size))
+        assert np.allclose(
+            ones, uniform_grid.vertical_conductance_w_per_k(), rtol=1e-13, atol=0.0
+        )
 
     def test_power_map_mismatch_detected(self, uniform_grid):
         other = PowerMap.zeros(8.0, 8.0, 6, 6)
@@ -146,74 +160,56 @@ class TestTemperatureMap:
 
 
 class TestTransient:
+    """Backward-Euler stepping through ``ThermalOperator.stepper``."""
+
+    @staticmethod
+    def _max_trace(stepper, power, steps, rise):
+        trace = [rise.max()]
+        for _ in range(steps):
+            rise = stepper.step(rise, power.values_w.reshape(-1))
+            trace.append(rise.max())
+        return np.asarray(trace)
+
     def test_warms_towards_steady_state(self, uniform_grid, uniform_power_map):
         steady = solve_steady_state(uniform_grid, uniform_power_map, ambient_c=45.0)
-        result = solve_transient(
-            uniform_grid,
-            lambda t: uniform_power_map,
-            duration_s=2.0,
-            timestep_s=0.01,
-            ambient_c=45.0,
-            store_every=20,
-        )
-        trace = result.max_trace_c()
+        stepper = ThermalOperator.for_grid(uniform_grid).stepper(0.01)
+        rise = np.zeros(uniform_grid.nx * uniform_grid.ny)
+        trace = 45.0 + self._max_trace(stepper, uniform_power_map, 200, rise)
         assert trace[0] == pytest.approx(45.0, abs=0.1)
         assert np.all(np.diff(trace) >= -1e-9)
-        assert result.final.max_c() == pytest.approx(steady.max_c(), rel=0.05)
+        assert trace[-1] == pytest.approx(steady.max_c(), rel=0.05)
 
     def test_cooling_when_power_removed(self, uniform_grid, uniform_power_map):
         steady = solve_steady_state(uniform_grid, uniform_power_map, ambient_c=45.0)
         off = PowerMap.zeros(8.0, 8.0, 12, 12)
-        result = solve_transient(
-            uniform_grid,
-            lambda t: off,
-            duration_s=1.0,
-            timestep_s=0.01,
-            ambient_c=45.0,
-            initial=steady,
-            store_every=10,
+        stepper = ThermalOperator.for_grid(uniform_grid).stepper(0.01)
+        rise = (steady.values_c - 45.0).reshape(-1)
+        trace = 45.0 + self._max_trace(stepper, off, 100, rise)
+        assert trace[-1] < steady.max_c()
+        assert np.all(np.diff(trace) <= 1e-9)
+
+    @pytest.fixture(scope="class")
+    def manager(self):
+        floorplan = Floorplan.example_processor()
+        floorplan.add_sensor_grid(2, 2)
+        return DynamicThermalManager(
+            CMOS035, floorplan, RingConfiguration.parse("2INV+3NAND2"), grid_resolution=8
         )
-        assert result.final.max_c() < steady.max_c()
-
-    def test_invalid_arguments_rejected(self, uniform_grid, uniform_power_map):
-        with pytest.raises(TechnologyError):
-            solve_transient(uniform_grid, lambda t: uniform_power_map, duration_s=0.0, timestep_s=0.01)
-        with pytest.raises(TechnologyError):
-            solve_transient(uniform_grid, lambda t: uniform_power_map, duration_s=1.0, timestep_s=0.01,
-                            store_every=0)
-
-    @pytest.mark.parametrize("field", ["duration_s", "timestep_s"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    def test_non_finite_arguments_rejected(
-        self, uniform_grid, uniform_power_map, field, value
-    ):
-        arguments = dict(duration_s=1.0, timestep_s=0.01)
-        arguments[field] = value
-        with pytest.raises(TechnologyError, match=f"{field} must be finite"):
-            solve_transient(uniform_grid, lambda t: uniform_power_map, **arguments)
 
     @pytest.mark.parametrize(
         "duration_s, timestep_s, steps",
         [(0.14, 0.02, 7), (0.07, 0.01, 7), (0.33, 0.03, 11), (0.54, 0.03, 18), (0.15, 0.02, 8)],
     )
     def test_step_count_does_not_overshoot_duration(
-        self, uniform_grid, uniform_power_map, duration_s, timestep_s, steps
+        self, manager, duration_s, timestep_s, steps
     ):
         # 0.14 / 0.02 is 7.000000000000001 in floats: 7 steps, not 8.
         # A ratio that is not an integer (0.15 / 0.02) still rounds up.
-        result = solve_transient(
-            uniform_grid, lambda t: uniform_power_map, duration_s=duration_s, timestep_s=timestep_s
-        )
-        assert len(result.times_s) == steps + 1
-        assert result.times_s[-1] == pytest.approx(steps * timestep_s)
-
-    def test_at_time_returns_nearest_map(self, uniform_grid, uniform_power_map):
-        result = solve_transient(
-            uniform_grid, lambda t: uniform_power_map, duration_s=0.5, timestep_s=0.05, store_every=1
-        )
-        early = result.at_time(0.05)
-        late = result.at_time(0.5)
-        assert late.max_c() >= early.max_c()
+        # The DTM loop counts its control steps this way.
+        assert transient_step_count(duration_s, timestep_s) == steps
+        trace = manager.run(duration_s=duration_s, control_interval_s=timestep_s).trace
+        assert len(trace) == steps
+        assert trace[-1].time_s == pytest.approx(steps * timestep_s)
 
 
 class TestSelfHeating:

@@ -2,9 +2,8 @@
 
 import numpy as np
 import pytest
-from scipy.sparse import diags
 
-from oracles import direct_solve
+from oracles import conductance_matrix, direct_solve, transient_matrix
 from repro.tech import TechnologyError
 from repro.thermal import (
     Floorplan,
@@ -12,7 +11,6 @@ from repro.thermal import (
     ThermalGrid,
     ThermalOperator,
     solve_steady_state,
-    solve_transient,
 )
 from repro.thermal.operator import (
     _CACHE_LIMIT,
@@ -35,7 +33,7 @@ class TestSteadySolves:
     def test_matches_direct_sparse_solve(self, example_grid, example_power_map):
         operator = ThermalOperator(example_grid)
         result = operator.solve_steady_state(example_power_map, ambient_c=45.0)
-        reference = direct_solve(example_grid.conductance_matrix)(
+        reference = direct_solve(conductance_matrix(example_grid))(
             example_power_map.values_w.reshape(-1)
         ).reshape((example_grid.ny, example_grid.nx)) + 45.0
         assert np.allclose(result.values_c, reference, rtol=1e-9, atol=1e-12)
@@ -81,19 +79,14 @@ class TestStepper:
         # Manual backward Euler on a freshly prepared solve of C/dt + G:
         # bitwise the stepper, and within SPECTRAL_RTOL of the same
         # recurrence on the sparse-direct reference.
-        system = (
-            diags(example_grid.capacitance_vector / 1e-3)
-            + example_grid.conductance_matrix
-        )
-        fresh = _SpectralSolve(
-            example_grid, system, example_grid.cell_heat_capacity_j_per_k() / 1e-3
-        )
-        reference = direct_solve(system)
+        capacitance_over_dt = example_grid.cell_heat_capacity_j_per_k() / 1e-3
+        fresh = _SpectralSolve(example_grid, capacitance_over_dt)
+        reference = direct_solve(transient_matrix(example_grid, 1e-3))
         manual = np.zeros(example_grid.nx * example_grid.ny)
         direct = np.zeros(example_grid.nx * example_grid.ny)
         for _ in range(3):
-            manual = fresh(power + example_grid.capacitance_vector / 1e-3 * manual)
-            direct = reference(power + example_grid.capacitance_vector / 1e-3 * direct)
+            manual = fresh(power + capacitance_over_dt * manual)
+            direct = reference(power + capacitance_over_dt * direct)
         assert np.array_equal(rise, manual)
         assert np.max(np.abs(manual - direct) / np.abs(direct)) <= SPECTRAL_RTOL
 
@@ -133,18 +126,6 @@ class TestStepper:
     def test_non_finite_timestep_rejected(self, example_grid, timestep_s):
         with pytest.raises(TechnologyError, match="timestep_s must be positive"):
             ThermalOperator(example_grid).stepper(timestep_s)
-
-    def test_transient_solver_unchanged_by_operator(
-        self, example_grid, example_power_map
-    ):
-        result = solve_transient(
-            example_grid,
-            lambda t: example_power_map,
-            duration_s=5e-3,
-            timestep_s=1e-3,
-        )
-        assert len(result.maps) == 6
-        assert result.final.max_c() > 45.0
 
 
 class TestStackLayout:
@@ -235,7 +216,7 @@ class TestWarmStartKeying:
     @pytest.fixture(scope="class")
     def solve_and_rhs(self):
         grid, power = _grid_at(24)
-        solve = _SpectralSolve(grid, grid.conductance_matrix)
+        solve = _SpectralSolve(grid)
         return grid, solve, power.values_w.reshape(-1)
 
     def test_vector_and_stack_keep_separate_states(self, solve_and_rhs):
@@ -255,7 +236,7 @@ class TestWarmStartKeying:
 
     def test_stack_solve_unpolluted_by_prior_vector_solve(self, solve_and_rhs):
         grid, solve, rhs = solve_and_rhs
-        reference = direct_solve(grid.conductance_matrix)(3.0 * rhs)
+        reference = direct_solve(conductance_matrix(grid))(3.0 * rhs)
         solve(rhs)  # would be a bad initial guess for the stack below
         stack = solve(np.stack([3.0 * rhs, np.zeros_like(rhs)], axis=1))
         assert np.max(np.abs(stack[:, 0] - reference) / np.abs(reference)) <= SPECTRAL_RTOL

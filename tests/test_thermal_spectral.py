@@ -1,19 +1,21 @@
 """Tests for the exact DCT-diagonalized (spectral) thermal solve.
 
-The spectral solve is the package's only thermal solve.  Four layers
+The spectral solve is the package's only thermal solve.  Five layers
 of evidence:
 
+* the grid's matrix-free stencil (``ThermalGrid.apply_conductance``)
+  equal to the assembled matrix (``oracles.conductance_matrix``) to
+  1e-13 relative on a vector and on both memory orders of a stack,
 * agreement with the sparse-direct reference (``oracles.direct_solve``)
   to 1e-10 relative on steady, multi-RHS and transient workloads over
   square, non-square, odd and two-cell grid extents, plus a hypothesis
   property over random grid parameters and timesteps,
 * block solves whose columns are bitwise the single-column solves,
-* the set-up guard rejecting a matrix that is not the uniform stencil
-  the transform diagonalizes, and
+* the set-up guard rejecting a stencil that is not the uniform one the
+  transform diagonalizes, and
 * the 256x256 full die served exactly (energy conservation, agreement
   with the reference, DTM traces equal to a reference-stepped run), and
-  ``import repro`` paying for neither ``scipy.fft`` nor
-  ``scipy.sparse.linalg``.
+  ``import repro`` loading no part of ``scipy``.
 """
 
 import os
@@ -25,7 +27,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import direct_solve, direct_stepper, dtm_run_scalar
+from oracles import conductance_matrix, direct_solve, direct_stepper, dtm_run_scalar
 from repro.core import DynamicThermalManager
 from repro.experiments import example_policy_set
 from repro.oscillator import RingConfiguration
@@ -71,19 +73,39 @@ def grid_and_rhs(request):
     return grid, rhs
 
 
+class TestStencil:
+    """The matrix-free stencil against the assembled conductance matrix."""
+
+    @pytest.mark.parametrize("layout", ["vector", "c-ordered", "column-major"])
+    def test_matches_assembled_matrix(self, grid_and_rhs, layout):
+        grid, rhs = grid_and_rhs
+        if layout == "vector":
+            x = rhs
+        else:
+            x = np.stack([rhs, -0.5 * rhs, rhs[::-1]], axis=1)
+            if layout == "column-major":
+                x = np.asfortranarray(x)
+        expected = conductance_matrix(grid) @ x
+        actual = grid.apply_conductance(x)
+        assert actual.shape == x.shape
+        assert np.max(np.abs(actual - expected)) <= 1e-13 * np.max(np.abs(expected))
+        if x.ndim == 2:
+            assert actual.T.flags.c_contiguous  # stacks come back column-major
+
+
 class TestSpectralSolves:
     """The spectral solve against the sparse-direct reference."""
 
     def test_steady_agrees_with_direct(self, grid_and_rhs):
         grid, rhs = grid_and_rhs
-        direct = direct_solve(grid.conductance_matrix)(rhs)
+        direct = direct_solve(conductance_matrix(grid))(rhs)
         spectral = ThermalOperator(grid).steady_rise(rhs)
         assert _relative_error(spectral, direct) <= SPECTRAL_RTOL
 
     def test_multi_rhs_agrees_with_direct(self, grid_and_rhs):
         grid, rhs = grid_and_rhs
         stack = np.stack([rhs, 0.25 * rhs, np.zeros_like(rhs), 2.0 * rhs], axis=1)
-        direct = direct_solve(grid.conductance_matrix)(stack)
+        direct = direct_solve(conductance_matrix(grid))(stack)
         spectral = ThermalOperator(grid).steady_rise(stack)
         assert spectral.shape == stack.shape
         # The zero column must come back exactly zero, not noise.
@@ -155,7 +177,7 @@ class TestSpectralPropertyBased:
         rhs = np.random.default_rng(data_seed).uniform(0.1, 1.0, (nx * ny, 2))
         spectral = ThermalOperator(grid)
         if timestep_s is None:
-            expected = direct_solve(grid.conductance_matrix)(rhs)
+            expected = direct_solve(conductance_matrix(grid))(rhs)
             actual = spectral.steady_rise(rhs)
         else:
             expected = direct_stepper(grid, timestep_s).step(rhs, rhs)
@@ -164,26 +186,21 @@ class TestSpectralPropertyBased:
 
 
 class TestSetUpGuard:
-    """A matrix the DCT does not diagonalize never gets a spectral solve."""
+    """A stencil the DCT does not diagonalize never gets a spectral solve."""
 
-    def test_non_uniform_conductance_rejected(self):
+    def test_non_uniform_conductance_rejected(self, monkeypatch):
         grid = ThermalGrid(8.0, 8.0, 16, 12)
-        perturbed = grid.conductance_matrix.tolil()
-        perturbed[40, 40] *= 1.0 + 1e-6
-        grid._conductance = perturbed.tocsr()
+        uniform = grid.apply_conductance
+
+        def perturbed(x):
+            result = uniform(x)
+            result[40] *= 1.0 + 1e-6
+            return result
+
+        monkeypatch.setattr(grid, "apply_conductance", perturbed)
         operator = ThermalOperator(grid)
         with pytest.raises(TechnologyError, match="uniform five-point stencil"):
             operator.steady_solve()
-        with pytest.raises(TechnologyError, match="uniform five-point stencil"):
-            operator.stepper(1e-3)
-
-    def test_non_uniform_capacitance_rejected(self):
-        grid = ThermalGrid(8.0, 8.0, 16, 12)
-        capacitance = grid.capacitance_vector.copy()
-        capacitance[7] *= 2.0
-        grid._capacitance = capacitance
-        operator = ThermalOperator(grid)
-        operator.steady_solve()  # G itself is still the uniform stencil
         with pytest.raises(TechnologyError, match="uniform five-point stencil"):
             operator.stepper(1e-3)
 
@@ -224,7 +241,7 @@ class TestFullDieAutoRouting:
         rhs = power.values_w.reshape(-1)
         spectral = ThermalOperator(grid)
         assert _relative_error(
-            spectral.steady_rise(rhs), direct_solve(grid.conductance_matrix)(rhs)
+            spectral.steady_rise(rhs), direct_solve(conductance_matrix(grid))(rhs)
         ) <= SPECTRAL_RTOL
         rise_d = direct_stepper(grid, 0.02).step(np.zeros_like(rhs), rhs)
         rise_s = spectral.stepper(0.02).step(np.zeros_like(rhs), rhs)
@@ -284,3 +301,7 @@ def test_import_repro_does_not_import_scipy_fft():
 
 def test_import_repro_does_not_import_scipy_sparse_linalg():
     assert not _imported_after_import_repro("scipy.sparse.linalg")
+
+
+def test_import_repro_does_not_import_scipy():
+    assert not _imported_after_import_repro("scipy")
