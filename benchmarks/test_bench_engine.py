@@ -825,42 +825,53 @@ def _points_sequential(port, spec, temps):
         return [remote.point(spec, t) for t in temps]
 
 
+#: Timed rounds per leg of the micro-batch floor; each leg reports its best.
+MICROBATCH_ROUNDS = 3
+
+
+def _best_round_s(window_ms, spec, issue):
+    """Best wall clock of ``issue(port, spec, temps)`` over fresh-temperature rounds.
+
+    Both legs of the floor are timed the same way: one warm-up point on
+    a fresh server, then :data:`MICROBATCH_ROUNDS` rounds with their own
+    temperatures (no cache hits).  Returns the best time, the
+    evaluations each round cost, and the last round's temperatures and
+    answers.
+    """
+    handle = start_server_thread(batch_window_ms=window_ms)
+    try:
+        with ServeClient("127.0.0.1", handle.port) as remote:
+            remote.point(spec, 150.5)  # warm the evaluation path
+        best_s = float("inf")
+        round_evaluations = []
+        for round_index in range(1, MICROBATCH_ROUNDS + 1):
+            temps = _serve_temps(round_index)
+            before = handle.server.evaluations
+            start = time.perf_counter()
+            results = issue(handle.port, spec, temps)
+            best_s = min(best_s, time.perf_counter() - start)
+            round_evaluations.append(handle.server.evaluations - before)
+    finally:
+        handle.stop()
+    return best_s, round_evaluations, temps, results
+
+
 def test_microbatch_throughput_floor_at_16_points():
     """The PR 8 acceptance criterion: 16 concurrent point queries
     through the micro-batcher complete >= 2x faster than the same 16
     issued sequentially against an unbatched server (window 0: every
     point evaluates alone), because the batch coalesces onto one
     broadcast evaluation.  Every batched answer is bitwise identical to
-    the local evaluation of its point."""
+    the local evaluation of its point.  Both legs take the best of the
+    same number of warmed rounds."""
     spec = _serve_base_spec()
-
-    sequential_handle = start_server_thread(batch_window_ms=0.0)
-    try:
-        with ServeClient("127.0.0.1", sequential_handle.port) as remote:
-            remote.point(spec, 150.5)  # warm the evaluation path
-            start = time.perf_counter()
-            _points_sequential(sequential_handle.port, spec, _serve_temps(0))
-            sequential_s = time.perf_counter() - start
-        assert sequential_handle.server.evaluations == SERVE_POINTS + 1
-    finally:
-        sequential_handle.stop()
-
-    batched_handle = start_server_thread(batch_window_ms=SERVE_WINDOW_MS)
-    try:
-        batched_handle.server.evaluations  # touch: server is live
-        best_s = float("inf")
-        round_evaluations = []
-        results = None
-        temps = None
-        for round_index in (1, 2):
-            temps = _serve_temps(round_index)
-            before = batched_handle.server.evaluations
-            start = time.perf_counter()
-            results = _points_concurrent(batched_handle.port, spec, temps)
-            best_s = min(best_s, time.perf_counter() - start)
-            round_evaluations.append(batched_handle.server.evaluations - before)
-    finally:
-        batched_handle.stop()
+    sequential_s, sequential_evaluations, _, _ = _best_round_s(
+        0.0, spec, _points_sequential
+    )
+    assert sequential_evaluations == [SERVE_POINTS] * MICROBATCH_ROUNDS
+    best_s, round_evaluations, temps, results = _best_round_s(
+        SERVE_WINDOW_MS, spec, _points_concurrent
+    )
 
     speedup = sequential_s / best_s
     print(f"\nserve-microbatch speedup at {SERVE_POINTS} points: {speedup:.1f}x "

@@ -151,6 +151,7 @@ variable                                   meaning (default)
 =========================================  ==================================================
 """
 
+from .fields import ReproInputError
 from .tech import (
     CMOS013,
     CMOS018,
@@ -199,6 +200,7 @@ from .thermal import (
 __version__ = "1.0.0"
 
 __all__ = [
+    "ReproInputError",
     "CMOS013",
     "CMOS018",
     "CMOS025",

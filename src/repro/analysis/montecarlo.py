@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..cells.library import default_library
+from ..fields import integer
 from ..oscillator.config import RingConfiguration
 from ..oscillator.period import (
     TemperatureResponse,
@@ -97,8 +98,7 @@ def run_monte_carlo(
     seed:
         RNG seed for reproducibility.
     """
-    if sample_count < 2:
-        raise TechnologyError("sample_count must be at least 2")
+    sample_count = integer(sample_count, "sample_count", TechnologyError, at_least=2)
     # Validate user grids up front: unsorted, duplicate or non-finite
     # temperatures used to slip through and silently break the
     # temps[0] <= reference <= temps[-1] range check below.

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..fields import real
 from ..oscillator.period import TemperatureResponse
 from ..tech.parameters import TechnologyError
 
@@ -59,8 +60,7 @@ def resolution_report(
     The counter accumulates ``window / period(T)`` cycles, so the count
     decreases as temperature (and period) rises.
     """
-    if window_s <= 0.0:
-        raise TechnologyError("gating window must be positive")
+    window_s = real(window_s, "window_s", TechnologyError, above=0.0)
     temps = response.temperatures_c
     counts = window_s / response.periods_s
     count_span = abs(float(counts[0] - counts[-1]))
@@ -92,8 +92,7 @@ def required_window_for_resolution(
     with the required resolution, which is the measurement-time /
     resolution trade-off every counting sensor faces.
     """
-    if target_resolution_c <= 0.0:
-        raise TechnologyError("target resolution must be positive")
+    real(target_resolution_c, "target_resolution_c", TechnologyError, above=0.0)
     # counts_per_kelvin is proportional to the window; find the
     # proportionality constant with a unit window.
     unit = resolution_report(response, window_s=1.0)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..cells.library import default_library
+from ..fields import real
 from ..oscillator.config import RingConfiguration
 from ..oscillator.ring import RingOscillator
 from ..tech.parameters import Technology, TechnologyError
@@ -53,8 +54,7 @@ class SupplySensitivityReport:
 
     def supply_error_budget_mv(self, temperature_error_budget_c: float) -> float:
         """Largest supply deviation consistent with a temperature-error budget."""
-        if temperature_error_budget_c <= 0.0:
-            raise TechnologyError("temperature error budget must be positive")
+        real(temperature_error_budget_c, "temperature_error_budget_c", TechnologyError, above=0.0)
         return temperature_error_budget_c / self.kelvin_per_millivolt
 
 
@@ -80,8 +80,10 @@ def supply_sensitivity(
     """
     from ..engine.sweep import Axis, Sweep
 
-    if supply_delta_v <= 0.0 or temperature_delta_c <= 0.0:
-        raise TechnologyError("finite-difference deltas must be positive")
+    supply_delta_v = real(supply_delta_v, "supply_delta_v", TechnologyError, above=0.0)
+    temperature_delta_c = real(
+        temperature_delta_c, "temperature_delta_c", TechnologyError, above=0.0
+    )
     nominal_vdd = technology.vdd
     if nominal_vdd - supply_delta_v <= 0.0:
         raise TechnologyError(

@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..devices.diode import DiodeModel, DiodeParameters
+from ..fields import integer, real
 from ..tech.parameters import TechnologyError, celsius_to_kelvin, kelvin_to_celsius
 
 __all__ = ["DiodeSensorConfig", "DiodeSensorReading", "DiodeTemperatureSensor"]
@@ -56,10 +57,9 @@ class DiodeSensorConfig:
     def __post_init__(self) -> None:
         if self.bias_current_high_a <= self.bias_current_low_a:
             raise TechnologyError("high bias current must exceed the low bias current")
-        if not 4 <= self.adc_bits <= 24:
-            raise TechnologyError("adc_bits must lie in [4, 24]")
-        if self.adc_full_scale_v <= 0.0 or self.amplifier_gain <= 0.0:
-            raise TechnologyError("ADC full scale and amplifier gain must be positive")
+        integer(self.adc_bits, "adc_bits", TechnologyError, at_least=4, at_most=24)
+        real(self.adc_full_scale_v, "adc_full_scale_v", TechnologyError, above=0.0)
+        real(self.amplifier_gain, "amplifier_gain", TechnologyError, above=0.0)
 
 
 @dataclass(frozen=True)

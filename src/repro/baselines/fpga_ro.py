@@ -25,7 +25,8 @@ from typing import Optional
 
 from ..cells.factories import inverter
 from ..cells.library import CellLibrary
-from ..oscillator.config import RingConfiguration
+from ..fields import real
+from ..oscillator.config import RingConfiguration, odd_stage_count
 from ..oscillator.ring import RingOscillator
 from ..tech.parameters import Technology, TechnologyError
 
@@ -54,12 +55,12 @@ class FpgaRingConfig:
     lut_input_cap_multiplier: float = 3.0
 
     def __post_init__(self) -> None:
-        if self.stage_count < 3 or self.stage_count % 2 == 0:
-            raise TechnologyError("stage_count must be an odd number >= 3")
-        if self.routing_wire_length_um < 0.0:
-            raise TechnologyError("routing wire length must be non-negative")
-        if self.lut_input_cap_multiplier < 1.0:
-            raise TechnologyError("LUT input capacitance multiplier must be >= 1")
+        odd_stage_count(self.stage_count, TechnologyError)
+        real(self.routing_wire_length_um, "routing_wire_length_um", TechnologyError, at_least=0.0)
+        real(
+            self.lut_input_cap_multiplier, "lut_input_cap_multiplier", TechnologyError,
+            at_least=1.0,
+        )
 
 
 def fpga_ring_oscillator(

@@ -36,13 +36,14 @@ from ..delay.alpha_power import (
 )
 from ..delay.load import input_capacitance, output_parasitic_capacitance
 from ..devices.mosfet import DeviceSizing, MosfetModel
+from ..fields import ReproInputError, integer, real
 from ..tech.parameters import Technology, TechnologyError, celsius_to_kelvin
 from ..tech.stacked import TechnologyArray
 
 __all__ = ["CellTopology", "GateDelays", "StandardCell", "CellError"]
 
 
-class CellError(ValueError):
+class CellError(ReproInputError):
     """Raised for invalid cell definitions or invalid cell usage."""
 
 
@@ -80,14 +81,15 @@ class CellTopology:
     def __post_init__(self) -> None:
         if self.kind not in ("INV", "NAND", "NOR", "BUF"):
             raise CellError(f"unsupported cell kind {self.kind!r}")
-        if self.fan_in < 1:
-            raise CellError("fan_in must be at least 1")
-        if self.nmos_stack_depth < 1 or self.pmos_stack_depth < 1:
-            raise CellError("stack depths must be at least 1")
-        if self.nmos_drains_on_output < 1 or self.pmos_drains_on_output < 1:
-            raise CellError("at least one drain of each polarity loads the output")
-        if self.stages < 1:
-            raise CellError("stages must be at least 1")
+        for name in (
+            "fan_in",
+            "nmos_stack_depth",
+            "pmos_stack_depth",
+            "nmos_drains_on_output",
+            "pmos_drains_on_output",
+            "stages",
+        ):
+            integer(getattr(self, name), name, CellError, at_least=1)
 
     @staticmethod
     def inverter() -> "CellTopology":
@@ -95,8 +97,7 @@ class CellTopology:
 
     @staticmethod
     def nand(fan_in: int) -> "CellTopology":
-        if fan_in < 2:
-            raise CellError("a NAND gate needs at least 2 inputs")
+        fan_in = integer(fan_in, "fan_in", CellError, at_least=2)
         return CellTopology(
             "NAND",
             fan_in,
@@ -109,8 +110,7 @@ class CellTopology:
 
     @staticmethod
     def nor(fan_in: int) -> "CellTopology":
-        if fan_in < 2:
-            raise CellError("a NOR gate needs at least 2 inputs")
+        fan_in = integer(fan_in, "fan_in", CellError, at_least=2)
         return CellTopology(
             "NOR",
             fan_in,
@@ -181,21 +181,12 @@ class StandardCell:
         pmos_width_um: float,
         delay_options: Optional[DelayModelOptions] = None,
     ) -> None:
-        if nmos_width_um < technology.min_width_um - 1e-12:
-            raise CellError(
-                f"cell {name}: NMOS width {nmos_width_um} um is below the "
-                f"technology minimum {technology.min_width_um} um"
-            )
-        if pmos_width_um < technology.min_width_um - 1e-12:
-            raise CellError(
-                f"cell {name}: PMOS width {pmos_width_um} um is below the "
-                f"technology minimum {technology.min_width_um} um"
-            )
+        least = technology.min_width_um - 1e-12
+        self.nmos_width_um = real(nmos_width_um, f"{name}.nmos_width_um", CellError, at_least=least)
+        self.pmos_width_um = real(pmos_width_um, f"{name}.pmos_width_um", CellError, at_least=least)
         self.name = name
         self.technology = technology
         self.topology = topology
-        self.nmos_width_um = float(nmos_width_um)
-        self.pmos_width_um = float(pmos_width_um)
         self.delay_options = delay_options or DelayModelOptions()
 
     def rebind(self, technology) -> "StandardCell":

@@ -18,6 +18,7 @@ from typing import Optional
 from ..circuit.netlist import Circuit
 from ..circuit.transient import TransientOptions, simulate_transient
 from ..circuit.waveform import propagation_delay
+from ..fields import real
 from ..tech.parameters import celsius_to_kelvin
 from .cell import CellError, GateDelays, StandardCell
 
@@ -72,8 +73,7 @@ def measure_cell_delays(
         raise CellError("simulation-based characterisation needs a single-stage inverting cell")
     if load_f is None:
         load_f = 4.0 * cell.input_capacitance()
-    if load_f <= 0.0:
-        raise CellError("load capacitance must be positive")
+    load_f = real(load_f, "load_f", CellError, above=0.0)
 
     tech = cell.technology
     temp_k = celsius_to_kelvin(temperature_c)

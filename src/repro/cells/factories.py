@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..fields import integer
 from ..tech.parameters import Technology
 from .cell import CellError, CellTopology, StandardCell
 
@@ -32,8 +33,7 @@ UNIT_PMOS_WIDTH_FACTOR = 6.0
 
 
 def _unit_widths(tech: Technology, drive: int) -> tuple:
-    if drive < 1:
-        raise CellError("drive strength must be a positive integer")
+    drive = integer(drive, "drive", CellError, at_least=1)
     wn = max(UNIT_NMOS_WIDTH_FACTOR * tech.feature_size_um, tech.min_width_um) * drive
     wp = max(UNIT_PMOS_WIDTH_FACTOR * tech.feature_size_um, tech.min_width_um) * drive
     return wn, wp

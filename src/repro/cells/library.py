@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional
 
+from ..fields import integer
 from ..tech.parameters import Technology
 from .cell import CellError, StandardCell
 from .factories import buffer_cell, inverter, nand_gate, nor_gate
@@ -103,8 +104,7 @@ def default_library(
     BUF at the requested drive strengths — the cell set the paper's
     Fig. 3 configurations draw from.
     """
-    if max_fan_in < 2:
-        raise CellError("max_fan_in must be at least 2")
+    max_fan_in = integer(max_fan_in, "max_fan_in", CellError, at_least=2)
     library = CellLibrary(name or f"stdcells_{tech.name}", tech)
     for drive in drives:
         library.add(inverter(tech, drive=drive))

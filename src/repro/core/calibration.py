@@ -33,6 +33,7 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
+from ..fields import ReproInputError, integer, real, real_array
 from ..tech.parameters import TechnologyError
 
 __all__ = [
@@ -46,7 +47,7 @@ __all__ = [
 ]
 
 
-class CalibrationError(ValueError):
+class CalibrationError(ReproInputError):
     """Raised when a calibration cannot be constructed or applied."""
 
 
@@ -84,9 +85,7 @@ class LinearCalibration:
         Broadcasts elementwise; returns a float when both the
         calibration and the input are scalar.
         """
-        periods = np.asarray(period_s, dtype=float)
-        if np.any(periods <= 0.0):
-            raise CalibrationError("measured period must be positive")
+        periods = real_array(period_s, "period_s", CalibrationError, above=0.0)
         estimates = self.slope_c_per_second * periods + self.offset_c
         if np.ndim(estimates) == 0:
             return float(estimates)
@@ -138,8 +137,7 @@ class PolynomialCalibration:
     def __post_init__(self) -> None:
         if len(self.coefficients) < 2:
             raise CalibrationError("a polynomial calibration needs at least degree 1")
-        if self.period_scale_s <= 0.0:
-            raise CalibrationError("period_scale_s must be positive")
+        real(self.period_scale_s, "period_scale_s", CalibrationError, above=0.0)
 
     def temperature(
         self, period_s: Union[float, np.ndarray]
@@ -149,9 +147,7 @@ class PolynomialCalibration:
         Accepts a scalar (returning a float) or an ndarray of periods,
         evaluated elementwise through the normalised polynomial.
         """
-        periods = np.asarray(period_s, dtype=float)
-        if np.any(periods <= 0.0):
-            raise CalibrationError("measured period must be positive")
+        periods = real_array(period_s, "period_s", CalibrationError, above=0.0)
         x = (periods - self.period_offset_s) / self.period_scale_s
         estimates = np.polyval(self.coefficients, x)
         if np.ndim(period_s) == 0:
@@ -174,14 +170,12 @@ def two_point_calibration(
     Monte-Carlo sample; the slope and offset then have the leading
     shape.
     """
-    periods = np.asarray(periods_s, dtype=float)
-    temps = np.asarray(temperatures_c, dtype=float)
+    periods = real_array(periods_s, "periods_s", CalibrationError, above=0.0)
+    temps = real_array(temperatures_c, "temperatures_c", CalibrationError)
     if periods.ndim == 0 or periods.shape[-1] != 2 or temps.shape != (2,):
         raise CalibrationError("two-point calibration needs exactly two points")
     period_low, period_high = periods[..., 0], periods[..., 1]
     temp_low, temp_high = temps[0], temps[1]
-    if np.any(period_low <= 0.0) or np.any(period_high <= 0.0):
-        raise CalibrationError("calibration periods must be positive")
     if temp_low == temp_high:
         raise CalibrationError("calibration temperatures must differ")
     if np.any(period_low == period_high):
@@ -203,9 +197,7 @@ def one_point_calibration(
     """
     if design_slope_c_per_second == 0.0:
         raise CalibrationError("design slope must be non-zero")
-    periods = np.asarray(period_s, dtype=float)
-    if np.any(periods <= 0.0):
-        raise CalibrationError("measured period must be positive")
+    periods = real_array(period_s, "period_s", CalibrationError, above=0.0)
     offset = temperature_c - design_slope_c_per_second * periods
     return LinearCalibration(
         slope_c_per_second=design_slope_c_per_second, offset_c=offset, kind="one-point"
@@ -243,8 +235,7 @@ def fit_polynomial_calibration(
     """Least-squares polynomial calibration of the requested degree."""
     periods_arr = np.asarray(periods_s, dtype=float)
     temps_arr = np.asarray(temperatures_c, dtype=float)
-    if degree < 1:
-        raise CalibrationError("degree must be at least 1")
+    degree = integer(degree, "degree", CalibrationError, at_least=1)
     if periods_arr.size <= degree:
         raise CalibrationError("not enough points for the requested polynomial degree")
     if np.any(periods_arr <= 0.0):

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional
 
+from ..fields import integer
 from ..tech.parameters import TechnologyError
 from .readout import ReadoutConfig
 
@@ -64,10 +65,8 @@ class ControllerConfig:
     auto_disable: bool = True
 
     def __post_init__(self) -> None:
-        if self.settle_cycles < 0:
-            raise TechnologyError("settle_cycles must be non-negative")
-        if self.done_cycles < 1:
-            raise TechnologyError("done_cycles must be at least 1")
+        integer(self.settle_cycles, "settle_cycles", TechnologyError, at_least=0)
+        integer(self.done_cycles, "done_cycles", TechnologyError, at_least=1)
 
 
 @dataclass(frozen=True)
@@ -149,8 +148,7 @@ class MeasurementController:
 
     def duty_cycle(self, total_cycles: int) -> float:
         """Fraction of ``total_cycles`` the oscillator was enabled."""
-        if total_cycles <= 0:
-            raise TechnologyError("total_cycles must be positive")
+        total_cycles = integer(total_cycles, "total_cycles", TechnologyError, at_least=1)
         return min(1.0, self._enabled_cycles_total / total_cycles)
 
     # ------------------------------------------------------------------ #

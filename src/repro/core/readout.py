@@ -23,6 +23,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from ..fields import integer, real
 from ..tech.parameters import TechnologyError
 
 __all__ = ["ReadoutConfig", "PeriodCounter"]
@@ -49,12 +50,13 @@ class ReadoutConfig:
     counter_bits: int = 16
 
     def __post_init__(self) -> None:
-        if self.reference_clock_hz <= 0.0:
-            raise TechnologyError("reference clock frequency must be positive")
-        if self.window_cycles <= 0:
-            raise TechnologyError("window_cycles must be positive")
-        if not 4 <= self.counter_bits <= 32:
-            raise TechnologyError("counter_bits must lie in [4, 32]")
+        for name, check, bounds in (
+            ("reference_clock_hz", real, {"above": 0.0}),
+            ("window_cycles", integer, {"at_least": 1}),
+            ("counter_bits", integer, {"at_least": 4, "at_most": 32}),
+        ):
+            value = check(getattr(self, name), name, TechnologyError, **bounds)
+            object.__setattr__(self, name, value)
 
     @property
     def window_s(self) -> float:

@@ -28,6 +28,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..cells.library import CellLibrary, default_library
+from ..fields import real, real_array
 from ..oscillator.config import RingConfiguration
 from ..oscillator.period import TemperatureResponse, analytical_response, default_temperature_grid
 from ..oscillator.ring import RingOscillator
@@ -118,16 +119,11 @@ def _sweep_grid(temperatures_c: Optional[Sequence[float]]) -> np.ndarray:
     """
     if temperatures_c is None:
         return default_temperature_grid(points=21)
-    try:
-        temps = np.asarray(temperatures_c, dtype=float)
-    except (TypeError, ValueError) as error:
-        raise TechnologyError(f"temperatures_c must be numeric: {error}") from error
+    temps = real_array(temperatures_c, "temperatures_c", TechnologyError)
     if temps.ndim != 1 or temps.size == 0:
         raise TechnologyError(
             f"temperatures_c must be a non-empty 1-D grid, got shape {temps.shape}"
         )
-    if not np.all(np.isfinite(temps)):
-        raise TechnologyError("temperatures_c must be finite")
     return temps
 
 
@@ -241,8 +237,7 @@ class SmartTemperatureSensor:
         cycle — the quantitative form of the paper's self-heating
         argument.
         """
-        if measurement_rate_hz < 0.0:
-            raise TechnologyError("measurement rate must be non-negative")
+        real(measurement_rate_hz, "measurement_rate_hz", TechnologyError, at_least=0.0)
         duty = min(1.0, measurement_rate_hz * self.conversion_time_s)
         if not self.controller.config.auto_disable:
             duty = 1.0

@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..cells.library import CellLibrary, default_library
+from ..fields import real_array
 from ..oscillator.config import RingConfiguration
 from ..oscillator.ring import RingOscillator
 from ..tech.parameters import Technology, TechnologyError
@@ -239,14 +240,14 @@ class SensorBank:
     # ------------------------------------------------------------------ #
 
     def _site_temperatures(self, junction_temperatures_c) -> np.ndarray:
-        temps = np.asarray(junction_temperatures_c, dtype=float)
+        temps = real_array(
+            junction_temperatures_c, "junction_temperatures_c", TechnologyError
+        )
         if temps.shape != (self.site_count,):
             raise TechnologyError(
                 f"expected one junction temperature per site "
                 f"({self.site_count}), got shape {temps.shape}"
             )
-        if np.any(~np.isfinite(temps)):
-            raise TechnologyError("junction temperatures must be finite")
         return temps
 
     def period_tensor(self, junction_temperatures_c, technologies=None) -> np.ndarray:

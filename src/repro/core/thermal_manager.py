@@ -22,6 +22,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..circuit.transient import transient_step_count
+from ..fields import real
 from ..oscillator.config import RingConfiguration
 from ..tech.parameters import Technology, TechnologyError
 from ..tech.stacked import stack_technologies
@@ -55,10 +56,8 @@ class PerformanceState:
     performance: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.power_scale <= 1.5:
-            raise TechnologyError("power_scale must lie in [0, 1.5]")
-        if not 0.0 <= self.performance <= 1.0:
-            raise TechnologyError("performance must lie in [0, 1]")
+        real(self.power_scale, "power_scale", TechnologyError, at_least=0.0, at_most=1.5)
+        real(self.performance, "performance", TechnologyError, at_least=0.0, at_most=1.0)
 
 
 @dataclass(frozen=True)
@@ -93,9 +92,7 @@ class ThrottlingPolicy:
             "release_threshold_c",
             "emergency_threshold_c",
         ):
-            value = getattr(self, name)
-            if not np.isfinite(value):
-                raise TechnologyError(f"{name} must be finite, got {value!r}")
+            real(getattr(self, name), name, TechnologyError)
         if self.release_threshold_c >= self.throttle_threshold_c:
             raise TechnologyError(
                 "release threshold must be below the throttle threshold (hysteresis)"
@@ -637,8 +634,7 @@ class DynamicThermalManager:
             ("limit_c", limit_c),
             ("workload_scale", workload_scale),
         ):
-            if not np.isfinite(value):
-                raise TechnologyError(f"{name} must be finite, got {value!r}")
+            real(value, name, TechnologyError)
         if duration_s <= 0.0 or control_interval_s <= 0.0:
             raise TechnologyError("duration and control interval must be positive")
         if control_interval_s >= duration_s:

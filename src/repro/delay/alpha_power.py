@@ -55,6 +55,7 @@ from typing import Dict, Iterable, Tuple, Union
 
 import numpy as np
 
+from ..fields import integer, real
 from ..tech.parameters import Technology, TechnologyError, celsius_to_kelvin
 from ..tech.temperature import DeviceAtTemperature, device_at
 
@@ -99,12 +100,12 @@ class StackModel:
     series_derating: float = 1.03
 
     def __post_init__(self) -> None:
-        if self.alpha_increment_per_level < 0.0:
-            raise TechnologyError("alpha_increment_per_level must be >= 0")
-        if self.threshold_body_factor < 0.0:
-            raise TechnologyError("threshold_body_factor must be >= 0")
-        if self.series_derating < 1.0:
-            raise TechnologyError("series_derating must be >= 1")
+        for name, least in (
+            ("alpha_increment_per_level", 0.0),
+            ("threshold_body_factor", 0.0),
+            ("series_derating", 1.0),
+        ):
+            real(getattr(self, name), name, TechnologyError, at_least=least)
 
 
 @dataclass(frozen=True)
@@ -115,8 +116,7 @@ class DelayModelOptions:
     fit_factor: float = DELAY_FIT_FACTOR
 
     def __post_init__(self) -> None:
-        if self.fit_factor <= 0.0:
-            raise TechnologyError("fit_factor must be positive")
+        real(self.fit_factor, "fit_factor", TechnologyError, above=0.0)
 
 
 @dataclass(frozen=True)
@@ -142,10 +142,8 @@ class DriveNetwork:
     def __post_init__(self) -> None:
         if self.polarity not in ("nmos", "pmos"):
             raise TechnologyError("polarity must be 'nmos' or 'pmos'")
-        if self.width_um <= 0.0:
-            raise TechnologyError("width_um must be positive")
-        if self.stack_depth < 1:
-            raise TechnologyError("stack_depth must be at least 1")
+        real(self.width_um, "width_um", TechnologyError, above=0.0)
+        integer(self.stack_depth, "stack_depth", TechnologyError, at_least=1)
 
 
 #: A drive network paired with the stack model its current is evaluated

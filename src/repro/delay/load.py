@@ -16,9 +16,9 @@ that broadcasts through the delay model's sample axis.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+from ..fields import integer, real
 from ..tech.parameters import Technology, TechnologyError
 
 __all__ = ["input_capacitance", "output_parasitic_capacitance", "wire_capacitance", "StageLoad"]
@@ -30,8 +30,8 @@ def input_capacitance(tech: Technology, nmos_width_um: float, pmos_width_um: flo
     One input of a static CMOS gate drives exactly one NMOS and one PMOS
     gate terminal regardless of the gate type; only the widths differ.
     """
-    if nmos_width_um <= 0.0 or pmos_width_um <= 0.0:
-        raise TechnologyError("transistor widths must be positive")
+    real(nmos_width_um, "nmos_width_um", TechnologyError, above=0.0)
+    real(pmos_width_um, "pmos_width_um", TechnologyError, above=0.0)
     return (
         tech.nmos.gate_cap_f_per_um * nmos_width_um
         + tech.pmos.gate_cap_f_per_um * pmos_width_um
@@ -51,8 +51,8 @@ def output_parasitic_capacitance(
     polarity connect to the output (e.g. a NAND2 has 1 NMOS drain — the
     top of the stack — and 2 PMOS drains on the output).
     """
-    if nmos_on_output < 0 or pmos_on_output < 0:
-        raise TechnologyError("drain counts must be non-negative")
+    integer(nmos_on_output, "nmos_on_output", TechnologyError, at_least=0)
+    integer(pmos_on_output, "pmos_on_output", TechnologyError, at_least=0)
     n_cap = (
         tech.nmos.junction_cap_f_per_um + 2.0 * tech.nmos.overlap_cap_f_per_um
     ) * nmos_width_um * nmos_on_output
@@ -64,10 +64,7 @@ def output_parasitic_capacitance(
 
 def wire_capacitance(tech: Technology, length_um: float) -> float:
     """Local interconnect capacitance (F) for a wire of given length."""
-    if not (math.isfinite(length_um) and length_um >= 0.0):
-        raise TechnologyError(
-            f"wire length must be finite and non-negative, got {length_um!r}"
-        )
+    real(length_um, "length_um", TechnologyError, at_least=0.0)
     return tech.wire_cap_f_per_um * length_um
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ..fields import real
 from ..tech.parameters import TechnologyError, celsius_to_kelvin
 from ..tech.temperature import thermal_voltage
 
@@ -49,12 +50,9 @@ class DiodeParameters:
     series_resistance_ohm: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.saturation_current_a <= 0.0:
-            raise TechnologyError("saturation current must be positive")
-        if self.ideality < 1.0:
-            raise TechnologyError("ideality factor must be >= 1")
-        if self.reference_temperature_k <= 0.0:
-            raise TechnologyError("reference temperature must be positive kelvin")
+        real(self.saturation_current_a, "saturation_current_a", TechnologyError, above=0.0)
+        real(self.ideality, "ideality", TechnologyError, at_least=1.0)
+        real(self.reference_temperature_k, "reference_temperature_k", TechnologyError, above=0.0)
 
 
 class DiodeModel:
@@ -65,8 +63,7 @@ class DiodeModel:
 
     def saturation_current(self, temp_k: float) -> float:
         """Saturation current (A) at ``temp_k`` using the bandgap law."""
-        if temp_k <= 0.0:
-            raise TechnologyError("temperature must be positive kelvin")
+        temp_k = real(temp_k, "temp_k", TechnologyError, above=0.0)
         p = self.params
         t_ref = p.reference_temperature_k
         vt_ref = thermal_voltage(t_ref)
@@ -82,8 +79,7 @@ class DiodeModel:
         forward voltage has the familiar roughly -2 mV/K slope, which is
         the signal an analogue thermal sensor digitises.
         """
-        if current_a <= 0.0:
-            raise TechnologyError("bias current must be positive")
+        current_a = real(current_a, "current_a", TechnologyError, above=0.0)
         isat = self.saturation_current(temp_k)
         vt = thermal_voltage(temp_k)
         voltage = self.params.ideality * vt * math.log(current_a / isat + 1.0)
@@ -111,8 +107,7 @@ class DiodeModel:
         self, delta_vbe: float, current_low_a: float, current_high_a: float
     ) -> float:
         """Invert :meth:`delta_vbe` (ignoring series resistance) to kelvin."""
-        if delta_vbe <= 0.0:
-            raise TechnologyError("delta_vbe must be positive")
+        delta_vbe = real(delta_vbe, "delta_vbe", TechnologyError, above=0.0)
         log_ratio = math.log(current_high_a / current_low_a)
         # delta_vbe = n * (k/q) * T * ln(ratio)  (ideal part)
         return delta_vbe / (self.params.ideality * 8.617333262e-5 * log_ratio)

@@ -38,6 +38,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from ..fields import real
 from ..tech.parameters import Technology, TechnologyError, TransistorParameters
 from ..tech.temperature import DeviceAtTemperature, device_at, thermal_voltage
 
@@ -72,10 +73,9 @@ class DeviceSizing:
     length_um: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.width_um <= 0.0:
-            raise TechnologyError("transistor width must be positive")
-        if self.length_um is not None and self.length_um <= 0.0:
-            raise TechnologyError("transistor length must be positive")
+        real(self.width_um, "width_um", TechnologyError, above=0.0)
+        if self.length_um is not None:
+            real(self.length_um, "length_um", TechnologyError, above=0.0)
 
     def length_or(self, default: float) -> float:
         return self.length_um if self.length_um is not None else default

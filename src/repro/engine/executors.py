@@ -45,6 +45,7 @@ from typing import Any, Dict, Iterator, Optional, Tuple
 import multiprocessing
 import numpy as np
 
+from ..fields import integer
 from .sweep import SweepError, SweepPlan, SweepResult
 from .tiling import Tile, TilingPlan, plan_tiles, subplan
 
@@ -149,10 +150,11 @@ class ProcessExecutor(Executor):
     name = "process"
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
-        workers = int(max_workers) if max_workers else (os.cpu_count() or 1)
-        if workers < 1:
-            raise SweepError("max_workers must be at least 1")
-        self.max_workers = workers
+        self.max_workers = (
+            integer(max_workers, "max_workers", SweepError, at_least=1)
+            if max_workers
+            else (os.cpu_count() or 1)
+        )
 
     def _pool(self) -> _PoolImpl:
         pool = _POOLS.get(self.max_workers)
@@ -212,9 +214,10 @@ def _env_int(name: str) -> Optional[int]:
     if not text:
         return None
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
-        raise SweepError(f"{name} must be an integer, got {text!r}") from None
+        value = text  # not an integer: the checker refuses it, naming the variable
+    return integer(value, name, SweepError)
 
 
 def resolve_executor(executor: Any) -> Optional[Executor]:

@@ -64,11 +64,12 @@ import numpy as np
 from ..cells.library import CellLibrary, default_library
 from ..core.readout import PeriodCounter, ReadoutConfig
 from ..core.sensor_bank import SensorBank
+from ..fields import ReproInputError, integer, real, real_array
 from ..oscillator.bank import ConfigurationBank, normalise_configurations
-from ..oscillator.config import ConfigurationError, RingConfiguration
+from ..oscillator.config import ConfigurationError, RingConfiguration, odd_stage_count
 from ..oscillator.period import default_temperature_grid
 from ..oscillator.ring import RingOscillator
-from ..tech.parameters import Technology, TechnologyError
+from ..tech.parameters import CELSIUS_OFFSET, Technology, TechnologyError
 from ..tech.stacked import (
     stack_technologies,
     technology_array_from_columns,
@@ -145,7 +146,7 @@ OBSERVABLES = (
 _ENDPOINT_OBSERVABLES = ("transfer_c", "calibration_error_c", "nonlinearity_percent")
 
 
-class SweepError(ValueError):
+class SweepError(ReproInputError):
     """Raised for invalid sweep specifications or result queries."""
 
 
@@ -385,13 +386,16 @@ class Axis:
         The grid is kept in the caller's order (periods are evaluated
         elementwise, so ordering is presentation only).  Each point must
         be unique — duplicates would collide as coordinate labels in the
-        result (and re-evaluate the same point for nothing).
+        result (and re-evaluate the same point for nothing) — finite and
+        above absolute zero.  The device models are fitted for roughly
+        50–600 K and extrapolate outside that range; nothing else bounds
+        a temperature.
         """
-        temps = np.asarray(list(temperatures_c), dtype=float)
+        temps = real_array(
+            list(temperatures_c), "temperature", SweepError, above=-CELSIUS_OFFSET
+        )
         if temps.ndim != 1 or temps.size < 1:
             raise SweepError("temperature axis needs a 1-D grid of at least one point")
-        if np.any(~np.isfinite(temps)):
-            raise SweepError("temperature axis must be finite (no NaN or infinity)")
         duplicates = _duplicate_labels([float(t) for t in temps])
         if duplicates:
             raise SweepError(
@@ -476,14 +480,14 @@ class Axis:
             )
         temps = None
         if junction_temperatures_c is not None:
-            temps = np.asarray(list(junction_temperatures_c), dtype=float)
+            temps = real_array(
+                list(junction_temperatures_c), "junction_temperatures_c", SweepError
+            )
             if temps.shape != (bank.site_count,):
                 raise SweepError(
                     f"expected one junction temperature per site "
                     f"({bank.site_count}), got shape {temps.shape}"
                 )
-            if np.any(~np.isfinite(temps)):
-                raise SweepError("junction temperatures must be finite")
         return cls(
             "site",
             bank.names(),
@@ -557,11 +561,9 @@ class Axis:
         When combined with a ``sample`` axis the supplies override each
         sample's vdd, giving the full supply x sample cross product.
         """
-        values = np.asarray(list(supplies_v), dtype=float)
+        values = real_array(list(supplies_v), "supply", SweepError, above=0.0)
         if values.ndim != 1 or values.size < 1:
             raise SweepError("supply axis needs a 1-D grid of at least one voltage")
-        if np.any(~np.isfinite(values)) or np.any(values <= 0.0):
-            raise SweepError("supply voltages must be finite and positive")
         if len(set(values.tolist())) != values.size:
             raise SweepError("supply voltages must be unique")
         return cls("supply", tuple(float(v) for v in values))
@@ -581,13 +583,14 @@ class Axis:
         than a broadcast dimension of its own.  Mutually exclusive with
         the ``configuration`` axis.  Ratios must be unique — a duplicate
         would collide as a coordinate label in the result, making
-        ``select`` ambiguous and the serialized form lossy.
+        ``select`` ambiguous and the serialized form lossy.  The rings
+        take the sweep's ``wire_length_um``, ``external_load_f`` and
+        ``tap_stage``; :meth:`Sweep.plan` builds them, so a width below
+        the technology minimum is refused there.
         """
-        values = np.asarray(list(ratios), dtype=float)
+        values = real_array(list(ratios), "width_ratio", SweepError, above=0.0)
         if values.ndim != 1 or values.size < 1:
             raise SweepError("width_ratio axis needs at least one ratio")
-        if np.any(~np.isfinite(values)) or np.any(values <= 0.0):
-            raise SweepError("width ratios must be finite and positive")
         duplicates = _duplicate_labels([float(r) for r in values])
         if duplicates:
             raise SweepError(
@@ -597,7 +600,10 @@ class Axis:
         return cls(
             "width_ratio",
             tuple(float(r) for r in values),
-            payload={"nmos_width_um": float(nmos_width_um), "stage_count": int(stage_count)},
+            payload={
+                "nmos_width_um": real(nmos_width_um, "nmos_width_um", SweepError, above=0.0),
+                "stage_count": odd_stage_count(stage_count, SweepError),
+            },
         )
 
     # ------------------------------------------------------------------ #
@@ -715,10 +721,9 @@ class Axis:
                 return cls.configuration(dict(zip(labels, configs)))
             if name == "sample":
                 tech = payload["technology"]
-                columns = {
-                    key: np.asarray(values, dtype=float).reshape(-1, 1)
-                    for key, values in payload["columns"].items()
-                }
+                # Plain lists: the stacked fields check every sample
+                # (a string or boolean is refused, not coerced).
+                columns = dict(payload["columns"])
                 try:
                     population = technology_array_from_columns(
                         name=str(tech["name"]),
@@ -730,7 +735,8 @@ class Axis:
                     )
                 except (TechnologyError, KeyError) as error:
                     raise SweepError(
-                        f"invalid serialized sample population: {error}"
+                        f"invalid serialized sample population: {error}",
+                        getattr(error, "field", None),
                     ) from error
                 return cls.sample(population)
         except SweepError:
@@ -941,13 +947,6 @@ class SweepResult:
         at construction) is what keeps this view lossless: a duplicate
         label would silently overwrite its sibling's subtree.
         """
-        for name in self.dims:
-            duplicates = _duplicate_labels(self.coords[name])
-            if duplicates:  # pragma: no cover - unreachable post-validation
-                raise SweepError(
-                    f"axis {name!r} has duplicate coordinate labels "
-                    f"{duplicates}; the coordinate-keyed view would drop data"
-                )
         if not self.dims:
             return float(self.values.reshape(()))
         name = self.dims[0]
@@ -966,17 +965,10 @@ class SweepResult:
         The payload is built from plain lists and scalars, so it
         round-trips through JSON and :meth:`from_dict` rebuilds an
         identical result — the serialization tile results and cached
-        sweep artifacts travel as.  Duplicate coordinate labels raise
-        :class:`SweepError` (they cannot re-hydrate losslessly); use
-        :meth:`to_tree` for the coordinate-keyed nested view.
+        sweep artifacts travel as (coordinates are unique, checked at
+        construction); use :meth:`to_tree` for the coordinate-keyed
+        nested view.
         """
-        for name in self.dims:
-            duplicates = _duplicate_labels(self.coords[name])
-            if duplicates:  # pragma: no cover - unreachable post-validation
-                raise SweepError(
-                    f"axis {name!r} has duplicate coordinate labels "
-                    f"{duplicates}; the serialized result would drop data"
-                )
         return {
             "version": self.SCHEMA_VERSION,
             "observable": self.observable,
@@ -1048,7 +1040,9 @@ class Sweep:
         sweep as-is (wins over technology/library/configuration).
     wire_length_um / external_load_f / tap_stage:
         Ring construction parameters used when the sweep builds rings
-        itself.
+        itself (the base ring, a configuration axis's rings or a
+        width_ratio axis's sized rings); :meth:`plan` checks them by
+        building those rings.
     readout:
         Counter readout used by the ``code`` observable for sweeps
         without a site axis (a site axis brings its bank's readout).
@@ -1076,8 +1070,8 @@ class Sweep:
             configuration = RingConfiguration.parse(configuration)
         self._configuration = configuration
         self._ring = ring
-        self._wire_length_um = float(wire_length_um)
-        self._external_load_f = float(external_load_f)
+        self._wire_length_um = wire_length_um
+        self._external_load_f = external_load_f
         self._tap_stage = tap_stage
         self._readout = readout
         self._axes: Dict[str, Axis] = {}
@@ -1216,14 +1210,22 @@ class Sweep:
             try:
                 readout = ReadoutConfig(**dict(base.get("readout") or {}))
             except (TypeError, TechnologyError) as error:
-                raise SweepError(f"invalid serialized readout: {error}") from error
+                raise SweepError(
+                    f"invalid serialized readout: {error}", getattr(error, "field", None)
+                ) from error
+            loads = {
+                name: real(base.get(name, default), f"base.{name}", SweepError, at_least=0.0)
+                for name, default in (("wire_length_um", 2.0), ("external_load_f", 0.0))
+            }
+            tap_stage = base.get("tap_stage")
+            if tap_stage is not None:
+                tap_stage = integer(tap_stage, "base.tap_stage", SweepError, at_least=0)
             sweep = cls(
                 technology=technology,
                 configuration=configuration,
-                wire_length_um=base.get("wire_length_um", 2.0),
-                external_load_f=base.get("external_load_f", 0.0),
-                tap_stage=base.get("tap_stage"),
+                tap_stage=tap_stage,
                 readout=readout,
+                **loads,
             )
         except SweepError:
             raise
@@ -1240,7 +1242,12 @@ class Sweep:
         return sweep.observe(payload["observable"])
 
     def plan(self) -> "SweepPlan":
-        """Validate the axis combination and freeze the lowering plan."""
+        """Validate the axis combination and freeze the lowering plan.
+
+        Planning builds every ring the plan will evaluate (per node of a
+        technology axis, else once, kept in the plan), so a bad ring
+        field raises here, naming the field, before any evaluation.
+        """
         axes = tuple(
             self._axes[name] for name in CANONICAL_AXIS_ORDER if name in self._axes
         )
@@ -1369,7 +1376,11 @@ class Sweep:
             tap_stage=self._tap_stage,
             readout=self._readout,
         )
-        plan._check_cell_names()
+        tech_axis = plan.axis("technology")
+        if tech_axis is None:
+            return replace(plan, rings=plan._build_rings())
+        for node in tech_axis.payload:
+            replace(plan, technology=node)._build_rings()
         return plan
 
     def run(
@@ -1426,6 +1437,9 @@ class SweepPlan:
     external_load_f: float
     tap_stage: Optional[int]
     readout: ReadoutConfig = ReadoutConfig()
+    #: What :meth:`_build_rings` built at plan time; ``None`` when the
+    #: rings depend on a technology axis's node (built per node).
+    rings: Any = None
 
     def axis(self, name: str) -> Optional[Axis]:
         for axis in self.axes:
@@ -1464,52 +1478,63 @@ class SweepPlan:
             return site_axis.payload["bank"].library
         return default_library(self._base_technology())
 
-    def _base_ring(self) -> RingOscillator:
+    def _build_rings(self) -> Any:
+        """The rings this plan evaluates, built and so checked.
+
+        A :class:`~repro.oscillator.bank.ConfigurationBank` for a
+        configuration axis, a tuple of sized rings for a width_ratio
+        axis, ``None`` for a site axis (its bank brings the ring), else
+        the base ring.  A configuration naming a cell its library lacks
+        is a ``SweepError`` naming the configuration and the cell.
+        """
+        if self.axis("site") is not None:
+            return None
+        ratio_axis = self.axis("width_ratio")
+        if ratio_axis is not None:
+            from ..optimize.sizing import build_sized_ring
+
+            return tuple(
+                build_sized_ring(
+                    self._base_technology(),
+                    float(ratio),
+                    nmos_width_um=ratio_axis.payload["nmos_width_um"],
+                    stage_count=ratio_axis.payload["stage_count"],
+                    wire_length_um=self.wire_length_um,
+                    external_load_f=self.external_load_f,
+                    tap_stage=self.tap_stage,
+                )
+                for ratio in ratio_axis.coordinates
+            )
         if self.ring is not None:
             return self.ring
-        if self.configuration is None:
-            raise SweepError(
-                "this sweep has no configuration axis and no base "
-                "configuration/ring to evaluate; pass configuration= or ring= "
-                "to Sweep, or add Axis.configuration(...)"
-            )
-        return RingOscillator(
-            self._base_library(),
-            self.configuration,
-            wire_length_um=self.wire_length_um,
-            external_load_f=self.external_load_f,
-            tap_stage=self.tap_stage,
-        )
-
-    def _check_cell_names(self) -> None:
-        """Reject a ring configuration naming a cell its library lacks.
-
-        Checked at plan time, so an unknown cell is a ``SweepError``
-        naming the configuration before any period is evaluated.  A
-        technology axis checks each node's default library.
-        """
         config_axis = self.axis("configuration")
         if config_axis is not None:
             configurations = config_axis.payload
         elif self.configuration is not None:
             configurations = {self.configuration.label(): self.configuration}
         else:
-            return
-        tech_axis = self.axis("technology")
-        libraries = (
-            [default_library(node) for node in tech_axis.payload]
-            if tech_axis is not None
-            else [self._base_library()]
+            raise SweepError(
+                "this sweep has no configuration axis and no base "
+                "configuration/ring to evaluate; pass configuration= or ring= "
+                "to Sweep, or add Axis.configuration(...)"
+            )
+        library = self._base_library()
+        for label, configuration in configurations.items():
+            for stage in configuration.stages:
+                if stage not in library:
+                    raise SweepError(
+                        f"ring configuration {label!r} names cell "
+                        f"{stage!r}, which library {library.name!r} "
+                        "does not have"
+                    )
+        ring_fields = dict(
+            wire_length_um=self.wire_length_um,
+            external_load_f=self.external_load_f,
+            tap_stage=self.tap_stage,
         )
-        for library in libraries:
-            for label, configuration in configurations.items():
-                for stage in configuration.stages:
-                    if stage not in library:
-                        raise SweepError(
-                            f"ring configuration {label!r} names cell "
-                            f"{stage!r}, which library {library.name!r} "
-                            "does not have"
-                        )
+        if config_axis is None:
+            return RingOscillator(library, self.configuration, **ring_fields)
+        return ConfigurationBank(library, configurations, **ring_fields)
 
     # ------------------------------------------------------------------ #
     # population lowering (supply x sample)
@@ -1629,6 +1654,7 @@ class SweepPlan:
             else None
         )
         population = self._lower_population()
+        rings = self.rings if self.rings is not None else self._build_rings()
         config_axis = self.axis("configuration")
         ratio_axis = self.axis("width_ratio")
         site_axis = self.axis("site")
@@ -1681,13 +1707,7 @@ class SweepPlan:
                     inner, (sensor_bank.site_count,) + inner.shape
                 )
         elif config_axis is not None:
-            bank = ConfigurationBank(
-                self._base_library(),
-                config_axis.payload,
-                wire_length_um=self.wire_length_um,
-                external_load_f=self.external_load_f,
-                tap_stage=self.tap_stage,
-            )
+            bank = rings
             tensor = bank.period_tensor(temps, technologies=population)
             if need_power:
                 per_config = [
@@ -1697,18 +1717,6 @@ class SweepPlan:
                 if vdd2cap.ndim == 1:  # scalars per configuration
                     vdd2cap = vdd2cap.reshape(-1, 1)
         elif ratio_axis is not None:
-            from ..optimize.sizing import build_sized_ring
-
-            technology = self._base_technology()
-            rings = [
-                build_sized_ring(
-                    technology,
-                    float(ratio),
-                    nmos_width_um=ratio_axis.payload["nmos_width_um"],
-                    stage_count=ratio_axis.payload["stage_count"],
-                )
-                for ratio in ratio_axis.coordinates
-            ]
             tensor = np.stack(
                 [self._single_ring_tensor(ring, population, temps) for ring in rings]
             )
@@ -1719,10 +1727,9 @@ class SweepPlan:
                 if vdd2cap.ndim == 1:
                     vdd2cap = vdd2cap.reshape(-1, 1)
         else:
-            ring = self._base_ring()
-            tensor = self._single_ring_tensor(ring, population, temps)
+            tensor = self._single_ring_tensor(rings, population, temps)
             if need_power:
-                vdd2cap = self._vdd2_switched_cap(ring, population)
+                vdd2cap = self._vdd2_switched_cap(rings, population)
 
         if not np.isfinite(tensor).all():
             raise SweepError(

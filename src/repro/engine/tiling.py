@@ -36,6 +36,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..fields import integer
 from .sweep import _ENDPOINT_OBSERVABLES, Axis, SweepError, SweepPlan
 
 __all__ = [
@@ -146,9 +147,7 @@ def plan_tiles(
     if max_tile_elements is None:
         budget = DEFAULT_TILE_ELEMENTS
     else:
-        budget = int(max_tile_elements)
-        if budget < 1:
-            raise SweepError("max_tile_elements must be at least 1")
+        budget = integer(max_tile_elements, "max_tile_elements", SweepError, at_least=1)
 
     dims = tuple(axis.name for axis in plan.axes)
     shape = tuple(len(axis) for axis in plan.axes)

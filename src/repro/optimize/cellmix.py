@@ -19,7 +19,7 @@ import numpy as np
 
 from ..analysis.linearity import NonlinearityResult, nonlinearity
 from ..cells.library import CellLibrary
-from ..oscillator.config import ConfigurationError, RingConfiguration
+from ..oscillator.config import ConfigurationError, RingConfiguration, odd_stage_count
 from ..oscillator.period import TemperatureResponse, analytical_response, default_temperature_grid
 from ..oscillator.ring import RingOscillator
 from ..tech.parameters import TechnologyError
@@ -87,8 +87,7 @@ def enumerate_configurations(
     so combinations-with-replacement enumeration is sufficient and keeps
     the space small (126 candidates for 5 cells over 5 stages).
     """
-    if stage_count < 3 or stage_count % 2 == 0:
-        raise ConfigurationError("stage_count must be an odd number >= 3")
+    stage_count = odd_stage_count(stage_count)
     if not cell_names:
         raise ConfigurationError("at least one cell name is required")
     configurations: List[RingConfiguration] = []
@@ -209,8 +208,7 @@ def greedy_cell_mix(
     exhaustive search for long rings (21+ stages) where enumeration
     explodes combinatorially.
     """
-    if stage_count < 3 or stage_count % 2 == 0:
-        raise ConfigurationError("stage_count must be an odd number >= 3")
+    stage_count = odd_stage_count(stage_count)
     current = RingConfiguration.uniform(cell_names[0], stage_count)
     current_candidate = evaluate_configuration(
         library, current, temperatures_c, fit_method

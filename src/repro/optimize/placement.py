@@ -37,6 +37,7 @@ import numpy as np
 from ..core.calibration import LinearCalibration
 from ..core.mapping import reconstruct_maps
 from ..core.sensor_bank import SensorBank
+from ..fields import integer, real
 from ..tech.parameters import TechnologyError
 from ..thermal.grid import TemperatureMap
 
@@ -111,8 +112,7 @@ class PlacementObjective:
             )
         if truths.shape[1:] != reference.values_c.shape:
             raise TechnologyError("true fields must match the reference grid shape")
-        if hotspot_weight < 0.0:
-            raise TechnologyError("hotspot weight must be non-negative")
+        hotspot_weight = real(hotspot_weight, "hotspot_weight", TechnologyError, at_least=0.0)
         self.reference = reference
         self.site_names = names
         self.site_x_mm = xs
@@ -225,10 +225,9 @@ def greedy_placement(
     combined objective most; ties break on the lowest site index so the
     result is reproducible across runs and platforms.
     """
-    if not 1 <= sensor_count <= objective.site_count:
-        raise TechnologyError(
-            f"sensor count must be in [1, {objective.site_count}], got {sensor_count}"
-        )
+    sensor_count = integer(
+        sensor_count, "sensor_count", TechnologyError, at_least=1, at_most=objective.site_count
+    )
     chosen: List[int] = sorted(set(int(i) for i in must_include))
     if len(chosen) > sensor_count:
         raise TechnologyError("must_include already exceeds the sensor count")
@@ -276,16 +275,12 @@ def anneal_placement(
     the greedy answer as ``initial`` to refine it; the default starts
     from a random subset.
     """
-    if not 1 <= sensor_count <= objective.site_count:
-        raise TechnologyError(
-            f"sensor count must be in [1, {objective.site_count}], got {sensor_count}"
-        )
-    if steps < 0:
-        raise TechnologyError("annealing steps must be non-negative")
-    if not 0.0 < cooling <= 1.0:
-        raise TechnologyError("cooling factor must be in (0, 1]")
-    if initial_temperature_c <= 0.0:
-        raise TechnologyError("initial temperature must be positive")
+    sensor_count = integer(
+        sensor_count, "sensor_count", TechnologyError, at_least=1, at_most=objective.site_count
+    )
+    steps = integer(steps, "steps", TechnologyError, at_least=0)
+    real(cooling, "cooling", TechnologyError, above=0.0, at_most=1.0)
+    real(initial_temperature_c, "initial_temperature_c", TechnologyError, above=0.0)
     rng = np.random.default_rng(seed)
     if initial is None:
         current = sorted(

@@ -20,6 +20,7 @@ from scipy import optimize as scipy_optimize
 from ..analysis.linearity import NonlinearityResult, nonlinearity
 from ..cells.factories import inverter
 from ..cells.library import CellLibrary
+from ..fields import real
 from ..oscillator.config import RingConfiguration
 from ..oscillator.period import TemperatureResponse, analytical_response, default_temperature_grid
 from ..oscillator.ring import RingOscillator
@@ -85,12 +86,17 @@ def build_sized_ring(
     width_ratio: float,
     nmos_width_um: float = 1.05,
     stage_count: int = 5,
+    wire_length_um: float = 2.0,
+    external_load_f: float = 0.0,
+    tap_stage: Optional[int] = None,
 ) -> RingOscillator:
-    """Build an inverter ring with a custom (non-library) Wp/Wn ratio."""
-    if width_ratio <= 0.0:
-        raise TechnologyError("width ratio must be positive")
-    if nmos_width_um <= 0.0:
-        raise TechnologyError("NMOS width must be positive")
+    """Build an inverter ring with a custom (non-library) Wp/Wn ratio.
+
+    ``wire_length_um``, ``external_load_f`` and ``tap_stage`` go to the
+    :class:`~repro.oscillator.ring.RingOscillator` (same defaults).
+    """
+    width_ratio = real(width_ratio, "width_ratio", TechnologyError, above=0.0)
+    nmos_width_um = real(nmos_width_um, "nmos_width_um", TechnologyError, above=0.0)
     custom = CellLibrary(f"sized_{technology.name}_{width_ratio:.3f}", technology)
     custom.add(
         inverter(
@@ -100,7 +106,13 @@ def build_sized_ring(
             name="INV_SIZED",
         )
     )
-    return RingOscillator(custom, RingConfiguration.uniform("INV_SIZED", stage_count))
+    return RingOscillator(
+        custom,
+        RingConfiguration.uniform("INV_SIZED", stage_count),
+        wire_length_um=wire_length_um,
+        external_load_f=external_load_f,
+        tap_stage=tap_stage,
+    )
 
 
 def sweep_width_ratio(

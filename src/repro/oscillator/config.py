@@ -17,16 +17,29 @@ import re
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+from ..fields import ReproInputError, integer
+
 __all__ = [
     "ConfigurationError",
+    "odd_stage_count",
     "RingConfiguration",
     "PAPER_FIG3_CONFIGURATIONS",
     "paper_fig3_configurations",
 ]
 
 
-class ConfigurationError(ValueError):
+class ConfigurationError(ReproInputError):
     """Raised for structurally invalid ring configurations."""
+
+
+def odd_stage_count(stage_count, error=ConfigurationError) -> int:
+    """``stage_count`` as an int, or ``error``: a ring needs an odd number >= 3."""
+    count = integer(stage_count, "stage_count", error, at_least=3)
+    if count % 2 == 0:
+        raise error(
+            f"stage_count must be an odd integer >= 3, got {stage_count!r}", "stage_count"
+        )
+    return count
 
 
 _GROUP_PATTERN = re.compile(r"^\s*(\d+)\s*([A-Za-z]+\d*)\s*$")
@@ -58,15 +71,14 @@ class RingConfiguration:
     @classmethod
     def uniform(cls, cell_name: str, stage_count: int) -> "RingConfiguration":
         """A ring built from ``stage_count`` copies of one cell."""
-        return cls(tuple([cell_name] * stage_count))
+        return cls(tuple([cell_name] * odd_stage_count(stage_count)))
 
     @classmethod
     def from_counts(cls, counts: Sequence[Tuple[str, int]]) -> "RingConfiguration":
         """Build from ``[(cell_name, count), ...]`` groups in order."""
         stages: List[str] = []
         for cell_name, count in counts:
-            if count < 0:
-                raise ConfigurationError("stage counts must be non-negative")
+            count = integer(count, "count", ConfigurationError, at_least=0)
             stages.extend([cell_name] * count)
         return cls(tuple(stages))
 

@@ -14,6 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from ..fields import integer, real_array
 from ..tech.parameters import TechnologyError
 from .ring import RingOscillator
 
@@ -67,8 +68,7 @@ def default_temperature_grid(
     t_min_c: float = -50.0, t_max_c: float = 150.0, points: int = 41
 ) -> np.ndarray:
     """Dense uniform temperature grid over the paper's range."""
-    if points < 2:
-        raise TechnologyError("a temperature grid needs at least two points")
+    points = integer(points, "points", TechnologyError, at_least=2)
     if t_max_c <= t_min_c:
         raise TechnologyError("t_max_c must exceed t_min_c")
     return np.linspace(t_min_c, t_max_c, points)
@@ -99,15 +99,13 @@ class TemperatureResponse:
 
     def __post_init__(self) -> None:
         temps = np.asarray(self.temperatures_c, dtype=float)
-        periods = np.asarray(self.periods_s, dtype=float)
+        periods = real_array(self.periods_s, "periods_s", TechnologyError, above=0.0)
         if temps.ndim != 1 or periods.ndim != 1 or temps.shape != periods.shape:
             raise TechnologyError("temperatures and periods must be matching 1-D arrays")
         if temps.size < 3:
             raise TechnologyError("a temperature response needs at least three points")
         if np.any(np.diff(temps) <= 0):
             raise TechnologyError("temperatures must be strictly increasing")
-        if np.any(periods <= 0):
-            raise TechnologyError("periods must be positive")
         object.__setattr__(self, "temperatures_c", temps)
         object.__setattr__(self, "periods_s", periods)
 

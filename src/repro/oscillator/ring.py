@@ -27,6 +27,7 @@ from ..circuit.netlist import Circuit
 from ..circuit.transient import TransientOptions, TransientResult, simulate_transient
 from ..circuit.waveform import Waveform
 from ..delay.load import wire_capacitance
+from ..fields import integer, real
 from ..tech.parameters import celsius_to_kelvin
 from ..tech.stacked import stack_technologies
 from .config import ConfigurationError, RingConfiguration
@@ -75,16 +76,16 @@ class RingOscillator:
     ) -> None:
         self.library = library
         self.configuration = configuration
-        self.wire_length_um = float(wire_length_um)
-        self.external_load_f = float(external_load_f)
-        if not (np.isfinite(self.external_load_f) and self.external_load_f >= 0.0):
-            raise ConfigurationError(
-                f"external_load_f must be finite and non-negative, got "
-                f"{self.external_load_f!r}"
-            )
-        if tap_stage is not None and not 0 <= tap_stage < configuration.stage_count:
-            raise ConfigurationError(
-                f"tap_stage {tap_stage} outside the ring (0..{configuration.stage_count - 1})"
+        self.wire_length_um = real(
+            wire_length_um, "wire_length_um", ConfigurationError, at_least=0.0
+        )
+        self.external_load_f = real(
+            external_load_f, "external_load_f", ConfigurationError, at_least=0.0
+        )
+        if tap_stage is not None:
+            tap_stage = integer(
+                tap_stage, "tap_stage", ConfigurationError,
+                at_least=0, at_most=configuration.stage_count - 1,
             )
         self.tap_stage = tap_stage
 

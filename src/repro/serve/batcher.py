@@ -40,10 +40,10 @@ none), so coalescing can only ever improve a neighbour's service.
 from __future__ import annotations
 
 import asyncio
-import math
 from typing import Any, Awaitable, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..engine.sweep import SweepError, SweepResult
+from ..fields import real
 
 __all__ = ["DEFAULT_BATCH_WINDOW_MS", "MicroBatcher"]
 
@@ -99,12 +99,8 @@ class MicroBatcher:
         evaluate: Callable[..., Awaitable[SweepResult]],
         window_ms: float = DEFAULT_BATCH_WINDOW_MS,
     ) -> None:
-        self.window_ms = float(window_ms)
         # A NaN or infinite window never flushes: every member would hang.
-        if not (math.isfinite(self.window_ms) and self.window_ms >= 0.0):
-            raise SweepError(
-                f"batch_window_ms must be finite and non-negative, got {window_ms!r}"
-            )
+        self.window_ms = real(window_ms, "batch_window_ms", SweepError, at_least=0.0)
         self._evaluate = evaluate
         self._open: Dict[str, _Batch] = {}
         self._draining: Optional[BaseException] = None

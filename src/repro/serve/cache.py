@@ -54,6 +54,7 @@ from collections import OrderedDict
 from typing import Any, Dict, Optional
 
 from ..engine.sweep import Sweep, SweepError, SweepResult
+from ..fields import integer
 
 __all__ = ["DEFAULT_CACHE_BYTES", "DEFAULT_DISK_CACHE_BYTES", "DiskCache", "ResultCache"]
 
@@ -91,10 +92,9 @@ class DiskCache:
         directory: str,
         max_bytes: int = DEFAULT_DISK_CACHE_BYTES,
     ) -> None:
-        if int(max_bytes) < 0:
-            raise SweepError("max_bytes must be non-negative")
+        max_bytes = integer(max_bytes, "max_bytes", SweepError, at_least=0)
         self.directory = str(directory)
-        self.max_bytes = int(max_bytes)
+        self.max_bytes = max_bytes
         os.makedirs(self.directory, exist_ok=True)
         self._lock = threading.Lock()
         self._hits = 0
@@ -297,9 +297,8 @@ class ResultCache:
         max_bytes: int = DEFAULT_CACHE_BYTES,
         disk: Optional[DiskCache] = None,
     ) -> None:
-        if int(max_bytes) < 0:
-            raise SweepError("max_bytes must be non-negative")
-        self.max_bytes = int(max_bytes)
+        max_bytes = integer(max_bytes, "max_bytes", SweepError, at_least=0)
+        self.max_bytes = max_bytes
         self.disk = disk
         self._entries: "OrderedDict[str, bytes]" = OrderedDict()
         self._lock = threading.Lock()

@@ -33,6 +33,7 @@ import time
 from typing import Any, Dict, Mapping, Optional, Union
 
 from ..engine.sweep import Sweep, SweepError, SweepResult
+from ..fields import integer, real
 
 __all__ = ["ServeClient", "ServeError"]
 
@@ -72,10 +73,8 @@ class ServeClient:
         connect_retries: int = 3,
         retry_backoff_s: float = 0.05,
     ) -> None:
-        if int(connect_retries) < 0:
-            raise SweepError("connect_retries must be non-negative")
-        if float(retry_backoff_s) < 0.0:
-            raise SweepError("retry_backoff_s must be non-negative")
+        connect_retries = integer(connect_retries, "connect_retries", SweepError, at_least=0)
+        retry_backoff_s = real(retry_backoff_s, "retry_backoff_s", SweepError, at_least=0.0)
         self._host = host
         self._port = int(port)
         self._timeout = float(timeout)

@@ -7,7 +7,10 @@ field; responses echo the request's optional ``id`` and carry either
 ``"ok": true`` plus op-specific fields, or ``"ok": false`` plus a
 structured ``error`` object with a stable machine-readable ``code``
 (the strings below are API: clients and tests dispatch on them) and a
-human-readable ``message``.
+human-readable ``message``.  Every malformed or out-of-range input is a
+:class:`~repro.fields.ReproInputError` naming its field and is answered
+``bad-spec`` (``tech-mismatch`` for a technology digest disagreement);
+``internal`` is kept for faults of the server itself.
 
 Operations
 ----------
@@ -108,10 +111,10 @@ OPS = ("ping", "sweep", "point", "stats", "shutdown")
 E_BAD_JSON = "bad-json"  #: the request line was not valid JSON
 E_BAD_REQUEST = "bad-request"  #: valid JSON but not a valid request envelope
 E_UNKNOWN_OP = "unknown-op"  #: the ``op`` field names no operation
-E_BAD_SPEC = "bad-spec"  #: the spec payload failed engine validation
+E_BAD_SPEC = "bad-spec"  #: any ReproInputError: a malformed or out-of-range spec field
 E_VERSION = "version-mismatch"  #: the spec's schema version is not ours
 E_TECH_MISMATCH = "tech-mismatch"  #: a technology digest disagrees with the server's registry
-E_INTERNAL = "internal"  #: unexpected server-side failure
+E_INTERNAL = "internal"  #: a fault of the server itself, never bad input
 E_BUSY = "busy"  #: the bounded evaluation queue is full; retry later
 E_DEADLINE = "deadline-expired"  #: the request's deadline passed while queued
 E_SHUTTING_DOWN = "shutting-down"  #: the server is draining; request not evaluated

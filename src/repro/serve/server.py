@@ -41,7 +41,6 @@ import asyncio
 import hashlib
 import itertools
 import json
-import math
 import threading
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -53,6 +52,7 @@ from ..engine.sweep import (
     TechnologyMismatchError,
     _ENDPOINT_OBSERVABLES,
 )
+from ..fields import ReproInputError, integer, real
 from .batcher import DEFAULT_BATCH_WINDOW_MS, MicroBatcher
 from .cache import (
     DEFAULT_CACHE_BYTES,
@@ -115,6 +115,14 @@ class _RequestError(Exception):
         self.message = message
 
 
+def _request_field(check, value: Any, field: str, **bounds: Any) -> Any:
+    """``check(value)`` from :mod:`repro.fields`; a refusal is ``bad-request``."""
+    try:
+        return check(value, field, **bounds)
+    except ReproInputError as error:
+        raise _RequestError(E_BAD_REQUEST, str(error)) from None
+
+
 def _shutting_down_error() -> _RequestError:
     return _RequestError(
         E_SHUTTING_DOWN, "server is shutting down; the request was not evaluated"
@@ -149,12 +157,8 @@ class _EvalScheduler:
 
     def __init__(self, evaluate, workers: int, queue_depth: int) -> None:
         self._evaluate = evaluate
-        self.workers = int(workers)
-        self.queue_depth = int(queue_depth)
-        if self.workers < 1:
-            raise SweepError("workers must be at least 1")
-        if self.queue_depth < 1:
-            raise SweepError("queue_depth must be at least 1")
+        self.workers = integer(workers, "workers", SweepError, at_least=1)
+        self.queue_depth = integer(queue_depth, "queue_depth", SweepError, at_least=1)
         self._queue: Optional[asyncio.PriorityQueue] = None
         self._tasks: List[asyncio.Task] = []
         self._seq = itertools.count()
@@ -530,15 +534,16 @@ class SweepServer:
         except _RequestError as error:
             writer.write(encode_line(error_envelope(error.code, error.message, request_id)))
         except TechnologyMismatchError as error:
-            # Before the SweepError catch below (it is one): a digest
+            # Before the input-error catch below (it is one): a digest
             # disagreement is its own stable code, so clients can tell
             # "our registries disagree" from a malformed spec.
             writer.write(
                 encode_line(error_envelope(E_TECH_MISMATCH, str(error), request_id))
             )
-        except SweepError as error:
+        except ReproInputError as error:
+            # Any malformed or out-of-range input, wherever it is caught.
             writer.write(encode_line(error_envelope(E_BAD_SPEC, str(error), request_id)))
-        except Exception as error:  # noqa: BLE001 - protocol boundary
+        except Exception as error:  # noqa: BLE001 - a fault of the server itself
             writer.write(
                 encode_line(
                     error_envelope(
@@ -572,30 +577,13 @@ class SweepServer:
         self, message: Mapping[str, Any]
     ) -> Tuple[int, Optional[float]]:
         """Parse the optional ``priority`` / ``deadline_ms`` fields."""
-        priority = message.get("priority", 0)
-        if isinstance(priority, bool) or not isinstance(priority, int):
-            raise _RequestError(
-                E_BAD_REQUEST,
-                f"'priority' must be an integer, got {priority!r}",
-            )
+        priority = _request_field(integer, message.get("priority", 0), "priority")
         deadline_ms = message.get("deadline_ms")
         deadline: Optional[float] = None
         if deadline_ms is not None:
-            if (
-                isinstance(deadline_ms, bool)
-                or not isinstance(deadline_ms, (int, float))
-                or not math.isfinite(deadline_ms)
-                or deadline_ms <= 0
-            ):
-                raise _RequestError(
-                    E_BAD_REQUEST,
-                    f"'deadline_ms' must be a positive finite number of "
-                    f"milliseconds, got {deadline_ms!r}",
-                )
-            deadline = (
-                asyncio.get_running_loop().time() + float(deadline_ms) / 1000.0
-            )
-        return int(priority), deadline
+            deadline_ms = _request_field(real, deadline_ms, "deadline_ms", above=0.0)
+            deadline = asyncio.get_running_loop().time() + deadline_ms / 1000.0
+        return priority, deadline
 
     async def _handle_sweep(
         self,
@@ -618,17 +606,7 @@ class SweepServer:
     ) -> None:
         spec = self._spec_from(message)
         priority, deadline = self._scheduling_from(message)
-        temperature = message.get("temperature_c")
-        if (
-            isinstance(temperature, bool)
-            or not isinstance(temperature, (int, float))
-            or not math.isfinite(temperature)
-        ):
-            raise _RequestError(
-                E_BAD_REQUEST,
-                f"point requests need a finite 'temperature_c' number, got "
-                f"{temperature!r}",
-            )
+        temperature = _request_field(real, message.get("temperature_c"), "temperature_c")
         base = canonical_spec(spec)
         if any(axis.get("name") == "temperature" for axis in base["axes"]):
             raise _RequestError(

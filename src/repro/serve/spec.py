@@ -9,11 +9,13 @@ JSON key order, axis declaration order, or numeric dtype (``25`` vs
 ``25.0``, a numpy scalar vs a Python float).
 
 :func:`canonical_spec` removes all of it by round-tripping the payload
-through the real builder — ``Sweep.from_dict(payload).to_dict()`` — so
+through the real builder and planner — ``Sweep.from_dict(payload)``,
+then :meth:`~repro.engine.sweep.Sweep.plan`, then ``to_dict()`` — so
 canonicalization *is* validation: axes come back in
 :data:`~repro.engine.sweep.CANONICAL_AXIS_ORDER`, coordinates come back
-as plain Python floats/ints, defaults are materialized, and anything
-the engine would reject raises :class:`~repro.engine.sweep.SweepError`
+as plain Python floats/ints, defaults are materialized, and every ring
+the sweep will evaluate has been built.  Anything the engine would
+reject raises a :class:`~repro.fields.ReproInputError` naming the field
 right here instead of at evaluation time.  :func:`canonical_key` then
 hashes the sorted-key compact JSON encoding of that canonical form with
 SHA-256.
@@ -51,9 +53,14 @@ def canonical_spec(spec: Union[Sweep, Mapping[str, Any]]) -> Dict[str, Any]:
 
     Accepts a :class:`~repro.engine.sweep.Sweep` or a serialized spec
     mapping; returns the normalized payload (canonical axis order,
-    plain Python scalars, defaults materialized).  Raises
-    :class:`~repro.engine.sweep.SweepError` for anything the engine
-    could not evaluate.
+    plain Python scalars, defaults materialized) only once the sweep
+    has planned.  Planning builds every ring the sweep will evaluate, so
+    a bad field anywhere in the spec — a base wire length, external load
+    or tap stage, a width_ratio axis's ``stage_count`` or
+    ``nmos_width_um``, a temperature at or below 0 K, a readout clock —
+    raises a :class:`~repro.fields.ReproInputError` (a
+    :class:`~repro.engine.sweep.SweepError`, ``ConfigurationError``,
+    ``CellError`` or ``TechnologyError``) whose ``field`` names it.
     """
     if isinstance(spec, Sweep):
         payload = spec.to_dict()
@@ -64,7 +71,9 @@ def canonical_spec(spec: Union[Sweep, Mapping[str, Any]]) -> Dict[str, Any]:
             f"canonical_spec takes a Sweep or a serialized spec mapping, "
             f"got {type(spec).__name__}"
         )
-    return Sweep.from_dict(payload).to_dict()
+    sweep = Sweep.from_dict(payload)
+    sweep.plan()
+    return sweep.to_dict()
 
 
 def encode_canonical(payload: Mapping[str, Any]) -> bytes:

@@ -29,13 +29,11 @@ from .parameters import (
     TransistorParameters,
     celsius_to_kelvin,
     kelvin_to_celsius,
-    validate_operating_point,
 )
 from .temperature import (
     DeviceAtTemperature,
     alpha_at,
     device_at,
-    device_at_celsius,
     mobility_at,
     saturation_velocity_at,
     threshold_voltage_at,
@@ -81,11 +79,9 @@ __all__ = [
     "TransistorParameters",
     "celsius_to_kelvin",
     "kelvin_to_celsius",
-    "validate_operating_point",
     "DeviceAtTemperature",
     "alpha_at",
     "device_at",
-    "device_at_celsius",
     "mobility_at",
     "saturation_velocity_at",
     "threshold_voltage_at",

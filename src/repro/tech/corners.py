@@ -25,6 +25,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from ..fields import integer, real
 from .parameters import Technology, TechnologyError, TransistorParameters
 from .stacked import TechnologyArray, TransistorParameterArray
 
@@ -141,10 +142,12 @@ class VariationModel:
     correlated_fraction: float = 0.6
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.correlated_fraction <= 1.0:
-            raise TechnologyError("correlated_fraction must lie in [0, 1]")
-        if self.vth_sigma < 0 or self.mobility_sigma_rel < 0 or self.cox_sigma_rel < 0:
-            raise TechnologyError("variation sigmas must be non-negative")
+        real(
+            self.correlated_fraction, "correlated_fraction", TechnologyError,
+            at_least=0.0, at_most=1.0,
+        )
+        for name in ("vth_sigma", "mobility_sigma_rel", "cox_sigma_rel"):
+            real(getattr(self, name), name, TechnologyError, at_least=0.0)
 
 
 def sample_technology_array(
@@ -165,8 +168,7 @@ def sample_technology_array(
     calibration, uncorrelated variation is not.  Each sample draws 3
     shared, 3 NMOS-local and 3 PMOS-local normals, in that order.
     """
-    if count <= 0:
-        raise TechnologyError("count must be positive")
+    count = integer(count, "count", TechnologyError, at_least=1)
     model = model or VariationModel()
     rng = np.random.default_rng(seed)
     rho = model.correlated_fraction

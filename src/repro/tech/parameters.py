@@ -30,11 +30,12 @@ validation rules.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Union
 
 import numpy as np
+
+from ..fields import ReproInputError, real
 
 #: Reference temperature (kelvin) at which nominal parameters are quoted.
 T_NOMINAL_K = 300.15
@@ -74,7 +75,7 @@ def kelvin_to_celsius(temp_k: Union[float, np.ndarray]) -> Union[float, np.ndarr
     return float(temp_k) - CELSIUS_OFFSET
 
 
-class TechnologyError(ValueError):
+class TechnologyError(ReproInputError):
     """Raised when a technology description is inconsistent or unphysical."""
 
 
@@ -157,27 +158,8 @@ class TransistorParameters:
             raise TechnologyError(
                 f"polarity must be 'nmos' or 'pmos', got {self.polarity!r}"
             )
-        if self.vth0 <= 0.0:
-            raise TechnologyError("vth0 must be a positive magnitude")
-        if self.mobility <= 0.0:
-            raise TechnologyError("mobility must be positive")
-        if not 1.0 <= self.alpha <= 2.0:
-            raise TechnologyError(
-                f"alpha must lie in [1, 2] (velocity saturated .. square law), "
-                f"got {self.alpha}"
-            )
-        if self.channel_length_um <= 0.0:
-            raise TechnologyError("channel_length_um must be positive")
-        if self.cox_f_per_um2 <= 0.0:
-            raise TechnologyError("cox_f_per_um2 must be positive")
-        if self.vsat_cm_per_s <= 0.0:
-            raise TechnologyError("vsat_cm_per_s must be positive")
-        if self.mobility_temp_exponent < 0.0:
-            raise TechnologyError("mobility_temp_exponent must be >= 0")
-        if self.vth_temp_coeff < 0.0:
-            raise TechnologyError(
-                "vth_temp_coeff is the magnitude of dVth/dT and must be >= 0"
-            )
+        for name in _TRANSISTOR_FIELD_NAMES:
+            real(getattr(self, name), name, TechnologyError, **TRANSISTOR_BOUNDS.get(name, {}))
 
     @property
     def gate_cap_f_per_um(self) -> float:
@@ -235,9 +217,7 @@ class TransistorParameters:
                 f"unknown transistor parameter field(s) {unknown}; "
                 f"allowed: {sorted(allowed)}"
             )
-        kwargs: Dict[str, Any] = {}
-        for key, value in payload.items():
-            kwargs[key] = value if key == "polarity" else _as_float(key, value)
+        kwargs = dict(payload)
         try:
             return cls(**kwargs)
         except TypeError as error:  # missing required field
@@ -252,17 +232,19 @@ _TRANSISTOR_FIELD_NAMES = tuple(
     f.name for f in dataclasses.fields(TransistorParameters) if f.name != "polarity"
 )
 
-
-def _as_float(name: str, value: Any) -> float:
-    """Coerce a serialized numeric field, rejecting non-finite values."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TechnologyError(
-            f"field {name!r} must be a number, got {type(value).__name__}"
-        )
-    result = float(value)
-    if not math.isfinite(result):
-        raise TechnologyError(f"field {name!r} must be finite, got {result!r}")
-    return result
+#: The range of each bounded transistor field (the rest need only be
+#: finite); :mod:`repro.tech.stacked` checks its population columns
+#: against the same table.
+TRANSISTOR_BOUNDS: Dict[str, Dict[str, float]] = {
+    "vth0": {"above": 0.0},
+    "mobility": {"above": 0.0},
+    "alpha": {"at_least": 1.0, "at_most": 2.0},
+    "channel_length_um": {"above": 0.0},
+    "cox_f_per_um2": {"above": 0.0},
+    "vsat_cm_per_s": {"above": 0.0},
+    "mobility_temp_exponent": {"at_least": 0.0},
+    "vth_temp_coeff": {"at_least": 0.0},
+}
 
 
 @dataclass(frozen=True)
@@ -301,10 +283,12 @@ class Technology:
     extra: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.feature_size_um <= 0.0:
-            raise TechnologyError("feature_size_um must be positive")
-        if self.vdd <= 0.0:
-            raise TechnologyError("vdd must be positive")
+        real(self.feature_size_um, "feature_size_um", TechnologyError, above=0.0)
+        real(self.vdd, "vdd", TechnologyError, above=0.0)
+        real(self.wire_cap_f_per_um, "wire_cap_f_per_um", TechnologyError)
+        real(self.min_width_um, "min_width_um", TechnologyError)
+        for key, value in self.extra.items():
+            real(value, f"extra[{key}]", TechnologyError)
         if self.nmos.polarity != "nmos":
             raise TechnologyError("nmos parameters must have polarity 'nmos'")
         if self.pmos.polarity != "pmos":
@@ -432,37 +416,12 @@ class Technology:
             raise TechnologyError("technology bundle 'extra' must be a mapping")
         return cls(
             name=name,
-            feature_size_um=_as_float("feature_size_um", payload["feature_size_um"]),
-            vdd=_as_float("vdd", payload["vdd"]),
+            feature_size_um=payload["feature_size_um"],
+            vdd=payload["vdd"],
             nmos=TransistorParameters.from_dict(payload["nmos"]),
             pmos=TransistorParameters.from_dict(payload["pmos"]),
-            wire_cap_f_per_um=_as_float(
-                "wire_cap_f_per_um", payload["wire_cap_f_per_um"]
-            ),
-            min_width_um=_as_float("min_width_um", payload["min_width_um"]),
+            wire_cap_f_per_um=payload["wire_cap_f_per_um"],
+            min_width_um=payload["min_width_um"],
             metal_layers=metal_layers,
-            extra={key: _as_float(f"extra[{key}]", value)
-                   for key, value in extra.items()},
+            extra=dict(extra),
         )
-
-
-def validate_operating_point(tech: Technology, temperature_c: float) -> None:
-    """Raise :class:`TechnologyError` if a temperature is outside sane limits.
-
-    The physical models remain well defined slightly outside the military
-    range, but far outside it (e.g. below 0 K) the power-law mobility
-    model diverges, so we guard against obviously wrong inputs.
-    """
-    temp_k = celsius_to_kelvin(temperature_c)
-    if temp_k <= 50.0:
-        raise TechnologyError(
-            f"temperature {temperature_c} C ({temp_k:.1f} K) is below the "
-            "validity range of the mobility model"
-        )
-    if temp_k >= 600.0:
-        raise TechnologyError(
-            f"temperature {temperature_c} C ({temp_k:.1f} K) is above the "
-            "validity range of the device models"
-        )
-    if math.isnan(temp_k):
-        raise TechnologyError("temperature must not be NaN")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..fields import real
 from .parameters import Technology, TechnologyError, TransistorParameters
 
 __all__ = [
@@ -45,21 +46,10 @@ class ScalingRules:
     threshold_factor: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.dimension_factor > 1.0:
-            raise TechnologyError(
-                f"dimension_factor must be > 1 (S shrinks dimensions by 1/S), "
-                f"got {self.dimension_factor}"
-            )
-        if not self.voltage_factor >= 1.0:
-            raise TechnologyError(
-                f"voltage_factor must be >= 1 (U shrinks voltages by 1/U), "
-                f"got {self.voltage_factor}"
-            )
-        if not self.threshold_factor >= 1.0:
-            raise TechnologyError(
-                f"threshold_factor must be >= 1 (thresholds never scale up), "
-                f"got {self.threshold_factor}"
-            )
+        # S shrinks dimensions by 1/S, U voltages by 1/U; thresholds never scale up.
+        real(self.dimension_factor, "dimension_factor", TechnologyError, above=1.0)
+        real(self.voltage_factor, "voltage_factor", TechnologyError, at_least=1.0)
+        real(self.threshold_factor, "threshold_factor", TechnologyError, at_least=1.0)
 
 
 #: Below this threshold-voltage magnitude (V) the square-law/alpha-power

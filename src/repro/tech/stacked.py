@@ -41,7 +41,15 @@ from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 
-from .parameters import T_NOMINAL_K, Technology, TechnologyError, TransistorParameters
+from ..fields import integer, real, real_array
+from .parameters import (
+    _TRANSISTOR_FIELD_NAMES as _TRANSISTOR_FIELDS,
+    T_NOMINAL_K,
+    TRANSISTOR_BOUNDS,
+    Technology,
+    TechnologyError,
+    TransistorParameters,
+)
 
 __all__ = [
     "TransistorParameterArray",
@@ -56,28 +64,15 @@ __all__ = [
 #: always a ``(samples, 1)`` float column after normalisation.
 ParameterLike = Union[float, np.ndarray]
 
-#: Per-device fields that are stacked into ``(samples, 1)`` columns.
-_TRANSISTOR_FIELDS = (
-    "vth0",
-    "mobility",
-    "alpha",
-    "channel_length_um",
-    "cox_f_per_um2",
-    "vsat_cm_per_s",
-    "vth_temp_coeff",
-    "mobility_temp_exponent",
-    "vsat_temp_coeff",
-    "alpha_temp_coeff",
-    "body_effect_gamma",
-    "subthreshold_slope_mv_per_dec",
-    "junction_cap_f_per_um",
-    "overlap_cap_f_per_um",
-)
+def _as_column(
+    value: ParameterLike, sample_count: int, field: str, **bounds: float
+) -> np.ndarray:
+    """Normalise one stacked field to a ``(sample_count, 1)`` float column.
 
-
-def _as_column(value: ParameterLike, sample_count: int, field: str) -> np.ndarray:
-    """Normalise one stacked field to a ``(sample_count, 1)`` float column."""
-    column = np.asarray(value, dtype=float)
+    Every sample must be finite and inside ``bounds`` (the keyword
+    bounds of :func:`repro.fields.real_array`), checked in one pass.
+    """
+    column = real_array(value, field, TechnologyError, **bounds)
     if column.ndim == 0:
         column = np.full((sample_count, 1), float(column))
     elif column.ndim == 1:
@@ -94,8 +89,6 @@ def _as_column(value: ParameterLike, sample_count: int, field: str) -> np.ndarra
             f"stacked field {field!r} holds {column.shape[0]} samples, "
             f"expected {sample_count}"
         )
-    if np.any(~np.isfinite(column)):
-        raise TechnologyError(f"stacked field {field!r} contains non-finite values")
     return column
 
 
@@ -164,31 +157,10 @@ class TransistorParameterArray:
             getattr(self, field) for field in _TRANSISTOR_FIELDS
         )
         for field in _TRANSISTOR_FIELDS:
-            object.__setattr__(
-                self, field, _as_column(getattr(self, field), count, field)
+            column = _as_column(
+                getattr(self, field), count, field, **TRANSISTOR_BOUNDS.get(field, {})
             )
-        if np.any(self.vth0 <= 0.0):
-            raise TechnologyError("vth0 must be a positive magnitude in every sample")
-        if np.any(self.mobility <= 0.0):
-            raise TechnologyError("mobility must be positive in every sample")
-        if np.any(self.alpha < 1.0) or np.any(self.alpha > 2.0):
-            raise TechnologyError(
-                "alpha must lie in [1, 2] (velocity saturated .. square law) "
-                "in every sample"
-            )
-        if np.any(self.channel_length_um <= 0.0):
-            raise TechnologyError("channel_length_um must be positive in every sample")
-        if np.any(self.cox_f_per_um2 <= 0.0):
-            raise TechnologyError("cox_f_per_um2 must be positive in every sample")
-        if np.any(self.vsat_cm_per_s <= 0.0):
-            raise TechnologyError("vsat_cm_per_s must be positive in every sample")
-        if np.any(self.mobility_temp_exponent < 0.0):
-            raise TechnologyError("mobility_temp_exponent must be >= 0 in every sample")
-        if np.any(self.vth_temp_coeff < 0.0):
-            raise TechnologyError(
-                "vth_temp_coeff is the magnitude of dVth/dT and must be >= 0 "
-                "in every sample"
-            )
+            object.__setattr__(self, field, column)
 
     @property
     def sample_count(self) -> int:
@@ -215,8 +187,7 @@ class TransistorParameterArray:
         supply x sample in the sweep planner): the result's flat sample
         order is repeat-major (``r * len(self) + s``).
         """
-        if repeats < 1:
-            raise TechnologyError("repeats must be at least 1")
+        repeats = integer(repeats, "repeats", TechnologyError, at_least=1)
         columns = {
             field: np.tile(np.asarray(getattr(self, field), dtype=float), (repeats, 1))
             for field in _TRANSISTOR_FIELDS
@@ -302,8 +273,7 @@ class TechnologyArray:
     extras: Tuple[Dict[str, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.feature_size_um <= 0.0:
-            raise TechnologyError("feature_size_um must be positive")
+        real(self.feature_size_um, "feature_size_um", TechnologyError, above=0.0)
         if self.nmos.polarity != "nmos":
             raise TechnologyError("nmos parameters must have polarity 'nmos'")
         if self.pmos.polarity != "pmos":
@@ -314,14 +284,12 @@ class TechnologyArray:
                 f"({self.pmos.sample_count}) populations differ in size"
             )
         count = self.nmos.sample_count
-        object.__setattr__(self, "vdd", _as_column(self.vdd, count, "vdd"))
+        object.__setattr__(self, "vdd", _as_column(self.vdd, count, "vdd", above=0.0))
         object.__setattr__(
             self,
             "wire_cap_f_per_um",
             _as_column(self.wire_cap_f_per_um, count, "wire_cap_f_per_um"),
         )
-        if np.any(self.vdd <= 0.0):
-            raise TechnologyError("vdd must be positive in every sample")
         if np.any(self.vdd <= np.maximum(self.nmos.vth0, self.pmos.vth0)):
             raise TechnologyError(
                 "vdd must exceed both threshold voltages for the gates to "
@@ -398,8 +366,7 @@ class TechnologyArray:
         flat sample ``v * S + s`` carries supply ``v`` over sample ``s``
         and the result reshapes cleanly to ``(V, S)``.
         """
-        if repeats < 1:
-            raise TechnologyError("repeats must be at least 1")
+        repeats = integer(repeats, "repeats", TechnologyError, at_least=1)
         return TechnologyArray(
             name=f"{self.name}_x{repeats}",
             feature_size_um=self.feature_size_um,

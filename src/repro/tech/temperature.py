@@ -42,18 +42,13 @@ applied elementwise in both layouts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .parameters import (
-    T_NOMINAL_K,
-    TechnologyError,
-    TransistorParameters,
-    celsius_to_kelvin,
-)
+from ..fields import real, real_array
+from .parameters import T_NOMINAL_K, TechnologyError, TransistorParameters
 
 __all__ = [
     "mobility_at",
@@ -72,16 +67,8 @@ TemperatureLike = Union[float, np.ndarray]
 
 def _check_temperature(temp_k: TemperatureLike) -> TemperatureLike:
     if isinstance(temp_k, np.ndarray):
-        temps = temp_k.astype(float)
-        if np.any(~(temps > 0.0)) or np.any(np.isnan(temps)):
-            raise TechnologyError(
-                f"temperatures must be positive kelvin, got {temps}"
-            )
-        return temps
-    temp_k = float(temp_k)
-    if not temp_k > 0.0 or math.isnan(temp_k):
-        raise TechnologyError(f"temperature must be positive kelvin, got {temp_k}")
-    return temp_k
+        return real_array(temp_k, "temperature_k", TechnologyError, above=0.0)
+    return real(temp_k, "temperature_k", TechnologyError, above=0.0)
 
 
 def mobility_at(params: TransistorParameters, temp_k: float) -> float:
@@ -198,9 +185,3 @@ def device_at(params: TransistorParameters, temp_k: TemperatureLike) -> DeviceAt
         channel_length_um=params.channel_length_um,
     )
 
-
-def device_at_celsius(
-    params: TransistorParameters, temp_c: float
-) -> DeviceAtTemperature:
-    """Convenience wrapper of :func:`device_at` taking degrees Celsius."""
-    return device_at(params, celsius_to_kelvin(temp_c))

@@ -12,9 +12,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..fields import integer, real
 from ..tech.parameters import TechnologyError
 
 __all__ = ["FunctionalBlock", "SensorSite", "Floorplan"]
+
+
+#: The range of each :class:`FunctionalBlock` number (a corner only
+#: needs to be finite; :meth:`Floorplan.add_block` places it on the die).
+_BLOCK_BOUNDS = {
+    "x_mm": {},
+    "y_mm": {},
+    "width_mm": {"above": 0.0},
+    "height_mm": {"above": 0.0},
+    "power_w": {"at_least": 0.0},
+}
 
 
 @dataclass(frozen=True)
@@ -33,10 +45,8 @@ class FunctionalBlock:
     power_w: float
 
     def __post_init__(self) -> None:
-        if self.width_mm <= 0.0 or self.height_mm <= 0.0:
-            raise TechnologyError(f"block {self.name}: dimensions must be positive")
-        if self.power_w < 0.0:
-            raise TechnologyError(f"block {self.name}: power must be non-negative")
+        for field_name, bounds in _BLOCK_BOUNDS.items():
+            real(getattr(self, field_name), f"{self.name}.{field_name}", TechnologyError, **bounds)
 
     @property
     def area_mm2(self) -> float:
@@ -78,10 +88,8 @@ class Floorplan:
     """
 
     def __init__(self, width_mm: float, height_mm: float, name: str = "die") -> None:
-        if width_mm <= 0.0 or height_mm <= 0.0:
-            raise TechnologyError("die dimensions must be positive")
-        self.width_mm = float(width_mm)
-        self.height_mm = float(height_mm)
+        self.width_mm = real(width_mm, "width_mm", TechnologyError, above=0.0)
+        self.height_mm = real(height_mm, "height_mm", TechnologyError, above=0.0)
         self.name = name
         self._blocks: Dict[str, FunctionalBlock] = {}
         self._sensor_sites: Dict[str, SensorSite] = {}
@@ -130,8 +138,8 @@ class Floorplan:
 
     def add_sensor_grid(self, columns: int, rows: int, prefix: str = "s") -> List[SensorSite]:
         """Place a regular grid of sensor sites (the usual mapping layout)."""
-        if columns < 1 or rows < 1:
-            raise TechnologyError("sensor grid needs at least one row and one column")
+        columns = integer(columns, "columns", TechnologyError, at_least=1)
+        rows = integer(rows, "rows", TechnologyError, at_least=1)
         sites: List[SensorSite] = []
         for row in range(rows):
             for column in range(columns):

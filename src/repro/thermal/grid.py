@@ -29,8 +29,9 @@ from typing import Tuple
 
 import numpy as np
 
+from ..fields import integer, real
 from ..tech.parameters import TechnologyError
-from .power import PowerMap, _positive_finite, _resolution
+from .power import PowerMap
 
 __all__ = ["ThermalGridParameters", "ThermalGrid", "TemperatureMap", "bilinear_sample"]
 
@@ -108,7 +109,7 @@ class ThermalGridParameters:
 
     def __post_init__(self) -> None:
         for field in fields(self):
-            value = _positive_finite(getattr(self, field.name), field.name)
+            value = real(getattr(self, field.name), field.name, TechnologyError, above=0.0)
             object.__setattr__(self, field.name, value)
 
 
@@ -195,10 +196,10 @@ class ThermalGrid:
         ny: int,
         parameters: ThermalGridParameters = ThermalGridParameters(),
     ) -> None:
-        self.width_mm = _positive_finite(width_mm, "width_mm")
-        self.height_mm = _positive_finite(height_mm, "height_mm")
-        self.nx = _resolution(nx, "nx")
-        self.ny = _resolution(ny, "ny")
+        self.width_mm = real(width_mm, "width_mm", TechnologyError, above=0.0)
+        self.height_mm = real(height_mm, "height_mm", TechnologyError, above=0.0)
+        self.nx = integer(nx, "nx", TechnologyError, at_least=2)
+        self.ny = integer(ny, "ny", TechnologyError, at_least=2)
         self.parameters = parameters
         for name, value in (
             ("vertical conductance", self.vertical_conductance_w_per_k()),

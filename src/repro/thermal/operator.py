@@ -72,6 +72,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..fields import real
 from ..tech.parameters import TechnologyError
 from .grid import TemperatureMap, ThermalGrid
 from .power import PowerMap
@@ -385,11 +386,7 @@ class ThermalOperator:
         transient run with the same step — every control interval of a
         DTM simulation, every repeat of a study — shares it.
         """
-        if not (np.isfinite(timestep_s) and timestep_s > 0.0):
-            raise TechnologyError(
-                f"timestep_s must be positive and finite, got {timestep_s!r}"
-            )
-        dt = float(timestep_s)
+        dt = real(timestep_s, "timestep_s", TechnologyError, above=0.0)
         with self._solve_lock:
             solve = self._transient_solves.get(dt)
             if solve is None:

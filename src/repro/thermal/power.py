@@ -2,40 +2,16 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
+from ..fields import integer, real
 from ..tech.parameters import TechnologyError
 from .floorplan import Floorplan
 
 __all__ = ["PowerMap"]
-
-
-def _positive_finite(value, name: str) -> float:
-    """``value`` as a float; :class:`TechnologyError` naming ``name`` unless
-    it is a real number that is positive and finite."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = math.nan
-    if isinstance(value, (bool, str)) or not (math.isfinite(number) and number > 0.0):
-        raise TechnologyError(f"{name} must be positive and finite, got {value!r}")
-    return number
-
-
-def _resolution(value, name: str) -> int:
-    """``value`` as an int; :class:`TechnologyError` naming ``name`` unless
-    it is an integral number of at least 2."""
-    try:
-        integral = int(value) == value
-    except (TypeError, ValueError, OverflowError):
-        integral = False
-    if not integral or int(value) < 2:
-        raise TechnologyError(f"{name} must be an integer >= 2, got {value!r}")
-    return int(value)
 
 
 @dataclass
@@ -50,10 +26,10 @@ class PowerMap:
         Array of shape ``(ny, nx)`` with the power (watts) dissipated in
         each grid cell.
 
-    A dimension that is not positive and finite, a resolution that is
-    not an integer >= 2, and a negative or non-finite power value raise
-    :class:`TechnologyError` naming the field, as :class:`ThermalGrid`
-    does for its own.
+    A dimension that is not positive and finite, a resolution (``ny``
+    rows, ``nx`` columns) that is not an integer >= 2, and a negative or
+    non-finite power value raise :class:`TechnologyError` naming the
+    field, as :class:`ThermalGrid` does for its own.
     """
 
     width_mm: float
@@ -61,11 +37,13 @@ class PowerMap:
     values_w: np.ndarray
 
     def __post_init__(self) -> None:
-        self.width_mm = _positive_finite(self.width_mm, "width_mm")
-        self.height_mm = _positive_finite(self.height_mm, "height_mm")
+        self.width_mm = real(self.width_mm, "width_mm", TechnologyError, above=0.0)
+        self.height_mm = real(self.height_mm, "height_mm", TechnologyError, above=0.0)
         values = np.asarray(self.values_w, dtype=float)
         if values.ndim != 2:
             raise TechnologyError("power map must be two-dimensional")
+        integer(values.shape[0], "ny", TechnologyError, at_least=2)
+        integer(values.shape[1], "nx", TechnologyError, at_least=2)
         if not np.isfinite(values).all():
             raise TechnologyError("values_w has non-finite entries")
         if np.any(values < 0.0):
@@ -79,8 +57,8 @@ class PowerMap:
     @classmethod
     def zeros(cls, width_mm: float, height_mm: float, nx: int, ny: int) -> "PowerMap":
         """An all-zero power map of the requested resolution."""
-        nx = _resolution(nx, "nx")
-        ny = _resolution(ny, "ny")
+        nx = integer(nx, "nx", TechnologyError, at_least=2)
+        ny = integer(ny, "ny", TechnologyError, at_least=2)
         return cls(width_mm, height_mm, np.zeros((ny, nx)))
 
     @classmethod
@@ -150,17 +128,13 @@ class PowerMap:
 
     def add_point_source(self, x_mm: float, y_mm: float, power_w: float) -> None:
         """Add a point heat source (e.g. a running ring oscillator)."""
-        if not (math.isfinite(power_w) and power_w >= 0.0):
-            raise TechnologyError(
-                f"power_w must be non-negative and finite, got {power_w!r}"
-            )
+        power_w = real(power_w, "power_w", TechnologyError, at_least=0.0)
         column, row = self.cell_index(x_mm, y_mm)
         self.values_w[row, column] += power_w
 
     def scaled(self, factor: float) -> "PowerMap":
         """A copy with every cell scaled by ``factor`` (activity scaling)."""
-        if factor < 0.0:
-            raise TechnologyError("scale factor must be non-negative")
+        factor = real(factor, "factor", TechnologyError, at_least=0.0)
         return PowerMap(self.width_mm, self.height_mm, self.values_w * factor)
 
     def copy(self) -> "PowerMap":

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..fields import real, real_array
 from ..tech.parameters import TechnologyError
 from .grid import ThermalGrid, ThermalGridParameters
 from .operator import ThermalOperator
@@ -71,12 +72,10 @@ def duty_cycle_study(
     and scales, instead of one solve per duty cycle (the two agree to
     solver rounding, far below any physically meaningful difference).
     """
-    if oscillator_power_w < 0.0:
-        raise TechnologyError("oscillator power must be non-negative")
-    duties = [float(duty) for duty in duty_cycles]
-    for duty in duties:
-        if not 0.0 <= duty <= 1.0:
-            raise TechnologyError("duty cycle must lie in [0, 1]")
+    real(oscillator_power_w, "oscillator_power_w", TechnologyError, at_least=0.0)
+    duties = real_array(
+        list(duty_cycles), "duty_cycles", TechnologyError, at_least=0.0, at_most=1.0
+    ).tolist()
 
     grid = ThermalGrid.for_power_map(background_power, parameters)
     heated = background_power.copy()

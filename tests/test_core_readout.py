@@ -26,6 +26,18 @@ class TestReadoutConfig:
             ReadoutConfig(window_cycles=0)
         with pytest.raises(TechnologyError):
             ReadoutConfig(counter_bits=2)
+        # NaN and infinite clocks, and non-integral counts, name the field.
+        for field, value in (
+            ("reference_clock_hz", float("nan")),
+            ("reference_clock_hz", float("inf")),
+            ("window_cycles", 2.5),
+            ("counter_bits", 8.5),
+            ("counter_bits", True),
+        ):
+            with pytest.raises(TechnologyError, match=f"^{field} must be") as caught:
+                ReadoutConfig(**{field: value})
+            assert caught.value.field == field
+        assert ReadoutConfig(window_cycles=256.0).window_cycles == 256
 
 
 class TestPeriodCounter:

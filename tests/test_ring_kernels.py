@@ -328,7 +328,8 @@ class TestMalformedLoadRaises:
             .over(Axis.temperature([25.0, 80.0]))
             .observe(observable)
         )
-        with pytest.raises(TechnologyError, match="wire length"):
+        # Planning builds the rings, and the ring constructor names the field.
+        with pytest.raises(ConfigurationError, match="^wire_length_um must be"):
             sweep.run()
 
 

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.analysis.linearity import nonlinearity
 from repro.cells import default_library
 from oracles import period_matrix_loop, period_series_scalar, period_tensor_loop
+from repro import ReproInputError
 from repro.engine import Axis, Sweep, SweepError, SweepResult
 from repro.oscillator import (
     PAPER_FIG3_CONFIGURATIONS,
@@ -513,3 +514,119 @@ def test_sweep_period_matrix_matches_ring_method(mixed_ring):
         .values,
         mixed_ring.period_matrix(population, temps),
     )
+
+
+# --------------------------------------------------------------------------- #
+# planning builds (and so checks) every ring; the width_ratio rings take
+# the sweep's ring fields
+# --------------------------------------------------------------------------- #
+
+
+def test_width_ratio_rings_take_the_sweep_ring_fields():
+    from repro.cells import CellLibrary
+    from repro.cells.factories import inverter
+
+    temps = [0.0, 50.0, 100.0]
+
+    def swept(**base):
+        return (
+            Sweep(technology=CMOS035, **base)
+            .over(Axis.width_ratio([2.0, 3.0]))
+            .over(Axis.temperature(temps))
+            .run()
+            .values
+        )
+
+    loaded = swept(wire_length_um=500.0, external_load_f=1e-12, tap_stage=1)
+    assert not np.array_equal(loaded, swept())
+    for row, ratio in enumerate((2.0, 3.0)):
+        library = CellLibrary("hand_sized", CMOS035)
+        library.add(
+            inverter(CMOS035, nmos_width_um=1.05, pmos_width_um=1.05 * ratio, name="INV_SIZED")
+        )
+        ring = RingOscillator(
+            library,
+            RingConfiguration.uniform("INV_SIZED", 5),
+            wire_length_um=500.0,
+            external_load_f=1e-12,
+            tap_stage=1,
+        )
+        assert np.array_equal(loaded[row], ring.period_series(temps))
+
+
+def test_plan_keeps_the_base_ring_it_built():
+    plan = Sweep(technology=CMOS035, configuration="5INV").plan()
+    assert isinstance(plan.rings, RingOscillator)
+    assert np.array_equal(
+        plan.execute().values, plan.rings.period_series(plan.axis("temperature").coordinates)
+    )
+
+
+@pytest.mark.parametrize(
+    "sweep, field",
+    [
+        (Sweep(technology=CMOS035, configuration="5INV", tap_stage=5), "tap_stage"),
+        (Sweep(technology=CMOS035, configuration="5INV", tap_stage="x"), "tap_stage"),
+        (Sweep(technology=CMOS035, configuration="5INV", wire_length_um=-3), "wire_length_um"),
+        (
+            Sweep(technology=CMOS035, tap_stage=4).over(Axis.configuration(["5INV", "3INV"])),
+            "tap_stage",
+        ),
+        (
+            Sweep(technology=CMOS035, external_load_f=-1.0).over(Axis.width_ratio([2.0])),
+            "external_load_f",
+        ),
+        (
+            Sweep(tap_stage=7, configuration="5INV").over(
+                Axis.technology(["cmos035", "cmos018"])
+            ),
+            "tap_stage",
+        ),
+        (
+            Sweep(technology=CMOS035).over(Axis.width_ratio([2.0], nmos_width_um=0.1)),
+            "INV_SIZED.nmos_width_um",
+        ),
+    ],
+    ids=[
+        "tap-outside", "tap-string", "negative-wire", "tap-on-shortest-ring",
+        "width-ratio-load", "technology-axis", "width-below-minimum",
+    ],
+)
+def test_bad_ring_field_is_refused_at_plan_time(sweep, field):
+    with pytest.raises(ReproInputError, match=f"^{field} must be") as caught:
+        sweep.plan()
+    assert caught.value.field == field
+
+
+def test_missing_configuration_is_refused_at_plan_time():
+    with pytest.raises(SweepError, match="no configuration axis and no base"):
+        Sweep(technology=CMOS035).plan()
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: Axis.width_ratio([2.0], stage_count=2), "stage_count"),
+        (lambda: Axis.width_ratio([2.0], stage_count=4), "stage_count"),
+        (lambda: Axis.width_ratio([2.0], stage_count=1e30), "stage_count"),
+        (lambda: Axis.width_ratio([2.0], stage_count=5.5), "stage_count"),
+        (lambda: Axis.width_ratio([2.0], nmos_width_um=0.0), "nmos_width_um"),
+        (lambda: Axis.width_ratio([2.0, True]), "width_ratio"),
+        (lambda: Axis.temperature([25.0, -273.15]), "temperature"),
+        (lambda: Axis.temperature([-1e30]), "temperature"),
+        (lambda: Axis.temperature([25.0, "30"]), "temperature"),
+        (lambda: Axis.supply([3.3, float("nan")]), "supply"),
+    ],
+)
+def test_axis_constructors_name_the_field(build, field):
+    with pytest.raises(SweepError, match=f"^{field} must be") as caught:
+        build()
+    assert caught.value.field == field
+
+
+def test_temperature_axis_accepts_the_extrapolated_range():
+    # The device models extrapolate outside 50-600 K; only 0 K bounds the axis.
+    result = Sweep(technology=CMOS035, configuration="5INV").over(
+        Axis.temperature([-250.0, 25.0, 400.0])
+    ).run()
+    assert np.isfinite(result.values).all()

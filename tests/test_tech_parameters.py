@@ -11,7 +11,6 @@ from repro.tech.parameters import (
     TransistorParameters,
     celsius_to_kelvin,
     kelvin_to_celsius,
-    validate_operating_point,
 )
 
 
@@ -143,28 +142,3 @@ class TestTechnology:
     def test_thermal_design_range_default(self):
         tech = self.make_tech()
         assert tech.thermal_design_range_c() == (-50.0, 150.0)
-
-
-class TestOperatingPointValidation:
-    def test_accepts_military_range(self):
-        for temp in (-55.0, 25.0, 150.0):
-            validate_operating_point(_simple_tech(), temp)
-
-    def test_rejects_cryogenic(self):
-        with pytest.raises(TechnologyError):
-            validate_operating_point(_simple_tech(), -250.0)
-
-    def test_rejects_extreme_heat(self):
-        with pytest.raises(TechnologyError):
-            validate_operating_point(_simple_tech(), 400.0)
-
-    def test_rejects_nan(self):
-        with pytest.raises(TechnologyError):
-            validate_operating_point(_simple_tech(), float("nan"))
-
-
-def _simple_tech() -> Technology:
-    pmos = make_nmos(polarity="pmos", vth0=0.65, mobility=160.0, alpha=1.7)
-    return Technology(
-        name="simple", feature_size_um=0.35, vdd=3.3, nmos=make_nmos(), pmos=pmos
-    )

@@ -3,11 +3,10 @@
 import pytest
 
 from repro.tech import CMOS035
-from repro.tech.parameters import T_NOMINAL_K, TechnologyError
+from repro.tech.parameters import T_NOMINAL_K, TechnologyError, celsius_to_kelvin
 from repro.tech.temperature import (
     alpha_at,
     device_at,
-    device_at_celsius,
     mobility_at,
     saturation_velocity_at,
     thermal_voltage,
@@ -89,7 +88,7 @@ class TestDeviceSnapshot:
         assert device.alpha == pytest.approx(alpha_at(PMOS, 350.0))
 
     def test_celsius_wrapper(self):
-        device = device_at_celsius(NMOS, 25.0)
+        device = device_at(NMOS, celsius_to_kelvin(25.0))
         assert device.temperature_k == pytest.approx(298.15)
         assert device.temperature_c == pytest.approx(25.0)
 

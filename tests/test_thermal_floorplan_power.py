@@ -113,6 +113,11 @@ class TestPowerMap:
     def test_small_grid_rejected(self):
         with pytest.raises(TechnologyError):
             PowerMap.zeros(8.0, 8.0, 1, 4)
+        # The constructor checks the map's own shape, not only zeros().
+        with pytest.raises(TechnologyError, match="^ny must be an integer >= 2, got 1"):
+            PowerMap(8.0, 8.0, [[1.0, 2.0]])
+        with pytest.raises(TechnologyError, match="^nx must be an integer >= 2, got 1"):
+            PowerMap(8.0, 8.0, [[1.0], [2.0]])
 
     @pytest.mark.parametrize(
         "field, value",
