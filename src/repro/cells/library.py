@@ -80,6 +80,12 @@ class CellLibrary:
         """Sorted cell names."""
         return sorted(self._cells)
 
+    def copy(self) -> "CellLibrary":
+        """A new library holding the same cells; adding to one leaves the other."""
+        library = CellLibrary(self.name, self.technology)
+        library._cells = dict(self._cells)
+        return library
+
     def inverting_cells(self) -> List[StandardCell]:
         """All cells usable as a ring-oscillator stage."""
         return [cell for cell in self._cells.values() if cell.topology.inverting]

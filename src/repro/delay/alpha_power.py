@@ -42,8 +42,13 @@ width, stack depth and stack model.  :func:`drive_currents` therefore
 takes the networks of a whole ring (or a whole configuration bank) in
 one call, evaluates :func:`~repro.tech.temperature.device_at` once per
 polarity and the alpha-power current once per distinct network, and
-checks each current once.  :func:`effective_saturation_current` is its
-one-network case.  The arithmetic of each current is the same whichever
+checks each current once.  For a stacked population the device fields
+are ``(samples, temperatures)`` matrices, except those whose parameters
+every sample shares: ``alpha`` (and so each network's ``alpha_eff``)
+then arrives as a ``(1, temperatures)`` row (see
+:func:`~repro.tech.temperature.device_at`), and the currents still
+broadcast to ``(samples, temperatures)``.
+:func:`effective_saturation_current` is its one-network case.  The arithmetic of each current is the same whichever
 entry point computes it, so the batched and per-network paths agree
 bitwise.
 """

@@ -56,6 +56,8 @@ in the test suite (``tests/oracles.py``) as equivalence oracles.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -1399,6 +1401,34 @@ class Sweep:
         return f"Sweep(axes={names}, observable={self._observable!r})"
 
 
+#: Default cell libraries built by :meth:`SweepPlan._base_library`, by
+#: technology object (each entry keeps its technology alive, so its id
+#: is not reused while cached).  Bounded: every served inline
+#: technology bundle is a new object.
+_DEFAULT_LIBRARIES: "OrderedDict[int, Tuple[Technology, CellLibrary]]" = OrderedDict()
+_DEFAULT_LIBRARY_LIMIT = 8
+_DEFAULT_LIBRARY_LOCK = threading.Lock()
+
+
+def _default_library(technology: Technology) -> CellLibrary:
+    """``default_library(technology)``, built once per technology object.
+
+    Every call returns its own copy of the cached library, so a
+    :meth:`~repro.cells.library.CellLibrary.add` on a plan's library
+    never reaches the next plan.
+    """
+    with _DEFAULT_LIBRARY_LOCK:
+        entry = _DEFAULT_LIBRARIES.get(id(technology))
+        if entry is None or entry[0] is not technology:
+            entry = (technology, default_library(technology))
+            _DEFAULT_LIBRARIES[id(technology)] = entry
+            while len(_DEFAULT_LIBRARIES) > _DEFAULT_LIBRARY_LIMIT:
+                _DEFAULT_LIBRARIES.popitem(last=False)
+        else:
+            _DEFAULT_LIBRARIES.move_to_end(id(technology))
+        return entry[1].copy()
+
+
 @dataclass(frozen=True)
 class SweepPlan:
     """A validated sweep lowered onto concrete broadcast dimensions.
@@ -1476,7 +1506,7 @@ class SweepPlan:
         site_axis = self.axis("site")
         if site_axis is not None:
             return site_axis.payload["bank"].library
-        return default_library(self._base_technology())
+        return _default_library(self._base_technology())
 
     def _build_rings(self) -> Any:
         """The rings this plan evaluates, built and so checked.
@@ -1731,7 +1761,11 @@ class SweepPlan:
             if need_power:
                 vdd2cap = self._vdd2_switched_cap(rings, population)
 
-        if not np.isfinite(tensor).all():
+        # min/max propagate NaN, so one reduction each finds any NaN or
+        # inf without a (C, S, T) mask.
+        if tensor.size and not (
+            np.isfinite(tensor.min()) and np.isfinite(tensor.max())
+        ):
             raise SweepError(
                 "the ring period overflows to a non-finite value; the stage "
                 "load is out of range (check external_load_f and "
@@ -1814,18 +1848,30 @@ def _apply_observable(
             "flat temperature response: the endpoint periods are equal, so "
             f"observable {name!r} is undefined"
         )
+    # Each observable below is one fresh (C, S, T) array, computed in
+    # place in the order of the formula in its comment.  The tensor
+    # itself is never written: a site characterisation tensor is a
+    # read-only broadcast.
     if name in ("transfer_c", "calibration_error_c"):
         # The per-row two-point calibration through the endpoint
-        # temperatures — the line an actually calibrated sensor realises.
+        # temperatures — the line an actually calibrated sensor realises:
+        # t_low + slope * (tensor - low), minus temps for the error.
         slope = (t_high - t_low) / span
-        estimate = t_low + slope * (tensor - low)
-        if name == "transfer_c":
-            return estimate
-        return estimate - temps
+        estimate = np.subtract(tensor, low)
+        estimate *= slope
+        estimate += t_low
+        if name == "calibration_error_c":
+            estimate -= temps
+        return estimate
     if name == "nonlinearity_percent":
         # The paper's Fig. 2 / Fig. 3 y-axis: deviation from the
-        # endpoint line in percent of the full-scale period span.
+        # endpoint line in percent of the full-scale period span:
+        # (tensor - (low + slope * (temps - t_low))) / |span| * 100.
         slope = span / (t_high - t_low)
-        line = low + slope * (temps - t_low)
-        return (tensor - line) / np.abs(span) * 100.0
+        deviation = np.multiply(slope, temps - t_low)
+        deviation += low
+        np.subtract(tensor, deviation, out=deviation)
+        deviation /= np.abs(span)
+        deviation *= 100.0
+        return deviation
     raise SweepError(f"unknown observable {name!r}")  # pragma: no cover

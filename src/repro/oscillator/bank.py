@@ -219,14 +219,8 @@ class ConfigurationBank:
         # stage built from cell u with total output load L contributes
         # K_u * L to the ring period.  Shapes: (S, T) columns against
         # the temperature row (S = 1 collapses to the scalar case).
-        # tpHL + tpLH = fit * L * Vdd * (1/I_pull_down + 1/I_pull_up)
-        # (see repro.delay.alpha_power.switching_delay), linear in L.
-        curves = [
-            cell.delay_options.fit_factor
-            * cell.technology.vdd
-            * (1.0 / down + 1.0 / up)
-            for cell, (down, up) in zip(cells, cell_currents(cells, temps))
-        ]
+        # The currents behind them are gone before the tensor exists.
+        curves = _delay_curves(cells, temps)
 
         # Per-unique-cell load weights from the padded cell table: the
         # summed total output load (next stage's input + wire + tap +
@@ -252,18 +246,47 @@ class ConfigurationBank:
         # (S, T) slabs — a cell-mix search at one sample — take one
         # indexed multiply-add per cell for all its configurations.
         # Large ones — Fig. 3 x Monte-Carlo — update one configuration
-        # in place at a time, which keeps the operands cache-sized.
+        # in place at a time through one reused (S, T) term, which keeps
+        # the operands cache-sized.
         tensor = np.zeros((self.config_count, sample_count, temps.size))
         per_configuration = sample_count * temps.size >= _ROW_VALUES
+        if per_configuration:
+            term = np.empty(tensor.shape[1:])
         for u, rows in enumerate(self._users):
             if per_configuration:
                 for row in rows.tolist():
-                    tensor[row] += weights[u, row] * curves[u]
+                    np.multiply(weights[u, row], curves[u], out=term)
+                    tensor[row] += term
             else:
                 tensor[rows] += weights[u, rows] * curves[u]
         if technologies is None:
             return tensor[:, 0, :]
         return tensor
+
+
+def _delay_curves(cells: Sequence[StandardCell], temps: np.ndarray) -> list:
+    """Each cell's delay per farad, ``fit * Vdd * (1/I_pull_down + 1/I_pull_up)``.
+
+    ``tpHL + tpLH`` of a stage is this times its total output load (see
+    :func:`repro.delay.alpha_power.switching_delay`).  The currents are
+    fresh arrays of this call, shared by cells that share a drive
+    network, so each becomes its reciprocal in place, once.
+    """
+    currents = cell_currents(cells, temps)
+    inverse = {}
+    for current in (current for pair in currents for current in pair):
+        if id(current) not in inverse:
+            inverse[id(current)] = (
+                np.divide(1.0, current, out=current)
+                if isinstance(current, np.ndarray)
+                else 1.0 / current
+            )
+    curves = []
+    for cell, (down, up) in zip(cells, currents):
+        curve = inverse[id(down)] + inverse[id(up)]
+        curve *= cell.delay_options.fit_factor * cell.technology.vdd
+        curves.append(curve)
+    return curves
 
 
 def normalise_configurations(

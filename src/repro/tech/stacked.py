@@ -21,6 +21,16 @@ dropped in anywhere a :class:`~repro.tech.parameters.Technology` is
 consumed analytically and the full ``(sample x temperature)`` result
 falls out of one broadcast pass — no per-sample rebind, no Python loop.
 
+Every field is stored as a full column, but a population rarely varies
+all of them: a Monte-Carlo population draws only ``vth0``, ``mobility``
+and ``cox_f_per_um2``.  :class:`TransistorParameterArray` records, once
+when it is built, which fields every sample shares bit for bit
+(``uniform_fields``).  :func:`~repro.tech.temperature.device_at` reads
+those as ``(1, 1)`` rows, so a temperature-only term (the mobility
+factor, the threshold drift, ``alpha``, the saturation velocity) is
+computed once on a ``(1, temperatures)`` row and broadcasting carries it
+to every sample, with the same bits as ``S`` equal rows.
+
 The struct-of-arrays classes deliberately mirror the scalar dataclasses
 field for field (same names, same units, same validation rules applied
 elementwise), so the scalar objects remain the single source of truth
@@ -36,8 +46,8 @@ single sample first via :meth:`TechnologyArray.technology_at`.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple, Union
+from dataclasses import dataclass, field as dataclass_field
+from typing import Dict, FrozenSet, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -147,6 +157,12 @@ class TransistorParameterArray:
     subthreshold_slope_mv_per_dec: ParameterLike = 85.0
     junction_cap_f_per_um: ParameterLike = 1.0e-15
     overlap_cap_f_per_um: ParameterLike = 0.35e-15
+    #: The fields whose every sample holds the same bits, decided once
+    #: here: :func:`~repro.tech.temperature.device_at` evaluates their
+    #: temperature terms on one ``(1, T)`` row instead of ``S`` equal rows.
+    uniform_fields: FrozenSet[str] = dataclass_field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.polarity not in ("nmos", "pmos"):
@@ -156,11 +172,17 @@ class TransistorParameterArray:
         count = _infer_sample_count(
             getattr(self, field) for field in _TRANSISTOR_FIELDS
         )
+        uniform = set()
         for field in _TRANSISTOR_FIELDS:
             column = _as_column(
                 getattr(self, field), count, field, **TRANSISTOR_BOUNDS.get(field, {})
             )
             object.__setattr__(self, field, column)
+            # Compared as bit patterns, so 0.0 and -0.0 are not uniform.
+            bits = column.view(np.uint64)
+            if (bits == bits[:1]).all():
+                uniform.add(field)
+        object.__setattr__(self, "uniform_fields", frozenset(uniform))
 
     @property
     def sample_count(self) -> int:

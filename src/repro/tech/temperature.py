@@ -36,8 +36,10 @@ The parameter block may equally be a stacked population
 ``(samples, 1)`` columns: every function then broadcasts the sample axis
 against the temperature axis, returning ``(samples, temperatures)``
 matrices — one call with a 1000-sample population and a 41-point grid
-replaces 41000 scalar calls.  All range clamps and validity checks are
-applied elementwise in both layouts.
+replaces 41000 scalar calls.  :func:`device_at` computes the terms of
+fields every sample shares once, as ``(1, temperatures)`` rows.  All
+range clamps and validity checks are applied elementwise in both
+layouts.
 """
 
 from __future__ import annotations
@@ -76,9 +78,9 @@ def mobility_at(params: TransistorParameters, temp_k: float) -> float:
 
     Power-law lattice-scattering model referenced to ``T_NOMINAL_K``.
     """
-    temp_k = _check_temperature(temp_k)
-    ratio = temp_k / T_NOMINAL_K
-    return params.mobility * ratio ** (-params.mobility_temp_exponent)
+    return _mobility(
+        params.mobility, params.mobility_temp_exponent, _check_temperature(temp_k)
+    )
 
 
 def threshold_voltage_at(params: TransistorParameters, temp_k: float) -> float:
@@ -89,20 +91,16 @@ def threshold_voltage_at(params: TransistorParameters, temp_k: float) -> float:
     linear extrapolation would otherwise make the device a depletion
     transistor, which the rest of the models do not support.
     """
-    temp_k = _check_temperature(temp_k)
-    vth = params.vth0 - params.vth_temp_coeff * (temp_k - T_NOMINAL_K)
-    if isinstance(vth, np.ndarray):
-        return np.maximum(vth, 0.05)
-    return max(vth, 0.05)
+    return _threshold_voltage(
+        params.vth0, params.vth_temp_coeff, _check_temperature(temp_k)
+    )
 
 
 def saturation_velocity_at(params: TransistorParameters, temp_k: float) -> float:
     """Saturation velocity (cm/s) at temperature ``temp_k``."""
-    temp_k = _check_temperature(temp_k)
-    factor = 1.0 - params.vsat_temp_coeff * (temp_k - T_NOMINAL_K)
-    if isinstance(factor, np.ndarray):
-        return params.vsat_cm_per_s * np.maximum(factor, 0.1)
-    return params.vsat_cm_per_s * max(factor, 0.1)
+    return _saturation_velocity(
+        params.vsat_cm_per_s, params.vsat_temp_coeff, _check_temperature(temp_k)
+    )
 
 
 def alpha_at(params: TransistorParameters, temp_k: float) -> float:
@@ -111,8 +109,30 @@ def alpha_at(params: TransistorParameters, temp_k: float) -> float:
     The drift with temperature is small; the result is clamped to the
     physically meaningful interval [1, 2].
     """
-    temp_k = _check_temperature(temp_k)
-    alpha = params.alpha + params.alpha_temp_coeff * (temp_k - T_NOMINAL_K)
+    return _alpha(params.alpha, params.alpha_temp_coeff, _check_temperature(temp_k))
+
+
+def _mobility(mobility, exponent, temp_k):
+    ratio = temp_k / T_NOMINAL_K
+    return mobility * ratio ** (-exponent)
+
+
+def _threshold_voltage(vth0, coeff, temp_k):
+    vth = vth0 - coeff * (temp_k - T_NOMINAL_K)
+    if isinstance(vth, np.ndarray):
+        return np.maximum(vth, 0.05)
+    return max(vth, 0.05)
+
+
+def _saturation_velocity(vsat, coeff, temp_k):
+    factor = 1.0 - coeff * (temp_k - T_NOMINAL_K)
+    if isinstance(factor, np.ndarray):
+        return vsat * np.maximum(factor, 0.1)
+    return vsat * max(factor, 0.1)
+
+
+def _alpha(alpha, coeff, temp_k):
+    alpha = alpha + coeff * (temp_k - T_NOMINAL_K)
     if isinstance(alpha, np.ndarray):
         return np.clip(alpha, 1.0, 2.0)
     return min(2.0, max(1.0, alpha))
@@ -135,7 +155,12 @@ class DeviceAtTemperature:
     When :func:`device_at` is called with an ndarray of temperatures the
     temperature-dependent fields (``temperature_k``, ``vth``,
     ``mobility``, ``alpha``, ``vsat_cm_per_s``,
-    ``process_transconductance``) hold matching ndarrays.
+    ``process_transconductance``) hold matching ndarrays.  For a
+    stacked population they are ``(samples, temperatures)`` matrices,
+    except that ``alpha`` and ``vsat_cm_per_s`` are ``(1, temperatures)``
+    rows when every sample shares their parameters (as in a Monte-Carlo
+    population); rows broadcast against the matrices like the equal rows
+    they stand for.
     """
 
     polarity: str
@@ -162,21 +187,38 @@ def device_at(params: TransistorParameters, temp_k: TemperatureLike) -> DeviceAt
     Parameters
     ----------
     params:
-        Nominal transistor parameters.
+        Nominal transistor parameters, or a stacked population
+        (:class:`~repro.tech.stacked.TransistorParameterArray`).
     temp_k:
         Junction temperature in kelvin — a scalar, or an ndarray to
         evaluate a whole temperature grid in one call.
+
+    For a population, each field every sample shares (its
+    ``uniform_fields``) enters its temperature term as a ``(1, 1)`` row,
+    so the term is computed once on a ``(1, T)`` row and broadcasting
+    carries it to the samples.  For a Monte-Carlo population that leaves
+    ``alpha`` and ``vsat_cm_per_s`` as ``(1, T)`` rows, while ``vth`` and
+    ``mobility`` stay ``(S, T)``.  Every element meets the same operands
+    as in the full-column evaluation, so its bits are the same.
     """
     temp_k = _check_temperature(temp_k)
-    mobility = mobility_at(params, temp_k)
+    uniform = getattr(params, "uniform_fields", ())
+
+    def operand(field: str):
+        value = getattr(params, field)
+        return value[:1] if field in uniform else value
+
+    mobility = _mobility(params.mobility, operand("mobility_temp_exponent"), temp_k)
     mobility_um2 = mobility * 1.0e8
     return DeviceAtTemperature(
         polarity=params.polarity,
         temperature_k=temp_k,
-        vth=threshold_voltage_at(params, temp_k),
+        vth=_threshold_voltage(params.vth0, operand("vth_temp_coeff"), temp_k),
         mobility=mobility,
-        alpha=alpha_at(params, temp_k),
-        vsat_cm_per_s=saturation_velocity_at(params, temp_k),
+        alpha=_alpha(operand("alpha"), operand("alpha_temp_coeff"), temp_k),
+        vsat_cm_per_s=_saturation_velocity(
+            operand("vsat_cm_per_s"), operand("vsat_temp_coeff"), temp_k
+        ),
         process_transconductance=mobility_um2 * params.cox_f_per_um2,
         gate_cap_f_per_um=params.gate_cap_f_per_um,
         junction_cap_f_per_um=params.junction_cap_f_per_um,
@@ -184,4 +226,3 @@ def device_at(params: TransistorParameters, temp_k: TemperatureLike) -> DeviceAt
         body_effect_gamma=params.body_effect_gamma,
         channel_length_um=params.channel_length_um,
     )
-

@@ -246,6 +246,37 @@ class TestSiteAxisThroughSweep:
         for index in range(bank.site_count):
             assert np.array_equal(result.isel(site=index).values, expected)
 
+    @pytest.mark.parametrize(
+        "observable", ["nonlinearity_percent", "transfer_c", "calibration_error_c"]
+    )
+    def test_characterisation_mode_endpoint_observables(self, bank, observable):
+        # The shared-design tensor is a read-only broadcast along the
+        # site dimension; each endpoint observable is a fresh array
+        # computed in the order of its textbook formula.
+        grid = np.linspace(-50.0, 150.0, 9)
+        population = sample_technology_array(CMOS035, 3, seed=8)
+        result = (
+            Sweep()
+            .over(Axis.site(bank))
+            .over(Axis.sample(population))
+            .over(Axis.temperature(grid))
+            .observe(observable)
+            .run()
+        )
+        assert result.dims == ("site", "sample", "temperature")
+        periods = bank.ring.period_matrix(population, grid)
+        low, high = periods[:, :1], periods[:, -1:]
+        span = high - low
+        if observable == "nonlinearity_percent":
+            line = low + span / (grid[-1] - grid[0]) * (grid - grid[0])
+            expected = (periods - line) / np.abs(span) * 100.0
+        else:
+            expected = grid[0] + (grid[-1] - grid[0]) / span * (periods - low)
+            if observable == "calibration_error_c":
+                expected = expected - grid
+        for index in range(bank.site_count):
+            assert np.array_equal(result.isel(site=index).values, expected)
+
     def test_power_observable_matches_dynamic_power(self, bank):
         result = (
             Sweep()

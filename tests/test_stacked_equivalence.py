@@ -189,15 +189,60 @@ def test_technology_array_validates_elementwise():
 # --------------------------------------------------------------------------- #
 
 
-@given(configuration=configurations, temps=temperature_grids, seed=technology_seeds)
+#: The temperature-term fields a Monte-Carlo population shares across
+#: samples; ``device_at`` evaluates them on one (1, T) row when uniform.
+TEMPERATURE_TERM_FIELDS = (
+    "alpha",
+    "alpha_temp_coeff",
+    "mobility_temp_exponent",
+    "vth_temp_coeff",
+)
+
+
+def with_per_sample_temperature_terms(technologies, seed):
+    """``technologies`` with every temperature-term field drawn per sample."""
+    rng = np.random.default_rng(seed)
+
+    def vary(params):
+        scale = 1.0 + 0.05 * rng.uniform(-1.0, 1.0, len(TEMPERATURE_TERM_FIELDS))
+        return dataclasses.replace(
+            params,
+            alpha=min(2.0, params.alpha * scale[0]),
+            alpha_temp_coeff=params.alpha_temp_coeff * scale[1],
+            mobility_temp_exponent=params.mobility_temp_exponent * scale[2],
+            vth_temp_coeff=params.vth_temp_coeff * scale[3],
+        )
+
+    return [
+        dataclasses.replace(tech, nmos=vary(tech.nmos), pmos=vary(tech.pmos))
+        for tech in technologies
+    ]
+
+
+@given(
+    configuration=configurations,
+    temps=temperature_grids,
+    seed=technology_seeds,
+    per_sample_terms=st.booleans(),
+)
 @settings(**DEFAULT_SETTINGS)
-def test_period_matrix_stacked_matches_loop(configuration, temps, seed):
+def test_period_matrix_stacked_matches_loop(configuration, temps, seed, per_sample_terms):
     ring = RingOscillator(default_library(CMOS035), configuration)
     technologies = sample_technologies(CMOS035, 4, seed=seed)
+    if per_sample_terms:
+        technologies = with_per_sample_temperature_terms(technologies, seed)
+    # A Monte-Carlo population takes device_at's (1, T) row branch for
+    # every temperature term; the varied one takes the full-column branch.
+    population = stack_technologies(technologies)
+    for block in (population.nmos, population.pmos):
+        shared = block.uniform_fields & set(TEMPERATURE_TERM_FIELDS)
+        assert shared == (set() if per_sample_terms else set(TEMPERATURE_TERM_FIELDS))
     stacked = ring.period_matrix(technologies, temps)
     looped = period_matrix_loop(ring, technologies, temps)
     assert stacked.shape == (4, temps.size)
     assert relative_error(stacked, looped) <= RTOL
+    if per_sample_terms:
+        assert np.array_equal(stacked, looped)
 
 
 def test_period_matrix_accepts_technology_array_directly():

@@ -13,6 +13,8 @@ Three concerns, matching the PR's acceptance criteria:
   pre-sweep entry points produced.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -560,6 +562,41 @@ def test_plan_keeps_the_base_ring_it_built():
     assert np.array_equal(
         plan.execute().values, plan.rings.period_series(plan.axis("temperature").coordinates)
     )
+
+
+def test_plans_share_one_default_library_per_technology():
+    first = Sweep(technology=CMOS035, configuration="5INV").plan().rings.library
+    second = Sweep(technology=CMOS035, configuration="5INV").plan().rings.library
+    assert first is not second
+    assert first.names() == second.names() == default_library(CMOS035).names()
+    # The cells are built once; a plan's library is its own container.
+    assert all(first.get(name) is second.get(name) for name in first.names())
+    extra = default_library(CMOS035, drives=(4,)).get("INV_X4")
+    first.add(extra)
+    third = Sweep(technology=CMOS035, configuration="5INV").plan().rings.library
+    assert "INV_X4" in first and "INV_X4" not in third
+
+
+def test_fig3_sweep_peaks_below_three_results():
+    # Host-independent: the bytes one dense Fig. 3 6x1000x41 run holds at
+    # its peak, against the bytes of the result it returns.
+    sweep = (
+        Sweep(technology=CMOS035)
+        .over(Axis.configuration(PAPER_FIG3_CONFIGURATIONS))
+        .over(Axis.sample(sample_technology_array(CMOS035, 1000, seed=5)))
+        .over(Axis.temperature(np.linspace(-50.0, 150.0, 41)))
+        .observe("nonlinearity_percent")
+    )
+    sweep.run(executor="dense")  # warm: lazy imports, the default library
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        result = sweep.run(executor="dense")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.values.shape == (6, 1000, 41)
+    assert peak <= 3 * result.values.nbytes, peak / result.values.nbytes
 
 
 @pytest.mark.parametrize(
