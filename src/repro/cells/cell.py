@@ -294,9 +294,9 @@ class StandardCell:
 
         The load half of :meth:`delays`: the external load plus the
         cell's output parasitics, driven by the given pull-down and
-        pull-up currents.  The ring kernels evaluate the currents of all
-        their stages in one :func:`~repro.delay.alpha_power.drive_currents`
-        call and finish each stage here.
+        pull-up currents.  :meth:`RingOscillator.period_series` does
+        this arithmetic with each stage's load terms folded into one
+        scale in advance, bitwise the same.
         """
         if np.any(np.asarray(load_f) < 0.0):
             raise CellError("load capacitance must be non-negative")

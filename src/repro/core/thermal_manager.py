@@ -27,7 +27,7 @@ from ..oscillator.config import RingConfiguration
 from ..tech.parameters import Technology, TechnologyError
 from ..tech.stacked import stack_technologies
 from ..thermal.floorplan import Floorplan
-from ..thermal.grid import TemperatureMap, ThermalGrid, ThermalGridParameters, bilinear_sample
+from ..thermal.grid import BilinearSites, TemperatureMap, ThermalGrid, ThermalGridParameters
 from ..thermal.operator import ThermalOperator
 from ..thermal.power import PowerMap
 from .mapping import ThermalMonitor
@@ -528,7 +528,14 @@ class DynamicThermalManager:
         #: solve over its distinct power histories per timestep at any
         #: grid size.
         self._grid = ThermalGrid.for_power_map(self._base_power, thermal_parameters)
-        self._site_xs, self._site_ys = self.monitor.bank.positions()
+        #: The sensor sites' bilinear read-out plan on that grid.
+        self._sites = BilinearSites(
+            self._grid.width_mm,
+            self._grid.height_mm,
+            self._grid.nx,
+            self._grid.ny,
+            *self.monitor.bank.positions(),
+        )
 
     @property
     def base_power_map(self) -> PowerMap:
@@ -606,6 +613,16 @@ class DynamicThermalManager:
         loop.  The rise stack is column-major: each distinct column is
         one contiguous ``(ny, nx)`` plane.
 
+        A step is the solve's two transforms plus a few passes over the
+        rise stack; the temperature field is formed once, after the last
+        step.  The peak is each rise column's maximum plus the ambient
+        (rounding is monotone, so this is bitwise the field's maximum),
+        the sites are read from the rise planes by the manager's
+        :class:`~repro.thermal.grid.BilinearSites` plan with the ambient
+        added to the four gathered neighbours, the power right-hand
+        sides are written into one buffer per run, and the distinct
+        columns are found with a dict over (parent history, factor bits).
+
         A non-finite ``duration_s``, ``control_interval_s``,
         ``limit_c`` or ``workload_scale`` raises
         :class:`TechnologyError` naming the argument.
@@ -668,6 +685,8 @@ class DynamicThermalManager:
         columns = int(np.prod(column_shape))
 
         base_flat = self._base_power.values_w.reshape(-1)
+        ambient = self.ambient_c
+        sites = self._sites
         # One rise column per distinct power history: ``history`` maps
         # every (policy[, sample]) column to its distinct column, and all
         # columns start from the same zero rise.  The stack is
@@ -675,6 +694,9 @@ class DynamicThermalManager:
         # (ny, nx) plane that the transforms and reductions read in place.
         history = np.zeros(columns, dtype=np.int64)
         rise = np.zeros((1, grid.nx * grid.ny)).T
+        # The power right-hand sides, one row per distinct column; grown
+        # only when the run splits into more distinct columns than before.
+        power_rows = np.empty((1, base_flat.size))
         indices = np.zeros(column_shape, dtype=int)
         trace_shape = column_shape + (steps,)
         state_trace = np.zeros(trace_shape, dtype=int)
@@ -691,24 +713,34 @@ class DynamicThermalManager:
             # ``base.scaled(workload_scale * state.power_scale)``.
             factors = (workload_scale * scales).reshape(columns)
             # Columns that share a history and a bitwise-equal factor get
-            # bitwise-equal right-hand sides, so they share one column.
-            keys, first, history = np.unique(
-                np.stack([history, factors.view(np.int64)], axis=1),
-                axis=0,
-                return_index=True,
-                return_inverse=True,
+            # bitwise-equal right-hand sides, so they share one column,
+            # numbered in order of first appearance.  Each column of a
+            # stacked solve is bitwise its solo solve, so the order is free.
+            children: Dict[Tuple[int, int], int] = {}
+            history = np.array(
+                [
+                    children.setdefault(key, len(children))
+                    for key in zip(history.tolist(), factors.view(np.int64).tolist())
+                ],
+                dtype=np.int64,
             )
-            # The keys sort by parent history and every parent has a
-            # child, so the same count means the identity mapping.
-            if len(keys) != rise.shape[1]:
-                rise = rise.T[keys[:, 0]].T
-            power = factors[first].reshape(-1, 1) * base_flat
+            parents, factor_bits = zip(*children)
+            if parents != tuple(range(rise.shape[1])):
+                rise = rise.T[list(parents)].T
+            distinct = len(parents)
+            if power_rows.shape[0] < distinct:
+                power_rows = np.empty((distinct, base_flat.size))
+            power = power_rows[:distinct]
+            np.multiply(
+                np.array(factor_bits, dtype=np.int64).view(float)[:, np.newaxis],
+                base_flat,
+                out=power,
+            )
             rise = stepper.step(rise, power.T)
-            fields = rise.T.reshape((-1, grid.ny, grid.nx)) + self.ambient_c
 
-            truths = bilinear_sample(
-                fields, grid.width_mm, grid.height_mm, self._site_xs, self._site_ys
-            )
+            # The sites read the rise planes plus the ambient without
+            # forming that field.
+            truths = sites.sample(rise.T.reshape((-1, grid.ny, grid.nx)), ambient)
             # The sensor scan stays per column: Monte-Carlo samples read
             # the same field through their own corners.
             truths = truths[history].reshape(column_shape + truths.shape[1:])
@@ -733,13 +765,17 @@ class DynamicThermalManager:
 
             state_trace[..., step] = indices
             power_trace[..., step] = power.sum(axis=1)[history].reshape(column_shape)
-            peak_trace[..., step] = fields.max(axis=(-2, -1))[history].reshape(
+            # Rounding is monotone, so max(rise) + ambient is bitwise
+            # max(rise + ambient).
+            peak_trace[..., step] = (rise.max(axis=0) + ambient)[history].reshape(
                 column_shape
             )
             hottest_trace[..., step] = hottest
             performance_trace[..., step] = bank.performances_at(indices)
             indices = bank.next_state_indices(indices, hottest)
 
+        final_values = rise.T[history]
+        final_values += ambient
         return DtmBankResult(
             bank=bank,
             times_s=times,
@@ -749,7 +785,7 @@ class DynamicThermalManager:
             hottest_reading_c=hottest_trace,
             performance=performance_trace,
             limit_c=limit_c,
-            final_values_c=fields[history].reshape(column_shape + (grid.ny, grid.nx)),
+            final_values_c=final_values.reshape(column_shape + (grid.ny, grid.nx)),
             die_width_mm=grid.width_mm,
             die_height_mm=grid.height_mm,
         )

@@ -40,9 +40,10 @@ temperature grid, but few of them are distinct: the device parameters
 depend only on polarity, and a network's current only on its polarity,
 width, stack depth and stack model.  :func:`drive_currents` therefore
 takes the networks of a whole ring (or a whole configuration bank) in
-one call, evaluates :func:`~repro.tech.temperature.device_at` once per
-polarity and the alpha-power current once per distinct network, and
-checks each current once.  For a stacked population the device fields
+one call, evaluates :func:`~repro.tech.temperature.device_at` and the
+drive coefficient ``0.5 * kprime / length`` once per polarity and the
+alpha-power current once per distinct network, and checks each current
+once.  For a stacked population the device fields
 are ``(samples, temperatures)`` matrices, except those whose parameters
 every sample shares: ``alpha`` (and so each network's ``alpha_eff``)
 then arrives as a ``(1, temperatures)`` row (see
@@ -184,17 +185,21 @@ def drive_currents(
     range, where the mobility underflows).
     """
     temp_k = celsius_to_kelvin(temperature_c)
-    devices: Dict[str, DeviceAtTemperature] = {}
+    devices: Dict[str, Tuple[DeviceAtTemperature, Union[float, np.ndarray]]] = {}
     currents: Dict[DriveKey, Union[float, np.ndarray]] = {}
     for key in keys:
         if key in currents:
             continue
         network, stack = key
-        device = devices.get(network.polarity)
-        if device is None:
+        entry = devices.get(network.polarity)
+        if entry is None:
             device = device_at(tech.transistor(network.polarity), temp_k)
-            devices[network.polarity] = device
-        current = _alpha_power_current(tech, device, network, stack)
+            # Drive coefficient per micron: 0.5 * mu(T) * Cox / L,
+            # normalised to 1 V overdrive for non-integer alpha (see
+            # repro.devices.mosfet).
+            drive_per_um = 0.5 * device.process_transconductance / device.channel_length_um
+            entry = devices[network.polarity] = (device, drive_per_um)
+        current = _alpha_power_current(tech, *entry, network, stack)
         # min/max propagate NaN, so a NaN current fails the check too.
         values = np.asarray(current)
         if values.size and not (values.min() > 0.0 and values.max() < np.inf):
@@ -209,10 +214,15 @@ def drive_currents(
 def _alpha_power_current(
     tech: Technology,
     device: DeviceAtTemperature,
+    drive_per_um: Union[float, np.ndarray],
     network: DriveNetwork,
     stack: StackModel,
 ) -> Union[float, np.ndarray]:
-    """Stack-corrected alpha-power saturation current of one network."""
+    """Stack-corrected alpha-power saturation current of one network.
+
+    ``drive_per_um`` is the device's drive coefficient
+    ``0.5 * kprime / length``, shared by every network of its polarity.
+    """
     depth = network.stack_depth
 
     alpha_raised = device.alpha + stack.alpha_increment_per_level * (depth - 1)
@@ -227,12 +237,6 @@ def _alpha_power_current(
             f"supply {tech.vdd} V does not exceed the effective threshold "
             f"{np.max(vth_eff):.3f} V of a depth-{depth} {network.polarity} stack"
         )
-
-    # Drive coefficient per micron: 0.5 * mu(T) * Cox / L, normalised to
-    # 1 V overdrive for non-integer alpha (see repro.devices.mosfet).
-    kprime = device.process_transconductance
-    length = device.channel_length_um
-    drive_per_um = 0.5 * kprime / length
 
     current = network.width_um * drive_per_um * overdrive ** alpha_eff
     divider = depth * stack.series_derating ** (depth - 1)

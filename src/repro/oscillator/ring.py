@@ -17,22 +17,37 @@ questions the sensor needs:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..cells.cell import CellError, StandardCell, cell_currents
+from ..cells.cell import CellError, StandardCell
 from ..cells.library import CellLibrary
 from ..circuit.netlist import Circuit
 from ..circuit.transient import TransientOptions, TransientResult, simulate_transient
 from ..circuit.waveform import Waveform
+from ..delay.alpha_power import DriveKey, drive_currents
 from ..delay.load import wire_capacitance
 from ..fields import integer, real
-from ..tech.parameters import celsius_to_kelvin
+from ..tech.parameters import TechnologyError, celsius_to_kelvin
 from ..tech.stacked import stack_technologies
 from .config import ConfigurationError, RingConfiguration
 
 __all__ = ["RingOscillator", "RingStage"]
+
+
+class _PeriodPlan(NamedTuple):
+    """What :meth:`RingOscillator.period_series` needs beyond the temperatures.
+
+    ``groups`` holds one ``(technology, distinct drive keys)`` pair per
+    distinct technology among the stage cells; ``stages`` holds one
+    ``(group, pull-down key, pull-up key, scale)`` row per stage in ring
+    order, where ``scale`` is ``fit * (load + parasitic) * vdd``, the
+    numerator of both of the stage's switching delays.
+    """
+
+    groups: Tuple[Tuple[object, Tuple[DriveKey, ...]], ...]
+    stages: Tuple[Tuple[int, DriveKey, DriveKey, object], ...]
 
 
 @dataclass(frozen=True)
@@ -101,6 +116,7 @@ class RingOscillator:
                     f"cell {cell.name!r} is a multi-stage cell and cannot be a ring stage"
                 )
             self._cells.append(cell)
+        self._plan: Optional[_PeriodPlan] = None
 
     # ------------------------------------------------------------------ #
     # structure
@@ -193,18 +209,56 @@ class RingOscillator:
         """Oscillation frequency (Hz) at a junction temperature."""
         return 1.0 / self.period(temperature_c)
 
+    def _period_plan(self) -> _PeriodPlan:
+        """The ring's :class:`_PeriodPlan`, built on first use and kept.
+
+        A ring is not changed after construction, so the plan stays
+        valid.  Building it checks every stage load as
+        :meth:`StandardCell.delays_from_currents` and
+        :func:`~repro.delay.alpha_power.switching_delay` do: a negative
+        load raises :class:`CellError`, a non-positive total load
+        :class:`~repro.tech.parameters.TechnologyError`.
+        """
+        plan = self._plan
+        if plan is None:
+            groups: Dict[int, Tuple[int, object, List[DriveKey]]] = {}
+            stages = []
+            for stage in self.stages():
+                cell = stage.cell
+                tech = cell.technology
+                group, _, keys = groups.setdefault(id(tech), (len(groups), tech, []))
+                down, up = cell.drive_keys()
+                keys += (down, up)
+                if np.any(np.asarray(stage.load_f) < 0.0):
+                    raise CellError("load capacitance must be non-negative")
+                total_load = stage.load_f + cell.output_parasitic_capacitance()
+                if np.any(np.asarray(total_load) <= 0.0):
+                    raise TechnologyError("load capacitance must be positive")
+                scale = cell.delay_options.fit_factor * total_load * tech.vdd
+                stages.append((group, down, up, scale))
+            plan = self._plan = _PeriodPlan(
+                groups=tuple(
+                    (tech, tuple(dict.fromkeys(keys))) for _, tech, keys in groups.values()
+                ),
+                stages=tuple(stages),
+            )
+        return plan
+
     def period_series(self, temperatures_c: Sequence[float]) -> np.ndarray:
         """Periods (s) over a temperature sweep (vectorized).
 
-        One :func:`~repro.cells.cell.cell_currents` call evaluates the
-        drive currents of every stage, each in its cell's technology,
-        over the whole temperature grid: the device parameters once per
-        polarity and the alpha-power current once per distinct drive
-        network, however many stages share it.  Each stage then turns
-        its two currents into ``tpHL + tpLH`` at its own load, and the
-        stage sums are accumulated in ring order.  Matches a loop of
-        :meth:`period` calls to floating-point rounding (the equivalence
-        suites pin the two to 1e-9 relative).
+        The ring's period plan (built on the first call) holds the
+        distinct drive networks of its stages per technology and each
+        stage's ``fit * (load + parasitic) * vdd``.  A call evaluates,
+        over the whole temperature grid, the device parameters once per
+        polarity and the alpha-power current once per distinct network
+        (one :func:`~repro.delay.alpha_power.drive_currents` call per
+        technology), then each stage's ``tpHL + tpLH`` as
+        ``scale / I_down + scale / I_up``, accumulated in ring order.  These are bitwise the currents and
+        delays of :meth:`StandardCell.delays_from_currents` stage by
+        stage, and match a loop of :meth:`period` calls to
+        floating-point rounding (the equivalence suites pin the two to
+        1e-9 relative).
 
         For a ring bound to a stacked population
         (:class:`~repro.tech.stacked.TechnologyArray`, see
@@ -213,12 +267,12 @@ class RingOscillator:
         matrix from the same single stage-sum.
         """
         temps = np.asarray(temperatures_c, dtype=float)
-        stages = self.stages()
-        currents = cell_currents([stage.cell for stage in stages], temps)
+        plan = self._period_plan()
+        currents = [drive_currents(tech, keys, temps) for tech, keys in plan.groups]
         total = np.zeros(temps.shape)
-        for stage, (down, up) in zip(stages, currents):
-            delays = stage.cell.delays_from_currents(down, up, stage.load_f)
-            total = total + delays.pair_sum
+        for group, down, up, scale in plan.stages:
+            evaluated = currents[group]
+            total = total + (scale / evaluated[down] + scale / evaluated[up])
         return total
 
     def rebind(self, technology) -> "RingOscillator":

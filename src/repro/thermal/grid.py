@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -33,51 +33,72 @@ from ..fields import integer, real
 from ..tech.parameters import TechnologyError
 from .power import PowerMap
 
-__all__ = ["ThermalGridParameters", "ThermalGrid", "TemperatureMap", "bilinear_sample"]
+__all__ = ["ThermalGridParameters", "ThermalGrid", "TemperatureMap", "BilinearSites"]
 
 
-def bilinear_sample(values, width_mm: float, height_mm: float, xs_mm, ys_mm) -> np.ndarray:
-    """Bilinear gather of die points from one or many temperature fields.
+class BilinearSites:
+    """The bilinear read-out of fixed die points on an ``ny x nx`` grid.
 
-    ``values`` is an ``(..., ny, nx)`` stack of fields on the same die;
-    ``xs_mm`` / ``ys_mm`` are point coordinate arrays of a common shape
-    ``pts``.  Returns an ``(..., *pts)`` array of interpolated values —
-    the arithmetic is exactly :meth:`TemperatureMap.sample_points`
-    applied per field, which lets the banked DTM loop read every
-    policy's sensor sites from its own field in one gather while
-    bit-matching the scalar path.
+    Built once per (grid, points): it checks that every point lies on
+    the die and keeps each point's lower-left cell-centre indices
+    ``x0``/``y0`` and its weights ``tx``/``ty`` and ``1 - tx``/``1 - ty``,
+    so a read is four gathers and the blend.
+    :meth:`TemperatureMap.sample_points` is :meth:`sample` on one field,
+    so every bilinear read in the package is this arithmetic.
+
+    ``xs_mm`` / ``ys_mm`` are coordinate arrays of a common shape
+    ``pts``; a point off the die (or NaN) raises :class:`TechnologyError`.
     """
-    values = np.asarray(values, dtype=float)
-    xs = np.asarray(xs_mm, dtype=float)
-    ys = np.asarray(ys_mm, dtype=float)
-    if values.ndim < 2:
-        raise TechnologyError("field stack must carry trailing (ny, nx) dimensions")
-    if xs.shape != ys.shape:
-        raise TechnologyError("x and y coordinate arrays must match in shape")
-    if np.any(xs < 0.0) or np.any(xs > width_mm) or np.any(
-        ys < 0.0
-    ) or np.any(ys > height_mm):
-        raise TechnologyError("a sample point lies outside the die")
-    ny, nx = values.shape[-2], values.shape[-1]
-    # Continuous cell-centre coordinates.
-    cell_w = width_mm / nx
-    cell_h = height_mm / ny
-    fx = xs / cell_w - 0.5
-    fy = ys / cell_h - 0.5
-    x0 = np.clip(np.floor(fx), 0, nx - 2).astype(int)
-    y0 = np.clip(np.floor(fy), 0, ny - 2).astype(int)
-    tx = np.clip(fx - x0, 0.0, 1.0)
-    ty = np.clip(fy - y0, 0.0, 1.0)
-    v00 = values[..., y0, x0]
-    v01 = values[..., y0, x0 + 1]
-    v10 = values[..., y0 + 1, x0]
-    v11 = values[..., y0 + 1, x0 + 1]
-    return (
-        v00 * (1 - tx) * (1 - ty)
-        + v01 * tx * (1 - ty)
-        + v10 * (1 - tx) * ty
-        + v11 * tx * ty
-    )
+
+    def __init__(
+        self, width_mm: float, height_mm: float, nx: int, ny: int, xs_mm, ys_mm
+    ) -> None:
+        xs = np.asarray(xs_mm, dtype=float)
+        ys = np.asarray(ys_mm, dtype=float)
+        if xs.shape != ys.shape:
+            raise TechnologyError("x and y coordinate arrays must match in shape")
+        if not (
+            np.all((xs >= 0.0) & (xs <= width_mm))
+            and np.all((ys >= 0.0) & (ys <= height_mm))
+        ):
+            raise TechnologyError("a sample point lies outside the die")
+        # Continuous cell-centre coordinates.
+        cell_w = width_mm / nx
+        cell_h = height_mm / ny
+        fx = xs / cell_w - 0.5
+        fy = ys / cell_h - 0.5
+        self.x0 = np.clip(np.floor(fx), 0, nx - 2).astype(int)
+        self.y0 = np.clip(np.floor(fy), 0, ny - 2).astype(int)
+        self.tx = np.clip(fx - self.x0, 0.0, 1.0)
+        self.ty = np.clip(fy - self.y0, 0.0, 1.0)
+        self.one_minus_tx = 1 - self.tx
+        self.one_minus_ty = 1 - self.ty
+
+    def sample(self, values, offset: Optional[float] = None) -> np.ndarray:
+        """Interpolated values of an ``(..., ny, nx)`` field stack: ``(..., *pts)``.
+
+        With ``offset`` the read is of ``values + offset`` without
+        forming that stack: the offset is added to the four gathered
+        neighbours of each point, which gives the same bits (the DTM
+        loop reads its rise planes plus the ambient this way).
+        """
+        values = np.asarray(values, dtype=float)
+        x0, y0 = self.x0, self.y0
+        corners = (
+            values[..., y0, x0],
+            values[..., y0, x0 + 1],
+            values[..., y0 + 1, x0],
+            values[..., y0 + 1, x0 + 1],
+        )
+        if offset is not None:
+            corners = tuple(corner + offset for corner in corners)
+        v00, v01, v10, v11 = corners
+        return (
+            v00 * self.one_minus_tx * self.one_minus_ty
+            + v01 * self.tx * self.one_minus_ty
+            + v10 * self.one_minus_tx * self.ty
+            + v11 * self.tx * self.ty
+        )
 
 
 @dataclass(frozen=True)
@@ -162,7 +183,9 @@ class TemperatureMap:
         solved field at once.  The scalar :meth:`sample` is this with a
         zero-dimensional point.
         """
-        return bilinear_sample(self.values_c, self.width_mm, self.height_mm, xs_mm, ys_mm)
+        return BilinearSites(
+            self.width_mm, self.height_mm, self.nx, self.ny, xs_mm, ys_mm
+        ).sample(self.values_c)
 
     def hotspot_location(self) -> Tuple[float, float]:
         """(x, y) millimetre coordinates of the hottest cell centre."""

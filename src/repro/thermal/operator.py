@@ -38,9 +38,17 @@ batched transform), so ``ThermalStepper.step``, ``steady_rise`` and
 the policy bank stay one solve per step at any grid size.  Stacks are
 column-major: the array is ``(n, k)``, but each column is contiguous,
 so its memory reads as ``k`` contiguous ``(ny, nx)`` planes.  The solve
-returns stacks in that layout (it transforms the planes in place); a
-C-ordered stack is still accepted, at the price of one transposing
-copy.
+returns stacks in that layout (it transforms the planes where they
+lie); a C-ordered stack is still accepted, at the price of one
+transposing copy.
+
+A solve never writes into an array its caller passed in:
+``steady_rise`` and the prepared solve's ``__call__`` leave their
+right-hand sides as they were.  Only a right-hand side the operator
+owns is transformed in place: ``ThermalStepper.step`` writes
+``C/dt * rise + power`` into one column-major buffer it allocates and
+runs the forward transform in that buffer (``overwrite_x``), so a step
+allocates one ``(n, k)`` array, which it returns as the new state.
 
 :func:`solve_steady_state`, the self-heating study and the DTM manager
 are all thin layers over this class; no other module prepares a
@@ -68,7 +76,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -153,15 +161,21 @@ class _SpectralSolve:
         self._check_stencil(grid, shift, eigenvalues)
         self._inverse_eigenvalues = 1.0 / eigenvalues
 
-    def _apply(self, rhs: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    def _apply(
+        self, rhs: np.ndarray, factors: np.ndarray, overwrite: bool = False
+    ) -> np.ndarray:
         """``idctn(dctn(rhs) * factors)`` on a vector or column stack.
 
         The ``(n,)`` vector or ``(n, k)`` stack is read as ``k``
         ``(ny, nx)`` planes and transformed over the trailing axes; the
-        result is the input's shape with contiguous columns.
+        result is the input's shape with contiguous columns.  With
+        ``overwrite`` the forward transform may reuse ``rhs``'s memory,
+        so only a buffer the caller owns and discards may be passed so.
         """
         fields = rhs.T.reshape(rhs.shape[1:] + self._shape)
-        spectrum = self._dctn(fields, type=2, axes=(-2, -1), norm="ortho")
+        spectrum = self._dctn(
+            fields, type=2, axes=(-2, -1), norm="ortho", overwrite_x=overwrite
+        )
         spectrum *= factors
         return self._idctn(
             spectrum, type=2, axes=(-2, -1), norm="ortho", overwrite_x=True
@@ -180,7 +194,16 @@ class _SpectralSolve:
             )
 
     def __call__(self, rhs: np.ndarray) -> np.ndarray:
+        """The solve of ``rhs``; ``rhs`` itself is left untouched."""
         return self._apply(np.asarray(rhs, dtype=float), self._inverse_eigenvalues)
+
+    def solve_owned(self, rhs: np.ndarray) -> np.ndarray:
+        """The solve of a float ``rhs`` the caller built for it and discards.
+
+        The forward transform runs in ``rhs``'s memory, so no second
+        ``(n, k)`` array is allocated; ``rhs``'s values are destroyed.
+        """
+        return self._apply(rhs, self._inverse_eigenvalues, overwrite=True)
 
 
 def _checked_rhs(values, name: str, grid: ThermalGrid) -> np.ndarray:
@@ -209,14 +232,16 @@ class ThermalStepper:
     The implicit system ``(C/dt + G) x_{n+1} = P + C/dt x_n`` was
     DCT-diagonalized once when the stepper was created, so each step is
     a pair of fast transforms — and an ``(n, k)`` stack of states
-    advances in one batched solve.
+    advances in one batched solve.  ``solve`` is the prepared solve; each
+    :meth:`step` allocates a column-major right-hand side and hands it to
+    ``solve.solve_owned``, which may transform it in place.
     """
 
     def __init__(
         self,
         grid: ThermalGrid,
         timestep_s: float,
-        solve: Callable[[np.ndarray], np.ndarray],
+        solve: _SpectralSolve,
     ) -> None:
         self.grid = grid
         self.timestep_s = float(timestep_s)
@@ -250,7 +275,13 @@ class ThermalStepper:
             raise TechnologyError(
                 f"power_w has shape {power.shape}, rise has {rise.shape}"
             )
-        return self._solve(power + self._capacitance_over_dt * rise)
+        # One owned column-major buffer takes ``C/dt * rise + power`` (the
+        # same bits as ``power + C/dt * rise``: IEEE addition commutes)
+        # and then the forward transform, in place.
+        rhs = np.empty(rise.shape, order="F")
+        np.multiply(self._capacitance_over_dt, rise, out=rhs)
+        rhs += power
+        return self._solve.solve_owned(rhs)
 
 
 class ThermalOperator:

@@ -37,6 +37,7 @@ solve-per-duty-cycle reference of ``duty_cycle_study``.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -646,6 +647,37 @@ def monitor_scan_scalar(
 # --------------------------------------------------------------------------- #
 
 
+def bilinear_sample(values, width_mm: float, height_mm: float, xs_mm, ys_mm) -> np.ndarray:
+    """Bilinear read of die points from an ``(..., ny, nx)`` field stack.
+
+    The read as one function that derives every point's indices and
+    weights on each call: the reference for
+    :class:`~repro.thermal.grid.BilinearSites`, which derives them once.
+    """
+    values = np.asarray(values, dtype=float)
+    xs = np.asarray(xs_mm, dtype=float)
+    ys = np.asarray(ys_mm, dtype=float)
+    ny, nx = values.shape[-2], values.shape[-1]
+    cell_w = width_mm / nx
+    cell_h = height_mm / ny
+    fx = xs / cell_w - 0.5
+    fy = ys / cell_h - 0.5
+    x0 = np.clip(np.floor(fx), 0, nx - 2).astype(int)
+    y0 = np.clip(np.floor(fy), 0, ny - 2).astype(int)
+    tx = np.clip(fx - x0, 0.0, 1.0)
+    ty = np.clip(fy - y0, 0.0, 1.0)
+    v00 = values[..., y0, x0]
+    v01 = values[..., y0, x0 + 1]
+    v10 = values[..., y0 + 1, x0]
+    v11 = values[..., y0 + 1, x0 + 1]
+    return (
+        v00 * (1 - tx) * (1 - ty)
+        + v01 * tx * (1 - ty)
+        + v10 * (1 - tx) * ty
+        + v11 * tx * ty
+    )
+
+
 def conductance_matrix(grid: ThermalGrid) -> sparse.csr_matrix:
     """The grid's conductance matrix ``G`` (``G * dT = P``), assembled.
 
@@ -703,9 +735,10 @@ def direct_solve(matrix):
 
 def direct_stepper(grid: ThermalGrid, timestep_s: float) -> ThermalStepper:
     """A backward-Euler stepper whose ``(C/dt + G)`` solve is :func:`direct_solve`."""
-    return ThermalStepper(
-        grid, timestep_s, direct_solve(transient_matrix(grid, timestep_s))
+    solve = SimpleNamespace(
+        solve_owned=direct_solve(transient_matrix(grid, timestep_s))
     )
+    return ThermalStepper(grid, timestep_s, solve)
 
 
 def self_heating_error(

@@ -20,15 +20,23 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import dtm_run_scalar, next_state_index
-from repro.core import PerformanceState, PolicyBank, SensorBank, ThrottlingPolicy
+from repro.core import (
+    DynamicThermalManager,
+    PerformanceState,
+    PolicyBank,
+    SensorBank,
+    ThrottlingPolicy,
+)
 from repro.engine import Axis, Sweep, SweepError
 from repro.experiments import run_dtm_policy_sweep
 from repro.experiments.dtm_study import example_policy_set, never_throttle_policy
 from repro.tech import CMOS035, TechnologyError, sample_technology_array
 from repro.tech.stacked import stack_technologies
+from repro.oscillator import RingConfiguration
 from repro.thermal import (
     Floorplan,
     PowerMap,
+    TemperatureMap,
     ThermalGrid,
     ThermalOperator,
     ThermalStepper,
@@ -168,6 +176,32 @@ class TestBankedEquivalence:
             assert row.state_occupancy() == scalar.state_occupancy()
             assert row.average_performance() == scalar.average_performance()
             assert row.time_above_limit_s() == scalar.time_above_limit_s()
+
+    @given(
+        ambient=st.floats(min_value=-60.0, max_value=140.0),
+        sampled=st.lists(policies(), min_size=2, max_size=3),
+    )
+    @settings(
+        max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    def test_ambient_shifted_reads_match_scalar_oracle(
+        self, sensor_floorplan_factory, ambient, sampled
+    ):
+        # run_bank reads its sites and peaks from the rise planes plus
+        # the ambient and forms the field only at the end; the oracle
+        # forms a TemperatureMap every step.
+        manager = DynamicThermalManager(
+            CMOS035,
+            sensor_floorplan_factory(2),
+            RingConfiguration.parse("2INV+3NAND2"),
+            grid_resolution=12,
+            ambient_c=ambient,
+        )
+        banked = manager.run_bank(sampled, **RUN_KW)
+        assert_rows_equal_scalar_oracle(manager, banked, RUN_KW)
+        for p, final in enumerate(banked.final_values_c):
+            field = TemperatureMap(banked.die_width_mm, banked.die_height_mm, final)
+            assert banked.true_peak_c[p, -1] == field.max_c()
 
     @pytest.mark.parametrize(
         "grid_resolution", [12, 72], ids=["direct-12x12", "spectral-72x72"]

@@ -1,14 +1,16 @@
 """The ring-period kernels: one drive-current evaluation per distinct network.
 
-:meth:`RingOscillator.period_series` and
-:meth:`ConfigurationBank.period_tensor` hand the drive networks of every
-stage (or every unique cell) to one
-:func:`~repro.delay.alpha_power.drive_currents` call.  These tests pin
-that batching from three sides:
+:meth:`RingOscillator.period_series` (through the ring's period plan,
+which deduplicates the stage networks and folds the stage loads once)
+and :meth:`ConfigurationBank.period_tensor` evaluate the drive networks
+of every stage (or every unique cell) in one current evaluation per
+technology.  These tests pin that batching from three sides:
 
 * bitwise — every array both kernels return equals the per-stage and
   per-cell loops in ``tests/oracles.py``, which evaluate a current for
-  every transition they need;
+  every transition they need, and the ring's equals the per-stage
+  ``delays_from_currents`` sum (hypothesis over rings, loads, taps and
+  a stacked population);
 * by call count — the device parameters are evaluated once per
   polarity, and the alpha-power current once per distinct network;
 * at the boundary — a temperature whose drive current is zero or not
@@ -18,12 +20,16 @@ that batching from three sides:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oracles import period_series_stage_loop, period_tensor_loop, period_tensor_per_cell
-from repro.cells import CellLibrary, default_library
+from repro.cells import CellLibrary, StandardCell, default_library
 from repro.cells.factories import inverter
 from repro.delay import alpha_power
 from repro.engine import Axis, Sweep, SweepError
+from repro.fields import ReproInputError
 from repro.optimize.sizing import PAPER_FIG2_RATIOS
 from repro.oscillator import (
     PAPER_FIG3_CONFIGURATIONS,
@@ -47,6 +53,11 @@ def library():
 @pytest.fixture(scope="module")
 def population():
     return sample_technology_array(CMOS035, 200, seed=4321)
+
+
+@pytest.fixture(scope="module")
+def small_population():
+    return sample_technology_array(CMOS035, 5, seed=77)
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +199,114 @@ class TestRingMatchesPerStageLoop:
         assert np.array_equal(series, period_series_stage_loop(ring, GRID))
         scalar = np.array([ring.period(t) for t in GRID])
         assert np.max(np.abs(series - scalar) / scalar) <= 1e-12
+
+
+# --------------------------------------------------------------------------- #
+# the ring's period plan against the per-stage delay sum
+# --------------------------------------------------------------------------- #
+
+#: The library's inverting single-stage cells (every cell but the buffers).
+RING_CELLS = [
+    name for name in default_library(CMOS035).names() if not name.startswith("BUF")
+]
+
+
+def stage_delay_sum_loop(ring, temperatures_c):
+    """``ring.period_series`` as the per-stage ``delays_from_currents`` sum.
+
+    :meth:`StandardCell.stage_delay_sum` evaluates the stage's two
+    currents and hands them to ``delays_from_currents`` at the stage
+    load, which re-derives the load terms on every call.
+    """
+    temps = np.asarray(temperatures_c, dtype=float)
+    total = np.zeros(temps.shape)
+    for stage in ring.stages():
+        total = total + stage.cell.stage_delay_sum(temps, stage.load_f)
+    return total
+
+
+@st.composite
+def plain_rings(draw):
+    """Stage names (an odd count of 3 to 9) of one ring."""
+    count = 2 * draw(st.integers(min_value=1, max_value=4)) + 1
+    return draw(st.lists(st.sampled_from(RING_CELLS), min_size=count, max_size=count))
+
+
+temperature_grids = arrays(
+    float,
+    st.sampled_from([(1,), (7,), (3, 4)]),
+    elements=st.floats(min_value=-50.0, max_value=150.0),
+)
+
+
+class TestPeriodPlan:
+    """period_series (the ring's period plan) is bitwise the per-stage sum."""
+
+    @given(stages=plain_rings(), temps=temperature_grids)
+    @settings(max_examples=60, deadline=None)
+    def test_plain_ring(self, library, stages, temps):
+        ring = RingOscillator(library, RingConfiguration(tuple(stages)))
+        assert np.array_equal(ring.period_series(temps), stage_delay_sum_loop(ring, temps))
+
+    @given(
+        stages=plain_rings(),
+        temps=temperature_grids,
+        wire_length_um=st.floats(min_value=0.0, max_value=100.0),
+        external_load_f=st.floats(min_value=0.0, max_value=1e-13),
+        tap=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_tapped_and_loaded_ring(
+        self, library, stages, temps, wire_length_um, external_load_f, tap
+    ):
+        tap_stage = tap.draw(
+            st.one_of(st.none(), st.integers(min_value=0, max_value=len(stages) - 1))
+        )
+        ring = RingOscillator(
+            library,
+            RingConfiguration(tuple(stages)),
+            wire_length_um=wire_length_um,
+            external_load_f=external_load_f,
+            tap_stage=tap_stage,
+        )
+        assert np.array_equal(ring.period_series(temps), stage_delay_sum_loop(ring, temps))
+
+    @given(stages=plain_rings(), temps=temperature_grids)
+    @settings(max_examples=30, deadline=None)
+    def test_ring_rebound_to_population(self, library, small_population, stages, temps):
+        ring = RingOscillator(
+            library, RingConfiguration(tuple(stages)), external_load_f=5e-15
+        ).rebind(small_population)
+        site_major = temps.reshape(-1, 1, 1)
+        periods = ring.period_series(site_major)
+        assert periods.shape == (temps.size, len(small_population), 1)
+        assert np.array_equal(periods, stage_delay_sum_loop(ring, site_major))
+
+    def test_repeated_calls_reuse_the_plan(self, library):
+        ring = RingOscillator(library, DTM_RING)
+        first = ring.period_series(SITES)
+        plan = ring._period_plan()
+        assert np.array_equal(ring.period_series(SITES), first)
+        assert ring._period_plan() is plan
+
+    @pytest.mark.parametrize(
+        "patched, value",
+        [
+            ("stage_loads", lambda self, input_f, technology: [-1e-15] * self.stage_count),
+            ("output_parasitic_capacitance", lambda self: -1.0),
+        ],
+        ids=["negative-load", "non-positive-total-load"],
+    )
+    def test_bad_load_raises_as_the_per_stage_path(
+        self, library, monkeypatch, patched, value
+    ):
+        owner = RingOscillator if patched == "stage_loads" else StandardCell
+        monkeypatch.setattr(owner, patched, value)
+        ring = RingOscillator(library, DTM_RING)
+        with pytest.raises(ReproInputError) as per_stage:
+            stage_delay_sum_loop(ring, SITES)
+        with pytest.raises(type(per_stage.value)):
+            ring.period_series(SITES)
 
 
 # --------------------------------------------------------------------------- #

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from oracles import self_heating_error
+from oracles import bilinear_sample, self_heating_error
 from repro.circuit.transient import transient_step_count
 from repro.core import DynamicThermalManager
 from repro.oscillator import RingConfiguration
@@ -18,6 +21,7 @@ from repro.thermal import (
     duty_cycle_study,
     solve_steady_state,
 )
+from repro.thermal.grid import BilinearSites
 
 
 # The uniform power map / grid pair and the example-processor grid are
@@ -157,6 +161,90 @@ class TestTemperatureMap:
     def test_invalid_shape_rejected(self):
         with pytest.raises(TechnologyError):
             TemperatureMap(8.0, 8.0, np.zeros(10))
+
+
+#: Ambients from well below freezing to far beyond the die's range, so a
+#: shifted read meets both signs and large exponents.
+ambients = st.one_of(
+    st.floats(min_value=-300.0, max_value=300.0),
+    st.sampled_from([-1e12, -45.0, 0.0, 1e6, 1e12]),
+)
+
+
+@st.composite
+def die_reads(draw):
+    """A rise-plane stack, an ambient and sites that include edges and corners."""
+    nx = draw(st.integers(min_value=2, max_value=9))
+    ny = draw(st.integers(min_value=2, max_value=9))
+    width = draw(st.floats(min_value=0.5, max_value=20.0))
+    height = draw(st.floats(min_value=0.5, max_value=20.0))
+    planes = draw(
+        arrays(
+            float,
+            (draw(st.integers(min_value=1, max_value=3)), ny, nx),
+            elements=st.floats(min_value=-50.0, max_value=500.0),
+        )
+    )
+    count = draw(st.integers(min_value=1, max_value=6))
+
+    def coordinate(extent):
+        return st.one_of(
+            st.sampled_from([0.0, extent]), st.floats(min_value=0.0, max_value=extent)
+        )
+
+    xs = np.asarray(draw(st.lists(coordinate(width), min_size=count, max_size=count)))
+    ys = np.asarray(draw(st.lists(coordinate(height), min_size=count, max_size=count)))
+    return width, height, planes, xs, ys, draw(ambients)
+
+
+class TestBilinearSites:
+    """The site plan reads bitwise what the per-call bilinear read computes."""
+
+    @given(read=die_reads())
+    @settings(max_examples=150, deadline=None)
+    def test_shifted_read_matches_sample_points_of_shifted_field(self, read):
+        width, height, planes, xs, ys, ambient = read
+        ny, nx = planes.shape[1:]
+        sites = BilinearSites(width, height, nx, ny, xs, ys)
+        shifted = sites.sample(planes, ambient)
+        for k, plane in enumerate(planes):
+            field = TemperatureMap(width, height, plane + ambient)
+            assert np.array_equal(shifted[k], field.sample_points(xs, ys))
+            assert np.array_equal(
+                shifted[k], bilinear_sample(plane + ambient, width, height, xs, ys)
+            )
+
+    @given(read=die_reads())
+    @settings(max_examples=100, deadline=None)
+    def test_unshifted_read_matches_reference(self, read):
+        width, height, planes, xs, ys, _ = read
+        ny, nx = planes.shape[1:]
+        sites = BilinearSites(width, height, nx, ny, xs, ys)
+        assert np.array_equal(
+            sites.sample(planes), bilinear_sample(planes, width, height, xs, ys)
+        )
+
+    @given(read=die_reads())
+    @settings(max_examples=150, deadline=None)
+    def test_field_free_peak_matches_max_c(self, read):
+        # run_bank's peak: the column maxima of the column-major rise
+        # stack plus the ambient, never the field itself.
+        width, height, planes, _, _, ambient = read
+        rise = planes.reshape(planes.shape[0], -1).T
+        peaks = rise.max(axis=0) + ambient
+        for k, plane in enumerate(planes):
+            assert peaks[k] == TemperatureMap(width, height, plane + ambient).max_c()
+
+    @pytest.mark.parametrize(
+        "x, y", [(-1e-9, 1.0), (8.0 + 1e-9, 1.0), (1.0, -1.0), (1.0, 9.0), (np.nan, 1.0)]
+    )
+    def test_off_die_site_rejected(self, x, y):
+        with pytest.raises(TechnologyError, match="outside the die"):
+            BilinearSites(8.0, 8.0, 4, 4, [1.0, x], [1.0, y])
+
+    def test_mismatched_coordinates_rejected(self):
+        with pytest.raises(TechnologyError, match="must match in shape"):
+            BilinearSites(8.0, 8.0, 4, 4, [1.0, 2.0], [1.0])
 
 
 class TestTransient:

@@ -163,6 +163,49 @@ class TestStackLayout:
             )
 
 
+class TestCallerArraysUntouched:
+    """The stepper transforms only its own buffer; no solve writes into its inputs."""
+
+    @pytest.fixture(params=["vector", "c-ordered", "column-major"])
+    def arrays(self, request, example_grid, example_power_map):
+        power = example_power_map.values_w.reshape(-1)
+        rise = ThermalOperator(example_grid).steady_rise(power)
+        if request.param == "vector":
+            return rise, power
+        stack = np.stack([power, 0.5 * power, power[::-1]], axis=1)
+        rises = np.stack([rise, 0.25 * rise, rise[::-1]], axis=1)
+        if request.param == "c-ordered":
+            return np.ascontiguousarray(rises), np.ascontiguousarray(stack)
+        return np.asfortranarray(rises), np.asfortranarray(stack)
+
+    @staticmethod
+    def _assert_fresh_column_major(result, *inputs):
+        assert result.T.flags.c_contiguous
+        for array in inputs:
+            assert not np.shares_memory(result, array)
+
+    def test_step_leaves_rise_and_power(self, example_grid, arrays):
+        rise, power = arrays
+        before = rise.copy(), power.copy()
+        result = ThermalOperator(example_grid).stepper(1e-3).step(rise, power)
+        assert np.array_equal(rise, before[0]) and np.array_equal(power, before[1])
+        self._assert_fresh_column_major(result, rise, power)
+
+    def test_steady_rise_leaves_power(self, example_grid, arrays):
+        _, power = arrays
+        before = power.copy()
+        result = ThermalOperator(example_grid).steady_rise(power)
+        assert np.array_equal(power, before)
+        self._assert_fresh_column_major(result, power)
+
+    def test_spectral_solve_leaves_rhs(self, example_grid, arrays):
+        _, rhs = arrays
+        before = rhs.copy()
+        result = ThermalOperator(example_grid).steady_solve()(rhs)
+        assert np.array_equal(rhs, before)
+        self._assert_fresh_column_major(result, rhs)
+
+
 class TestStepperBoundary:
     """``ThermalStepper.step`` rejects malformed states and power vectors."""
 
