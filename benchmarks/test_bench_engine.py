@@ -46,6 +46,7 @@ rebinding a scalar technology per sample, to 1e-9 relative agreement
 (the ``sweep-technology-axis`` group records both forms).
 """
 
+import contextlib
 import os
 import sys
 import threading
@@ -794,35 +795,48 @@ def _serve_temps(round_index):
 
 def _points_concurrent(port, spec, temps):
     """All points at once, one connection each (the batcher coalesces
-    across connections); returns the per-point results in temp order."""
+    across connections).
+
+    Every connection is open and every thread is waiting at the barrier
+    before the clock starts; it starts when the barrier releases them.
+    Returns the per-point results in temp order and the elapsed seconds.
+    """
     results = [None] * len(temps)
     errors = []
-    barrier = threading.Barrier(len(temps))
+    started = []
+    barrier = threading.Barrier(
+        len(temps), action=lambda: started.append(time.perf_counter())
+    )
+    with contextlib.ExitStack() as stack:
+        clients = [stack.enter_context(ServeClient("127.0.0.1", port)) for _ in temps]
 
-    def worker(slot):
-        try:
-            with ServeClient("127.0.0.1", port) as remote:
+        def worker(slot):
+            try:
                 barrier.wait()
-                results[slot] = remote.point(spec, temps[slot])
-        except Exception as error:  # noqa: BLE001 - surfaced below
-            errors.append(error)
+                results[slot] = clients[slot].point(spec, temps[slot])
+            except Exception as error:  # noqa: BLE001 - surfaced below
+                errors.append(error)
 
-    threads = [
-        threading.Thread(target=worker, args=(slot,)) for slot in range(len(temps))
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+        threads = [
+            threading.Thread(target=worker, args=(slot,)) for slot in range(len(temps))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        elapsed_s = time.perf_counter() - started[0]
     if errors:
         raise errors[0]
-    return results
+    return results, elapsed_s
 
 
 def _points_sequential(port, spec, temps):
-    """The same points issued one at a time over one connection."""
+    """The same points issued one at a time over one connection, opened
+    before the clock starts; returns the results and the elapsed seconds."""
     with ServeClient("127.0.0.1", port) as remote:
-        return [remote.point(spec, t) for t in temps]
+        start = time.perf_counter()
+        results = [remote.point(spec, t) for t in temps]
+        return results, time.perf_counter() - start
 
 
 #: Timed rounds per leg of the micro-batch floor; each leg reports its best.
@@ -834,7 +848,8 @@ def _best_round_s(window_ms, spec, issue):
 
     Both legs of the floor are timed the same way: one warm-up point on
     a fresh server, then :data:`MICROBATCH_ROUNDS` rounds with their own
-    temperatures (no cache hits).  Returns the best time, the
+    temperatures (no cache hits), each timed by ``issue`` from the
+    moment its connections are open.  Returns the best time, the
     evaluations each round cost, and the last round's temperatures and
     answers.
     """
@@ -847,9 +862,8 @@ def _best_round_s(window_ms, spec, issue):
         for round_index in range(1, MICROBATCH_ROUNDS + 1):
             temps = _serve_temps(round_index)
             before = handle.server.evaluations
-            start = time.perf_counter()
-            results = issue(handle.port, spec, temps)
-            best_s = min(best_s, time.perf_counter() - start)
+            results, elapsed_s = issue(handle.port, spec, temps)
+            best_s = min(best_s, elapsed_s)
             round_evaluations.append(handle.server.evaluations - before)
     finally:
         handle.stop()
@@ -902,10 +916,10 @@ def test_point_query_throughput(benchmark, mode):
 
     if mode == "batched":
         def run():
-            return _points_concurrent(handle.port, spec, _serve_temps(next(rounds)))
+            return _points_concurrent(handle.port, spec, _serve_temps(next(rounds)))[0]
     else:
         def run():
-            return _points_sequential(handle.port, spec, _serve_temps(next(rounds)))
+            return _points_sequential(handle.port, spec, _serve_temps(next(rounds)))[0]
 
     try:
         results = benchmark.pedantic(run, rounds=2, iterations=1)

@@ -5,12 +5,10 @@ from .linearity import (
     NonlinearityResult,
     fit_line,
     nonlinearity,
-    temperature_error,
 )
 from .sensitivity import SensitivityReport, sensitivity_report
 from .resolution import (
     ResolutionReport,
-    required_window_for_resolution,
     resolution_report,
 )
 from .statistics import SummaryStatistics, summarize
@@ -22,11 +20,9 @@ __all__ = [
     "NonlinearityResult",
     "fit_line",
     "nonlinearity",
-    "temperature_error",
     "SensitivityReport",
     "sensitivity_report",
     "ResolutionReport",
-    "required_window_for_resolution",
     "resolution_report",
     "SummaryStatistics",
     "summarize",

@@ -23,7 +23,6 @@ ultimately cares about.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -35,7 +34,6 @@ __all__ = [
     "NonlinearityResult",
     "fit_line",
     "nonlinearity",
-    "temperature_error",
 ]
 
 _FIT_METHODS = ("endpoint", "best_fit")
@@ -85,11 +83,6 @@ class NonlinearityResult:
     def max_abs_error_percent(self) -> float:
         """Worst-case |non-linearity| in percent of full scale."""
         return float(np.max(np.abs(self.error_percent)))
-
-    @property
-    def rms_error_percent(self) -> float:
-        """Root-mean-square non-linearity in percent of full scale."""
-        return float(np.sqrt(np.mean(self.error_percent ** 2)))
 
     def error_at(self, temperature_c: float) -> float:
         """Interpolated non-linearity error (percent) at one temperature."""
@@ -159,10 +152,3 @@ def nonlinearity(
         fit=fit,
         full_scale_span_s=span,
     )
-
-
-def temperature_error(
-    response: TemperatureResponse, method: str = "endpoint"
-) -> np.ndarray:
-    """Equivalent temperature error (deg C) of the linear approximation."""
-    return nonlinearity(response, method).equivalent_temperature_error_c()

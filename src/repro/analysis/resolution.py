@@ -5,8 +5,7 @@ counting ring cycles inside a fixed gating window (or, equivalently,
 counting reference-clock cycles during a fixed number of ring cycles).
 The count is an integer, so the sensor has a finite temperature
 resolution; this module computes it from the analytical characteristic
-and the readout parameters, and provides the helper used to pick a
-gating window long enough for a target resolution.
+and the gating window.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from ..fields import real
 from ..oscillator.period import TemperatureResponse
 from ..tech.parameters import TechnologyError
 
-__all__ = ["ResolutionReport", "resolution_report", "required_window_for_resolution"]
+__all__ = ["ResolutionReport", "resolution_report"]
 
 
 @dataclass(frozen=True)
@@ -80,22 +79,3 @@ def resolution_report(
         temperature_resolution_c=resolution_c,
         bits_required=bits,
     )
-
-
-def required_window_for_resolution(
-    response: TemperatureResponse, target_resolution_c: float
-) -> float:
-    """Smallest gating window achieving a target temperature resolution.
-
-    Inverts the resolution formula: one LSB must correspond to at most
-    ``target_resolution_c`` kelvin.  The resulting window scales linearly
-    with the required resolution, which is the measurement-time /
-    resolution trade-off every counting sensor faces.
-    """
-    real(target_resolution_c, "target_resolution_c", TechnologyError, above=0.0)
-    # counts_per_kelvin is proportional to the window; find the
-    # proportionality constant with a unit window.
-    unit = resolution_report(response, window_s=1.0)
-    counts_per_kelvin_per_second = unit.counts_per_kelvin
-    required = 1.0 / (target_resolution_c * counts_per_kelvin_per_second)
-    return required

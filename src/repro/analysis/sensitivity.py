@@ -47,13 +47,6 @@ class SensitivityReport:
     max_local_sensitivity_s_per_k: float
     frequency_sensitivity_ppm_per_k: float
 
-    @property
-    def slope_spread_ratio(self) -> float:
-        """max/min local slope; 1.0 for a perfectly linear sensor."""
-        if self.min_local_sensitivity_s_per_k <= 0.0:
-            return float("inf")
-        return self.max_local_sensitivity_s_per_k / self.min_local_sensitivity_s_per_k
-
 
 def sensitivity_report(response: TemperatureResponse) -> SensitivityReport:
     """Compute the sensitivity summary of a temperature response."""

@@ -4,7 +4,7 @@ from .cell import CellError, CellTopology, GateDelays, StandardCell
 from .factories import buffer_cell, inverter, nand_gate, nor_gate
 from .library import CellLibrary, default_library
 from .timing import TimingTable, characterize_cell
-from .characterize import SimulatedDelays, measure_cell_delays, model_accuracy
+from .characterize import SimulatedDelays, measure_cell_delays
 from .liberty import format_cell, format_library, write_library
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "characterize_cell",
     "SimulatedDelays",
     "measure_cell_delays",
-    "model_accuracy",
     "format_cell",
     "format_library",
     "write_library",

@@ -21,7 +21,7 @@ it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -37,7 +37,7 @@ from ..delay.alpha_power import (
 from ..delay.load import input_capacitance, output_parasitic_capacitance
 from ..devices.mosfet import DeviceSizing, MosfetModel
 from ..fields import ReproInputError, integer, real
-from ..tech.parameters import Technology, TechnologyError, celsius_to_kelvin
+from ..tech.parameters import Technology
 from ..tech.stacked import TechnologyArray
 
 __all__ = ["CellTopology", "GateDelays", "StandardCell", "CellError"]
@@ -139,18 +139,9 @@ class GateDelays:
     tplh: Union[float, np.ndarray]
 
     @property
-    def average(self) -> float:
-        return 0.5 * (self.tphl + self.tplh)
-
-    @property
     def pair_sum(self) -> float:
         """tpHL + tpLH — the per-stage contribution to a ring period."""
         return self.tphl + self.tplh
-
-    @property
-    def asymmetry(self) -> float:
-        """Relative rise/fall asymmetry, 0 for perfectly balanced drive."""
-        return abs(self.tphl - self.tplh) / self.average
 
 
 class StandardCell:
@@ -222,11 +213,6 @@ class StandardCell:
             nmos_on_output=self.topology.nmos_drains_on_output,
             pmos_on_output=self.topology.pmos_drains_on_output,
         )
-
-    def transistor_count(self) -> int:
-        """Number of transistors in the cell."""
-        per_stage = self.topology.fan_in * 2
-        return per_stage * self.topology.stages
 
     def area_um2(self) -> float:
         """First-order layout area estimate (active width times pitch)."""

@@ -22,7 +22,7 @@ from ..fields import real
 from ..tech.parameters import celsius_to_kelvin
 from .cell import CellError, GateDelays, StandardCell
 
-__all__ = ["SimulatedDelays", "measure_cell_delays", "model_accuracy"]
+__all__ = ["SimulatedDelays", "measure_cell_delays"]
 
 
 @dataclass(frozen=True)
@@ -125,8 +125,3 @@ def measure_cell_delays(
         simulated=simulated,
         analytical=analytical,
     )
-
-
-def model_accuracy(measurement: SimulatedDelays) -> float:
-    """Worst-case relative error of the analytical model for a measurement."""
-    return max(measurement.tphl_error_rel, measurement.tplh_error_rel)

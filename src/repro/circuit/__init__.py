@@ -3,10 +3,8 @@
 from .elements import (
     Capacitor,
     CircuitElement,
-    CurrentSource,
     Mosfet,
     PulseVoltageSource,
-    Resistor,
     SimulationError,
     StampContext,
     VoltageSource,
@@ -19,10 +17,8 @@ from .waveform import Waveform, propagation_delay
 __all__ = [
     "Capacitor",
     "CircuitElement",
-    "CurrentSource",
     "Mosfet",
     "PulseVoltageSource",
-    "Resistor",
     "SimulationError",
     "StampContext",
     "VoltageSource",

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -50,15 +50,6 @@ class DCResult:
             return self.node_voltages[key]
         except KeyError as exc:
             raise SimulationError(f"no node named {node!r} in the DC result") from exc
-
-    def supply_current(self, source_name: str) -> float:
-        """Branch current of a voltage source (positive flowing out of +)."""
-        try:
-            return self.branch_currents[source_name]
-        except KeyError as exc:
-            raise SimulationError(
-                f"no voltage source named {source_name!r} in the DC result"
-            ) from exc
 
 
 def _newton_solve(

@@ -14,9 +14,8 @@ row/column with a negative index.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -26,11 +25,9 @@ __all__ = [
     "SimulationError",
     "StampContext",
     "CircuitElement",
-    "Resistor",
     "Capacitor",
     "VoltageSource",
     "PulseVoltageSource",
-    "CurrentSource",
     "Mosfet",
     "GROUND_NAMES",
 ]
@@ -118,27 +115,6 @@ class CircuitElement:
     def requires_branch(self) -> bool:
         """Whether the element adds an MNA branch-current unknown."""
         return False
-
-
-@dataclass
-class Resistor(CircuitElement):
-    node_a: int = -1
-    node_b: int = -1
-    ohms: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.ohms <= 0.0:
-            raise SimulationError(f"resistor {self.name}: resistance must be positive")
-
-    def nodes(self) -> Tuple[int, ...]:
-        return (self.node_a, self.node_b)
-
-    def stamp(self, matrix, rhs, context, branch_index=None) -> None:
-        g = 1.0 / self.ohms
-        _add(matrix, self.node_a, self.node_a, g)
-        _add(matrix, self.node_b, self.node_b, g)
-        _add(matrix, self.node_a, self.node_b, -g)
-        _add(matrix, self.node_b, self.node_a, -g)
 
 
 @dataclass
@@ -252,21 +228,6 @@ class PulseVoltageSource(CircuitElement):
 
 
 @dataclass
-class CurrentSource(CircuitElement):
-    node_a: int = -1  # current flows out of node_a ...
-    node_b: int = -1  # ... and into node_b
-    current: float = 0.0
-
-    def nodes(self) -> Tuple[int, ...]:
-        return (self.node_a, self.node_b)
-
-    def stamp(self, matrix, rhs, context, branch_index=None) -> None:
-        value = self.current * context.source_scale
-        _add_rhs(rhs, self.node_a, -value)
-        _add_rhs(rhs, self.node_b, value)
-
-
-@dataclass
 class Mosfet(CircuitElement):
     """A MOSFET instance wrapping a :class:`MosfetModel`.
 
@@ -299,12 +260,6 @@ class Mosfet(CircuitElement):
         if self.is_pmos:
             return vs - vg, vs - vd
         return vg - vs, vd - vs
-
-    def drain_current(self, context: StampContext) -> float:
-        """Signed current flowing into the drain terminal."""
-        vgs, vds = self._bias(context)
-        ids = self.model.ids(vgs, vds)
-        return -ids if self.is_pmos else ids
 
     def stamp(self, matrix, rhs, context, branch_index=None) -> None:
         vgs, vds = self._bias(context)

@@ -15,17 +15,15 @@ matrix indices directly.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List
 
 from ..devices.mosfet import MosfetModel
 from .elements import (
     Capacitor,
     CircuitElement,
-    CurrentSource,
     GROUND_NAMES,
     Mosfet,
     PulseVoltageSource,
-    Resistor,
     SimulationError,
     VoltageSource,
 )
@@ -82,10 +80,6 @@ class Circuit:
         """Number of non-ground nodes."""
         return len(self._node_names)
 
-    def has_node(self, name: str) -> bool:
-        canonical = self._canonical(name)
-        return canonical == "0" or canonical in self._node_index
-
     def index_of(self, name: str) -> int:
         """Matrix index of an *existing* node (ground returns -1)."""
         canonical = self._canonical(name)
@@ -105,16 +99,6 @@ class Circuit:
     def _register(self, element: CircuitElement) -> CircuitElement:
         self.elements.append(element)
         return element
-
-    def add_resistor(self, node_a: str, node_b: str, ohms: float, name: str = "") -> Resistor:
-        """Add a linear resistor between two nodes."""
-        element = Resistor(
-            name=name or f"R{len(self.elements)}",
-            node_a=self.node(node_a),
-            node_b=self.node(node_b),
-            ohms=ohms,
-        )
-        return self._register(element)  # type: ignore[return-value]
 
     def add_capacitor(
         self, node_a: str, node_b: str, farads: float, name: str = ""
@@ -168,18 +152,6 @@ class Circuit:
         )
         return self._register(element)  # type: ignore[return-value]
 
-    def add_current_source(
-        self, node_from: str, node_to: str, current: float, name: str = ""
-    ) -> CurrentSource:
-        """Add an ideal DC current source pushing current from -> to."""
-        element = CurrentSource(
-            name=name or f"I{len(self.elements)}",
-            node_a=self.node(node_from),
-            node_b=self.node(node_to),
-            current=current,
-        )
-        return self._register(element)  # type: ignore[return-value]
-
     def add_mosfet(
         self,
         drain: str,
@@ -223,12 +195,6 @@ class Circuit:
     def voltage_sources(self) -> List[CircuitElement]:
         """Elements that contribute an MNA branch unknown (V and pulse sources)."""
         return [e for e in self.elements if e.requires_branch()]
-
-    def capacitors(self) -> List[Capacitor]:
-        return [e for e in self.elements if isinstance(e, Capacitor)]
-
-    def mosfets(self) -> List[Mosfet]:
-        return [e for e in self.elements if isinstance(e, Mosfet)]
 
     def system_size(self) -> int:
         """Dimension of the MNA system: nodes plus voltage-source branches."""

@@ -11,7 +11,7 @@ sensor actually digitises.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -141,16 +141,6 @@ class Waveform:
         """Oscillation frequency in hertz."""
         return 1.0 / self.period(threshold=threshold, skip_cycles=skip_cycles)
 
-    def period_jitter(self, threshold: Optional[float] = None, skip_cycles: int = 1) -> float:
-        """Standard deviation of the cycle-to-cycle period (seconds)."""
-        if threshold is None:
-            threshold = 0.5 * (self.minimum() + self.maximum())
-        times = self.crossings(threshold, "rising")
-        if times.size < skip_cycles + 3:
-            raise SimulationError("not enough cycles to estimate jitter")
-        periods = np.diff(times[skip_cycles:])
-        return float(np.std(periods))
-
     def duty_cycle(self, threshold: Optional[float] = None) -> float:
         """Fraction of time the signal spends above the threshold."""
         if threshold is None:
@@ -177,14 +167,6 @@ class Waveform:
             return False
         threshold = 0.5 * (self.minimum() + self.maximum())
         return self.crossings(threshold, "rising").size >= 3
-
-    def resampled(self, sample_count: int) -> "Waveform":
-        """Uniformly resampled copy (useful for fixed-size exports)."""
-        if sample_count < 2:
-            raise SimulationError("sample_count must be at least 2")
-        new_times = np.linspace(self.times[0], self.times[-1], sample_count)
-        new_values = np.interp(new_times, self.times, self.values)
-        return Waveform(new_times, new_values, name=self.name)
 
 
 def propagation_delay(

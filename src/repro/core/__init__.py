@@ -20,9 +20,7 @@ from .controller import (
 from .calibration import (
     CalibrationError,
     LinearCalibration,
-    PolynomialCalibration,
     design_calibration,
-    fit_polynomial_calibration,
     one_point_calibration,
     two_point_calibration,
 )
@@ -48,9 +46,7 @@ __all__ = [
     "MeasurementController",
     "CalibrationError",
     "LinearCalibration",
-    "PolynomialCalibration",
     "design_calibration",
-    "fit_polynomial_calibration",
     "one_point_calibration",
     "two_point_calibration",
     "SensorReading",

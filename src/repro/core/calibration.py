@@ -24,26 +24,29 @@ Three calibration schemes are modelled, in increasing per-die cost:
     Removes offset and slope errors; what remains is the sensor's
     intrinsic non-linearity — the quantity the paper's Fig. 2 / Fig. 3
     minimise — plus readout quantisation.
+
+Each scheme builds a :class:`LinearCalibration`, the one calibration
+type: a linear map is what the paper's linearised ring makes
+sufficient, so there is no polynomial readout.  A one-point calibration
+takes its slope from :func:`design_calibration` of the typical-process
+transfer curve and anchors it with :func:`one_point_calibration`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from typing import Sequence, Union
 
 import numpy as np
 
-from ..fields import ReproInputError, integer, real, real_array
-from ..tech.parameters import TechnologyError
+from ..fields import ReproInputError, real_array
 
 __all__ = [
     "CalibrationError",
     "LinearCalibration",
-    "PolynomialCalibration",
     "two_point_calibration",
     "one_point_calibration",
     "design_calibration",
-    "fit_polynomial_calibration",
 ]
 
 
@@ -104,59 +107,6 @@ class LinearCalibration:
         if np.ndim(periods) == 0:
             return float(periods)
         return periods
-
-    def with_offset_shift(self, delta_c: float) -> "LinearCalibration":
-        """Return a copy with the offset shifted by ``delta_c`` kelvin."""
-        return LinearCalibration(
-            slope_c_per_second=self.slope_c_per_second,
-            offset_c=self.offset_c + delta_c,
-            kind=self.kind,
-        )
-
-
-@dataclass(frozen=True)
-class PolynomialCalibration:
-    """Polynomial period-to-temperature map (linearity-corrected readout).
-
-    The paper's sensor relies on choosing a linear ring configuration,
-    but a downstream user can instead spend a few multipliers on a
-    polynomial correction; this class provides that option so the
-    trade-off can be quantified.
-
-    To keep the fit numerically well conditioned (periods are of the
-    order of 1e-10 s), the polynomial acts on the normalised variable
-    ``x = (period - period_offset_s) / period_scale_s``; coefficients
-    follow ``numpy.polyval`` ordering (highest power first).
-    """
-
-    coefficients: Tuple[float, ...]
-    period_offset_s: float = 0.0
-    period_scale_s: float = 1.0
-    kind: str = "polynomial"
-
-    def __post_init__(self) -> None:
-        if len(self.coefficients) < 2:
-            raise CalibrationError("a polynomial calibration needs at least degree 1")
-        real(self.period_scale_s, "period_scale_s", CalibrationError, above=0.0)
-
-    def temperature(
-        self, period_s: Union[float, np.ndarray]
-    ) -> Union[float, np.ndarray]:
-        """Convert a measured period (seconds) to a temperature estimate.
-
-        Accepts a scalar (returning a float) or an ndarray of periods,
-        evaluated elementwise through the normalised polynomial.
-        """
-        periods = real_array(period_s, "period_s", CalibrationError, above=0.0)
-        x = (periods - self.period_offset_s) / self.period_scale_s
-        estimates = np.polyval(self.coefficients, x)
-        if np.ndim(period_s) == 0:
-            return float(estimates)
-        return estimates
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
 
 
 def two_point_calibration(
@@ -224,30 +174,4 @@ def design_calibration(
     slope, offset = np.polyfit(periods_arr, temps_arr, deg=1)
     return LinearCalibration(
         slope_c_per_second=float(slope), offset_c=float(offset), kind="design"
-    )
-
-
-def fit_polynomial_calibration(
-    periods_s: Sequence[float],
-    temperatures_c: Sequence[float],
-    degree: int = 2,
-) -> PolynomialCalibration:
-    """Least-squares polynomial calibration of the requested degree."""
-    periods_arr = np.asarray(periods_s, dtype=float)
-    temps_arr = np.asarray(temperatures_c, dtype=float)
-    degree = integer(degree, "degree", CalibrationError, at_least=1)
-    if periods_arr.size <= degree:
-        raise CalibrationError("not enough points for the requested polynomial degree")
-    if np.any(periods_arr <= 0.0):
-        raise CalibrationError("calibration periods must be positive")
-    offset = float(np.mean(periods_arr))
-    scale = float(np.std(periods_arr))
-    if scale <= 0.0:
-        raise CalibrationError("calibration periods must not be all identical")
-    normalised = (periods_arr - offset) / scale
-    coefficients = np.polyfit(normalised, temps_arr, deg=degree)
-    return PolynomialCalibration(
-        coefficients=tuple(float(c) for c in coefficients),
-        period_offset_s=offset,
-        period_scale_s=scale,
     )

@@ -15,9 +15,8 @@ netlist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional
 
 from ..fields import integer
 from ..tech.parameters import TechnologyError
@@ -112,12 +111,6 @@ class MeasurementController:
         """Assert the start request; honoured at the next IDLE cycle."""
         self._start_pending = True
 
-    def reset(self) -> None:
-        """Return to IDLE immediately and clear any pending request."""
-        self._state = ControllerState.IDLE
-        self._cycles_in_state = 0
-        self._start_pending = False
-
     # ------------------------------------------------------------------ #
     # state queries
     # ------------------------------------------------------------------ #
@@ -136,15 +129,6 @@ class MeasurementController:
         if self._state in (ControllerState.SETTLE, ControllerState.MEASURE):
             return True
         return not self.config.auto_disable
-
-    @property
-    def measurements_completed(self) -> int:
-        return self._measurements_completed
-
-    @property
-    def enabled_cycles_total(self) -> int:
-        """Reference cycles the oscillator has spent enabled (self-heating proxy)."""
-        return self._enabled_cycles_total
 
     def duty_cycle(self, total_cycles: int) -> float:
         """Fraction of ``total_cycles`` the oscillator was enabled."""

@@ -33,13 +33,7 @@ from ..oscillator.config import RingConfiguration
 from ..oscillator.period import TemperatureResponse, analytical_response, default_temperature_grid
 from ..oscillator.ring import RingOscillator
 from ..tech.parameters import Technology, TechnologyError
-from .calibration import (
-    LinearCalibration,
-    PolynomialCalibration,
-    design_calibration,
-    one_point_calibration,
-    two_point_calibration,
-)
+from .calibration import LinearCalibration, two_point_calibration
 from .controller import ControllerConfig, MeasurementController, conversion_time_s
 from .readout import PeriodCounter, ReadoutConfig
 
@@ -65,11 +59,6 @@ class SensorReading:
             return None
         return self.temperature_estimate_c - self.true_temperature_c
 
-    @property
-    def quantisation_error_s(self) -> float:
-        """Difference between the measured and the true oscillation period."""
-        return self.measured_period_s - self.oscillator_period_s
-
 
 @dataclass(frozen=True)
 class SensorTransferFunction:
@@ -93,9 +82,6 @@ class SensorTransferFunction:
         object.__setattr__(self, "temperatures_c", temps)
         object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "measured_periods_s", periods)
-
-    def code_at(self, temperature_c: float) -> float:
-        return float(np.interp(temperature_c, self.temperatures_c, self.codes))
 
     def codes_per_kelvin(self) -> float:
         """Average |d(code)/dT| over the characterised range."""
@@ -180,11 +166,6 @@ class SmartTemperatureSensor:
     # ------------------------------------------------------------------ #
     # measurement
     # ------------------------------------------------------------------ #
-
-    @property
-    def enabled(self) -> bool:
-        """Whether the oscillator is currently running."""
-        return self.controller.oscillator_enabled
 
     @property
     def busy(self) -> bool:
@@ -294,31 +275,6 @@ class SmartTemperatureSensor:
         """Install a two-point calibration using the sensor's own readings."""
         temps = [low_temperature_c, high_temperature_c]
         calibration = two_point_calibration(self.measured_periods(temps), temps)
-        self.calibration = calibration
-        return calibration
-
-    def calibrate_one_point(
-        self,
-        reference_temperature_c: float,
-        design_transfer: SensorTransferFunction,
-    ) -> LinearCalibration:
-        """Install a one-point calibration against a design-time transfer curve.
-
-        Parameters
-        ----------
-        reference_temperature_c:
-            Temperature of the single calibration insertion.
-        design_transfer:
-            Transfer function of the *typical-process* sensor (the slope
-            source); usually produced once at design time.
-        """
-        design = design_calibration(
-            design_transfer.measured_periods_s, design_transfer.temperatures_c
-        )
-        period = self.measured_period(reference_temperature_c)
-        calibration = one_point_calibration(
-            period, reference_temperature_c, design.slope_c_per_second
-        )
         self.calibration = calibration
         return calibration
 

@@ -81,10 +81,6 @@ class BankScan:
                 "technology scans; index the (site, sample) arrays instead"
             )
 
-    def codes_by_site(self) -> Dict[str, int]:
-        self._require_single()
-        return {name: int(code) for name, code in zip(self.names, self.codes)}
-
     def temperatures(self) -> Dict[str, Optional[float]]:
         self._require_single()
         if self.estimates_c is None:
@@ -93,14 +89,6 @@ class BankScan:
             name: float(estimate)
             for name, estimate in zip(self.names, self.estimates_c)
         }
-
-    def hottest_channel(self) -> str:
-        """Channel with the highest estimated (or true) temperature."""
-        self._require_single()
-        values = (
-            self.estimates_c if self.estimates_c is not None else self.true_temperatures_c
-        )
-        return self.names[int(np.argmax(values))]
 
     @property
     def readings(self) -> Dict[str, SensorReading]:

@@ -1,15 +1,19 @@
-"""Analytical propagation-delay models (alpha-power law + load models)."""
+"""Analytical propagation-delay models (alpha-power law + load models).
+
+A ring evaluates its stages' drive currents in one
+:func:`~repro.delay.alpha_power.drive_currents` call per technology and
+turns each into a delay with
+:func:`~repro.delay.alpha_power.switching_delay` (``fit * C * VDD / I``);
+the load helpers give the ``C`` of each stage.
+"""
 
 from .alpha_power import (
     DELAY_FIT_FACTOR,
     DelayModelOptions,
     DriveNetwork,
     StackModel,
-    effective_saturation_current,
-    gate_delay,
 )
 from .load import (
-    StageLoad,
     input_capacitance,
     output_parasitic_capacitance,
     wire_capacitance,
@@ -20,9 +24,6 @@ __all__ = [
     "DelayModelOptions",
     "DriveNetwork",
     "StackModel",
-    "effective_saturation_current",
-    "gate_delay",
-    "StageLoad",
     "input_capacitance",
     "output_parasitic_capacitance",
     "wire_capacitance",

@@ -48,10 +48,9 @@ are ``(samples, temperatures)`` matrices, except those whose parameters
 every sample shares: ``alpha`` (and so each network's ``alpha_eff``)
 then arrives as a ``(1, temperatures)`` row (see
 :func:`~repro.tech.temperature.device_at`), and the currents still
-broadcast to ``(samples, temperatures)``.
-:func:`effective_saturation_current` is its one-network case.  The arithmetic of each current is the same whichever
-entry point computes it, so the batched and per-network paths agree
-bitwise.
+broadcast to ``(samples, temperatures)``.  The arithmetic of each
+current is the same however many networks share the call, so a
+one-network call and the batched one agree bitwise.
 """
 
 from __future__ import annotations
@@ -70,9 +69,7 @@ __all__ = [
     "DriveNetwork",
     "DriveKey",
     "drive_currents",
-    "effective_saturation_current",
     "switching_delay",
-    "gate_delay",
     "DelayModelOptions",
 ]
 
@@ -243,25 +240,6 @@ def _alpha_power_current(
     return current / divider
 
 
-def effective_saturation_current(
-    tech: Technology,
-    network: DriveNetwork,
-    temperature_c: Union[float, np.ndarray],
-    options: DelayModelOptions = DelayModelOptions(),
-) -> Union[float, np.ndarray]:
-    """Effective saturation current (A) of a drive network at ``temperature_c``.
-
-    The one-network case of :func:`drive_currents`: the stack-corrected
-    alpha-power saturation current of a single device of the network's
-    width, evaluated elementwise when ``temperature_c`` is an ndarray
-    and broadcast over the sample axis when ``tech`` is a stacked
-    population (:class:`~repro.tech.stacked.TechnologyArray`), giving a
-    ``(samples, temperatures)`` matrix in the same single call.
-    """
-    key = (network, options.stack)
-    return drive_currents(tech, (key,), temperature_c)[key]
-
-
 def switching_delay(
     tech: Technology,
     current: Union[float, np.ndarray],
@@ -276,25 +254,3 @@ def switching_delay(
     if np.any(np.asarray(load_capacitance_f) <= 0.0):
         raise TechnologyError("load capacitance must be positive")
     return options.fit_factor * load_capacitance_f * tech.vdd / current
-
-
-def gate_delay(
-    tech: Technology,
-    network: DriveNetwork,
-    load_capacitance_f: Union[float, np.ndarray],
-    temperature_c: Union[float, np.ndarray],
-    options: DelayModelOptions = DelayModelOptions(),
-) -> Union[float, np.ndarray]:
-    """Propagation delay (seconds) of one transition.
-
-    ``network.polarity == "nmos"`` gives tpHL (output discharged through
-    the pull-down network); ``"pmos"`` gives tpLH.  Passing an ndarray of
-    temperatures returns the matching ndarray of delays in one
-    vectorized evaluation.  With a stacked technology
-    (:class:`~repro.tech.stacked.TechnologyArray`) the load is a
-    ``(samples, 1)`` column (gate capacitance varies with the sampled
-    oxide capacitance) and the delay broadcasts to a
-    ``(samples, temperatures)`` matrix.
-    """
-    current = effective_saturation_current(tech, network, temperature_c, options)
-    return switching_delay(tech, current, load_capacitance_f, options)

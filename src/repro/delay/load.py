@@ -16,12 +16,10 @@ that broadcasts through the delay model's sample axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..fields import integer, real
 from ..tech.parameters import Technology, TechnologyError
 
-__all__ = ["input_capacitance", "output_parasitic_capacitance", "wire_capacitance", "StageLoad"]
+__all__ = ["input_capacitance", "output_parasitic_capacitance", "wire_capacitance"]
 
 
 def input_capacitance(tech: Technology, nmos_width_um: float, pmos_width_um: float) -> float:
@@ -66,16 +64,3 @@ def wire_capacitance(tech: Technology, length_um: float) -> float:
     """Local interconnect capacitance (F) for a wire of given length."""
     real(length_um, "length_um", TechnologyError, at_least=0.0)
     return tech.wire_cap_f_per_um * length_um
-
-
-@dataclass(frozen=True)
-class StageLoad:
-    """Decomposition of the load on one oscillator stage's output."""
-
-    next_stage_input_f: float
-    self_parasitic_f: float
-    wire_f: float
-
-    @property
-    def total_f(self) -> float:
-        return self.next_stage_input_f + self.self_parasitic_f + self.wire_f

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from ..fields import real
-from ..tech.parameters import TechnologyError, celsius_to_kelvin
+from ..tech.parameters import TechnologyError
 from ..tech.temperature import thermal_voltage
 
 __all__ = ["DiodeParameters", "DiodeModel"]
@@ -84,10 +84,6 @@ class DiodeModel:
         vt = thermal_voltage(temp_k)
         voltage = self.params.ideality * vt * math.log(current_a / isat + 1.0)
         return voltage + current_a * self.params.series_resistance_ohm
-
-    def forward_voltage_celsius(self, current_a: float, temp_c: float) -> float:
-        """Convenience wrapper taking the temperature in Celsius."""
-        return self.forward_voltage(current_a, celsius_to_kelvin(temp_c))
 
     def delta_vbe(self, current_low_a: float, current_high_a: float, temp_k: float) -> float:
         """PTAT voltage: difference of forward voltages at two bias currents.

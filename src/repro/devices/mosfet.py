@@ -240,16 +240,6 @@ class MosfetModel:
     # capacitances
     # ------------------------------------------------------------------ #
 
-    def gate_capacitance(self) -> float:
-        """Total gate (input) capacitance in farads."""
-        return self._device.gate_cap_f_per_um * self.sizing.width_um
-
-    def drain_capacitance(self) -> float:
-        """Drain junction + Miller-doubled overlap capacitance in farads."""
-        return (
-            self._device.junction_cap_f_per_um + 2.0 * self._device.overlap_cap_f_per_um
-        ) * self.sizing.width_um
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"MosfetModel({self.params.polarity}, W={self.sizing.width_um:.2f}um, "

@@ -898,10 +898,10 @@ class SweepResult:
             if isinstance(label, (list, tuple)):
                 # Coordinates are unique and hashable (checked at construction).
                 index_of = {c: i for i, c in enumerate(result.coords[name])}
-                indices = [result._locate(name, entry, index_of) for entry in label]
-                result = result._take(name, indices, keep=True)
+                position = [result._locate(name, entry, index_of) for entry in label]
             else:
-                result = result._take(name, [result._locate(name, label)], keep=False)
+                position = result._locate(name, label)
+            result = result.isel(**{name: position})
         return result
 
     def isel(self, **indexers: Union[int, Sequence[int]]) -> "SweepResult":
@@ -942,21 +942,6 @@ class SweepResult:
         values = self.values.reshape([self.values.shape[i] for i in keep])
         return replace(self, values=values, dims=dims, coords=coords)
 
-    def to_tree(self) -> Any:
-        """Nested plain-dict view keyed by coordinates (floats at the leaves).
-
-        Coordinate labels become dictionary keys, so uniqueness (enforced
-        at construction) is what keeps this view lossless: a duplicate
-        label would silently overwrite its sibling's subtree.
-        """
-        if not self.dims:
-            return float(self.values.reshape(()))
-        name = self.dims[0]
-        return {
-            label: self.isel(**{name: index}).to_tree()
-            for index, label in enumerate(self.coords[name])
-        }
-
     #: Version tag of the :meth:`to_dict` serialization, bumped on any
     #: incompatible change so cached artifacts can be rejected cleanly.
     SCHEMA_VERSION = 1
@@ -968,8 +953,7 @@ class SweepResult:
         round-trips through JSON and :meth:`from_dict` rebuilds an
         identical result — the serialization tile results and cached
         sweep artifacts travel as (coordinates are unique, checked at
-        construction); use :meth:`to_tree` for the coordinate-keyed
-        nested view.
+        construction).
         """
         return {
             "version": self.SCHEMA_VERSION,
@@ -1239,8 +1223,16 @@ class Sweep:
                 f"serialized sweep spec's axes must be a list, got "
                 f"{type(axes).__name__}"
             )
-        for axis_payload in axes:
-            sweep.over(Axis.from_dict(axis_payload))
+        for index, axis_payload in enumerate(axes):
+            try:
+                axis = Axis.from_dict(axis_payload)
+            except ReproInputError as error:
+                # Name the field by its path in the spec, as the base
+                # fields are ("base.tap_stage").
+                if error.field is not None:
+                    error.field = f"axes[{index}].{error.field}"
+                raise
+            sweep.over(axis)
         return sweep.observe(payload["observable"])
 
     def plan(self) -> "SweepPlan":

@@ -87,13 +87,6 @@ class Tile:
             expression.append(slice(*span) if span else slice(None))
         return tuple(expression)
 
-    def element_count(self, dims: Tuple[str, ...], shape: Tuple[int, ...]) -> int:
-        total = 1
-        for name, extent in zip(dims, shape):
-            span = self.bounds_for(name)
-            total *= (span[1] - span[0]) if span else extent
-        return total
-
 
 @dataclass(frozen=True)
 class TilingPlan:

@@ -9,11 +9,10 @@ roughly 0.2 % of full scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from ..analysis.linearity import NonlinearityResult
 from ..oscillator.period import paper_temperature_grid
 from ..optimize.sizing import (
     PAPER_FIG2_RATIOS,
@@ -37,17 +36,8 @@ class Fig2Result:
     optimum: SizingPoint
     temperatures_c: np.ndarray
 
-    def error_curves_percent(self) -> Dict[float, np.ndarray]:
-        """Non-linearity error (percent) versus temperature per ratio."""
-        return {
-            point.width_ratio: point.linearity.error_percent for point in self.sweep.points
-        }
-
     def best_ratio(self) -> float:
         return self.sweep.best().width_ratio
-
-    def best_max_error_percent(self) -> float:
-        return self.sweep.best().max_abs_error_percent
 
     def format_table(self) -> str:
         """Text table in the shape of the paper's figure data."""

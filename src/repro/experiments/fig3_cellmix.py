@@ -15,7 +15,7 @@ checked by the bench:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -43,13 +43,6 @@ class Fig3Result:
     candidates: Dict[str, CellMixCandidate]
     search: CellMixSearchResult
     temperatures_c: np.ndarray
-
-    def error_curves_percent(self) -> Dict[str, np.ndarray]:
-        """Non-linearity error (percent) versus temperature per configuration."""
-        return {
-            label: candidate.linearity.error_percent
-            for label, candidate in self.candidates.items()
-        }
 
     def inverter_reference(self) -> CellMixCandidate:
         """The plain 5-inverter ring all mixes are compared against."""

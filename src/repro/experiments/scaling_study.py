@@ -16,7 +16,7 @@ pins it bitwise against a hand-written per-node loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -52,10 +52,6 @@ class NodePoint:
     #: self-heating budget.
     sensor_power_at_25c_w: float = 0.0
 
-    @property
-    def frequency_at_25c_hz(self) -> float:
-        return 1.0 / self.period_at_25c_s
-
 
 @dataclass(frozen=True)
 class ScalingStudyResult:
@@ -70,13 +66,6 @@ class ScalingStudyResult:
         return (
             self.points[-1].relative_sensitivity_per_k
             / self.points[0].relative_sensitivity_per_k
-        )
-
-    def all_nodes_usable(self, nonlinearity_limit_percent: float = 1.0) -> bool:
-        """Whether the chosen mix stays acceptably linear on every node."""
-        return all(
-            point.max_nonlinearity_percent < nonlinearity_limit_percent
-            for point in self.points
         )
 
     def format_table(self) -> str:

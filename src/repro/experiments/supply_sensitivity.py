@@ -9,7 +9,7 @@ cell-mix choice change that trade-off?
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 from ..analysis.supply import SupplySensitivityReport, supply_sensitivity
 from ..oscillator.config import PAPER_FIG3_CONFIGURATIONS, RingConfiguration
@@ -27,14 +27,6 @@ class SupplySensitivityResult:
     temperature_c: float
     reports: Dict[str, SupplySensitivityReport]
     error_budget_c: float
-
-    def worst_configuration(self) -> str:
-        """Configuration most sensitive to supply noise."""
-        return max(self.reports, key=lambda k: self.reports[k].kelvin_per_millivolt)
-
-    def best_configuration(self) -> str:
-        """Configuration least sensitive to supply noise."""
-        return min(self.reports, key=lambda k: self.reports[k].kelvin_per_millivolt)
 
     def format_table(self) -> str:
         lines = [

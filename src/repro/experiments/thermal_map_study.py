@@ -230,13 +230,6 @@ class ThermalResolutionStudyResult:
     site_count: int
     points: List[ThermalResolutionPoint]
 
-    def converged_resolution(self, peak_tolerance_c: float) -> Optional[int]:
-        """Coarsest grid whose die peak sits within tolerance of the finest."""
-        for point in self.points:
-            if abs(point.peak_shift_from_finest_c) <= peak_tolerance_c:
-                return point.grid_resolution
-        return None
-
     def format_table(self) -> str:
         lines = [
             "EXT-THERMALRES - thermal-grid refinement vs map quality "

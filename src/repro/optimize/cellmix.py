@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from ..cells.library import CellLibrary
 from ..oscillator.config import ConfigurationError, RingConfiguration, odd_stage_count
 from ..oscillator.period import TemperatureResponse, analytical_response, default_temperature_grid
 from ..oscillator.ring import RingOscillator
-from ..tech.parameters import TechnologyError
 
 __all__ = [
     "CellMixCandidate",
@@ -69,12 +68,6 @@ class CellMixSearchResult:
 
     def top(self, count: int) -> List[CellMixCandidate]:
         return self.candidates[: max(count, 0)]
-
-    def candidate_by_label(self, label: str) -> CellMixCandidate:
-        for candidate in self.candidates:
-            if candidate.label == label:
-                return candidate
-        raise TechnologyError(f"no evaluated candidate labelled {label!r}")
 
 
 def enumerate_configurations(

@@ -70,9 +70,6 @@ class SizingSweepResult:
     def ratios(self) -> np.ndarray:
         return np.asarray([point.width_ratio for point in self.points])
 
-    def max_errors_percent(self) -> np.ndarray:
-        return np.asarray([point.max_abs_error_percent for point in self.points])
-
     def improvement_factor(self) -> float:
         """Worst-case error of the worst ratio over that of the best ratio."""
         best = self.best().max_abs_error_percent

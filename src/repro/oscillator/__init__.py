@@ -13,7 +13,6 @@ from .period import (
     analytical_response,
     default_temperature_grid,
     paper_temperature_grid,
-    simulated_response,
     validate_temperature_grid,
 )
 
@@ -29,6 +28,5 @@ __all__ = [
     "analytical_response",
     "default_temperature_grid",
     "paper_temperature_grid",
-    "simulated_response",
     "validate_temperature_grid",
 ]

@@ -146,42 +146,13 @@ class ConfigurationBank:
     def __len__(self) -> int:
         return self.config_count
 
-    @property
-    def max_stage_count(self) -> int:
-        return int(self._cell_index.shape[1])
-
     def stage_counts(self) -> np.ndarray:
         """Number of real stages per configuration."""
         return np.asarray([ring.stage_count for ring in self._rings])
 
-    def unique_cell_names(self) -> Tuple[str, ...]:
-        """Distinct library cells the bank's stages resolve to."""
-        return tuple(self._unique_names)
-
-    def cell_table(self) -> np.ndarray:
-        """The padded ``(config, stage)`` table of cell names ('' = padding)."""
-        names = np.asarray(self._unique_names + [""], dtype=object)
-        return names[self._cell_index]
-
-    def validity_mask(self) -> np.ndarray:
-        """Boolean ``(config, stage)`` mask of the real (non-padded) stages."""
-        return self._cell_index != _PAD
-
     def rings(self) -> List[RingOscillator]:
         """The resolved per-configuration rings (the loop oracle's view)."""
         return list(self._rings)
-
-    def ring_at(self, index: int) -> RingOscillator:
-        if not 0 <= index < self.config_count:
-            raise ConfigurationError(
-                f"configuration index {index} outside the bank "
-                f"(0..{self.config_count - 1})"
-            )
-        return self._rings[index]
-
-    def areas_um2(self) -> np.ndarray:
-        """First-order layout area per configuration."""
-        return np.asarray([ring.area_um2() for ring in self._rings])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..fields import ReproInputError, integer
 
@@ -139,14 +139,6 @@ class RingConfiguration:
 
     def is_uniform(self) -> bool:
         return len(set(self.stages)) == 1
-
-    def with_stage_count(self, stage_count: int) -> "RingConfiguration":
-        """Scale a uniform configuration to a different stage count."""
-        if not self.is_uniform():
-            raise ConfigurationError(
-                "with_stage_count is only defined for uniform configurations"
-            )
-        return RingConfiguration.uniform(self.stages[0], stage_count)
 
     def __str__(self) -> str:
         return self.label()

@@ -1,16 +1,17 @@
 """Temperature-response helpers for ring oscillators.
 
 The sensor characteristic is the mapping ``temperature -> period``; this
-module provides the container for such a characteristic and the sweep
-functions that produce it, either analytically (fast, used by the design
-space exploration) or through transistor-level simulation (slow, used
-for validation).
+module provides the container for such a characteristic, the checks on
+its temperature grid, and :func:`analytical_response`, which produces it
+from the analytical delay model.  Transistor-level simulation
+(:meth:`~repro.oscillator.ring.RingOscillator.simulate`) validates it at
+one temperature, in Fig. 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -23,7 +24,6 @@ __all__ = [
     "default_temperature_grid",
     "paper_temperature_grid",
     "analytical_response",
-    "simulated_response",
     "validate_temperature_grid",
 ]
 
@@ -125,15 +125,6 @@ class TemperatureResponse:
         """Average d(period)/dT (s/K) over the full range."""
         return self.span_s() / float(self.temperatures_c[-1] - self.temperatures_c[0])
 
-    def relative_sensitivity(self) -> float:
-        """Average (1/period) d(period)/dT (1/K) — a size-independent figure."""
-        mid = float(np.interp(
-            0.5 * (self.temperatures_c[0] + self.temperatures_c[-1]),
-            self.temperatures_c,
-            self.periods_s,
-        ))
-        return self.mean_sensitivity() / mid
-
     def is_monotonic(self) -> bool:
         """Whether the period increases monotonically with temperature."""
         return bool(np.all(np.diff(self.periods_s) > 0))
@@ -147,22 +138,6 @@ class TemperatureResponse:
                 f"[{temps[0]}, {temps[-1]}]"
             )
         return float(np.interp(temperature_c, temps, self.periods_s))
-
-    def subsampled(self, temperatures_c: Sequence[float]) -> "TemperatureResponse":
-        """Response restricted (by interpolation) to a coarser grid.
-
-        The grid is validated up front: at least three unique
-        temperatures, all inside the response's characterised range.
-        """
-        temps = validate_temperature_grid(temperatures_c, context="subsampled grid")
-        full = self.temperatures_c
-        if temps[0] < full[0] or temps[-1] > full[-1]:
-            raise TechnologyError(
-                f"subsampled grid [{temps[0]}, {temps[-1]}] C extends outside "
-                f"the response range [{full[0]}, {full[-1]}] C"
-            )
-        periods = np.interp(temps, full, self.periods_s)
-        return TemperatureResponse(self.label, temps, periods)
 
 
 def analytical_response(
@@ -185,26 +160,3 @@ def analytical_response(
         else default_temperature_grid()
     )
     return TemperatureResponse(ring.label(), temps, ring.period_series(temps))
-
-
-def simulated_response(
-    ring: RingOscillator,
-    temperatures_c: Sequence[float],
-    cycles: float = 8.0,
-    points_per_period: int = 300,
-) -> TemperatureResponse:
-    """Temperature response measured with the transistor-level simulator.
-
-    Considerably slower than :func:`analytical_response`; intended for
-    validation at a handful of temperatures.  The grid is validated up
-    front (three or more unique temperatures) so a bad grid fails with a
-    clear message *before* minutes of transient simulation are spent.
-    """
-    temps = validate_temperature_grid(temperatures_c, context="simulated_response grid")
-    periods = np.asarray(
-        [
-            ring.simulated_period(float(t), cycles=cycles, points_per_period=points_per_period)
-            for t in temps
-        ]
-    )
-    return TemperatureResponse(ring.label(), temps, periods)

@@ -24,7 +24,7 @@ import numpy as np
 from ..cells.cell import CellError, StandardCell
 from ..cells.library import CellLibrary
 from ..circuit.netlist import Circuit
-from ..circuit.transient import TransientOptions, TransientResult, simulate_transient
+from ..circuit.transient import TransientOptions, simulate_transient
 from ..circuit.waveform import Waveform
 from ..delay.alpha_power import DriveKey, drive_currents
 from ..delay.load import wire_capacitance
@@ -178,10 +178,6 @@ class RingOscillator:
             loads.append(load)
         return loads
 
-    def transistor_count(self) -> int:
-        """Total transistors in the ring (excluding readout logic)."""
-        return sum(cell.transistor_count() for cell in self._cells)
-
     def area_um2(self) -> float:
         """First-order layout area of the ring."""
         return sum(cell.area_um2() for cell in self._cells)
@@ -329,12 +325,6 @@ class RingOscillator:
         matrix = self.rebind(stacked).period_series(temps)
         return np.asarray(matrix, dtype=float).reshape(len(stacked), temps.size)
 
-    def sensitivity(self, temperature_c: float, delta_c: float = 1.0) -> float:
-        """Local d(period)/dT (s/K) by central difference."""
-        upper = self.period(temperature_c + delta_c)
-        lower = self.period(temperature_c - delta_c)
-        return (upper - lower) / (2.0 * delta_c)
-
     def switched_capacitance(self):
         """Total capacitance switched per oscillation cycle (F).
 
@@ -447,16 +437,6 @@ class RingOscillator:
         node = self.stage_node(observe_stage)
         result = simulate_transient(circuit, duration, options, record_nodes=[node])
         return result.waveform(node)
-
-    def simulated_period(
-        self,
-        temperature_c: float,
-        cycles: float = 8.0,
-        points_per_period: int = 400,
-    ) -> float:
-        """Oscillation period extracted from a transient simulation."""
-        waveform = self.simulate(temperature_c, cycles=cycles, points_per_period=points_per_period)
-        return waveform.period(threshold=0.5 * self.technology.vdd, skip_cycles=2)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RingOscillator({self.label()!r}, {self.library.technology.name})"

@@ -135,7 +135,10 @@ class MicroBatcher:
         if batch is None:
             batch = _Batch(spec)
             self._open[base_key] = batch
-            batch.timer = loop.create_task(self._flush_later(base_key))
+            # The window runs from this first request, not from when the
+            # timer task first gets the loop (after any queued requests).
+            flush_at = loop.time() + self.window_ms / 1000.0
+            batch.timer = loop.create_task(self._flush_later(base_key, flush_at))
         grid = tuple(float(t) for t in temperatures)
         batch.members.append(_Member(grid, future, int(priority), deadline))
         if len(grid) == 1:
@@ -144,8 +147,8 @@ class MicroBatcher:
             self.coalesced_sweeps += 1
         return await future
 
-    async def _flush_later(self, base_key: str) -> None:
-        await asyncio.sleep(self.window_ms / 1000.0)
+    async def _flush_later(self, base_key: str, flush_at: float) -> None:
+        await asyncio.sleep(max(0.0, flush_at - asyncio.get_running_loop().time()))
         batch = self._open.pop(base_key, None)
         if batch is None:  # pragma: no cover - drained underneath the timer
             return

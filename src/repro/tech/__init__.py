@@ -32,11 +32,7 @@ from .parameters import (
 )
 from .temperature import (
     DeviceAtTemperature,
-    alpha_at,
     device_at,
-    mobility_at,
-    saturation_velocity_at,
-    threshold_voltage_at,
     thermal_voltage,
 )
 from .registry import (
@@ -80,11 +76,7 @@ __all__ = [
     "celsius_to_kelvin",
     "kelvin_to_celsius",
     "DeviceAtTemperature",
-    "alpha_at",
     "device_at",
-    "mobility_at",
-    "saturation_velocity_at",
-    "threshold_voltage_at",
     "thermal_voltage",
     "TechnologyRegistry",
     "TechnologySpec",

@@ -306,11 +306,6 @@ class Technology:
             return self.pmos
         raise TechnologyError(f"unknown polarity {polarity!r}")
 
-    @property
-    def nominal_temperature_k(self) -> float:
-        """Reference temperature at which the parameters are quoted."""
-        return T_NOMINAL_K
-
     def with_supply(self, vdd: float) -> "Technology":
         """Return a copy of the technology operated at a different supply."""
         return dataclasses.replace(self, vdd=vdd)
@@ -326,24 +321,6 @@ class Technology:
             nmos=nmos if nmos is not None else self.nmos,
             pmos=pmos if pmos is not None else self.pmos,
         )
-
-    def beta_ratio(self) -> float:
-        """Mobility ratio ``mu_n / mu_p`` at the reference temperature.
-
-        This is the classic rule-of-thumb value for the PMOS/NMOS width
-        ratio that equalises rise and fall drive strength.
-        """
-        return self.nmos.mobility / self.pmos.mobility
-
-    def thermal_design_range_c(self) -> tuple:
-        """Temperature range (deg C) over which the sensor is characterised.
-
-        The paper sweeps -50 C to 150 C; stored in ``extra`` so corners
-        and scaled nodes can override it.
-        """
-        low = self.extra.get("t_min_c", -50.0)
-        high = self.extra.get("t_max_c", 150.0)
-        return (low, high)
 
     def to_dict(self) -> Dict[str, Any]:
         """Serialize to a versioned, JSON-compatible declarative bundle.

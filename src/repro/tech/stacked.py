@@ -54,7 +54,6 @@ import numpy as np
 from ..fields import integer, real, real_array
 from .parameters import (
     _TRANSISTOR_FIELD_NAMES as _TRANSISTOR_FIELDS,
-    T_NOMINAL_K,
     TRANSISTOR_BOUNDS,
     Technology,
     TechnologyError,
@@ -290,7 +289,7 @@ class TechnologyArray:
     min_width_um: float = 0.5
     metal_layers: int = 4
     #: Per-sample ``Technology.extra`` metadata dictionaries (e.g. the
-    #: thermal_design_range_c overrides), preserved verbatim through the
+    #: ``t_min_c``/``t_max_c`` design range), preserved verbatim through the
     #: stack/unstack round trip; empty dicts when none were given.
     extras: Tuple[Dict[str, float], ...] = ()
 
@@ -369,11 +368,6 @@ class TechnologyArray:
         if polarity == "pmos":
             return self.pmos
         raise TechnologyError(f"unknown polarity {polarity!r}")
-
-    @property
-    def nominal_temperature_k(self) -> float:
-        """Reference temperature at which the parameters are quoted."""
-        return T_NOMINAL_K
 
     def with_supply(self, vdd: ParameterLike) -> "TechnologyArray":
         """A copy operated at different supplies (scalar or per-sample)."""

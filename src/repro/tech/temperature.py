@@ -22,18 +22,23 @@ physical mechanisms drive that variation and are modelled here:
 ``saturation velocity``
     Decreases weakly and approximately linearly with temperature.
 
-All functions take the temperature in kelvin; helpers working in
+:func:`device_at` evaluates all three (and the velocity-saturation
+index) in one call, which is the one place the temperature dependence
+is computed.  The threshold is clamped at 0.05 V (far above the design
+range the linear law would make a depletion device, which the models do
+not support), the saturation-velocity factor at 0.1 and the index to
+[1, 2].  :func:`device_at` takes the temperature in kelvin; helpers working in
 Celsius live next to the experiment code, because the paper quotes its
 sweep in Celsius.
 
-Every function accepts either a scalar temperature or an ndarray of
+:func:`device_at` accepts either a scalar temperature or an ndarray of
 temperatures and evaluates elementwise — this is the lowest layer of the
 vectorized batch-evaluation path (:mod:`repro.engine`): one call with a
 41-point temperature grid replaces 41 scalar calls.
 
 The parameter block may equally be a stacked population
 (:class:`~repro.tech.stacked.TransistorParameterArray`) whose fields are
-``(samples, 1)`` columns: every function then broadcasts the sample axis
+``(samples, 1)`` columns: :func:`device_at` then broadcasts the sample axis
 against the temperature axis, returning ``(samples, temperatures)``
 matrices — one call with a 1000-sample population and a 41-point grid
 replaces 41000 scalar calls.  :func:`device_at` computes the terms of
@@ -53,10 +58,6 @@ from ..fields import real, real_array
 from .parameters import T_NOMINAL_K, TechnologyError, TransistorParameters
 
 __all__ = [
-    "mobility_at",
-    "threshold_voltage_at",
-    "saturation_velocity_at",
-    "alpha_at",
     "thermal_voltage",
     "DeviceAtTemperature",
     "device_at",
@@ -71,45 +72,6 @@ def _check_temperature(temp_k: TemperatureLike) -> TemperatureLike:
     if isinstance(temp_k, np.ndarray):
         return real_array(temp_k, "temperature_k", TechnologyError, above=0.0)
     return real(temp_k, "temperature_k", TechnologyError, above=0.0)
-
-
-def mobility_at(params: TransistorParameters, temp_k: float) -> float:
-    """Carrier mobility (cm^2/V/s) at temperature ``temp_k``.
-
-    Power-law lattice-scattering model referenced to ``T_NOMINAL_K``.
-    """
-    return _mobility(
-        params.mobility, params.mobility_temp_exponent, _check_temperature(temp_k)
-    )
-
-
-def threshold_voltage_at(params: TransistorParameters, temp_k: float) -> float:
-    """Threshold-voltage magnitude (V) at temperature ``temp_k``.
-
-    Linear model ``Vth(T) = Vth0 - k_vt * (T - T0)``.  The result is
-    clamped at a small positive floor: far above the design range the
-    linear extrapolation would otherwise make the device a depletion
-    transistor, which the rest of the models do not support.
-    """
-    return _threshold_voltage(
-        params.vth0, params.vth_temp_coeff, _check_temperature(temp_k)
-    )
-
-
-def saturation_velocity_at(params: TransistorParameters, temp_k: float) -> float:
-    """Saturation velocity (cm/s) at temperature ``temp_k``."""
-    return _saturation_velocity(
-        params.vsat_cm_per_s, params.vsat_temp_coeff, _check_temperature(temp_k)
-    )
-
-
-def alpha_at(params: TransistorParameters, temp_k: float) -> float:
-    """Velocity-saturation index at temperature ``temp_k``.
-
-    The drift with temperature is small; the result is clamped to the
-    physically meaningful interval [1, 2].
-    """
-    return _alpha(params.alpha, params.alpha_temp_coeff, _check_temperature(temp_k))
 
 
 def _mobility(mobility, exponent, temp_k):

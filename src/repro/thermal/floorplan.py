@@ -9,8 +9,8 @@ workload), and the locations where ring-oscillator sensors are placed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from ..fields import integer, real
 from ..tech.parameters import TechnologyError
@@ -49,22 +49,8 @@ class FunctionalBlock:
             real(getattr(self, field_name), f"{self.name}.{field_name}", TechnologyError, **bounds)
 
     @property
-    def area_mm2(self) -> float:
-        return self.width_mm * self.height_mm
-
-    @property
-    def power_density_w_per_mm2(self) -> float:
-        return self.power_w / self.area_mm2
-
-    @property
     def center(self) -> Tuple[float, float]:
         return (self.x_mm + 0.5 * self.width_mm, self.y_mm + 0.5 * self.height_mm)
-
-    def contains(self, x_mm: float, y_mm: float) -> bool:
-        return (
-            self.x_mm <= x_mm <= self.x_mm + self.width_mm
-            and self.y_mm <= y_mm <= self.y_mm + self.height_mm
-        )
 
 
 @dataclass(frozen=True)

@@ -347,11 +347,6 @@ class ThermalOperator:
         with _CACHE_LOCK:
             _OPERATORS.clear()
 
-    @classmethod
-    def cache_size(cls) -> int:
-        with _CACHE_LOCK:
-            return len(_OPERATORS)
-
     # ------------------------------------------------------------------ #
     # steady state
     # ------------------------------------------------------------------ #

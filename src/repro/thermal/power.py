@@ -66,11 +66,9 @@ class PowerMap:
         """Rasterise the floorplan's blocks onto a grid.
 
         Each block's power is distributed uniformly over the grid cells
-        whose centres fall inside the block (edges inclusive, as
-        :meth:`FunctionalBlock.contains` tests them).
+        whose centres fall inside the block (edges inclusive).
         """
         power = cls.zeros(floorplan.width_mm, floorplan.height_mm, nx, ny)
-        # Cell centres, computed exactly as :meth:`cell_center` does.
         xs = (np.arange(power.nx) + 0.5) * power.cell_width_mm
         ys = (np.arange(power.ny) + 0.5) * power.cell_height_mm
         for block in floorplan.blocks():
@@ -107,13 +105,6 @@ class PowerMap:
     def cell_height_mm(self) -> float:
         return self.height_mm / self.ny
 
-    def cell_center(self, column: int, row: int) -> Tuple[float, float]:
-        """(x, y) millimetre coordinates of a cell centre."""
-        return (
-            (column + 0.5) * self.cell_width_mm,
-            (row + 0.5) * self.cell_height_mm,
-        )
-
     def cell_index(self, x_mm: float, y_mm: float) -> Tuple[int, int]:
         """(column, row) of the cell containing a point."""
         if not (0.0 <= x_mm <= self.width_mm and 0.0 <= y_mm <= self.height_mm):
@@ -142,7 +133,3 @@ class PowerMap:
 
     def total_power_w(self) -> float:
         return float(np.sum(self.values_w))
-
-    def power_density_w_per_mm2(self) -> np.ndarray:
-        """Per-cell power density."""
-        return self.values_w / (self.cell_width_mm * self.cell_height_mm)

@@ -44,11 +44,6 @@ class SelfHeatingReport:
     temperature_rise_c: float
     background_temperature_c: float
 
-    @property
-    def measured_temperature_c(self) -> float:
-        """Temperature the sensor would actually report."""
-        return self.background_temperature_c + self.temperature_rise_c
-
 
 def duty_cycle_study(
     background_power: PowerMap,

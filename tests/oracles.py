@@ -32,13 +32,23 @@ against to 1e-10 relative.  Its matrices are assembled here
 matrix-free and applies its stencil by array slicing, which the
 assembled matrix pins.  ``self_heating_error`` is the
 solve-per-duty-cycle reference of ``duty_cycle_study``.
+
+The rest are definitions only the tests use: the one-network
+``effective_saturation_current`` and ``gate_delay`` the per-stage loop
+is written with; the transistor-level ``simulated_response`` (through
+``simulated_period``); ``placement_objective_from_bank``, the per-map
+bank scans the placement study is checked against; the linear
+``Resistor`` and ``CurrentSource`` the circuit-solver tests build
+closed-form circuits from; and the probes ``operator_cache_size``,
+``cell_center`` and ``block_contains``.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import sparse
@@ -49,6 +59,7 @@ from repro.analysis.montecarlo import MonteCarloStudy
 from repro.analysis.statistics import summarize
 from repro.analysis.supply import SupplySensitivityReport
 from repro.cells import default_library
+from repro.circuit.elements import CircuitElement, SimulationError, _add, _add_rhs
 from repro.circuit.transient import transient_step_count
 from repro.core import MeasurementController, ReadoutConfig, SmartTemperatureSensor
 from repro.core.calibration import (
@@ -58,16 +69,18 @@ from repro.core.calibration import (
 )
 from repro.core.mapping import ThermalMonitorReport
 from repro.core.sensor import SensorReading, SensorTransferFunction
-from repro.core.sensor_bank import BankScan
+from repro.core.sensor_bank import BankScan, SensorBank
 from repro.core.thermal_manager import DtmResult, DtmTracePoint
 from repro.delay.alpha_power import (
+    DelayModelOptions,
     DriveNetwork,
-    effective_saturation_current,
-    gate_delay,
+    drive_currents,
+    switching_delay,
 )
 from repro.engine import Axis, Sweep
 from repro.experiments.calibration_study import CalibrationStudyResult
 from repro.optimize.cellmix import CellMixCandidate
+from repro.optimize.placement import PlacementObjective
 from repro.optimize.sizing import (
     PAPER_FIG2_RATIOS,
     SizingPoint,
@@ -86,6 +99,7 @@ from repro.tech import (
     corner_technologies,
     stack_technologies,
 )
+import repro.thermal.operator as thermal_operator
 from repro.thermal import (
     PowerMap,
     SelfHeatingReport,
@@ -95,6 +109,231 @@ from repro.thermal import (
     ThermalOperator,
     ThermalStepper,
 )
+
+
+# --------------------------------------------------------------------------- #
+# Linear circuit elements
+# --------------------------------------------------------------------------- #
+#
+# The package's circuits are transistors, capacitors and sources.  The
+# solver tests check DC and transient analysis against closed forms
+# (a divider, an RC charge), which need a linear resistor and an ideal
+# current source; those two elements live here.
+
+
+@dataclass
+class Resistor(CircuitElement):
+    node_a: int = -1
+    node_b: int = -1
+    ohms: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.ohms <= 0.0:
+            raise SimulationError(f"resistor {self.name}: resistance must be positive")
+
+    def nodes(self) -> Tuple[int, ...]:
+        return (self.node_a, self.node_b)
+
+    def stamp(self, matrix, rhs, context, branch_index=None) -> None:
+        g = 1.0 / self.ohms
+        _add(matrix, self.node_a, self.node_a, g)
+        _add(matrix, self.node_b, self.node_b, g)
+        _add(matrix, self.node_a, self.node_b, -g)
+        _add(matrix, self.node_b, self.node_a, -g)
+
+
+@dataclass
+class CurrentSource(CircuitElement):
+    node_a: int = -1  # current flows out of node_a ...
+    node_b: int = -1  # ... and into node_b
+    current: float = 0.0
+
+    def nodes(self) -> Tuple[int, ...]:
+        return (self.node_a, self.node_b)
+
+    def stamp(self, matrix, rhs, context, branch_index=None) -> None:
+        value = self.current * context.source_scale
+        _add_rhs(rhs, self.node_a, -value)
+        _add_rhs(rhs, self.node_b, value)
+
+
+def add_resistor(circuit, node_a: str, node_b: str, ohms: float, name: str = "") -> Resistor:
+    """Add a linear resistor between two nodes of ``circuit``."""
+    element = Resistor(
+        name=name or f"R{len(circuit.elements)}",
+        node_a=circuit.node(node_a),
+        node_b=circuit.node(node_b),
+        ohms=ohms,
+    )
+    circuit.elements.append(element)
+    return element
+
+
+def add_current_source(
+    circuit, node_from: str, node_to: str, current: float, name: str = ""
+) -> CurrentSource:
+    """Add an ideal DC current source pushing current from -> to."""
+    element = CurrentSource(
+        name=name or f"I{len(circuit.elements)}",
+        node_a=circuit.node(node_from),
+        node_b=circuit.node(node_to),
+        current=current,
+    )
+    circuit.elements.append(element)
+    return element
+
+
+# --------------------------------------------------------------------------- #
+# Placement objective
+# --------------------------------------------------------------------------- #
+
+
+def placement_objective_from_bank(
+    bank: SensorBank,
+    true_maps: Sequence[TemperatureMap],
+    calibration: Optional[LinearCalibration] = None,
+    hotspot_weight: float = 1.0,
+) -> PlacementObjective:
+    """``PlacementObjective`` built by scanning a candidate bank directly.
+
+    One banked scan per workload map reads every candidate site at
+    its local junction temperature through the full smart-sensor
+    chain (ring, counter quantisation, two-point calibration).  The
+    placement study routes the equivalent scans through the
+    :class:`~repro.engine.sweep.Sweep` engine; this loop over maps is
+    the reference that path is checked against.
+    """
+    maps = list(true_maps)
+    if not maps:
+        raise TechnologyError("placement needs at least one workload map")
+    if calibration is None:
+        calibration = bank.two_point_calibration()
+    xs, ys = bank.positions()
+    columns = []
+    for true_map in maps:
+        scan = bank.scan(true_map.sample_points(xs, ys), calibration=calibration)
+        columns.append(np.asarray(scan.estimates_c, dtype=float))
+    return PlacementObjective(
+        reference=maps[0],
+        site_names=bank.names(),
+        site_x_mm=xs,
+        site_y_mm=ys,
+        estimates_c=np.stack(columns, axis=1),
+        true_values_c=np.stack([m.values_c for m in maps], axis=0),
+        hotspot_weight=hotspot_weight,
+    )
+
+
+# --------------------------------------------------------------------------- #
+# Transistor-level temperature response
+# --------------------------------------------------------------------------- #
+
+
+def simulated_period(
+    ring: RingOscillator,
+    temperature_c: float,
+    cycles: float = 8.0,
+    points_per_period: int = 400,
+) -> float:
+    """Oscillation period extracted from a transient simulation."""
+    waveform = ring.simulate(temperature_c, cycles=cycles, points_per_period=points_per_period)
+    return waveform.period(threshold=0.5 * ring.technology.vdd, skip_cycles=2)
+
+
+def simulated_response(
+    ring: RingOscillator,
+    temperatures_c: Sequence[float],
+    cycles: float = 8.0,
+    points_per_period: int = 300,
+) -> TemperatureResponse:
+    """Temperature response measured with the transistor-level simulator.
+
+    Considerably slower than :func:`analytical_response`; intended for
+    validation at a handful of temperatures.  The grid is validated up
+    front (three or more unique temperatures) so a bad grid fails with a
+    clear message *before* minutes of transient simulation are spent.
+    """
+    temps = validate_temperature_grid(temperatures_c, context="simulated_response grid")
+    periods = np.asarray(
+        [
+            simulated_period(ring, float(t), cycles=cycles, points_per_period=points_per_period)
+            for t in temps
+        ]
+    )
+    return TemperatureResponse(ring.label(), temps, periods)
+
+
+# --------------------------------------------------------------------------- #
+# Thermal probes and per-cell rasterisation
+# --------------------------------------------------------------------------- #
+
+
+def operator_cache_size() -> int:
+    """Number of operators in the process-wide ``ThermalOperator`` cache."""
+    with thermal_operator._CACHE_LOCK:
+        return len(thermal_operator._OPERATORS)
+
+
+def cell_center(power: PowerMap, column: int, row: int) -> Tuple[float, float]:
+    """(x, y) millimetre coordinates of a power-map cell centre."""
+    return (
+        (column + 0.5) * power.cell_width_mm,
+        (row + 0.5) * power.cell_height_mm,
+    )
+
+
+def block_contains(block, x_mm: float, y_mm: float) -> bool:
+    """Whether a floorplan block covers a point, edges included."""
+    return (
+        block.x_mm <= x_mm <= block.x_mm + block.width_mm
+        and block.y_mm <= y_mm <= block.y_mm + block.height_mm
+    )
+
+
+# --------------------------------------------------------------------------- #
+# Per-network drive current and delay
+# --------------------------------------------------------------------------- #
+
+
+def effective_saturation_current(
+    tech: Technology,
+    network: DriveNetwork,
+    temperature_c: Union[float, np.ndarray],
+    options: DelayModelOptions = DelayModelOptions(),
+) -> Union[float, np.ndarray]:
+    """Effective saturation current (A) of a drive network at ``temperature_c``.
+
+    The one-network case of :func:`drive_currents`: the stack-corrected
+    alpha-power saturation current of a single device of the network's
+    width, evaluated elementwise when ``temperature_c`` is an ndarray
+    and broadcast over the sample axis when ``tech`` is a stacked
+    population (:class:`~repro.tech.stacked.TechnologyArray`), giving a
+    ``(samples, temperatures)`` matrix in the same single call.
+    """
+    key = (network, options.stack)
+    return drive_currents(tech, (key,), temperature_c)[key]
+
+
+def gate_delay(
+    tech: Technology,
+    network: DriveNetwork,
+    load_capacitance_f: Union[float, np.ndarray],
+    temperature_c: Union[float, np.ndarray],
+    options: DelayModelOptions = DelayModelOptions(),
+) -> Union[float, np.ndarray]:
+    """Propagation delay (seconds) of one transition.
+
+    ``network.polarity == "nmos"`` gives tpHL (output discharged through
+    the pull-down network); ``"pmos"`` gives tpLH.  Passing an ndarray of
+    temperatures returns the matching ndarray of delays in one
+    vectorized evaluation.  With a stacked technology
+    (:class:`~repro.tech.stacked.TechnologyArray`) the load is a
+    ``(samples, 1)`` column (gate capacitance varies with the sampled
+    oxide capacitance) and the delay broadcasts to a
+    ``(samples, temperatures)`` matrix.
+    """
+    current = effective_saturation_current(tech, network, temperature_c, options)
+    return switching_delay(tech, current, load_capacitance_f, options)
 
 
 # --------------------------------------------------------------------------- #
@@ -258,11 +497,11 @@ def period_tensor_per_cell(bank, temperatures_c, technologies=None) -> np.ndarra
         technologies = stack_technologies(technologies)
         rings = [ring.rebind(technologies) for ring in bank.rings()]
         sample_count = len(technologies)
-    names = bank.unique_cell_names()
     cells = {}
     for ring in rings:
         for stage in ring.stages():
             cells.setdefault(stage.cell.name, stage.cell)
+    names = list(cells)  # first-appearance order, as the bank indexes them
     curves = [
         np.broadcast_to(
             _delay_per_farad(cells[name], temps), (sample_count, temps.size)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    required_window_for_resolution,
     resolution_report,
     run_monte_carlo,
     sensitivity_report,
@@ -20,7 +19,8 @@ class TestSensitivityReport:
         response = TemperatureResponse("lin", temps, 200e-12 + 1e-12 * (temps + 50.0))
         report = sensitivity_report(response)
         assert report.mean_sensitivity_s_per_k == pytest.approx(1e-12, rel=1e-9)
-        assert report.slope_spread_ratio == pytest.approx(1.0, rel=1e-6)
+        spread = report.max_local_sensitivity_s_per_k / report.min_local_sensitivity_s_per_k
+        assert spread == pytest.approx(1.0, rel=1e-6)
 
     def test_ring_sensitivity_positive_and_ppm_negative(self, inverter_response):
         report = sensitivity_report(inverter_response)
@@ -51,16 +51,6 @@ class TestResolutionReport:
     def test_invalid_window_rejected(self, inverter_response):
         with pytest.raises(TechnologyError):
             resolution_report(inverter_response, window_s=0.0)
-
-    def test_required_window_meets_target(self, inverter_response):
-        target = 0.05
-        window = required_window_for_resolution(inverter_response, target)
-        achieved = resolution_report(inverter_response, window).temperature_resolution_c
-        assert achieved == pytest.approx(target, rel=1e-6)
-
-    def test_required_window_rejects_nonpositive_target(self, inverter_response):
-        with pytest.raises(TechnologyError):
-            required_window_for_resolution(inverter_response, 0.0)
 
 
 class TestSummaryStatistics:

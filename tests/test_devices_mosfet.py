@@ -115,15 +115,6 @@ class TestOperatingPoint:
 
 
 class TestCapacitances:
-    def test_gate_capacitance_scales_with_width(self):
-        assert nmos(width=4.0).gate_capacitance() == pytest.approx(
-            4.0 * nmos(width=1.0).gate_capacitance()
-        )
-
-    def test_capacitances_are_femto_scale(self):
-        assert 1e-16 < nmos().gate_capacitance() < 1e-13
-        assert 1e-16 < nmos().drain_capacitance() < 1e-13
-
     def test_from_technology_constructor(self):
         device = MosfetModel.from_technology(CMOS035, "pmos", width_um=2.0, temperature_k=300.0)
         assert device.params.polarity == "pmos"

@@ -216,7 +216,8 @@ def test_sizing_sweep_matches_scalar(tech):
     vectorized = sweep_width_ratio(tech, temperatures_c=np.linspace(-50, 150, 17))
     scalar = sweep_width_ratio_scalar(tech, temperatures_c=np.linspace(-50, 150, 17))
     assert relative_error(
-        vectorized.max_errors_percent(), scalar.max_errors_percent()
+        np.asarray([p.max_abs_error_percent for p in vectorized.points]),
+        np.asarray([p.max_abs_error_percent for p in scalar.points]),
     ) <= 1e-6  # percent-of-span errors divide by a tiny span: looser bound
     for vec_point, ref_point in zip(vectorized.points, scalar.points):
         assert relative_error(

@@ -30,7 +30,7 @@ class TestFig2Experiment:
         return run_fig2(CMOS035, temperatures_c=TEMPS)
 
     def test_all_ratios_have_curves(self, result):
-        curves = result.error_curves_percent()
+        curves = {p.width_ratio: p.linearity.error_percent for p in result.sweep.points}
         assert set(curves) == {1.75, 2.25, 3.0, 4.0}
         for errors in curves.values():
             assert errors.shape == (5,)
@@ -42,7 +42,7 @@ class TestFig2Experiment:
 
     def test_best_ratio_reported(self, result):
         assert result.best_ratio() in (1.75, 2.25, 3.0, 4.0)
-        assert result.best_max_error_percent() >= 0.0
+        assert result.sweep.best().max_abs_error_percent >= 0.0
 
 
 class TestFig3Experiment:

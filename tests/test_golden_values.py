@@ -56,7 +56,7 @@ class TestFig2Golden:
 
     def test_best_ratio_and_continuous_optimum(self, fig2):
         assert fig2.best_ratio() == 3.0
-        assert fig2.best_max_error_percent() == pytest.approx(
+        assert fig2.sweep.best().max_abs_error_percent == pytest.approx(
             0.17044689534840643, rel=RTOL_LOOSE
         )
         # The continuous optimum comes out of a bounded scalar minimiser

@@ -189,3 +189,18 @@ def test_bad_field_is_refused_when_canonicalized_and_served(remote, make, path, 
     response = remote(mutant)
     assert response["error"]["code"] == E_BAD_SPEC
     assert field in response["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "make, path, value, field",
+    [
+        (_configuration_spec, ("base", "tap_stage"), "x", "base.tap_stage"),
+        (_width_ratio_spec, ("axes", 0, "stage_count"), 2, "axes[0].stage_count"),
+        (_width_ratio_spec, ("axes", 0, "nmos_width_um"), 0, "axes[0].nmos_width_um"),
+        (_configuration_spec, ("axes", 1, "coordinates", 0), -1e30, "axes[1].temperature"),
+    ],
+)
+def test_from_dict_names_the_field_by_its_path(make, path, value, field):
+    with pytest.raises(ReproInputError) as caught:
+        Sweep.from_dict(_mutated(make(), path, value))
+    assert caught.value.field == field

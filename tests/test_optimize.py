@@ -106,12 +106,6 @@ class TestCellMixSearch:
         )
         assert search.best().max_abs_error_percent < inverter_only.max_abs_error_percent
 
-    def test_candidate_lookup_by_label(self, search):
-        label = search.candidates[0].label
-        assert search.candidate_by_label(label) is search.candidates[0]
-        with pytest.raises(TechnologyError):
-            search.candidate_by_label("5XOR2")
-
     def test_evaluated_count_covers_full_space(self, search):
         # C(4+5-1, 5) = 56 candidate mixes.
         assert search.evaluated_count == 56

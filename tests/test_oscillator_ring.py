@@ -30,8 +30,9 @@ class TestConstruction:
             )
 
     def test_transistor_count_and_area(self, inverter_ring, mixed_ring):
-        assert inverter_ring.transistor_count() == 10
-        assert mixed_ring.transistor_count() == 2 * 2 + 3 * 4
+        for ring, expected in ((inverter_ring, 10), (mixed_ring, 2 * 2 + 3 * 4)):
+            elements = ring.build_circuit(25.0).elements
+            assert sum(e.__class__.__name__ == "Mosfet" for e in elements) == expected
         assert mixed_ring.area_um2() > inverter_ring.area_um2()
 
     def test_label_matches_configuration(self, mixed_ring):
@@ -102,7 +103,7 @@ class TestPeriod:
         assert series[1] == pytest.approx(inverter_ring.period(50.0))
 
     def test_sensitivity_positive(self, inverter_ring):
-        assert inverter_ring.sensitivity(25.0) > 0.0
+        assert inverter_ring.period(26.0) > inverter_ring.period(24.0)
 
     def test_more_stages_longer_period(self, library):
         five = RingOscillator(library, RingConfiguration.uniform("INV", 5)).period(25.0)

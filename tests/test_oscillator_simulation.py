@@ -7,7 +7,8 @@ and the consistency between the simulated and analytical period models.
 
 import pytest
 
-from repro.oscillator import RingConfiguration, RingOscillator, simulated_response
+from oracles import simulated_response
+from repro.oscillator import RingConfiguration, RingOscillator
 from repro.tech import CMOS035
 
 pytestmark = pytest.mark.slow

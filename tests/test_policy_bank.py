@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import dtm_run_scalar, next_state_index
+from oracles import dtm_run_scalar, next_state_index, operator_cache_size
 from repro.core import (
     DynamicThermalManager,
     PerformanceState,
@@ -475,7 +475,7 @@ class TestResolutionAxisLowering:
             .over(Axis.site(bank))
             .run(executor="dense")
         )
-        assert ThermalOperator.cache_size() == 3
+        assert operator_cache_size() == 3
         # Re-declaring the same refinement reuses every entry.
         (
             Sweep()
@@ -483,7 +483,7 @@ class TestResolutionAxisLowering:
             .over(Axis.site(bank))
             .run(executor="dense")
         )
-        assert ThermalOperator.cache_size() == 3
+        assert operator_cache_size() == 3
 
 
 class TestDtmPolicySweepGolden:

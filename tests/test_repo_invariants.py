@@ -4,11 +4,18 @@ Each row is one ``! grep`` step of ``.github/workflows/ci.yml``: a
 pattern that must not appear in the package's Python sources (outside
 the listed exemptions).  A second test keeps the table and the CI file
 in step, so neither can drift from the other.
+
+A third test is the consumer audit: every function, class and method
+the package defines must be used by the package itself, an example, the
+repository benchmark or the engine benchmarks.  What only the tests use
+belongs in the tests (``tests/oracles.py`` holds the references).
 """
 
 from __future__ import annotations
 
+import ast
 import re
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -70,6 +77,14 @@ INVARIANTS = [
         (),
     ),
     (
+        "One front door per job",
+        r"def (mobility|threshold_voltage|saturation_velocity|alpha)_at\(|def gate_delay\("
+        r"|fit_polynomial_calibration|PolynomialCalibration|calibrate_one_point"
+        r"|def simulated_response\(",
+        ("src/repro",),
+        (),
+    ),
+    (
         "One reader of the environment",
         r"os\.environ",
         ("src/repro",),
@@ -104,3 +119,67 @@ def test_table_matches_the_ci_fast_lane():
     in_ci = {(name, pattern, tuple(paths.split())) for name, pattern, paths in steps}
     in_table = {row[:3] for row in INVARIANTS}
     assert in_ci == in_table
+
+
+#: Where a consumer may live: the package itself and what runs it
+#: outside the tests.
+CONSUMER_ROOTS = ("src/repro", "examples", "perfbench", "benchmarks")
+
+#: Public extension points no in-tree code calls, kept on purpose: they
+#: are how a user registers, looks up or derives a technology node.
+CONSUMER_KEEP = {
+    ("src/repro/tech/libraries.py", "register_technology"),
+    ("src/repro/tech/libraries.py", "get_technology_digest"),
+    ("src/repro/tech/libraries.py", "available_technologies"),
+    ("src/repro/tech/scaling.py", "scale_technology"),
+}
+
+
+def _definitions(body, prefix=""):
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield prefix + node.name, node
+            if isinstance(node, ast.ClassDef):
+                yield from _definitions(node.body, f"{prefix}{node.name}.")
+
+
+def _package_definitions_and_uses():
+    """Every package definition, and where each name is read.
+
+    A use is a name or attribute reference (``foo`` or ``x.foo``).
+    Import statements and ``__all__`` strings are not uses, so an
+    ``__init__`` re-export does not count as a consumer.
+    """
+    definitions = []
+    uses = defaultdict(list)
+    for root in CONSUMER_ROOTS:
+        for source in sorted((ROOT / root).rglob("*.py")):
+            path = source.relative_to(ROOT).as_posix()
+            tree = ast.parse(source.read_text())
+            if root == "src/repro":
+                definitions += [(path, qualname, node) for qualname, node in _definitions(tree.body)]
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    uses[node.id].append((path, node.lineno))
+                elif isinstance(node, ast.Attribute):
+                    uses[node.attr].append((path, node.lineno))
+    return definitions, uses
+
+
+def test_every_package_definition_has_a_consumer():
+    definitions, uses = _package_definitions_and_uses()
+    defined = {(path, qualname) for path, qualname, _ in definitions}
+    assert CONSUMER_KEEP <= defined, f"stale keep-list entries: {CONSUMER_KEEP - defined}"
+    unconsumed = []
+    for path, qualname, node in definitions:
+        if node.name.startswith("__") and node.name.endswith("__"):
+            continue  # called by the interpreter
+        # A reference inside the definition itself (recursion) does not count.
+        outside = [
+            (where, line)
+            for where, line in uses[node.name]
+            if not (where == path and node.lineno <= line <= node.end_lineno)
+        ]
+        if not outside and (path, qualname) not in CONSUMER_KEEP:
+            unconsumed.append(f"{path}: {qualname}")
+    assert not unconsumed, "defined but used only by the tests:\n" + "\n".join(unconsumed)

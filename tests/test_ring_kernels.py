@@ -138,7 +138,6 @@ class TestBankMatchesPerCellLoop:
             period_tensor_per_cell(bank, GRID, population),
         )
 
-
     @pytest.mark.parametrize("tap_stage", [None, 0, 2])
     def test_wire_and_tap_loads(self, library, population, tap_stage):
         # The bank resolves stage loads from its cell table; the oracle
@@ -191,7 +190,6 @@ class TestRingMatchesPerStageLoop:
             assert np.array_equal(
                 ring.period_series(GRID), period_series_stage_loop(ring, GRID)
             )
-
 
     def test_cells_in_their_own_technology(self, mixed_supply_library):
         ring = RingOscillator(mixed_supply_library, MIXED_SUPPLY_RING)
@@ -337,7 +335,7 @@ def counts(monkeypatch):
 class TestEvaluationCounts:
     def test_fig3_period_tensor(self, library, counts):
         bank = ConfigurationBank(library, PAPER_FIG3_CONFIGURATIONS)
-        cells = [library.get(name) for name in bank.unique_cell_names()]
+        cells = list({c.name: c for ring in bank.rings() for c in ring.cells()}.values())
         bank.period_tensor(GRID)
         assert counts["device_at"] <= 2
         assert counts["alpha_power"] == len(_distinct_networks(cells)) == 5
@@ -393,9 +391,9 @@ class TestUnphysicalTemperatureRaises:
             sweep.run()
 
     def test_effective_saturation_current(self):
-        network = alpha_power.DriveNetwork("nmos", 1.0)
+        key = (alpha_power.DriveNetwork("nmos", 1.0), alpha_power.StackModel())
         with pytest.raises(TechnologyError, match="positive and finite"):
-            alpha_power.effective_saturation_current(CMOS035, network, np.asarray(UNPHYSICAL))
+            alpha_power.drive_currents(CMOS035, (key,), np.asarray(UNPHYSICAL))
 
 
 # --------------------------------------------------------------------------- #

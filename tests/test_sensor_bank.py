@@ -142,7 +142,7 @@ class TestBankStructure:
         for index, name in enumerate(scan.names):
             assert readings[name].code == int(scan.codes[index])
             assert readings[name].true_temperature_c == temps[index]
-        assert scan.hottest_channel() == scan.names[-1]
+        assert scan.names[int(np.argmax(scan.estimates_c))] == scan.names[-1]
         assert scan.total_time_s == pytest.approx(
             bank.site_count * bank.conversion_time_s
         )
@@ -153,7 +153,7 @@ class TestBankStructure:
             np.full(bank.site_count, 60.0), technologies=population
         )
         with pytest.raises(TechnologyError):
-            scan.codes_by_site()
+            scan.temperatures()
 
     def test_requires_one_temperature_per_site(self, bank):
         with pytest.raises(TechnologyError):

@@ -35,8 +35,6 @@ from repro.core import ReadoutConfig, SmartTemperatureSensor
 from repro.core.calibration import (
     CalibrationError,
     LinearCalibration,
-    PolynomialCalibration,
-    fit_polynomial_calibration,
 )
 from repro.engine import Axis, Sweep
 from repro.experiments.calibration_study import run_calibration_study
@@ -118,8 +116,8 @@ def test_stack_round_trips_through_technology_at():
 def test_stack_preserves_extra_metadata():
     limited = dataclasses.replace(CMOS035, extra={"t_max_c": 125.0})
     stacked = stack_technologies([CMOS035, limited])
-    assert stacked.technology_at(0).thermal_design_range_c() == (-50.0, 150.0)
-    assert stacked.technology_at(1).thermal_design_range_c() == (-50.0, 125.0)
+    assert stacked.technology_at(0).extra == CMOS035.extra
+    assert stacked.technology_at(1).extra == {"t_max_c": 125.0}
     # The vectorized sampler carries the base technology's extra too.
     population = sample_technology_array(limited, 3, seed=1)
     assert population.technology_at(2).extra == {"t_max_c": 125.0}
@@ -460,24 +458,6 @@ def test_linear_calibration_accepts_ndarrays():
     assert isinstance(calibration.period(25.0), float)
     with pytest.raises(CalibrationError):
         calibration.temperature(np.asarray([1.0e-10, -1.0e-10]))
-
-
-def test_polynomial_calibration_accepts_ndarrays():
-    periods = 2.0e-10 + 1.0e-12 * np.arange(10)
-    temps = -50.0 + 20.0 * np.arange(10)
-    calibration = fit_polynomial_calibration(periods, temps, degree=2)
-    assert isinstance(calibration, PolynomialCalibration)
-    batch = calibration.temperature(periods)
-    scalar = np.asarray([calibration.temperature(float(p)) for p in periods])
-    assert np.allclose(batch, scalar, rtol=1e-12)
-    assert isinstance(calibration.temperature(float(periods[0])), float)
-    with pytest.raises(CalibrationError):
-        calibration.temperature(np.asarray([-1.0e-10]))
-
-
-# --------------------------------------------------------------------------- #
-# Monte-Carlo grid validation (fail-fast satellite)
-# --------------------------------------------------------------------------- #
 
 
 class TestMonteCarloGridValidation:

@@ -123,17 +123,6 @@ def test_isel_and_select_agree(result):
 
 @given(result=labeled_results())
 @settings(**DEFAULT_SETTINGS)
-def test_to_tree_depth_matches_dims(result):
-    tree = result.to_tree()
-    node = tree
-    for name in result.dims:
-        assert set(node.keys()) == set(result.coords[name])
-        node = node[result.coords[name][0]]
-    assert isinstance(node, float)
-
-
-@given(result=labeled_results())
-@settings(**DEFAULT_SETTINGS)
 def test_to_dict_from_dict_round_trip(result):
     rebuilt = SweepResult.from_dict(result.to_dict())
     assert rebuilt.dims == result.dims
@@ -279,16 +268,13 @@ class TestConfigurationAxisGolden:
     def test_bank_structure(self, bank):
         assert len(bank) == len(PAPER_FIG3_CONFIGURATIONS)
         assert bank.labels == tuple(PAPER_FIG3_CONFIGURATIONS)
-        assert bank.validity_mask().all()  # all Fig. 3 rings are 5-stage
-        assert bank.cell_table().shape == (len(bank), 5)
+        assert bank.stage_counts().tolist() == [5] * len(bank)  # all Fig. 3 rings
 
     def test_padded_mixed_stage_counts(self):
         bank = ConfigurationBank(
             default_library(CMOS035), ["3INV", "5NAND2", "2INV+3NOR2"]
         )
-        mask = bank.validity_mask()
-        assert mask.shape == (3, 5)
-        assert mask[0].sum() == 3 and mask[1].sum() == 5
+        assert bank.stage_counts().tolist() == [3, 5, 5]
         temps = np.linspace(-40.0, 120.0, 9)
         assert relative_error(
             bank.period_tensor(temps), period_tensor_loop(bank, temps)

@@ -45,7 +45,7 @@ class TestPredefinedNodes:
             assert tech.pmos.mobility < tech.nmos.mobility
 
     def test_thermal_range_matches_paper(self):
-        assert CMOS035.thermal_design_range_c() == (-50.0, 150.0)
+        assert (CMOS035.extra["t_min_c"], CMOS035.extra["t_max_c"]) == (-50.0, 150.0)
 
 
 class TestRegistry:

@@ -134,11 +134,3 @@ class TestTechnology:
         replaced = tech.with_transistors(nmos=new_nmos)
         assert replaced.nmos.vth0 == pytest.approx(0.5)
         assert replaced.pmos.vth0 == pytest.approx(0.65)
-
-    def test_beta_ratio_is_mobility_ratio(self):
-        tech = self.make_tech()
-        assert tech.beta_ratio() == pytest.approx(430.0 / 160.0)
-
-    def test_thermal_design_range_default(self):
-        tech = self.make_tech()
-        assert tech.thermal_design_range_c() == (-50.0, 150.0)

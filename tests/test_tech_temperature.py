@@ -1,21 +1,34 @@
-"""Unit tests for repro.tech.temperature (PVT physics)."""
+"""Unit tests for repro.tech.temperature (PVT physics).
+
+Each law is read from the one evaluation, :func:`device_at`; the small
+helpers below name the field a test class checks.
+"""
 
 import pytest
 
 from repro.tech import CMOS035
 from repro.tech.parameters import T_NOMINAL_K, TechnologyError, celsius_to_kelvin
-from repro.tech.temperature import (
-    alpha_at,
-    device_at,
-    mobility_at,
-    saturation_velocity_at,
-    thermal_voltage,
-    threshold_voltage_at,
-)
+from repro.tech.temperature import device_at, thermal_voltage
 
 
 NMOS = CMOS035.nmos
 PMOS = CMOS035.pmos
+
+
+def mobility_at(params, temp_k):
+    return device_at(params, temp_k).mobility
+
+
+def threshold_voltage_at(params, temp_k):
+    return device_at(params, temp_k).vth
+
+
+def saturation_velocity_at(params, temp_k):
+    return device_at(params, temp_k).vsat_cm_per_s
+
+
+def alpha_at(params, temp_k):
+    return device_at(params, temp_k).alpha
 
 
 class TestMobility:
@@ -82,10 +95,15 @@ class TestThermalVoltage:
 
 class TestDeviceSnapshot:
     def test_snapshot_consistent_with_scalar_functions(self):
+        # The closed-form laws: power-law mobility, linear threshold and
+        # alpha drift, all referenced to T_NOMINAL_K.
         device = device_at(PMOS, 350.0)
-        assert device.vth == pytest.approx(threshold_voltage_at(PMOS, 350.0))
-        assert device.mobility == pytest.approx(mobility_at(PMOS, 350.0))
-        assert device.alpha == pytest.approx(alpha_at(PMOS, 350.0))
+        rise = 350.0 - T_NOMINAL_K
+        assert device.vth == pytest.approx(PMOS.vth0 - PMOS.vth_temp_coeff * rise)
+        assert device.mobility == pytest.approx(
+            PMOS.mobility * (350.0 / T_NOMINAL_K) ** -PMOS.mobility_temp_exponent
+        )
+        assert device.alpha == pytest.approx(PMOS.alpha + PMOS.alpha_temp_coeff * rise)
 
     def test_celsius_wrapper(self):
         device = device_at(NMOS, celsius_to_kelvin(25.0))

@@ -3,20 +3,16 @@
 import numpy as np
 import pytest
 
+from oracles import block_contains, cell_center
 from repro.tech import TechnologyError
 from repro.thermal import Floorplan, FunctionalBlock, PowerMap, SensorSite
 
 
 class TestFunctionalBlock:
-    def test_area_and_density(self):
-        block = FunctionalBlock("core", 0.0, 0.0, 2.0, 3.0, 6.0)
-        assert block.area_mm2 == pytest.approx(6.0)
-        assert block.power_density_w_per_mm2 == pytest.approx(1.0)
-
     def test_contains_points(self):
         block = FunctionalBlock("core", 1.0, 1.0, 2.0, 2.0, 1.0)
-        assert block.contains(2.0, 2.0)
-        assert not block.contains(0.5, 0.5)
+        assert block_contains(block, 2.0, 2.0)
+        assert not block_contains(block, 0.5, 0.5)
 
     def test_invalid_geometry_rejected(self):
         with pytest.raises(TechnologyError):
@@ -80,7 +76,9 @@ class TestPowerMap:
         assert example_power_map.total_power_w() == pytest.approx(14.5, rel=1e-6)
 
     def test_power_concentrated_in_blocks(self, example_power_map):
-        density = example_power_map.power_density_w_per_mm2()
+        density = example_power_map.values_w / (
+            example_power_map.cell_width_mm * example_power_map.cell_height_mm
+        )
         # The hot core has a much higher density than the die average.
         assert density.max() > 3.0 * example_power_map.total_power_w() / 64.0
 
@@ -88,7 +86,7 @@ class TestPowerMap:
         power = PowerMap.zeros(8.0, 4.0, 8, 4)
         assert power.cell_width_mm == pytest.approx(1.0)
         assert power.cell_height_mm == pytest.approx(1.0)
-        assert power.cell_center(0, 0) == pytest.approx((0.5, 0.5))
+        assert cell_center(power, 0, 0) == pytest.approx((0.5, 0.5))
         assert power.cell_index(7.9, 3.9) == (7, 3)
 
     def test_cell_index_outside_die_rejected(self):
@@ -173,8 +171,8 @@ def _rasterise_oracle(floorplan, nx, ny):
         mask = np.zeros((ny, nx), dtype=bool)
         for row in range(ny):
             for column in range(nx):
-                x, y = power.cell_center(column, row)
-                if block.contains(x, y):
+                x, y = cell_center(power, column, row)
+                if block_contains(block, x, y):
                     mask[row, column] = True
         covered = int(np.count_nonzero(mask))
         if covered == 0:
@@ -230,7 +228,7 @@ class TestRasterise:
 
     def test_edges_on_cell_centres_are_inclusive(self):
         # A block spanning exactly from one cell centre to another covers
-        # both end cells, as FunctionalBlock.contains tests edges.
+        # both end cells: block edges are inclusive.
         plan = Floorplan(8.0, 8.0)
         plan.add_block(FunctionalBlock("strip", 0.5, 0.5, 2.0, 1.0, 6.0))
         power = PowerMap.from_floorplan(plan, nx=8, ny=8)

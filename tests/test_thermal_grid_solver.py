@@ -309,12 +309,6 @@ class TestSelfHeating:
             0.1 * full.temperature_rise_c, rel=0.05
         )
 
-    def test_measured_temperature_includes_rise(self, example_power_map):
-        report = self_heating_error(example_power_map, 2.0, 6.0, 0.02, duty_cycle=1.0)
-        assert report.measured_temperature_c == pytest.approx(
-            report.background_temperature_c + report.temperature_rise_c
-        )
-
     def test_invalid_duty_cycle_rejected(self, example_power_map):
         with pytest.raises(TechnologyError):
             self_heating_error(example_power_map, 2.0, 6.0, 0.02, duty_cycle=1.5)

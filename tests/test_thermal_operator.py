@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import conductance_matrix, direct_solve, transient_matrix
+from oracles import conductance_matrix, direct_solve, operator_cache_size, transient_matrix
 from repro.tech import TechnologyError
 from repro.thermal import (
     Floorplan,
@@ -302,7 +302,7 @@ class TestProcessWideCache:
         first = ThermalOperator.for_grid(ThermalGrid.for_power_map(example_power_map))
         second = ThermalOperator.for_grid(ThermalGrid.for_power_map(example_power_map))
         assert first is second
-        assert ThermalOperator.cache_size() == 1
+        assert operator_cache_size() == 1
 
     def test_different_geometry_gets_its_own_operator(self, example_power_map):
         ThermalOperator.clear_cache()
@@ -310,7 +310,7 @@ class TestProcessWideCache:
         other_power = PowerMap.from_floorplan(Floorplan.example_processor(), nx=8, ny=8)
         other = ThermalOperator.for_grid(ThermalGrid.for_power_map(other_power))
         assert base is not other
-        assert ThermalOperator.cache_size() == 2
+        assert operator_cache_size() == 2
 
     def test_cache_is_bounded(self, example_power_map):
         ThermalOperator.clear_cache()
@@ -319,7 +319,7 @@ class TestProcessWideCache:
                 Floorplan.example_processor(), nx=resolution, ny=resolution
             )
             ThermalOperator.for_grid(ThermalGrid.for_power_map(power))
-        assert ThermalOperator.cache_size() <= _CACHE_LIMIT
+        assert operator_cache_size() <= _CACHE_LIMIT
 
 
 class TestCacheEviction:
@@ -332,11 +332,11 @@ class TestCacheEviction:
         for resolution in resolutions:
             grid, _power = _grid_at(resolution)
             operators[resolution] = ThermalOperator.for_grid(grid)
-        assert ThermalOperator.cache_size() == _CACHE_LIMIT
+        assert operator_cache_size() == _CACHE_LIMIT
         # One more distinct geometry evicts exactly the oldest entry ...
         overflow_grid, _power = _grid_at(4 + _CACHE_LIMIT)
         ThermalOperator.for_grid(overflow_grid)
-        assert ThermalOperator.cache_size() == _CACHE_LIMIT
+        assert operator_cache_size() == _CACHE_LIMIT
         oldest_grid, _power = _grid_at(resolutions[0])
         rebuilt = ThermalOperator.for_grid(oldest_grid)
         assert rebuilt is not operators[resolutions[0]]
@@ -374,7 +374,7 @@ class TestCacheEviction:
         grid, _power = _grid_at(6)
         before = ThermalOperator.for_grid(grid)
         ThermalOperator.clear_cache()
-        assert ThermalOperator.cache_size() == 0
+        assert operator_cache_size() == 0
         assert ThermalOperator.for_grid(grid) is not before
 
     def test_timestep_cache_is_lru_not_fifo(self, example_grid):
@@ -443,7 +443,7 @@ class TestCacheConcurrency:
         # Every thread asking for a geometry got the one shared operator.
         for resolution in resolutions:
             assert len(set(id(op) for op in results[resolution])) == 1
-        assert ThermalOperator.cache_size() == len(resolutions)
+        assert operator_cache_size() == len(resolutions)
 
     def test_concurrent_eviction_respects_limit(self):
         import threading
@@ -462,7 +462,7 @@ class TestCacheConcurrency:
             thread.start()
         for thread in threads:
             thread.join()
-        assert ThermalOperator.cache_size() <= _CACHE_LIMIT
+        assert operator_cache_size() <= _CACHE_LIMIT
 
     def test_concurrent_steady_solve_factorizes_once(self, example_grid):
         import threading
