@@ -21,7 +21,6 @@ comparison target for the Fig. 3-style benches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..cells.factories import inverter
 from ..cells.library import CellLibrary

@@ -9,7 +9,7 @@ gives the documentation example something concrete to show.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 from .cell import StandardCell
 from .library import CellLibrary

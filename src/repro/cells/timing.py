@@ -11,7 +11,7 @@ ring configuration, and the Liberty exporter serialises them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 

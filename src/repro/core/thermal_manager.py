@@ -525,7 +525,7 @@ class DynamicThermalManager:
         )
         #: The die's thermal grid.  Its backward-Euler system is the shared
         #: operator's exact DCT solve, so a banked run stays one batched
-        #: solve over its distinct power histories per timestep at any
+        #: step over its distinct power histories per timestep at any
         #: grid size.
         self._grid = ThermalGrid.for_power_map(self._base_power, thermal_parameters)
         #: The sensor sites' bilinear read-out plan on that grid.
@@ -536,6 +536,9 @@ class DynamicThermalManager:
             self._grid.ny,
             *self.monitor.bank.positions(),
         )
+        #: DCT coefficients of the base power map, formed by the first run
+        #: (the transform does not depend on the control interval).
+        self._base_spectrum: Optional[np.ndarray] = None
 
     @property
     def base_power_map(self) -> PowerMap:
@@ -599,13 +602,13 @@ class DynamicThermalManager:
 
         This is the package's one closed loop (:meth:`run` is a
         one-policy bank): all policies advance in lockstep, so each
-        timestep costs **one** multi-RHS backward-Euler solve over the
+        timestep costs **one** multi-column backward-Euler step over the
         distinct power histories, one bilinear gather of the sensor
         sites, one broadcast ring-period evaluation and one vectorized
         FSM step — instead of one full transient integration per
         policy.  Columns (policies, or policy x sample pairs) whose
         power histories are bitwise equal share one temperature-rise
-        column: the solve, the peak and power reductions and the site
+        column: the step, the peak and power reductions and the site
         gather run once per distinct history, and their results expand
         back to every column; the sensor scan runs per column.  Each
         row does the arithmetic of a one-policy loop, so its throttle
@@ -613,15 +616,23 @@ class DynamicThermalManager:
         loop.  The rise stack is column-major: each distinct column is
         one contiguous ``(ny, nx)`` plane.
 
-        A step is the solve's two transforms plus a few passes over the
-        rise stack; the temperature field is formed once, after the last
-        step.  The peak is each rise column's maximum plus the ambient
-        (rounding is monotone, so this is bitwise the field's maximum),
-        the sites are read from the rise planes by the manager's
+        The rise is kept as DCT coefficients between steps, where
+        backward Euler is diagonal
+        (:meth:`~repro.thermal.operator.ThermalStepper.advance`): a
+        step's right-hand side is each distinct column's factor times
+        the base power's coefficients, which are transformed once per
+        manager, so a step does no forward transform.  It takes one
+        inverse transform over the distinct columns, for the rise
+        planes, plus a few passes over the stacks; the temperature field
+        is formed once, after the last step.  The peak is each rise
+        column's maximum plus the ambient (rounding is monotone, so this
+        is bitwise the field's maximum), the sites are read from the
+        rise planes by the manager's
         :class:`~repro.thermal.grid.BilinearSites` plan with the ambient
-        added to the four gathered neighbours, the power right-hand
-        sides are written into one buffer per run, and the distinct
-        columns are found with a dict over (parent history, factor bits).
+        added to the four gathered neighbours, the power coefficients are
+        written into one buffer per run, each factor's total power is
+        summed once per run in real space, and the distinct columns are
+        found with a dict over (parent history, factor bits).
 
         A non-finite ``duration_s``, ``control_interval_s``,
         ``limit_c`` or ``workload_scale`` raises
@@ -685,18 +696,25 @@ class DynamicThermalManager:
         columns = int(np.prod(column_shape))
 
         base_flat = self._base_power.values_w.reshape(-1)
+        if self._base_spectrum is None:
+            self._base_spectrum = stepper.spectrum(base_flat)
+        base_spectrum = self._base_spectrum
         ambient = self.ambient_c
         sites = self._sites
         # One rise column per distinct power history: ``history`` maps
         # every (policy[, sample]) column to its distinct column, and all
-        # columns start from the same zero rise.  The stack is
-        # column-major, so each distinct column is one contiguous
-        # (ny, nx) plane that the transforms and reductions read in place.
+        # columns start from the same zero rise.  The rise is carried as
+        # DCT coefficients (``rise_hat``) in a column-major stack, so each
+        # distinct column is one contiguous (ny, nx) plane that the
+        # inverse transform and the reductions read in place.
         history = np.zeros(columns, dtype=np.int64)
-        rise = np.zeros((1, grid.nx * grid.ny)).T
-        # The power right-hand sides, one row per distinct column; grown
-        # only when the run splits into more distinct columns than before.
-        power_rows = np.empty((1, base_flat.size))
+        rise_hat = np.zeros((1, grid.nx * grid.ny)).T
+        # The power coefficients, one row per distinct column; grown only
+        # when the run splits into more distinct columns than before.
+        power_hat_rows = np.empty((1, base_flat.size))
+        # Each factor's total power, summed once per run in real space:
+        # the trace keeps the bits of ``(factor * base).sum()``.
+        power_totals: Dict[int, float] = {}
         indices = np.zeros(column_shape, dtype=int)
         trace_shape = column_shape + (steps,)
         state_trace = np.zeros(trace_shape, dtype=int)
@@ -725,18 +743,21 @@ class DynamicThermalManager:
                 dtype=np.int64,
             )
             parents, factor_bits = zip(*children)
-            if parents != tuple(range(rise.shape[1])):
-                rise = rise.T[list(parents)].T
+            if parents != tuple(range(rise_hat.shape[1])):
+                # The basis change is linear, so gathering coefficient
+                # columns gathers the rises they stand for.
+                rise_hat = rise_hat.T[list(parents)].T
             distinct = len(parents)
-            if power_rows.shape[0] < distinct:
-                power_rows = np.empty((distinct, base_flat.size))
-            power = power_rows[:distinct]
-            np.multiply(
-                np.array(factor_bits, dtype=np.int64).view(float)[:, np.newaxis],
-                base_flat,
-                out=power,
-            )
-            rise = stepper.step(rise, power.T)
+            if power_hat_rows.shape[0] < distinct:
+                power_hat_rows = np.empty((distinct, base_flat.size))
+            distinct_factors = np.array(factor_bits, dtype=np.int64).view(float)
+            for bits, factor in zip(factor_bits, distinct_factors.tolist()):
+                if bits not in power_totals:
+                    power_totals[bits] = float((factor * base_flat).sum())
+            power_hat = power_hat_rows[:distinct]
+            np.multiply(distinct_factors[:, np.newaxis], base_spectrum, out=power_hat)
+            rise_hat = stepper.advance(rise_hat, power_hat.T)
+            rise = stepper.field(rise_hat)
 
             # The sites read the rise planes plus the ambient without
             # forming that field.
@@ -764,7 +785,9 @@ class DynamicThermalManager:
                 hottest = estimates.max(axis=1)
 
             state_trace[..., step] = indices
-            power_trace[..., step] = power.sum(axis=1)[history].reshape(column_shape)
+            power_trace[..., step] = np.array(
+                [power_totals[bits] for bits in factor_bits]
+            )[history].reshape(column_shape)
             # Rounding is monotone, so max(rise) + ambient is bitwise
             # max(rise + ambient).
             peak_trace[..., step] = (rise.max(axis=0) + ambient)[history].reshape(

@@ -1683,75 +1683,78 @@ class SweepPlan:
         need_power = self.observable == "power"
         vdd2cap: Optional[np.ndarray] = None
 
-        if site_axis is not None:
-            sensor_bank: SensorBank = site_axis.payload["bank"]
-            site_temps = site_axis.payload["junction_temperatures_c"]
-            resolution_axis = self.axis("resolution")
-            if need_power:
-                vdd2cap = self._vdd2_switched_cap(sensor_bank.ring, population)
-            if resolution_axis is not None:
-                # Grid-refinement scan: one steady thermal solve per
-                # resolution (each through its own cached ThermalOperator
-                # entry), every site read at its solved local junction
-                # temperature.
-                spec = resolution_axis.payload
-                xs, ys = sensor_bank.positions()
-                slices = []
-                for r in resolution_axis.coordinates:
-                    power_map = PowerMap.from_floorplan(
-                        spec["floorplan"], nx=int(r), ny=int(r)
+        # An overflowing period is refused by the finiteness guard below,
+        # so the overflow is not also reported as a numpy warning.
+        with np.errstate(over="ignore"):
+            if site_axis is not None:
+                sensor_bank: SensorBank = site_axis.payload["bank"]
+                site_temps = site_axis.payload["junction_temperatures_c"]
+                resolution_axis = self.axis("resolution")
+                if need_power:
+                    vdd2cap = self._vdd2_switched_cap(sensor_bank.ring, population)
+                if resolution_axis is not None:
+                    # Grid-refinement scan: one steady thermal solve per
+                    # resolution (each through its own cached ThermalOperator
+                    # entry), every site read at its solved local junction
+                    # temperature.
+                    spec = resolution_axis.payload
+                    xs, ys = sensor_bank.positions()
+                    slices = []
+                    for r in resolution_axis.coordinates:
+                        power_map = PowerMap.from_floorplan(
+                            spec["floorplan"], nx=int(r), ny=int(r)
+                        )
+                        grid = ThermalGrid.for_power_map(power_map, spec["parameters"])
+                        field = ThermalOperator.for_grid(grid).solve_steady_state(
+                            power_map, spec["ambient_c"]
+                        )
+                        truths = field.sample_points(xs, ys)
+                        slices.append(
+                            sensor_bank.period_tensor(truths, technologies=population)
+                        )
+                    tensor = np.stack(slices)
+                    if need_power and vdd2cap.ndim == 2:
+                        # (S, 1) population columns broadcast over the flat
+                        # trailing sample axis of the (R, site, S) stack.
+                        vdd2cap = vdd2cap.reshape(-1)
+                elif site_temps is not None:
+                    # Scan mode: every site at its own junction temperature;
+                    # one broadcast, no temperature dimension in the result.
+                    tensor = sensor_bank.period_tensor(site_temps, technologies=population)
+                    if need_power and vdd2cap.ndim == 2:
+                        vdd2cap = vdd2cap.reshape(1, -1)
+                else:
+                    # Characterisation mode: the sites share one ring
+                    # design, so the shared-grid tensor broadcasts along the
+                    # site dimension.
+                    inner = self._single_ring_tensor(sensor_bank.ring, population, temps)
+                    tensor = np.broadcast_to(
+                        inner, (sensor_bank.site_count,) + inner.shape
                     )
-                    grid = ThermalGrid.for_power_map(power_map, spec["parameters"])
-                    field = ThermalOperator.for_grid(grid).solve_steady_state(
-                        power_map, spec["ambient_c"]
+            elif config_axis is not None:
+                bank = rings
+                tensor = bank.period_tensor(temps, technologies=population)
+                if need_power:
+                    per_config = [
+                        self._vdd2_switched_cap(ring, population) for ring in bank.rings()
+                    ]
+                    vdd2cap = np.stack(per_config)
+                    if vdd2cap.ndim == 1:  # scalars per configuration
+                        vdd2cap = vdd2cap.reshape(-1, 1)
+            elif ratio_axis is not None:
+                tensor = np.stack(
+                    [self._single_ring_tensor(ring, population, temps) for ring in rings]
+                )
+                if need_power:
+                    vdd2cap = np.stack(
+                        [self._vdd2_switched_cap(ring, population) for ring in rings]
                     )
-                    truths = field.sample_points(xs, ys)
-                    slices.append(
-                        sensor_bank.period_tensor(truths, technologies=population)
-                    )
-                tensor = np.stack(slices)
-                if need_power and vdd2cap.ndim == 2:
-                    # (S, 1) population columns broadcast over the flat
-                    # trailing sample axis of the (R, site, S) stack.
-                    vdd2cap = vdd2cap.reshape(-1)
-            elif site_temps is not None:
-                # Scan mode: every site at its own junction temperature;
-                # one broadcast, no temperature dimension in the result.
-                tensor = sensor_bank.period_tensor(site_temps, technologies=population)
-                if need_power and vdd2cap.ndim == 2:
-                    vdd2cap = vdd2cap.reshape(1, -1)
+                    if vdd2cap.ndim == 1:
+                        vdd2cap = vdd2cap.reshape(-1, 1)
             else:
-                # Characterisation mode: the sites share one ring
-                # design, so the shared-grid tensor broadcasts along the
-                # site dimension.
-                inner = self._single_ring_tensor(sensor_bank.ring, population, temps)
-                tensor = np.broadcast_to(
-                    inner, (sensor_bank.site_count,) + inner.shape
-                )
-        elif config_axis is not None:
-            bank = rings
-            tensor = bank.period_tensor(temps, technologies=population)
-            if need_power:
-                per_config = [
-                    self._vdd2_switched_cap(ring, population) for ring in bank.rings()
-                ]
-                vdd2cap = np.stack(per_config)
-                if vdd2cap.ndim == 1:  # scalars per configuration
-                    vdd2cap = vdd2cap.reshape(-1, 1)
-        elif ratio_axis is not None:
-            tensor = np.stack(
-                [self._single_ring_tensor(ring, population, temps) for ring in rings]
-            )
-            if need_power:
-                vdd2cap = np.stack(
-                    [self._vdd2_switched_cap(ring, population) for ring in rings]
-                )
-                if vdd2cap.ndim == 1:
-                    vdd2cap = vdd2cap.reshape(-1, 1)
-        else:
-            tensor = self._single_ring_tensor(rings, population, temps)
-            if need_power:
-                vdd2cap = self._vdd2_switched_cap(rings, population)
+                tensor = self._single_ring_tensor(rings, population, temps)
+                if need_power:
+                    vdd2cap = self._vdd2_switched_cap(rings, population)
 
         # min/max propagate NaN, so one reduction each finds any NaN or
         # inf without a (C, S, T) mask.

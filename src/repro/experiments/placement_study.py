@@ -22,7 +22,7 @@ The run leans on the batched thermal kernels end to end:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 

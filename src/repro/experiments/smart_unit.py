@@ -20,7 +20,7 @@ defines the quantitative checks the reproduction asserts:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 

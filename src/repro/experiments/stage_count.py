@@ -11,7 +11,7 @@ normalised non-linearity stays essentially unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy import optimize as scipy_optimize
 
 from ..analysis.linearity import NonlinearityResult, nonlinearity
 from ..cells.factories import inverter
@@ -190,6 +189,10 @@ def optimize_width_ratio(
     Uses bounded scalar minimisation; the objective is smooth in the
     ratio so this converges in a handful of evaluations.
     """
+    # Imported here, not at module level: scipy.optimize costs ~0.5 s and
+    # the experiments runner imports this module for every experiment.
+    from scipy.optimize import minimize_scalar
+
     if len(ratio_bounds) != 2 or ratio_bounds[0] >= ratio_bounds[1]:
         raise TechnologyError("ratio_bounds must be an increasing (low, high) pair")
     temps = (
@@ -203,7 +206,7 @@ def optimize_width_ratio(
         response = analytical_response(ring, temps)
         return nonlinearity(response, fit_method).max_abs_error_percent
 
-    result = scipy_optimize.minimize_scalar(
+    result = minimize_scalar(
         objective, bounds=tuple(ratio_bounds), method="bounded",
         options={"xatol": 1e-3},
     )

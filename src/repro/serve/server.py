@@ -78,7 +78,7 @@ from .protocol import (
     error_envelope,
     ok_envelope,
 )
-from .spec import canonical_key, canonical_spec, encode_canonical, split_temperature
+from .spec import canonical_spec, encode_canonical, split_temperature
 
 __all__ = [
     "DEFAULT_HOST",

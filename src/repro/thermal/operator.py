@@ -33,14 +33,23 @@ resolution.  Set-up checks the grid's stencil
 (:meth:`ThermalGrid.apply_conductance`) against the eigenvalues with
 one probe and raises :class:`TechnologyError` on a mismatch.
 
+Backward Euler is diagonal in the same basis, so a transient state
+need not leave it: :meth:`ThermalStepper.advance` steps DCT
+coefficients with no transform (``(C/dt * x_hat + p_hat) /
+eigenvalues``), and :meth:`ThermalStepper.field` pays the one inverse
+transform when the field is needed.  The DTM manager keeps its rise
+that way, transforming its fixed base power once and taking one inverse
+per control step; :meth:`ThermalStepper.step` is the real-space step,
+a forward and an inverse transform.
+
 An ``(n, k)`` stack of right-hand sides is solved in one call (one
 batched transform), so ``ThermalStepper.step``, ``steady_rise`` and
-the policy bank stay one solve per step at any grid size.  Stacks are
-column-major: the array is ``(n, k)``, but each column is contiguous,
-so its memory reads as ``k`` contiguous ``(ny, nx)`` planes.  The solve
-returns stacks in that layout (it transforms the planes where they
-lie); a C-ordered stack is still accepted, at the price of one
-transposing copy.
+the policy bank stay one batched call per step at any grid size.
+Stacks are column-major: the array is ``(n, k)``, but each column is
+contiguous, so its memory reads as ``k`` contiguous ``(ny, nx)``
+planes.  The solve returns stacks in that layout (it transforms the
+planes where they lie); a C-ordered stack is still accepted, at the
+price of one transposing copy.
 
 A solve never writes into an array its caller passed in:
 ``steady_rise`` and the prepared solve's ``__call__`` leave their
@@ -49,6 +58,9 @@ owns is transformed in place: ``ThermalStepper.step`` writes
 ``C/dt * rise + power`` into one column-major buffer it allocates and
 runs the forward transform in that buffer (``overwrite_x``), so a step
 allocates one ``(n, k)`` array, which it returns as the new state.
+``ThermalStepper.advance`` is not a solve: it updates the spectral
+state its caller owns in place, so a spectral step allocates only the
+inverse transform's output.
 
 :func:`solve_steady_state`, the self-heating study and the DTM manager
 are all thin layers over this class; no other module prepares a
@@ -158,28 +170,40 @@ class _SpectralSolve:
             + row_modes[:, np.newaxis]
             + column_modes[np.newaxis, :]
         )
+        eigenvalues = eigenvalues.reshape(-1)
         self._check_stencil(grid, shift, eigenvalues)
-        self._inverse_eigenvalues = 1.0 / eigenvalues
+        #: ``1 / eigenvalue`` per mode, flat in the transforms' row order.
+        self.inverse_eigenvalues = 1.0 / eigenvalues
 
-    def _apply(
-        self, rhs: np.ndarray, factors: np.ndarray, overwrite: bool = False
-    ) -> np.ndarray:
-        """``idctn(dctn(rhs) * factors)`` on a vector or column stack.
+    def _transform(self, transform, stack: np.ndarray, overwrite: bool) -> np.ndarray:
+        """``transform`` of each column of a vector or column stack.
 
         The ``(n,)`` vector or ``(n, k)`` stack is read as ``k``
         ``(ny, nx)`` planes and transformed over the trailing axes; the
         result is the input's shape with contiguous columns.  With
-        ``overwrite`` the forward transform may reuse ``rhs``'s memory,
-        so only a buffer the caller owns and discards may be passed so.
+        ``overwrite`` the transform may reuse ``stack``'s memory, so only
+        a buffer the caller owns and discards may be passed so.
         """
-        fields = rhs.T.reshape(rhs.shape[1:] + self._shape)
-        spectrum = self._dctn(
-            fields, type=2, axes=(-2, -1), norm="ortho", overwrite_x=overwrite
-        )
-        spectrum *= factors
-        return self._idctn(
-            spectrum, type=2, axes=(-2, -1), norm="ortho", overwrite_x=True
-        ).reshape(rhs.shape[::-1]).T
+        planes = stack.T.reshape(stack.shape[1:] + self._shape)
+        return transform(
+            planes, type=2, axes=(-2, -1), norm="ortho", overwrite_x=overwrite
+        ).reshape(stack.shape[::-1]).T
+
+    def forward(self, stack: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """The orthonormal 2-D DCT-II coefficients of each column of ``stack``."""
+        return self._transform(self._dctn, stack, overwrite)
+
+    def inverse(self, spectrum: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """The field of each column of DCT coefficients (inverse of :meth:`forward`)."""
+        return self._transform(self._idctn, spectrum, overwrite)
+
+    def _apply(
+        self, rhs: np.ndarray, factors: np.ndarray, overwrite: bool = False
+    ) -> np.ndarray:
+        """``inverse(forward(rhs) * factors)``; ``factors`` is flat, one per mode."""
+        spectrum = self.forward(rhs, overwrite)
+        np.multiply(spectrum.T, factors, out=spectrum.T)
+        return self.inverse(spectrum, overwrite=True)
 
     def _check_stencil(
         self, grid: ThermalGrid, shift: float, eigenvalues: np.ndarray
@@ -195,7 +219,7 @@ class _SpectralSolve:
 
     def __call__(self, rhs: np.ndarray) -> np.ndarray:
         """The solve of ``rhs``; ``rhs`` itself is left untouched."""
-        return self._apply(np.asarray(rhs, dtype=float), self._inverse_eigenvalues)
+        return self._apply(np.asarray(rhs, dtype=float), self.inverse_eigenvalues)
 
     def solve_owned(self, rhs: np.ndarray) -> np.ndarray:
         """The solve of a float ``rhs`` the caller built for it and discards.
@@ -203,7 +227,7 @@ class _SpectralSolve:
         The forward transform runs in ``rhs``'s memory, so no second
         ``(n, k)`` array is allocated; ``rhs``'s values are destroyed.
         """
-        return self._apply(rhs, self._inverse_eigenvalues, overwrite=True)
+        return self._apply(rhs, self.inverse_eigenvalues, overwrite=True)
 
 
 def _checked_rhs(values, name: str, grid: ThermalGrid) -> np.ndarray:
@@ -227,14 +251,23 @@ def _checked_rhs(values, name: str, grid: ThermalGrid) -> np.ndarray:
 class ThermalStepper:
     """One backward-Euler integrator bound to a prepared system solve.
 
-    Produced by :meth:`ThermalOperator.stepper`; advances the
-    temperature *rise* vector by one timestep per :meth:`step` call.
-    The implicit system ``(C/dt + G) x_{n+1} = P + C/dt x_n`` was
-    DCT-diagonalized once when the stepper was created, so each step is
-    a pair of fast transforms — and an ``(n, k)`` stack of states
-    advances in one batched solve.  ``solve`` is the prepared solve; each
-    :meth:`step` allocates a column-major right-hand side and hands it to
-    ``solve.solve_owned``, which may transform it in place.
+    Produced by :meth:`ThermalOperator.stepper`.  The implicit system
+    ``(C/dt + G) x_{n+1} = P + C/dt x_n`` was DCT-diagonalized once when
+    the stepper was created, so a state can advance in either basis:
+
+    * :meth:`step` takes and returns real-space temperature *rises*; a
+      step is a pair of fast transforms.  ``solve`` is the prepared
+      solve; each :meth:`step` allocates a column-major right-hand side
+      and hands it to ``solve.solve_owned``, which may transform it in
+      place (so a sparse-direct stand-in with only ``solve_owned`` can
+      replace it).
+    * :meth:`advance` updates a state of DCT coefficients
+      (:meth:`spectrum`) in place and does no transform at all: a caller
+      that keeps its state spectral pays one inverse transform
+      (:meth:`field`) only when it needs the field.
+
+    Either way an ``(n, k)`` stack of states advances in one batched
+    call.
     """
 
     def __init__(
@@ -282,6 +315,49 @@ class ThermalStepper:
         np.multiply(self._capacitance_over_dt, rise, out=rhs)
         rhs += power
         return self._solve.solve_owned(rhs)
+
+    # ------------------------------------------------------------------ #
+    # stepping in the DCT basis
+    # ------------------------------------------------------------------ #
+
+    def spectrum(self, values: np.ndarray) -> np.ndarray:
+        """The DCT coefficients of a vector or column stack (one forward transform).
+
+        ``values`` is a flattened field (or an ``(n, k)`` stack of them)
+        of the grid; the coefficients come back in the same column-major
+        layout, ready for :meth:`advance`.  A wrong row count or a
+        non-finite entry raises :class:`TechnologyError`.
+        """
+        return self._solve.forward(_checked_rhs(values, "values", self.grid))
+
+    def advance(self, rise_hat: np.ndarray, power_hat: np.ndarray) -> np.ndarray:
+        """Advance spectral states one timestep, in place; no transform.
+
+        Backward Euler is diagonal in the DCT basis, so the new
+        coefficients are ``(C/dt * rise_hat + power_hat) / eigenvalues``
+        (a multiplication by the held inverse eigenvalues).  They are
+        written over ``rise_hat``, a float array of :meth:`spectrum`
+        layout that the caller owns, which is returned; ``power_hat``
+        has the same shape and is not written.  :meth:`field` turns the
+        state back into temperature rises.
+        """
+        if np.shape(power_hat) != np.shape(rise_hat):
+            raise TechnologyError(
+                f"power_hat has shape {np.shape(power_hat)}, "
+                f"rise_hat has {np.shape(rise_hat)}"
+            )
+        rise_hat *= self._capacitance_over_dt
+        rise_hat += power_hat
+        np.multiply(rise_hat.T, self._solve.inverse_eigenvalues, out=rise_hat.T)
+        return rise_hat
+
+    def field(self, rise_hat: np.ndarray) -> np.ndarray:
+        """The temperature rise of spectral states (one inverse transform).
+
+        A new column-major array of ``rise_hat``'s shape; ``rise_hat``
+        is left as it was, so it can be advanced further.
+        """
+        return self._solve.inverse(rise_hat)
 
 
 class ThermalOperator:

@@ -1045,25 +1045,37 @@ def dtm_run_scalar(
     Every control interval takes one backward-Euler step of a single
     temperature-rise column, one bank scan of the sites and one scalar
     policy step: the per-policy loop ``run_bank`` advances in lockstep.
-    ``stepper`` (for the manager's grid and ``control_interval_s``)
-    replaces the shared operator's stepper, e.g. by
-    :func:`direct_stepper`.
+    By default the rise is kept as DCT coefficients and advanced by the
+    shared operator's stepper in ``run_bank``'s arithmetic order
+    (``factor * base_hat`` for the right-hand side, one inverse
+    transform per step).  ``stepper`` (for the manager's grid and
+    ``control_interval_s``) replaces it, e.g. by :func:`direct_stepper`,
+    and then the rise steps in real space through ``stepper.step``.
     """
     bank = manager.monitor.bank
     site_xs, site_ys = bank.positions()
     base_power = manager.base_power_map
+    base_flat = base_power.values_w.reshape(-1)
     grid = ThermalGrid.for_power_map(base_power, manager.monitor.thermal_parameters)
-    if stepper is None:
+    spectral = stepper is None
+    if spectral:
         stepper = ThermalOperator.for_grid(grid).stepper(control_interval_s)
+        base_hat = stepper.spectrum(base_flat)
+        rise_hat = np.zeros(base_flat.size)
     steps = transient_step_count(duration_s, control_interval_s)
 
     state_index = 0
-    rise = np.zeros(grid.nx * grid.ny)
+    rise = np.zeros(base_flat.size)
     trace: List[DtmTracePoint] = []
     for step in range(1, steps + 1):
         state = policy.states[state_index]
-        power = base_power.scaled(workload_scale * state.power_scale)
-        rise = stepper.step(rise, power.values_w.reshape(-1))
+        factor = workload_scale * state.power_scale
+        power = base_power.scaled(factor)
+        if spectral:
+            rise_hat = stepper.advance(rise_hat, factor * base_hat)
+            rise = stepper.field(rise_hat)
+        else:
+            rise = stepper.step(rise, power.values_w.reshape(-1))
         die_map = TemperatureMap(
             grid.width_mm,
             grid.height_mm,

@@ -108,6 +108,24 @@ class TestRunnerCli:
         assert result.returncode == 0, result.stderr
         assert result.stdout.split()[:3] == ["FIG1", "FIG2", "FIG3"]
 
+    def test_list_does_not_import_scipy_optimize(self):
+        # Fig. 2's continuous optimum imports scipy.optimize (~0.5 s) when
+        # it runs; listing the experiments must not pay for it.
+        source = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.abspath(source)] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        probe = (
+            "import sys; from repro.experiments.runner import main; "
+            "code = main(['--list']); print(code, 'scipy.optimize' in sys.modules)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert result.stdout.splitlines()[-1] == "0 False"
+
     def test_package_still_exports_runner_names(self):
         import repro.experiments as experiments
 

@@ -1,14 +1,15 @@
 """Equivalence, property and golden tests for the banked DTM policy path.
 
 The :class:`repro.core.PolicyBank` contract is that one banked closed
-loop (:meth:`DynamicThermalManager.run_bank` — one multi-RHS
-backward-Euler solve over the distinct power histories, bilinear site
-gather, broadcast sensor scan and vectorized FSM step per timestep)
-computes exactly what the per-policy loop ``oracles.dtm_run_scalar``
-computes policy by policy: bitwise identical throttle decisions,
+loop (:meth:`DynamicThermalManager.run_bank` — one backward-Euler step
+in the DCT basis and one inverse transform over the distinct power
+histories, bilinear site gather, broadcast sensor scan and vectorized
+FSM step per timestep) computes exactly what the per-policy loop
+``oracles.dtm_run_scalar``, stepping spectrally in the same arithmetic
+order, computes policy by policy: bitwise identical throttle decisions,
 powers, temperatures and final fields (the hypothesis suite checks
-random banks, whose histories split mid-run, bitwise on both solve
-methods), while solving each distinct power history once.  The
+random banks, whose histories split mid-run, bitwise on two grid
+sizes), while solving each distinct power history once.  The
 example-processor policy sweep's headline numbers are pinned as golden
 values, and the sweep engine's ``resolution`` axis is round-tripped
 against its hand-rolled solve-then-scan lowering.
@@ -41,6 +42,7 @@ from repro.thermal import (
     ThermalOperator,
     ThermalStepper,
 )
+from repro.thermal.operator import _SpectralSolve
 
 RTOL = 1e-9
 
@@ -306,17 +308,21 @@ class TestBankedEquivalence:
             )
 
 
+def _column_count(stack) -> int:
+    return 1 if np.ndim(stack) == 1 else np.shape(stack)[1]
+
+
 @pytest.fixture
 def solved_columns(monkeypatch):
-    """Columns each ``ThermalStepper.step`` call solves, in call order."""
+    """Columns each ``ThermalStepper.advance`` call steps, in call order."""
     counts = []
-    step = ThermalStepper.step
+    advance = ThermalStepper.advance
 
-    def counting_step(self, rise, power_w):
-        counts.append(1 if np.ndim(rise) == 1 else np.shape(rise)[1])
-        return step(self, rise, power_w)
+    def counting_advance(self, rise_hat, power_hat):
+        counts.append(_column_count(rise_hat))
+        return advance(self, rise_hat, power_hat)
 
-    monkeypatch.setattr(ThermalStepper, "step", counting_step)
+    monkeypatch.setattr(ThermalStepper, "advance", counting_advance)
     return counts
 
 
@@ -373,6 +379,60 @@ class TestSolvedColumns:
         ]
         banked = manager.run_bank(bank, **RUN_KW)
         assert solved_columns == [3] * banked.step_count
+
+
+@pytest.fixture
+def transforms(monkeypatch):
+    """Columns of each ``_SpectralSolve`` forward and inverse call, by direction."""
+    calls = {"forward": [], "inverse": []}
+    for name, counts in calls.items():
+
+        def counting(
+            self, stack, overwrite=False, _method=getattr(_SpectralSolve, name), _counts=counts
+        ):
+            _counts.append(_column_count(stack))
+            return _method(self, stack, overwrite)
+
+        monkeypatch.setattr(_SpectralSolve, name, counting)
+    return calls
+
+
+class TestCountedTransforms:
+    """A run_bank step takes one inverse transform and no forward one."""
+
+    def test_base_spectrum_once_per_manager_and_one_inverse_per_step(
+        self, dtm_manager_factory, transforms, solved_columns
+    ):
+        manager = dtm_manager_factory()
+        grid = ThermalGrid.for_power_map(
+            manager.base_power_map, manager.monitor.thermal_parameters
+        )
+        # The stepper's set-up probe is a forward and an inverse transform;
+        # prepare it before counting the runs.
+        ThermalOperator.for_grid(grid).stepper(RUN_KW["control_interval_s"])
+        for counts in transforms.values():
+            counts.clear()
+
+        # Split histories: the distinct column count changes mid-run.
+        bank = [
+            ThrottlingPolicy(),
+            ThrottlingPolicy(states=scaled_states(1.0, 0.5, 0.25)),
+            ThrottlingPolicy(states=scaled_states(0.9, 0.6, 0.25)),
+        ]
+        first = manager.run_bank(bank, **RUN_KW)
+        assert transforms["forward"] == [1]
+        assert transforms["inverse"] == solved_columns
+        assert len(solved_columns) == first.step_count
+        assert len(set(solved_columns)) > 1
+
+        second = manager.run(**RUN_KW)
+        assert transforms["forward"] == [1]
+        assert transforms["inverse"] == solved_columns
+        assert solved_columns[first.step_count :] == [1] * len(second.trace)
+
+        dtm_manager_factory().run(**RUN_KW)
+        assert transforms["forward"] == [1, 1]
+        assert len(transforms["inverse"]) == first.step_count + 2 * len(second.trace)
 
 
 class TestResolutionAxisLowering:

@@ -110,6 +110,46 @@ class TestStepper:
         for k in range(2):
             assert np.allclose(rise[:, k], columns[k], rtol=1e-12, atol=0.0)
 
+    def test_spectral_advance_matches_real_space_steps(
+        self, example_grid, example_power_map
+    ):
+        # The DTM path: the state stays in the DCT basis, the power is
+        # transformed once, and each step's field is one inverse.
+        stepper = ThermalOperator(example_grid).stepper(1e-3)
+        power = example_power_map.values_w.reshape(-1)
+        stack = np.stack([power, 0.5 * power], axis=1)
+        power_hat = stepper.spectrum(stack)
+        rise_hat = np.zeros((2, power.size)).T
+        columns_hat = [np.zeros(power.size) for _ in range(2)]
+        rise = np.zeros_like(stack)
+        reference = direct_solve(transient_matrix(example_grid, 1e-3))
+        direct = np.zeros(power.size)
+        capacitance_over_dt = example_grid.cell_heat_capacity_j_per_k() / 1e-3
+        for _ in range(3):
+            rise_hat = stepper.advance(rise_hat, power_hat)
+            columns_hat = [
+                stepper.advance(columns_hat[k], power_hat[:, k]) for k in range(2)
+            ]
+            rise = stepper.step(rise, stack)
+            direct = reference(power + capacitance_over_dt * direct)
+        field = stepper.field(rise_hat)
+        assert field.shape == stack.shape and field.flags.f_contiguous
+        for k in range(2):
+            assert np.array_equal(rise_hat[:, k], columns_hat[k])
+            assert np.array_equal(field[:, k], stepper.field(columns_hat[k]))
+        assert np.allclose(field, rise, rtol=1e-12, atol=0.0)
+        assert np.max(np.abs(field[:, 0] - direct) / np.abs(direct)) <= SPECTRAL_RTOL
+
+    def test_spectral_inputs_checked(self, example_grid):
+        stepper = ThermalOperator(example_grid).stepper(1e-3)
+        size = example_grid.nx * example_grid.ny
+        with pytest.raises(TechnologyError, match="values"):
+            stepper.spectrum(np.full(size, np.nan))
+        with pytest.raises(TechnologyError, match="values"):
+            stepper.spectrum(np.zeros(size + 1))
+        with pytest.raises(TechnologyError, match="power_hat"):
+            stepper.advance(np.zeros((size, 2)), np.zeros(size))
+
     def test_stepper_cached_per_timestep(self, example_grid):
         operator = ThermalOperator(example_grid)
         first = operator.stepper(1e-3)
