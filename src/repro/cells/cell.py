@@ -22,7 +22,7 @@ it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -234,8 +234,9 @@ class StandardCell:
 
         These are the keys :func:`~repro.delay.alpha_power.drive_currents`
         evaluates for the cell's falling (tpHL) and rising (tpLH)
-        transitions; the ring kernels gather them across stages so each
-        distinct network is evaluated once per call.
+        transitions; the ring kernel gathers them across a ring's or a
+        bank's unique cells so each distinct network is evaluated once
+        per call.
         """
         stack = self.delay_options.stack
         pull_down = DriveNetwork(
@@ -280,9 +281,9 @@ class StandardCell:
 
         The load half of :meth:`delays`: the external load plus the
         cell's output parasitics, driven by the given pull-down and
-        pull-up currents.  :meth:`RingOscillator.period_series` does
-        this arithmetic with each stage's load terms folded into one
-        scale in advance, bitwise the same.
+        pull-up currents.  A ring stage's ``tpHL + tpLH`` from here
+        equals, to rounding, its cell's delay per farad times its total
+        load, the form :meth:`RingOscillator.period_series` sums.
         """
         if np.any(np.asarray(load_f) < 0.0):
             raise CellError("load capacitance must be non-negative")
@@ -303,12 +304,6 @@ class StandardCell:
             # second stage falling, and vice versa.
             tphl, tplh = first_lh + tphl, first_hl + tplh
         return GateDelays(tphl=tphl, tplh=tplh)
-
-    def stage_delay_sum(
-        self, temperature_c: Union[float, np.ndarray], load_f: Union[float, np.ndarray]
-    ) -> Union[float, np.ndarray]:
-        """tpHL + tpLH, the quantity a ring-oscillator stage contributes."""
-        return self.delays(temperature_c, load_f).pair_sum
 
     # ------------------------------------------------------------------ #
     # transistor-level netlist
@@ -416,30 +411,3 @@ class StandardCell:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StandardCell({self.name!r})"
 
-
-def cell_currents(
-    cells: Sequence[StandardCell], temperature_c: Union[float, np.ndarray]
-) -> List[Tuple[Union[float, np.ndarray], Union[float, np.ndarray]]]:
-    """Pull-down and pull-up currents of every cell, evaluated together.
-
-    Returns one ``(pull_down, pull_up)`` pair per cell, in order, each
-    evaluated in the cell's own technology — the currents
-    :meth:`StandardCell.delays` would compute cell by cell.  The cells'
-    :meth:`~StandardCell.drive_keys` go to one
-    :func:`~repro.delay.alpha_power.drive_currents` call per distinct
-    technology object (one, for the cells of a library built for one
-    technology), so a network shared by several cells is evaluated once.
-    """
-    keys = [cell.drive_keys() for cell in cells]
-    groups: Dict[int, Tuple[Technology, List[DriveKey]]] = {}
-    for cell, pair in zip(cells, keys):
-        groups.setdefault(id(cell.technology), (cell.technology, []))[1].extend(pair)
-    currents = {
-        tech_id: drive_currents(tech, tech_keys, temperature_c)
-        for tech_id, (tech, tech_keys) in groups.items()
-    }
-    pairs = []
-    for cell, (down_key, up_key) in zip(cells, keys):
-        evaluated = currents[id(cell.technology)]
-        pairs.append((evaluated[down_key], evaluated[up_key]))
-    return pairs

@@ -245,7 +245,7 @@ class SensorBank:
         matrix when ``technologies`` is a population (a stacked
         :class:`~repro.tech.stacked.TechnologyArray` or a stackable
         technology sequence).  The sites share one ring design, so the
-        whole scan is a single vectorized stage-sum over the junction-
+        whole scan is a single vectorized ring evaluation over the junction-
         temperature vector.
         """
         temps = self._site_temperatures(junction_temperatures_c)

@@ -1,38 +1,34 @@
 """Stacked ring-configuration banks: the configuration axis of the batch engine.
 
-PR 1 vectorized the temperature axis and PR 2 stacked the technology
-*sample* axis, but the paper's Fig. 3 — many ring *configurations*
-evaluated against the same library — still cost one full pass through
-the delay stack per configuration.  A :class:`ConfigurationBank` stacks
-many :class:`~repro.oscillator.config.RingConfiguration`\\ s into one
-padded ``(config, stage)`` cell table with a validity mask, so the whole
-Fig. 3 x Monte-Carlo cross product evaluates as a single ``(C, S, T)``
-broadcast:
+A :class:`ConfigurationBank` stacks many
+:class:`~repro.oscillator.config.RingConfiguration`\\ s over one set of
+unique cells, so the whole Fig. 3 x Monte-Carlo cross product evaluates
+as a single ``(C, S, T)`` broadcast:
 
 * every *unique* cell of the bank contributes one vectorized
   delay-per-farad curve ``K_u = fit * Vdd * (1/I_pull_down + 1/I_pull_up)``
-  over the ``(sample, temperature)`` grid.  The currents of all unique
-  cells come from one :func:`~repro.cells.cell.cell_currents` call,
-  which evaluates the device parameters once per polarity and the
-  alpha-power current once per distinct drive network (five for the
-  Fig. 3 INV/NAND2/NAND3/NOR2 cells) — the only transcendental work in
-  the whole bank,
-* the padded cell table reduces each configuration to per-unique-cell
-  *load weights* (the summed output loads of the stages driving that
-  cell type, tap and wire loads included), computed from each unique
-  cell's input and parasitic capacitance, and
+  over the ``(sample, temperature)`` grid
+  (:func:`~repro.oscillator.ring._delay_curves`, which evaluates the
+  device parameters once per polarity and the alpha-power current once
+  per distinct drive network — five for the Fig. 3 INV/NAND2/NAND3/NOR2
+  cells — the only transcendental work in the whole bank),
+* each configuration reduces to per-unique-cell *load weights* (the
+  summed total output loads of the stages built from that cell, tap and
+  wire loads included), all configurations in one
+  :func:`~repro.oscillator.ring._load_weights` pass, with the
+  capacitances of each unique cell evaluated once, and
 * the period tensor is the weights-times-curves contraction
   ``period[c] = sum_u W[u, c] * K[u]`` over the cells each configuration
   uses — per unique cell, one broadcast multiply-add for all its
   configurations, or one per configuration when a configuration's
-  ``(sample, temperature)`` slab is large; no Python loop over samples
-  or temperatures.
+  ``(sample, temperature)`` slab is large; no Python loop over samples,
+  temperatures or stages.
 
-The per-configuration loop (one
-:meth:`~repro.oscillator.ring.RingOscillator.period_matrix` per ring) is
-the oracle in ``tests/oracles.py`` the equivalence tests pin the
-stacked path against (relative tolerance 1e-9; in practice the two
-orderings of the same arithmetic agree to a few ULP).
+A :class:`~repro.oscillator.ring.RingOscillator` is the one-row case of
+the same contraction.  ``tests/oracles.py`` pins the bank bitwise to
+``period_tensor_per_cell`` (the same contraction, with its own current
+calls per cell) and to the per-configuration loop
+``period_tensor_loop`` at a relative tolerance of 1e-9.
 """
 
 from __future__ import annotations
@@ -41,16 +37,13 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..cells.cell import StandardCell, cell_currents
+from ..cells.cell import StandardCell
 from ..cells.library import CellLibrary
 from ..tech.stacked import stack_technologies
 from .config import ConfigurationError, RingConfiguration
-from .ring import RingOscillator
+from .ring import RingOscillator, _cell_drives, _delay_curves, _load_weights
 
 __all__ = ["ConfigurationBank", "normalise_configurations"]
-
-#: Padding value used in the ``(config, stage)`` cell-index table.
-_PAD = -1
 
 #: Size of one configuration's ``(sample, temperature)`` slab from which
 #: the period contraction updates configurations one at a time (measured
@@ -78,10 +71,8 @@ class ConfigurationBank:
     The constructor resolves every configuration into a real
     :class:`~repro.oscillator.ring.RingOscillator` (so all structural
     validation — odd stage counts, inverting single-stage cells —
-    happens up front) and builds the padded ``(config, stage)``
-    cell-index table the broadcast evaluation consumes.  Configurations
-    of different lengths are padded to the longest ring; the validity
-    mask marks the real stages.
+    happens up front) and maps every configuration's stages to the
+    bank's unique cells; configurations may differ in length.
     """
 
     def __init__(
@@ -113,27 +104,24 @@ class ConfigurationBank:
             for configuration in configs
         ]
 
-        # The padded (config, stage) cell table: unique cells are
-        # indexed in first-appearance order; padding slots hold _PAD and
-        # are masked out of every reduction.
-        self._unique_names: List[str] = []
+        # Unique cells in first-appearance order, each configuration's
+        # stages as positions among them, and the configurations (rows)
+        # each unique cell appears in, ascending.
         self._cells: List[StandardCell] = []
         index_of: Dict[str, int] = {}
-        max_stages = max(ring.stage_count for ring in self._rings)
-        table = np.full((len(self._rings), max_stages), _PAD, dtype=int)
+        users: List[List[int]] = []
+        self._row_cells: List[np.ndarray] = []
         for row, ring in enumerate(self._rings):
-            for index, cell in enumerate(ring.cells()):
+            bank_index = []
+            for cell in ring._unique_cells:
                 if cell.name not in index_of:
-                    index_of[cell.name] = len(self._unique_names)
-                    self._unique_names.append(cell.name)
+                    index_of[cell.name] = len(self._cells)
                     self._cells.append(cell)
-                table[row, index] = index_of[cell.name]
-        self._cell_index = table
-        # The configurations (rows) each unique cell appears in, ascending.
-        self._users: List[np.ndarray] = [
-            np.flatnonzero((table == u).any(axis=1))
-            for u in range(len(self._unique_names))
-        ]
+                    users.append([])
+                users[index_of[cell.name]].append(row)
+                bank_index.append(index_of[cell.name])
+            self._row_cells.append(np.asarray(bank_index)[ring._stage_cells])
+        self._users = [np.asarray(rows) for rows in users]
 
     # ------------------------------------------------------------------ #
     # structure
@@ -157,7 +145,7 @@ class ConfigurationBank:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ConfigurationBank({self.config_count} configurations, "
-            f"{len(self._unique_names)} unique cells, "
+            f"{len(self._cells)} unique cells, "
             f"library={self.library.name!r})"
         )
 
@@ -191,24 +179,17 @@ class ConfigurationBank:
         # K_u * L to the ring period.  Shapes: (S, T) columns against
         # the temperature row (S = 1 collapses to the scalar case).
         # The currents behind them are gone before the tensor exists.
-        curves = _delay_curves(cells, temps)
+        curves = _delay_curves(_cell_drives(cells), temps)
 
-        # Per-unique-cell load weights from the padded cell table: the
-        # summed total output load (next stage's input + wire + tap +
-        # own parasitic) of every stage driving that cell type, with the
-        # capacitances of each unique cell evaluated once.
-        input_f = [cell.input_capacitance() for cell in cells]
-        parasitic_f = [cell.output_parasitic_capacitance() for cell in cells]
-        weights = np.zeros(
-            (len(self._unique_names), self.config_count, sample_count, 1),
-            dtype=float,
-        )
-        for row, ring in enumerate(self._rings):
-            row_cells = self._cell_index[row, : ring.stage_count].tolist()
-            loads = ring.stage_loads([input_f[u] for u in row_cells], tech)
-            for u, load in zip(row_cells, loads):
-                total_load = np.asarray(load + parasitic_f[u], dtype=float)
-                weights[u, row] += total_load.reshape(-1, 1)
+        # Per-unique-cell load weights of every configuration, (U, C, S, 1),
+        # from the capacitances of each unique cell evaluated once.
+        weights = _load_weights(
+            self._rings,
+            self._row_cells,
+            np.asarray([cell.input_capacitance() for cell in cells]),
+            np.asarray([cell.output_parasitic_capacitance() for cell in cells]),
+            tech,
+        ).reshape(len(cells), self.config_count, -1, 1)
 
         # The contraction: period[c] = sum_u W[u, c] * K[u], in ascending
         # u, over the configurations that use cell u (a configuration
@@ -233,31 +214,6 @@ class ConfigurationBank:
         if technologies is None:
             return tensor[:, 0, :]
         return tensor
-
-
-def _delay_curves(cells: Sequence[StandardCell], temps: np.ndarray) -> list:
-    """Each cell's delay per farad, ``fit * Vdd * (1/I_pull_down + 1/I_pull_up)``.
-
-    ``tpHL + tpLH`` of a stage is this times its total output load (see
-    :func:`repro.delay.alpha_power.switching_delay`).  The currents are
-    fresh arrays of this call, shared by cells that share a drive
-    network, so each becomes its reciprocal in place, once.
-    """
-    currents = cell_currents(cells, temps)
-    inverse = {}
-    for current in (current for pair in currents for current in pair):
-        if id(current) not in inverse:
-            inverse[id(current)] = (
-                np.divide(1.0, current, out=current)
-                if isinstance(current, np.ndarray)
-                else 1.0 / current
-            )
-    curves = []
-    for cell, (down, up) in zip(cells, currents):
-        curve = inverse[id(down)] + inverse[id(up)]
-        curve *= cell.delay_options.fit_factor * cell.technology.vdd
-        curves.append(curve)
-    return curves
 
 
 def normalise_configurations(

@@ -152,7 +152,7 @@ def analytical_response(
         The ring oscillator to sweep.
     temperatures_c:
         Sweep grid (the paper's -50..150 range by default), evaluated
-        in one vectorized stage-sum (:meth:`RingOscillator.period_series`).
+        in one vectorized call (:meth:`RingOscillator.period_series`).
     """
     temps = (
         np.asarray(temperatures_c, dtype=float)

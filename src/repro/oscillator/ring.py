@@ -5,9 +5,18 @@ to a :class:`~repro.cells.library.CellLibrary` and answers the two
 questions the sensor needs:
 
 * *analytically*: what is the oscillation period at a given junction
-  temperature?  (Sum of tpHL + tpLH of every stage, each stage loaded by
-  the next stage's input capacitance, its own output parasitics and a
-  short local wire.)  This backs the Fig. 2 / Fig. 3 temperature sweeps.
+  temperature?  ``T = sum_i (tpHL_i + tpLH_i)`` over the stages, each
+  stage loaded by the next stage's input capacitance, its own output
+  parasitics, a short local wire and, at the tapped stage, the readout
+  load.  A stage's ``tpHL + tpLH`` is its cell's delay per farad
+  ``K_u = fit * Vdd * (1/I_pull_down + 1/I_pull_up)`` times its total
+  output load, so the period is the contraction ``sum_u W_u * K_u``
+  over the ring's unique cells, where ``W_u`` sums the total loads of
+  the stages built from cell ``u``.  A ring is a one-row
+  :class:`~repro.oscillator.bank.ConfigurationBank`: both take the
+  curves from :func:`_delay_curves` and the weights from
+  :func:`_load_weights`.  This backs the Fig. 2 / Fig. 3
+  temperature sweeps, the sensor and the DTM scan.
 * *at transistor level*: build the ring as an MNA netlist with explicit
   load capacitors and travelling-wave initial conditions, so the
   transient simulator can produce the start-up waveform of the paper's
@@ -17,7 +26,7 @@ questions the sensor needs:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,20 +43,6 @@ from ..tech.stacked import stack_technologies
 from .config import ConfigurationError, RingConfiguration
 
 __all__ = ["RingOscillator", "RingStage"]
-
-
-class _PeriodPlan(NamedTuple):
-    """What :meth:`RingOscillator.period_series` needs beyond the temperatures.
-
-    ``groups`` holds one ``(technology, distinct drive keys)`` pair per
-    distinct technology among the stage cells; ``stages`` holds one
-    ``(group, pull-down key, pull-up key, scale)`` row per stage in ring
-    order, where ``scale`` is ``fit * (load + parasitic) * vdd``, the
-    numerator of both of the stage's switching delays.
-    """
-
-    groups: Tuple[Tuple[object, Tuple[DriveKey, ...]], ...]
-    stages: Tuple[Tuple[int, DriveKey, DriveKey, object], ...]
 
 
 @dataclass(frozen=True)
@@ -104,9 +99,14 @@ class RingOscillator:
             )
         self.tap_stage = tap_stage
 
-        self._cells: List[StandardCell] = []
-        for name in configuration.stages:
-            cell = library.get(name)
+        resolved = {name: library.get(name) for name in dict.fromkeys(configuration.stages)}
+        self._cells: List[StandardCell] = [resolved[name] for name in configuration.stages]
+        # The unique cells in first-appearance order (by name, as
+        # ConfigurationBank indexes them) and each stage's position among them.
+        self._unique_cells = list({cell.name: cell for cell in resolved.values()}.values())
+        position = {cell.name: u for u, cell in enumerate(self._unique_cells)}
+        self._stage_cells = np.asarray([position[resolved[n].name] for n in configuration.stages])
+        for cell in self._unique_cells:
             if not cell.topology.inverting:
                 raise ConfigurationError(
                     f"cell {cell.name!r} is not inverting and cannot be a ring stage"
@@ -115,8 +115,7 @@ class RingOscillator:
                 raise ConfigurationError(
                     f"cell {cell.name!r} is a multi-stage cell and cannot be a ring stage"
                 )
-            self._cells.append(cell)
-        self._plan: Optional[_PeriodPlan] = None
+        self._row: Optional[tuple] = None
 
     # ------------------------------------------------------------------ #
     # structure
@@ -150,32 +149,27 @@ class RingOscillator:
 
     def stages(self) -> List[RingStage]:
         """Stages with their resolved output loads."""
-        loads = self.stage_loads(
-            [cell.input_capacitance() for cell in self._cells], self.technology
-        )
+        input_f = np.asarray([cell.input_capacitance() for cell in self._unique_cells])
+        loads = self.stage_loads(self._stage_cells, input_f, self.technology)
         return [
             RingStage(index=index, cell=cell, load_f=load)
             for index, (cell, load) in enumerate(zip(self._cells, loads))
         ]
 
-    def stage_loads(self, input_f: Sequence, technology) -> list:
-        """Output load (F) of every stage, from its cells' input capacitances.
+    def stage_loads(self, cell_index: np.ndarray, input_f: np.ndarray, technology) -> np.ndarray:
+        """Output load (F) of every stage, in ring order.
 
-        ``input_f[i]`` is the input capacitance of stage ``i``'s cell.
-        Stage ``i`` drives the input of stage ``i + 1`` and the
+        ``input_f[cell_index[i]]`` is the input capacitance (a scalar,
+        or a population's ``(samples, 1)`` column) of stage ``i``'s
+        cell.  Stage ``i`` drives the input of stage ``i + 1`` and the
         inter-stage wire (in ``technology``), and the tapped stage also
-        the external load.  :meth:`stages` passes the ring's own cells;
-        :class:`~repro.oscillator.bank.ConfigurationBank` passes cells
-        bound to a stacked population.
+        the external load.
         """
-        wire_f = wire_capacitance(technology, self.wire_length_um)
+        following = np.concatenate((cell_index[1:], cell_index[:1]))
+        loads = input_f[following] + wire_capacitance(technology, self.wire_length_um)
         tap = self.effective_tap_stage()
-        loads = []
-        for index in range(self.stage_count):
-            load = input_f[(index + 1) % self.stage_count] + wire_f
-            if tap is not None and index == tap:
-                load += self.external_load_f
-            loads.append(load)
+        if tap is not None:
+            loads[tap] += self.external_load_f
         return loads
 
     def area_um2(self) -> float:
@@ -194,81 +188,58 @@ class RingOscillator:
 
         ``T = sum_i (tpHL_i + tpLH_i)`` — the textbook ring-oscillator
         period formula quoted in the paper's Section 2, generalised to
-        per-stage delays because the stages need not be identical.
+        per-stage delays because the stages need not be identical.  It
+        is :meth:`period_series` at one point.
         """
-        total = 0.0
-        for stage in self.stages():
-            total += stage.cell.stage_delay_sum(temperature_c, stage.load_f)
-        return total
+        return self.period_series(temperature_c)
 
     def frequency(self, temperature_c: float) -> float:
         """Oscillation frequency (Hz) at a junction temperature."""
         return 1.0 / self.period(temperature_c)
 
-    def _period_plan(self) -> _PeriodPlan:
-        """The ring's :class:`_PeriodPlan`, built on first use and kept.
+    def _bank_row(self) -> tuple:
+        """The unique cells' :func:`_cell_drives` and :func:`_load_weights`.
 
-        A ring is not changed after construction, so the plan stays
-        valid.  Building it checks every stage load as
-        :meth:`StandardCell.delays_from_currents` and
-        :func:`~repro.delay.alpha_power.switching_delay` do: a negative
-        load raises :class:`CellError`, a non-positive total load
-        :class:`~repro.tech.parameters.TechnologyError`.
+        Worked out on first use and kept: a ring is not changed after
+        construction.
         """
-        plan = self._plan
-        if plan is None:
-            groups: Dict[int, Tuple[int, object, List[DriveKey]]] = {}
-            stages = []
-            for stage in self.stages():
-                cell = stage.cell
-                tech = cell.technology
-                group, _, keys = groups.setdefault(id(tech), (len(groups), tech, []))
-                down, up = cell.drive_keys()
-                keys += (down, up)
-                if np.any(np.asarray(stage.load_f) < 0.0):
-                    raise CellError("load capacitance must be non-negative")
-                total_load = stage.load_f + cell.output_parasitic_capacitance()
-                if np.any(np.asarray(total_load) <= 0.0):
-                    raise TechnologyError("load capacitance must be positive")
-                scale = cell.delay_options.fit_factor * total_load * tech.vdd
-                stages.append((group, down, up, scale))
-            plan = self._plan = _PeriodPlan(
-                groups=tuple(
-                    (tech, tuple(dict.fromkeys(keys))) for _, tech, keys in groups.values()
-                ),
-                stages=tuple(stages),
+        row = self._row
+        if row is None:
+            cells = self._unique_cells
+            weights = _load_weights(
+                [self],
+                [self._stage_cells],
+                np.asarray([cell.input_capacitance() for cell in cells]),
+                np.asarray([cell.output_parasitic_capacitance() for cell in cells]),
+                self.technology,
             )
-        return plan
+            row = self._row = (_cell_drives(cells), weights[:, 0])
+        return row
 
     def period_series(self, temperatures_c: Sequence[float]) -> np.ndarray:
-        """Periods (s) over a temperature sweep (vectorized).
+        """Periods (s) over a temperature grid of any shape (vectorized).
 
-        The ring's period plan (built on the first call) holds the
-        distinct drive networks of its stages per technology and each
-        stage's ``fit * (load + parasitic) * vdd``.  A call evaluates,
-        over the whole temperature grid, the device parameters once per
-        polarity and the alpha-power current once per distinct network
-        (one :func:`~repro.delay.alpha_power.drive_currents` call per
-        technology), then each stage's ``tpHL + tpLH`` as
-        ``scale / I_down + scale / I_up``, accumulated in ring order.  These are bitwise the currents and
-        delays of :meth:`StandardCell.delays_from_currents` stage by
-        stage, and match a loop of :meth:`period` calls to
-        floating-point rounding (the equivalence suites pin the two to
-        1e-9 relative).
-
-        For a ring bound to a stacked population
-        (:class:`~repro.tech.stacked.TechnologyArray`, see
-        :meth:`rebind`) the per-stage delays carry a leading sample axis
-        and the result is the full ``(samples, temperatures)`` period
-        matrix from the same single stage-sum.
+        The contraction ``sum_u W_u * K_u`` over the ring's unique
+        cells, summed in ascending ``u`` from zero as
+        :meth:`ConfigurationBank.period_tensor
+        <repro.oscillator.bank.ConfigurationBank.period_tensor>` sums
+        one row: one :func:`~repro.delay.alpha_power.drive_currents`
+        call per technology among the cells and one curve per unique
+        cell.  For a ring bound to a stacked population (see
+        :meth:`rebind`) the weights and curves are ``(samples, 1)``
+        columns, and any temperature shape that broadcasts against them
+        — ``(temperatures,)``, ``(site, 1, 1)`` — works.  A single
+        temperature gives :meth:`period`, bitwise that point of a grid.
         """
         temps = np.asarray(temperatures_c, dtype=float)
-        plan = self._period_plan()
-        currents = [drive_currents(tech, keys, temps) for tech, keys in plan.groups]
-        total = np.zeros(temps.shape)
-        for group, down, up, scale in plan.stages:
-            evaluated = currents[group]
-            total = total + (scale / evaluated[down] + scale / evaluated[up])
+        drives, weights = self._bank_row()
+        if temps.ndim == 0:
+            # One point goes through a one-element grid: numpy's scalar
+            # arithmetic is not bitwise its array arithmetic.
+            return self.period_series(temps.reshape((1,) * weights.ndim))[0]
+        total = 0.0
+        for weight, curve in zip(weights, _delay_curves(drives, temps)):
+            total = total + weight * curve
         return total
 
     def rebind(self, technology) -> "RingOscillator":
@@ -288,11 +259,7 @@ class RingOscillator:
         over the leading sample axis.
         """
         library = CellLibrary(f"{self.library.name}@{technology.name}", technology)
-        seen = set()
-        for cell in self._cells:
-            if cell.name in seen:
-                continue
-            seen.add(cell.name)
+        for cell in self._unique_cells:
             library.add(cell.rebind(technology))
         return RingOscillator(
             library,
@@ -314,7 +281,7 @@ class RingOscillator:
         :class:`~repro.tech.stacked.TechnologyArray` is used as is),
         re-binds the ring once, and evaluates the whole
         ``(len(technologies), len(temperatures_c))`` matrix in a single
-        broadcast stage-sum — no per-sample rebind, no Python loop over
+        broadcast contraction — no per-sample rebind, no Python loop over
         samples.  A list whose samples disagree on the geometry scalars
         (different technology nodes) raises
         :class:`~repro.tech.TechnologyError`; nodes are compared through
@@ -440,3 +407,79 @@ class RingOscillator:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RingOscillator({self.label()!r}, {self.library.technology.name})"
+
+
+def _load_weights(
+    rings: Sequence[RingOscillator],
+    cell_indices: Sequence[np.ndarray],
+    input_f: np.ndarray,
+    parasitic_f: np.ndarray,
+    technology,
+) -> np.ndarray:
+    """``W[u, r]``: the summed ``load + parasitic_f[u]`` of ring ``r``'s stages built from cell ``u``.
+
+    ``cell_indices[r]`` maps ring ``r``'s stages to cells, and the loads
+    come from :meth:`RingOscillator.stage_loads`.  Per ring, one bincount
+    over ``(cell, sample)`` bins, fed stage by stage, sums each weight in
+    stage order from zero.  A negative stage load raises
+    :class:`CellError`, a non-positive total load
+    :class:`~repro.tech.parameters.TechnologyError`, as
+    :meth:`StandardCell.delays` does.
+    """
+    # bins[u] numbers cell u's (sample) bins; a stage's loads go to its cell's row.
+    bins = np.arange(parasitic_f.size).reshape(len(parasitic_f), -1)
+    weights = []
+    for ring, index in zip(rings, cell_indices):
+        loads = ring.stage_loads(index, input_f, technology)
+        if loads.min() < 0.0:
+            raise CellError("load capacitance must be non-negative")
+        loads += parasitic_f[index]
+        if loads.min() <= 0.0:
+            raise TechnologyError("load capacitance must be positive")
+        summed = np.bincount(bins[index].ravel(), weights=loads.ravel(), minlength=bins.size)
+        weights.append(summed.reshape(parasitic_f.shape))
+    return np.stack(weights, axis=1)
+
+
+def _cell_drives(cells: Sequence[StandardCell]) -> tuple:
+    """What :func:`_delay_curves` needs of ``cells``: one ``(technology,
+    drive keys)`` group per distinct technology object, and per cell its
+    ``(group, pull-down key, pull-up key, fit * Vdd)``.
+    """
+    groups: Dict[int, Tuple[int, object, List[DriveKey]]] = {}
+    terms = []
+    for cell in cells:
+        tech = cell.technology
+        group, _, keys = groups.setdefault(id(tech), (len(groups), tech, []))
+        down, up = cell.drive_keys()
+        keys += (down, up)
+        terms.append((group, down, up, cell.delay_options.fit_factor * tech.vdd))
+    return tuple((tech, keys) for _, tech, keys in groups.values()), tuple(terms)
+
+
+def _delay_curves(drives: tuple, temps: np.ndarray) -> list:
+    """Each cell's delay per farad, ``fit * Vdd * (1/I_pull_down + 1/I_pull_up)``.
+
+    ``drives`` is :func:`_cell_drives` of the cells.  ``tpHL + tpLH`` of
+    a stage is its cell's curve times its total output load (see
+    :func:`repro.delay.alpha_power.switching_delay`).  One
+    :func:`~repro.delay.alpha_power.drive_currents` call per technology
+    evaluates each distinct network once; its currents are fresh arrays
+    of this call, so each becomes its reciprocal in place.
+    """
+    groups, terms = drives
+    inverse = [
+        {
+            key: np.divide(1.0, current, out=current)
+            if isinstance(current, np.ndarray)
+            else 1.0 / current
+            for key, current in drive_currents(tech, keys, temps).items()
+        }
+        for tech, keys in groups
+    ]
+    curves = []
+    for group, down, up, scale in terms:
+        curve = inverse[group][down] + inverse[group][up]
+        curve *= scale
+        curves.append(curve)
+    return curves

@@ -285,20 +285,20 @@ class SweepServer:
         batch_window_ms: float = DEFAULT_BATCH_WINDOW_MS,
     ) -> None:
         self.host = host
-        self.port = int(port)
-        self.workers = int(workers)
+        self.port = integer(port, "port", SweepError, at_least=0, at_most=65535)
+        self.workers = integer(workers, "workers", SweepError, at_least=1)
         self.cache_dir = cache_dir
-        disk = DiskCache(cache_dir, int(disk_cache_bytes)) if cache_dir else None
-        self.cache = ResultCache(int(cache_bytes), disk=disk)
+        disk = DiskCache(cache_dir, disk_cache_bytes) if cache_dir else None
+        self.cache = ResultCache(cache_bytes, disk=disk)
         # Late binding (not the bound method itself) so a test can
         # swap ``_evaluate_payload`` on the instance to a controlled
         # evaluator and the scheduler picks it up.
         self.scheduler = _EvalScheduler(
             lambda payload: self._evaluate_payload(payload),
             self.workers,
-            int(queue_depth),
+            queue_depth,
         )
-        self.batcher = MicroBatcher(self.scheduler.submit, float(batch_window_ms))
+        self.batcher = MicroBatcher(self.scheduler.submit, batch_window_ms)
         #: The shared tile executor of a multi-worker server: every
         #: concurrent evaluation submits its tiles to one reused
         #: process pool, sized to the worker count, so N slots
@@ -785,6 +785,22 @@ def start_server_thread(**kwargs: Any) -> ServerHandle:
 # --------------------------------------------------------------------------- #
 
 
+def _flag(check, field: str, **bounds):
+    """An argparse ``type=``: ``check`` (:func:`repro.fields.integer` or
+    ``real``) with the bounds of :class:`SweepServer`'s ``field``, so a bad
+    value is a usage error naming the flag, not a :class:`SweepError`.
+    """
+
+    def parse(text: str):
+        try:
+            number = int(text) if text.lstrip("+-").isdigit() else float(text)
+            return check(number, field, **bounds)
+        except ValueError as error:  # not a number, or the check refused it
+            raise argparse.ArgumentTypeError(str(error)) from None
+
+    return parse
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """`repro-serve` / ``python -m repro.serve``: run a server until stopped."""
     parser = argparse.ArgumentParser(
@@ -801,13 +817,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--port",
-        type=int,
+        type=_flag(integer, "port", at_least=0, at_most=65535),
         default=DEFAULT_PORT,
         help="bind port, 0 for ephemeral (default %(default)s)",
     )
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_flag(integer, "workers", at_least=1),
         default=DEFAULT_WORKERS,
         help=(
             "concurrent evaluation slots; above 1, evaluations route "
@@ -817,7 +833,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--queue-depth",
-        type=int,
+        type=_flag(integer, "queue_depth", at_least=1),
         default=DEFAULT_QUEUE_DEPTH,
         help=(
             "bounded evaluation-queue depth — beyond it requests fail "
@@ -826,7 +842,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--cache-bytes",
-        type=int,
+        type=_flag(integer, "cache_bytes", at_least=0),
         default=DEFAULT_CACHE_BYTES,
         help="memory result-cache budget in payload bytes (default %(default)s)",
     )
@@ -841,13 +857,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--disk-cache-bytes",
-        type=int,
+        type=_flag(integer, "disk_cache_bytes", at_least=0),
         default=DEFAULT_DISK_CACHE_BYTES,
         help="disk-tier byte budget, LRU-evicted via file mtime (default %(default)s)",
     )
     parser.add_argument(
         "--batch-window-ms",
-        type=float,
+        type=_flag(real, "batch_window_ms", at_least=0.0),
         default=DEFAULT_BATCH_WINDOW_MS,
         help=(
             "coalescing window for point queries and overlapping "

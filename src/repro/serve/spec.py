@@ -44,6 +44,7 @@ import json
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..engine.sweep import Sweep, SweepError
+from ..fields import ReproInputError
 
 __all__ = ["canonical_key", "canonical_spec", "encode_canonical", "split_temperature"]
 
@@ -60,7 +61,10 @@ def canonical_spec(spec: Union[Sweep, Mapping[str, Any]]) -> Dict[str, Any]:
     ``nmos_width_um``, a temperature at or below 0 K, a readout clock —
     raises a :class:`~repro.fields.ReproInputError` (a
     :class:`~repro.engine.sweep.SweepError`, ``ConfigurationError``,
-    ``CellError`` or ``TechnologyError``) whose ``field`` names it.
+    ``CellError`` or ``TechnologyError``) whose ``field`` names it.  A
+    base ring field refused while planning is named by its path
+    (``base.tap_stage``), as :meth:`Sweep.from_dict` names the fields it
+    refuses.
     """
     if isinstance(spec, Sweep):
         payload = spec.to_dict()
@@ -72,7 +76,13 @@ def canonical_spec(spec: Union[Sweep, Mapping[str, Any]]) -> Dict[str, Any]:
             f"got {type(spec).__name__}"
         )
     sweep = Sweep.from_dict(payload)
-    sweep.plan()
+    try:
+        sweep.plan()
+    except ReproInputError as error:
+        # The one base field a ring checks only when it is built.
+        if error.field == "tap_stage":
+            error.field = "base.tap_stage"
+        raise
     return sweep.to_dict()
 
 

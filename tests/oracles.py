@@ -455,8 +455,9 @@ def period_series_stage_loop(ring, temperatures_c) -> np.ndarray:
 
     Each stage's ``tpHL + tpLH`` comes from two :func:`gate_delay` calls,
     so every stage and transition evaluates its own drive current over
-    the whole grid — the same arithmetic, in the same order, as the
-    batched kernel, which evaluates each distinct network once.
+    the whole grid.  The kernel sums per unique cell instead, so the two
+    agree to rounding (the tests hold them to 1e-9 relative);
+    :func:`period_series_per_cell` is the bitwise oracle.
     """
     temps = np.asarray(temperatures_c, dtype=float)
     total = np.zeros(temps.shape)
@@ -519,6 +520,30 @@ def period_tensor_per_cell(bank, temperatures_c, technologies=None) -> np.ndarra
     for u in range(len(names)):
         tensor += weights[u] * curves[u][np.newaxis, :, :]
     return tensor[:, 0, :] if technologies is None else tensor
+
+
+def period_series_per_cell(ring, temperatures_c) -> np.ndarray:
+    """``ring.period_series`` as a one-row :func:`period_tensor_per_cell`.
+
+    Each unique cell's weight sums ``load + parasitic`` of its stages
+    from :meth:`RingOscillator.stages`, from zero in stage order; the
+    period sums ``weight * curve`` over the cells in first-appearance
+    order, from zero, each curve from two
+    :func:`effective_saturation_current` calls of its own.  Takes any
+    temperature grid that broadcasts against the ring's ``(samples, 1)``
+    columns.
+    """
+    temps = np.asarray(temperatures_c, dtype=float)
+    cells, weights = {}, {}
+    for stage in ring.stages():
+        name = stage.cell.name
+        cells.setdefault(name, stage.cell)
+        total_load = stage.load_f + stage.cell.output_parasitic_capacitance()
+        weights[name] = weights.get(name, 0.0) + total_load
+    total = 0.0
+    for name, cell in cells.items():
+        total = total + weights[name] * _delay_per_farad(cell, temps)
+    return total
 
 
 def period_tensor_loop(bank, temperatures_c, technologies=None) -> np.ndarray:

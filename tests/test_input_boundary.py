@@ -29,7 +29,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import CMOS035, Axis, ReproInputError, Sweep, sample_technology_array
-from repro.serve import start_server_thread
+from repro.engine import SweepError
+from repro.serve import server, start_server_thread
 from repro.serve.protocol import E_BAD_SPEC, E_TECH_MISMATCH, E_VERSION
 from repro.serve.spec import canonical_spec
 
@@ -204,3 +205,59 @@ def test_from_dict_names_the_field_by_its_path(make, path, value, field):
     with pytest.raises(ReproInputError) as caught:
         Sweep.from_dict(_mutated(make(), path, value))
     assert caught.value.field == field
+
+
+@pytest.mark.parametrize(
+    "make, path, value, field",
+    [
+        (_configuration_spec, ("base", "tap_stage"), 99, "base.tap_stage"),
+        (_width_ratio_spec, ("base", "tap_stage"), 99, "base.tap_stage"),
+        (_configuration_spec, ("base", "tap_stage"), "x", "base.tap_stage"),
+        (_width_ratio_spec, ("axes", 0, "stage_count"), 2, "axes[0].stage_count"),
+    ],
+)
+def test_canonical_spec_names_the_field_by_its_path(make, path, value, field):
+    # A tap stage past the ring's last stage passes Sweep.from_dict and
+    # is refused only when planning builds the rings.
+    with pytest.raises(ReproInputError) as caught:
+        canonical_spec(_mutated(make(), path, value))
+    assert caught.value.field == field
+
+
+# --------------------------------------------------------------------------- #
+# the sweep service's own arguments
+# --------------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize(
+    "argument, value",
+    [("workers", 2.7), ("workers", 0), ("port", 70000), ("port", -1), ("port", "7753")],
+)
+def test_sweep_server_checks_its_arguments(argument, value):
+    with pytest.raises(SweepError) as caught:
+        server.SweepServer(**{argument: value})
+    assert caught.value.field == argument
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--workers", "0"),
+        ("--workers", "2.7"),
+        ("--queue-depth", "-1"),
+        ("--batch-window-ms", "nan"),
+        ("--port", "70000"),
+        ("--cache-bytes", "x"),
+    ],
+)
+def test_serve_flag_is_a_usage_error(monkeypatch, capsys, flag, value):
+    def accepted(**settings):
+        raise AssertionError(f"{flag} {value} reached the server: {settings}")
+
+    monkeypatch.setattr(server, "SweepServer", accepted)
+    with pytest.raises(SystemExit) as caught:
+        server.main([flag, value])
+    assert caught.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: repro-serve")
+    assert f"error: argument {flag}: " in err

@@ -85,6 +85,12 @@ INVARIANTS = [
         (),
     ),
     (
+        "One ring-period kernel",
+        r"_PeriodPlan|_period_plan|def stage_delay_sum",
+        ("src/repro",),
+        (),
+    ),
+    (
         "One reader of the environment",
         r"os\.environ",
         ("src/repro",),

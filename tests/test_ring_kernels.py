@@ -1,21 +1,27 @@
-"""The ring-period kernels: one drive-current evaluation per distinct network.
+"""The ring-period kernel: a ring is a one-row configuration bank.
 
-:meth:`RingOscillator.period_series` (through the ring's period plan,
-which deduplicates the stage networks and folds the stage loads once)
-and :meth:`ConfigurationBank.period_tensor` evaluate the drive networks
-of every stage (or every unique cell) in one current evaluation per
-technology.  These tests pin that batching from three sides:
+:meth:`ConfigurationBank.period_tensor` and
+:meth:`RingOscillator.period_series` (and :meth:`RingOscillator.period`,
+which is ``period_series`` at one point) compute ``sum_u W_u * K_u``
+over unique cells: one delay-per-farad curve per cell, from one
+current evaluation per technology, against the cell's summed stage
+loads.  These tests pin that kernel from four sides:
 
-* bitwise — every array both kernels return equals the per-stage and
-  per-cell loops in ``tests/oracles.py``, which evaluate a current for
-  every transition they need, and the ring's equals the per-stage
-  ``delays_from_currents`` sum (hypothesis over rings, loads, taps and
-  a stacked population);
-* by call count — the device parameters are evaluated once per
-  polarity, and the alpha-power current once per distinct network;
+* bitwise — the bank equals ``period_tensor_per_cell`` and the ring
+  equals ``period_series_per_cell`` and a one-row bank (hypothesis over
+  rings, loads, taps and a stacked population); the per-stage and
+  per-configuration loops in ``tests/oracles.py`` and the per-stage
+  ``delays_from_currents`` sum agree to 1e-9 relative;
+* by count — the device parameters are evaluated once per polarity, the
+  alpha-power current once per distinct network, and a long ring reads
+  each unique cell's drive keys and capacitances once, on its first
+  call only;
 * at the boundary — a temperature whose drive current is zero or not
   finite raises the same ``TechnologyError`` from both kernels and from
-  ``Sweep``, instead of returning ``inf`` or ``NaN``.
+  ``Sweep``, instead of returning ``inf`` or ``NaN``;
+* on bad loads — a negative stage load raises ``CellError`` and a
+  non-positive total load ``TechnologyError``, as the per-stage path
+  does.
 """
 
 import numpy as np
@@ -24,12 +30,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import period_series_stage_loop, period_tensor_loop, period_tensor_per_cell
+from oracles import (
+    period_series_per_cell,
+    period_series_stage_loop,
+    period_tensor_loop,
+    period_tensor_per_cell,
+)
 from repro.cells import CellLibrary, StandardCell, default_library
+from repro.cells.cell import CellError
 from repro.cells.factories import inverter
 from repro.delay import alpha_power
 from repro.engine import Axis, Sweep, SweepError
-from repro.fields import ReproInputError
 from repro.optimize.sizing import PAPER_FIG2_RATIOS
 from repro.oscillator import (
     PAPER_FIG3_CONFIGURATIONS,
@@ -163,44 +174,59 @@ class TestBankMatchesPerCellLoop:
         assert np.max(np.abs(tensor - looped) / looped) <= 1e-9
 
 
+def assert_ring_kernel(ring, temps, stage_loop=period_series_stage_loop):
+    """Bitwise the one-row per-cell oracle, within 1e-9 of a per-stage loop."""
+    periods = ring.period_series(temps)
+    assert np.array_equal(periods, period_series_per_cell(ring, temps))
+    looped = stage_loop(ring, temps)
+    assert periods.shape == looped.shape
+    assert np.max(np.abs(periods - looped) / looped) <= 1e-9
+    return periods
+
+
 class TestRingMatchesPerStageLoop:
+    """period_series is bitwise the one-row per-cell contraction and
+    within 1e-9 of the per-stage loop."""
+
     def test_one_dimensional_grid(self, library):
-        ring = RingOscillator(library, DTM_RING)
-        assert np.array_equal(ring.period_series(GRID), period_series_stage_loop(ring, GRID))
+        assert_ring_kernel(RingOscillator(library, DTM_RING), GRID)
 
     def test_sensor_bank_population_layout(self, library, population):
         # SensorBank.period_tensor: (site, 1, 1) temperatures against the
         # population's (sample, 1) parameter columns.
         ring = RingOscillator(library, DTM_RING).rebind(population)
-        temps = SITES.reshape(-1, 1, 1)
-        periods = ring.period_series(temps)
+        periods = assert_ring_kernel(ring, SITES.reshape(-1, 1, 1))
         assert periods.shape == (SITES.size, 200, 1)
-        assert np.array_equal(periods, period_series_stage_loop(ring, temps))
 
     def test_run_bank_policy_site_layout(self, library):
         ring = RingOscillator(library, DTM_RING)
         temps = np.stack([SITES + offset for offset in (0.0, 3.5, 7.0, 10.5)])
-        periods = ring.period_series(temps)
-        assert periods.shape == (4, SITES.size)
-        assert np.array_equal(periods, period_series_stage_loop(ring, temps))
+        assert assert_ring_kernel(ring, temps).shape == (4, SITES.size)
 
     def test_cells_differing_only_in_width(self, sized_library):
         for configuration in _sized_configurations(sized_library).values():
-            ring = RingOscillator(sized_library, configuration)
-            assert np.array_equal(
-                ring.period_series(GRID), period_series_stage_loop(ring, GRID)
-            )
+            assert_ring_kernel(RingOscillator(sized_library, configuration), GRID)
 
     def test_cells_in_their_own_technology(self, mixed_supply_library):
         ring = RingOscillator(mixed_supply_library, MIXED_SUPPLY_RING)
-        series = ring.period_series(GRID)
-        assert np.array_equal(series, period_series_stage_loop(ring, GRID))
-        scalar = np.array([ring.period(t) for t in GRID])
-        assert np.max(np.abs(series - scalar) / scalar) <= 1e-12
+        series = assert_ring_kernel(ring, GRID)
+        assert np.array_equal(series, [ring.period(t) for t in GRID])
+
+    @pytest.mark.parametrize("tap_stage", [None, 0, 2])
+    def test_one_row_of_the_bank(self, library, population, tap_stage):
+        loads = dict(wire_length_um=7.5, external_load_f=12e-15, tap_stage=tap_stage)
+        for configuration in PAPER_FIG3_CONFIGURATIONS.values():
+            ring = RingOscillator(library, configuration, **loads)
+            bank = ConfigurationBank(library, [configuration], **loads)
+            assert np.array_equal(ring.period_series(GRID), bank.period_tensor(GRID)[0])
+            assert np.array_equal(
+                ring.rebind(population).period_series(GRID),
+                bank.period_tensor(GRID, technologies=population)[0],
+            )
 
 
 # --------------------------------------------------------------------------- #
-# the ring's period plan against the per-stage delay sum
+# the ring kernel against the per-cell oracle and the per-stage delay sum
 # --------------------------------------------------------------------------- #
 
 #: The library's inverting single-stage cells (every cell but the buffers).
@@ -212,14 +238,14 @@ RING_CELLS = [
 def stage_delay_sum_loop(ring, temperatures_c):
     """``ring.period_series`` as the per-stage ``delays_from_currents`` sum.
 
-    :meth:`StandardCell.stage_delay_sum` evaluates the stage's two
-    currents and hands them to ``delays_from_currents`` at the stage
-    load, which re-derives the load terms on every call.
+    :meth:`StandardCell.delays` evaluates the stage's two currents and
+    hands them to ``delays_from_currents`` at the stage load, which
+    checks the load and re-derives the load terms on every call.
     """
     temps = np.asarray(temperatures_c, dtype=float)
     total = np.zeros(temps.shape)
     for stage in ring.stages():
-        total = total + stage.cell.stage_delay_sum(temps, stage.load_f)
+        total = total + stage.cell.delays(temps, stage.load_f).pair_sum
     return total
 
 
@@ -238,13 +264,17 @@ temperature_grids = arrays(
 
 
 class TestPeriodPlan:
-    """period_series (the ring's period plan) is bitwise the per-stage sum."""
+    """The ring's period plan (its unique cells, drive keys and load
+    weights, worked out once) against both oracles, over random rings."""
 
     @given(stages=plain_rings(), temps=temperature_grids)
     @settings(max_examples=60, deadline=None)
     def test_plain_ring(self, library, stages, temps):
-        ring = RingOscillator(library, RingConfiguration(tuple(stages)))
-        assert np.array_equal(ring.period_series(temps), stage_delay_sum_loop(ring, temps))
+        assert_ring_kernel(
+            RingOscillator(library, RingConfiguration(tuple(stages))),
+            temps,
+            stage_delay_sum_loop,
+        )
 
     @given(
         stages=plain_rings(),
@@ -267,7 +297,7 @@ class TestPeriodPlan:
             external_load_f=external_load_f,
             tap_stage=tap_stage,
         )
-        assert np.array_equal(ring.period_series(temps), stage_delay_sum_loop(ring, temps))
+        assert_ring_kernel(ring, temps, stage_delay_sum_loop)
 
     @given(stages=plain_rings(), temps=temperature_grids)
     @settings(max_examples=30, deadline=None)
@@ -276,34 +306,32 @@ class TestPeriodPlan:
             library, RingConfiguration(tuple(stages)), external_load_f=5e-15
         ).rebind(small_population)
         site_major = temps.reshape(-1, 1, 1)
-        periods = ring.period_series(site_major)
+        periods = assert_ring_kernel(ring, site_major, stage_delay_sum_loop)
         assert periods.shape == (temps.size, len(small_population), 1)
-        assert np.array_equal(periods, stage_delay_sum_loop(ring, site_major))
-
-    def test_repeated_calls_reuse_the_plan(self, library):
-        ring = RingOscillator(library, DTM_RING)
-        first = ring.period_series(SITES)
-        plan = ring._period_plan()
-        assert np.array_equal(ring.period_series(SITES), first)
-        assert ring._period_plan() is plan
 
     @pytest.mark.parametrize(
-        "patched, value",
+        "patched, value, error",
         [
-            ("stage_loads", lambda self, input_f, technology: [-1e-15] * self.stage_count),
-            ("output_parasitic_capacitance", lambda self: -1.0),
+            (
+                "stage_loads",
+                lambda self, cell_index, input_f, technology: np.full(
+                    len(cell_index), -1e-15
+                ),
+                CellError,
+            ),
+            ("output_parasitic_capacitance", lambda self: -1.0, TechnologyError),
         ],
         ids=["negative-load", "non-positive-total-load"],
     )
     def test_bad_load_raises_as_the_per_stage_path(
-        self, library, monkeypatch, patched, value
+        self, library, monkeypatch, patched, value, error
     ):
         owner = RingOscillator if patched == "stage_loads" else StandardCell
         monkeypatch.setattr(owner, patched, value)
         ring = RingOscillator(library, DTM_RING)
-        with pytest.raises(ReproInputError) as per_stage:
+        with pytest.raises(error):
             stage_delay_sum_loop(ring, SITES)
-        with pytest.raises(type(per_stage.value)):
+        with pytest.raises(error):
             ring.period_series(SITES)
 
 
@@ -332,7 +360,39 @@ def counts(monkeypatch):
     return tally
 
 
+@pytest.fixture
+def cell_reads(monkeypatch):
+    """Record, per method, the cells whose drive keys or capacitances are read."""
+    tally = {}
+    for name in ("drive_keys", "input_capacitance", "output_parasitic_capacitance"):
+        calls = tally[name] = []
+
+        def counted(self, _method=getattr(StandardCell, name), _calls=calls):
+            _calls.append(self.name)
+            return _method(self)
+
+        monkeypatch.setattr(StandardCell, name, counted)
+    return tally
+
+
 class TestEvaluationCounts:
+    def test_long_ring_reads_each_unique_cell_once(self, library, counts, cell_reads):
+        ring = RingOscillator(library, RingConfiguration(("INV", "NAND2") * 5000 + ("INV",)))
+        assert ring.stage_count == 10001
+        first = ring.period_series(SITES)
+        unique = sorted(library.get(name).name for name in ("INV", "NAND2"))
+        assert {method: sorted(cells) for method, cells in cell_reads.items()} == {
+            method: unique for method in cell_reads
+        }
+        assert counts["device_at"] <= 2
+        assert counts["alpha_power"] == len(
+            _distinct_networks([library.get("INV"), library.get("NAND2")])
+        )
+        for cells in cell_reads.values():
+            cells.clear()
+        assert np.array_equal(ring.period_series(SITES), first)
+        assert not any(cell_reads.values())
+
     def test_fig3_period_tensor(self, library, counts):
         bank = ConfigurationBank(library, PAPER_FIG3_CONFIGURATIONS)
         cells = list({c.name: c for ring in bank.rings() for c in ring.cells()}.values())
