@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..engine.executors import EXECUTOR_ENV, TILE_ELEMENTS_ENV, WORKERS_ENV
+from ..fields import flag, integer
 from ..tech.libraries import CMOS035, get_technology
 from ..tech.parameters import Technology
 from .baseline_comparison import run_baseline_comparison
@@ -199,13 +200,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--workers",
-        type=int,
+        type=flag(integer, "workers", at_least=1),
         default=None,
         help="worker count of the process backend (default: cpu count)",
     )
     parser.add_argument(
         "--tile-elements",
-        type=int,
+        type=flag(integer, "tile_elements", at_least=1),
         default=None,
         help="per-tile element budget for tiled backends "
         "(default: 2**20 elements, an 8 MiB tile)",

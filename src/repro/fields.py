@@ -9,6 +9,8 @@ that is finite and inside its bounds (``above``/``below`` open,
 in 64 bits.  :func:`real_array` checks a whole ``(S, 1)`` population
 column or coordinate grid in one numpy pass.  A refusal raises the
 caller's error class with the message ``"{field} must be …, got …"``.
+:func:`flag` turns a check into an ``argparse`` ``type=``, so a command
+line flag is checked by the same rule as the argument it sets.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["ReproInputError", "integer", "real", "real_array"]
+__all__ = ["ReproInputError", "flag", "integer", "real", "real_array"]
 
 
 class ReproInputError(ValueError):
@@ -124,3 +126,20 @@ def real_array(values, field: str, error=ReproInputError, *, above=None,
         bad = array[~ok].reshape(-1)[0].item()
         _refuse(error, field, bad, False, above, at_least, below, at_most)
     return array
+
+
+def flag(check, field: str, **bounds):
+    """An argparse ``type=``: ``check`` (:func:`integer` or :func:`real`)
+    with the bounds of the argument ``field``, so a bad value is a usage
+    error naming the flag (exit 2), not a traceback.
+    """
+    import argparse  # only command lines build flags
+
+    def parse(text: str):
+        try:
+            number = int(text) if text.lstrip("+-").isdigit() else float(text)
+            return check(number, field, **bounds)
+        except ValueError as error:  # not a number, or the check refused it
+            raise argparse.ArgumentTypeError(str(error)) from None
+
+    return parse

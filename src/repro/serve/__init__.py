@@ -32,9 +32,8 @@ coalescing (:mod:`repro.serve.batcher`)
     elementwise in temperature.
 
 parallel evaluation (the scheduler in :mod:`repro.serve.server`)
-    A bounded priority queue (optional per-request ``priority`` /
-    ``deadline_ms`` fields, ``busy`` backpressure when full) feeding
-    ``--workers`` concurrent evaluation slots over one
+    A bounded first-in, first-out queue (``busy`` backpressure when
+    full) feeding ``--workers`` concurrent evaluation slots over one
     shared process pool, so distinct concurrent sweeps genuinely
     occupy multiple cores.
 

@@ -13,8 +13,8 @@ request is evaluated alone.
 The batcher converts concurrency into that almost-free axis.  The
 first request for a base spec (the canonical spec *minus* its
 temperature axis) opens a batch and starts a short window; every
-compatible request arriving inside the window joins it; at the
-deadline the batch evaluates **once**, with the union of all the
+compatible request arriving inside the window joins it; when the
+window closes the batch evaluates **once**, with the union of all the
 collected temperature grids stacked onto one shared, sorted,
 duplicate-free ``temperature`` axis, and each request is answered with
 its own slice of the shared result
@@ -31,10 +31,7 @@ explicit temperature axis, whose grid is the engine's to choose.)
 
 Batches are keyed on the *base* spec's canonical hash, so only
 genuinely compatible requests coalesce — a point query and a full
-sweep over the same base land in the same batch.  Scheduling metadata
-rides along: a batch evaluates at the highest member priority, and
-with the most lenient member deadline (none at all if any member has
-none), so coalescing can only ever improve a neighbour's service.
+sweep over the same base land in the same batch.
 """
 
 from __future__ import annotations
@@ -55,19 +52,11 @@ DEFAULT_BATCH_WINDOW_MS = 5.0
 class _Member:
     """One coalesced request: its temperature grid and its future."""
 
-    __slots__ = ("temperatures", "future", "priority", "deadline")
+    __slots__ = ("temperatures", "future")
 
-    def __init__(
-        self,
-        temperatures: Tuple[float, ...],
-        future: asyncio.Future,
-        priority: int,
-        deadline: Optional[float],
-    ) -> None:
+    def __init__(self, temperatures: Tuple[float, ...], future: asyncio.Future) -> None:
         self.temperatures = temperatures
         self.future = future
-        self.priority = priority
-        self.deadline = deadline
 
 
 class _Batch:
@@ -84,10 +73,9 @@ class _Batch:
 class MicroBatcher:
     """Coalesce concurrent temperature-split requests per base spec.
 
-    ``evaluate`` is the async evaluation hook: it receives a serialized
-    sweep payload (the base spec with the batch's union temperature
-    axis appended) plus the batch's aggregated ``priority`` and
-    ``deadline`` keywords, and returns the evaluated
+    ``evaluate(payload)`` is the async evaluation hook: it receives a
+    serialized sweep payload (the base spec with the batch's union
+    temperature axis appended) and returns the evaluated
     :class:`~repro.engine.sweep.SweepResult`.  The server passes its
     scheduler-routed, counted evaluator, so batch evaluations share
     the same worker pool, queue and evaluation counter as everything
@@ -96,7 +84,7 @@ class MicroBatcher:
 
     def __init__(
         self,
-        evaluate: Callable[..., Awaitable[SweepResult]],
+        evaluate: Callable[[Mapping[str, Any]], Awaitable[SweepResult]],
         window_ms: float = DEFAULT_BATCH_WINDOW_MS,
     ) -> None:
         # A NaN or infinite window never flushes: every member would hang.
@@ -115,8 +103,6 @@ class MicroBatcher:
         base_key: str,
         spec: Mapping[str, Any],
         temperatures: Sequence[float],
-        priority: int = 0,
-        deadline: Optional[float] = None,
     ) -> SweepResult:
         """Queue one request; resolves to its slice of the batch result.
 
@@ -140,7 +126,7 @@ class MicroBatcher:
             flush_at = loop.time() + self.window_ms / 1000.0
             batch.timer = loop.create_task(self._flush_later(base_key, flush_at))
         grid = tuple(float(t) for t in temperatures)
-        batch.members.append(_Member(grid, future, int(priority), deadline))
+        batch.members.append(_Member(grid, future))
         if len(grid) == 1:
             self.batched_points += 1
         else:
@@ -163,13 +149,10 @@ class MicroBatcher:
         payload["axes"] = list(payload.get("axes", ())) + [
             {"name": "temperature", "coordinates": union}
         ]
-        priority = max(member.priority for member in batch.members)
-        deadlines = [member.deadline for member in batch.members]
-        deadline = None if any(d is None for d in deadlines) else max(deadlines)
         self.batches += 1
         self.largest_batch = max(self.largest_batch, len(batch.members))
         try:
-            result = await self._evaluate(payload, priority=priority, deadline=deadline)
+            result = await self._evaluate(payload)
         except Exception as error:  # noqa: BLE001 - forwarded per request
             for member in batch.members:
                 if not member.future.done():

@@ -33,9 +33,13 @@ import time
 from typing import Any, Dict, Mapping, Optional, Union
 
 from ..engine.sweep import Sweep, SweepError, SweepResult
-from ..fields import integer, real
 
 __all__ = ["ServeClient", "ServeError"]
+
+#: Failed connection attempts retried before ``ServeError("transport")``.
+CONNECT_RETRIES = 3
+#: The first retry's backoff; each later retry waits twice as long.
+RETRY_BACKOFF_S = 0.05
 
 
 class ServeError(RuntimeError):
@@ -57,8 +61,8 @@ class ServeError(RuntimeError):
 class ServeClient:
     """One blocking connection to a :class:`~repro.serve.server.SweepServer`.
 
-    ``connect_retries`` failed connection attempts are retried with
-    exponential backoff starting at ``retry_backoff_s`` (so a client
+    :data:`CONNECT_RETRIES` failed connection attempts are retried with
+    exponential backoff starting at :data:`RETRY_BACKOFF_S` (so a client
     racing a server's startup, or a server mid-restart, connects as
     soon as the socket binds); exhaustion raises a structured
     ``ServeError("transport", ...)`` instead of a raw
@@ -66,20 +70,11 @@ class ServeClient:
     """
 
     def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 7753,
-        timeout: float = 60.0,
-        connect_retries: int = 3,
-        retry_backoff_s: float = 0.05,
+        self, host: str = "127.0.0.1", port: int = 7753, timeout: float = 60.0
     ) -> None:
-        connect_retries = integer(connect_retries, "connect_retries", SweepError, at_least=0)
-        retry_backoff_s = real(retry_backoff_s, "retry_backoff_s", SweepError, at_least=0.0)
         self._host = host
         self._port = int(port)
         self._timeout = float(timeout)
-        self._connect_retries = int(connect_retries)
-        self._retry_backoff_s = float(retry_backoff_s)
         self._sock: Optional[socket.socket] = None
         self._file = None
         self._connect()
@@ -91,8 +86,8 @@ class ServeClient:
     def _connect(self) -> None:
         """(Re)open the connection, with bounded exponential backoff."""
         self._teardown()
-        backoff = self._retry_backoff_s
-        attempts = self._connect_retries + 1
+        backoff = RETRY_BACKOFF_S
+        attempts = CONNECT_RETRIES + 1
         for attempt in range(attempts):
             try:
                 self._sock = socket.create_connection(
@@ -187,64 +182,29 @@ class ServeClient:
     def stats(self) -> Dict[str, Any]:
         return self._request({"op": "stats"})["stats"]
 
-    def sweep_payload(
-        self,
-        spec: Union[Sweep, Mapping[str, Any]],
-        priority: Optional[int] = None,
-        deadline_ms: Optional[float] = None,
-    ) -> Dict[str, Any]:
+    def sweep_payload(self, spec: Union[Sweep, Mapping[str, Any]]) -> Dict[str, Any]:
         """The served result payload (``SweepResult.to_dict`` form)."""
-        message: Dict[str, Any] = {"op": "sweep", "spec": _spec_payload(spec)}
-        if priority is not None:
-            message["priority"] = int(priority)
-        if deadline_ms is not None:
-            message["deadline_ms"] = float(deadline_ms)
-        response = self._request(message)
-        return response["result"]
+        return self._request({"op": "sweep", "spec": _spec_payload(spec)})["result"]
 
-    def sweep(
-        self,
-        spec: Union[Sweep, Mapping[str, Any]],
-        priority: Optional[int] = None,
-        deadline_ms: Optional[float] = None,
-    ) -> SweepResult:
+    def sweep(self, spec: Union[Sweep, Mapping[str, Any]]) -> SweepResult:
         """Evaluate a full sweep remotely; returns the re-hydrated result."""
-        return SweepResult.from_dict(
-            self.sweep_payload(spec, priority=priority, deadline_ms=deadline_ms)
-        )
+        return SweepResult.from_dict(self.sweep_payload(spec))
 
     def point_payload(
-        self,
-        spec: Union[Sweep, Mapping[str, Any]],
-        temperature_c: float,
-        priority: Optional[int] = None,
-        deadline_ms: Optional[float] = None,
+        self, spec: Union[Sweep, Mapping[str, Any]], temperature_c: float
     ) -> Dict[str, Any]:
-        message: Dict[str, Any] = {
+        message = {
             "op": "point",
             "spec": _spec_payload(spec),
             "temperature_c": float(temperature_c),
         }
-        if priority is not None:
-            message["priority"] = int(priority)
-        if deadline_ms is not None:
-            message["deadline_ms"] = float(deadline_ms)
-        response = self._request(message)
-        return response["result"]
+        return self._request(message)["result"]
 
     def point(
-        self,
-        spec: Union[Sweep, Mapping[str, Any]],
-        temperature_c: float,
-        priority: Optional[int] = None,
-        deadline_ms: Optional[float] = None,
+        self, spec: Union[Sweep, Mapping[str, Any]], temperature_c: float
     ) -> SweepResult:
         """One micro-batchable point query (base spec + one temperature)."""
-        return SweepResult.from_dict(
-            self.point_payload(
-                spec, temperature_c, priority=priority, deadline_ms=deadline_ms
-            )
-        )
+        return SweepResult.from_dict(self.point_payload(spec, temperature_c))
 
     def shutdown(self) -> None:
         """Stop the server cleanly (the connection closes afterwards).

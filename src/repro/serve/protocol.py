@@ -31,32 +31,16 @@ Operations
 ``shutdown``
     Acknowledge, then stop the server cleanly.
 
-Scheduling fields
------------------
+A request carries only the fields in :data:`REQUEST_FIELDS`: ``op``,
+the optional ``id``, and the ``spec`` / ``temperature_c`` its op reads.
+Any other field is refused with ``bad-request`` naming it, so a field
+the server does not read is never silently ignored.
 
-``sweep`` and ``point`` requests accept two optional fields, both
-defaulting to today's behavior (no field, no change):
-
-``priority`` (integer, default ``0``)
-    Higher-priority requests are evaluated first when the server's
-    bounded evaluation queue holds more work than its workers can run
-    at once.  Equal priorities evaluate in arrival order.  Requests
-    that coalesce into one batch evaluate at the *highest* priority of
-    any member.
-``deadline_ms`` (positive number, optional)
-    A relative time budget, measured from the moment the server reads
-    the request.  A request still *queued* when its budget expires is
-    failed with the ``deadline-expired`` error code **without being
-    evaluated**; an evaluation already running is never aborted.
-    Coalesced batches use the most lenient member deadline (and none
-    at all if any member has none), so joining a batch can only relax
-    a deadline, never tighten a neighbour's.
-
-Backpressure: when the evaluation queue is full, new ``sweep`` /
-``point`` requests fail immediately with the ``busy`` error code
-instead of growing server memory without bound.  While the server is
-shutting down, pending and newly-arriving evaluations fail with
-``shutting-down``.
+Evaluations run in arrival order.  When the bounded evaluation queue
+is full, new ``sweep`` / ``point`` requests fail immediately with the
+``busy`` error code instead of growing server memory without bound.
+While the server is shutting down, pending and newly-arriving
+evaluations fail with ``shutting-down``.
 
 Technology identity
 -------------------
@@ -85,7 +69,6 @@ __all__ = [
     "E_BAD_REQUEST",
     "E_BAD_SPEC",
     "E_BUSY",
-    "E_DEADLINE",
     "E_INTERNAL",
     "E_SHUTTING_DOWN",
     "E_TECH_MISMATCH",
@@ -93,6 +76,7 @@ __all__ = [
     "E_VERSION",
     "MAX_LINE_BYTES",
     "OPS",
+    "REQUEST_FIELDS",
     "decode_line",
     "encode_line",
     "error_envelope",
@@ -107,6 +91,9 @@ MAX_LINE_BYTES = 64 << 20
 
 OPS = ("ping", "sweep", "point", "stats", "shutdown")
 
+#: Every field a request may carry; any other is ``bad-request``.
+REQUEST_FIELDS = ("op", "id", "spec", "temperature_c")
+
 # Stable error codes (API — dispatch on these, not on messages).
 E_BAD_JSON = "bad-json"  #: the request line was not valid JSON
 E_BAD_REQUEST = "bad-request"  #: valid JSON but not a valid request envelope
@@ -116,7 +103,6 @@ E_VERSION = "version-mismatch"  #: the spec's schema version is not ours
 E_TECH_MISMATCH = "tech-mismatch"  #: a technology digest disagrees with the server's registry
 E_INTERNAL = "internal"  #: a fault of the server itself, never bad input
 E_BUSY = "busy"  #: the bounded evaluation queue is full; retry later
-E_DEADLINE = "deadline-expired"  #: the request's deadline passed while queued
 E_SHUTTING_DOWN = "shutting-down"  #: the server is draining; request not evaluated
 
 

@@ -10,15 +10,13 @@ a byte-bounded memory LRU over an optional restart-surviving disk
 tier), and only on a miss handed to the evaluation scheduler.
 
 The scheduler is what makes the front end *parallel*: a bounded
-priority queue feeds ``workers`` concurrent evaluation slots, each
-running ``Sweep.from_dict(...).run()`` on a worker thread — and, with
-more than one worker, through a shared
+first-in, first-out queue feeds ``workers`` concurrent evaluation
+slots, each running ``Sweep.from_dict(...).run()`` on a worker thread
+— and, with more than one worker, through a shared
 :class:`~repro.engine.executors.ProcessExecutor` pool (one pickled
 sub-plan per tile), so concurrent distinct sweeps genuinely occupy
-multiple cores.  Requests carry optional
-``priority`` / ``deadline_ms`` fields; a full queue answers ``busy``
-instead of growing without bound, and a queued request whose deadline
-passes is failed with ``deadline-expired`` without being evaluated.
+multiple cores.  A full queue answers ``busy`` instead of growing
+without bound.
 
 A ``point`` is the one-coordinate sweep of its base spec and shares
 that sweep's cache entry.  Identical requests in flight at the same
@@ -39,7 +37,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import hashlib
-import itertools
 import json
 import threading
 from typing import Any, Dict, List, Mapping, Optional, Tuple
@@ -52,7 +49,7 @@ from ..engine.sweep import (
     TechnologyMismatchError,
     _ENDPOINT_OBSERVABLES,
 )
-from ..fields import ReproInputError, integer, real
+from ..fields import ReproInputError, flag, integer, real
 from .batcher import DEFAULT_BATCH_WINDOW_MS, MicroBatcher
 from .cache import (
     DEFAULT_CACHE_BYTES,
@@ -65,7 +62,6 @@ from .protocol import (
     E_BAD_REQUEST,
     E_BAD_SPEC,
     E_BUSY,
-    E_DEADLINE,
     E_INTERNAL,
     E_SHUTTING_DOWN,
     E_TECH_MISMATCH,
@@ -73,6 +69,7 @@ from .protocol import (
     E_VERSION,
     MAX_LINE_BYTES,
     OPS,
+    REQUEST_FIELDS,
     decode_line,
     encode_line,
     error_envelope,
@@ -129,50 +126,30 @@ def _shutting_down_error() -> _RequestError:
     )
 
 
-class _Job:
-    """One queued evaluation: payload, deadline and the waiting future."""
-
-    __slots__ = ("payload", "deadline", "future")
-
-    def __init__(
-        self,
-        payload: Mapping[str, Any],
-        deadline: Optional[float],
-        future: asyncio.Future,
-    ) -> None:
-        self.payload = payload
-        self.deadline = deadline
-        self.future = future
-
-
 class _EvalScheduler:
-    """A bounded priority queue feeding N concurrent evaluation slots.
+    """A bounded FIFO queue feeding N concurrent evaluation slots.
 
-    Jobs are ``(-priority, seq, job)`` heap entries: higher priorities
-    pop first, arrival order breaks ties.  ``submit`` fails fast with
-    ``busy`` when the queue is full (backpressure instead of unbounded
-    memory growth) and each worker checks a job's deadline *before*
-    evaluating — an expired job costs nothing but its queue slot.
+    Entries are ``(payload, future)`` pairs, evaluated in arrival
+    order.  ``submit`` fails fast with ``busy`` when the queue is full
+    (backpressure instead of unbounded memory growth).
     """
 
     def __init__(self, evaluate, workers: int, queue_depth: int) -> None:
         self._evaluate = evaluate
         self.workers = integer(workers, "workers", SweepError, at_least=1)
         self.queue_depth = integer(queue_depth, "queue_depth", SweepError, at_least=1)
-        self._queue: Optional[asyncio.PriorityQueue] = None
+        self._queue: Optional[asyncio.Queue] = None
         self._tasks: List[asyncio.Task] = []
-        self._seq = itertools.count()
         self._draining: Optional[_RequestError] = None
         # Counters, reported via the server's ``stats`` op.
         self.scheduled = 0
         self.completed = 0
         self.rejected_busy = 0
-        self.expired = 0
         self.peak_queued = 0
 
     def start(self) -> None:
         """Create the queue and spawn the worker tasks (on a running loop)."""
-        self._queue = asyncio.PriorityQueue(maxsize=self.queue_depth)
+        self._queue = asyncio.Queue(maxsize=self.queue_depth)
         self._tasks = [
             asyncio.get_running_loop().create_task(
                 self._worker(), name=f"repro-serve-eval-{index}"
@@ -180,20 +157,14 @@ class _EvalScheduler:
             for index in range(self.workers)
         ]
 
-    async def submit(
-        self,
-        payload: Mapping[str, Any],
-        priority: int = 0,
-        deadline: Optional[float] = None,
-    ) -> SweepResult:
+    async def submit(self, payload: Mapping[str, Any]) -> SweepResult:
         """Queue one evaluation; resolves to its result (or a scheduling error)."""
         if self._draining is not None:
             raise self._draining
         assert self._queue is not None, "scheduler used before start()"
         future: asyncio.Future = asyncio.get_running_loop().create_future()
-        job = _Job(payload, deadline, future)
         try:
-            self._queue.put_nowait((-int(priority), next(self._seq), job))
+            self._queue.put_nowait((payload, future))
         except asyncio.QueueFull:
             self.rejected_busy += 1
             raise _RequestError(
@@ -207,34 +178,23 @@ class _EvalScheduler:
 
     async def _worker(self) -> None:
         assert self._queue is not None
-        loop = asyncio.get_running_loop()
         while True:
-            _negative_priority, _seq, job = await self._queue.get()
-            if job.future.done():  # requester gone (cancelled connection)
-                continue
-            if job.deadline is not None and loop.time() >= job.deadline:
-                self.expired += 1
-                job.future.set_exception(
-                    _RequestError(
-                        E_DEADLINE,
-                        "the request's deadline passed while it was queued; "
-                        "it was not evaluated",
-                    )
-                )
+            payload, future = await self._queue.get()
+            if future.done():  # requester gone (cancelled connection)
                 continue
             try:
-                result = await self._evaluate(job.payload)
+                result = await self._evaluate(payload)
             except asyncio.CancelledError:
-                if not job.future.done():
-                    job.future.set_exception(_shutting_down_error())
+                if not future.done():
+                    future.set_exception(_shutting_down_error())
                 raise
             except Exception as error:  # noqa: BLE001 - forwarded per request
-                if not job.future.done():
-                    job.future.set_exception(error)
+                if not future.done():
+                    future.set_exception(error)
             else:
                 self.completed += 1
-                if not job.future.done():
-                    job.future.set_result(result)
+                if not future.done():
+                    future.set_result(result)
 
     def drain(self, error: _RequestError) -> None:
         """Refuse new work, fail queued jobs, cancel the worker slots."""
@@ -242,11 +202,11 @@ class _EvalScheduler:
         if self._queue is not None:
             while True:
                 try:
-                    _priority, _seq, job = self._queue.get_nowait()
+                    _payload, future = self._queue.get_nowait()
                 except asyncio.QueueEmpty:
                     break
-                if not job.future.done():
-                    job.future.set_exception(error)
+                if not future.done():
+                    future.set_exception(error)
         for task in self._tasks:
             task.cancel()
 
@@ -259,7 +219,6 @@ class _EvalScheduler:
             "scheduled": self.scheduled,
             "completed": self.completed,
             "rejected_busy": self.rejected_busy,
-            "expired": self.expired,
         }
 
 
@@ -287,6 +246,10 @@ class SweepServer:
         self.host = host
         self.port = integer(port, "port", SweepError, at_least=0, at_most=65535)
         self.workers = integer(workers, "workers", SweepError, at_least=1)
+        cache_bytes = integer(cache_bytes, "cache_bytes", SweepError, at_least=0)
+        disk_cache_bytes = integer(
+            disk_cache_bytes, "disk_cache_bytes", SweepError, at_least=0
+        )
         self.cache_dir = cache_dir
         disk = DiskCache(cache_dir, disk_cache_bytes) if cache_dir else None
         self.cache = ResultCache(cache_bytes, disk=disk)
@@ -387,11 +350,7 @@ class SweepServer:
         return await asyncio.to_thread(sweep.run, executor=self._executor)
 
     async def _sweep_payload(
-        self,
-        key: str,
-        canonical: Dict[str, Any],
-        priority: int = 0,
-        deadline: Optional[float] = None,
+        self, key: str, canonical: Dict[str, Any]
     ) -> Tuple[bytes, bool]:
         """The encoded result of a canonical sweep: cache, then engine.
 
@@ -424,13 +383,9 @@ class SweepServer:
         try:
             base, temperatures = split_temperature(canonical)
             if temperatures and canonical["observable"] not in _ENDPOINT_OBSERVABLES:
-                result = await self.batcher.submit(
-                    _key_of(base), base, temperatures, priority, deadline
-                )
+                result = await self.batcher.submit(_key_of(base), base, temperatures)
             else:
-                result = await self.scheduler.submit(
-                    canonical, priority=priority, deadline=deadline
-                )
+                result = await self.scheduler.submit(canonical)
             encoded = _encode_result(result.to_dict())
             self.cache.put(key, encoded, tech_digest)
             future.set_result(encoded)
@@ -503,6 +458,13 @@ class SweepServer:
                     f"request must be a JSON object, got {type(message).__name__}",
                 )
             request_id = message.get("id")
+            unknown = [field for field in message if field not in REQUEST_FIELDS]
+            if unknown:
+                raise _RequestError(
+                    E_BAD_REQUEST,
+                    f"unknown request field(s) {unknown}; a request carries "
+                    f"only {list(REQUEST_FIELDS)}",
+                )
             op = message.get("op")
             if not isinstance(op, str):
                 raise _RequestError(E_BAD_REQUEST, "request is missing its 'op' field")
@@ -573,29 +535,15 @@ class SweepServer:
             )
         return spec
 
-    def _scheduling_from(
-        self, message: Mapping[str, Any]
-    ) -> Tuple[int, Optional[float]]:
-        """Parse the optional ``priority`` / ``deadline_ms`` fields."""
-        priority = _request_field(integer, message.get("priority", 0), "priority")
-        deadline_ms = message.get("deadline_ms")
-        deadline: Optional[float] = None
-        if deadline_ms is not None:
-            deadline_ms = _request_field(real, deadline_ms, "deadline_ms", above=0.0)
-            deadline = asyncio.get_running_loop().time() + deadline_ms / 1000.0
-        return priority, deadline
-
     async def _handle_sweep(
         self,
         message: Mapping[str, Any],
         request_id: Optional[Any],
         writer: asyncio.StreamWriter,
     ) -> None:
-        spec = self._spec_from(message)
-        priority, deadline = self._scheduling_from(message)
-        canonical = canonical_spec(spec)
+        canonical = canonical_spec(self._spec_from(message))
         key = _key_of(canonical)
-        encoded, cached = await self._sweep_payload(key, canonical, priority, deadline)
+        encoded, cached = await self._sweep_payload(key, canonical)
         await self._respond_result(writer, "sweep", request_id, key, encoded, cached)
 
     async def _handle_point(
@@ -605,7 +553,6 @@ class SweepServer:
         writer: asyncio.StreamWriter,
     ) -> None:
         spec = self._spec_from(message)
-        priority, deadline = self._scheduling_from(message)
         temperature = _request_field(real, message.get("temperature_c"), "temperature_c")
         base = canonical_spec(spec)
         if any(axis.get("name") == "temperature" for axis in base["axes"]):
@@ -629,7 +576,7 @@ class SweepServer:
             {"name": "temperature", "coordinates": [float(temperature)]}
         ]
         key = _key_of(canonical)
-        encoded, cached = await self._sweep_payload(key, canonical, priority, deadline)
+        encoded, cached = await self._sweep_payload(key, canonical)
         await self._respond_result(writer, "point", request_id, key, encoded, cached)
 
     async def _respond_result(
@@ -785,22 +732,6 @@ def start_server_thread(**kwargs: Any) -> ServerHandle:
 # --------------------------------------------------------------------------- #
 
 
-def _flag(check, field: str, **bounds):
-    """An argparse ``type=``: ``check`` (:func:`repro.fields.integer` or
-    ``real``) with the bounds of :class:`SweepServer`'s ``field``, so a bad
-    value is a usage error naming the flag, not a :class:`SweepError`.
-    """
-
-    def parse(text: str):
-        try:
-            number = int(text) if text.lstrip("+-").isdigit() else float(text)
-            return check(number, field, **bounds)
-        except ValueError as error:  # not a number, or the check refused it
-            raise argparse.ArgumentTypeError(str(error)) from None
-
-    return parse
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """`repro-serve` / ``python -m repro.serve``: run a server until stopped."""
     parser = argparse.ArgumentParser(
@@ -817,13 +748,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--port",
-        type=_flag(integer, "port", at_least=0, at_most=65535),
+        type=flag(integer, "port", at_least=0, at_most=65535),
         default=DEFAULT_PORT,
         help="bind port, 0 for ephemeral (default %(default)s)",
     )
     parser.add_argument(
         "--workers",
-        type=_flag(integer, "workers", at_least=1),
+        type=flag(integer, "workers", at_least=1),
         default=DEFAULT_WORKERS,
         help=(
             "concurrent evaluation slots; above 1, evaluations route "
@@ -833,7 +764,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--queue-depth",
-        type=_flag(integer, "queue_depth", at_least=1),
+        type=flag(integer, "queue_depth", at_least=1),
         default=DEFAULT_QUEUE_DEPTH,
         help=(
             "bounded evaluation-queue depth — beyond it requests fail "
@@ -842,7 +773,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--cache-bytes",
-        type=_flag(integer, "cache_bytes", at_least=0),
+        type=flag(integer, "cache_bytes", at_least=0),
         default=DEFAULT_CACHE_BYTES,
         help="memory result-cache budget in payload bytes (default %(default)s)",
     )
@@ -857,13 +788,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--disk-cache-bytes",
-        type=_flag(integer, "disk_cache_bytes", at_least=0),
+        type=flag(integer, "disk_cache_bytes", at_least=0),
         default=DEFAULT_DISK_CACHE_BYTES,
         help="disk-tier byte budget, LRU-evicted via file mtime (default %(default)s)",
     )
     parser.add_argument(
         "--batch-window-ms",
-        type=_flag(real, "batch_window_ms", at_least=0.0),
+        type=flag(real, "batch_window_ms", at_least=0.0),
         default=DEFAULT_BATCH_WINDOW_MS,
         help=(
             "coalescing window for point queries and overlapping "

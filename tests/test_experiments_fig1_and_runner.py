@@ -91,6 +91,25 @@ class TestRunnerCli:
         assert "FIG99" in message
         assert "FIG2" in message  # the available ids are listed
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--workers", "0"), ("--tile-elements", "0"), ("--tile-elements", "-5")],
+    )
+    def test_bad_tiling_flag_is_a_usage_error(self, monkeypatch, capsys, flag, value):
+        from repro.engine.executors import TILE_ELEMENTS_ENV, WORKERS_ENV
+        from repro.experiments import runner
+
+        # Whatever main sets in the environment is undone afterwards.
+        monkeypatch.setenv(WORKERS_ENV, "1")
+        monkeypatch.setenv(TILE_ELEMENTS_ENV, "64")
+        monkeypatch.setattr(runner, "run_all", lambda *args, **kwargs: "not refused")
+        with pytest.raises(SystemExit) as excinfo:
+            main([flag, value, "--experiment", "FIG3"])
+        assert excinfo.value.code == 2
+        message = capsys.readouterr().err
+        assert message.startswith("usage: ")
+        assert f"error: argument {flag}: " in message
+
     def test_module_entry_point_runs_without_runtime_warning(self):
         # ``python -m repro.experiments.runner`` must not find the runner
         # already imported by the package __init__ (runpy then warns);

@@ -231,11 +231,21 @@ def test_canonical_spec_names_the_field_by_its_path(make, path, value, field):
 
 @pytest.mark.parametrize(
     "argument, value",
-    [("workers", 2.7), ("workers", 0), ("port", 70000), ("port", -1), ("port", "7753")],
+    [
+        ("workers", 2.7),
+        ("workers", 0),
+        ("port", 70000),
+        ("port", -1),
+        ("port", "7753"),
+        ("cache_bytes", 2.7),
+        ("disk_cache_bytes", -1),
+    ],
 )
-def test_sweep_server_checks_its_arguments(argument, value):
+def test_sweep_server_checks_its_arguments(tmp_path, argument, value):
+    # With a disk tier, so a cache budget is refused at the server's
+    # door under its own name, not as the cache's ``max_bytes``.
     with pytest.raises(SweepError) as caught:
-        server.SweepServer(**{argument: value})
+        server.SweepServer(cache_dir=str(tmp_path), **{argument: value})
     assert caught.value.field == argument
 
 

@@ -9,6 +9,10 @@ A third test is the consumer audit: every function, class and method
 the package defines must be used by the package itself, an example, the
 repository benchmark or the engine benchmarks.  What only the tests use
 belongs in the tests (``tests/oracles.py`` holds the references).
+
+A fourth test audits knobs the same way: every keyword parameter of the
+service's and the sweep's entry points must be set by something CI runs
+outside the tests, or be a deployment resource limit on ``KNOB_KEEP``.
 """
 
 from __future__ import annotations
@@ -87,6 +91,12 @@ INVARIANTS = [
     (
         "One ring-period kernel",
         r"_PeriodPlan|_period_plan|def stage_delay_sum",
+        ("src/repro",),
+        (),
+    ),
+    (
+        "One FIFO evaluation queue",
+        r"priority|deadline_ms|E_DEADLINE|deadline-expired|PriorityQueue",
         ("src/repro",),
         (),
     ),
@@ -189,3 +199,72 @@ def test_every_package_definition_has_a_consumer():
         if not outside and (path, qualname) not in CONSUMER_KEEP:
             unconsumed.append(f"{path}: {qualname}")
     assert not unconsumed, "defined but used only by the tests:\n" + "\n".join(unconsumed)
+
+
+#: The entry points whose keyword parameters are knobs, by defining file.
+KNOB_OWNERS = {
+    "src/repro/serve/server.py": ("SweepServer.__init__",),
+    "src/repro/serve/client.py": (
+        "ServeClient.__init__",
+        "ServeClient.sweep",
+        "ServeClient.sweep_payload",
+        "ServeClient.point",
+        "ServeClient.point_payload",
+    ),
+    "src/repro/engine/sweep.py": ("Sweep.run",),
+}
+
+#: Where a knob's consumer may live: what CI runs outside the tests.
+KNOB_CONSUMERS = ("examples", "perfbench", "benchmarks", "src/repro/serve/smoke.py")
+
+#: Knobs no consumer sets, kept on purpose, each with its reason.  Only
+#: deployment resource limits belong here: the right value depends on
+#: the host, not on anything a workload in this repository can show.
+KNOB_KEEP = {
+    ("SweepServer.__init__", "queue_depth"): "the admission bound: requests past it are busy",
+    ("SweepServer.__init__", "cache_bytes"): "the memory budget of the result cache",
+    ("SweepServer.__init__", "disk_cache_bytes"): "the disk budget of the result cache",
+}
+
+
+def _knobs():
+    """``(owner, parameter)`` for every parameter with a default or keyword-only."""
+    knobs = []
+    for path, owners in KNOB_OWNERS.items():
+        found = dict(_definitions(ast.parse((ROOT / path).read_text()).body))
+        for owner in owners:
+            args = found[owner].args
+            with_default = args.args[len(args.args) - len(args.defaults):]
+            knobs += [(owner, arg.arg) for arg in with_default + args.kwonlyargs]
+    return knobs
+
+
+def _names_set_by_consumers():
+    """Every call keyword and string dict key in the knob consumers."""
+    names = set()
+    for root in KNOB_CONSUMERS:
+        path = ROOT / root
+        for source in sorted(path.rglob("*.py")) if path.is_dir() else [path]:
+            for node in ast.walk(ast.parse(source.read_text())):
+                if isinstance(node, ast.keyword) and node.arg is not None:
+                    names.add(node.arg)
+                elif isinstance(node, ast.Dict):
+                    names.update(
+                        key.value
+                        for key in node.keys
+                        if isinstance(key, ast.Constant) and isinstance(key.value, str)
+                    )
+    return names
+
+
+def test_every_knob_has_a_consumer():
+    knobs = _knobs()
+    stale = set(KNOB_KEEP) - set(knobs)
+    assert not stale, f"stale keep-list entries: {stale}"
+    used = _names_set_by_consumers()
+    unset = [
+        f"{owner}({name}=)"
+        for owner, name in knobs
+        if name not in used and (owner, name) not in KNOB_KEEP
+    ]
+    assert not unset, "knobs no example, benchmark or CI run sets:\n" + "\n".join(unset)

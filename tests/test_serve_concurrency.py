@@ -2,9 +2,11 @@
 
 The multi-worker serving PR's test surface:
 
-* the evaluation **scheduler**: priority ordering under a saturated
-  queue, deadline expiry *without* evaluation, ``busy`` backpressure
-  when the bounded queue is full, drain semantics;
+* the evaluation **scheduler**: first-in, first-out order under a
+  saturated queue, ``busy`` backpressure when the bounded queue is
+  full, drain semantics;
+* the **request envelope**: a field outside ``op``/``id``/``spec``/
+  ``temperature_c`` is ``bad-request`` naming it, never ignored;
 * **cross-worker single-flight**: identical concurrent sweeps share one
   evaluation even when several workers could have run them;
 * the **disk tier**: a killed-and-restarted server (and a second
@@ -19,8 +21,8 @@ The multi-worker serving PR's test surface:
 * **graceful shutdown**: requests pending in the batch window resolve
   with the structured ``shutting-down`` error instead of hanging;
 * **client transport**: a dead server surfaces as a structured
-  ``transport`` error after bounded retries, a silent server as
-  ``timeout``.
+  ``transport`` error after ``CONNECT_RETRIES`` backed-off retries, a
+  silent server as ``timeout``.
 """
 
 import asyncio
@@ -43,12 +45,8 @@ from repro.serve import (
     canonical_key,
     start_server_thread,
 )
-from repro.serve.protocol import (
-    E_BAD_REQUEST,
-    E_BUSY,
-    E_DEADLINE,
-    E_SHUTTING_DOWN,
-)
+from repro.serve.client import CONNECT_RETRIES, RETRY_BACKOFF_S
+from repro.serve.protocol import E_BAD_REQUEST, E_BUSY, E_SHUTTING_DOWN
 from repro.serve.server import SweepServer, _EvalScheduler, _RequestError
 from repro.tech import CMOS035, get_technology_digest, sample_technology_array
 
@@ -76,7 +74,7 @@ def base_spec(observable="period"):
 # --------------------------------------------------------------------------- #
 
 
-def test_scheduler_orders_by_priority_then_arrival():
+def test_scheduler_evaluates_in_arrival_order():
     completed = []
 
     async def scenario():
@@ -92,55 +90,18 @@ def test_scheduler_orders_by_priority_then_arrival():
         # The first job occupies the single worker...
         filler = asyncio.ensure_future(scheduler.submit({"tag": "filler"}))
         await asyncio.sleep(0.01)
-        # ...so these queue, and must pop highest-priority-first with
-        # arrival order breaking the tie.
-        jobs = [
-            asyncio.ensure_future(scheduler.submit({"tag": "low"}, priority=0)),
-            asyncio.ensure_future(scheduler.submit({"tag": "high"}, priority=5)),
-            asyncio.ensure_future(scheduler.submit({"tag": "high2"}, priority=5)),
-            asyncio.ensure_future(scheduler.submit({"tag": "mid"}, priority=3)),
-        ]
+        # ...so these queue, and must evaluate in the order they arrived.
+        jobs = []
+        for tag in "abcd":
+            jobs.append(asyncio.ensure_future(scheduler.submit({"tag": tag})))
+            await asyncio.sleep(0)  # each submit reaches the queue in turn
         await asyncio.sleep(0.01)
         gate.set()
         await asyncio.gather(filler, *jobs)
         scheduler.drain(_RequestError(E_SHUTTING_DOWN, "test over"))
 
     asyncio.run(scenario())
-    assert completed == ["filler", "high", "high2", "mid", "low"]
-
-
-def test_scheduler_expires_queued_deadline_without_evaluating():
-    evaluated = []
-
-    async def scenario():
-        gate = asyncio.Event()
-
-        async def evaluate(payload):
-            await gate.wait()
-            evaluated.append(payload["tag"])
-            return payload["tag"]
-
-        scheduler = _EvalScheduler(evaluate, workers=1, queue_depth=16)
-        scheduler.start()
-        filler = asyncio.ensure_future(scheduler.submit({"tag": "filler"}))
-        await asyncio.sleep(0.01)
-        doomed = asyncio.ensure_future(
-            scheduler.submit(
-                {"tag": "doomed"},
-                deadline=asyncio.get_running_loop().time() + 0.02,
-            )
-        )
-        await asyncio.sleep(0.05)  # the deadline passes while queued
-        gate.set()
-        await filler
-        with pytest.raises(_RequestError) as caught:
-            await doomed
-        assert caught.value.code == E_DEADLINE
-        assert scheduler.expired == 1
-        scheduler.drain(_RequestError(E_SHUTTING_DOWN, "test over"))
-
-    asyncio.run(scenario())
-    assert evaluated == ["filler"]  # the doomed job never ran
+    assert completed == ["filler", "a", "b", "c", "d"]
 
 
 def test_scheduler_rejects_beyond_queue_depth_with_busy():
@@ -194,71 +155,15 @@ def test_scheduler_drain_fails_queued_jobs_and_refuses_new_ones():
 # --------------------------------------------------------------------------- #
 
 
-def _slow_evaluator(handle, hold_s, order=None):
-    """Replace the server's evaluator with one that sleeps then records."""
+def _slow_evaluator(handle, hold_s):
+    """Replace the server's evaluator with one that sleeps first."""
     original = SweepServer._evaluate_payload
 
     async def slow(payload):
         await asyncio.sleep(hold_s)
-        if order is not None:
-            order.append(payload["observable"])
         return await original(handle.server, payload)
 
     handle.server._evaluate_payload = slow
-
-
-def test_priority_jumps_the_saturated_queue_end_to_end():
-    handle = start_server_thread(workers=1, batch_window_ms=0.0)
-    order = []
-    _slow_evaluator(handle, 0.15, order)
-    try:
-        done = []
-
-        def request(observable, priority, delay):
-            time.sleep(delay)
-            with ServeClient("127.0.0.1", handle.port) as remote:
-                remote.sweep_payload(small_sweep(observable), priority=priority)
-                done.append(observable)
-
-        threads = [
-            # "period" occupies the worker; "power" (priority 0) then
-            # "frequency" (priority 5) queue behind it — the higher
-            # priority must evaluate first despite arriving later.
-            threading.Thread(target=request, args=("period", 0, 0.0)),
-            threading.Thread(target=request, args=("power", 0, 0.05)),
-            threading.Thread(target=request, args=("frequency", 5, 0.10)),
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert order == ["period", "frequency", "power"]
-        assert sorted(done) == ["frequency", "period", "power"]
-    finally:
-        handle.stop()
-
-
-def test_expired_deadline_returns_structured_error_without_evaluating():
-    handle = start_server_thread(workers=1, batch_window_ms=0.0)
-    _slow_evaluator(handle, 0.3)
-    try:
-        def occupy():
-            with ServeClient("127.0.0.1", handle.port) as remote:
-                remote.sweep_payload(small_sweep("period"))
-
-        filler = threading.Thread(target=occupy)
-        filler.start()
-        time.sleep(0.1)  # the filler owns the only worker
-        with ServeClient("127.0.0.1", handle.port) as remote:
-            with pytest.raises(ServeError) as caught:
-                remote.sweep_payload(small_sweep("power"), deadline_ms=50)
-            assert caught.value.code == E_DEADLINE
-        filler.join()
-        # Only the filler was ever evaluated.
-        assert handle.server.evaluations == 1
-        assert handle.server.scheduler.expired == 1
-    finally:
-        handle.stop()
 
 
 def test_saturated_queue_answers_busy():
@@ -294,19 +199,25 @@ def test_saturated_queue_answers_busy():
         handle.stop()
 
 
-def test_invalid_scheduling_fields_are_rejected(tmp_path):
+def test_unknown_request_fields_are_rejected():
+    # The scheduling fields an older client may still send are refused
+    # by name, not silently ignored; so is any other unknown field.
     handle = start_server_thread()
     try:
+        sweep = {"op": "sweep", "spec": small_sweep().to_dict()}
+        point = {"op": "point", "spec": base_spec(), "temperature_c": 25.0}
         with ServeClient("127.0.0.1", handle.port) as remote:
-            for message in (
-                {"op": "sweep", "spec": small_sweep().to_dict(), "priority": "high"},
-                {"op": "sweep", "spec": small_sweep().to_dict(), "priority": True},
-                {"op": "sweep", "spec": small_sweep().to_dict(), "deadline_ms": -5},
-                {"op": "sweep", "spec": small_sweep().to_dict(), "deadline_ms": "soon"},
+            for request, field, value in (
+                (sweep, "priority", "high"),
+                (sweep, "priority", True),
+                (sweep, "deadline_ms", -5),
+                (sweep, "deadline_ms", "soon"),
+                (point, "colour", 1),
             ):
                 with pytest.raises(ServeError) as caught:
-                    remote._request(message)
+                    remote._request({**request, field: value})
                 assert caught.value.code == E_BAD_REQUEST
+                assert repr(field) in caught.value.message
         assert handle.server.evaluations == 0
     finally:
         handle.stop()
@@ -671,7 +582,7 @@ def test_coalesced_slices_are_bitwise_equal_to_solo_runs(grids):
     base_key = canonical_key(base)
 
     async def scenario():
-        async def evaluate(payload, priority=0, deadline=None):
+        async def evaluate(payload):
             return Sweep.from_dict(payload).run()
 
         batcher = MicroBatcher(evaluate, window_ms=1.0)
@@ -736,10 +647,11 @@ def test_dead_server_surfaces_as_structured_transport_error():
     probe.close()
     started = time.monotonic()
     with pytest.raises(ServeError) as caught:
-        ServeClient("127.0.0.1", port, connect_retries=2, retry_backoff_s=0.01)
+        ServeClient("127.0.0.1", port)
     assert caught.value.code == "transport"
-    # The retries actually backed off (0.01 + 0.02) before giving up.
-    assert time.monotonic() - started >= 0.03
+    # The retries actually backed off (0.05 + 0.1 + 0.2) before giving up.
+    backoff = sum(RETRY_BACKOFF_S * 2**attempt for attempt in range(CONNECT_RETRIES))
+    assert time.monotonic() - started >= backoff
 
 
 def test_request_retries_once_over_a_fresh_connection():
@@ -747,9 +659,7 @@ def test_request_retries_once_over_a_fresh_connection():
     # request must reconnect and succeed instead of raising.
     handle = start_server_thread()
     try:
-        client = ServeClient(
-            "127.0.0.1", handle.port, connect_retries=3, retry_backoff_s=0.02
-        )
+        client = ServeClient("127.0.0.1", handle.port)
         try:
             assert client.ping()["ok"] is True
             client._sock.shutdown(socket.SHUT_RDWR)
@@ -767,7 +677,7 @@ def test_unresponsive_server_surfaces_as_timeout_error():
     mute.listen(1)
     port = mute.getsockname()[1]
     try:
-        client = ServeClient("127.0.0.1", port, timeout=0.2, connect_retries=0)
+        client = ServeClient("127.0.0.1", port, timeout=0.2)
         try:
             with pytest.raises(ServeError) as caught:
                 client._request({"op": "ping"}, retry=False)
