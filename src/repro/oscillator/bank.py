@@ -19,11 +19,14 @@ as a single ``(C, S, T)`` broadcast:
   capacitances of each unique cell evaluated once, and
 * the period tensor is the weights-times-curves contraction
   ``period[c] = sum_u W[u, c] * K[u]`` over the cells each configuration
-  uses — per unique cell, one broadcast multiply-add for all its
-  configurations, or one per configuration when a configuration's
-  ``(sample, temperature)`` slab is large; no Python loop over samples,
-  temperatures or stages.
+  uses (:meth:`~repro.oscillator.ring.CellCurves.contract`) — per unique
+  cell, one broadcast multiply-add for all its configurations, or one
+  per configuration when a configuration's ``(sample, temperature)``
+  slab is large; no Python loop over samples, temperatures or stages.
 
+:meth:`ConfigurationBank.cell_curves` hands out the curves and weights
+before the contraction, so the sweep engine contracts per-cell endpoint
+terms into its endpoint observables without forming the period tensor.
 A :class:`~repro.oscillator.ring.RingOscillator` is the one-row case of
 the same contraction.  ``tests/oracles.py`` pins the bank bitwise to
 ``period_tensor_per_cell`` (the same contraction, with its own current
@@ -41,15 +44,9 @@ from ..cells.cell import StandardCell
 from ..cells.library import CellLibrary
 from ..tech.stacked import stack_technologies
 from .config import ConfigurationError, RingConfiguration
-from .ring import RingOscillator, _cell_drives, _delay_curves, _load_weights
+from .ring import CellCurves, RingOscillator, _cell_drives, _delay_curves, _load_weights
 
 __all__ = ["ConfigurationBank", "normalise_configurations"]
-
-#: Size of one configuration's ``(sample, temperature)`` slab from which
-#: the period contraction updates configurations one at a time (measured
-#: crossover of the two contraction orders on a Xeon host: 1000-2000).
-_ROW_VALUES = 2048
-
 
 class ConfigurationBank:
     """Many ring configurations stacked for one-shot batch evaluation.
@@ -121,7 +118,7 @@ class ConfigurationBank:
                 users[index_of[cell.name]].append(row)
                 bank_index.append(index_of[cell.name])
             self._row_cells.append(np.asarray(bank_index)[ring._stage_cells])
-        self._users = [np.asarray(rows) for rows in users]
+        self._users = tuple(tuple(rows) for rows in users)
 
     # ------------------------------------------------------------------ #
     # structure
@@ -153,6 +150,38 @@ class ConfigurationBank:
     # batch evaluation
     # ------------------------------------------------------------------ #
 
+    def cell_curves(self, temperatures_c: Sequence[float], technologies=None) -> CellCurves:
+        """The unique cells' delay curves and every configuration's load weights.
+
+        Without ``technologies`` the curves are ``(temperature,)`` rows
+        against ``(configuration, 1, 1)`` weights; with a population
+        they are ``(sample, temperature)`` slabs against
+        ``(configuration, sample, 1)`` weights.
+        """
+        temps = np.asarray(temperatures_c, dtype=float)
+        if technologies is None:
+            tech, cells = self.library.technology, self._cells
+        else:
+            tech = stack_technologies(technologies)
+            cells = [cell.rebind(tech) for cell in self._cells]
+
+        # One delay-per-farad curve per unique cell: K_u(T) such that a
+        # stage built from cell u with total output load L contributes
+        # K_u * L to the ring period.  The currents behind them are gone
+        # before any contraction.
+        curves = _delay_curves(_cell_drives(cells), temps)
+
+        # Per-unique-cell load weights of every configuration, (U, C, S, 1),
+        # from the capacitances of each unique cell evaluated once.
+        weights = _load_weights(
+            self._rings,
+            self._row_cells,
+            np.asarray([cell.input_capacitance() for cell in cells]),
+            np.asarray([cell.output_parasitic_capacitance() for cell in cells]),
+            tech,
+        ).reshape(len(cells), self.config_count, -1, 1)
+        return CellCurves(curves, weights, self._users)
+
     def period_tensor(
         self,
         temperatures_c: Sequence[float],
@@ -165,52 +194,12 @@ class ConfigurationBank:
         is a population (a :class:`~repro.tech.stacked.TechnologyArray`
         or a stackable sequence of technologies; a sequence mixing
         technology nodes raises :class:`~repro.tech.TechnologyError`).
+        The contraction ``period[c] = sum_u W[u, c] * K[u]`` is
+        :meth:`CellCurves.contract <repro.oscillator.ring.CellCurves.contract>`
+        of :meth:`cell_curves`.
         """
-        temps = np.asarray(temperatures_c, dtype=float)
-        if technologies is None:
-            tech, cells, sample_count = self.library.technology, self._cells, 1
-        else:
-            technologies = stack_technologies(technologies)
-            tech, sample_count = technologies, len(technologies)
-            cells = [cell.rebind(technologies) for cell in self._cells]
-
-        # One delay-per-farad curve per unique cell: K_u(T) such that a
-        # stage built from cell u with total output load L contributes
-        # K_u * L to the ring period.  Shapes: (S, T) columns against
-        # the temperature row (S = 1 collapses to the scalar case).
-        # The currents behind them are gone before the tensor exists.
-        curves = _delay_curves(_cell_drives(cells), temps)
-
-        # Per-unique-cell load weights of every configuration, (U, C, S, 1),
-        # from the capacitances of each unique cell evaluated once.
-        weights = _load_weights(
-            self._rings,
-            self._row_cells,
-            np.asarray([cell.input_capacitance() for cell in cells]),
-            np.asarray([cell.output_parasitic_capacitance() for cell in cells]),
-            tech,
-        ).reshape(len(cells), self.config_count, -1, 1)
-
-        # The contraction: period[c] = sum_u W[u, c] * K[u], in ascending
-        # u, over the configurations that use cell u (a configuration
-        # that does not has W[u, c] == 0; its term would add an exact
-        # +0.0, so leaving it out changes no bit of the sum).  Small
-        # (S, T) slabs — a cell-mix search at one sample — take one
-        # indexed multiply-add per cell for all its configurations.
-        # Large ones — Fig. 3 x Monte-Carlo — update one configuration
-        # in place at a time through one reused (S, T) term, which keeps
-        # the operands cache-sized.
-        tensor = np.zeros((self.config_count, sample_count, temps.size))
-        per_configuration = sample_count * temps.size >= _ROW_VALUES
-        if per_configuration:
-            term = np.empty(tensor.shape[1:])
-        for u, rows in enumerate(self._users):
-            if per_configuration:
-                for row in rows.tolist():
-                    np.multiply(weights[u, row], curves[u], out=term)
-                    tensor[row] += term
-            else:
-                tensor[rows] += weights[u, rows] * curves[u]
+        cells = self.cell_curves(temperatures_c, technologies)
+        tensor = cells.contract(cells.curves)
         if technologies is None:
             return tensor[:, 0, :]
         return tensor

@@ -15,8 +15,9 @@ questions the sensor needs:
   the stages built from cell ``u``.  A ring is a one-row
   :class:`~repro.oscillator.bank.ConfigurationBank`: both take the
   curves from :func:`_delay_curves` and the weights from
-  :func:`_load_weights`.  This backs the Fig. 2 / Fig. 3
-  temperature sweeps, the sensor and the DTM scan.
+  :func:`_load_weights`, and sum them with :meth:`CellCurves.contract`.
+  This backs the Fig. 2 / Fig. 3 temperature sweeps, the sensor and the
+  DTM scan.
 * *at transistor level*: build the ring as an MNA netlist with explicit
   load capacitors and travelling-wave initial conditions, so the
   transient simulator can produce the start-up waveform of the paper's
@@ -25,6 +26,7 @@ questions the sensor needs:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -198,7 +200,8 @@ class RingOscillator:
         return 1.0 / self.period(temperature_c)
 
     def _bank_row(self) -> tuple:
-        """The unique cells' :func:`_cell_drives` and :func:`_load_weights`.
+        """The unique cells' :func:`_cell_drives` and :func:`_load_weights`
+        (as a one-row ``(U, 1, ...)`` table), and each cell's users.
 
         Worked out on first use and kept: a ring is not changed after
         construction.
@@ -213,14 +216,20 @@ class RingOscillator:
                 np.asarray([cell.output_parasitic_capacitance() for cell in cells]),
                 self.technology,
             )
-            row = self._row = (_cell_drives(cells), weights[:, 0])
+            row = self._row = (_cell_drives(cells), weights, ((0,),) * len(cells))
         return row
+
+    def cell_curves(self, temperatures_c) -> "CellCurves":
+        """The ring's per-cell delay curves over a grid, as a one-row :class:`CellCurves`."""
+        drives, weights, users = self._bank_row()
+        temps = np.asarray(temperatures_c, dtype=float)
+        return CellCurves(_delay_curves(drives, temps), weights, users)
 
     def period_series(self, temperatures_c: Sequence[float]) -> np.ndarray:
         """Periods (s) over a temperature grid of any shape (vectorized).
 
         The contraction ``sum_u W_u * K_u`` over the ring's unique
-        cells, summed in ascending ``u`` from zero as
+        cells (:meth:`CellCurves.contract`), summed in ascending ``u`` as
         :meth:`ConfigurationBank.period_tensor
         <repro.oscillator.bank.ConfigurationBank.period_tensor>` sums
         one row: one :func:`~repro.delay.alpha_power.drive_currents`
@@ -232,15 +241,13 @@ class RingOscillator:
         temperature gives :meth:`period`, bitwise that point of a grid.
         """
         temps = np.asarray(temperatures_c, dtype=float)
-        drives, weights = self._bank_row()
         if temps.ndim == 0:
             # One point goes through a one-element grid: numpy's scalar
             # arithmetic is not bitwise its array arithmetic.
-            return self.period_series(temps.reshape((1,) * weights.ndim))[0]
-        total = 0.0
-        for weight, curve in zip(weights, _delay_curves(drives, temps)):
-            total = total + weight * curve
-        return total
+            weights = self._bank_row()[1]
+            return self.period_series(temps.reshape((1,) * (weights.ndim - 1)))[0]
+        cells = self.cell_curves(temps)
+        return cells.contract(cells.curves)[0]
 
     def rebind(self, technology) -> "RingOscillator":
         """A copy of this ring implemented in another technology.
@@ -407,6 +414,75 @@ class RingOscillator:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RingOscillator({self.label()!r}, {self.library.technology.name})"
+
+
+#: Size of one row's values from which :meth:`CellCurves.contract`
+#: updates its rows one at a time (measured crossover of the two
+#: contraction orders on a Xeon host: 1000-2000).
+_ROW_VALUES = 2048
+
+
+@dataclass(frozen=True)
+class CellCurves:
+    """The unique cells' delay curves of a set of rings and the weights that contract them.
+
+    ``curves[u]`` is cell ``u``'s delay per farad ``K_u``
+    (:func:`_delay_curves`), ``weights[u, r]`` the summed total load of
+    ring ``r``'s stages built from cell ``u`` (:func:`_load_weights`; a
+    scalar or a population's ``(samples, 1)`` column), and ``users[u]``
+    the rings that use cell ``u``, ascending.  Ring ``r``'s period is
+    row ``r`` of ``contract(curves)``.
+    """
+
+    curves: List[np.ndarray]
+    weights: np.ndarray
+    users: Tuple[Tuple[int, ...], ...]
+
+    def contract(self, terms: Sequence) -> np.ndarray:
+        """``out[r] = sum_u weights[u, r] * terms[u]``, summed in ascending ``u``.
+
+        ``terms`` holds one array per cell, of any shape that broadcasts
+        against the weights.  A ring that does not use cell ``u`` has
+        ``weights[u, r] == 0``; its term would add an exact ``+0.0``, so
+        it is left out.  Each row starts from its first term, not from
+        zero: every ``weights * term`` product is ``0.0 + x``, which is
+        ``x`` unless ``x`` is ``-0.0``.  One ring (a
+        :class:`RingOscillator`) is summed term by term.  Small rows (a
+        cell-mix search at one sample) take one indexed multiply-add per
+        cell for all its rings; large ones (Fig. 3 x Monte-Carlo) update
+        one ring at a time through one reused scratch row, which keeps
+        the operands cache-sized.
+        """
+        weights = self.weights
+        if weights.shape[1] == 1:
+            total = weights[0, 0] * terms[0]
+            for u in range(1, len(terms)):
+                total = total + weights[u, 0] * terms[u]
+            return total[np.newaxis]
+        shape = np.broadcast_shapes(weights.shape[2:], *(np.shape(term) for term in terms))
+        out = np.empty(weights.shape[1:2] + shape)
+        started = np.zeros(len(out), dtype=bool)
+        if math.prod(shape) >= _ROW_VALUES:
+            scratch = np.empty(shape)
+            for u, rows in enumerate(self.users):
+                for row in rows:
+                    if started[row]:
+                        np.multiply(weights[u, row], terms[u], out=scratch)
+                        out[row] += scratch
+                    else:
+                        np.multiply(weights[u, row], terms[u], out=out[row])
+                        started[row] = True
+            return out
+        for u, rows in enumerate(self.users):
+            rows = np.asarray(rows)
+            first = rows[~started[rows]]
+            rest = rows[started[rows]]
+            if first.size:
+                out[first] = weights[u, first] * terms[u]
+            if rest.size:
+                out[rest] += weights[u, rest] * terms[u]
+            started[rows] = True
+        return out
 
 
 def _load_weights(

@@ -30,6 +30,7 @@ import sys
 from typing import List, Optional
 
 from ..engine.sweep import Axis, Sweep
+from ..fields import flag, integer
 from ..oscillator import RingConfiguration
 from ..tech import CMOS035
 from .client import ServeClient
@@ -40,7 +41,9 @@ __all__ = ["main"]
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="python -m repro.serve.smoke")
-    parser.add_argument("--workers", type=int, default=DEFAULT_WORKERS)
+    parser.add_argument(
+        "--workers", type=flag(integer, "workers", at_least=1), default=DEFAULT_WORKERS
+    )
     parser.add_argument(
         "--cache-dir", default=None, help="also check a warm restart from this cache"
     )

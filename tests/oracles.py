@@ -534,16 +534,77 @@ def period_series_per_cell(ring, temperatures_c) -> np.ndarray:
     columns.
     """
     temps = np.asarray(temperatures_c, dtype=float)
+    total = 0.0
+    for weight, cell in _ring_cell_weights(ring):
+        total = total + weight * _delay_per_farad(cell, temps)
+    return total
+
+
+def _ring_cell_weights(ring):
+    """``(weight, cell)`` per unique cell of a ring, in first-appearance order.
+
+    Each weight sums ``load + parasitic`` of the cell's stages from
+    :meth:`RingOscillator.stages`, from zero in stage order.
+    """
     cells, weights = {}, {}
     for stage in ring.stages():
         name = stage.cell.name
         cells.setdefault(name, stage.cell)
         total_load = stage.load_f + stage.cell.output_parasitic_capacitance()
         weights[name] = weights.get(name, 0.0) + total_load
-    total = 0.0
-    for name, cell in cells.items():
-        total = total + weights[name] * _delay_per_farad(cell, temps)
-    return total
+    return [(weights[name], cell) for name, cell in cells.items()]
+
+
+def endpoint_observable_per_cell(ring, temperatures_c, observable) -> np.ndarray:
+    """A ring's endpoint observable summed from per-cell terms, written out.
+
+    The sweep's order: with ``low_u``/``span_u`` each cell's curve at the
+    extreme temperatures and its rise between them, the deviation
+    ``D_u = (K_u - low_u) - span_u * f`` of each cell from its own
+    endpoint line, and ``sum W * D``, ``sum W * span`` and
+    ``sum W * (K - low)`` summed over the cells like
+    :func:`period_series_per_cell`; each curve from two
+    :func:`effective_saturation_current` calls of its own.
+    """
+    temps = np.asarray(temperatures_c, dtype=float)
+    index_low, index_high = int(np.argmin(temps)), int(np.argmax(temps))
+    t_low, t_high = temps[index_low], temps[index_high]
+    fraction = (temps - t_low) / (t_high - t_low)
+    span = rise = deviation = 0.0
+    for weight, cell in _ring_cell_weights(ring):
+        curve = _delay_per_farad(cell, temps)
+        low = curve[..., index_low : index_low + 1]
+        span_u = curve[..., index_high : index_high + 1] - low
+        span = span + weight * span_u
+        rise = rise + weight * (curve - low)
+        deviation = deviation + weight * ((curve - low) - span_u * fraction)
+    if observable == "nonlinearity_percent":
+        return deviation * (100.0 / np.abs(span))
+    transfer = t_low + rise * ((t_high - t_low) / span)
+    if observable == "calibration_error_c":
+        return transfer - temps
+    return transfer
+
+
+def endpoint_observable_textbook(periods, temperatures_c, observable) -> np.ndarray:
+    """An endpoint observable by its textbook formula over the periods ``P``.
+
+    ``P`` has temperature last.  Non-linearity is
+    ``(P - (P_low + slope * (T - t_low))) / |span| * 100``; the transfer
+    curve is ``t_low + (t_high - t_low) / span * (P - P_low)``.
+    """
+    temps = np.asarray(temperatures_c, dtype=float)
+    index_low, index_high = int(np.argmin(temps)), int(np.argmax(temps))
+    t_low, t_high = temps[index_low], temps[index_high]
+    low = periods[..., index_low : index_low + 1]
+    span = periods[..., index_high : index_high + 1] - low
+    if observable == "nonlinearity_percent":
+        line = low + span / (t_high - t_low) * (temps - t_low)
+        return (periods - line) / np.abs(span) * 100.0
+    transfer = t_low + (t_high - t_low) / span * (periods - low)
+    if observable == "calibration_error_c":
+        return transfer - temps
+    return transfer
 
 
 def period_tensor_loop(bank, temperatures_c, technologies=None) -> np.ndarray:

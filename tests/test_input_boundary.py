@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from repro import CMOS035, Axis, ReproInputError, Sweep, sample_technology_array
 from repro.engine import SweepError
-from repro.serve import server, start_server_thread
+from repro.serve import server, smoke, start_server_thread
 from repro.serve.protocol import E_BAD_SPEC, E_TECH_MISMATCH, E_VERSION
 from repro.serve.spec import canonical_spec
 
@@ -271,3 +271,17 @@ def test_serve_flag_is_a_usage_error(monkeypatch, capsys, flag, value):
     err = capsys.readouterr().err
     assert err.startswith("usage: repro-serve")
     assert f"error: argument {flag}: " in err
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "2.7", "x"])
+def test_smoke_workers_flag_is_a_usage_error(monkeypatch, capsys, value):
+    def started(**settings):
+        raise AssertionError(f"--workers {value} started a server: {settings}")
+
+    monkeypatch.setattr(smoke, "start_server_thread", started)
+    with pytest.raises(SystemExit) as caught:
+        smoke.main(["--workers", value])
+    assert caught.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: python -m repro.serve.smoke")
+    assert "error: argument --workers: " in err

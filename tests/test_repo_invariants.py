@@ -13,6 +13,10 @@ belongs in the tests (``tests/oracles.py`` holds the references).
 A fourth test audits knobs the same way: every keyword parameter of the
 service's and the sweep's entry points must be set by something CI runs
 outside the tests, or be a deployment resource limit on ``KNOB_KEEP``.
+
+A fifth scans the package for unused imports: every name an import
+binds must be read in its module, listed in its ``__all__`` or named in
+a string annotation.
 """
 
 from __future__ import annotations
@@ -268,3 +272,53 @@ def test_every_knob_has_a_consumer():
         if name not in used and (owner, name) not in KNOB_KEEP
     ]
     assert not unset, "knobs no example, benchmark or CI run sets:\n" + "\n".join(unset)
+
+
+def _annotations(tree):
+    """Every annotation expression of a module (arguments, returns, variables)."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]:
+                if arg is not None and arg.annotation is not None:
+                    yield arg.annotation
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _names_read(tree):
+    """Names a module reads: references, ``__all__`` entries and string annotations."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            names.update(
+                entry.value for entry in ast.walk(node.value) if isinstance(entry, ast.Constant)
+            )
+    for annotation in _annotations(tree):
+        for part in ast.walk(annotation):
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                quoted = ast.parse(part.value, mode="eval")
+                names.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return names
+
+
+def test_package_has_no_unused_imports():
+    unused = []
+    for source in sorted((ROOT / "src/repro").rglob("*.py")):
+        tree = ast.parse(source.read_text())
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = node.lineno
+        read = _names_read(tree)
+        path = source.relative_to(ROOT).as_posix()
+        unused += [f"{path}:{line}: {name}" for name, line in bound.items() if name not in read]
+    assert not unused, "imported but never used:\n" + "\n".join(unused)

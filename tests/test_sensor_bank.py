@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 from oracles import (
     bank_scan_loop,
+    endpoint_observable_per_cell,
+    endpoint_observable_textbook,
     measured_period_scalar,
     monitor_scan_scalar,
     site_period_tensor_loop,
@@ -250,9 +252,10 @@ class TestSiteAxisThroughSweep:
         "observable", ["nonlinearity_percent", "transfer_c", "calibration_error_c"]
     )
     def test_characterisation_mode_endpoint_observables(self, bank, observable):
-        # The shared-design tensor is a read-only broadcast along the
-        # site dimension; each endpoint observable is a fresh array
-        # computed in the order of its textbook formula.
+        # The shared design's observable, summed from per-cell terms,
+        # broadcasts along the site dimension: bitwise the per-cell
+        # oracle in the same order, and within 1e-9 of each row's peak
+        # of the textbook formula over the periods.
         grid = np.linspace(-50.0, 150.0, 9)
         population = sample_technology_array(CMOS035, 3, seed=8)
         result = (
@@ -264,18 +267,16 @@ class TestSiteAxisThroughSweep:
             .run()
         )
         assert result.dims == ("site", "sample", "temperature")
-        periods = bank.ring.period_matrix(population, grid)
-        low, high = periods[:, :1], periods[:, -1:]
-        span = high - low
-        if observable == "nonlinearity_percent":
-            line = low + span / (grid[-1] - grid[0]) * (grid - grid[0])
-            expected = (periods - line) / np.abs(span) * 100.0
-        else:
-            expected = grid[0] + (grid[-1] - grid[0]) / span * (periods - low)
-            if observable == "calibration_error_c":
-                expected = expected - grid
+        ring = bank.ring.rebind(population)
+        expected = endpoint_observable_per_cell(ring, grid, observable)
+        textbook = endpoint_observable_textbook(
+            bank.ring.period_matrix(population, grid), grid, observable
+        )
+        peak = np.abs(textbook).max(axis=-1, keepdims=True)
         for index in range(bank.site_count):
-            assert np.array_equal(result.isel(site=index).values, expected)
+            values = result.isel(site=index).values
+            assert np.array_equal(values, expected)
+            assert np.all(np.abs(values - textbook) <= 1e-9 * peak)
 
     def test_power_observable_matches_dynamic_power(self, bank):
         result = (

@@ -15,7 +15,7 @@ of evidence:
   transform diagonalizes, and
 * the 256x256 full die served exactly (energy conservation, agreement
   with the reference, DTM traces equal to a reference-stepped run), and
-  ``import repro`` loading no part of ``scipy``.
+  ``import repro`` and ``import repro.engine`` loading no part of ``scipy``.
 """
 
 import os
@@ -281,14 +281,14 @@ class TestFullDieAutoRouting:
         assert len(np.unique(bank.state_indices)) > 1
 
 
-def _imported_after_import_repro(module: str) -> bool:
-    """Whether ``import repro`` in a fresh interpreter imports ``module``."""
+def _imported_after_import_repro(module: str, package: str = "repro") -> bool:
+    """Whether ``import package`` in a fresh interpreter imports ``module``."""
     source = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.abspath(source)] + [p for p in [env.get("PYTHONPATH")] if p]
     )
-    probe = f"import sys, repro; print({module!r} in sys.modules)"
+    probe = f"import sys, {package}; print({module!r} in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
@@ -305,3 +305,9 @@ def test_import_repro_does_not_import_scipy_sparse_linalg():
 
 def test_import_repro_does_not_import_scipy():
     assert not _imported_after_import_repro("scipy")
+
+
+def test_import_repro_engine_does_not_import_scipy():
+    # The sweep engine's cold start: a Sweep that solves no thermal field
+    # never pays for scipy.
+    assert not _imported_after_import_repro("scipy", package="repro.engine")
