@@ -36,7 +36,7 @@ from ..cells.library import CellLibrary, default_library
 from ..fields import real_array
 from ..oscillator.config import RingConfiguration
 from ..oscillator.ring import RingOscillator
-from ..tech.parameters import Technology, TechnologyError
+from ..tech.parameters import CELSIUS_OFFSET, Technology, TechnologyError
 from ..tech.stacked import stack_technologies
 from ..thermal.floorplan import Floorplan, SensorSite
 from .calibration import LinearCalibration, two_point_calibration
@@ -229,7 +229,10 @@ class SensorBank:
 
     def _site_temperatures(self, junction_temperatures_c) -> np.ndarray:
         temps = real_array(
-            junction_temperatures_c, "junction_temperatures_c", TechnologyError
+            junction_temperatures_c,
+            "junction_temperatures_c",
+            TechnologyError,
+            above=-CELSIUS_OFFSET,
         )
         if temps.shape != (self.site_count,):
             raise TechnologyError(

@@ -26,8 +26,11 @@ This module turns the workload itself into data:
   :class:`~repro.oscillator.bank.ConfigurationBank` so the whole
   Fig. 3 x Monte-Carlo cross product evaluates as a single
   ``(C, S, T)`` broadcast; ``width_ratio`` (a geometry axis that
-  rebuilds the cell) lowers to a thin outer loop over otherwise fully
-  broadcast sub-tensors.
+  rebuilds the cell) evaluates one sized ring per coordinate.  Each
+  branch only picks the per-cell delay curves and load weights of its
+  ring sources (:class:`~repro.oscillator.ring.CellCurves`); one tail
+  contracts them into the periods, or sums an endpoint observable from
+  the per-cell terms, and forms the observable.
 * :class:`SweepResult` — a labeled ndarray container (axis names +
   coordinates with ``select`` / ``isel`` / ``squeeze`` / ``to_dict``
   accessors), so callers stop tracking which raw dimension is which.
@@ -59,7 +62,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -485,7 +488,10 @@ class Axis:
         temps = None
         if junction_temperatures_c is not None:
             temps = real_array(
-                list(junction_temperatures_c), "junction_temperatures_c", SweepError
+                list(junction_temperatures_c),
+                "junction_temperatures_c",
+                SweepError,
+                above=-CELSIUS_OFFSET,
             )
             if temps.shape != (bank.site_count,):
                 raise SweepError(
@@ -582,9 +588,10 @@ class Axis:
         """The Wp/Wn sizing axis (the paper's Fig. 2 knob).
 
         A geometry axis: every ratio rebuilds the inverter cell (via
-        :func:`repro.optimize.sizing.build_sized_ring`), so it lowers to
-        an outer loop over otherwise fully broadcast sub-tensors rather
-        than a broadcast dimension of its own.  Mutually exclusive with
+        :func:`repro.optimize.sizing.build_sized_ring`), so each ratio
+        is its own ring, evaluated over the fully broadcast sample and
+        temperature grid, rather than a broadcast dimension of its own.
+        Mutually exclusive with
         the ``configuration`` axis.  Ratios must be unique — a duplicate
         would collide as a coordinate label in the result, making
         ``select`` ambiguous and the serialized form lossy.  The rings
@@ -1375,9 +1382,12 @@ class Sweep:
         tech_axis = plan.axis("technology")
         if tech_axis is None:
             return replace(plan, rings=plan._build_rings())
-        for node in tech_axis.payload:
-            replace(plan, technology=node)._build_rings()
-        return plan
+        return replace(
+            plan,
+            rings=tuple(
+                replace(plan, technology=node)._build_rings() for node in tech_axis.payload
+            ),
+        )
 
     def run(
         self,
@@ -1442,13 +1452,15 @@ class SweepPlan:
     * ``configuration`` lowers onto a
       :class:`~repro.oscillator.bank.ConfigurationBank` single
       broadcast,
-    * ``width_ratio`` loops ring builds around the inner broadcast,
+    * ``width_ratio`` evaluates one sized ring per coordinate,
     * ``resolution`` loops steady thermal solves (one cached
       :class:`~repro.thermal.operator.ThermalOperator` entry per grid
-      density) around the site axis's banked scan,
-    * a plain ring sweep lowers straight onto
-      :meth:`~repro.oscillator.ring.RingOscillator.period_series` /
-      :meth:`~repro.oscillator.ring.RingOscillator.period_matrix`.
+      density) around the site axis's scan.
+
+    Every branch only chooses the per-cell delay curves of its ring
+    sources (:class:`~repro.oscillator.ring.CellCurves`: the bank's, a
+    ring's, or the site bank's shared ring at the site temperatures);
+    one tail, :meth:`_observe`, forms the observable from them.
     """
 
     axes: Tuple[Axis, ...]
@@ -1461,8 +1473,8 @@ class SweepPlan:
     external_load_f: float
     tap_stage: Optional[int]
     readout: ReadoutConfig = ReadoutConfig()
-    #: What :meth:`_build_rings` built at plan time; ``None`` when the
-    #: rings depend on a technology axis's node (built per node).
+    #: What :meth:`_build_rings` built at plan time; with a technology
+    #: axis, a tuple of what it built for each node, in axis order.
     rings: Any = None
 
     def axis(self, name: str) -> Optional[Axis]:
@@ -1590,38 +1602,83 @@ class SweepPlan:
     # evaluation
     # ------------------------------------------------------------------ #
 
-    def _single_ring_tensor(
-        self, ring: RingOscillator, population, temps: np.ndarray
-    ) -> np.ndarray:
-        """One ring's ``(temperature,)`` or ``(sample, temperature)`` values.
+    def _ring_curves(
+        self, temps: Optional[np.ndarray], population
+    ) -> Iterator[Tuple[CellCurves, Any]]:
+        """Each ring source's :class:`CellCurves`, with the technology that gives its ``Vdd``.
 
-        The periods, or an endpoint observable straight from the ring's
-        per-cell curves (:func:`_endpoint_observable`).
+        The configuration bank is one source.  Otherwise each ring (the
+        base ring, each width_ratio ring, or a site axis's shared ring),
+        bound to the population, is one source over the sweep's
+        temperatures, or one per site scan at the site temperatures
+        (:meth:`_site_temperatures`), as ``(site, 1, 1)`` against a
+        population's ``(samples, 1)`` columns.
         """
-        if self.observable in _ENDPOINT_OBSERVABLES:
+        if self.axis("configuration") is not None:
+            bank: ConfigurationBank = self.rings
+            technology = population if population is not None else bank.library.technology
+            yield bank.cell_curves(temps, population), technology
+            return
+        site_axis = self.axis("site")
+        if site_axis is not None:
+            rings = (site_axis.payload["bank"].ring,)
+        elif self.axis("width_ratio") is not None:
+            rings = self.rings
+        else:
+            rings = (self.rings,)
+        for ring in rings:
             if population is not None:
                 ring = ring.rebind(population)
-            return _endpoint_observable(self.observable, ring.cell_curves(temps), temps)[0]
-        if population is None:
-            return np.asarray(ring.period_series(temps))
-        return np.asarray(ring.period_matrix(population, temps))
+            if temps is not None:
+                yield ring.cell_curves(temps), ring.technology
+                continue
+            for site_temps in self._site_temperatures():
+                if population is not None:
+                    site_temps = site_temps.reshape(-1, 1, 1)
+                yield ring.cell_curves(site_temps), ring.technology
 
-    def _vdd2_switched_cap(self, ring: RingOscillator, population) -> np.ndarray:
-        """``Vdd^2 * C_switched`` of a ring, per flat population sample.
+    def _site_temperatures(self) -> Iterator[np.ndarray]:
+        """The junction temperatures of each site scan, ``(site,)`` each.
 
-        The ``power`` observable's load-independent factor: the ring's
-        dynamic power is this divided by the period.  Shapes: a scalar
-        without a population, an ``(S, 1)`` column against a stacked
-        one.
+        The site axis's own, or, with a resolution axis, one steady
+        thermal solve per resolution (each through its own cached
+        ThermalOperator entry) read at the sites.
         """
-        def factor(bound: RingOscillator):
-            return (
-                np.asarray(bound.technology.vdd) ** 2 * bound.switched_capacitance()
+        site = self.axis("site").payload
+        resolution_axis = self.axis("resolution")
+        if resolution_axis is None:
+            yield site["junction_temperatures_c"]
+            return
+        spec = resolution_axis.payload
+        xs, ys = site["bank"].positions()
+        for r in resolution_axis.coordinates:
+            power_map = PowerMap.from_floorplan(spec["floorplan"], nx=int(r), ny=int(r))
+            grid = ThermalGrid.for_power_map(power_map, spec["parameters"])
+            field = ThermalOperator.for_grid(grid).solve_steady_state(
+                power_map, spec["ambient_c"]
             )
+            yield field.sample_points(xs, ys)
 
-        if population is None:
-            return np.asarray(factor(ring))
-        return np.asarray(factor(ring.rebind(population))).reshape(-1, 1)
+    def _observe(self, cells: CellCurves, temps: Optional[np.ndarray], technology) -> np.ndarray:
+        """The plan's observable of every ring of ``cells``, one row per ring.
+
+        The one tail of the dense evaluation.  An endpoint observable is
+        summed from the per-cell terms (:func:`_endpoint_observable`).
+        Otherwise the curves are contracted once into the periods ``P``,
+        which must be finite; ``power`` is ``Vdd^2 * C / P``, where a
+        ring's switched capacitance ``C`` (every stage's output load plus
+        its own drain parasitics) is the sum of its load weights.
+        """
+        if self.observable in _ENDPOINT_OBSERVABLES:
+            return _endpoint_observable(self.observable, cells, temps)
+        periods = cells.contract(cells.curves)
+        # min/max propagate NaN, so one reduction each finds any NaN or
+        # inf without a mask.
+        if periods.size and not (np.isfinite(periods.min()) and np.isfinite(periods.max())):
+            raise SweepError(_OVERFLOW_MESSAGE)
+        if self.observable == "power":
+            return np.asarray(technology.vdd) ** 2 * cells.weights.sum(axis=0) / periods
+        return periods
 
     def execute(
         self,
@@ -1632,7 +1689,8 @@ class SweepPlan:
         """Evaluate the plan and label the result.
 
         With no arguments (and no ``REPRO_SWEEP_EXECUTOR`` environment
-        override) this is the dense in-memory single-pass evaluation —
+        override) this is the dense in-memory evaluation: each ring
+        source's per-cell curves, contracted once into the observable —
         the reference semantics every other path must bit-match.
 
         ``executor`` selects a tiled execution backend (an
@@ -1657,21 +1715,27 @@ class SweepPlan:
         )
 
     def _execute_dense(self) -> SweepResult:
-        """The dense single-broadcast evaluation (the oracle semantics)."""
+        """The dense evaluation (the oracle semantics).
+
+        :meth:`_ring_curves` chooses the curves of each ring source,
+        :meth:`_observe` forms each one's rows, and the rows stack along
+        the ring axis.
+        """
         tech_axis = self.axis("technology")
         if tech_axis is not None:
             # Outermost per-node loop: each node re-enters this method
-            # as the sub-plan's technology= base, so a node's slice takes
-            # exactly the code path (and produces bitwise the numbers) of
-            # an equivalent single-node sweep.
+            # as the sub-plan's technology= base with the rings planned
+            # for it, so a node's slice takes exactly the code path (and
+            # produces bitwise the numbers) of an equivalent single-node
+            # sweep.
             inner_axes = tuple(
                 axis for axis in self.axes if axis.name != "technology"
             )
             slices = [
-                replace(self, axes=inner_axes, technology=node)
+                replace(self, axes=inner_axes, technology=node, rings=rings)
                 ._execute_dense()
                 .values
-                for node in tech_axis.payload
+                for node, rings in zip(tech_axis.payload, self.rings)
             ]
             coords = {axis.name: tuple(axis.coordinates) for axis in self.axes}
             return SweepResult(
@@ -1687,105 +1751,22 @@ class SweepPlan:
             else None
         )
         population = self._lower_population()
-        rings = self.rings if self.rings is not None else self._build_rings()
-        config_axis = self.axis("configuration")
-        ratio_axis = self.axis("width_ratio")
-        site_axis = self.axis("site")
-        need_power = self.observable == "power"
-        vdd2cap: Optional[np.ndarray] = None
 
-        # An overflowing period is refused by the finiteness guard below
+        # An overflowing period is refused by _observe's finiteness guard
         # (or, for an endpoint observable, by _endpoint_observable's
         # bound), so the overflow is not also reported as a numpy warning.
         with np.errstate(over="ignore"):
-            if site_axis is not None:
-                sensor_bank: SensorBank = site_axis.payload["bank"]
-                site_temps = site_axis.payload["junction_temperatures_c"]
-                resolution_axis = self.axis("resolution")
-                if need_power:
-                    vdd2cap = self._vdd2_switched_cap(sensor_bank.ring, population)
-                if resolution_axis is not None:
-                    # Grid-refinement scan: one steady thermal solve per
-                    # resolution (each through its own cached ThermalOperator
-                    # entry), every site read at its solved local junction
-                    # temperature.
-                    spec = resolution_axis.payload
-                    xs, ys = sensor_bank.positions()
-                    slices = []
-                    for r in resolution_axis.coordinates:
-                        power_map = PowerMap.from_floorplan(
-                            spec["floorplan"], nx=int(r), ny=int(r)
-                        )
-                        grid = ThermalGrid.for_power_map(power_map, spec["parameters"])
-                        field = ThermalOperator.for_grid(grid).solve_steady_state(
-                            power_map, spec["ambient_c"]
-                        )
-                        truths = field.sample_points(xs, ys)
-                        slices.append(
-                            sensor_bank.period_tensor(truths, technologies=population)
-                        )
-                    tensor = np.stack(slices)
-                    if need_power and vdd2cap.ndim == 2:
-                        # (S, 1) population columns broadcast over the flat
-                        # trailing sample axis of the (R, site, S) stack.
-                        vdd2cap = vdd2cap.reshape(-1)
-                elif site_temps is not None:
-                    # Scan mode: every site at its own junction temperature;
-                    # one broadcast, no temperature dimension in the result.
-                    tensor = sensor_bank.period_tensor(site_temps, technologies=population)
-                    if need_power and vdd2cap.ndim == 2:
-                        vdd2cap = vdd2cap.reshape(1, -1)
-                else:
-                    # Characterisation mode: the sites share one ring
-                    # design, so the shared-grid tensor broadcasts along the
-                    # site dimension.
-                    inner = self._single_ring_tensor(sensor_bank.ring, population, temps)
-                    tensor = np.broadcast_to(
-                        inner, (sensor_bank.site_count,) + inner.shape
-                    )
-            elif config_axis is not None:
-                bank = rings
-                if self.observable in _ENDPOINT_OBSERVABLES:
-                    tensor = _endpoint_observable(
-                        self.observable, bank.cell_curves(temps, population), temps
-                    )
-                else:
-                    tensor = bank.period_tensor(temps, technologies=population)
-                if need_power:
-                    per_config = [
-                        self._vdd2_switched_cap(ring, population) for ring in bank.rings()
-                    ]
-                    vdd2cap = np.stack(per_config)
-                    if vdd2cap.ndim == 1:  # scalars per configuration
-                        vdd2cap = vdd2cap.reshape(-1, 1)
-            elif ratio_axis is not None:
-                tensor = np.stack(
-                    [self._single_ring_tensor(ring, population, temps) for ring in rings]
-                )
-                if need_power:
-                    vdd2cap = np.stack(
-                        [self._vdd2_switched_cap(ring, population) for ring in rings]
-                    )
-                    if vdd2cap.ndim == 1:
-                        vdd2cap = vdd2cap.reshape(-1, 1)
-            else:
-                tensor = self._single_ring_tensor(rings, population, temps)
-                if need_power:
-                    vdd2cap = self._vdd2_switched_cap(rings, population)
+            rows = [
+                self._observe(cells, temps, technology)
+                for cells, technology in self._ring_curves(temps, population)
+            ]
+        tensor = rows[0] if len(rows) == 1 else np.concatenate(rows)
+        site_axis = self.axis("site")
+        if site_axis is not None and temps is not None:
+            # Characterisation mode: the sites share one ring design, so
+            # its row broadcasts along the site dimension.
+            tensor = np.broadcast_to(tensor, (len(site_axis),) + tensor.shape[1:])
 
-        # min/max propagate NaN, so one reduction each finds any NaN or
-        # inf without a (C, S, T) mask.  An endpoint observable was
-        # checked against its period bound before it was formed.
-        if (
-            self.observable not in _ENDPOINT_OBSERVABLES
-            and tensor.size
-            and not (np.isfinite(tensor.min()) and np.isfinite(tensor.max()))
-        ):
-            raise SweepError(_OVERFLOW_MESSAGE)
-
-        # Context-bearing observables apply on the flat tensor (the
-        # supply-major population axis is still one dimension here, so
-        # the (S, 1) power columns line up without reshaping).
         if self.observable == "code":
             counter = (
                 site_axis.payload["bank"].counter
@@ -1793,22 +1774,14 @@ class SweepPlan:
                 else PeriodCounter(self.readout)
             )
             tensor, _saturated = counter.convert_batch(tensor)
-        elif need_power:
-            tensor = vdd2cap / tensor
 
-        # Un-flatten the supply-major population axis into its named
-        # dimensions and collect the final canonical shape.
-        dims: List[str] = []
-        shape: List[int] = []
-        for axis in self.axes:
-            dims.append(axis.name)
-            shape.append(len(axis))
-        tensor = np.asarray(tensor).reshape(shape)
-
+        # Un-flatten the ring rows and the supply-major population axis
+        # into their named dimensions: the canonical shape.
+        tensor = np.asarray(tensor).reshape([len(axis) for axis in self.axes])
         coords = {axis.name: tuple(axis.coordinates) for axis in self.axes}
         return SweepResult(
             values=_apply_observable(self.observable, tensor),
-            dims=tuple(dims),
+            dims=tuple(axis.name for axis in self.axes),
             coords=coords,
             observable=self.observable,
         )
@@ -1830,9 +1803,10 @@ def _apply_observable(name: str, tensor: np.ndarray) -> np.ndarray:
     """Map the raw period tensor to a pointwise observable.
 
     ``code`` and ``power`` carry context (a counter, the switched
-    capacitance) and are applied inside :meth:`SweepPlan.execute`; they
-    arrive here already evaluated, as does the raw ``period`` and every
-    endpoint observable (:func:`_endpoint_observable`).
+    capacitance) and are applied inside :meth:`SweepPlan._execute_dense`
+    and :meth:`SweepPlan._observe`; they arrive here already evaluated,
+    as does the raw ``period`` and every endpoint observable
+    (:func:`_endpoint_observable`).
     """
     if name == "frequency":
         return 1.0 / tensor

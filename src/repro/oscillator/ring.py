@@ -299,32 +299,22 @@ class RingOscillator:
         matrix = self.rebind(stacked).period_series(temps)
         return np.asarray(matrix, dtype=float).reshape(len(stacked), temps.size)
 
-    def switched_capacitance(self):
-        """Total capacitance switched per oscillation cycle (F).
-
-        Sum of every stage's output load plus its own drain parasitics —
-        the ``C`` of the ``P = f * Vdd^2 * C`` dynamic-power model.  For
-        a ring bound to a stacked population the per-stage terms carry
-        the sample axis and the result is an ``(samples, 1)`` column.
-        """
-        return sum(
-            stage.load_f + stage.cell.output_parasitic_capacitance()
-            for stage in self.stages()
-        )
-
     def dynamic_power(self, temperature_c: float, activity: float = 1.0) -> float:
         """Dynamic power (W) dissipated by the free-running ring.
 
         Every stage output swings rail to rail once per period, so
-        ``P = f * Vdd^2 * sum(C_stage)``; used by the self-heating study
-        and the sweep engine's ``power`` observable.
+        ``P = f * Vdd^2 * C`` with ``C`` the switched capacitance: every
+        stage's output load plus its own drain parasitics, the sum of
+        the ring's load weights (an ``(samples, 1)`` column for a ring
+        bound to a stacked population).  The sweep engine's ``power``
+        observable is the same law.
         """
-        tech = self.technology
+        switched = self._bank_row()[1].sum(axis=0)[0]
         return (
             activity
             * self.frequency(temperature_c)
-            * tech.vdd ** 2
-            * self.switched_capacitance()
+            * self.technology.vdd ** 2
+            * switched
         )
 
     # ------------------------------------------------------------------ #

@@ -555,6 +555,18 @@ def _ring_cell_weights(ring):
     return [(weights[name], cell) for name, cell in cells.items()]
 
 
+def switched_capacitance_per_stage(ring):
+    """A ring's switched capacitance, summed stage by stage from zero.
+
+    Every stage's output load plus its own drain parasitics, from
+    :meth:`RingOscillator.stages`: the ``C`` of ``P = f * Vdd^2 * C``.
+    The package sums the ring's per-cell load weights instead.
+    """
+    return sum(
+        stage.load_f + stage.cell.output_parasitic_capacitance() for stage in ring.stages()
+    )
+
+
 def endpoint_observable_per_cell(ring, temperatures_c, observable) -> np.ndarray:
     """A ring's endpoint observable summed from per-cell terms, written out.
 

@@ -12,6 +12,12 @@ that from three sides:
   configuration, width_ratio and supply axes) on an unsorted grid;
 * at the guards — an overflowing period and a flat response raise the
   same ``SweepError`` as before, with no numpy warning.
+
+The ``period`` and ``power`` observables share the one tail too: on
+every dense branch (a ring, the width_ratio and configuration axes, and
+the site axis characterised, scanned and refined) each ring source's
+curves are contracted once, and ``power`` is the ring's
+``dynamic_power``.
 """
 
 import warnings
@@ -29,6 +35,7 @@ from repro.oscillator import bank as bank_module
 from repro.oscillator import ring as ring_module
 from repro.oscillator.ring import CellCurves
 from repro.tech import CMOS035, sample_technology_array
+from repro.thermal import Floorplan, PowerMap, ThermalGrid, ThermalOperator
 
 ENDPOINT_OBSERVABLES = ("nonlinearity_percent", "transfer_c", "calibration_error_c")
 TEMPS = np.linspace(-50.0, 150.0, 9)
@@ -100,6 +107,149 @@ def test_period_sweep_contracts_the_curves(monkeypatch):
     # The wrapper sees the contraction it looks for when there is one.
     tensor = (len(PAPER_FIG3_CONFIGURATIONS), 50, TEMPS.size)
     assert _contractions(monkeypatch, "period") == [tensor]
+
+
+# --------------------------------------------------------------------------- #
+# one path per branch: period and power
+# --------------------------------------------------------------------------- #
+
+PATH_BRANCHES = ("ring", "width_ratio", "configuration", "site", "site_scan", "resolution")
+RATIOS = (1.0, 2.0, 3.0)
+RESOLUTIONS = (8, 12)
+
+
+def _solved_site_temperatures(bank, resolution):
+    """Each site's junction temperature on the example die at ``resolution``."""
+    power = PowerMap.from_floorplan(
+        Floorplan.example_processor(), nx=resolution, ny=resolution
+    )
+    field = ThermalOperator.for_grid(ThermalGrid.for_power_map(power)).solve_steady_state(
+        power, 45.0
+    )
+    return field.sample_points(*bank.positions())
+
+
+def _dynamic_powers(ring, temps, population):
+    """``ring.dynamic_power`` at each of ``temps``, as a ``(samples, temps)`` array."""
+    if population is not None:
+        ring = ring.rebind(population)
+    return np.stack([np.ravel(ring.dynamic_power(t)) for t in temps], axis=-1)
+
+
+def _path_case(branch, bank, population):
+    """``branch``'s sweep (no observable yet), its ring-source count and its power.
+
+    ``expected(plan)`` lays ``dynamic_power`` out as the sweep's values,
+    with the sample axis kept (size 1 without a population).
+    """
+    if branch == "ring":
+        sweep = Sweep(technology=CMOS035, configuration="2INV+3NAND2")
+        sources = 1
+
+        def expected(plan):
+            return _dynamic_powers(plan.rings, TEMPS, population)
+
+    elif branch == "width_ratio":
+        sweep = Sweep(technology=CMOS035).over(Axis.width_ratio(RATIOS))
+        sources = len(RATIOS)
+
+        def expected(plan):
+            return np.stack([_dynamic_powers(r, TEMPS, population) for r in plan.rings])
+
+    elif branch == "configuration":
+        sweep = Sweep(technology=CMOS035).over(Axis.configuration(PAPER_FIG3_CONFIGURATIONS))
+        sources = 1
+
+        def expected(plan):
+            rings = plan.rings.rings()
+            return np.stack([_dynamic_powers(r, TEMPS, population) for r in rings])
+
+    elif branch == "site":
+        sweep = Sweep().over(Axis.site(bank))
+        sources = 1
+
+        def expected(plan):
+            return np.stack([_dynamic_powers(bank.ring, TEMPS, population)] * bank.site_count)
+
+    elif branch == "site_scan":
+        site_temps = np.linspace(30.0, 90.0, bank.site_count)
+        sweep = Sweep().over(Axis.site(bank, site_temps))
+        sources = 1
+
+        def expected(plan):
+            return _dynamic_powers(bank.ring, site_temps, population).T
+
+    else:
+        floorplan = Floorplan.example_processor()
+        sweep = Sweep().over(Axis.resolution(RESOLUTIONS, floorplan)).over(Axis.site(bank))
+        sources = len(RESOLUTIONS)
+
+        def expected(plan):
+            return np.stack(
+                [
+                    _dynamic_powers(bank.ring, _solved_site_temperatures(bank, r), population).T
+                    for r in RESOLUTIONS
+                ]
+            )
+
+    if population is not None:
+        sweep = sweep.over(Axis.sample(population))
+    if branch not in ("site_scan", "resolution"):
+        sweep = sweep.over(Axis.temperature(TEMPS))
+    return sweep, sources, expected
+
+
+@pytest.mark.parametrize("observable", ["period", "power"])
+@pytest.mark.parametrize("branch", PATH_BRANCHES)
+def test_each_ring_source_is_contracted_once(
+    monkeypatch, sensor_bank_factory, branch, observable
+):
+    bank = sensor_bank_factory(2)
+    population = sample_technology_array(CMOS035, 3, seed=4)
+    sweep, sources, _ = _path_case(branch, bank, population)
+    plan = sweep.observe(observable).plan()
+
+    curves_seen = []
+    contractions = []
+    contract = CellCurves.contract
+
+    def recording(module):
+        delay_curves = module._delay_curves
+
+        def curves(drives, temps):
+            made = delay_curves(drives, temps)
+            curves_seen.extend(made)
+            return made
+
+        return curves
+
+    def recording_contract(self, terms):
+        if any(term is seen for term in terms for seen in curves_seen):
+            contractions.append(len(terms))
+        return contract(self, terms)
+
+    monkeypatch.setattr(ring_module, "_delay_curves", recording(ring_module))
+    monkeypatch.setattr(bank_module, "_delay_curves", recording(bank_module))
+    monkeypatch.setattr(CellCurves, "contract", recording_contract)
+    # Dense, so the wrappers see the evaluation: a tiled backend from the
+    # environment would run it in worker processes.
+    plan.execute(executor="dense")
+    assert curves_seen
+    assert len(contractions) == sources
+
+
+@pytest.mark.parametrize("samples", [None, 3])
+@pytest.mark.parametrize("branch", PATH_BRANCHES)
+def test_power_is_the_rings_dynamic_power(sensor_bank_factory, branch, samples):
+    bank = sensor_bank_factory(2)
+    population = None if samples is None else sample_technology_array(CMOS035, samples, seed=6)
+    sweep, _, expected = _path_case(branch, bank, population)
+    plan = sweep.observe("power").plan()
+    values = plan.execute().values
+    reference = expected(plan)
+    np.testing.assert_allclose(
+        values.reshape(reference.shape), reference, rtol=1e-12, atol=0.0
+    )
 
 
 # --------------------------------------------------------------------------- #

@@ -33,6 +33,7 @@ from repro.engine import SweepError
 from repro.serve import server, smoke, start_server_thread
 from repro.serve.protocol import E_BAD_SPEC, E_TECH_MISMATCH, E_VERSION
 from repro.serve.spec import canonical_spec
+from repro.tech import CELSIUS_OFFSET, TechnologyError
 
 TEMPS = [0.0, 50.0, 100.0]
 
@@ -222,6 +223,32 @@ def test_canonical_spec_names_the_field_by_its_path(make, path, value, field):
     with pytest.raises(ReproInputError) as caught:
         canonical_spec(_mutated(make(), path, value))
     assert caught.value.field == field
+
+
+# --------------------------------------------------------------------------- #
+# site temperatures
+# --------------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("cold", [-300.0, -CELSIUS_OFFSET])
+def test_site_axis_refuses_temperatures_at_or_below_absolute_zero(sensor_bank_factory, cold):
+    bank = sensor_bank_factory(2)
+    temps = [25.0] * bank.site_count
+    temps[1] = cold
+    with pytest.raises(SweepError) as caught:
+        Axis.site(bank, temps)
+    assert caught.value.field == "junction_temperatures_c"
+
+
+@pytest.mark.parametrize("cold", [-300.0, -CELSIUS_OFFSET])
+def test_bank_scan_refuses_temperatures_at_or_below_absolute_zero(sensor_bank_factory, cold):
+    bank = sensor_bank_factory(2)
+    temps = [25.0] * bank.site_count
+    temps[1] = cold
+    for population in (None, sample_technology_array(CMOS035, 2, seed=1)):
+        with pytest.raises(TechnologyError) as caught:
+            bank.scan(temps, technologies=population)
+        assert caught.value.field == "junction_temperatures_c"
 
 
 # --------------------------------------------------------------------------- #

@@ -1,10 +1,12 @@
 """Unit tests for the ring-oscillator model (analytical path)."""
 
+import numpy as np
 import pytest
 
+from oracles import switched_capacitance_per_stage
 from repro.cells import CellLibrary, buffer_cell, default_library, inverter
 from repro.oscillator import ConfigurationError, RingConfiguration, RingOscillator
-from repro.tech import CMOS035
+from repro.tech import CMOS035, sample_technology_array
 
 
 class TestConstruction:
@@ -119,6 +121,16 @@ class TestPeriod:
     def test_dynamic_power_milliwatt_scale(self, inverter_ring):
         power = inverter_ring.dynamic_power(25.0)
         assert 1e-5 < power < 1e-2
+
+    @pytest.mark.parametrize("samples", [None, 4])
+    def test_dynamic_power_switches_every_stage_load(self, mixed_ring, samples):
+        # C is the sum of the ring's load weights: the per-stage sum, re-associated.
+        ring = mixed_ring
+        if samples is not None:
+            ring = ring.rebind(sample_technology_array(CMOS035, samples, seed=2))
+        stage_sum = switched_capacitance_per_stage(ring)
+        expected = ring.frequency(25.0) * ring.technology.vdd ** 2 * stage_sum
+        np.testing.assert_allclose(ring.dynamic_power(25.0), expected, rtol=1e-12, atol=0.0)
 
     def test_dynamic_power_decreases_with_temperature(self, inverter_ring):
         # Slower oscillation at high temperature means less switching power.

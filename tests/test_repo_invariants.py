@@ -99,6 +99,12 @@ INVARIANTS = [
         (),
     ),
     (
+        "One sweep lowering",
+        r"_single_ring_tensor|_vdd2_switched_cap|def switched_capacitance",
+        ("src/repro",),
+        (),
+    ),
+    (
         "One FIFO evaluation queue",
         r"priority|deadline_ms|E_DEADLINE|deadline-expired|PriorityQueue",
         ("src/repro",),

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.engine import Axis, Sweep, SweepError
+from repro.oscillator import RingOscillator
 from repro.serve import canonical_key, canonical_spec
 from repro.tech import (
     CMOS013,
@@ -82,6 +83,24 @@ def test_tiled_execution_matches_dense():
     assert tiled.dims == dense.dims
     assert tiled.coords == dense.coords
     assert np.array_equal(tiled.values, dense.values)
+
+
+def test_each_node_builds_its_rings_once(monkeypatch):
+    # Sweep.plan() builds every node's ring and the plan keeps them per
+    # node; the evaluation builds none.
+    built = []
+    init = RingOscillator.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RingOscillator, "__init__", counting)
+    plan = axis_sweep().plan()
+    assert len(built) == len(NODES)
+    assert [ring.technology for ring in plan.rings] == list(NODES)
+    plan.execute(executor="dense")
+    assert len(built) == len(NODES)
 
 
 def test_axis_composes_with_other_axes():

@@ -307,7 +307,11 @@ def test_import_repro_does_not_import_scipy():
     assert not _imported_after_import_repro("scipy")
 
 
-def test_import_repro_engine_does_not_import_scipy():
-    # The sweep engine's cold start: a Sweep that solves no thermal field
-    # never pays for scipy.
-    assert not _imported_after_import_repro("scipy", package="repro.engine")
+@pytest.mark.parametrize(
+    "package", ["repro.engine", "repro.thermal", "repro.core.sensor_bank", "repro.serve"]
+)
+def test_import_repro_engine_does_not_import_scipy(package):
+    # The cold start of the sweep engine, the thermal stack, the sensor
+    # scan and the sweep service: none pays for scipy until a spectral
+    # solve or an optimisation runs.
+    assert not _imported_after_import_repro("scipy", package=package)
